@@ -73,14 +73,13 @@ func BenchmarkE3Queries(b *testing.B) {
 		}
 		for _, q := range bench.QuerySuite(benchItems) {
 			b.Run(q.ID+"/"+cfg.Name, func(b *testing.B) {
-				before := s.Counters()
+				before := bench.Examined(s)
 				for i := 0; i < b.N; i++ {
 					if _, err := s.Query(id, q.XPath); err != nil {
 						b.Fatal(err)
 					}
 				}
-				w := s.Counters().Sub(before)
-				b.ReportMetric(float64(w.IndexProbes+w.RowsScanned)/float64(b.N), "work/op")
+				b.ReportMetric(float64(bench.Examined(s)-before)/float64(b.N), "work/op")
 			})
 		}
 	}

@@ -3,16 +3,18 @@
 //
 // Usage:
 //
-//	xmlbench [-exp E3] [-items 200] [-quick] [-json] [-stats] [-obs [-obs-out BENCH_obs.json]]
+//	xmlbench [-exp E3] [-items 200] [-quick] [-json]
 //	xmlbench -concurrency 1,4,8 [-duration 2s] [-concurrency-out BENCH_concurrency.json]
 //	xmlbench -shed 1,2,4,8,16 [-shed-active 2] [-duration 2s] [-shed-out BENCH_shed.json]
 //
 // Without -exp it runs every experiment. -quick shrinks workload sizes for a
 // fast smoke run; EXPERIMENTS.md records full-size results. -json emits one
-// machine-readable JSON object (schema_version, results, and with -stats a
-// stage_breakdown) on stdout instead of the aligned text tables. -stats
-// additionally runs the E3 query suite under stage tracing and reports where
-// each encoding spends its query time (parse/translate/exec/post/sort).
+// machine-readable JSON object (schema_version, results) on stdout instead of
+// the aligned text tables.
+//
+// Where query time goes per layer, what request tracing costs and how the
+// disk-paged tier behaves are measured by the repo's benchmark, ordbench
+// (benchmark/README.md), not here.
 //
 // -concurrency switches to the closed-loop concurrent-read benchmark: at
 // each listed goroutine count, that many readers cycle the E3 query mix
@@ -20,24 +22,12 @@
 // stdout and the machine-readable report (throughput, latency quantiles,
 // speedup vs. the 1-goroutine baseline) is written to -concurrency-out.
 //
-// -obs additionally measures request-tracing overhead: the E3 query suite is
-// timed with the tracer off and again with it on (same warmed store), per
-// encoding, plus one traced pass over a disk-paged durable store recording
-// the WAL and buffer-pool activity. The report lands in the -json object's
-// "obs" field and, with -obs-out, in its own JSON file.
-//
 // -shed switches to the load-shedding benchmark: the store's admission gate
 // is fixed at -shed-active slots while the offered closed-loop client count
 // sweeps the -shed list, per encoding. The report (admitted throughput, shed
 // rate, admitted-request latency quantiles) demonstrates graceful
 // degradation — past saturation the shed rate climbs while admitted p99
 // stays bounded — and is written to -shed-out.
-//
-// -pool switches to the buffer-pool benchmark: at each listed frame count,
-// the catalog document is loaded into a disk-paged durable store and the
-// load, query (hit ratio, evictions) and full-vs-incremental checkpoint
-// costs are measured, per encoding. The table goes to stdout and the JSON
-// report is written to -pool-out.
 package main
 
 import (
@@ -69,10 +59,8 @@ type jsonResult struct {
 
 // jsonOutput is the top-level -json document.
 type jsonOutput struct {
-	SchemaVersion  int                          `json:"schema_version"`
-	Results        []jsonResult                 `json:"results"`
-	StageBreakdown map[string][]bench.StageStat `json:"stage_breakdown,omitempty"`
-	Obs            *bench.ObsReport             `json:"obs,omitempty"`
+	SchemaVersion int          `json:"schema_version"`
+	Results       []jsonResult `json:"results"`
 }
 
 func main() {
@@ -80,29 +68,17 @@ func main() {
 	items := flag.Int("items", 200, "catalog items per region for query/update experiments")
 	quick := flag.Bool("quick", false, "shrink workloads for a fast smoke run")
 	asJSON := flag.Bool("json", false, "emit results as a JSON object instead of text tables")
-	stats := flag.Bool("stats", false, "also report the XPath pipeline stage breakdown over the E3 suite")
 	concurrency := flag.String("concurrency", "", "run the concurrent-read benchmark at these goroutine counts (e.g. 1,4,8)")
 	duration := flag.Duration("duration", 2*time.Second, "measurement window per concurrency level")
 	concOut := flag.String("concurrency-out", "BENCH_concurrency.json", "where -concurrency writes its JSON report")
-	pool := flag.String("pool", "", "run the buffer-pool benchmark at these frame counts (e.g. 32,256,1024)")
-	poolOut := flag.String("pool-out", "BENCH_bufpool.json", "where -pool writes its JSON report")
 	shed := flag.String("shed", "", "run the load-shedding benchmark at these offered client counts (e.g. 1,2,4,8,16)")
 	shedActive := flag.Int("shed-active", 2, "admission gate size (active slots) for -shed")
 	shedOut := flag.String("shed-out", "BENCH_shed.json", "where -shed writes its JSON report")
-	obs := flag.Bool("obs", false, "also measure request-tracing overhead on the E3 suite (tracer off vs on)")
-	obsOut := flag.String("obs-out", "", "where -obs writes its JSON report (empty: stdout/-json only)")
 	flag.Parse()
 
 	if *concurrency != "" {
 		if err := runConcurrency(*concurrency, *items, *quick, *duration, *concOut); err != nil {
 			fmt.Fprintf(os.Stderr, "concurrency benchmark failed: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *pool != "" {
-		if err := runPool(*pool, *items, *quick, *poolOut); err != nil {
-			fmt.Fprintf(os.Stderr, "buffer-pool benchmark failed: %v\n", err)
 			os.Exit(1)
 		}
 		return
@@ -175,54 +151,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q (want E1..E9)\n", *exp)
 		os.Exit(2)
 	}
-	var breakdown map[string][]bench.StageStat
-	if *stats {
-		statReps := reps
-		if statReps > 5 {
-			statReps = 5
-		}
-		var err error
-		breakdown, err = bench.StageBreakdown(*items, statReps)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "stage breakdown failed: %v\n", err)
-			os.Exit(1)
-		}
-		if !*asJSON {
-			fmt.Println(bench.StageTable(breakdown).String())
-		}
-	}
-	var obsRep *bench.ObsReport
-	if *obs {
-		obsReps := reps
-		if obsReps > 5 {
-			obsReps = 5
-		}
-		var err error
-		obsRep, err = bench.RunObsOverhead(*items, obsReps)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tracing-overhead benchmark failed: %v\n", err)
-			os.Exit(1)
-		}
-		if !*asJSON {
-			fmt.Println(bench.ObsTable(obsRep).String())
-		}
-		if *obsOut != "" {
-			data, err := json.MarshalIndent(obsRep, "", "  ")
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "encode obs report: %v\n", err)
-				os.Exit(1)
-			}
-			if err := os.WriteFile(*obsOut, append(data, '\n'), 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "write %s: %v\n", *obsOut, err)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "tracing-overhead report written to %s\n", *obsOut)
-		}
-	}
 	if *asJSON {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
-		out := jsonOutput{SchemaVersion: jsonSchemaVersion, Results: results, StageBreakdown: breakdown, Obs: obsRep}
+		out := jsonOutput{SchemaVersion: jsonSchemaVersion, Results: results}
 		if err := enc.Encode(out); err != nil {
 			fmt.Fprintf(os.Stderr, "encode results: %v\n", err)
 			os.Exit(1)
@@ -292,40 +224,6 @@ func runShed(levels string, items, maxActive int, quick bool, window time.Durati
 		return err
 	}
 	fmt.Println(bench.ShedTable(rep).String())
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("report written to %s\n", outPath)
-	return nil
-}
-
-// runPool parses the frame-count list, runs the buffer-pool benchmark,
-// prints the table and writes the JSON report.
-func runPool(levels string, items int, quick bool, outPath string) error {
-	var frames []int
-	for _, f := range strings.Split(levels, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || n < 1 {
-			return fmt.Errorf("bad -pool list %q: each entry must be a positive integer", levels)
-		}
-		frames = append(frames, n)
-	}
-	reps := 10
-	if quick {
-		if items > 50 {
-			items = 50
-		}
-		reps = 2
-	}
-	rep, err := bench.RunPool(items, frames, reps)
-	if err != nil {
-		return err
-	}
-	fmt.Println(bench.PoolTable(rep).String())
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		return err

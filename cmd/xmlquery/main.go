@@ -56,10 +56,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: xmlquery [-enc E] [-sql] [-serialize] file.xml xpath\n       xmlquery -db store.oxdb xpath")
 		os.Exit(2)
 	}
-	before := store.Counters()
+	before := store.Metrics()
 	nodes, err := store.Query(doc, query)
 	fatal(err)
-	work := store.Counters().Sub(before)
+	after := store.Metrics()
 
 	for i, n := range nodes {
 		switch {
@@ -84,7 +84,9 @@ func main() {
 		for _, s := range sqls {
 			fmt.Println("SQL:", s)
 		}
-		fmt.Printf("work: %d index probes, %d rows scanned\n", work.IndexProbes, work.RowsScanned)
+		fmt.Printf("work: %d index probes, %d rows scanned\n",
+			after.Gauges["storage.index_probes"]-before.Gauges["storage.index_probes"],
+			after.Gauges["storage.rows_scanned"]-before.Gauges["storage.rows_scanned"])
 	}
 }
 

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"regexp"
@@ -81,12 +82,12 @@ const helpText = `commands:
                                     snapshot version/publishes, parallel queries,
                                     WAL activity and buffer-pool hit/eviction
                                     figures for durable stores)
-  \checkpoint                       snapshot a durable store and rotate its log
+  \checkpoint                       checkpoint a durable store and rotate its log
   \slow                             slow-query log
   \trace on|off|status|clear        request tracing: record a span tree per
   \trace dump <file>                query/update into a bounded buffer, dump
                                     as Chrome trace-event JSON (Perfetto)
-  trace <xpath>                     run a query; prints per-stage timings
+  trace <xpath>                     run a query; prints time and count per span name
   save <path>                       write a snapshot file
   restore <path>                    open a snapshot file
   help                              this text
@@ -256,10 +257,11 @@ func (sh *shell) Execute(line string) (string, error) {
 		return "saved " + args[0], nil
 	case "stats":
 		st := sh.store.Storage()
-		c := sh.store.Counters()
+		g := sh.store.Metrics().Gauges
 		return fmt.Sprintf("storage: %d rows, %d pages, %d bytes\nwork: %d probes, %d scanned, %d ins, %d del, %d upd",
 			st.Rows, st.HeapPages, st.HeapBytes,
-			c.IndexProbes, c.RowsScanned, c.RowsInserted, c.RowsDeleted, c.RowsUpdated), nil
+			g["storage.index_probes"], g["storage.rows_scanned"],
+			g["storage.rows_inserted"], g["storage.rows_deleted"], g["storage.rows_updated"]), nil
 	case "parallel":
 		if len(args) != 1 {
 			return "", fmt.Errorf("usage: parallel <n>")
@@ -313,21 +315,25 @@ func (sh *shell) Execute(line string) (string, error) {
 			m.Gauges["sqldb.view.version"], m.Counters["sqldb.view.publishes"],
 			sh.store.Parallelism(), m.Counters["sqldb.query.parallel"],
 			renderMetrics(m))
-		if w, ok := sh.store.WALStats(); ok {
+		c, g := m.Counters, m.Gauges
+		if sh.store.Durable() {
 			ckpt := "never"
-			if !w.LastCheckpoint.IsZero() {
-				ckpt = time.Since(w.LastCheckpoint).Round(time.Millisecond).String() + " ago"
+			if age := g["wal.checkpoint_age_ms"]; age >= 0 {
+				ckpt = (time.Duration(age) * time.Millisecond).String() + " ago"
 			}
 			out = fmt.Sprintf("wal: %d records (%d bytes), %d fsyncs, %d rotations, last LSN %d, durable LSN %d, %d bytes on disk, last checkpoint %s\n%s",
-				w.Records, w.Bytes, w.Fsyncs, w.Rotations, w.LastLSN, w.DurableLSN, w.SizeBytes, ckpt, out)
+				c["wal.appends"], c["wal.append.bytes"], c["wal.fsyncs"], c["wal.rotations"],
+				g["wal.last_lsn"], g["wal.last_lsn"]-g["wal.durable_lag"], g["wal.size_bytes"], ckpt, out)
 		}
-		if p, ok := sh.store.PoolStats(); ok {
+		if sh.store.Pooled() {
+			hits, misses := g["bufpool.hits"], g["bufpool.misses"]
 			hitPct := 0.0
-			if acc := p.Hits + p.Misses; acc > 0 {
-				hitPct = 100 * float64(p.Hits) / float64(acc)
+			if acc := hits + misses; acc > 0 {
+				hitPct = 100 * float64(hits) / float64(acc)
 			}
 			out = fmt.Sprintf("bufpool: %d/%d frames resident (%d dirty, %d pinned), %.1f%% hit ratio (%d hits, %d misses), %d evictions, %d dirty flushes\n%s",
-				p.Resident, p.Capacity, p.Dirty, p.Pinned, hitPct, p.Hits, p.Misses, p.Evictions, p.DirtyFlushes, out)
+				g["bufpool.resident_frames"], g["bufpool.capacity"], g["bufpool.dirty_frames"], g["bufpool.pinned_frames"],
+				hitPct, hits, misses, g["bufpool.evictions"], g["bufpool.dirty_flushes"], out)
 		}
 		if ok, cause := sh.store.Degraded(); ok {
 			out = fmt.Sprintf("DEGRADED: read-only (%s); reads serve, mutations fail, reopen to recover\n%s", cause, out)
@@ -337,8 +343,12 @@ func (sh *shell) Execute(line string) (string, error) {
 		if err := sh.store.Checkpoint(); err != nil {
 			return "", err
 		}
-		w, _ := sh.store.WALStats()
-		return fmt.Sprintf("checkpoint complete (snapshot written, log rotated after LSN %d)", w.LastLSN), nil
+		wrote := "snapshot written"
+		if sh.store.Pooled() {
+			wrote = "dirty pages flushed"
+		}
+		return fmt.Sprintf("checkpoint complete (%s, log rotated after LSN %d)",
+			wrote, sh.store.Metrics().Gauges["wal.last_lsn"]), nil
 	case `\trace`:
 		if len(args) == 0 {
 			return "", fmt.Errorf(`usage: \trace on|off|status|clear|dump <file>`)
@@ -432,16 +442,7 @@ func (sh *shell) Execute(line string) (string, error) {
 		}
 		return strings.Join(sqls, "\n"), nil
 	case "trace":
-		nodes, stages, err := sh.store.QueryTrace(sh.doc, rest)
-		if err != nil {
-			return "", err
-		}
-		var sb strings.Builder
-		for _, st := range stages {
-			fmt.Fprintf(&sb, "%-10s %-12s x%d\n", st.Name, st.Dur, st.Count)
-		}
-		fmt.Fprintf(&sb, "%d match(es)", len(nodes))
-		return sb.String(), nil
+		return sh.traceQuery(rest)
 	case "sql":
 		rows, err := sh.store.SQL(rest)
 		if err != nil {
@@ -558,6 +559,62 @@ func (sh *shell) Execute(line string) (string, error) {
 	default:
 		return "", fmt.Errorf("unknown command %q (try: help)", cmd)
 	}
+}
+
+// traceQuery runs one query under a request trace of its own — switching the
+// tracer on for the call if it is off — and folds the trace's spans by name:
+// total time and span count per name, in order of first start. Spans nest
+// (a segment contains its sql.query spans, those their plan and operator
+// spans), so the totals overlap; `\trace dump` gives the tree.
+func (sh *shell) traceQuery(xpath string) (string, error) {
+	tr := sh.store.Tracer()
+	if !tr.Enabled() {
+		tr.SetEnabled(true)
+		defer tr.SetEnabled(false)
+	}
+	ctx, root := tr.StartRoot(context.Background(), "xmlsh.trace")
+	nodes, err := sh.store.QueryCtx(ctx, sh.doc, xpath)
+	root.End()
+	if err != nil {
+		return "", err
+	}
+	var spans []ordxml.SpanRecord
+	kept := 0
+	for _, r := range tr.Snapshot() {
+		if r.Trace != root.TraceID() {
+			continue
+		}
+		kept++
+		if r.ID != root.SpanID() && !r.Instant {
+			spans = append(spans, r)
+		}
+	}
+	sort.SliceStable(spans, func(i, j int) bool { return spans[i].Start.Before(spans[j].Start) })
+	type fold struct {
+		dur   time.Duration
+		count int
+	}
+	folds := map[string]*fold{}
+	var names []string
+	for _, r := range spans {
+		f := folds[r.Name]
+		if f == nil {
+			f = &fold{}
+			folds[r.Name] = f
+			names = append(names, r.Name)
+		}
+		f.dur += r.Dur
+		f.count++
+	}
+	var sb strings.Builder
+	for _, n := range names {
+		fmt.Fprintf(&sb, "%-14s %-12s x%d\n", n, folds[n].dur, folds[n].count)
+	}
+	if kept >= tr.Capacity() {
+		fmt.Fprintf(&sb, "(the query outran the trace buffer: only its last %d spans are counted)\n", kept)
+	}
+	fmt.Fprintf(&sb, "%d match(es)", len(nodes))
+	return sb.String(), nil
 }
 
 // workerRowsRE matches the engine's compact per-worker actuals annotation,

@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -89,7 +90,9 @@ func TestShellSession(t *testing.T) {
 	run(t, sh, "delete "+strings.Fields(out)[0])
 
 	// Stats and docs listing.
-	if out := run(t, sh, "stats"); !strings.Contains(out, "storage:") {
+	out = run(t, sh, "stats")
+	if !strings.Contains(out, "storage:") ||
+		!regexp.MustCompile(`work: [1-9]\d* probes, \d+ scanned, [1-9]\d* ins, [1-9]\d* del, [1-9]\d* upd`).MatchString(out) {
 		t.Errorf("stats: %s", out)
 	}
 	if out := run(t, sh, "docs"); !strings.Contains(out, "* 1") {
@@ -156,11 +159,15 @@ func TestShellDurableStore(t *testing.T) {
 	run(t, sh, "opendur "+dir+" dewey")
 	run(t, sh, "loadstr <a><b>x</b></a>")
 	if out := run(t, sh, `\stats`); !strings.Contains(out, "wal: 1 records") ||
-		!strings.Contains(out, "last LSN 1") {
+		!strings.Contains(out, "1 fsyncs, 0 rotations, last LSN 1, durable LSN 1,") ||
+		!strings.Contains(out, "last checkpoint never") {
 		t.Errorf("\\stats lacks WAL summary: %q", out)
 	}
-	if out := run(t, sh, `\checkpoint`); !strings.Contains(out, "log rotated after LSN 1") {
+	if out := run(t, sh, `\checkpoint`); !strings.Contains(out, "snapshot written, log rotated after LSN 1") {
 		t.Errorf("\\checkpoint = %q", out)
+	}
+	if out := run(t, sh, `\stats`); !strings.Contains(out, "1 rotations") || strings.Contains(out, "last checkpoint never") {
+		t.Errorf("\\stats after checkpoint: %q", out)
 	}
 	run(t, sh, "insert 2 after <c>y</c>")
 
@@ -177,6 +184,58 @@ func TestShellDurableStore(t *testing.T) {
 	sh3 := &shell{}
 	run(t, sh3, "open global")
 	mustFail(t, sh3, `\checkpoint`)
+}
+
+// TestShellPagedStore covers the disk-paged tier's share of \stats and
+// \checkpoint: the bufpool line is read from the bufpool.* metrics, and a
+// paged checkpoint flushes dirty pages rather than writing a snapshot.
+func TestShellPagedStore(t *testing.T) {
+	sh := &shell{}
+	run(t, sh, "opendur "+t.TempDir()+" dewey 0 32")
+	run(t, sh, "loadstr <a><b>x</b></a>")
+	if out := run(t, sh, `\stats`); !regexp.MustCompile(`bufpool: [1-9]\d*/32 frames resident \([1-9]\d* dirty, 0 pinned\), \d+\.\d% hit ratio`).MatchString(out) {
+		t.Errorf("\\stats lacks buffer-pool summary: %.300q", out)
+	}
+	if out := run(t, sh, `\checkpoint`); !strings.Contains(out, "dirty pages flushed, log rotated after LSN 1") {
+		t.Errorf("\\checkpoint = %q", out)
+	}
+	if out := run(t, sh, `\stats`); !regexp.MustCompile(`\(0 dirty, 0 pinned\).* [1-9]\d* dirty flushes`).MatchString(out) {
+		t.Errorf("\\stats after checkpoint: %.300q", out)
+	}
+}
+
+// TestShellTraceQuery covers `trace <xpath>`: the table is folded from the
+// query's own span records — one row per span name with total time and
+// count — and the tracer is left as it was found.
+func TestShellTraceQuery(t *testing.T) {
+	sh := &shell{}
+	run(t, sh, "open global")
+	run(t, sh, "loadstr <a><b><c>1</c><c>2</c></b><b><c>3</c></b></a>")
+	out := run(t, sh, "trace /a/b[1]//c")
+	var names []string
+	for _, line := range strings.Split(out, "\n") {
+		if f := strings.Fields(line); len(f) == 3 && strings.HasPrefix(f[2], "x") {
+			names = append(names, f[0])
+		}
+	}
+	got := strings.Join(names, " ")
+	for _, want := range []string{"parse translate segment sql.query plan", "post", "sort"} {
+		if !strings.Contains(got, want) {
+			t.Errorf("trace rows %q lack %q", got, want)
+		}
+	}
+	// /a/b[1] and //c are one segment each.
+	if !regexp.MustCompile(`segment +\S+ +x2\n`).MatchString(out) || !strings.HasSuffix(out, "2 match(es)") {
+		t.Errorf("trace = %q", out)
+	}
+	if out := run(t, sh, `\trace status`); !strings.HasPrefix(out, "tracing off") {
+		t.Errorf("trace left the tracer on: %q", out)
+	}
+	run(t, sh, `\trace on`)
+	run(t, sh, "trace /a/b")
+	if out := run(t, sh, `\trace status`); !strings.HasPrefix(out, "tracing on") {
+		t.Errorf("trace switched the tracer off: %q", out)
+	}
 }
 
 // TestShellParallelAndSnapshotStats covers the concurrency-era surface: the

@@ -120,41 +120,8 @@ type durState struct {
 
 	// lastCkpt is the wall time of the last completed checkpoint (unix
 	// nanoseconds; 0 = none since open). Feeds the wal.checkpoint_age_ms
-	// readiness gauge and WALStats.LastCheckpoint.
+	// readiness gauge.
 	lastCkpt atomic.Int64
-}
-
-// WALStats summarizes a durable store's log activity.
-type WALStats struct {
-	// Records and Bytes count WAL appends (framed bytes) since open.
-	Records int64
-	Bytes   int64
-	// Fsyncs counts log fsyncs (group commit can acknowledge several
-	// records per fsync).
-	Fsyncs int64
-	// Rotations counts completed checkpoint log rotations.
-	Rotations int64
-	// LastLSN is the highest assigned sequence number; DurableLSN the
-	// highest one fsynced.
-	LastLSN    uint64
-	DurableLSN uint64
-	// SizeBytes is the current log file size.
-	SizeBytes int64
-	// LastCheckpoint is when the last checkpoint completed (zero when none
-	// has completed since open).
-	LastCheckpoint time.Time
-}
-
-// PoolStats summarizes a pooled store's buffer-pool activity.
-type PoolStats struct {
-	// Hits and Misses count payload lookups served from memory vs faulted
-	// from the page file; Evictions counts frames dropped to stay within
-	// capacity and DirtyFlushes pages written to the file.
-	Hits, Misses, Evictions, DirtyFlushes int64
-	// Resident, Dirty and Pinned are point-in-time frame gauges.
-	Resident, Dirty, Pinned int64
-	// Capacity is the configured frame budget.
-	Capacity int
 }
 
 // Durable reports whether the store was opened with OpenDurable.
@@ -185,43 +152,6 @@ func (s *Store) Health() []string {
 
 // Pooled reports whether the store's storage pages through a buffer pool.
 func (s *Store) Pooled() bool { return s.dur != nil && s.dur.pool != nil }
-
-// PoolStats returns the buffer pool's activity summary; ok is false for
-// stores without a buffer pool.
-func (s *Store) PoolStats() (st PoolStats, ok bool) {
-	if s.dur == nil || s.dur.pool == nil {
-		return PoolStats{}, false
-	}
-	p := s.dur.pool.Stats()
-	return PoolStats{
-		Hits: p.Hits, Misses: p.Misses, Evictions: p.Evictions,
-		DirtyFlushes: p.DirtyFlushes,
-		Resident:     p.Resident, Dirty: p.Dirty, Pinned: p.Pinned,
-		Capacity: p.Capacity,
-	}, true
-}
-
-// WALStats returns the write-ahead log's activity summary; ok is false for
-// memory-only stores.
-func (s *Store) WALStats() (st WALStats, ok bool) {
-	if s.dur == nil {
-		return WALStats{}, false
-	}
-	w := s.dur.log.Stats()
-	st = WALStats{
-		Records:    w.Appends,
-		Bytes:      w.AppendedBytes,
-		Fsyncs:     w.Fsyncs,
-		Rotations:  w.Rotations,
-		LastLSN:    w.LastLSN,
-		DurableLSN: w.DurableLSN,
-		SizeBytes:  w.SizeBytes,
-	}
-	if ns := s.dur.lastCkpt.Load(); ns != 0 {
-		st.LastCheckpoint = time.Unix(0, ns)
-	}
-	return st, true
-}
 
 // OpenDurable opens (or creates) a durable store in dir. When dir holds an
 // earlier store, recovery runs: the last checkpoint is loaded (full snapshot

@@ -115,11 +115,11 @@ func TestPagedIncrementalCheckpoint(t *testing.T) {
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	st, ok := s.PoolStats()
-	if !ok {
-		t.Fatal("no pool stats")
+	flushes := func() int64 { return s.Metrics().Gauges["bufpool.dirty_flushes"] }
+	if !s.Pooled() {
+		t.Fatal("store is not pooled")
 	}
-	full := st.DirtyFlushes
+	full := flushes()
 	if full < 20 {
 		t.Fatalf("first checkpoint flushed only %d pages; workload too small", full)
 	}
@@ -132,8 +132,7 @@ func TestPagedIncrementalCheckpoint(t *testing.T) {
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	st, _ = s.PoolStats()
-	delta := st.DirtyFlushes - full
+	delta := flushes() - full
 	if delta == 0 {
 		t.Fatal("second checkpoint flushed nothing (update lost?)")
 	}
@@ -142,14 +141,13 @@ func TestPagedIncrementalCheckpoint(t *testing.T) {
 	}
 
 	// An idle checkpoint flushes nothing at all.
-	before := st.DirtyFlushes
+	before := flushes()
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	st, _ = s.PoolStats()
 	// writeWALLSN itself dirties the store_meta heap page, so allow the
 	// couple of pages that bookkeeping touches.
-	if idle := st.DirtyFlushes - before; idle > 8 {
+	if idle := flushes() - before; idle > 8 {
 		t.Fatalf("idle checkpoint flushed %d pages", idle)
 	}
 	mustIntact(t, s)

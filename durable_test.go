@@ -22,6 +22,13 @@ func openDur(t *testing.T, dir string) *Store {
 	return s
 }
 
+// durableLSN is the highest fsynced LSN: the assigned horizon minus the lag
+// the log reports behind it.
+func durableLSN(s *Store) int64 {
+	g := s.Metrics().Gauges
+	return g["wal.last_lsn"] - g["wal.durable_lag"]
+}
+
 // fingerprint serializes every stored document into one comparable string.
 func fingerprint(t *testing.T, s *Store) string {
 	t.Helper()
@@ -58,8 +65,8 @@ func TestOpenDurableFreshEmptyWAL(t *testing.T) {
 	if !s.Durable() {
 		t.Fatal("store not durable")
 	}
-	if st, ok := s.WALStats(); !ok || st.LastLSN != 0 {
-		t.Fatalf("fresh WAL stats = %+v, %v", st, ok)
+	if lsn, ok := s.Metrics().Gauges["wal.last_lsn"]; !ok || lsn != 0 {
+		t.Fatalf("fresh wal.last_lsn = %d, published %v", lsn, ok)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -88,9 +95,8 @@ func TestDurableRecoversWithoutCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := fingerprint(t, s)
-	st, _ := s.WALStats()
-	if st.Records != 2 || st.DurableLSN != 2 {
-		t.Fatalf("WAL stats = %+v", st)
+	if recs, lsn := s.Metrics().Counters["wal.appends"], durableLSN(s); recs != 2 || lsn != 2 {
+		t.Fatalf("wal.appends = %d, durable LSN = %d, want 2 and 2", recs, lsn)
 	}
 	s.Close()
 
@@ -201,9 +207,8 @@ func TestDurableCheckpointBoundsReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := fingerprint(t, s)
-	st, _ := s.WALStats()
-	if st.Rotations != 1 {
-		t.Fatalf("rotations = %d", st.Rotations)
+	if n := s.Metrics().Counters["wal.rotations"]; n != 1 {
+		t.Fatalf("rotations = %d", n)
 	}
 	s.Close()
 
@@ -220,8 +225,8 @@ func TestDurableCheckpointBoundsReplay(t *testing.T) {
 	if _, err := s.Insert(doc, 1, LastChild, "<CODA/>"); err != nil {
 		t.Fatal(err)
 	}
-	if st, _ := s.WALStats(); st.LastLSN != 3 {
-		t.Fatalf("post-recovery LSN = %d, want 3", st.LastLSN)
+	if lsn := s.Metrics().Gauges["wal.last_lsn"]; lsn != 3 {
+		t.Fatalf("post-recovery LSN = %d, want 3", lsn)
 	}
 	mustIntact(t, s)
 }
@@ -395,9 +400,9 @@ func TestDurableConcurrentMutations(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := fingerprint(t, s)
-	st, _ := s.WALStats()
-	if wantRecs := int64(writers*per + writers); st.Records != wantRecs || st.DurableLSN != uint64(wantRecs) {
-		t.Fatalf("WAL stats = %+v, want %d records", st, wantRecs)
+	wantRecs := int64(writers*per + writers)
+	if recs, lsn := s.Metrics().Counters["wal.appends"], durableLSN(s); recs != wantRecs || lsn != wantRecs {
+		t.Fatalf("wal.appends = %d, durable LSN = %d, want %d records", recs, lsn, wantRecs)
 	}
 	s.Close()
 
@@ -417,8 +422,8 @@ func TestMemoryStoreHasNoDurability(t *testing.T) {
 	if s.Durable() {
 		t.Fatal("memory store claims durability")
 	}
-	if _, ok := s.WALStats(); ok {
-		t.Fatal("memory store has WAL stats")
+	if _, ok := s.Metrics().Counters["wal.appends"]; ok {
+		t.Fatal("memory store publishes wal.* metrics")
 	}
 	if err := s.Checkpoint(); err == nil {
 		t.Fatal("Checkpoint on a memory store should fail")

@@ -54,12 +54,12 @@ func main() {
 	for _, q := range queries {
 		fmt.Printf("%s\n  %s\n", q.label, q.xpath)
 		for _, e := range envs {
-			before := e.store.Counters()
+			before := examined(e.store)
 			vals, err := e.store.QueryValues(e.doc, q.xpath)
 			if err != nil {
 				log.Fatalf("%s on %s: %v", q.xpath, e.name, err)
 			}
-			work := e.store.Counters().Sub(before)
+			work := examined(e.store) - before
 			preview := ""
 			if len(vals) > 0 {
 				preview = vals[0]
@@ -71,7 +71,7 @@ func main() {
 				}
 			}
 			fmt.Printf("  %-6s  %3d result(s)  work=%-5d  %s\n",
-				e.name, len(vals), work.IndexProbes+work.RowsScanned, preview)
+				e.name, len(vals), work, preview)
 		}
 		fmt.Println()
 	}
@@ -96,4 +96,11 @@ func clip(s string, n int) string {
 		return s[:n] + "..."
 	}
 	return s
+}
+
+// examined is the store's cumulative logical read work: index entries
+// visited plus rows scanned.
+func examined(s *ordxml.Store) int64 {
+	m := s.Metrics()
+	return m.Gauges["storage.index_probes"] + m.Gauges["storage.rows_scanned"]
 }

@@ -136,10 +136,13 @@ func TestExplainAnalyzeActualRows(t *testing.T) {
 	}
 }
 
-// TestQueryTraceStages checks the XPath pipeline breakdown covers the
-// expected stages for a positional query.
-func TestQueryTraceStages(t *testing.T) {
-	store, err := Open(Options{Encoding: Dewey})
+// TestQueryTraceSpans checks that a traced query's span tree covers the
+// XPath pipeline. A Global mid-path descendant query runs every stage: the
+// path parse, segment translation, one span per segment and per SQL
+// statement, the client-side ancestry walk (post) and the final sort. The
+// always-on query metrics move whether or not the tracer is on.
+func TestQueryTraceSpans(t *testing.T) {
+	store, err := Open(Options{Encoding: Global})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,27 +150,35 @@ func TestQueryTraceStages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nodes, stages, err := store.QueryTrace(doc, "/site/regions/namerica/item[3]")
+	store.Tracer().SetEnabled(true)
+	nodes, err := store.Query(doc, "/site/regions/namerica//name")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(nodes) != 1 {
-		t.Fatalf("matches = %d, want 1", len(nodes))
+	if len(nodes) != 5 {
+		t.Fatalf("matches = %d, want 5", len(nodes))
 	}
-	seen := map[string]bool{}
-	for _, st := range stages {
-		seen[st.Name] = true
+	recs := store.Tracer().Snapshot()
+	root := recs[len(recs)-1] // a root ends, and so records, after its children
+	if root.Name != "xpath.query" || root.Parent != 0 {
+		t.Fatalf("last record = %+v, want the xpath.query root", root)
 	}
-	for _, want := range []string{"parse", "translate", "exec", "post", "sort"} {
-		if !seen[want] {
-			t.Errorf("stage %q missing from trace %v", want, stages)
+	seen := map[string]int{}
+	for _, r := range recs {
+		if r.Trace == root.Trace {
+			seen[r.Name]++
+		}
+	}
+	for _, want := range []string{"parse", "translate", "segment", "sql.query", "post", "sort"} {
+		if seen[want] == 0 {
+			t.Errorf("span %q missing from the query's trace %v", want, seen)
 		}
 	}
 	m := store.Metrics()
-	if m.Counters["xpath.queries"] == 0 {
-		t.Error("xpath.queries not counted")
+	if m.Counters["xpath.queries"] != 1 {
+		t.Errorf("xpath.queries = %d, want 1", m.Counters["xpath.queries"])
 	}
-	if m.Histograms["xpath.stage.exec"].Count == 0 {
-		t.Error("xpath.stage.exec histogram empty")
+	if m.Histograms["xpath.query.latency"].Count != 1 {
+		t.Errorf("xpath.query.latency count = %d, want 1", m.Histograms["xpath.query.latency"].Count)
 	}
 }

@@ -103,6 +103,50 @@ func TestQueryCancellation(t *testing.T) {
 	}
 }
 
+// TestExplainQueryReturnsOwnSQL runs ExplainQuery while other goroutines
+// query different paths on the same store: the statements it returns must be
+// those of its own evaluation, never a concurrent query's.
+func TestExplainQueryReturnsOwnSQL(t *testing.T) {
+	s, err := Open(Options{Encoding: Dewey})
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := s.LoadString("d", bigDoc(50))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for _, path := range []string{"/R/item/v", "//v", "/R/item[2]/v", "/R/item/v[1]"} {
+		wg.Add(1)
+		go func(path string) {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := s.Query(doc, path); err != nil {
+					t.Errorf("%s: %v", path, err)
+					return
+				}
+			}
+		}(path)
+	}
+	for i := 0; i < 200; i++ {
+		sqls, err := s.ExplainQuery(doc, "/R/item/k")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(sqls) != 1 || !strings.Contains(sqls[0], "'k'") || strings.Contains(sqls[0], "'v'") {
+			t.Fatalf("run %d: ExplainQuery(/R/item/k) returned another query's SQL: %q", i, sqls)
+		}
+	}
+	close(stop)
+	wg.Wait()
+}
+
 // TestSessionQueryTimeout exercises SetQueryTimeout: an unreachable deadline
 // lets queries through, a nanosecond one kills them, and a caller-supplied
 // deadline always wins over the session default.
@@ -125,6 +169,9 @@ func TestSessionQueryTimeout(t *testing.T) {
 	s.SetQueryTimeout(time.Nanosecond)
 	if _, err := s.Query(doc, "/R/item"); !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("want ErrDeadlineExceeded, got %v", err)
+	}
+	if _, err := s.ExplainQuery(doc, "/R/item"); !errors.Is(err, ErrDeadlineExceeded) {
+		t.Fatalf("ExplainQuery: want ErrDeadlineExceeded, got %v", err)
 	}
 	// A caller context with its own (generous) deadline wins.
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)

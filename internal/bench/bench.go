@@ -73,6 +73,14 @@ func NewStore(cfg Config, doc *xmltree.Node) (*ordxml.Store, ordxml.DocID, error
 	return s, id, nil
 }
 
+// Examined is the store's cumulative logical read work — index entries
+// visited plus rows scanned — the hardware-independent cost the experiment
+// tables report. Subtract two readings to cost an operation.
+func Examined(s *ordxml.Store) int64 {
+	m := s.Metrics()
+	return m.Gauges["storage.index_probes"] + m.Gauges["storage.rows_scanned"]
+}
+
 // QuerySpec is one entry of the E3 query suite.
 type QuerySpec struct {
 	ID      string

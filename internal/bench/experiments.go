@@ -95,7 +95,7 @@ func RunE3(itemsPerRegion, reps int) (Table, error) {
 			if err != nil {
 				return t, fmt.Errorf("%s on %s: %w", q.ID, e.cfg.Name, err)
 			}
-			before := e.s.Counters()
+			before := Examined(e.s)
 			d, err := timeOp(reps, func() error {
 				_, err := e.s.Query(e.id, q.XPath)
 				return err
@@ -103,8 +103,7 @@ func RunE3(itemsPerRegion, reps int) (Table, error) {
 			if err != nil {
 				return t, err
 			}
-			work := e.s.Counters().Sub(before)
-			perOp := (work.IndexProbes + work.RowsScanned) / int64(reps)
+			perOp := (Examined(e.s) - before) / int64(reps)
 			t.Rows = append(t.Rows, []string{
 				q.ID, q.Feature, e.cfg.Name,
 				fmt.Sprint(len(res)), us(d), fmt.Sprint(perOp),
@@ -374,7 +373,7 @@ func RunE9(sizes []int, reps int) (Table, error) {
 				if err != nil {
 					return t, err
 				}
-				before := s.Counters()
+				before := Examined(s)
 				d, err := timeOp(reps, func() error {
 					_, err := s.Query(id, q.XPath)
 					return err
@@ -382,8 +381,7 @@ func RunE9(sizes []int, reps int) (Table, error) {
 				if err != nil {
 					return t, err
 				}
-				work := s.Counters().Sub(before)
-				perOp := (work.IndexProbes + work.RowsScanned) / int64(reps)
+				perOp := (Examined(s) - before) / int64(reps)
 				t.Rows = append(t.Rows, []string{
 					q.ID, fmt.Sprint(size), fmt.Sprint(nodes), cfg.Name, us(d), fmt.Sprint(perOp),
 				})

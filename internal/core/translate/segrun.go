@@ -1,13 +1,13 @@
 package translate
 
 import (
-	"context"
 	"fmt"
 	"sort"
 
 	"ordxml/internal/core/dewey"
 	"ordxml/internal/core/encoding"
 	"ordxml/internal/core/xpath"
+	"ordxml/internal/obs"
 	"ordxml/internal/sqldb"
 	"ordxml/internal/sqldb/sqltypes"
 	"ordxml/internal/xmltree"
@@ -24,13 +24,11 @@ type binding struct {
 // matched final-step nodes.
 func (r *run) runSegment(doc int64, seg segment, ctx []NodeRef, first bool) ([]NodeRef, error) {
 	if seg.steps[0].Axis == xpath.Ancestor {
-		sp := r.trace.Start(StagePost)
+		sp := obs.FromContext(r.ctx).StartChild("post")
 		defer sp.End()
 		return r.runAncestorSegment(doc, seg, ctx)
 	}
-	sp := r.trace.Start(StageTranslate)
 	cs, err := r.buildChainSQL(doc, seg, first)
-	sp.End()
 	if err != nil {
 		return nil, err
 	}
@@ -50,14 +48,7 @@ func (r *run) runSegment(doc int64, seg segment, ctx []NodeRef, first bool) ([]N
 		if err := r.poll(); err != nil {
 			return err
 		}
-		sp := r.trace.Start(StageExec)
-		var res *sqldb.Result
-		err := r.tracedExec(func(ctx context.Context) error {
-			var qerr error
-			res, qerr = stmt.QueryAtCtx(ctx, r.snap, params...)
-			return qerr
-		})
-		sp.End()
+		res, err := r.exec(stmt, params)
 		if err != nil {
 			return err
 		}
@@ -84,7 +75,7 @@ func (r *run) runSegment(doc int64, seg segment, ctx []NodeRef, first bool) ([]N
 			if err := runOnce(nil, 0); err != nil {
 				return nil, err
 			}
-			sp := r.trace.Start(StagePost)
+			sp := obs.FromContext(r.ctx).StartChild("post")
 			bindings, err = r.ancestryFilter(doc, bindings, ctx)
 			sp.End()
 			if err != nil {
@@ -137,7 +128,7 @@ func (r *run) runSegment(doc int64, seg segment, ctx []NodeRef, first bool) ([]N
 
 	lastStep := seg.steps[len(seg.steps)-1]
 	if hasPosPred(lastStep) {
-		sp := r.trace.Start(StagePost)
+		sp := obs.FromContext(r.ctx).StartChild("post")
 		bindings, err = r.applyPositional(doc, bindings, seg, lastStep)
 		sp.End()
 		if err != nil {

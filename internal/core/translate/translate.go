@@ -74,62 +74,24 @@ type Evaluator struct {
 
 // evalMetrics are the evaluator's always-on instruments, hung on the DB's
 // registry so Store.Metrics() sees the XPath pipeline next to the SQL engine.
+// Where a query's time went (parse, translate, segment, sql.query, post,
+// sort) is the request tracer's job, not a metric's.
 type evalMetrics struct {
 	queries *obs.Counter   // xpath.queries
 	total   *obs.Histogram // xpath.query.latency
-	stages  map[string]*obs.Histogram
-}
-
-// Stage names of the XPath pipeline, in execution order: parsing the path,
-// compiling segments to SQL, running the statements, client-side
-// post-processing (positional predicates, ancestry walks) and the final
-// document-order sort.
-const (
-	StageParse     = "parse"
-	StageTranslate = "translate"
-	StageExec      = "exec"
-	StagePost      = "post"
-	StageSort      = "sort"
-)
-
-// stageNames lists every pipeline stage for metric registration.
-var stageNames = []string{StageParse, StageTranslate, StageExec, StagePost, StageSort}
-
-func newEvalMetrics(reg *obs.Registry) evalMetrics {
-	m := evalMetrics{
-		queries: reg.Counter("xpath.queries"),
-		total:   reg.Histogram("xpath.query.latency"),
-		stages:  make(map[string]*obs.Histogram, len(stageNames)),
-	}
-	for _, name := range stageNames {
-		m.stages[name] = reg.Histogram("xpath.stage." + name)
-	}
-	return m
-}
-
-// record folds one query's trace into the per-stage histograms.
-func (m *evalMetrics) record(total time.Duration, tr *obs.Trace) {
-	m.queries.Inc()
-	m.total.Observe(total)
-	for _, s := range tr.Stages() {
-		if h := m.stages[s.Name]; h != nil {
-			h.Observe(s.Dur)
-		}
-	}
 }
 
 // run is the per-query evaluation context: the pinned storage snapshot every
 // statement of the query reads (one XPath query = one consistent view, even
 // across the many SQL statements of a multi-segment path), memoized point
-// lookups (reset per query so work counters stay honest), the generated SQL
-// trace, and the stage trace that feeds the pipeline histograms.
+// lookups (reset per query so work counters stay honest) and the generated
+// SQL.
 type run struct {
 	*Evaluator
 	snap       *sqldb.Snap
 	parentMemo map[int64]parentInfo
 	nodeMemo   map[int64]NodeRef
 	sqls       []string
-	trace      *obs.Trace
 	// ctx carries the request span when the query is traced; statements run
 	// through it so planner and operator spans land in the request's tree.
 	ctx context.Context
@@ -155,22 +117,22 @@ func (r *run) poll() error {
 	return govern.CtxErr(r.ctx)
 }
 
-// tracedExec runs fn (one SQL statement execution) under the request trace:
-// a per-statement bufpool delta event is attached when the store is pooled.
-func (r *run) tracedExec(fn func(ctx context.Context) error) error {
+// exec runs one execution of a segment's statement. Under the request trace
+// on a pooled store it also attaches a per-statement bufpool delta event.
+func (r *run) exec(stmt *sqldb.Stmt, params []sqltypes.Value) (*sqldb.Result, error) {
 	sp := obs.FromContext(r.ctx)
 	if sp == nil || r.pool == nil {
-		return fn(r.ctx)
+		return stmt.QueryAtCtx(r.ctx, r.snap, params...)
 	}
 	before := r.pool.Stats()
-	err := fn(r.ctx)
+	res, err := stmt.QueryAtCtx(r.ctx, r.snap, params...)
 	after := r.pool.Stats()
 	sp.Event("bufpool.delta",
 		obs.Arg{Key: "hits", Val: after.Hits - before.Hits},
 		obs.Arg{Key: "misses", Val: after.Misses - before.Misses},
 		obs.Arg{Key: "evictions", Val: after.Evictions - before.Evictions},
 		obs.Arg{Key: "dirty_flushes", Val: after.DirtyFlushes - before.DirtyFlushes})
-	return err
+	return res, err
 }
 
 type parentInfo struct {
@@ -191,7 +153,10 @@ func New(db *sqldb.DB, opts encoding.Options) (*Evaluator, error) {
 		db: db, opts: opts,
 		tbl: opts.NodesTable(), ord: opts.OrderColumn(),
 		stmts: map[string]*sqldb.Stmt{},
-		met:   newEvalMetrics(db.Registry()),
+		met: evalMetrics{
+			queries: db.Registry().Counter("xpath.queries"),
+			total:   db.Registry().Histogram("xpath.query.latency"),
+		},
 	}
 	var err error
 	e.parentStmt, err = db.Prepare(fmt.Sprintf(
@@ -210,92 +175,56 @@ func New(db *sqldb.DB, opts encoding.Options) (*Evaluator, error) {
 // Options returns the evaluator's encoding options.
 func (e *Evaluator) Options() encoding.Options { return e.opts }
 
-// LastSQL returns the SQL statements generated by the most recent Query, in
+// LastSQL returns the SQL statements generated by the most recent query, in
 // execution order (deduplicated per segment; per-context executions reuse
 // one statement). With concurrent queries it reflects whichever finished
-// last.
+// last; Explain returns a run's own statements.
 func (e *Evaluator) LastSQL() []string {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return append([]string(nil), e.lastSQL...)
 }
 
-// Query parses and evaluates an absolute XPath expression against one
+// Query is QueryAtCtx with a background context and a snapshot of its own.
+func (e *Evaluator) Query(doc int64, path string) ([]NodeRef, error) {
+	return e.QueryAtCtx(context.Background(), nil, doc, path)
+}
+
+// QueryAtCtx parses and evaluates an absolute XPath expression against one
 // document, returning matches in document order. The whole evaluation runs
 // against one pinned storage snapshot, so concurrent updates are invisible
-// to a query in flight.
-func (e *Evaluator) Query(doc int64, path string) ([]NodeRef, error) {
-	refs, _, err := e.queryTraced(context.Background(), doc, path, nil)
-	return refs, err
-}
-
-// QueryCtx is Query with a caller context: when the engine's request tracer
-// is enabled the whole pipeline (parse, translate, every SQL statement with
-// planner and operator spans, post, sort) records one span tree.
-func (e *Evaluator) QueryCtx(ctx context.Context, doc int64, path string) ([]NodeRef, error) {
-	refs, _, err := e.queryTraced(ctx, doc, path, nil)
-	return refs, err
-}
-
-// QueryAt evaluates a path against an externally pinned snapshot, letting a
-// caller compose the query with other snapshot reads (e.g. value extraction)
-// at the same version.
-func (e *Evaluator) QueryAt(snap *sqldb.Snap, doc int64, path string) ([]NodeRef, error) {
-	refs, _, err := e.queryTraced(context.Background(), doc, path, snap)
-	return refs, err
-}
-
-// QueryAtCtx is QueryAt with a caller context (see QueryCtx).
+// to a query in flight: snap when the caller pinned one to compose the query
+// with other reads at the same version (e.g. value extraction), otherwise
+// (nil) one the query pins itself. When the engine's request tracer is
+// enabled the whole pipeline (parse, translate, every SQL statement with
+// planner and operator spans, post, sort) records one span tree, rooted
+// here unless ctx already carries a span.
 func (e *Evaluator) QueryAtCtx(ctx context.Context, snap *sqldb.Snap, doc int64, path string) ([]NodeRef, error) {
-	refs, _, err := e.queryTraced(ctx, doc, path, snap)
+	refs, _, err := e.evaluate(ctx, snap, doc, path)
 	return refs, err
 }
 
-// QueryTraced evaluates a path like Query and additionally returns the
-// per-stage wall-time breakdown of this evaluation (parse, translate, exec,
-// post, sort). Stage durations also feed the xpath.stage.* histograms.
-func (e *Evaluator) QueryTraced(doc int64, path string) ([]NodeRef, []obs.Stage, error) {
-	return e.queryTraced(context.Background(), doc, path, nil)
+// Explain evaluates the path like QueryAtCtx and returns the SQL statements
+// that evaluation generated (see LastSQL for their shape).
+func (e *Evaluator) Explain(ctx context.Context, doc int64, path string) ([]string, error) {
+	_, sqls, err := e.evaluate(ctx, nil, doc, path)
+	return sqls, err
 }
 
-func (e *Evaluator) queryTraced(ctx context.Context, doc int64, path string, snap *sqldb.Snap) ([]NodeRef, []obs.Stage, error) {
+func (e *Evaluator) evaluate(ctx context.Context, snap *sqldb.Snap, doc int64, path string) ([]NodeRef, []string, error) {
 	var root *obs.ActiveSpan
 	if obs.FromContext(ctx) == nil {
 		ctx, root = e.db.Tracer().StartRoot(ctx, "xpath.query")
 		root.ArgStr("path", path)
 	}
 	defer root.End()
-	tr := obs.NewTrace()
 	start := time.Now()
-	sp := tr.Start(StageParse)
 	psp := obs.FromContext(ctx).StartChild("parse")
 	p, err := xpath.Parse(path)
 	psp.End()
-	sp.End()
 	if err != nil {
 		return nil, nil, err
 	}
-	refs, err := e.queryPath(ctx, doc, p, tr, snap)
-	e.met.record(time.Since(start), tr)
-	if err != nil {
-		return nil, nil, err
-	}
-	if root != nil {
-		root.Arg("results", int64(len(refs)))
-	}
-	return refs, tr.Stages(), nil
-}
-
-// QueryPath evaluates a parsed path.
-func (e *Evaluator) QueryPath(doc int64, p *xpath.Path) ([]NodeRef, error) {
-	tr := obs.NewTrace()
-	start := time.Now()
-	refs, err := e.queryPath(context.Background(), doc, p, tr, nil)
-	e.met.record(time.Since(start), tr)
-	return refs, err
-}
-
-func (e *Evaluator) queryPath(ctx context.Context, doc int64, p *xpath.Path, tr *obs.Trace, snap *sqldb.Snap) ([]NodeRef, error) {
 	if snap == nil {
 		snap = e.db.Snapshot()
 	}
@@ -304,44 +233,48 @@ func (e *Evaluator) queryPath(ctx context.Context, doc int64, p *xpath.Path, tr 
 		snap:       snap,
 		parentMemo: map[int64]parentInfo{},
 		nodeMemo:   map[int64]NodeRef{},
-		trace:      tr,
 		ctx:        ctx,
 		pool:       e.db.Pool(),
 	}
-	sp := tr.Start(StageTranslate)
-	tsp := obs.FromContext(ctx).StartChild("translate")
-	segs, err := splitSegments(p, e.opts.Kind)
-	tsp.End()
-	sp.End()
+	refs, err := r.evalPath(ctx, doc, p)
+	e.met.queries.Inc()
+	e.met.total.Observe(time.Since(start))
 	if err != nil {
-		return nil, err
-	}
-	var nodes []NodeRef
-	first := true
-	for i, seg := range segs {
-		segSp := obs.FromContext(ctx).StartChild("segment").Arg("index", int64(i))
-		r.ctx = obs.ContextWith(ctx, segSp)
-		nodes, err = r.runSegment(doc, seg, nodes, first)
-		segSp.End()
-		if err != nil {
-			return nil, err
-		}
-		first = false
-		if len(nodes) == 0 {
-			break
-		}
+		return nil, nil, err
 	}
 	e.mu.Lock()
 	e.lastSQL = r.sqls
 	e.mu.Unlock()
-	if len(nodes) == 0 {
-		return nil, nil
+	root.Arg("results", int64(len(refs)))
+	return refs, r.sqls, nil
+}
+
+// evalPath runs the parsed path's segments in order and sorts the final
+// node set into document order.
+func (r *run) evalPath(ctx context.Context, doc int64, p *xpath.Path) ([]NodeRef, error) {
+	tsp := obs.FromContext(ctx).StartChild("translate")
+	segs, err := splitSegments(p, r.opts.Kind)
+	tsp.End()
+	if err != nil {
+		return nil, err
 	}
-	sp = tr.Start(StageSort)
+	var nodes []NodeRef
+	for i, seg := range segs {
+		segSp := obs.FromContext(ctx).StartChild("segment").Arg("index", int64(i))
+		r.ctx = obs.ContextWith(ctx, segSp)
+		nodes, err = r.runSegment(doc, seg, nodes, i == 0)
+		segSp.End()
+		if err != nil {
+			return nil, err
+		}
+		if len(nodes) == 0 {
+			return nil, nil
+		}
+	}
 	ssp := obs.FromContext(ctx).StartChild("sort")
+	r.ctx = obs.ContextWith(ctx, ssp)
 	err = r.sortDocOrder(doc, nodes)
 	ssp.End()
-	sp.End()
 	if err != nil {
 		return nil, err
 	}

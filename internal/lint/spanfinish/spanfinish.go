@@ -1,16 +1,14 @@
-// Package spanfinish implements the span-finish analyzer: every obs span
-// started with Trace.Start must be finished — via `defer sp.End()` or an
-// `sp.End()` call on every path out of the block that owns the span.
+// Package spanfinish implements the span-finish analyzer: every request-
+// tracer span must be finished — via `defer sp.End()` or an `sp.End()` call
+// on every path out of the block that owns the span.
 //
-// An unfinished span is silent: the stage simply never folds its duration
-// into the trace, so EXPLAIN ANALYZE and the stage histograms under-report
-// without any error. The same applies to the request tracer's *ActiveSpan
-// handles: an unended span never reaches the trace buffer, so the request
-// silently vanishes from the Chrome export. The analyzer recognizes span
-// values structurally (a named type `Span` or `ActiveSpan` declared in a
-// package named `obs`, produced by Start, StartSpan, StartRoot, StartChild
-// or StartWorker — including the two-value `ctx, sp := ...` forms) and then
-// runs a conservative path walk:
+// An unfinished span is silent: an unended *ActiveSpan never reaches the
+// trace buffer, so the stage or request simply vanishes from the Chrome
+// export without any error. The analyzer recognizes span values
+// structurally (the named type `ActiveSpan` declared in a package named
+// `obs`, produced by StartSpan, StartRoot, StartChild or StartWorker —
+// including the two-value `ctx, sp := ...` forms) and then runs a
+// conservative path walk:
 //
 //   - a deferred End anywhere in the function discharges the span;
 //   - otherwise every return statement — and the fall-through exit of the
@@ -54,8 +52,8 @@ func run(pass *framework.Pass) error {
 	return nil
 }
 
-// isSpanType reports whether t is (a pointer to) a named type Span or
-// ActiveSpan declared in a package named obs.
+// isSpanType reports whether t is (a pointer to) the named type ActiveSpan
+// declared in a package named obs.
 func isSpanType(t types.Type) bool {
 	if p, ok := t.(*types.Pointer); ok {
 		t = p.Elem()
@@ -65,7 +63,7 @@ func isSpanType(t types.Type) bool {
 		return false
 	}
 	obj := named.Obj()
-	if obj.Name() != "Span" && obj.Name() != "ActiveSpan" {
+	if obj.Name() != "ActiveSpan" {
 		return false
 	}
 	return obj.Pkg() != nil && obj.Pkg().Name() == "obs"
@@ -73,7 +71,6 @@ func isSpanType(t types.Type) bool {
 
 // startNames are the function/method names that mint spans.
 var startNames = map[string]bool{
-	"Start":       true,
 	"StartSpan":   true,
 	"StartRoot":   true,
 	"StartChild":  true,
@@ -103,7 +100,7 @@ func isStartCall(pass *framework.Pass, call *ast.CallExpr) bool {
 // count as escapes for outer spans.
 func checkFunc(pass *framework.Pass, body *ast.BlockStmt) {
 	// Collect the span definitions owned by this function: statements of the
-	// form `sp := x.Start(...)` (or plain assignment), plus dropped spans.
+	// form `sp := x.StartChild(...)` (or plain assignment), plus dropped spans.
 	type spanDef struct {
 		obj   types.Object
 		start *ast.CallExpr
@@ -117,7 +114,7 @@ func checkFunc(pass *framework.Pass, body *ast.BlockStmt) {
 		for i, s := range list {
 			if as, ok := s.(*ast.AssignStmt); ok && len(as.Rhs) == 1 && len(as.Lhs) >= 1 {
 				if call, ok := as.Rhs[0].(*ast.CallExpr); ok && isStartCall(pass, call) {
-					// The span is the last (or only) result: `sp := x.Start(...)`
+					// The span is the last (or only) result: `sp := x.StartChild(...)`
 					// or `ctx, sp := tr.StartRoot(ctx, ...)`.
 					if id, ok := as.Lhs[len(as.Lhs)-1].(*ast.Ident); ok && id.Name != "_" {
 						if obj := pass.ObjectOf(id); obj != nil {

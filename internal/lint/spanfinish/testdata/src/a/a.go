@@ -1,4 +1,5 @@
-// Package a exercises the spanfinish analyzer.
+// Package a exercises the spanfinish analyzer. This file holds the path-walk
+// cases, all on child spans; activespan.go holds the constructor shapes.
 package a
 
 import (
@@ -7,28 +8,28 @@ import (
 	"ordxml/internal/lint/spanfinish/testdata/src/obs"
 )
 
-func deferred(tr *obs.Trace) {
-	sp := tr.Start("deferred")
+func deferred(parent *obs.ActiveSpan) {
+	sp := parent.StartChild("deferred")
 	defer sp.End()
 	work()
 }
 
-func deferredClosure(tr *obs.Trace) {
-	sp := tr.Start("closure")
+func deferredClosure(parent *obs.ActiveSpan) {
+	sp := parent.StartChild("closure")
 	defer func() {
 		sp.End()
 	}()
 	work()
 }
 
-func straightLine(tr *obs.Trace) {
-	sp := tr.Start("straight")
+func straightLine(parent *obs.ActiveSpan) {
+	sp := parent.StartChild("straight")
 	work()
 	sp.End()
 }
 
-func earlyReturnLeak(tr *obs.Trace, fail bool) error {
-	sp := tr.Start("leaky") // want `span sp is not finished on all paths`
+func earlyReturnLeak(parent *obs.ActiveSpan, fail bool) error {
+	sp := parent.StartChild("leaky") // want `span sp is not finished on all paths`
 	if fail {
 		return errors.New("bail")
 	}
@@ -37,8 +38,8 @@ func earlyReturnLeak(tr *obs.Trace, fail bool) error {
 	return nil
 }
 
-func earlyReturnEnded(tr *obs.Trace, fail bool) error {
-	sp := tr.Start("careful")
+func earlyReturnEnded(parent *obs.ActiveSpan, fail bool) error {
+	sp := parent.StartChild("careful")
 	if fail {
 		sp.End()
 		return errors.New("bail")
@@ -48,21 +49,21 @@ func earlyReturnEnded(tr *obs.Trace, fail bool) error {
 	return nil
 }
 
-func fallthroughLeak(tr *obs.Trace, ok bool) {
-	sp := tr.Start("forgotten") // want `span sp is not finished on all paths`
+func fallthroughLeak(parent *obs.ActiveSpan, ok bool) {
+	sp := parent.StartChild("forgotten") // want `span sp is not finished on all paths`
 	if ok {
 		sp.End()
 	}
 	work()
 }
 
-func dropped(tr *obs.Trace) {
-	tr.Start("dropped") // want `span started and immediately dropped`
+func dropped(parent *obs.ActiveSpan) {
+	parent.StartChild("dropped") // want `span started and immediately dropped`
 	work()
 }
 
-func bothBranchesEnd(tr *obs.Trace, fast bool) {
-	sp := tr.Start("branchy")
+func bothBranchesEnd(parent *obs.ActiveSpan, fast bool) {
+	sp := parent.StartChild("branchy")
 	if fast {
 		sp.End()
 	} else {
@@ -72,17 +73,17 @@ func bothBranchesEnd(tr *obs.Trace, fast bool) {
 }
 
 // escaped spans are someone else's responsibility.
-func escapes(tr *obs.Trace) {
-	sp := tr.Start("handed-off")
+func escapes(parent *obs.ActiveSpan) {
+	sp := parent.StartChild("handed-off")
 	finishLater(sp)
 }
 
-func finishLater(sp obs.Span) {
+func finishLater(sp *obs.ActiveSpan) {
 	sp.End()
 }
 
-func panicPath(tr *obs.Trace, bad bool) {
-	sp := tr.Start("panicky")
+func panicPath(parent *obs.ActiveSpan, bad bool) {
+	sp := parent.StartChild("panicky")
 	if bad {
 		panic("no recovery, span moot")
 	}

@@ -6,17 +6,17 @@ import (
 	"ordxml/internal/lint/spanfinish/testdata/src/obs"
 )
 
-// The ActiveSpan cases mirror the request-tracer API: two-value
-// constructors, child/worker spans, and struct-field hand-off.
+// These cases mirror the request-tracer API's constructor shapes: two-value
+// root and ambient constructors, worker spans, and struct-field hand-off.
 
-func rootDeferred(tr *obs.Trace, ctx int) int {
+func rootDeferred(tr *obs.Tracer, ctx int) int {
 	ctx, sp := tr.StartRoot(ctx, "root")
 	defer sp.End()
 	work()
 	return ctx
 }
 
-func rootLeak(tr *obs.Trace, ctx int, fail bool) error {
+func rootLeak(tr *obs.Tracer, ctx int, fail bool) error {
 	_, sp := tr.StartRoot(ctx, "leaky-root") // want `span sp is not finished on all paths`
 	if fail {
 		return errors.New("bail")
@@ -25,7 +25,7 @@ func rootLeak(tr *obs.Trace, ctx int, fail bool) error {
 	return nil
 }
 
-func rootDiscardedSpan(tr *obs.Trace, ctx int) int {
+func rootDiscardedSpan(tr *obs.Tracer, ctx int) int {
 	// Discarding the handle by name is deliberate; the analyzer does not
 	// second-guess it.
 	ctx2, _ := tr.StartRoot(ctx, "discarded")
@@ -36,26 +36,6 @@ func ambientDeferred(ctx int) {
 	ctx2, sp := obs.StartSpan(ctx, "stage")
 	defer sp.End()
 	_ = ctx2
-	work()
-}
-
-func childStraight(parent *obs.ActiveSpan) {
-	sp := parent.StartChild("child")
-	work()
-	sp.End()
-}
-
-func childLeak(parent *obs.ActiveSpan, fail bool) error {
-	sp := parent.StartChild("leaky-child") // want `span sp is not finished on all paths`
-	if fail {
-		return errors.New("bail")
-	}
-	sp.End()
-	return nil
-}
-
-func childDropped(parent *obs.ActiveSpan) {
-	parent.StartChild("dropped") // want `span started and immediately dropped`
 	work()
 }
 

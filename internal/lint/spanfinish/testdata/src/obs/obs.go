@@ -1,43 +1,18 @@
 // Package obs is a miniature stand-in for the engine's observability
-// package: the spanfinish analyzer recognizes span values structurally (a
-// named type Span in a package named obs), so this double triggers it
+// package: the spanfinish analyzer recognizes span values structurally (the
+// named type ActiveSpan in a package named obs), so this double triggers it
 // without importing the engine.
 package obs
 
-import "time"
+type Tracer struct{}
 
-type Trace struct {
-	stages map[string]time.Duration
-}
-
-type Span struct {
-	tr    *Trace
-	name  string
-	begin time.Time
-}
-
-func (t *Trace) Start(name string) Span {
-	return Span{tr: t, name: name, begin: time.Now()}
-}
-
-func (s Span) End() {
-	if s.tr == nil {
-		return
-	}
-	if s.tr.stages == nil {
-		s.tr.stages = map[string]time.Duration{}
-	}
-	s.tr.stages[s.name] += time.Since(s.begin)
-}
-
-// ActiveSpan mirrors the request tracer's nil-safe span handle; the analyzer
-// must treat it exactly like Span.
+// ActiveSpan mirrors the request tracer's nil-safe span handle.
 type ActiveSpan struct {
 	name string
 }
 
 // StartRoot mirrors the two-value (context, span) constructor shape.
-func (t *Trace) StartRoot(ctx int, name string) (int, *ActiveSpan) {
+func (t *Tracer) StartRoot(ctx int, name string) (int, *ActiveSpan) {
 	return ctx, &ActiveSpan{name: name}
 }
 

@@ -1,17 +1,17 @@
 // Package obs is the engine's dependency-free observability layer: a metrics
 // registry of atomic counters, gauges and fixed-bucket latency histograms,
-// plus a lightweight span/trace API for per-query stage breakdowns.
+// plus the request tracer (tracer.go) that records a span tree per request.
 //
 // Design constraints, in order:
 //
 //  1. Zero allocations on the hot path. Counter.Add, Gauge.Set and
-//     Histogram.Observe are single atomic operations; a disabled Trace costs
-//     two nil checks and no allocation (see trace.go).
+//     Histogram.Observe are single atomic operations; a disabled Tracer
+//     costs one atomic load per request and a nil check per span site.
 //  2. No dependencies beyond the standard library, so storage packages
 //     (heap, btree) and the SQL engine can all share one registry without
 //     import cycles.
 //  3. Snapshots are plain maps/structs that marshal to JSON directly, which
-//     is what the debug HTTP endpoint and xmlbench -stats emit.
+//     is what the debug HTTP endpoint emits.
 package obs
 
 import (

@@ -10,11 +10,11 @@ import (
 	"time"
 )
 
-// This file is the request-scoped tracing layer (observability v2). Unlike
-// trace.go's flat per-operation stage Trace, the Tracer records a *tree* of
-// spans with trace/span/parent IDs into a bounded in-memory ring buffer,
-// safe for concurrent emission from parallel query workers, and exports the
-// buffer as Chrome trace-event JSON loadable in Perfetto (chrome://tracing).
+// This file is the request-scoped tracing layer, the engine's only tracer.
+// The Tracer records a *tree* of spans with trace/span/parent IDs into a
+// bounded in-memory ring buffer, safe for concurrent emission from parallel
+// query workers, and exports the buffer as Chrome trace-event JSON loadable
+// in Perfetto (chrome://tracing).
 //
 // The active-span handle is a *ActiveSpan; nil is the disabled state and
 // every method is nil-safe, so call sites thread spans unconditionally:

@@ -658,13 +658,14 @@ func (s *Stmt) QueryAt(snap *Snap, params ...sqltypes.Value) (*Result, error) {
 }
 
 // QueryAtCtx is QueryAt with a caller context: with an ambient span in ctx
-// (the XPath pipeline threads one per request) the statement's planning and
-// operators join that trace.
+// (the XPath pipeline threads one per request) the statement joins that
+// trace as a sql.query span over its planning and operators.
 func (s *Stmt) QueryAtCtx(ctx context.Context, snap *Snap, params ...sqltypes.Value) (*Result, error) {
 	v := s.db.view.Load()
 	if snap != nil {
 		v = snap.v
 	}
+	ctx, sp := obs.StartSpan(ctx, "sql.query")
 	start := time.Now()
 	res, err := s.db.queryAt(ctx, v, s.sql, s.stmt, params)
 	rows := 0
@@ -672,6 +673,7 @@ func (s *Stmt) QueryAtCtx(ctx context.Context, snap *Snap, params ...sqltypes.Va
 		rows = len(res.Rows)
 	}
 	s.db.metrics.recordQuery(s.sql, time.Since(start), rows, err)
+	sp.Arg("rows", int64(rows)).End()
 	return res, err
 }
 

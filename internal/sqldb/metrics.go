@@ -146,4 +146,7 @@ func (db *DB) registerStorageFuncs() {
 	db.metrics.reg.RegisterFunc("storage.btree.node_reads", c.BtreeNodeReads.Load)
 	db.metrics.reg.RegisterFunc("storage.rows_scanned", c.RowsScanned.Load)
 	db.metrics.reg.RegisterFunc("storage.index_probes", c.IndexProbes.Load)
+	db.metrics.reg.RegisterFunc("storage.rows_inserted", c.RowsInserted.Load)
+	db.metrics.reg.RegisterFunc("storage.rows_deleted", c.RowsDeleted.Load)
+	db.metrics.reg.RegisterFunc("storage.rows_updated", c.RowsUpdated.Load)
 }

@@ -50,19 +50,20 @@ func TestMetricsSnapshotCounts(t *testing.T) {
 	if got := m.Gauges["storage.btree.node_reads"]; got == 0 {
 		t.Error("btree node reads stayed zero despite index probes")
 	}
-	// Plan cache counters live in the same registry; the shim agrees.
-	pcs := db.PlanCacheStats()
-	if m.Counters["sqldb.plancache.hits"] != pcs.Hits {
-		t.Errorf("registry hits %d != shim hits %d", m.Counters["sqldb.plancache.hits"], pcs.Hits)
+	// Plan cache counters live in the same registry: one miss plans the
+	// statement, the four repeats hit, and the entry shows in the gauge.
+	if got := m.Counters["sqldb.plancache.hits"]; got < 4 {
+		t.Errorf("expected >=4 plan cache hits from repeated query, got %d", got)
 	}
-	if m.Counters["sqldb.plancache.misses"] != pcs.Misses {
-		t.Errorf("registry misses %d != shim misses %d", m.Counters["sqldb.plancache.misses"], pcs.Misses)
+	if m.Counters["sqldb.plancache.misses"] == 0 {
+		t.Error("sqldb.plancache.misses stayed zero though the statement was planned once")
 	}
-	if m.Gauges["sqldb.plancache.entries"] != int64(pcs.Entries) {
-		t.Errorf("registry entries %d != shim entries %d", m.Gauges["sqldb.plancache.entries"], pcs.Entries)
+	if m.Gauges["sqldb.plancache.entries"] == 0 {
+		t.Error("sqldb.plancache.entries gauge is zero with a cached plan")
 	}
-	if pcs.Hits < 4 {
-		t.Errorf("expected >=4 plan cache hits from repeated query, got %d", pcs.Hits)
+	// Row-mutation counters are gauges next to the read counters.
+	if got := m.Gauges["storage.rows_inserted"]; got == 0 {
+		t.Error("storage.rows_inserted stayed zero despite the fixture's inserts")
 	}
 }
 

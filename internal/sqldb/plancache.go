@@ -49,10 +49,11 @@ type cacheShard struct {
 type planCache struct {
 	shards [planCacheShards]cacheShard
 
-	// hits/misses live in the DB's metrics registry (sqldb.plancache.*) so
-	// cache behaviour shows up in Metrics() snapshots; PlanCacheStats reads
-	// them back for the legacy accessor. obs counters are atomic, so the
-	// counts stay exact across shards.
+	// hits/misses live in the DB's metrics registry (sqldb.plancache.*, next
+	// to the sqldb.plancache.entries gauge) so cache behaviour shows up in
+	// Metrics() snapshots. A hit is a statement that ran without parsing or
+	// planning; a miss covers absent entries and entries invalidated by DDL.
+	// obs counters are atomic, so the counts stay exact across shards.
 	hits   *obs.Counter
 	misses *obs.Counter
 }
@@ -145,24 +146,4 @@ func (pc *planCache) len() int {
 		sh.mu.Unlock()
 	}
 	return n
-}
-
-// PlanCacheStats is a snapshot of the plan cache counters. A hit means a
-// statement executed without parsing or planning; a miss covers both absent
-// entries and entries invalidated by DDL.
-type PlanCacheStats struct {
-	Hits    int64
-	Misses  int64
-	Entries int
-}
-
-// PlanCacheStats returns the cache counters. It is a thin shim over the
-// metrics registry (sqldb.plancache.hits / .misses / .entries), kept for
-// callers that predate Metrics().
-func (db *DB) PlanCacheStats() PlanCacheStats {
-	return PlanCacheStats{
-		Hits:    db.plans.hits.Value(),
-		Misses:  db.plans.misses.Value(),
-		Entries: db.plans.len(),
-	}
 }

@@ -28,18 +28,30 @@ func cacheDB(t *testing.T) *DB {
 	return db
 }
 
+// cacheStats is the plan cache as Metrics() publishes it.
+type cacheStats struct{ Hits, Misses, Entries int64 }
+
+func planStats(db *DB) cacheStats {
+	m := db.Metrics()
+	return cacheStats{
+		Hits:    m.Counters["sqldb.plancache.hits"],
+		Misses:  m.Counters["sqldb.plancache.misses"],
+		Entries: m.Gauges["sqldb.plancache.entries"],
+	}
+}
+
 // TestPlanCacheHits: repeating the same SELECT must hit the cache, and the
 // hit must return the same rows as the first (planned) execution.
 func TestPlanCacheHits(t *testing.T) {
 	db := cacheDB(t)
 	const q = `SELECT id FROM items WHERE cat = ? ORDER BY id`
 
-	base := db.PlanCacheStats()
+	base := planStats(db)
 	first, err := db.Query(q, S("c3"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	after := db.PlanCacheStats()
+	after := planStats(db)
 	if after.Misses != base.Misses+1 || after.Hits != base.Hits {
 		t.Fatalf("first run: stats %+v -> %+v, want one miss", base, after)
 	}
@@ -53,7 +65,7 @@ func TestPlanCacheHits(t *testing.T) {
 			t.Fatalf("run %d: %d rows, want %d", i, len(res.Rows), len(first.Rows))
 		}
 	}
-	final := db.PlanCacheStats()
+	final := planStats(db)
 	if final.Hits != after.Hits+5 {
 		t.Fatalf("hits = %d, want %d", final.Hits, after.Hits+5)
 	}
@@ -87,12 +99,12 @@ func TestPlanCacheInvalidation(t *testing.T) {
 	if _, err := db.Exec(`DROP INDEX items_cat`); err != nil {
 		t.Fatal(err)
 	}
-	pre := db.PlanCacheStats()
+	pre := planStats(db)
 	got, err := db.Query(q, S("c7"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	post := db.PlanCacheStats()
+	post := planStats(db)
 	if post.Misses != pre.Misses+1 {
 		t.Fatalf("stale plan not invalidated: %+v -> %+v", pre, post)
 	}
@@ -133,13 +145,13 @@ func TestPlanCacheDML(t *testing.T) {
 	if _, err := db.Exec(u, I(1), I(3)); err != nil {
 		t.Fatal(err)
 	}
-	pre := db.PlanCacheStats()
+	pre := planStats(db)
 	for i := 0; i < 4; i++ {
 		if _, err := db.Exec(u, I(int64(i)), I(3)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	post := db.PlanCacheStats()
+	post := planStats(db)
 	if post.Hits != pre.Hits+4 {
 		t.Fatalf("DML hits = %d, want %d", post.Hits, pre.Hits+4)
 	}
@@ -169,7 +181,7 @@ func TestPlanCacheEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := db.PlanCacheStats().Entries; n > planCacheCap {
+	if n := planStats(db).Entries; n > planCacheCap {
 		t.Fatalf("cache holds %d entries, cap %d", n, planCacheCap)
 	}
 }

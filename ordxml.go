@@ -156,27 +156,6 @@ type DocInfo struct {
 	Nodes int64
 }
 
-// WorkCounters snapshot the engine's logical work counters; subtract two
-// snapshots to measure an operation in hardware-independent units.
-type WorkCounters struct {
-	RowsScanned  int64
-	IndexProbes  int64
-	RowsInserted int64
-	RowsDeleted  int64
-	RowsUpdated  int64
-}
-
-// Sub returns c - prev field-wise.
-func (c WorkCounters) Sub(prev WorkCounters) WorkCounters {
-	return WorkCounters{
-		RowsScanned:  c.RowsScanned - prev.RowsScanned,
-		IndexProbes:  c.IndexProbes - prev.IndexProbes,
-		RowsInserted: c.RowsInserted - prev.RowsInserted,
-		RowsDeleted:  c.RowsDeleted - prev.RowsDeleted,
-		RowsUpdated:  c.RowsUpdated - prev.RowsUpdated,
-	}
-}
-
 // Store is one ordered-XML store over an embedded relational database.
 // A Store is safe for concurrent use: updates serialize on the engine's
 // writer lock per statement, while readers (Query, QueryValues, Serialize,
@@ -320,7 +299,7 @@ func (s *Store) QueryCtx(ctx context.Context, doc DocID, xpathExpr string) ([]No
 		return nil, err
 	}
 	defer end()
-	refs, err := s.evaluator.QueryCtx(ctx, doc, xpathExpr)
+	refs, err := s.evaluator.QueryAtCtx(ctx, nil, doc, xpathExpr)
 	if err != nil {
 		return nil, err
 	}
@@ -423,13 +402,22 @@ func (s *Store) QueryValuesCtx(ctx context.Context, doc DocID, xpathExpr string)
 	return out, nil
 }
 
-// ExplainQuery returns the SQL statements the store generates for a query
-// (one per path segment), without executing the post-processing steps.
+// ExplainQuery evaluates a query and returns the SQL statements the store
+// generated for it, one per path segment.
 func (s *Store) ExplainQuery(doc DocID, xpathExpr string) ([]string, error) {
-	if _, err := s.evaluator.Query(doc, xpathExpr); err != nil {
+	return s.ExplainQueryCtx(context.Background(), doc, xpathExpr)
+}
+
+// ExplainQueryCtx is ExplainQuery with a caller context. The evaluation runs
+// governed like QueryCtx, and the statements returned are those of this call
+// whatever other queries run concurrently.
+func (s *Store) ExplainQueryCtx(ctx context.Context, doc DocID, xpathExpr string) ([]string, error) {
+	ctx, end, err := s.beginRead(ctx)
+	if err != nil {
 		return nil, err
 	}
-	return append([]string(nil), s.evaluator.LastSQL()...), nil
+	defer end()
+	return s.evaluator.Explain(ctx, doc, xpathExpr)
 }
 
 // Serialize reconstructs the subtree rooted at id as XML.
@@ -537,28 +525,6 @@ func (s *Store) SetParallelism(n int) { s.db.SetParallelism(n) }
 // Parallelism returns the current planner worker count.
 func (s *Store) Parallelism() int { return s.db.Parallelism() }
 
-// Counters returns the engine's cumulative work counters.
-func (s *Store) Counters() WorkCounters {
-	c := s.db.Counters()
-	return WorkCounters{
-		RowsScanned:  c.RowsScanned,
-		IndexProbes:  c.IndexProbes,
-		RowsInserted: c.RowsInserted,
-		RowsDeleted:  c.RowsDeleted,
-		RowsUpdated:  c.RowsUpdated,
-	}
-}
-
-// PlanCacheStats re-exports the engine's plan cache counters: hits are
-// statements that ran without parsing or planning, misses cover absent
-// entries and entries invalidated by schema changes.
-type PlanCacheStats = sqldb.PlanCacheStats
-
-// PlanCache returns the engine's plan cache counters for this store's
-// database. It is a shim over Metrics(): the same values appear there as the
-// sqldb.plancache.* counters and gauge.
-func (s *Store) PlanCache() PlanCacheStats { return s.db.PlanCacheStats() }
-
 // Metrics is a point-in-time snapshot of every engine metric: counters,
 // gauges and latency histograms (with p50/p95/p99). It marshals to JSON.
 type Metrics = obs.Snapshot
@@ -566,40 +532,18 @@ type Metrics = obs.Snapshot
 // HistogramStats summarizes one latency histogram inside a Metrics snapshot.
 type HistogramStats = obs.HistogramSnapshot
 
-// StageTiming is one XPath pipeline stage's cumulative wall time within a
-// single query: parse, translate, exec, post or sort. Count is the number of
-// times the stage ran (e.g. one exec per generated statement execution).
-type StageTiming = obs.Stage
-
 // SlowQuery is one slow-query log entry. Rows is -1 for non-SELECT
 // statements.
 type SlowQuery = sqldb.SlowQuery
 
-// Metrics returns a snapshot of the store's engine metrics: statement counts
-// and latency histograms (sqldb.*), XPath pipeline stage histograms
-// (xpath.*), plan-cache counters (sqldb.plancache.*) and storage-layer
-// heap-page/btree-node read counters (storage.*).
+// Metrics returns a snapshot of the store's engine metrics, the one
+// statistics call: statement counts and latency histograms (sqldb.*), XPath
+// query count and latency (xpath.*), plan-cache counters (sqldb.plancache.*),
+// logical work and page/node read counters (storage.*) and, on durable and
+// pooled stores, write-ahead log (wal.*) and buffer-pool (bufpool.*)
+// activity. Subtract two snapshots to measure an operation. README
+// "Observability" lists every name.
 func (s *Store) Metrics() Metrics { return s.db.Metrics() }
-
-// QueryTrace evaluates a query like Query and additionally returns the
-// per-stage wall-time breakdown of this evaluation.
-func (s *Store) QueryTrace(doc DocID, xpathExpr string) ([]Node, []StageTiming, error) {
-	refs, stages, err := s.evaluator.QueryTraced(doc, xpathExpr)
-	if err != nil {
-		return nil, nil, err
-	}
-	out := make([]Node, len(refs))
-	for i, r := range refs {
-		out[i] = Node{
-			ID:       r.ID,
-			Kind:     kindOf(r.Kind),
-			Tag:      r.Tag,
-			Value:    r.Value,
-			OrderKey: s.renderOrderKey(r.Order),
-		}
-	}
-	return out, stages, nil
-}
 
 // ExplainSQL returns the physical plan of a SQL statement as text.
 func (s *Store) ExplainSQL(query string) (string, error) {

@@ -189,13 +189,15 @@ func TestRawSQL(t *testing.T) {
 func TestCountersAndStorage(t *testing.T) {
 	s, _ := Open(Options{Encoding: Dewey})
 	doc, _ := s.LoadString("d", "<a><b/><b/><b/></a>")
-	before := s.Counters()
+	before := s.Metrics().Gauges
+	if got := before["storage.rows_inserted"]; got < 4 {
+		t.Errorf("storage.rows_inserted = %d after loading 4 nodes", got)
+	}
 	if _, err := s.Query(doc, "//b"); err != nil {
 		t.Fatal(err)
 	}
-	d := s.Counters().Sub(before)
-	if d.IndexProbes == 0 {
-		t.Errorf("query did no index probes: %+v", d)
+	if d := s.Metrics().Gauges["storage.index_probes"] - before["storage.index_probes"]; d == 0 {
+		t.Error("query did no index probes")
 	}
 	st := s.Storage()
 	if st.Rows != 4 || st.HeapBytes == 0 || st.HeapPages == 0 {

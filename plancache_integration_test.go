@@ -27,7 +27,7 @@ func TestQuerySuitePlanCacheWarm(t *testing.T) {
 				}
 				first[q.ID] = len(nodes)
 			}
-			warm := s.PlanCache()
+			warm := s.Metrics().Counters
 
 			for _, q := range suite {
 				nodes, err := s.Query(id, q.XPath)
@@ -38,14 +38,14 @@ func TestQuerySuitePlanCacheWarm(t *testing.T) {
 					t.Fatalf("%s: second pass returned %d nodes, first %d", q.ID, len(nodes), first[q.ID])
 				}
 			}
-			second := s.PlanCache()
+			second := s.Metrics().Counters
 
-			if second.Misses != warm.Misses {
-				t.Fatalf("second pass planned %d statements, want 0 (stats %+v -> %+v)",
-					second.Misses-warm.Misses, warm, second)
+			const hits, misses = "sqldb.plancache.hits", "sqldb.plancache.misses"
+			if second[misses] != warm[misses] {
+				t.Fatalf("second pass planned %d statements, want 0", second[misses]-warm[misses])
 			}
-			if second.Hits <= warm.Hits {
-				t.Fatalf("second pass recorded no cache hits (stats %+v -> %+v)", warm, second)
+			if second[hits] <= warm[hits] {
+				t.Fatalf("second pass recorded no cache hits (%d -> %d)", warm[hits], second[hits])
 			}
 		})
 	}

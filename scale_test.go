@@ -44,14 +44,15 @@ func TestScalePaged(t *testing.T) {
 				t.Fatalf("workload not beyond-RAM: %d heap pages vs %d pool frames",
 					st.HeapPages, frames)
 			}
-			ps, ok := store.PoolStats()
-			if !ok {
-				t.Fatal("no pool stats")
+			if !store.Pooled() {
+				t.Fatal("store is not pooled")
 			}
-			if ps.Resident > int64(ps.Capacity) {
-				t.Fatalf("resident frames %d exceed pool capacity %d", ps.Resident, ps.Capacity)
+			pool := func() map[string]int64 { return store.Metrics().Gauges }
+			ps := pool()
+			if ps["bufpool.resident_frames"] > ps["bufpool.capacity"] {
+				t.Fatalf("resident frames %d exceed pool capacity %d", ps["bufpool.resident_frames"], ps["bufpool.capacity"])
 			}
-			if ps.Evictions == 0 {
+			if ps["bufpool.evictions"] == 0 {
 				t.Fatal("no evictions despite beyond-RAM load")
 			}
 
@@ -60,8 +61,7 @@ func TestScalePaged(t *testing.T) {
 			if err := store.Checkpoint(); err != nil {
 				t.Fatal(err)
 			}
-			ps, _ = store.PoolStats()
-			full := ps.DirtyFlushes
+			full := pool()["bufpool.dirty_flushes"]
 			hits, err := store.Query(id, "/PLAY/ACT[5]/SCENE[5]/SPEECH[10]/SPEAKER")
 			if err != nil || len(hits) != 1 {
 				t.Fatalf("target: %v, %v", hits, err)
@@ -72,8 +72,7 @@ func TestScalePaged(t *testing.T) {
 			if err := store.Checkpoint(); err != nil {
 				t.Fatal(err)
 			}
-			ps, _ = store.PoolStats()
-			if delta := ps.DirtyFlushes - full; delta == 0 || delta > full/4 {
+			if delta := pool()["bufpool.dirty_flushes"] - full; delta == 0 || delta > full/4 {
 				t.Fatalf("incremental checkpoint flushed %d of %d pages", delta, full)
 			}
 
@@ -89,9 +88,9 @@ func TestScalePaged(t *testing.T) {
 			if want := 12 * 12 * 24 * 6; len(lines) != want {
 				t.Errorf("//LINE = %d, want %d", len(lines), want)
 			}
-			ps, _ = store.PoolStats()
-			if ps.Resident > int64(ps.Capacity) {
-				t.Fatalf("resident frames %d exceed pool capacity %d after scan", ps.Resident, ps.Capacity)
+			ps = pool()
+			if ps["bufpool.resident_frames"] > ps["bufpool.capacity"] {
+				t.Fatalf("resident frames %d exceed pool capacity %d after scan", ps["bufpool.resident_frames"], ps["bufpool.capacity"])
 			}
 
 			// Deep integrity check includes the on-disk page CRC sweep.
