@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race lint lint-sarif check fuzz-smoke bench torture govern-torture
+.PHONY: build test race lint lint-sarif check fuzz-smoke bench bench-query torture govern-torture
 
 build:
 	$(GO) build ./...
@@ -38,9 +38,17 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzParse -fuzztime 10s ./internal/core/xpath/
 	$(GO) test -fuzz FuzzParse -fuzztime 10s ./internal/xmltree/
 	$(GO) test -fuzz FuzzVerifyPage -fuzztime 10s ./internal/sqldb/pagefile/
+	$(GO) test -fuzz FuzzTranslateOracle -fuzztime 10s ./internal/core/translate/
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run '^$$' ./...
+
+# bench-query is the traced ordbench run behind EXPERIMENTS.md E3's
+# set-at-a-time table, on a seed other than the benchmark's default: the
+# descendant queries, statements, allocation and B+tree reads per cycle.
+bench-query:
+	bash benchmark/run.sh --workload query_mem --seed 7 --seconds 20 --trace 1 | \
+		grep -E '^(ordxml\.q[69]_ms|exec\.statements_per_cycle|ordxml\.alloc_mb_per_cycle|btree\.node_reads_per_cycle)\.'
 
 # torture runs the crash-recovery harness with a longer session than the
 # default `go test` smoke: a child process is killed at every registered

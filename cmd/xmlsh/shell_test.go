@@ -219,7 +219,7 @@ func TestShellTraceQuery(t *testing.T) {
 		}
 	}
 	got := strings.Join(names, " ")
-	for _, want := range []string{"parse translate segment sql.query plan", "post", "sort"} {
+	for _, want := range []string{"parse translate segment sql.query plan", "positional", "op.ParamScan", "sort"} {
 		if !strings.Contains(got, want) {
 			t.Errorf("trace rows %q lack %q", got, want)
 		}

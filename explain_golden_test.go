@@ -13,13 +13,15 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
 // explainDoc is a small deterministic catalog slice: enough items for the
-// E3-representative queries (position predicate, range, following-sibling)
-// to exercise index scans and positional post-processing.
+// E3-representative queries (position predicate, range, following-sibling,
+// descendant) to exercise index scans, positional post-processing and the
+// per-encoding descendant plans. namerica is a last child, so Global's
+// interval bound has to climb past it.
 const explainDoc = `<site><regions><namerica>` +
 	`<item id="i1"><name>a</name><quantity>1</quantity></item>` +
-	`<item id="i2"><name>b</name><quantity>2</quantity></item>` +
+	`<item id="i2"><name>b</name><quantity>2</quantity><description>x <keyword>k1</keyword></description></item>` +
 	`<item id="i3"><name>c</name><quantity>3</quantity></item>` +
-	`<item id="i4"><name>d</name><quantity>4</quantity></item>` +
+	`<item id="i4"><name>d</name><quantity>4</quantity><description><keyword>k2</keyword> y</description></item>` +
 	`<item id="i5"><name>e</name><quantity>5</quantity></item>` +
 	`</namerica></regions></site>`
 
@@ -31,6 +33,8 @@ var goldenQueries = []struct {
 	{"Q2-position", "/site/regions/namerica/item[3]"},
 	{"Q3-range", "/site/regions/namerica/item[position() <= 2]"},
 	{"Q4-following-sibling", "/site/regions/namerica/item[2]/following-sibling::item"},
+	{"Q6-descendant", "//keyword"},
+	{"Q9-mid-path-descendant", "/site/regions/namerica//keyword"},
 }
 
 // volatileTime matches the wall-time field of EXPLAIN ANALYZE annotations
@@ -137,12 +141,13 @@ func TestExplainAnalyzeActualRows(t *testing.T) {
 }
 
 // TestQueryTraceSpans checks that a traced query's span tree covers the
-// XPath pipeline. A Global mid-path descendant query runs every stage: the
-// path parse, segment translation, one span per segment and per SQL
-// statement, the client-side ancestry walk (post) and the final sort. The
-// always-on query metrics move whether or not the tracer is on.
+// XPath pipeline. A Local mid-path descendant query with a positional
+// predicate runs every stage: the path parse, segment translation, one span
+// per segment and per SQL statement, the ancestry test against the chain
+// table, the positional filter and the final sort. The always-on query
+// metrics move whether or not the tracer is on.
 func TestQueryTraceSpans(t *testing.T) {
-	store, err := Open(Options{Encoding: Global})
+	store, err := Open(Options{Encoding: Local})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +156,7 @@ func TestQueryTraceSpans(t *testing.T) {
 		t.Fatal(err)
 	}
 	store.Tracer().SetEnabled(true)
-	nodes, err := store.Query(doc, "/site/regions/namerica//name")
+	nodes, err := store.Query(doc, "/site/regions/namerica//name[position() <= 5]")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +174,7 @@ func TestQueryTraceSpans(t *testing.T) {
 			seen[r.Name]++
 		}
 	}
-	for _, want := range []string{"parse", "translate", "segment", "sql.query", "post", "sort"} {
+	for _, want := range []string{"parse", "translate", "segment", "sql.query", "ancestry", "positional", "sort"} {
 		if seen[want] == 0 {
 			t.Errorf("span %q missing from the query's trace %v", want, seen)
 		}

@@ -10,34 +10,43 @@ import (
 )
 
 // anchorMode describes how a segment's first step binds to the incoming
-// context and which parameters each per-context execution needs.
+// context. The context-bound modes join the node table to the context set,
+// which the statement reads as the relation parameter `? c (...)`.
 type anchorMode int
 
 const (
 	anchorRoot      anchorMode = iota // document root: parent IS NULL
 	anchorScan                        // no structural condition (tag scan)
-	anchorChildOf                     // parent = ?        (ctx id)
-	anchorParentOf                    // id = ?            (ctx parent)
-	anchorFollowing                   // parent = ? AND ord > ?
-	anchorPreceding                   // parent = ? AND ord < ?
-	anchorDeweyDesc                   // ord > ? AND ord < ?  (path range)
+	anchorChildOf                     // parent = c.id
+	anchorParentOf                    // id = c.parent
+	anchorFollowing                   // parent = c.parent AND ord > c.ord
+	anchorPreceding                   // parent = c.parent AND ord < c.ord
+	anchorInterval                    // ord > c.ord AND ord < c.hi (descendants)
 	anchorEmpty                       // statically empty (e.g. sibling of root)
 )
 
-// chainSQL is a compiled segment.
+// Column lists of the context relation: the node triple, or one order-key
+// interval per context node (see run.intervalRows).
+const (
+	ctxNodeCols     = "? c (id, parent, ord)"
+	ctxIntervalCols = "? c (id, ord, hi)"
+)
+
+// chainSQL is a compiled segment. Its rows are the final step's id, parent,
+// order key, kind, tag and value, preceded — when grouped, as a final step
+// with positional predicates is — by the id of the node that step was reached
+// from: the previous step's node, or the context node for a one-step segment.
 type chainSQL struct {
-	sql    string
-	anchor anchorMode
-	// stepCols[i] is the column offset of step i's (id, parent, ord)
-	// triple; the final step additionally exposes kind/tag/value.
-	stepCols []int
-	finalExt int // offset of kind,tag,value
+	sql     string
+	anchor  anchorMode
+	grouped bool
 }
 
 // buildChainSQL compiles a segment into one SELECT.
 func (e *Evaluator) buildChainSQL(doc int64, seg segment, first bool) (chainSQL, error) {
 	b := &chainBuilder{ev: e, doc: doc}
 	out := chainSQL{}
+	group := ""
 
 	for i, s := range seg.steps {
 		alias := b.addNodeAlias()
@@ -47,11 +56,18 @@ func (e *Evaluator) buildChainSQL(doc int64, seg segment, first bool) (chainSQL,
 				return chainSQL{}, err
 			}
 			out.anchor = mode
-			if mode == anchorEmpty {
+			switch mode {
+			case anchorEmpty:
 				return out, nil
+			case anchorRoot, anchorScan:
+			case anchorInterval:
+				b.from, group = []string{ctxIntervalCols, b.from[0]}, "c"
+			default:
+				b.from, group = []string{ctxNodeCols, b.from[0]}, "c"
 			}
 		} else {
 			b.stepConds(alias, b.prevAlias, s)
+			group = b.prevAlias
 		}
 		b.testConds(alias, s.Axis, s.Test)
 		for _, pred := range s.Preds {
@@ -62,18 +78,16 @@ func (e *Evaluator) buildChainSQL(doc int64, seg segment, first bool) (chainSQL,
 				}
 			}
 		}
-		out.stepCols = append(out.stepCols, len(b.sel))
-		b.sel = append(b.sel,
-			alias+".id", alias+".parent", alias+"."+e.ord)
 		b.prevAlias = alias
 	}
 	final := b.prevAlias
-	out.finalExt = len(b.sel)
-	b.sel = append(b.sel, final+".kind", final+".tag", final+".value")
 
 	var sb strings.Builder
 	sb.WriteString("SELECT ")
-	sb.WriteString(strings.Join(b.sel, ", "))
+	if out.grouped = group != "" && hasPosPred(seg.steps[len(seg.steps)-1]); out.grouped {
+		sb.WriteString(group + ".id, ")
+	}
+	sb.WriteString(e.nodeCols(final))
 	sb.WriteString(" FROM ")
 	sb.WriteString(strings.Join(b.from, ", "))
 	sb.WriteString(" WHERE ")
@@ -85,12 +99,16 @@ func (e *Evaluator) buildChainSQL(doc int64, seg segment, first bool) (chainSQL,
 	return out, nil
 }
 
+// nodeCols is the select list decodeNode reads: one node's full row.
+func (e *Evaluator) nodeCols(alias string) string {
+	return fmt.Sprintf("%[1]s.id, %[1]s.parent, %[1]s.%[2]s, %[1]s.kind, %[1]s.tag, %[1]s.value", alias, e.ord)
+}
+
 type chainBuilder struct {
 	ev        *Evaluator
 	doc       int64
 	nAlias    int
 	prevAlias string
-	sel       []string
 	from      []string
 	where     []string
 }
@@ -124,26 +142,24 @@ func (b *chainBuilder) anchorConds(alias string, s xpath.Step, first, ancestry b
 	}
 	switch s.Axis {
 	case xpath.Child, xpath.Attribute:
-		b.where = append(b.where, alias+".parent = ?")
+		b.where = append(b.where, alias+".parent = c.id")
 		return anchorChildOf, nil
 	case xpath.Parent:
-		b.where = append(b.where, alias+".id = ?")
+		b.where = append(b.where, alias+".id = c.parent")
 		return anchorParentOf, nil
 	case xpath.FollowingSibling:
-		b.where = append(b.where, alias+".parent = ?", alias+"."+ord+" > ?")
+		b.where = append(b.where, alias+".parent = c.parent", alias+"."+ord+" > c.ord")
 		return anchorFollowing, nil
 	case xpath.PrecedingSibling:
-		b.where = append(b.where, alias+".parent = ?", alias+"."+ord+" < ?")
+		b.where = append(b.where, alias+".parent = c.parent", alias+"."+ord+" < c.ord")
 		return anchorPreceding, nil
 	case xpath.Descendant:
-		if b.ev.opts.Kind == encoding.Dewey {
-			b.where = append(b.where, alias+"."+ord+" > ?", alias+"."+ord+" < ?")
-			return anchorDeweyDesc, nil
+		if ancestry {
+			// Local: scan by node test, ancestry is verified afterwards.
+			return anchorScan, nil
 		}
-		if !ancestry {
-			return 0, fmt.Errorf("internal: %s descendant segment lacks ancestry check", b.ev.opts.Kind)
-		}
-		return anchorScan, nil
+		b.where = append(b.where, alias+"."+ord+" > c.ord", alias+"."+ord+" < c.hi")
+		return anchorInterval, nil
 	default:
 		return 0, fmt.Errorf("internal: bad anchor axis %s", s.Axis)
 	}

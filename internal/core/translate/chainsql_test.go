@@ -46,13 +46,18 @@ func sqlFor(t *testing.T, opts encoding.Options, query string) []string {
 }
 
 func TestChainSQLChildPath(t *testing.T) {
-	// A pure child chain is one self-join statement under every encoding.
+	// A pure child chain is one self-join statement under every encoding;
+	// Local adds the chain-table statement its document-order sort reads.
 	for _, opts := range []encoding.Options{
 		{Kind: encoding.Global}, {Kind: encoding.Local}, {Kind: encoding.Dewey},
 	} {
 		sqls := sqlFor(t, opts, "/site/regions/namerica/item")
-		if len(sqls) != 1 {
-			t.Fatalf("%s: %d statements", opts.Kind, len(sqls))
+		want := 1
+		if opts.Kind == encoding.Local {
+			want = 2
+		}
+		if len(sqls) != want {
+			t.Fatalf("%s: %d statements, want %d: %v", opts.Kind, len(sqls), want, sqls)
 		}
 		sql := sqls[0]
 		if got := strings.Count(sql, opts.NodesTable()+" n"); got != 4 {
@@ -84,27 +89,47 @@ func TestChainSQLDeweyDescendant(t *testing.T) {
 		!strings.Contains(sqls[0], "n3.path < PREFIX_SUCC(n2.path)") {
 		t.Errorf("dewey descendant join missing:\n%s", sqls[0])
 	}
-	// Under Global the same path splits: prefix chain, then a tag scan that
-	// gets ancestry-checked client-side.
+	// Under Global the same path splits: prefix chain, then a range scan of
+	// one gorder interval per context node. The interval's upper bound takes
+	// the later-siblings statement and — regions being a last child — the
+	// chain-table statement to climb past it.
 	sqls = sqlFor(t, encoding.Options{Kind: encoding.Global}, "/site/regions//keyword")
-	if len(sqls) != 2 {
+	if len(sqls) != 4 {
 		t.Fatalf("global statements = %d: %v", len(sqls), sqls)
 	}
-	if !strings.Contains(sqls[1], "n1.tag = 'keyword'") || strings.Contains(sqls[1], "parent =") {
-		t.Errorf("global descendant segment should be an unanchored tag scan:\n%s", sqls[1])
+	if !strings.Contains(sqls[1], "n.parent = c.id AND n.gorder > c.ord") {
+		t.Errorf("global later-siblings statement:\n%s", sqls[1])
+	}
+	if !strings.Contains(sqls[2], "FROM ? c (id), xg_nodes n") || !strings.Contains(sqls[2], "n.id = c.id") {
+		t.Errorf("chain-table statement:\n%s", sqls[2])
+	}
+	last := sqls[3]
+	if !strings.Contains(last, "FROM ? c (id, ord, hi), xg_nodes n1") || !strings.Contains(last, "n1.tag = 'keyword'") ||
+		!strings.Contains(last, "n1.gorder > c.ord AND n1.gorder < c.hi") {
+		t.Errorf("global descendant segment should be an interval join:\n%s", last)
+	}
+	// Under Local it is a tag scan whose results are kept when the chain
+	// table shows a context ancestor.
+	sqls = sqlFor(t, encoding.Options{Kind: encoding.Local}, "/site/regions//keyword")
+	if len(sqls) != 3 {
+		t.Fatalf("local statements = %d: %v", len(sqls), sqls)
+	}
+	if !strings.Contains(sqls[1], "n1.tag = 'keyword'") || strings.Contains(sqls[1], "?") {
+		t.Errorf("local descendant segment should be an unanchored tag scan:\n%s", sqls[1])
 	}
 }
 
 func TestChainSQLSiblingAnchor(t *testing.T) {
-	// A sibling step after a positional break becomes a per-context query
-	// with parent and order parameters.
+	// A sibling step after a positional break joins the context relation on
+	// parent and order key.
 	for _, opts := range []encoding.Options{
 		{Kind: encoding.Global}, {Kind: encoding.Dewey},
 	} {
 		sqls := sqlFor(t, opts, "/site/regions/namerica/item[1]/following-sibling::item")
 		last := sqls[len(sqls)-1]
 		ord := opts.OrderColumn()
-		if !strings.Contains(last, "n1.parent = ?") || !strings.Contains(last, "n1."+ord+" > ?") {
+		if !strings.Contains(last, "FROM ? c (id, parent, ord), ") ||
+			!strings.Contains(last, "n1.parent = c.parent") || !strings.Contains(last, "n1."+ord+" > c.ord") {
 			t.Errorf("%s: sibling anchor missing:\n%s", opts.Kind, last)
 		}
 	}

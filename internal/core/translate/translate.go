@@ -1,32 +1,36 @@
 // Package translate evaluates the ordered XPath fragment over the
 // relational encodings by compiling location paths into SQL. Per the paper:
 //
-//   - Structural joins (child, parent, sibling ranges, Dewey descendant
-//     prefixes) become self-joins of the node table that the engine executes
-//     as correlated index lookups.
+//   - Structural joins (child, parent, sibling ranges, descendant ranges)
+//     become joins of the node table that the engine executes as correlated
+//     index lookups, probing in key order.
 //   - Ordered output comes from ORDER BY on the order key (Global, Dewey);
 //     the Local encoding has no document-order column, so results are sorted
-//     client-side using ancestor chains fetched through point lookups — the
+//     client-side by their root-to-node vectors of sibling positions — the
 //     cost the paper attributes to local order.
-//   - The descendant axis is a pure index range scan under Dewey; under
-//     Global and Local, ancestry is verified by walking parent links with
-//     point lookups (there is no recursive SQL), which experiment E3
-//     quantifies.
+//   - The descendant axis is an index range scan of the order key: under
+//     Dewey the range is the path prefix, under Global it runs to the order
+//     key of the first node past the subtree. Local has no such range:
+//     descendants are found by node test and kept when an ancestor is a
+//     context node. Experiment E3 quantifies the difference.
 //   - Positional predicates ([k], [position() op k], [last()]) are applied
-//     by an ordered post-processing step over the SQL result, grouped by
-//     context node; the SQL carries every step's id/parent/order key so the
-//     grouping needs no further queries.
+//     by an ordered post-processing step over the SQL result, grouped by the
+//     node each match was reached from, whose id the SQL carries.
 //
-// A path is split into segments: a maximal chain of steps is compiled into
-// one SQL statement; segment boundaries fall after any step with positional
-// predicates and before a descendant step that the encoding cannot express
-// in SQL (Global/Local). Follow-up segments run one indexed query per
-// context node.
+// A path is split into segments, each a maximal chain of steps compiled into
+// one SQL statement; boundaries fall after a step with positional predicates,
+// around ancestor steps, and before a Global/Local descendant step, whose
+// bounds depend on the context nodes. Evaluation is set-at-a-time: a
+// follow-up segment's statement reads the whole context set as a relation
+// parameter (`FROM ? c (id, parent, ord), nodes n1 ...`), so a query runs one
+// statement per segment whatever the size of the set, plus one per tree level
+// where parent links are needed (see loadChains).
 package translate
 
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -60,38 +64,34 @@ type Evaluator struct {
 	tbl  string
 	ord  string
 
-	// mu guards the prepared-statement cache and lastSQL; per-query scratch
-	// state lives in a run value so concurrent readers never share it.
+	// mu guards lastSQL; per-query scratch state lives in a run value so
+	// concurrent readers never share it. Statements are not cached here: the
+	// engine's plan cache, keyed by SQL text and LRU-bounded, spares a
+	// repeated statement its parse and plan.
 	mu      sync.Mutex
-	stmts   map[string]*sqldb.Stmt
 	lastSQL []string
-
-	parentStmt *sqldb.Stmt
-	nodeStmt   *sqldb.Stmt
 
 	met evalMetrics
 }
 
 // evalMetrics are the evaluator's always-on instruments, hung on the DB's
 // registry so Store.Metrics() sees the XPath pipeline next to the SQL engine.
-// Where a query's time went (parse, translate, segment, sql.query, post,
-// sort) is the request tracer's job, not a metric's.
+// Where a query's time went (parse, translate, segment, sql.query, ancestry,
+// positional, sort) is the request tracer's job, not a metric's.
 type evalMetrics struct {
 	queries *obs.Counter   // xpath.queries
 	total   *obs.Histogram // xpath.query.latency
 }
 
 // run is the per-query evaluation context: the pinned storage snapshot every
-// statement of the query reads (one XPath query = one consistent view, even
-// across the many SQL statements of a multi-segment path), memoized point
-// lookups (reset per query so work counters stay honest) and the generated
-// SQL.
+// statement of the query reads (one XPath query = one consistent view across
+// the statements of a multi-segment path), the chain table (see loadChains)
+// and the generated SQL.
 type run struct {
 	*Evaluator
-	snap       *sqldb.Snap
-	parentMemo map[int64]parentInfo
-	nodeMemo   map[int64]NodeRef
-	sqls       []string
+	snap  *sqldb.Snap
+	chain map[int64]link
+	sqls  []string
 	// ctx carries the request span when the query is traced; statements run
 	// through it so planner and operator spans land in the request's tree.
 	ctx context.Context
@@ -104,11 +104,9 @@ type run struct {
 }
 
 // poll checks the request context once per govern.PollInterval iterations of
-// a client-side loop (per-context statement fan-out, ancestry walks, local
-// order-key construction). The executor polls inside each statement, but a
-// point lookup returns long before its first poll interval — a path that
-// fans out into thousands of tiny statements would otherwise never observe
-// cancellation.
+// a client-side loop over a node set (decoding, ancestry walks, interval
+// bounds, local order keys). The executor polls inside each statement; this
+// covers the work between statements.
 func (r *run) poll() error {
 	r.polls++
 	if r.polls%govern.PollInterval != 0 {
@@ -117,28 +115,40 @@ func (r *run) poll() error {
 	return govern.CtxErr(r.ctx)
 }
 
-// exec runs one execution of a segment's statement. Under the request trace
-// on a pooled store it also attaches a per-statement bufpool delta event.
-func (r *run) exec(stmt *sqldb.Stmt, params []sqltypes.Value) (*sqldb.Result, error) {
-	sp := obs.FromContext(r.ctx)
-	if sp == nil || r.pool == nil {
-		return stmt.QueryAtCtx(r.ctx, r.snap, params...)
+// each runs one generated statement against the query's snapshot, with rel
+// bound to its relation parameter if it has one, and hands fn every result row
+// (valid during the call only). Under the request trace on a pooled store it
+// also attaches a per-statement bufpool delta event.
+func (r *run) each(sql string, rel relation, fn func(sqltypes.Row) error) error {
+	var params []sqltypes.Value
+	if rel != nil {
+		params = []sqltypes.Value{sqltypes.NewBlob(rel)}
 	}
-	before := r.pool.Stats()
-	res, err := stmt.QueryAtCtx(r.ctx, r.snap, params...)
-	after := r.pool.Stats()
-	sp.Event("bufpool.delta",
-		obs.Arg{Key: "hits", Val: after.Hits - before.Hits},
-		obs.Arg{Key: "misses", Val: after.Misses - before.Misses},
-		obs.Arg{Key: "evictions", Val: after.Evictions - before.Evictions},
-		obs.Arg{Key: "dirty_flushes", Val: after.DirtyFlushes - before.DirtyFlushes})
-	return res, err
-}
-
-type parentInfo struct {
-	parent int64
-	lorder int64
-	known  bool
+	if !slices.Contains(r.sqls, sql) {
+		r.sqls = append(r.sqls, sql)
+	}
+	if sp := obs.FromContext(r.ctx); sp != nil && r.pool != nil {
+		before := r.pool.Stats()
+		defer func() {
+			after := r.pool.Stats()
+			sp.Event("bufpool.delta",
+				obs.Arg{Key: "hits", Val: after.Hits - before.Hits},
+				obs.Arg{Key: "misses", Val: after.Misses - before.Misses},
+				obs.Arg{Key: "evictions", Val: after.Evictions - before.Evictions},
+				obs.Arg{Key: "dirty_flushes", Val: after.DirtyFlushes - before.DirtyFlushes})
+		}()
+	}
+	rows, err := r.snap.QueryRows(r.ctx, sql, params...)
+	if err != nil {
+		return err
+	}
+	defer rows.Close()
+	for rows.Next() {
+		if err := fn(rows.Row()); err != nil {
+			return err
+		}
+	}
+	return rows.Err()
 }
 
 // New prepares an evaluator. The encoding must be installed.
@@ -149,35 +159,23 @@ func New(db *sqldb.DB, opts encoding.Options) (*Evaluator, error) {
 	if !encoding.Installed(db, opts) {
 		return nil, fmt.Errorf("encoding %s is not installed", opts.Kind)
 	}
-	e := &Evaluator{
+	return &Evaluator{
 		db: db, opts: opts,
 		tbl: opts.NodesTable(), ord: opts.OrderColumn(),
-		stmts: map[string]*sqldb.Stmt{},
 		met: evalMetrics{
 			queries: db.Registry().Counter("xpath.queries"),
 			total:   db.Registry().Histogram("xpath.query.latency"),
 		},
-	}
-	var err error
-	e.parentStmt, err = db.Prepare(fmt.Sprintf(
-		`SELECT parent, %s FROM %s WHERE doc = ? AND id = ?`, e.ord, e.tbl))
-	if err != nil {
-		return nil, err
-	}
-	e.nodeStmt, err = db.Prepare(fmt.Sprintf(
-		`SELECT id, parent, %s, kind, tag, value FROM %s WHERE doc = ? AND id = ?`, e.ord, e.tbl))
-	if err != nil {
-		return nil, err
-	}
-	return e, nil
+	}, nil
 }
 
 // Options returns the evaluator's encoding options.
 func (e *Evaluator) Options() encoding.Options { return e.opts }
 
-// LastSQL returns the SQL statements generated by the most recent query, in
-// execution order (deduplicated per segment; per-context executions reuse
-// one statement). With concurrent queries it reflects whichever finished
+// LastSQL returns the distinct SQL statements the most recent query ran, in
+// order of first execution: one per segment, plus the level-wise statements
+// of the chain table and of Global's interval bounds, each of which runs once
+// per tree level. With concurrent queries it reflects whichever finished
 // last; Explain returns a run's own statements.
 func (e *Evaluator) LastSQL() []string {
 	e.mu.Lock()
@@ -197,8 +195,8 @@ func (e *Evaluator) Query(doc int64, path string) ([]NodeRef, error) {
 // with other reads at the same version (e.g. value extraction), otherwise
 // (nil) one the query pins itself. When the engine's request tracer is
 // enabled the whole pipeline (parse, translate, every SQL statement with
-// planner and operator spans, post, sort) records one span tree, rooted
-// here unless ctx already carries a span.
+// planner and operator spans, ancestry, positional, sort) records one span
+// tree, rooted here unless ctx already carries a span.
 func (e *Evaluator) QueryAtCtx(ctx context.Context, snap *sqldb.Snap, doc int64, path string) ([]NodeRef, error) {
 	refs, _, err := e.evaluate(ctx, snap, doc, path)
 	return refs, err
@@ -228,14 +226,7 @@ func (e *Evaluator) evaluate(ctx context.Context, snap *sqldb.Snap, doc int64, p
 	if snap == nil {
 		snap = e.db.Snapshot()
 	}
-	r := &run{
-		Evaluator:  e,
-		snap:       snap,
-		parentMemo: map[int64]parentInfo{},
-		nodeMemo:   map[int64]NodeRef{},
-		ctx:        ctx,
-		pool:       e.db.Pool(),
-	}
+	r := &run{Evaluator: e, snap: snap, chain: map[int64]link{}, ctx: ctx, pool: e.db.Pool()}
 	refs, err := r.evalPath(ctx, doc, p)
 	e.met.queries.Inc()
 	e.met.total.Observe(time.Since(start))
@@ -282,16 +273,16 @@ func (r *run) evalPath(ctx context.Context, doc int64, p *xpath.Path) ([]NodeRef
 }
 
 // segment is a run of steps compiled into one SQL statement. ancestryCheck
-// marks a Global/Local descendant segment whose results must be filtered by
-// walking parent chains against the context set.
+// marks a Local descendant segment, whose statement finds nodes by node test
+// alone: its results are kept when an ancestor is in the context set.
 type segment struct {
 	steps         []xpath.Step
 	ancestryCheck bool
 }
 
 // splitSegments partitions the path. Boundaries fall after a step carrying
-// positional predicates and around descendant steps that Global/Local
-// cannot express in SQL.
+// positional predicates, around ancestor steps, and before a Global/Local
+// descendant step.
 func splitSegments(p *xpath.Path, kind encoding.Kind) ([]segment, error) {
 	if !p.Absolute {
 		return nil, fmt.Errorf("only absolute paths can be evaluated against a document")
@@ -309,9 +300,9 @@ func splitSegments(p *xpath.Path, kind encoding.Kind) ([]segment, error) {
 			return nil, err
 		}
 		if s.Axis == xpath.Ancestor {
-			// Ancestor steps are evaluated client-side by walking parent
-			// links (under Dewey the ancestors are the path's prefixes; the
-			// walk is equivalent and uniform): always their own segment.
+			// Ancestor steps are evaluated from the chain table (under Dewey
+			// the ancestors are the path's prefixes; the walk is equivalent
+			// and uniform): always their own segment.
 			if i == 0 {
 				return nil, fmt.Errorf("ancestor axis cannot start an absolute path")
 			}
@@ -321,17 +312,15 @@ func splitSegments(p *xpath.Path, kind encoding.Kind) ([]segment, error) {
 			continue
 		}
 		if s.Axis == xpath.Descendant && kind != encoding.Dewey && i > 0 {
-			// Global/Local descendant: its own segment with ancestry check.
+			// The step's bounds come from the materialised context set:
+			// Global binds it to one order-key interval per context node and
+			// joins on from there, Local filters it client-side, so later
+			// steps cannot join below it in the same statement.
 			flush()
-			cur = segment{steps: []xpath.Step{s}, ancestryCheck: true}
-			if hasPosPred(s) {
-				flush()
+			if kind == encoding.Local {
+				segs = append(segs, segment{steps: []xpath.Step{s}, ancestryCheck: true})
 				continue
 			}
-			// Later steps cannot join below a client-filtered set in the
-			// same statement.
-			flush()
-			continue
 		}
 		cur.steps = append(cur.steps, s)
 		if hasPosPred(s) {
@@ -376,51 +365,9 @@ func validateStep(s xpath.Step) error {
 	return nil
 }
 
-// prepare caches prepared statements by SQL text (shared across queries).
-func (e *Evaluator) prepare(sql string) (*sqldb.Stmt, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if s, ok := e.stmts[sql]; ok {
-		return s, nil
-	}
-	s, err := e.db.Prepare(sql)
-	if err != nil {
-		return nil, fmt.Errorf("generated SQL failed to prepare: %w\nSQL: %s", err, sql)
-	}
-	e.stmts[sql] = s
-	return s, nil
-}
-
-// parentOf returns (parent id, local order) of a node through the memoized
-// point-lookup path.
-func (r *run) parentOf(doc, id int64) (parentInfo, error) {
-	if err := r.poll(); err != nil {
-		return parentInfo{}, err
-	}
-	if info, ok := r.parentMemo[id]; ok {
-		return info, nil
-	}
-	res, err := r.parentStmt.QueryAtCtx(r.ctx, r.snap, sqldb.I(doc), sqldb.I(id))
-	if err != nil {
-		return parentInfo{}, err
-	}
-	info := parentInfo{}
-	if len(res.Rows) > 0 {
-		info.known = true
-		if !res.Rows[0][0].IsNull() {
-			info.parent = res.Rows[0][0].Int()
-		}
-		if r.opts.Kind == encoding.Local {
-			info.lorder = res.Rows[0][1].Int()
-		}
-	}
-	r.parentMemo[id] = info
-	return info, nil
-}
-
 // sortDocOrder sorts refs into document order. Global and Dewey order keys
-// compare directly; Local materializes ancestor-chain keys through point
-// lookups (the encoding's documented cost).
+// compare directly; Local compares root-to-node lorder vectors built from
+// the chain table (the encoding's documented cost).
 func (r *run) sortDocOrder(doc int64, refs []NodeRef) error {
 	if r.opts.Kind != encoding.Local {
 		sort.SliceStable(refs, func(i, j int) bool {
@@ -428,62 +375,41 @@ func (r *run) sortDocOrder(doc int64, refs []NodeRef) error {
 		})
 		return nil
 	}
-	keys := make(map[int64][]int64, len(refs))
-	for _, ref := range refs {
-		k, err := r.localKey(doc, ref)
-		if err != nil {
+	if err := r.loadChains(doc, len(refs), func(i int) int64 { return refs[i].Parent }); err != nil {
+		return err
+	}
+	type keyed struct {
+		ref NodeRef
+		key []int64
+	}
+	items := make([]keyed, len(refs))
+	for i, ref := range refs {
+		if err := r.poll(); err != nil {
 			return err
 		}
-		keys[ref.ID] = k
+		key := append(make([]int64, 0, 8), ref.Order.Int())
+		for id := ref.Parent; id != 0; {
+			l := r.chain[id]
+			key, id = append(key, l.ord), l.parent
+		}
+		slices.Reverse(key)
+		items[i] = keyed{ref, key}
 	}
-	sort.SliceStable(refs, func(i, j int) bool {
-		return compareIntSlices(keys[refs[i].ID], keys[refs[j].ID]) < 0
-	})
-	return nil
-}
-
-// localKey builds the root-to-node lorder vector.
-func (r *run) localKey(doc int64, ref NodeRef) ([]int64, error) {
-	var rev []int64
-	rev = append(rev, ref.Order.Int())
-	id := ref.Parent
-	for id != 0 {
-		info, err := r.parentOf(doc, id)
+	// Distinct nodes have distinct vectors, so the order is total. The
+	// comparison polls for cancellation: once it fires, the sort runs out on a
+	// constant comparison and its result is discarded.
+	var err error
+	slices.SortFunc(items, func(a, b keyed) int {
+		if err == nil {
+			err = r.poll()
+		}
 		if err != nil {
-			return nil, err
+			return 0
 		}
-		if !info.known {
-			return nil, fmt.Errorf("node %d missing while building local order", id)
-		}
-		rev = append(rev, info.lorder)
-		id = info.parent
+		return slices.Compare(a.key, b.key)
+	})
+	for i := range items {
+		refs[i] = items[i].ref
 	}
-	out := make([]int64, len(rev))
-	for i, v := range rev {
-		out[len(rev)-1-i] = v
-	}
-	return out, nil
-}
-
-func compareIntSlices(a, b []int64) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			if a[i] < b[i] {
-				return -1
-			}
-			return 1
-		}
-	}
-	switch {
-	case len(a) < len(b):
-		return -1
-	case len(a) > len(b):
-		return 1
-	default:
-		return 0
-	}
+	return err
 }

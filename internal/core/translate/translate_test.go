@@ -1,14 +1,20 @@
 package translate
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"ordxml/internal/core/encoding"
 	"ordxml/internal/core/shred"
+	"ordxml/internal/core/update"
 	"ordxml/internal/core/xpath"
+	"ordxml/internal/govern"
 	"ordxml/internal/sqldb"
 	"ordxml/internal/xmlgen"
 	"ordxml/internal/xmltree"
@@ -47,9 +53,11 @@ type loadedDoc struct {
 	docID int64
 	ids   map[*xmltree.Node]int64
 	eval  *Evaluator
+	db    *sqldb.DB
+	mgr   *update.Manager
 }
 
-func load(t *testing.T, opts encoding.Options, tree *xmltree.Node) *loadedDoc {
+func load(t testing.TB, opts encoding.Options, tree *xmltree.Node) *loadedDoc {
 	t.Helper()
 	db := sqldb.Open()
 	if err := encoding.Install(db, opts); err != nil {
@@ -67,19 +75,28 @@ func load(t *testing.T, opts encoding.Options, tree *xmltree.Node) *loadedDoc {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids := map[*xmltree.Node]int64{}
-	next := int64(1)
-	tree.Walk(func(n *xmltree.Node) bool {
-		ids[n] = next
-		next++
+	mgr, err := update.New(db, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ld := &loadedDoc{tree: tree, docID: docID, ids: map[*xmltree.Node]int64{}, eval: ev, db: db, mgr: mgr}
+	ld.number(tree, 1)
+	return ld
+}
+
+// number records the ids of a subtree whose root got id base: the shredder
+// and the update manager both number a subtree in one pre-order walk.
+func (ld *loadedDoc) number(sub *xmltree.Node, base int64) {
+	sub.Walk(func(n *xmltree.Node) bool {
+		ld.ids[n] = base
+		base++
 		return true
 	})
-	return &loadedDoc{tree: tree, docID: docID, ids: ids, eval: ev}
 }
 
 // check runs one query against both the oracle and the relational
 // evaluator and compares the ordered id sequences.
-func (ld *loadedDoc) check(t *testing.T, query string) {
+func (ld *loadedDoc) check(t testing.TB, query string) {
 	t.Helper()
 	oracle, err := xpath.EvalString(ld.tree, query)
 	if err != nil {
@@ -306,24 +323,112 @@ func randQuery(r *rand.Rand) string {
 			q += ax + tags[r.Intn(len(tags))]
 		}
 	}
+	// Descendant steps below a context set that nests: positional groups per
+	// context node, a context reached through parents, a sibling hop after.
+	tag := func() string { return tags[r.Intn(len(tags))] }
+	switch r.Intn(8) {
+	case 0:
+		q = fmt.Sprintf("//%s//%s[%d]", tag(), tag(), 1+r.Intn(3))
+	case 1:
+		q = fmt.Sprintf("//%s/..//%s", tag(), tag())
+	case 2:
+		q = fmt.Sprintf("//%s//%s/following-sibling::%s", tag(), tag(), tag())
+	}
 	return q
 }
 
+// mutate applies ops random inserts, deletes and moves to the tree and, in
+// lock-step, to every loaded form of it, so that the queries that follow read
+// order keys after renumbering, holes and gap inserts, and parent links after
+// moves.
+func mutate(t *testing.T, r *rand.Rand, tree *xmltree.Node, lds []*loadedDoc, ops int) {
+	t.Helper()
+	detach := func(n *xmltree.Node) {
+		p, i := n.Parent, n.ChildIndex()
+		p.Children = append(p.Children[:i:i], p.Children[i+1:]...)
+		n.Parent = nil
+	}
+	attach := func(n, target *xmltree.Node, mode update.Mode) {
+		p, i := target.Parent, 0
+		switch mode {
+		case update.FirstChild:
+			p = target
+		case update.LastChild:
+			p, i = target, len(target.Children)
+		case update.Before:
+			i = target.ChildIndex()
+		case update.After:
+			i = target.ChildIndex() + 1
+		}
+		n.Parent = p
+		p.Children = append(p.Children[:i:i], append([]*xmltree.Node{n}, p.Children[i:]...)...)
+	}
+	insert := func(n, target *xmltree.Node, mode update.Mode) {
+		for _, ld := range lds {
+			st, err := ld.mgr.InsertTree(ld.docID, ld.ids[target], mode, n)
+			if err != nil {
+				t.Fatalf("%s: insert %s: %v", optName(ld.eval.opts), mode, err)
+			}
+			ld.number(n, st.NewID)
+		}
+		attach(n, target, mode)
+	}
+	for op := 0; op < ops; op++ {
+		var elems []*xmltree.Node
+		tree.Walk(func(n *xmltree.Node) bool {
+			if n.Kind == xmltree.Element {
+				elems = append(elems, n)
+			}
+			return true
+		})
+		n := elems[r.Intn(len(elems))]
+		mode := update.Mode(r.Intn(4))
+		if n == tree && mode >= update.Before {
+			mode = update.LastChild
+		}
+		switch kind := r.Intn(4); {
+		case kind == 0 && n != tree && len(elems) > 12: // delete
+			for _, ld := range lds {
+				if _, err := ld.mgr.Delete(ld.docID, ld.ids[n]); err != nil {
+					t.Fatalf("%s: delete: %v", optName(ld.eval.opts), err)
+				}
+			}
+			detach(n)
+		case kind == 1 && n != tree: // move n next to or under an element outside its subtree
+			inside := map[*xmltree.Node]bool{}
+			n.Walk(func(d *xmltree.Node) bool { inside[d] = true; return true })
+			target := elems[r.Intn(len(elems))]
+			if inside[target] || (target == tree && mode >= update.Before) {
+				continue
+			}
+			for _, ld := range lds {
+				if _, err := ld.mgr.Delete(ld.docID, ld.ids[n]); err != nil {
+					t.Fatalf("%s: move: %v", optName(ld.eval.opts), err)
+				}
+			}
+			detach(n)
+			insert(n, target, mode)
+		default:
+			frag, err := xmltree.ParseString(fmt.Sprintf(`<%s quick="x"><b><c>t%d</c></b><%s/></%s>`,
+				"abcd"[op%4:op%4+1], op, "dcba"[op%4:op%4+1], "abcd"[op%4:op%4+1]))
+			if err != nil {
+				t.Fatal(err)
+			}
+			insert(frag, n, mode)
+		}
+	}
+}
+
 // TestRandomQueriesAgainstOracle is the main correctness property: random
-// documents x random queries x every encoding must equal the oracle.
+// documents x random queries x every encoding must equal the oracle — on the
+// freshly loaded document, and again after a random update session at the
+// dense gap and at a sparse one.
 func TestRandomQueriesAgainstOracle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cross-validation sweep is slow")
 	}
-	opts := allOptions()
-	for docSeed := int64(0); docSeed < 10; docSeed++ {
-		tree := xmlgen.Random(xmlgen.DefaultRandom(docSeed))
-		var lds []*loadedDoc
-		for _, o := range opts {
-			lds = append(lds, load(t, o, tree))
-		}
-		r := rand.New(rand.NewSource(docSeed * 977))
-		for qi := 0; qi < 90; qi++ {
+	sweep := func(t *testing.T, r *rand.Rand, lds []*loadedDoc, queries int) {
+		for qi := 0; qi < queries; qi++ {
 			q := randQuery(r)
 			if _, err := xpath.Parse(q); err != nil {
 				continue
@@ -332,6 +437,193 @@ func TestRandomQueriesAgainstOracle(t *testing.T) {
 				ld.check(t, q)
 			}
 		}
+	}
+	for docSeed := int64(0); docSeed < 10; docSeed++ {
+		tree := xmlgen.Random(xmlgen.DefaultRandom(docSeed))
+		var lds []*loadedDoc
+		for _, o := range allOptions() {
+			lds = append(lds, load(t, o, tree))
+		}
+		sweep(t, rand.New(rand.NewSource(docSeed*977)), lds, 90)
+	}
+	for _, gap := range []uint32{1, 16} {
+		for docSeed := int64(0); docSeed < 6; docSeed++ {
+			tree := xmlgen.Random(xmlgen.DefaultRandom(docSeed + 40))
+			var lds []*loadedDoc
+			for _, k := range []encoding.Kind{encoding.Global, encoding.Local, encoding.Dewey} {
+				lds = append(lds, load(t, encoding.Options{Kind: k, Gap: gap}, tree))
+			}
+			r := rand.New(rand.NewSource(docSeed*31 + int64(gap)))
+			for round := 0; round < 3; round++ {
+				mutate(t, r, tree, lds, 12)
+				sweep(t, r, lds, 40)
+			}
+		}
+	}
+}
+
+// FuzzTranslateOracle checks translate(xpath) against xpath.Eval for any
+// path the fragment's parser accepts, on all three encodings. A path either
+// fails to translate on every encoding (outside the supported fragment) or
+// returns the oracle's node sequence on each.
+func FuzzTranslateOracle(f *testing.F) {
+	for _, q := range fixtureQueries {
+		f.Add(q)
+	}
+	tree, err := xmltree.ParseString(fixtureDoc)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var lds []*loadedDoc
+	for _, k := range []encoding.Kind{encoding.Global, encoding.Local, encoding.Dewey} {
+		lds = append(lds, load(f, encoding.Options{Kind: k}, tree))
+	}
+	f.Fuzz(func(t *testing.T, q string) {
+		if _, err := xpath.EvalString(tree, q); err != nil {
+			return
+		}
+		if _, err := lds[0].eval.Query(lds[0].docID, q); err != nil {
+			for _, ld := range lds[1:] {
+				if _, err := ld.eval.Query(ld.docID, q); err == nil {
+					t.Fatalf("%q: fails on %s (%v) but not on %s", q, optName(lds[0].eval.opts), err, optName(ld.eval.opts))
+				}
+			}
+			return
+		}
+		for _, ld := range lds {
+			ld.check(t, q)
+		}
+	})
+}
+
+// e3Suite is the paper's ordered query suite (EXPERIMENTS.md E3) for a
+// catalog with the given items per region.
+func e3Suite(items int) []string {
+	mid := items / 2
+	return []string{
+		"/site/regions/namerica/item",
+		fmt.Sprintf("/site/regions/namerica/item[%d]", mid),
+		"/site/regions/namerica/item[position() <= 10]",
+		"/site/regions/namerica/item[3]/following-sibling::item",
+		fmt.Sprintf("/site/regions/namerica/item[%d]/preceding-sibling::item", mid),
+		"//keyword",
+		fmt.Sprintf("//item[@id = 'item%d']", mid),
+		"//item[quantity = '5']",
+		"/site/regions/namerica//keyword",
+	}
+}
+
+func sqlQueries(db *sqldb.DB) int64 { return db.Metrics().Counters["sqldb.queries"] }
+
+// TestStatementsPerQuery guards set-at-a-time evaluation: a query runs one
+// statement per segment plus at most a few per tree level, whatever the size
+// of its context sets. A per-context-node loop would run hundreds here.
+func TestStatementsPerQuery(t *testing.T) {
+	const items = 200
+	tree := xmlgen.Catalog(xmlgen.CatalogConfig{Regions: 3, ItemsPerRegion: items, KeywordsPerItem: 2, DescriptionWords: 8, Seed: 1})
+	// Wide context sets on every axis, beyond the suite's mostly single-node ones.
+	queries := append(e3Suite(items), "//item//keyword", "//item/name/..", "//item/following-sibling::item[1]",
+		"//keyword/ancestor::item", "//item//keyword[1]", "//description//text()")
+	for _, k := range []encoding.Kind{encoding.Global, encoding.Local, encoding.Dewey} {
+		ld := load(t, encoding.Options{Kind: k}, tree)
+		for _, q := range queries {
+			before := sqlQueries(ld.db)
+			ld.check(t, q)
+			if n := sqlQueries(ld.db) - before; n > 12 {
+				t.Errorf("%s: %q ran %d statements, want <= 12\nSQL: %v", k, q, n, ld.eval.LastSQL())
+			}
+		}
+	}
+}
+
+// TestCancelWideContext cancels //a//b while its 10^5-node context set is in
+// flight: the statements poll inside the executor and the node-set loops
+// between them poll too, so the query must return ErrCanceled promptly
+// wherever the cancellation lands.
+func TestCancelWideContext(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 10^5-element context set")
+	}
+	root := xmltree.NewElement("r")
+	for i := 0; i < 100_000; i++ {
+		root.AddChild(xmltree.NewElement("a")).AddChild(xmltree.NewElement("b"))
+	}
+	for _, k := range []encoding.Kind{encoding.Global, encoding.Local} {
+		ld := load(t, encoding.Options{Kind: k}, root)
+		var full time.Duration
+		for i := 0; i < 2; i++ { // the second, warm run sets the time scale
+			start := time.Now()
+			refs, err := ld.eval.Query(ld.docID, "//a//b")
+			full = time.Since(start)
+			if err != nil || len(refs) != 100_000 {
+				t.Fatalf("%s: %d results, %v", k, len(refs), err)
+			}
+		}
+		for _, frac := range []time.Duration{16, 8, 4, 2} { // cancel this far into the query
+			// A stretch without a poll point delays every cancellation that
+			// lands in it; a collector cycle or a descheduled goroutine delays
+			// one. Three attempts tell them apart.
+			best := time.Hour
+			for attempt := 0; attempt < 3 && best > cancelLag; attempt++ {
+				ctx, cancel := context.WithCancel(context.Background())
+				done := make(chan error, 1)
+				go func() {
+					_, err := ld.eval.QueryAtCtx(ctx, nil, ld.docID, "//a//b")
+					done <- err
+				}()
+				time.Sleep(full / frac)
+				cancel()
+				canceled := time.Now()
+				err := <-done
+				lag := time.Since(canceled)
+				if err == nil {
+					t.Logf("%s: finished before the cancellation at 1/%d of %v", k, frac, full)
+					best = 0
+				} else if !errors.Is(err, govern.ErrCanceled) {
+					t.Fatalf("%s: canceled at 1/%d of %v: err = %v", k, frac, full, err)
+				}
+				best = min(best, lag)
+			}
+			if best > cancelLag {
+				t.Errorf("%s: canceled at 1/%d of %v: returned %v later at best, want <= %v", k, frac, full, best, cancelLag)
+			}
+		}
+	}
+}
+
+// TestDistinctLiteralsStayBounded runs 10 000 queries that differ only in a
+// predicate literal, each a distinct SQL text: the evaluator keeps no
+// statement of its own and the engine's plan cache stays within its LRU
+// bound, so the heap does not grow with the number of distinct queries.
+func TestDistinctLiteralsStayBounded(t *testing.T) {
+	tree, err := xmltree.ParseString(fixtureDoc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ld := load(t, encoding.Options{Kind: encoding.Global}, tree)
+	heap := func() uint64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	round := func(from int) {
+		for i := from; i < from+5000; i++ {
+			if _, err := ld.eval.Query(ld.docID, fmt.Sprintf("//item[@id = 'item%d']", i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	round(0) // fills the plan cache to its bound
+	entries := ld.db.Metrics().Gauges["sqldb.plancache.entries"]
+	before := heap()
+	round(5000)
+	after := heap()
+	if got := ld.db.Metrics().Gauges["sqldb.plancache.entries"]; got != entries || got > 512 {
+		t.Errorf("plan cache entries %d after 5000 queries, %d after 10000: want equal and <= 512", entries, got)
+	}
+	if after > before+1<<20 {
+		t.Errorf("live heap grew from %d to %d bytes over 5000 more distinct queries", before, after)
 	}
 }
 

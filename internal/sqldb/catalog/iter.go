@@ -43,36 +43,36 @@ func (td *TableData) RowIterRange(lo, hi int) *RowIter {
 	return &RowIter{t: td.t, it: td.heap.IterRange(lo, hi)}
 }
 
-// Next returns the next row, or ok=false at the end. Rows deleted since the
-// snapshot are skipped.
-func (it *RowIter) Next() (heap.RID, sqltypes.Row, bool, error) {
+// Next decodes the next row, appending it to dst (see
+// sqltypes.DecodeRowInto), or returns ok=false at the end. Rows deleted since
+// the snapshot are skipped.
+func (it *RowIter) Next(dst sqltypes.Row) (heap.RID, sqltypes.Row, bool, error) {
+	var rid heap.RID
+	var data []byte
 	if it.it != nil {
-		rid, data, ok := it.it.Next()
-		if !ok {
+		var ok bool
+		if rid, data, ok = it.it.Next(); !ok {
 			return heap.RID{}, nil, false, nil
 		}
-		row, err := sqltypes.DecodeRow(data)
-		if err != nil {
-			return heap.RID{}, nil, false, err
+	} else {
+		for {
+			if it.pos >= len(it.rids) {
+				return heap.RID{}, nil, false, nil
+			}
+			rid = it.rids[it.pos]
+			it.pos++
+			var err error
+			if data, err = it.t.Heap.Get(rid); err == nil {
+				break
+			} // else deleted since snapshot
 		}
-		it.t.counters.RowsScanned.Add(1)
-		return rid, row, true, nil
 	}
-	for it.pos < len(it.rids) {
-		rid := it.rids[it.pos]
-		it.pos++
-		data, err := it.t.Heap.Get(rid)
-		if err != nil {
-			continue // deleted since snapshot
-		}
-		row, err := sqltypes.DecodeRow(data)
-		if err != nil {
-			return heap.RID{}, nil, false, err
-		}
-		it.t.counters.RowsScanned.Add(1)
-		return rid, row, true, nil
+	row, _, err := sqltypes.DecodeRowInto(dst, data)
+	if err != nil {
+		return heap.RID{}, nil, false, err
 	}
-	return heap.RID{}, nil, false, nil
+	it.t.counters.RowsScanned.Add(1)
+	return rid, row, true, nil
 }
 
 // indexRange builds the [start, end) key range for an index scan: an

@@ -21,7 +21,7 @@ func TestRowIterSnapshot(t *testing.T) {
 	}
 	seen := 0
 	for {
-		_, r, ok, err := it.Next()
+		_, r, ok, err := it.Next(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -41,7 +41,7 @@ func TestRowIterSnapshot(t *testing.T) {
 	tbl.Insert(row(100, "new", 1))
 	count := 0
 	for {
-		_, _, ok, err := it2.Next()
+		_, _, ok, err := it2.Next(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,5 +89,31 @@ func TestIndexIterRanges(t *testing.T) {
 		if v == 4 {
 			t.Errorf("exclusive low returned bound value: %v", got)
 		}
+	}
+}
+
+// FetchInto decodes behind whatever the caller's buffer already holds, on the
+// live table and on a published snapshot alike, and fails on a dead RID.
+func TestFetchInto(t *testing.T) {
+	c, tbl := newTestTable(t)
+	rid, err := tbl.Insert(row(7, "u", 30))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, td := range map[string]*TableData{"live": LiveData(tbl), "snapshot": c.BuildView().Data(tbl)} {
+		buf := append(make(sqltypes.Row, 0, 8), sqltypes.NewText("left"))
+		got, err := td.FetchInto(rid, buf)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(got) != 4 || &got[0] != &buf[0] || got[0].Text() != "left" || got[1].Int() != 7 || got[3].Int() != 30 {
+			t.Errorf("%s: FetchInto = %v", name, got)
+		}
+	}
+	if err := tbl.Delete(rid); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LiveData(tbl).FetchInto(rid, nil); err == nil {
+		t.Error("FetchInto of a deleted row succeeded")
 	}
 }

@@ -82,16 +82,22 @@ func (td *TableData) HeapStats() heap.Stats {
 	return td.t.Heap.Stats()
 }
 
-// Fetch returns the decoded row at rid.
-func (td *TableData) Fetch(rid heap.RID) (sqltypes.Row, error) {
+// FetchInto decodes the row at rid, appending its values to dst (see
+// sqltypes.DecodeRowInto): operators fetch every row into one buffer of
+// their own instead of allocating a Row per fetch.
+func (td *TableData) FetchInto(rid heap.RID, dst sqltypes.Row) (sqltypes.Row, error) {
+	var data []byte
+	var err error
 	if td.heap == nil {
-		return td.t.Fetch(rid)
+		data, err = td.t.Heap.Get(rid)
+	} else {
+		data, err = td.heap.Get(rid)
 	}
-	data, err := td.heap.Get(rid)
 	if err != nil {
 		return nil, err
 	}
-	return sqltypes.DecodeRow(data)
+	row, _, err := sqltypes.DecodeRowInto(dst, data)
+	return row, err
 }
 
 // seekTree opens a range iterator on the index tree this view reads: the

@@ -142,6 +142,8 @@ func buildOp(n plan.Node, params []sqltypes.Value, env buildEnv) (Operator, erro
 		return newSeqScan(x, params, env), nil
 	case *plan.IndexScan:
 		return newIndexScan(x, params, env), nil
+	case *plan.ParamScan:
+		return &paramScanOp{node: x, params: params, gov: env.newTick()}, nil
 	case *plan.Filter:
 		in, err := build(x.Input, params, env)
 		if err != nil {

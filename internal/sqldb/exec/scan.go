@@ -45,7 +45,7 @@ func (s *seqScanOp) Open() error {
 	if s.node.EmitRID {
 		width++
 	}
-	s.buf = make(sqltypes.Row, width)
+	s.buf = make(sqltypes.Row, 0, width)
 	return nil
 }
 
@@ -67,7 +67,7 @@ func (s *seqScanOp) Next() (sqltypes.Row, bool, error) {
 			}
 			s.iter = s.data.RowIterRange(lo, hi)
 		}
-		rid, row, ok, err := s.iter.Next()
+		rid, row, ok, err := s.iter.Next(s.buf[:0])
 		if err != nil {
 			return nil, false, err
 		}
@@ -78,10 +78,10 @@ func (s *seqScanOp) Next() (sqltypes.Row, bool, error) {
 			}
 			continue
 		}
-		copy(s.buf, row)
 		if s.node.EmitRID {
-			s.buf[len(s.buf)-1] = sqltypes.NewInt(EncodeRIDInt(rid))
+			row = append(row, sqltypes.NewInt(EncodeRIDInt(rid)))
 		}
+		s.buf = row
 		s.env.Row = s.buf
 		pass, err := passesAll(s.node.Filters, s.env)
 		if err != nil {
@@ -215,7 +215,7 @@ func (s *indexScanOp) Open() error {
 	if s.node.EmitRID {
 		width++
 	}
-	s.buf = make(sqltypes.Row, width)
+	s.buf = make(sqltypes.Row, 0, width)
 	return nil
 }
 
@@ -245,14 +245,14 @@ func (s *indexScanOp) Next() (sqltypes.Row, bool, error) {
 			}
 			rid = r
 		}
-		row, err := s.data.Fetch(rid)
+		row, err := s.data.FetchInto(rid, s.buf[:0])
 		if err != nil {
 			return nil, false, fmt.Errorf("index %s points at missing row: %w", s.node.Index.Name, err)
 		}
-		copy(s.buf, row)
 		if s.node.EmitRID {
-			s.buf[len(s.buf)-1] = sqltypes.NewInt(EncodeRIDInt(rid))
+			row = append(row, sqltypes.NewInt(EncodeRIDInt(rid)))
 		}
+		s.buf = row
 		s.env.Row = s.buf
 		pass, err := passesAll(s.node.Filters, s.env)
 		if err != nil {
@@ -265,3 +265,48 @@ func (s *indexScanOp) Next() (sqltypes.Row, bool, error) {
 }
 
 func (s *indexScanOp) Close() {}
+
+// paramScanOp streams the rows bound to a relation parameter: the value is a
+// BLOB holding the rows' sqltypes.EncodeRow encodings back to back, decoded
+// one row at a time into the operator's buffer.
+type paramScanOp struct {
+	node   *plan.ParamScan
+	params []sqltypes.Value
+	gov    *govTick
+	data   []byte
+	buf    sqltypes.Row
+}
+
+func (s *paramScanOp) Open() error {
+	if s.node.Param >= len(s.params) {
+		return fmt.Errorf("parameter %d not bound (%d given)", s.node.Param+1, len(s.params))
+	}
+	v := s.params[s.node.Param]
+	if v.Type() != sqltypes.Blob {
+		return fmt.Errorf("parameter %d binds relation %s: want encoded rows (BLOB), got %s",
+			s.node.Param+1, s.node.Alias, v.Type())
+	}
+	s.data = v.Blob()
+	s.buf = make(sqltypes.Row, 0, len(s.node.Cols))
+	return nil
+}
+
+func (s *paramScanOp) Next() (sqltypes.Row, bool, error) {
+	if len(s.data) == 0 {
+		return nil, false, nil
+	}
+	if err := s.gov.step(); err != nil {
+		return nil, false, err
+	}
+	row, n, err := sqltypes.DecodeRowInto(s.buf[:0], s.data)
+	if err != nil {
+		return nil, false, fmt.Errorf("relation %s: %w", s.node.Alias, err)
+	}
+	if len(row) != len(s.node.Cols) {
+		return nil, false, fmt.Errorf("relation %s: row has %d values, want %d", s.node.Alias, len(row), len(s.node.Cols))
+	}
+	s.data, s.buf = s.data[n:], row
+	return row, true, nil
+}
+
+func (s *paramScanOp) Close() {}

@@ -129,6 +129,13 @@ func textSuccessor(p string) string {
 // volunteer to produce rows in that order; the second result reports whether
 // it did.
 func buildAccess(e tableEntry, conjuncts []expr.Expr, orderHint []sqlparse.OrderItem) (Node, bool, error) {
+	if e.table == nil {
+		var n Node = &ParamScan{Param: e.ref.Param, Alias: e.ref.Alias, Cols: e.ref.Cols}
+		if len(conjuncts) > 0 {
+			n = &Filter{Input: n, Pred: andAll(conjuncts)}
+		}
+		return n, false, nil
+	}
 	t := e.table
 	alias := e.ref.Name()
 	schema := tableSchema(t, alias, false)

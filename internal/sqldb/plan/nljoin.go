@@ -83,6 +83,9 @@ type nlCand struct {
 func tryIndexNLJoin(left Node, e *tableEntry, perTable []int, cross []int,
 	conjuncts []expr.Expr, used []bool, combined expr.Schema) Node {
 
+	if e.table == nil {
+		return nil // a relation parameter has no index to probe
+	}
 	var cands []nlCand
 	// Constant single-table conjuncts: reuse the access-path classifier on a
 	// rebased clone (its bound expressions are column-free).

@@ -75,7 +75,7 @@ func explainInto(n Node, b *strings.Builder, depth int, annotate Annotator) {
 // Children returns a node's input operators in display order.
 func Children(n Node) []Node {
 	switch x := n.(type) {
-	case *SeqScan, *IndexScan:
+	case *SeqScan, *IndexScan, *ParamScan:
 		return nil
 	case *Filter:
 		return []Node{x.Input}
@@ -203,6 +203,28 @@ func (s *IndexScan) describe(b *strings.Builder) {
 	for _, f := range s.Filters {
 		fmt.Fprintf(b, " filter=%s", f)
 	}
+}
+
+// ParamScan reads the rows the caller bound to a relation parameter
+// (`FROM ? alias (col, ...)`): the leaf that feeds a caller-side node set
+// into a join. The plan depends on the column names only, never on the rows.
+type ParamScan struct {
+	Param int // parameter index (0-based)
+	Alias string
+	Cols  []string
+}
+
+// Schema implements Node. Column types are whatever the bound rows hold.
+func (s *ParamScan) Schema() expr.Schema {
+	out := make(expr.Schema, len(s.Cols))
+	for i, c := range s.Cols {
+		out[i] = expr.SchemaColumn{Table: s.Alias, Column: c}
+	}
+	return out
+}
+
+func (s *ParamScan) describe(b *strings.Builder) {
+	fmt.Fprintf(b, "ParamScan ?%d AS %s (%s)", s.Param+1, s.Alias, strings.Join(s.Cols, ", "))
 }
 
 // Filter drops rows for which Pred is not TRUE.

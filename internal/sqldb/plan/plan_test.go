@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ordxml/internal/sqldb"
+	"ordxml/internal/sqldb/sqltypes"
 )
 
 // The planner is exercised through the engine facade: execute real SQL and
@@ -128,6 +129,74 @@ func TestIndexNLJoinRangePair(t *testing.T) {
 	// a.ord = 50; b.ord in (50, 100) -> ids 6..9.
 	if len(res.Rows) != 4 || res.Rows[0][0].Int() != 6 || res.Rows[3][0].Int() != 9 {
 		t.Fatalf("rows = %v", res.Rows)
+	}
+}
+
+// rel binds rows as a relation parameter: their row encodings back to back.
+func rel(rows ...sqltypes.Row) sqltypes.Value {
+	var buf []byte
+	for _, r := range rows {
+		buf = sqltypes.EncodeRow(buf, r)
+	}
+	return sqltypes.NewBlob(buf)
+}
+
+// A relation parameter is the outer side of a correlated index join: the
+// plan probes the table's index once per bound row, and is the same plan for
+// any number of them.
+func TestRelationParameterJoin(t *testing.T) {
+	db := setup(t)
+	sql := `SELECT c.id, b.id FROM ? c (id, lo, hi), n b
+		WHERE b.doc = 1 AND b.ord > c.lo AND b.ord < c.hi ORDER BY b.ord`
+	p := explain(t, db, sql)
+	if !strings.Contains(p, "IndexNLJoin n using n_ord AS b doc=1 ord>c.lo ord<c.hi") ||
+		!strings.Contains(p, "ParamScan ?1 AS c (id, lo, hi)") {
+		t.Errorf("relation parameter did not drive an index join:\n%s", p)
+	}
+	res, err := db.Query(sql, rel(
+		sqltypes.Row{sqldb.I(7), sqldb.I(10), sqldb.I(40)},
+		sqltypes.Row{sqldb.I(8), sqldb.I(970), sqldb.I(5000)}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, r := range res.Rows {
+		got = append(got, r.String())
+	}
+	if want := "(7, 2) (7, 3) (8, 98) (8, 99) (8, 100)"; strings.Join(got, " ") != want {
+		t.Errorf("rows = %v, want %s", got, want)
+	}
+	if res, err = db.Query(sql, rel()); err != nil || len(res.Rows) != 0 {
+		t.Errorf("empty relation: %v, %v", res, err)
+	}
+	// As the inner side it has no index: the planner hashes it.
+	p = explain(t, db, `SELECT b.id FROM n b, ? c (id) WHERE b.doc = 1 AND b.id = c.id`)
+	if !strings.Contains(p, "HashJoin") || !strings.Contains(p, "ParamScan ?1 AS c (id)") {
+		t.Errorf("inner relation parameter:\n%s", p)
+	}
+	// A predicate on the relation alone filters it before the join.
+	res, err = db.Query(`SELECT b.id FROM ? c (id), n b WHERE b.doc = 1 AND b.id = c.id AND c.id > 2`,
+		rel(sqltypes.Row{sqldb.I(2)}, sqltypes.Row{sqldb.I(3)}))
+	if err != nil || len(res.Rows) != 1 || res.Rows[0][0].Int() != 3 {
+		t.Errorf("filtered relation: %v, %v", res, err)
+	}
+}
+
+func TestRelationParameterErrors(t *testing.T) {
+	db := setup(t)
+	sql := `SELECT b.id FROM ? c (id, lo), n b WHERE b.doc = 1 AND b.id = c.id`
+	for name, params := range map[string][]sqltypes.Value{
+		"unbound":     nil,
+		"not a blob":  {sqldb.I(3)},
+		"wrong width": {rel(sqltypes.Row{sqldb.I(3)})},
+		"corrupt":     {sqltypes.NewBlob([]byte{2, 1})},
+	} {
+		if _, err := db.Query(sql, params...); err == nil {
+			t.Errorf("%s relation parameter accepted", name)
+		}
+	}
+	if _, err := db.Query(`SELECT 1 FROM ? c (id), ? c (id)`, rel(), rel()); err == nil {
+		t.Error("duplicate relation alias accepted")
 	}
 }
 

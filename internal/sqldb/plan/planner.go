@@ -6,6 +6,7 @@ import (
 	"ordxml/internal/sqldb/catalog"
 	"ordxml/internal/sqldb/expr"
 	"ordxml/internal/sqldb/sqlparse"
+	"ordxml/internal/sqldb/sqltypes"
 )
 
 // Context is the planner's window onto the schema: either the live
@@ -64,7 +65,8 @@ func PlanOpts(pc Context, stmt sqlparse.Statement, opts Options) (any, error) {
 	}
 }
 
-// tableEntry is one FROM-clause table with its resolved catalog object.
+// tableEntry is one FROM-clause source: a table with its resolved catalog
+// object, or a relation parameter (table nil, no indexes).
 type tableEntry struct {
 	ref   sqlparse.TableRef
 	table *catalog.Table
@@ -101,7 +103,12 @@ func PlanSelectOpts(pc Context, s *sqlparse.Select, opts Options) (Node, error) 
 	}
 	for _, e := range entries {
 		if e.join != nil && e.join.Kind == sqlparse.JoinInner && e.join.On != nil {
-			conjuncts = append(conjuncts, splitConjuncts(expr.Clone(e.join.On))...)
+			for _, c := range splitConjuncts(expr.Clone(e.join.On)) {
+				// A comma join is an inner join ON TRUE: nothing to evaluate.
+				if l, ok := c.(*expr.Literal); !ok || l.Val.Type() != sqltypes.Bool || !l.Val.Bool() {
+					conjuncts = append(conjuncts, c)
+				}
+			}
 		}
 	}
 	// Resolve every conjunct against the combined schema so it can be
@@ -202,21 +209,21 @@ func resolveTables(pc Context, s *sqlparse.Select) ([]tableEntry, error) {
 	seen := map[string]bool{}
 	offset := 0
 	add := func(ref sqlparse.TableRef, j *sqlparse.Join) error {
-		t := pc.Table(ref.Table)
-		if t == nil {
-			return fmt.Errorf("no such table %s", ref.Table)
+		e := tableEntry{ref: ref, join: j, offset: offset,
+			leftOuter: j != nil && j.Kind == sqlparse.JoinLeft}
+		if len(ref.Cols) == 0 {
+			if e.table = pc.Table(ref.Table); e.table == nil {
+				return fmt.Errorf("no such table %s", ref.Table)
+			}
+			e.indexes = pc.TableIndexes(e.table)
 		}
 		name := ref.Name()
 		if seen[name] {
 			return fmt.Errorf("duplicate table name %s in FROM (use an alias)", name)
 		}
 		seen[name] = true
-		entries = append(entries, tableEntry{
-			ref: ref, table: t, indexes: pc.TableIndexes(t), join: j,
-			leftOuter: j != nil && j.Kind == sqlparse.JoinLeft,
-			offset:    offset,
-		})
-		offset += len(t.Columns)
+		entries = append(entries, e)
+		offset += len(e.schema())
 		return nil
 	}
 	if err := add(s.From, nil); err != nil {
@@ -230,10 +237,18 @@ func resolveTables(pc Context, s *sqlparse.Select) ([]tableEntry, error) {
 	return entries, nil
 }
 
+// schema returns the columns the source contributes to the combined row.
+func (e tableEntry) schema() expr.Schema {
+	if e.table == nil {
+		return (&ParamScan{Alias: e.ref.Alias, Cols: e.ref.Cols}).Schema()
+	}
+	return tableSchema(e.table, e.ref.Name(), false)
+}
+
 func combinedSchema(entries []tableEntry) expr.Schema {
 	var s expr.Schema
 	for _, e := range entries {
-		s = append(s, tableSchema(e.table, e.ref.Name(), false)...)
+		s = append(s, e.schema()...)
 	}
 	return s
 }

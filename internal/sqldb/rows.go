@@ -3,6 +3,7 @@ package sqldb
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"ordxml/internal/govern"
 	"ordxml/internal/obs"
@@ -23,12 +24,21 @@ import (
 // pinned view so the snapshot can be reclaimed; it is idempotent and safe
 // after Next has returned false. The sqldb.cursors.open gauge counts live
 // cursors, so a leak shows up in metrics before it shows up as memory.
+//
+// A cursor is one SELECT statement to the metrics and the tracer, like Query:
+// Close (or a failed open) counts it in sqldb.queries, observes its
+// open-to-close time in sqldb.query.latency and ends its sql.query span.
 type Rows struct {
 	db   *DB
 	op   exec.Operator
 	cols []string
 	v    *catalog.View // pins the snapshot while the cursor is open
 	gov  *govTickProxy
+
+	sql   string
+	start time.Time
+	sp    *obs.ActiveSpan // sql.query, when the context carried a span
+	n     int             // rows returned
 
 	cur    sqltypes.Row
 	err    error
@@ -73,14 +83,22 @@ func (s *Snap) QueryRows(ctx context.Context, sql string, params ...sqltypes.Val
 }
 
 func (db *DB) queryRowsAt(ctx context.Context, v *catalog.View, sql string, params []sqltypes.Value) (rows *Rows, err error) {
+	start := time.Now()
+	ctx, sp := obs.StartSpan(ctx, "sql.query")
 	// Same statement-boundary containment as queryAt: a panic while planning
 	// or opening the tree fails the statement, not the process.
 	defer func() {
 		if p := recover(); p != nil {
 			rows, err = nil, govern.Recovered(p)
 		}
+		if err != nil {
+			db.metrics.recordQuery(sql, time.Since(start), 0, err)
+			sp.End()
+		}
 	}()
+	psp := sp.StartChild("plan")
 	node, ex, err := db.selectPlan(v, sql, nil)
+	psp.End()
 	if err != nil {
 		return nil, err
 	}
@@ -91,7 +109,7 @@ func (db *DB) queryRowsAt(ctx context.Context, v *catalog.View, sql string, para
 		db.metrics.parallelQ.Inc()
 	}
 	mem := db.accountant(ctx)
-	op, err := exec.OpenGoverned(ctx, node, params, v, obs.FromContext(ctx), mem)
+	op, err := exec.OpenGoverned(ctx, node, params, v, sp, mem)
 	if err != nil {
 		return nil, err
 	}
@@ -105,7 +123,7 @@ func (db *DB) queryRowsAt(ctx context.Context, v *catalog.View, sql string, para
 		gov = &govTickProxy{ctx: ctx, mem: mem}
 	}
 	db.openCursors.Add(1)
-	return &Rows{db: db, op: op, cols: cols, v: v, gov: gov}, nil
+	return &Rows{db: db, op: op, cols: cols, v: v, gov: gov, sql: sql, start: start, sp: sp}, nil
 }
 
 // Columns returns the result column names.
@@ -134,6 +152,7 @@ func (r *Rows) Next() bool {
 		return false
 	}
 	r.cur = row
+	r.n++
 	return true
 }
 
@@ -165,6 +184,8 @@ func (r *Rows) Close() error {
 	r.closed = true
 	r.op.Close()
 	r.db.openCursors.Add(-1)
+	r.db.metrics.recordQuery(r.sql, time.Since(r.start), r.n, r.err)
+	r.sp.Arg("rows", int64(r.n)).End()
 	r.cur, r.v = nil, nil
 	return r.err
 }

@@ -55,6 +55,34 @@ func TestQueryRowsStreams(t *testing.T) {
 	}
 }
 
+// A cursor is one SELECT statement to the metrics, counted when it is closed
+// (or fails to open), exactly like a materializing Query.
+func TestQueryRowsCountsAsQuery(t *testing.T) {
+	db := concurrentFixture(t, 10)
+	before := db.Metrics()
+	rows, err := db.QueryRows(context.Background(), `SELECT id FROM t`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for rows.Next() {
+	}
+	rows.Close()
+	rows.Close() // idempotent: still one statement
+	if _, err := db.QueryRows(context.Background(), `SELECT nope FROM t`); err == nil {
+		t.Fatal("bad column accepted")
+	}
+	after := db.Metrics()
+	if got := after.Counters["sqldb.queries"] - before.Counters["sqldb.queries"]; got != 2 {
+		t.Errorf("sqldb.queries moved by %d, want 2", got)
+	}
+	if got := after.Counters["sqldb.query.errors"] - before.Counters["sqldb.query.errors"]; got != 1 {
+		t.Errorf("sqldb.query.errors moved by %d, want 1", got)
+	}
+	if got := after.Histograms["sqldb.query.latency"].Count - before.Histograms["sqldb.query.latency"].Count; got != 2 {
+		t.Errorf("sqldb.query.latency observed %d statements, want 2", got)
+	}
+}
+
 // TestQueryRowsEarlyCloseParallel is the cursor-leak regression test: a
 // parallel plan's Gather workers must be stopped and reaped when the cursor
 // is closed after reading only part of the result. Before streaming cursors

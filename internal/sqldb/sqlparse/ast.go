@@ -43,10 +43,17 @@ type Insert struct {
 	Rows    [][]expr.Expr
 }
 
-// TableRef names a base table with an optional alias.
+// TableRef names a FROM-clause source: a base table with an optional alias,
+// or — when Cols is non-empty — a relation parameter `? alias (col, ...)`,
+// whose rows the caller binds to parameter Param (one BLOB of their
+// sqltypes.EncodeRow encodings, back to back) and whose columns take the
+// listed names. Statement text, and so the cached plan, is the same for any
+// number of bound rows.
 type TableRef struct {
 	Table string
-	Alias string // defaults to Table
+	Alias string // defaults to Table; required for a relation parameter
+	Param int    // parameter index (0-based) of a relation parameter
+	Cols  []string
 }
 
 // Name returns the visible name of the reference.

@@ -16,6 +16,7 @@ func FuzzParse(f *testing.F) {
 		"SELECT * FROM t JOIN u ON t.a = u.b LEFT JOIN v ON 1 = 1",
 		"EXPLAIN SELECT 'it''s' || x FROM \"order\"",
 		"SELECT -1.5e3 FROM t -- comment",
+		"SELECT c.id, n.v FROM ? c (id, ord), t n WHERE n.id = c.id AND n.v > c.ord",
 		"SELEC",
 		"SELECT a FROM t WHERE a = 'unterminated",
 	} {

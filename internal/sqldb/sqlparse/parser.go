@@ -363,6 +363,42 @@ func (p *parser) parseTableRef() (TableRef, error) {
 	return ref, nil
 }
 
+// parseSource parses one SELECT source: a table reference or a relation
+// parameter, ? [AS] alias (col, ...).
+func (p *parser) parseSource() (TableRef, error) {
+	if p.tok.kind != tokParam {
+		return p.parseTableRef()
+	}
+	ref := TableRef{Param: p.numParams}
+	p.numParams++
+	if err := p.advance(); err != nil { // ?
+		return TableRef{}, err
+	}
+	if _, err := p.acceptKw("AS"); err != nil {
+		return TableRef{}, err
+	}
+	var err error
+	if ref.Alias, err = p.ident(); err != nil {
+		return TableRef{}, err
+	}
+	if err := p.expectOp("("); err != nil {
+		return TableRef{}, err
+	}
+	for {
+		c, err := p.ident()
+		if err != nil {
+			return TableRef{}, err
+		}
+		ref.Cols = append(ref.Cols, c)
+		if ok, err := p.acceptOp(","); err != nil {
+			return TableRef{}, err
+		} else if !ok {
+			break
+		}
+	}
+	return ref, p.expectOp(")")
+}
+
 func (p *parser) parseSelect() (Statement, error) {
 	if err := p.advance(); err != nil { // SELECT
 		return nil, err
@@ -388,7 +424,7 @@ func (p *parser) parseSelect() (Statement, error) {
 	if err := p.expectKw("FROM"); err != nil {
 		return nil, err
 	}
-	if stmt.From, err = p.parseTableRef(); err != nil {
+	if stmt.From, err = p.parseSource(); err != nil {
 		return nil, err
 	}
 	// JOINs (explicit) and comma joins (cross with WHERE).
@@ -409,7 +445,7 @@ func (p *parser) parseSelect() (Statement, error) {
 			if err := p.expectKw("JOIN"); err != nil {
 				return nil, err
 			}
-			if j.Table, err = p.parseTableRef(); err != nil {
+			if j.Table, err = p.parseSource(); err != nil {
 				return nil, err
 			}
 			if err := p.expectKw("ON"); err != nil {
@@ -423,7 +459,7 @@ func (p *parser) parseSelect() (Statement, error) {
 			if err := p.advance(); err != nil {
 				return nil, err
 			}
-			ref, err := p.parseTableRef()
+			ref, err := p.parseSource()
 			if err != nil {
 				return nil, err
 			}

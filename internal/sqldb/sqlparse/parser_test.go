@@ -1,6 +1,7 @@
 package sqlparse
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -142,6 +143,40 @@ func TestCommaJoin(t *testing.T) {
 	}
 	if lit, ok := stmt.Joins[0].On.(*expr.Literal); !ok || !lit.Val.Bool() {
 		t.Error("comma join ON is not TRUE literal")
+	}
+}
+
+func TestRelationParameter(t *testing.T) {
+	stmt := mustParse(t, "SELECT c.id, n.v FROM ? c (id, ord), nodes n JOIN ? AS d (k) ON d.k = n.id WHERE n.doc = ? AND n.id = c.id").(*Select)
+	if want := (TableRef{Alias: "c", Param: 0, Cols: []string{"id", "ord"}}); !reflect.DeepEqual(stmt.From, want) {
+		t.Errorf("FROM = %+v, want %+v", stmt.From, want)
+	}
+	if want := (TableRef{Alias: "d", Param: 1, Cols: []string{"k"}}); !reflect.DeepEqual(stmt.Joins[1].Table, want) {
+		t.Errorf("JOIN = %+v, want %+v", stmt.Joins[1].Table, want)
+	}
+	// Scalar and relation parameters share one numbering, in text order.
+	var idx []int
+	expr.Walk(stmt.Where, func(e expr.Expr) bool {
+		if p, ok := e.(*expr.Param); ok {
+			idx = append(idx, p.Index)
+		}
+		return true
+	})
+	if !reflect.DeepEqual(idx, []int{2}) {
+		t.Errorf("scalar parameter indexes = %v, want [2]", idx)
+	}
+	for _, bad := range []string{
+		"SELECT 1 FROM ?",          // no alias
+		"SELECT 1 FROM ? c",        // no column list
+		"SELECT 1 FROM ? c ()",     // empty column list
+		"SELECT 1 FROM ? c (a,)",   // dangling comma
+		"UPDATE ? c (a) SET a = 1", // a SELECT source only
+		"DELETE FROM ? c (a)",      // a SELECT source only
+		"INSERT INTO ? c (a) VALUES (1)",
+	} {
+		if _, err := Parse(bad); err == nil {
+			t.Errorf("Parse(%q) succeeded, want error", bad)
+		}
 	}
 }
 

@@ -259,11 +259,49 @@ func TestDecodeRowErrors(t *testing.T) {
 		{1, rowBlob, 200},
 		{1, rowBool},
 		{1, 0x63},
+		{0xff, 0xff, 0xff, 0xff, 0x0f, rowNull}, // count far beyond the data
 	}
 	for _, d := range bad {
 		if _, err := DecodeRow(d); err == nil {
 			t.Errorf("DecodeRow(%x) succeeded, want error", d)
 		}
+		if _, _, err := DecodeRowInto(make(Row, 0, 4), d); err == nil {
+			t.Errorf("DecodeRowInto(%x) succeeded, want error", d)
+		}
+	}
+}
+
+// DecodeRowInto appends to the buffer it is given, reuses its backing array
+// when that is large enough, and reports each row's length so rows encoded
+// back to back can be walked.
+func TestDecodeRowIntoReusesBuffer(t *testing.T) {
+	a := Row{NewInt(1), NewText("x"), NullValue()}
+	b := Row{NewInt(2), NewBlob([]byte{9}), NewBool(true)}
+	data := EncodeRow(EncodeRow(nil, a), b)
+
+	buf := make(Row, 1, 8)
+	buf[0] = NewInt(-1) // a prefix the caller keeps, like a join's left row
+	got, n, err := DecodeRowInto(buf, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &got[0] != &buf[0] {
+		t.Error("a large enough buffer was not reused")
+	}
+	if want := append(Row{NewInt(-1)}, a...); !reflect.DeepEqual(got, want) {
+		t.Errorf("first row = %v, want %v", got, want)
+	}
+	got, m, err := DecodeRowInto(buf[:1], data[n:])
+	if err != nil || n+m != len(data) {
+		t.Fatalf("second row: %v, consumed %d+%d of %d bytes", err, n, m, len(data))
+	}
+	if want := append(Row{NewInt(-1)}, b...); !reflect.DeepEqual(got, want) {
+		t.Errorf("second row = %v, want %v", got, want)
+	}
+	// A buffer that is too small is replaced, its prefix kept.
+	got, _, err = DecodeRowInto(make(Row, 1, 2), data)
+	if err != nil || len(got) != 4 || !got[0].IsNull() {
+		t.Errorf("grown row = %v, %v", got, err)
 	}
 }
 

@@ -55,15 +55,34 @@ func EncodeRow(dst []byte, r Row) []byte {
 // DecodeRow decodes a row previously produced by EncodeRow. Text and Blob
 // payloads are copied out of data, so the result does not alias the input.
 func DecodeRow(data []byte) (Row, error) {
+	row, _, err := DecodeRowInto(nil, data)
+	return row, err
+}
+
+// DecodeRowInto decodes the row at the front of data like DecodeRow, but
+// appends its values to dst (allocating only when dst's capacity is short)
+// and reports how many bytes the row occupied, so a scan loop can decode
+// every row into one buffer and a caller can walk rows encoded back to back —
+// the form a relation parameter (`FROM ? alias (col, ...)`) is bound in.
+func DecodeRowInto(dst Row, data []byte) (Row, int, error) {
 	n, used := binary.Uvarint(data)
 	if used <= 0 {
-		return nil, fmt.Errorf("bad row header")
+		return nil, 0, fmt.Errorf("bad row header")
 	}
 	pos := used
-	row := make(Row, 0, n)
+	// Every value takes at least its tag byte: a larger count is a corrupt
+	// header, not a reason to allocate.
+	if n > uint64(len(data)-pos) {
+		return nil, 0, fmt.Errorf("truncated row: %d values in %d bytes", n, len(data)-pos)
+	}
+	row := dst
+	if need := len(dst) + int(n); cap(dst) < need {
+		row = make(Row, len(dst), need)
+		copy(row, dst)
+	}
 	for i := uint64(0); i < n; i++ {
 		if pos >= len(data) {
-			return nil, fmt.Errorf("truncated row: value %d of %d", i, n)
+			return nil, 0, fmt.Errorf("truncated row: value %d of %d", i, n)
 		}
 		tag := data[pos]
 		pos++
@@ -73,29 +92,29 @@ func DecodeRow(data []byte) (Row, error) {
 		case rowInt:
 			v, used := binary.Varint(data[pos:])
 			if used <= 0 {
-				return nil, fmt.Errorf("bad int at value %d", i)
+				return nil, 0, fmt.Errorf("bad int at value %d", i)
 			}
 			pos += used
 			row = append(row, NewInt(v))
 		case rowReal:
 			if pos+8 > len(data) {
-				return nil, fmt.Errorf("truncated real at value %d", i)
+				return nil, 0, fmt.Errorf("truncated real at value %d", i)
 			}
 			bits := binary.LittleEndian.Uint64(data[pos : pos+8])
 			pos += 8
 			row = append(row, NewReal(math.Float64frombits(bits)))
 		case rowText:
 			l, used := binary.Uvarint(data[pos:])
-			if used <= 0 || pos+used+int(l) > len(data) {
-				return nil, fmt.Errorf("bad text at value %d", i)
+			if used <= 0 || l > uint64(len(data)-pos-used) {
+				return nil, 0, fmt.Errorf("bad text at value %d", i)
 			}
 			pos += used
 			row = append(row, NewText(string(data[pos:pos+int(l)])))
 			pos += int(l)
 		case rowBlob:
 			l, used := binary.Uvarint(data[pos:])
-			if used <= 0 || pos+used+int(l) > len(data) {
-				return nil, fmt.Errorf("bad blob at value %d", i)
+			if used <= 0 || l > uint64(len(data)-pos-used) {
+				return nil, 0, fmt.Errorf("bad blob at value %d", i)
 			}
 			pos += used
 			b := make([]byte, l)
@@ -104,13 +123,13 @@ func DecodeRow(data []byte) (Row, error) {
 			row = append(row, NewBlob(b))
 		case rowBool:
 			if pos >= len(data) {
-				return nil, fmt.Errorf("truncated bool at value %d", i)
+				return nil, 0, fmt.Errorf("truncated bool at value %d", i)
 			}
 			row = append(row, NewBool(data[pos] != 0))
 			pos++
 		default:
-			return nil, fmt.Errorf("bad row tag 0x%02x at value %d", tag, i)
+			return nil, 0, fmt.Errorf("bad row tag 0x%02x at value %d", tag, i)
 		}
 	}
-	return row, nil
+	return row, pos, nil
 }
