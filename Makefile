@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race lint lint-sarif check fuzz-smoke bench bench-query torture govern-torture
+.PHONY: build test race fmt-check lint lint-sarif check fuzz-smoke bench bench-query torture govern-torture
 
 build:
 	$(GO) build ./...
@@ -10,6 +10,10 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# fmt-check fails when any Go file in the tree is not gofmt-clean.
+fmt-check:
+	@test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
 
 # lint runs go vet plus the project's own analyzers: the per-package checks
 # (encoding-dispatch exhaustiveness, pin pairing, raw-SQL construction, span
@@ -52,7 +56,8 @@ bench-query:
 
 # torture runs the crash-recovery harness with a longer session than the
 # default `go test` smoke: a child process is killed at every registered
-# failpoint and the store must recover to an acknowledged prefix.
+# failpoint (WAL, buffer-pool flush and eviction, each checkpoint step) and
+# the store must recover to an acknowledged prefix.
 torture:
 	ORDXML_TORTURE_OPS=120 $(GO) test -run '^TestCrashTorture$$' -count=1 -v .
 

@@ -13,7 +13,7 @@
 // the aligned text tables.
 //
 // Where query time goes per layer, what request tracing costs and how the
-// disk-paged tier behaves are measured by the repo's benchmark, ordbench
+// buffer pool behaves are measured by the repo's benchmark, ordbench
 // (benchmark/README.md), not here.
 //
 // -concurrency switches to the closed-loop concurrent-read benchmark: at

@@ -52,8 +52,8 @@ func (sh *shell) currentStore() *ordxml.Store {
 const helpText = `commands:
   open <global|local|dewey> [gap]   start a fresh store
   opendur <dir> [enc] [gap] [pool]  open a durable store (write-ahead logged,
-                                    crash-recovered from <dir>; a pool frame
-                                    count selects the disk-paged tier)
+                                    crash-recovered from <dir>; pool sizes
+                                    its buffer pool in 8 KiB frames)
   load <file> [name]                load an XML file as the current document
   loadstr <xml>                     load inline XML
   docs                              list documents (switch with: use <id>)
@@ -170,12 +170,8 @@ func (sh *shell) Execute(line string) (string, error) {
 		if len(docs) > 0 {
 			sh.doc = docs[0].ID
 		}
-		tier := "full-snapshot"
-		if store.Pooled() {
-			tier = "disk-paged"
-		}
-		return fmt.Sprintf("opened durable %s store in %s (%s tier, %d document(s) recovered)",
-			store.Encoding(), args[0], tier, len(docs)), nil
+		return fmt.Sprintf("opened durable %s store in %s (%d document(s) recovered)",
+			store.Encoding(), args[0], len(docs)), nil
 	case "restore":
 		if len(args) != 1 {
 			return "", fmt.Errorf("usage: restore <path>")
@@ -258,10 +254,14 @@ func (sh *shell) Execute(line string) (string, error) {
 	case "stats":
 		st := sh.store.Storage()
 		g := sh.store.Metrics().Gauges
-		return fmt.Sprintf("storage: %d rows, %d pages, %d bytes\nwork: %d probes, %d scanned, %d ins, %d del, %d upd",
+		out := fmt.Sprintf("storage: %d rows, %d pages, %d bytes\nwork: %d probes, %d scanned, %d ins, %d del, %d upd",
 			st.Rows, st.HeapPages, st.HeapBytes,
 			g["storage.index_probes"], g["storage.rows_scanned"],
-			g["storage.rows_inserted"], g["storage.rows_deleted"], g["storage.rows_updated"]), nil
+			g["storage.rows_inserted"], g["storage.rows_deleted"], g["storage.rows_updated"])
+		if sh.store.Durable() {
+			out += "\n" + bufpoolLine(g)
+		}
+		return out, nil
 	case "parallel":
 		if len(args) != 1 {
 			return "", fmt.Errorf("usage: parallel <n>")
@@ -324,16 +324,7 @@ func (sh *shell) Execute(line string) (string, error) {
 			out = fmt.Sprintf("wal: %d records (%d bytes), %d fsyncs, %d rotations, last LSN %d, durable LSN %d, %d bytes on disk, last checkpoint %s\n%s",
 				c["wal.appends"], c["wal.append.bytes"], c["wal.fsyncs"], c["wal.rotations"],
 				g["wal.last_lsn"], g["wal.last_lsn"]-g["wal.durable_lag"], g["wal.size_bytes"], ckpt, out)
-		}
-		if sh.store.Pooled() {
-			hits, misses := g["bufpool.hits"], g["bufpool.misses"]
-			hitPct := 0.0
-			if acc := hits + misses; acc > 0 {
-				hitPct = 100 * float64(hits) / float64(acc)
-			}
-			out = fmt.Sprintf("bufpool: %d/%d frames resident (%d dirty, %d pinned), %.1f%% hit ratio (%d hits, %d misses), %d evictions, %d dirty flushes\n%s",
-				g["bufpool.resident_frames"], g["bufpool.capacity"], g["bufpool.dirty_frames"], g["bufpool.pinned_frames"],
-				hitPct, hits, misses, g["bufpool.evictions"], g["bufpool.dirty_flushes"], out)
+			out = bufpoolLine(g) + "\n" + out
 		}
 		if ok, cause := sh.store.Degraded(); ok {
 			out = fmt.Sprintf("DEGRADED: read-only (%s); reads serve, mutations fail, reopen to recover\n%s", cause, out)
@@ -343,12 +334,8 @@ func (sh *shell) Execute(line string) (string, error) {
 		if err := sh.store.Checkpoint(); err != nil {
 			return "", err
 		}
-		wrote := "snapshot written"
-		if sh.store.Pooled() {
-			wrote = "dirty pages flushed"
-		}
-		return fmt.Sprintf("checkpoint complete (%s, log rotated after LSN %d)",
-			wrote, sh.store.Metrics().Gauges["wal.last_lsn"]), nil
+		return fmt.Sprintf("checkpoint complete (dirty pages flushed, log rotated after LSN %d)",
+			sh.store.Metrics().Gauges["wal.last_lsn"]), nil
 	case `\trace`:
 		if len(args) == 0 {
 			return "", fmt.Errorf(`usage: \trace on|off|status|clear|dump <file>`)
@@ -643,6 +630,19 @@ func parseID(args []string, i int, usage string) (int64, error) {
 		return 0, fmt.Errorf("bad node id %q", args[i])
 	}
 	return id, nil
+}
+
+// bufpoolLine summarizes a durable store's buffer pool from its bufpool.*
+// gauges.
+func bufpoolLine(g map[string]int64) string {
+	hits, misses := g["bufpool.hits"], g["bufpool.misses"]
+	hitPct := 0.0
+	if acc := hits + misses; acc > 0 {
+		hitPct = 100 * float64(hits) / float64(acc)
+	}
+	return fmt.Sprintf("bufpool: %d/%d frames resident (%d dirty, %d pinned), %.1f%% hit ratio (%d hits, %d misses), %d evictions, %d dirty flushes",
+		g["bufpool.resident_frames"], g["bufpool.capacity"], g["bufpool.dirty_frames"], g["bufpool.pinned_frames"],
+		hitPct, hits, misses, g["bufpool.evictions"], g["bufpool.dirty_flushes"])
 }
 
 // renderMetrics formats a metrics snapshot: counters and gauges one per

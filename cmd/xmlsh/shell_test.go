@@ -153,25 +153,44 @@ func TestShellLoadFile(t *testing.T) {
 	}
 }
 
+// TestShellDurableStore covers a durable store's share of the shell: the
+// opendur banner, the wal: and bufpool: lines \stats and stats read from the
+// wal.* and bufpool.* metrics, \checkpoint flushing dirty pages and rotating
+// the log, and recovery in a fresh shell.
 func TestShellDurableStore(t *testing.T) {
 	dir := t.TempDir()
 	sh := &shell{}
-	run(t, sh, "opendur "+dir+" dewey")
+	if out := run(t, sh, "opendur "+dir+" dewey 0 32"); out != "opened durable dewey store in "+dir+" (0 document(s) recovered)" {
+		t.Errorf("opendur = %q", out)
+	}
 	run(t, sh, "loadstr <a><b>x</b></a>")
-	if out := run(t, sh, `\stats`); !strings.Contains(out, "wal: 1 records") ||
+	bufpool := regexp.MustCompile(`bufpool: [1-9]\d*/32 frames resident \([1-9]\d* dirty, 0 pinned\), \d+\.\d% hit ratio`)
+	out := run(t, sh, `\stats`)
+	if !strings.Contains(out, "wal: 1 records") ||
 		!strings.Contains(out, "1 fsyncs, 0 rotations, last LSN 1, durable LSN 1,") ||
 		!strings.Contains(out, "last checkpoint never") {
-		t.Errorf("\\stats lacks WAL summary: %q", out)
+		t.Errorf("\\stats lacks WAL summary: %.300q", out)
 	}
-	if out := run(t, sh, `\checkpoint`); !strings.Contains(out, "snapshot written, log rotated after LSN 1") {
+	if !bufpool.MatchString(out) {
+		t.Errorf("\\stats lacks buffer-pool summary: %.300q", out)
+	}
+	if out := run(t, sh, "stats"); !bufpool.MatchString(out) {
+		t.Errorf("stats lacks buffer-pool summary: %q", out)
+	}
+	if out := run(t, sh, `\checkpoint`); !strings.Contains(out, "dirty pages flushed, log rotated after LSN 1") {
 		t.Errorf("\\checkpoint = %q", out)
 	}
-	if out := run(t, sh, `\stats`); !strings.Contains(out, "1 rotations") || strings.Contains(out, "last checkpoint never") {
-		t.Errorf("\\stats after checkpoint: %q", out)
+	out = run(t, sh, `\stats`)
+	if !strings.Contains(out, "1 rotations") || strings.Contains(out, "last checkpoint never") {
+		t.Errorf("\\stats after checkpoint: %.300q", out)
+	}
+	if !regexp.MustCompile(`\(0 dirty, 0 pinned\).* [1-9]\d* dirty flushes`).MatchString(out) {
+		t.Errorf("\\stats after checkpoint: %.300q", out)
 	}
 	run(t, sh, "insert 2 after <c>y</c>")
 
-	// A fresh shell recovers the snapshot plus the post-checkpoint insert.
+	// A fresh shell, with the default pool, recovers the checkpoint plus the
+	// post-checkpoint insert.
 	sh2 := &shell{}
 	if out := run(t, sh2, "opendur "+dir); !strings.Contains(out, "1 document(s) recovered") {
 		t.Errorf("opendur = %q", out)
@@ -180,27 +199,12 @@ func TestShellDurableStore(t *testing.T) {
 		t.Errorf("recovered doc = %q", out)
 	}
 	mustFail(t, sh2, "opendur")
-	// Memory stores refuse \checkpoint.
+	// Memory stores refuse \checkpoint and have no pool to report.
 	sh3 := &shell{}
 	run(t, sh3, "open global")
 	mustFail(t, sh3, `\checkpoint`)
-}
-
-// TestShellPagedStore covers the disk-paged tier's share of \stats and
-// \checkpoint: the bufpool line is read from the bufpool.* metrics, and a
-// paged checkpoint flushes dirty pages rather than writing a snapshot.
-func TestShellPagedStore(t *testing.T) {
-	sh := &shell{}
-	run(t, sh, "opendur "+t.TempDir()+" dewey 0 32")
-	run(t, sh, "loadstr <a><b>x</b></a>")
-	if out := run(t, sh, `\stats`); !regexp.MustCompile(`bufpool: [1-9]\d*/32 frames resident \([1-9]\d* dirty, 0 pinned\), \d+\.\d% hit ratio`).MatchString(out) {
-		t.Errorf("\\stats lacks buffer-pool summary: %.300q", out)
-	}
-	if out := run(t, sh, `\checkpoint`); !strings.Contains(out, "dirty pages flushed, log rotated after LSN 1") {
-		t.Errorf("\\checkpoint = %q", out)
-	}
-	if out := run(t, sh, `\stats`); !regexp.MustCompile(`\(0 dirty, 0 pinned\).* [1-9]\d* dirty flushes`).MatchString(out) {
-		t.Errorf("\\stats after checkpoint: %.300q", out)
+	if out := run(t, sh3, "stats"); strings.Contains(out, "bufpool:") {
+		t.Errorf("memory store's stats = %q", out)
 	}
 }
 

@@ -235,10 +235,13 @@ func verifyRecovered(t *testing.T, dir, spec string, acked int, fps []string) {
 		spec, acked, got, want[0])
 }
 
-// TestCrashTorture is the parent: one round per crash failpoint. Bound the
-// work with ORDXML_TORTURE_OPS (ops per round, default 24) and
-// ORDXML_TORTURE_SEED.
-func TestCrashTorture(t *testing.T) {
+// tortureSession is what every torture parent starts from: it skips inside a
+// child process, generates the session ORDXML_TORTURE_SEED and
+// ORDXML_TORTURE_OPS (ops per round, default 24) describe, and returns the
+// expected fingerprint after every op prefix plus a function that makes a
+// fresh session directory holding the op list for a child to run.
+func tortureSession(t *testing.T) (fps []string, sessionDir func(*testing.T) string) {
+	t.Helper()
 	if os.Getenv("ORDXML_TORTURE_DIR") != "" {
 		t.Skip("torture child process")
 	}
@@ -249,102 +252,39 @@ func TestCrashTorture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return fps, func(t *testing.T) string {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "ops.json"), opsJSON, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+}
 
-	specs := []string{
+// TestCrashTorture is the parent: one round per crash failpoint and pool
+// size. The WAL points run twice — with an 8-frame pool, small enough that
+// the session evicts constantly, and with the default pool, which never
+// evicts; the points that only exist under page traffic (a dirty-page flush,
+// an eviction under memory pressure, each step of the checkpoint protocol:
+// before the pool flush, between flush and manifest install, after the
+// manifest is installed but before the allocator commits) run with the small
+// pool.
+func TestCrashTorture(t *testing.T) {
+	fps, sessionDir := tortureSession(t)
+
+	const smallPool, defaultPool = 8, 0
+	poolEnv := func(frames int) string { return "ORDXML_TORTURE_POOL=" + strconv.Itoa(frames) }
+	poolName := map[int]string{smallPool: "pool=8", defaultPool: "pool=default"}
+	walSpecs := []string{
 		"wal.append=crash@3",
 		"wal.sync.partial-write=crash@2",
 		"wal.sync.before-fsync=crash@1",
 		"wal.sync.before-fsync=crash@5",
 		"wal.sync.after-fsync=crash@5",
-		"checkpoint.before-snapshot=crash@1",
-		"checkpoint.before-rename=crash@1",
-		"checkpoint.after-rename=crash@1",
 		"wal.rotate.before=crash@1",
 		"wal.rotate.before-rename=crash@1",
 	}
-	for _, spec := range specs {
-		t.Run(spec, func(t *testing.T) {
-			dir := t.TempDir()
-			if err := os.WriteFile(filepath.Join(dir, "ops.json"), opsJSON, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			runTortureChild(t, dir, spec, false, 0)
-			verifyRecovered(t, dir, spec, countAcks(t, dir), fps)
-		})
-	}
-
-	// Crash during recovery itself: kill one child mid-session, then kill a
-	// second child mid-replay, then recover for real. Replay never mutates
-	// the store files (beyond idempotent torn-tail truncation), so an
-	// interrupted recovery must change nothing.
-	t.Run("wal.replay.record", func(t *testing.T) {
-		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, "ops.json"), opsJSON, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if code := runTortureChild(t, dir, "wal.sync.after-fsync=crash@4", false, 0); code == 0 {
-			t.Fatal("first child did not crash")
-		}
-		acked := countAcks(t, dir)
-		if code := runTortureChild(t, dir, "wal.replay.record=crash@1", true, 0); code == 0 {
-			t.Fatal("recovery child did not crash (no records to replay?)")
-		}
-		verifyRecovered(t, dir, "wal.replay.record", acked, fps)
-	})
-}
-
-// TestCrashTortureConcurrentReaders repeats the WAL-failpoint rounds with
-// snapshot readers running inside the child while it crashes: lock-free
-// reads must neither corrupt the store nor change what recovery promises,
-// and the readers themselves must never observe a torn document.
-func TestCrashTortureConcurrentReaders(t *testing.T) {
-	if os.Getenv("ORDXML_TORTURE_DIR") != "" {
-		t.Skip("torture child process")
-	}
-	seed := int64(tortureEnvInt("ORDXML_TORTURE_SEED", 1))
-	nOps := tortureEnvInt("ORDXML_TORTURE_OPS", 24)
-	ops, fps := generateTortureSession(t, seed, nOps)
-	opsJSON, err := json.Marshal(ops)
-	if err != nil {
-		t.Fatal(err)
-	}
-	specs := []string{
-		"wal.sync.before-fsync=crash@5",
-		"wal.sync.after-fsync=crash@5",
-		"wal.append=crash@6",
-	}
-	for _, spec := range specs {
-		t.Run(spec, func(t *testing.T) {
-			dir := t.TempDir()
-			if err := os.WriteFile(filepath.Join(dir, "ops.json"), opsJSON, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			runTortureChild(t, dir, spec, false, 3)
-			verifyRecovered(t, dir, spec, countAcks(t, dir), fps)
-		})
-	}
-}
-
-// TestCrashTorturePaged repeats the torture rounds against the buffer-pooled
-// durable tier with a pool small enough that the session evicts constantly.
-// The crash points cover the paged-specific windows: a dirty-page flush, an
-// eviction under memory pressure, and each step of the incremental-checkpoint
-// protocol (before the pool flush, between flush and manifest install, and
-// after the manifest is installed but before the allocator commits).
-func TestCrashTorturePaged(t *testing.T) {
-	if os.Getenv("ORDXML_TORTURE_DIR") != "" {
-		t.Skip("torture child process")
-	}
-	seed := int64(tortureEnvInt("ORDXML_TORTURE_SEED", 1))
-	nOps := tortureEnvInt("ORDXML_TORTURE_OPS", 24)
-	ops, fps := generateTortureSession(t, seed, nOps)
-	opsJSON, err := json.Marshal(ops)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	poolEnv := "ORDXML_TORTURE_POOL=8"
-	specs := []string{
+	pageSpecs := []string{
 		"bufpool.flush=crash@1",
 		"bufpool.flush=crash@5",
 		"bufpool.evict=crash@1",
@@ -352,36 +292,62 @@ func TestCrashTorturePaged(t *testing.T) {
 		"checkpoint.paged.before-flush=crash@1",
 		"checkpoint.paged.before-meta=crash@1",
 		"checkpoint.paged.after-meta=crash@1",
-		"wal.sync.after-fsync=crash@5",
 	}
-	for _, spec := range specs {
-		t.Run(spec, func(t *testing.T) {
-			dir := t.TempDir()
-			if err := os.WriteFile(filepath.Join(dir, "ops.json"), opsJSON, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			runTortureChild(t, dir, spec, false, 0, poolEnv)
-			// verifyRecovered reopens without a pool option: pages.db on disk
-			// makes recovery pick the paged tier on its own.
+	round := func(spec string, frames int) {
+		t.Run(spec+"/"+poolName[frames], func(t *testing.T) {
+			dir := sessionDir(t)
+			runTortureChild(t, dir, spec, false, 0, poolEnv(frames))
+			// verifyRecovered reopens with the default pool whatever the
+			// child ran with: the pool size is not a property of the store.
 			verifyRecovered(t, dir, spec, countAcks(t, dir), fps)
 		})
 	}
+	for _, spec := range walSpecs {
+		round(spec, smallPool)
+		round(spec, defaultPool)
+	}
+	for _, spec := range pageSpecs {
+		round(spec, smallPool)
+	}
 
-	// Crash mid-replay on a paged store, then recover for real.
-	t.Run("wal.replay.record", func(t *testing.T) {
-		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, "ops.json"), opsJSON, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if code := runTortureChild(t, dir, "wal.sync.after-fsync=crash@4", false, 0, poolEnv); code == 0 {
-			t.Fatal("first child did not crash")
-		}
-		acked := countAcks(t, dir)
-		if code := runTortureChild(t, dir, "wal.replay.record=crash@1", true, 0, poolEnv); code == 0 {
-			t.Fatal("recovery child did not crash (no records to replay?)")
-		}
-		verifyRecovered(t, dir, "wal.replay.record", acked, fps)
-	})
+	// Crash during recovery itself: kill one child mid-session, then kill a
+	// second child mid-replay, then recover for real. Replay changes nothing
+	// the next recovery reads — the torn-tail truncation is idempotent, and
+	// pages evicted mid-replay land on ids the manifest does not reference —
+	// so an interrupted recovery must change nothing.
+	for _, frames := range []int{smallPool, defaultPool} {
+		t.Run("wal.replay.record/"+poolName[frames], func(t *testing.T) {
+			dir := sessionDir(t)
+			if code := runTortureChild(t, dir, "wal.sync.after-fsync=crash@4", false, 0, poolEnv(frames)); code == 0 {
+				t.Fatal("first child did not crash")
+			}
+			acked := countAcks(t, dir)
+			if code := runTortureChild(t, dir, "wal.replay.record=crash@1", true, 0, poolEnv(frames)); code == 0 {
+				t.Fatal("recovery child did not crash (no records to replay?)")
+			}
+			verifyRecovered(t, dir, "wal.replay.record", acked, fps)
+		})
+	}
+}
+
+// TestCrashTortureConcurrentReaders repeats the WAL-failpoint rounds with
+// snapshot readers running inside the child while it crashes: lock-free
+// reads must neither corrupt the store nor change what recovery promises,
+// and the readers themselves must never observe a torn document.
+func TestCrashTortureConcurrentReaders(t *testing.T) {
+	fps, sessionDir := tortureSession(t)
+	specs := []string{
+		"wal.sync.before-fsync=crash@5",
+		"wal.sync.after-fsync=crash@5",
+		"wal.append=crash@6",
+	}
+	for _, spec := range specs {
+		t.Run(spec, func(t *testing.T) {
+			dir := sessionDir(t)
+			runTortureChild(t, dir, spec, false, 3)
+			verifyRecovered(t, dir, spec, countAcks(t, dir), fps)
+		})
+	}
 }
 
 // TestCrashTortureChild is the re-executed half of TestCrashTorture; it only
@@ -391,12 +357,10 @@ func TestCrashTortureChild(t *testing.T) {
 	if dir == "" {
 		t.Skip("crash-torture child (spawned by TestCrashTorture)")
 	}
-	opts := Options{Encoding: Dewey}
-	// ORDXML_TORTURE_POOL switches the child to the buffer-pooled durable
-	// tier with that many frames — small values force evictions mid-session.
-	if n, _ := strconv.Atoi(os.Getenv("ORDXML_TORTURE_POOL")); n > 0 {
-		opts.BufferPoolFrames = n
-	}
+	// ORDXML_TORTURE_POOL sizes the child's buffer pool — small values force
+	// evictions mid-session; unset or 0 means the default pool.
+	frames, _ := strconv.Atoi(os.Getenv("ORDXML_TORTURE_POOL"))
+	opts := Options{Encoding: Dewey, BufferPoolFrames: frames}
 	s, err := OpenDurable(filepath.Join(dir, "store"), opts)
 	if err != nil {
 		t.Fatalf("torture child: open: %v", err)

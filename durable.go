@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -12,7 +13,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"ordxml/internal/core/encoding"
 	"ordxml/internal/core/update"
 	"ordxml/internal/failpoint"
 	"ordxml/internal/govern"
@@ -25,22 +25,12 @@ import (
 	"ordxml/internal/wal"
 )
 
-// This file implements the durability subsystem: a durable store pairs the
-// engine with a write-ahead log of logical mutations and an atomically-
-// replaced checkpoint, in one directory. Two storage tiers share the same
-// WAL protocol:
+// This file implements the durability subsystem: a durable store keeps its
+// heaps and B+trees in an 8 KiB-page file behind a fixed-capacity buffer
+// pool, a write-ahead log of logical mutations, and an atomically-replaced
+// checkpoint manifest, in one directory:
 //
-// All-RAM (default):
-//
-//	<dir>/snapshot.db   full-database snapshot from the last Checkpoint
-//	<dir>/wal.log       logical mutations since that checkpoint
-//
-// Buffer-pooled (Options.BufferPoolFrames > 0): storage pages through a
-// fixed-capacity pool over an on-disk page file, so the dataset may exceed
-// RAM and checkpoints are incremental — only pages dirtied since the last
-// checkpoint are written, plus a small manifest of page references:
-//
-//	<dir>/pages.db      8 KiB-page file holding every heap and index page
+//	<dir>/pages.db      page file holding every heap and index page
 //	<dir>/meta.db       checkpoint manifest (schema + page references)
 //	<dir>/wal.log       logical mutations since that checkpoint
 //
@@ -48,20 +38,26 @@ import (
 // is encoded as a WAL record and fsynced *before* it touches the engine, so
 // an operation that returned success is durable. The pool enforces
 // WAL-before-data independently: a dirty page cannot reach pages.db before
-// the log is durable through the page's recorded LSN. Recovery = load the
-// last checkpoint, replay every WAL record past the checkpoint's LSN
-// (recorded in store_meta), truncate a torn tail, and finish with a deep
-// integrity check. Replay is deterministic because every record captures the
-// operation's logical inputs (names, node ids, XML text) and the engine's id
-// and order-key allocation is a pure function of store state.
+// the log is durable through the page's recorded LSN. Recovery = open the
+// last checkpoint's manifest (pages fault in on first touch), replay every
+// WAL record past the checkpoint's LSN (recorded in store_meta), truncate a
+// torn tail, and finish with a deep integrity check. Replay is deterministic
+// because every record captures the operation's logical inputs (names, node
+// ids, XML text) and the engine's id and order-key allocation is a pure
+// function of store state.
 //
-// Checkpoint shrinks the log. All-RAM: snapshot to a temp file, fsync,
-// rename over snapshot.db, fsync the directory, rotate the WAL. Pooled:
-// serialize changed index nodes to fresh pages (shadow paging — checkpoint-
-// referenced pages are never overwritten), flush the pool's dirty frames,
-// sync pages.db, atomically install the manifest, commit the pool's
-// allocator, rotate the WAL. A crash between install and rotation is benign
-// in both tiers — replay skips records at or below the checkpoint's LSN.
+// Checkpoint shrinks the log and is incremental — only pages dirtied since
+// the last checkpoint are written: serialize changed index nodes to fresh
+// pages (shadow paging — checkpoint-referenced pages are never overwritten),
+// flush the pool's dirty frames, sync pages.db, atomically install the
+// manifest, commit the pool's allocator, rotate the WAL. A crash between
+// install and rotation is benign — replay skips records at or below the
+// checkpoint's LSN.
+//
+// This file is the only place that knows where a durable store keeps its
+// checkpoint. A directory written by the retired all-RAM tier (a full
+// snapshot.db instead of pages.db + meta.db) is imported once on open; see
+// importedSnapshotFile.
 
 // WAL record kinds, one per logical mutation the public API can perform.
 const (
@@ -79,10 +75,6 @@ const (
 // append/sync/rotate/replay paths; the buffer pool registers bufpool.flush
 // and bufpool.evict).
 var (
-	fpCkptBeforeSnapshot = failpoint.New("checkpoint.before-snapshot")
-	fpCkptBeforeRename   = failpoint.New("checkpoint.before-rename")
-	fpCkptAfterRename    = failpoint.New("checkpoint.after-rename")
-
 	fpPagedBeforeFlush = failpoint.New("checkpoint.paged.before-flush")
 	fpPagedBeforeMeta  = failpoint.New("checkpoint.paged.before-meta")
 	fpPagedAfterMeta   = failpoint.New("checkpoint.paged.after-meta")
@@ -90,15 +82,16 @@ var (
 
 // Durable-store file names inside the store directory.
 const (
-	snapshotFile = "snapshot.db"
-	walFile      = "wal.log"
-	pagesFile    = "pages.db"
-	metaFile     = "meta.db"
+	walFile   = "wal.log"
+	pagesFile = "pages.db"
+	metaFile  = "meta.db"
 )
 
-// DefaultPoolFrames is the buffer-pool capacity OpenDurable uses when a
-// paged store is reopened without an explicit BufferPoolFrames (8 MiB of
-// 8 KiB pages).
+// DefaultPoolFrames is the buffer-pool capacity OpenDurable uses when
+// Options.BufferPoolFrames is not positive (8 MiB of 8 KiB pages). A pool
+// smaller than the working set still answers correctly but pays for it: the
+// clock sweep gets almost no hits below working-set size (ROADMAP finding
+// (b)), so size the pool to the data when it fits in RAM.
 const DefaultPoolFrames = 1024
 
 // durState is the durable half of a Store; nil for memory-only stores.
@@ -109,10 +102,13 @@ type durState struct {
 	// order always equals the apply order (replay correctness depends on it).
 	mu sync.Mutex
 
-	// pool and pf are the buffer-pooled tier; nil for all-RAM stores.
 	pool     *bufpool.Pool
 	pf       *pagefile.File
 	metaPath string
+
+	// closed is set by the first Close; every later entry point on the store
+	// fails with ErrClosed instead of touching the released log and page file.
+	closed atomic.Bool
 
 	checkpoints *obs.Counter
 	ckptLat     *obs.Histogram
@@ -150,17 +146,13 @@ func (s *Store) Health() []string {
 	return problems
 }
 
-// Pooled reports whether the store's storage pages through a buffer pool.
-func (s *Store) Pooled() bool { return s.dur != nil && s.dur.pool != nil }
-
 // OpenDurable opens (or creates) a durable store in dir. When dir holds an
-// earlier store, recovery runs: the last checkpoint is loaded (full snapshot
-// or paged manifest, whichever tier the store was created with), the
-// write-ahead log is replayed past it (a torn final record is truncated
+// earlier store, recovery runs: the last checkpoint's manifest is opened,
+// the write-ahead log is replayed past it (a torn final record is truncated
 // away), and the recovered store must pass the deep integrity check; the
 // encoding options in opts are ignored in that case — the checkpoint's own
-// win. When dir is fresh, an empty store with opts is created; a positive
-// opts.BufferPoolFrames selects the buffer-pooled tier (see Options).
+// win. When dir is fresh, an empty store with opts is created. Either way
+// opts.BufferPoolFrames only sizes the buffer pool (see Options).
 //
 // Close the store to release the log and page files; call Checkpoint
 // periodically to bound the log and recovery time.
@@ -170,67 +162,49 @@ func OpenDurable(dir string, opts Options) (*Store, error) {
 	}
 	pagesPath := filepath.Join(dir, pagesFile)
 	metaPath := filepath.Join(dir, metaFile)
-	snapPath := filepath.Join(dir, snapshotFile)
+	snapPath := filepath.Join(dir, importedSnapshotFile)
+	checkpointed := fileExists(metaPath)
+	importing := !checkpointed && fileExists(snapPath)
 
-	var (
-		s       *Store
-		snapLSN uint64
-		pool    *bufpool.Pool
-		pf      *pagefile.File
-	)
+	// Without a manifest nothing in pages.db is durable yet (a crash before
+	// the first checkpoint finished), so the page file starts over and
+	// recovery is an empty — or imported — store plus a full WAL replay.
+	openPages := pagefile.Create
+	if checkpointed {
+		openPages = pagefile.Open
+	}
+	pf, err := openPages(pagesPath)
+	if err != nil {
+		return nil, fmt.Errorf("open durable store %s: %w", dir, err)
+	}
+	pool := bufpool.New(pf, poolFrames(opts))
+	var lg *wal.Log
 	fail := func(err error) (*Store, error) {
-		if pf != nil {
-			pf.Close()
+		if lg != nil {
+			lg.Close()
 		}
+		pf.Close()
 		return nil, err
 	}
+
+	var s *Store
 	switch {
-	case fileExists(pagesPath):
-		// Paged store. The page file existing with no manifest means a crash
-		// before the first checkpoint finished: nothing in pages.db is
-		// durable yet, so recovery is a fresh store plus a full WAL replay.
-		var err error
-		if pf, err = pagefile.Open(pagesPath); err != nil {
-			return nil, fmt.Errorf("open durable store %s: %w", dir, err)
-		}
-		pool = bufpool.New(pf, poolFrames(opts))
-		if fileExists(metaPath) {
-			if s, err = openPagedManifest(metaPath, pool); err != nil {
-				return fail(fmt.Errorf("open durable store %s: %w", dir, err))
-			}
-			if snapLSN, err = readWALLSN(s.db); err != nil {
-				return fail(fmt.Errorf("open durable store %s: %w", dir, err))
-			}
-		} else if s, err = openPagedFresh(pool, opts); err != nil {
-			return fail(err)
-		}
-	case fileExists(snapPath):
-		// Legacy all-RAM store with a full snapshot.
-		var err error
-		if s, err = OpenFile(snapPath); err != nil {
-			return nil, fmt.Errorf("open durable store %s: %w", dir, err)
-		}
-		if snapLSN, err = readWALLSN(s.db); err != nil {
-			return nil, fmt.Errorf("open durable store %s: %w", dir, err)
-		}
-	case opts.BufferPoolFrames > 0:
-		var err error
-		if pf, err = pagefile.Create(pagesPath); err != nil {
-			return nil, fmt.Errorf("open durable store %s: %w", dir, err)
-		}
-		pool = bufpool.New(pf, poolFrames(opts))
-		if s, err = openPagedFresh(pool, opts); err != nil {
-			return fail(err)
-		}
+	case checkpointed:
+		s, err = openPagedManifest(metaPath, pool)
+	case importing:
+		s, err = openSnapshotFile(snapPath, sqldb.OpenPooled(pool))
 	default:
-		var err error
-		if s, err = Open(opts); err != nil {
-			return nil, err
-		}
+		s, err = openPagedFresh(pool, opts)
+	}
+	if err != nil {
+		return fail(fmt.Errorf("open durable store %s: %w", dir, err))
+	}
+	snapLSN, err := readWALLSN(s.db)
+	if err != nil {
+		return fail(fmt.Errorf("open durable store %s: %w", dir, err))
 	}
 
-	lg, err := wal.Open(filepath.Join(dir, walFile), s.db.Registry())
-	if err != nil {
+	if lg, err = wal.Open(filepath.Join(dir, walFile), s.db.Registry()); err != nil {
 		return fail(err)
 	}
 	opErrors := s.db.Registry().Counter("wal.replay.op_errors")
@@ -241,7 +215,6 @@ func OpenDurable(dir string, opts Options) (*Store, error) {
 		replayed++
 		return s.applyRecord(rec, opErrors)
 	}); err != nil {
-		lg.Close()
 		return fail(fmt.Errorf("replay %s: %w", filepath.Join(dir, walFile), err))
 	}
 	if replayed > 0 {
@@ -259,29 +232,25 @@ func OpenDurable(dir string, opts Options) (*Store, error) {
 			olog.Str("dir", dir), olog.Int("op_errors", n))
 	}
 	lg.EnsureNextLSN(snapLSN + 1)
-	if pool != nil {
-		// WAL-before-data: flushed pages carry the log position current when
-		// they were dirtied, and the log must be durable through it first.
-		// Wired after replay — replay holds the log's lock, and pages dirtied
-		// by replay need no guard because their records are already on disk.
-		pool.CurrentLSN = lg.LastLSN
-		pool.EnsureDurable = func(lsn uint64) error {
-			if lg.DurableLSN() >= lsn {
-				return nil
-			}
-			return lg.Sync()
+	// WAL-before-data: flushed pages carry the log position current when
+	// they were dirtied, and the log must be durable through it first.
+	// Wired after replay — replay holds the log's lock, and pages dirtied
+	// by replay need no guard because their records are already on disk.
+	pool.CurrentLSN = lg.LastLSN
+	pool.EnsureDurable = func(lsn uint64) error {
+		if lg.DurableLSN() >= lsn {
+			return nil
 		}
+		return lg.Sync()
 	}
 
 	// Recovery ends with the deep integrity check: a store rebuilt from
 	// checkpoint + log must be indistinguishable from one that never crashed.
 	problems, err := s.CheckIntegrity()
 	if err != nil {
-		lg.Close()
 		return fail(fmt.Errorf("post-recovery integrity check: %w", err))
 	}
 	if len(problems) > 0 {
-		lg.Close()
 		return fail(fmt.Errorf("post-recovery integrity check found %d violation(s): %s",
 			len(problems), strings.Join(problems, "; ")))
 	}
@@ -297,13 +266,11 @@ func OpenDurable(dir string, opts Options) (*Store, error) {
 		ckptLat:     reg.Histogram("wal.checkpoint.latency"),
 		opErrors:    opErrors,
 	}
-	if pool != nil {
-		// A failed page write (flush or checkpoint) leaves disk state behind
-		// the pool's idea of it; the store degrades to read-only — snapshot
-		// reads still serve from memory, mutations are refused until reopen.
-		pool.OnWriteError = func(err error) {
-			s.enterDegraded(fmt.Sprintf("page write failed: %v", err))
-		}
+	// A failed page write (flush or checkpoint) leaves disk state behind
+	// the pool's idea of it; the store degrades to read-only — snapshot
+	// reads still serve from memory, mutations are refused until reopen.
+	pool.OnWriteError = func(err error) {
+		s.enterDegraded(fmt.Sprintf("page write failed: %v", err))
 	}
 	// Readiness gauge: milliseconds since the last completed checkpoint
 	// (-1 until one completes). Pair with wal.size_bytes to decide when the
@@ -316,6 +283,27 @@ func OpenDurable(dir string, opts Options) (*Store, error) {
 		}
 		return time.Since(time.Unix(0, ns)).Milliseconds()
 	})
+
+	// The import's second half: the first checkpoint makes the imported
+	// state (snapshot + WAL tail) durable as pages.db + meta.db, after which
+	// the old snapshot is dead weight. A crash before the manifest lands
+	// re-imports from scratch; one after it finds a manifest and only has
+	// the removal left to do.
+	if importing {
+		if err := s.Checkpoint(); err != nil {
+			return fail(fmt.Errorf("import %s: %w", snapPath, err))
+		}
+		logger.Info("imported full-snapshot store", olog.Str("dir", dir))
+	}
+	if fileExists(snapPath) {
+		err := os.Remove(snapPath)
+		if err == nil {
+			err = wal.SyncDir(dir)
+		}
+		if err != nil {
+			return fail(fmt.Errorf("import %s: %w", snapPath, err))
+		}
+	}
 	return s, nil
 }
 
@@ -324,7 +312,7 @@ func fileExists(path string) bool {
 	return err == nil
 }
 
-// poolFrames resolves the pool capacity for a paged store.
+// poolFrames resolves the pool capacity of a durable store.
 func poolFrames(opts Options) int {
 	if opts.BufferPoolFrames > 0 {
 		return opts.BufferPoolFrames
@@ -353,48 +341,57 @@ func openPagedManifest(path string, pool *bufpool.Pool) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	iopts, err := readMeta(db)
-	if err != nil {
-		return nil, err
-	}
-	if !encoding.Installed(db, iopts) {
-		return nil, fmt.Errorf("manifest lacks the %s node table", iopts.Kind)
-	}
-	return newStoreOn(db, iopts)
+	return restoredStore(db, "manifest")
 }
 
-// Close syncs and releases the write-ahead log and, for pooled stores, the
-// page file. Memory-only stores have nothing to release; Close is a no-op
-// for them.
+// importedSnapshotFile is the checkpoint file of the retired all-RAM durable
+// tier: a full Save-format snapshot, rewritten whole by every checkpoint.
+// OpenDurable no longer writes it; it only imports it, once: load it into
+// paged storage, replay the WAL tail behind it as for any store, checkpoint,
+// remove it.
+const importedSnapshotFile = "snapshot.db"
+
+// Close syncs and releases the write-ahead log and the page file. Closing a
+// closed store, or a memory-only store (which has nothing to release), is a
+// no-op; every other call on a closed durable store fails with ErrClosed.
 func (s *Store) Close() error {
 	if s.dur == nil {
 		return nil
 	}
 	s.dur.mu.Lock()
 	defer s.dur.mu.Unlock()
+	if s.dur.closed.Swap(true) {
+		return nil
+	}
 	err := s.dur.log.Close()
-	if s.dur.pf != nil {
-		if cerr := s.dur.pf.Close(); err == nil {
-			err = cerr
-		}
+	if cerr := s.dur.pf.Close(); err == nil {
+		err = cerr
 	}
 	return err
 }
 
+// closedErr returns ErrClosed once a durable store has been closed.
+func (s *Store) closedErr() error {
+	if s.dur != nil && s.dur.closed.Load() {
+		return ErrClosed
+	}
+	return nil
+}
+
 // Checkpoint makes the store's current state durable without the log and
 // rotates the write-ahead log, bounding recovery to the log written after
-// this call. All-RAM stores write a full atomic snapshot; pooled stores
-// checkpoint incrementally — only pages dirtied since the last checkpoint
-// are flushed, followed by a small manifest install. Either way the
-// checkpoint records the log's high-water LSN, so replay after a crash —
-// even one landing between the checkpoint install and the log rotation —
-// never re-applies an operation the checkpoint already contains.
+// this call. It is incremental: only pages dirtied since the last checkpoint
+// are flushed, followed by a small manifest install. The checkpoint records
+// the log's high-water LSN, so replay after a crash — even one landing
+// between the manifest install and the log rotation — never re-applies an
+// operation the checkpoint already contains.
+//
 //ordlint:ignore walfirst checkpoint metadata records the WAL position itself; logging it would be circular (see CheckpointCtx)
 func (s *Store) Checkpoint() error { return s.CheckpointCtx(context.Background()) }
 
 // CheckpointCtx is Checkpoint with a caller context: with the request tracer
-// enabled the checkpoint records a span tree (manifest or snapshot write,
-// pool flush, install, log rotation), and completion is structured-logged.
+// enabled the checkpoint records a span tree (manifest write, pool flush,
+// install, log rotation), and completion is structured-logged.
 func (s *Store) CheckpointCtx(ctx context.Context) error {
 	if s.dur == nil {
 		return fmt.Errorf("store is not durable (open it with OpenDurable)")
@@ -404,29 +401,26 @@ func (s *Store) CheckpointCtx(ctx context.Context) error {
 	sp := obs.FromContext(ctx)
 	s.dur.mu.Lock()
 	defer s.dur.mu.Unlock()
+	if err := s.closedErr(); err != nil {
+		return err
+	}
 	start := time.Now()
 	lsn := s.dur.log.LastLSN()
 	// The wal_lsn row is checkpoint metadata, deliberately outside the
 	// WAL-first contract: it records how much of the log the checkpoint
 	// already contains, so appending it to the log it describes would be
-	// circular, and replay restores it from the snapshot instead.
+	// circular, and replay restores it from the checkpoint instead.
 	//ordlint:ignore walfirst checkpoint metadata write records the WAL position; logging it to the WAL it describes would be circular
 	if err := s.writeWALLSN(lsn); err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
-	var err error
-	if s.dur.pool != nil {
-		err = s.checkpointPaged(sp)
-	} else {
-		err = s.checkpointSnapshot(sp)
-	}
 	logger := s.db.Registry().Log()
-	if err != nil {
+	if err := s.checkpointPaged(sp); err != nil {
 		logger.Error("checkpoint failed", olog.Str("dir", s.dur.dir), olog.Err(err))
 		return err
 	}
 	rsp := sp.StartChild("wal.rotate")
-	err = s.dur.log.Rotate()
+	err := s.dur.log.Rotate()
 	rsp.End()
 	if err != nil {
 		logger.Error("checkpoint failed", olog.Str("dir", s.dur.dir), olog.Err(err))
@@ -435,49 +429,15 @@ func (s *Store) CheckpointCtx(ctx context.Context) error {
 	s.dur.checkpoints.Inc()
 	s.dur.ckptLat.Observe(time.Since(start))
 	s.dur.lastCkpt.Store(time.Now().UnixNano())
-	tier := "snapshot"
-	if s.dur.pool != nil {
-		tier = "paged"
-	}
 	logger.Info("checkpoint complete",
 		olog.Str("dir", s.dur.dir),
-		olog.Str("tier", tier),
 		olog.Int("lsn", int64(lsn)),
 		olog.Dur("elapsed", time.Since(start)))
 	sp.Arg("lsn", int64(lsn))
 	return nil
 }
 
-// checkpointSnapshot is the all-RAM tier's checkpoint body: full snapshot to
-// a temp file, fsync, atomic rename over snapshot.db.
-func (s *Store) checkpointSnapshot(sp *obs.ActiveSpan) error {
-	if err := fpCkptBeforeSnapshot.Hit(); err != nil {
-		return err
-	}
-	snapPath := filepath.Join(s.dur.dir, snapshotFile)
-	wsp := sp.StartChild("checkpoint.snapshot")
-	tmp, err := writeSnapshotTemp(s, snapPath)
-	wsp.End()
-	if err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	if err := fpCkptBeforeRename.Hit(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	isp := sp.StartChild("checkpoint.install")
-	defer isp.End()
-	if err := os.Rename(tmp, snapPath); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	if err := wal.SyncDir(s.dur.dir); err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	return fpCkptAfterRename.Hit()
-}
-
-// checkpointPaged is the pooled tier's incremental checkpoint body:
+// checkpointPaged is the incremental checkpoint body:
 //
 //  1. serialize changed index nodes to fresh pages and build the manifest
 //     (shadow paging — pages the previous checkpoint references are never
@@ -512,15 +472,10 @@ func (s *Store) checkpointPaged(sp *obs.ActiveSpan) error {
 	}
 	isp := sp.StartChild("checkpoint.install")
 	defer isp.End()
-	tmp, err := writeFileTemp(s.dur.metaPath, manifest.Bytes())
-	if err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	if err := os.Rename(tmp, s.dur.metaPath); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	if err := wal.SyncDir(s.dur.dir); err != nil {
+	if err := installFile(s.dur.metaPath, func(w io.Writer) error {
+		_, err := w.Write(manifest.Bytes())
+		return err
+	}); err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
 	if err := fpPagedAfterMeta.Hit(); err != nil {
@@ -530,56 +485,31 @@ func (s *Store) checkpointPaged(sp *obs.ActiveSpan) error {
 	return nil
 }
 
-// writeFileTemp writes data to a synced temp file next to path and returns
-// the temp name, ready to rename.
-func writeFileTemp(path string, data []byte) (string, error) {
+// installFile atomically replaces path with what write produces: the bytes
+// go to a temporary file in the same directory, which is synced, renamed
+// over path, and made durable by syncing the directory. A crash at any point
+// leaves either the old complete file or the new one — never a partial one.
+func installFile(path string, write func(io.Writer) error) error {
 	f, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp-*")
 	if err != nil {
-		return "", err
+		return err
 	}
 	tmp := f.Name()
-	fail := func(err error) (string, error) {
-		f.Close()
-		os.Remove(tmp)
-		return "", err
+	err = write(f)
+	if err == nil {
+		err = f.Sync()
 	}
-	if _, err := f.Write(data); err != nil {
-		return fail(err)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := f.Sync(); err != nil {
-		return fail(err)
+	if err == nil {
+		err = os.Rename(tmp, path)
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return "", err
-	}
-	return tmp, nil
-}
-
-// writeSnapshotTemp writes a snapshot to a temp file next to path and
-// returns the temp name; the file is synced and closed, ready to rename.
-func writeSnapshotTemp(s *Store, path string) (string, error) {
-	f, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp-*")
 	if err != nil {
-		return "", err
-	}
-	tmp := f.Name()
-	fail := func(err error) (string, error) {
-		f.Close()
 		os.Remove(tmp)
-		return "", err
+		return err
 	}
-	if err := s.Save(f); err != nil {
-		return fail(err)
-	}
-	if err := f.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return "", err
-	}
-	return tmp, nil
+	return wal.SyncDir(filepath.Dir(path))
 }
 
 // writeWALLSN upserts the log high-water mark into store_meta so snapshots
@@ -634,6 +564,10 @@ func (s *Store) logOp(ctx context.Context, kind byte, encode func(*wal.BodyWrite
 		return func() {}, nil
 	}
 	s.dur.mu.Lock()
+	if err := s.closedErr(); err != nil {
+		s.dur.mu.Unlock()
+		return nil, err
+	}
 	var w wal.BodyWriter
 	encode(&w)
 	sp := obs.FromContext(ctx).StartChild("wal.append_sync")

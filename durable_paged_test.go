@@ -5,30 +5,33 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"ordxml/internal/wal"
 )
 
-// Buffer-pooled durable-store tests: the paged tier must give the same
-// durability answers as the all-RAM tier while storing pages on disk and
-// checkpointing incrementally.
-
-func openPaged(t *testing.T, dir string, frames int, enc Encoding) *Store {
+// dirNames lists dir's entries, sorted and space-separated.
+func dirNames(t *testing.T, dir string) string {
 	t.Helper()
-	s, err := OpenDurable(dir, Options{Encoding: enc, BufferPoolFrames: frames})
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { s.Close() })
-	return s
+	names := make([]string, len(entries))
+	for i, e := range entries {
+		names[i] = e.Name()
+	}
+	return strings.Join(names, " ")
 }
+
+// Page-level durable-store tests: what lands in the store directory, that
+// checkpoints are incremental, that dropped pages recycle, and that a
+// directory written by the retired full-snapshot tier is imported.
 
 func TestPagedDurableRoundTrip(t *testing.T) {
 	for _, enc := range []Encoding{Global, Local, Dewey} {
 		t.Run(enc.String(), func(t *testing.T) {
 			dir := t.TempDir()
-			s := openPaged(t, dir, 16, enc)
-			if !s.Pooled() {
-				t.Fatal("store is not pooled")
-			}
+			s := openDur(t, dir, Options{Encoding: enc, BufferPoolFrames: 16})
 			doc, err := s.LoadString("d", "<R><A>alpha</A><B>beta</B><C/></R>")
 			if err != nil {
 				t.Fatal(err)
@@ -48,16 +51,11 @@ func TestPagedDurableRoundTrip(t *testing.T) {
 			if err := s.Close(); err != nil {
 				t.Fatal(err)
 			}
-			for _, f := range []string{pagesFile, metaFile} {
-				if _, err := os.Stat(filepath.Join(dir, f)); err != nil {
-					t.Fatalf("missing %s after checkpoint: %v", f, err)
-				}
-			}
-			if _, err := os.Stat(filepath.Join(dir, snapshotFile)); err == nil {
-				t.Fatal("paged store wrote a legacy full snapshot")
+			if got := dirNames(t, dir); got != "meta.db pages.db wal.log" {
+				t.Fatalf("store directory holds %q", got)
 			}
 
-			r := openPaged(t, dir, 16, enc)
+			r := openDur(t, dir, Options{Encoding: enc, BufferPoolFrames: 16})
 			if got := fingerprint(t, r); got != want {
 				t.Fatalf("reopened store diverged:\n got %q\nwant %q", got, want)
 			}
@@ -72,7 +70,7 @@ func TestPagedDurableRoundTrip(t *testing.T) {
 
 func TestPagedRecoveryWithoutCheckpoint(t *testing.T) {
 	dir := t.TempDir()
-	s := openPaged(t, dir, 16, Dewey)
+	s := openDur(t, dir, Options{Encoding: Dewey, BufferPoolFrames: 16})
 	doc, err := s.LoadString("d", "<R><A>one</A></R>")
 	if err != nil {
 		t.Fatal(err)
@@ -89,7 +87,7 @@ func TestPagedRecoveryWithoutCheckpoint(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, metaFile)); err == nil {
 		t.Fatal("manifest exists before any checkpoint")
 	}
-	r := openPaged(t, dir, 16, Dewey)
+	r := openDur(t, dir, Options{Encoding: Dewey, BufferPoolFrames: 16})
 	if got := fingerprint(t, r); got != want {
 		t.Fatalf("WAL-only recovery diverged:\n got %q\nwant %q", got, want)
 	}
@@ -101,7 +99,7 @@ func TestPagedRecoveryWithoutCheckpoint(t *testing.T) {
 // pages that update dirtied, not the whole store.
 func TestPagedIncrementalCheckpoint(t *testing.T) {
 	dir := t.TempDir()
-	s := openPaged(t, dir, 256, Dewey)
+	s := openDur(t, dir, Options{Encoding: Dewey, BufferPoolFrames: 256})
 	var b strings.Builder
 	b.WriteString("<R>")
 	for i := 0; i < 400; i++ {
@@ -116,9 +114,6 @@ func TestPagedIncrementalCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	flushes := func() int64 { return s.Metrics().Gauges["bufpool.dirty_flushes"] }
-	if !s.Pooled() {
-		t.Fatal("store is not pooled")
-	}
 	full := flushes()
 	if full < 20 {
 		t.Fatalf("first checkpoint flushed only %d pages; workload too small", full)
@@ -158,7 +153,7 @@ func TestPagedIncrementalCheckpoint(t *testing.T) {
 // shadow-paging free list).
 func TestPagedDropReleasesPages(t *testing.T) {
 	dir := t.TempDir()
-	s := openPaged(t, dir, 32, Global)
+	s := openDur(t, dir, Options{Encoding: Global, BufferPoolFrames: 32})
 	doc, err := s.LoadString("d", "<R><A>x</A><B>y</B></R>")
 	if err != nil {
 		t.Fatal(err)
@@ -176,10 +171,185 @@ func TestPagedDropReleasesPages(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	r := openPaged(t, dir, 32, Global)
+	r := openDur(t, dir, Options{Encoding: Global, BufferPoolFrames: 32})
 	docs, err := r.Documents()
 	if err != nil || len(docs) != 0 {
 		t.Fatalf("dropped document survived recovery: %v, %v", docs, err)
 	}
 	mustIntact(t, r)
+}
+
+// TestOpenDurableImportsSnapshotTier opens directories laid out by the
+// retired all-RAM tier — a full snapshot.db, with and without a WAL tail
+// behind it — and expects a one-time import: the same documents, a clean
+// integrity check, pages.db + meta.db in place of snapshot.db, and a plain
+// paged open from then on.
+func TestOpenDurableImportsSnapshotTier(t *testing.T) {
+	// oldTier builds the directory and returns the state recovery must reach.
+	oldTier := func(t *testing.T, dir string, withTail bool) string {
+		t.Helper()
+		mem, err := Open(Options{Encoding: Local, Gap: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		doc, err := mem.LoadString("hamlet", testDoc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !withTail {
+			if err := mem.SaveFile(filepath.Join(dir, importedSnapshotFile)); err != nil {
+				t.Fatal(err)
+			}
+			return fingerprint(t, mem)
+		}
+		// A checkpoint at LSN 1 that crashed before rotating the log: record 1
+		// (the insert) is inside the snapshot and must not be applied twice,
+		// record 2 (the set-value) is the tail and must be.
+		const frag, value = "<EPILOGUE>fin</EPILOGUE>", "logged after the snapshot"
+		if _, err := mem.Insert(doc, 1, LastChild, frag); err != nil {
+			t.Fatal(err)
+		}
+		if err := mem.writeWALLSN(1); err != nil {
+			t.Fatal(err)
+		}
+		if err := mem.SaveFile(filepath.Join(dir, importedSnapshotFile)); err != nil {
+			t.Fatal(err)
+		}
+		if err := mem.SetValue(doc, 3, value); err != nil {
+			t.Fatal(err)
+		}
+		var ins, set wal.BodyWriter
+		ins.Int(doc)
+		ins.Int(1)
+		ins.String(LastChild.String())
+		ins.String(frag)
+		set.Int(doc)
+		set.Int(3)
+		set.String(value)
+		lg, err := wal.Open(filepath.Join(dir, walFile), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := lg.AppendSync(recInsert, ins.Finish()); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := lg.AppendSync(recSetValue, set.Finish()); err != nil {
+			t.Fatal(err)
+		}
+		if err := lg.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return fingerprint(t, mem)
+	}
+	for _, withTail := range []bool{false, true} {
+		name := "snapshot-only"
+		if withTail {
+			name = "snapshot+wal-tail"
+		}
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			want := oldTier(t, dir, withTail)
+
+			// The snapshot's own encoding wins over the options passed.
+			s := openDur(t, dir, Options{Encoding: Dewey, BufferPoolFrames: 8})
+			if s.Encoding() != Local {
+				t.Fatalf("imported encoding = %v, want Local", s.Encoding())
+			}
+			if got := fingerprint(t, s); got != want {
+				t.Fatalf("imported state differs:\n got %q\nwant %q", got, want)
+			}
+			mustIntact(t, s)
+			wantReplayed := int64(0)
+			if withTail {
+				wantReplayed = 1
+			}
+			if n := s.Metrics().Counters["wal.replay.records"]; n != wantReplayed {
+				t.Fatalf("import replayed %d records, want %d", n, wantReplayed)
+			}
+			if got := dirNames(t, dir); got != "meta.db pages.db wal.log" {
+				t.Fatalf("directory after import holds %q", got)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			// From here on it is a paged store like any other: nothing left to
+			// import or replay, and it keeps taking updates and checkpoints.
+			r := openDur(t, dir, Options{})
+			if got := fingerprint(t, r); got != want {
+				t.Fatalf("reopened state differs:\n got %q\nwant %q", got, want)
+			}
+			if n := r.Metrics().Counters["wal.replay.records"]; n != 0 {
+				t.Fatalf("reopen after import replayed %d records", n)
+			}
+			if err := r.SetValue(1, 3, "after the import"); err != nil {
+				t.Fatal(err)
+			}
+			if err := r.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			mustIntact(t, r)
+		})
+	}
+}
+
+// TestOpenDurableFinishesInterruptedImport covers the two crash windows of
+// the import: before its checkpoint installed a manifest (pages.db holds
+// nothing durable — import again from the snapshot) and after (the manifest
+// already contains everything — only the snapshot's removal is left).
+func TestOpenDurableFinishesInterruptedImport(t *testing.T) {
+	mem, err := Open(Options{Encoding: Dewey})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mem.LoadString("hamlet", testDoc); err != nil {
+		t.Fatal(err)
+	}
+	want := fingerprint(t, mem)
+	snapshot := func(t *testing.T, dir string) {
+		t.Helper()
+		if err := mem.SaveFile(filepath.Join(dir, importedSnapshotFile)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	t.Run("before-manifest", func(t *testing.T) {
+		dir := t.TempDir()
+		snapshot(t, dir)
+		// A page file with garbage in it and no manifest beside it.
+		if err := os.WriteFile(filepath.Join(dir, pagesFile), []byte("torn"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s := openDur(t, dir, Options{})
+		if got := fingerprint(t, s); got != want {
+			t.Fatalf("re-imported state differs:\n got %q\nwant %q", got, want)
+		}
+		if got := dirNames(t, dir); got != "meta.db pages.db wal.log" {
+			t.Fatalf("directory holds %q", got)
+		}
+	})
+	t.Run("after-manifest", func(t *testing.T) {
+		dir := t.TempDir()
+		snapshot(t, dir)
+		s := openDur(t, dir, Options{})
+		if err := s.SetValue(1, 3, "newer than the snapshot"); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		newer := fingerprint(t, s)
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		// The stale snapshot reappears, as if its removal had not happened.
+		snapshot(t, dir)
+		r := openDur(t, dir, Options{})
+		if got := fingerprint(t, r); got != newer {
+			t.Fatalf("stale snapshot won over the manifest:\n got %q\nwant %q", got, newer)
+		}
+		if got := dirNames(t, dir); got != "meta.db pages.db wal.log" {
+			t.Fatalf("directory holds %q", got)
+		}
+	})
 }

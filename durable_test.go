@@ -12,14 +12,31 @@ import (
 	"ordxml/internal/failpoint"
 )
 
-// openDur opens a durable Dewey store in dir, failing the test on error.
-func openDur(t *testing.T, dir string) *Store {
+// openDur opens a durable store in dir, failing the test on error. The store
+// is closed when the test ends; tests that reopen the directory close it
+// themselves first (Close is idempotent).
+func openDur(t *testing.T, dir string, opts Options) *Store {
 	t.Helper()
-	s, err := OpenDurable(dir, Options{Encoding: Dewey})
+	s, err := OpenDurable(dir, opts)
 	if err != nil {
 		t.Fatalf("OpenDurable: %v", err)
 	}
+	t.Cleanup(func() { s.Close() })
 	return s
+}
+
+// eachPool runs fn as two sub-tests, on Dewey stores with the smallest pool
+// (8 frames: every test document evicts constantly, so recovery reads pages
+// back from disk) and with the default one (nothing is ever evicted).
+func eachPool(t *testing.T, fn func(t *testing.T, opts Options)) {
+	for _, frames := range []int{8, 0} {
+		opts := Options{Encoding: Dewey, BufferPoolFrames: frames}
+		name := fmt.Sprintf("pool=%d", frames)
+		if frames == 0 {
+			name = "pool=default"
+		}
+		t.Run(name, func(t *testing.T) { fn(t, opts) })
+	}
 }
 
 // durableLSN is the highest fsynced LSN: the assigned horizon minus the lag
@@ -61,9 +78,16 @@ func mustIntact(t *testing.T, s *Store) {
 
 func TestOpenDurableFreshEmptyWAL(t *testing.T) {
 	dir := t.TempDir()
-	s := openDur(t, dir)
+	s := openDur(t, dir, Options{})
 	if !s.Durable() {
 		t.Fatal("store not durable")
+	}
+	// Zero options still page through a pool: the default-sized one.
+	if got := dirNames(t, dir); got != "pages.db wal.log" {
+		t.Fatalf("fresh store directory holds %q", got)
+	}
+	if c := s.Metrics().Gauges["bufpool.capacity"]; c != DefaultPoolFrames {
+		t.Fatalf("bufpool.capacity = %d, want %d", c, DefaultPoolFrames)
 	}
 	if lsn, ok := s.Metrics().Gauges["wal.last_lsn"]; !ok || lsn != 0 {
 		t.Fatalf("fresh wal.last_lsn = %d, published %v", lsn, ok)
@@ -71,9 +95,8 @@ func TestOpenDurableFreshEmptyWAL(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Reopen with an empty WAL and no snapshot.
-	s = openDur(t, dir)
-	defer s.Close()
+	// Reopen with an empty WAL and no checkpoint.
+	s = openDur(t, dir, Options{})
 	docs, err := s.Documents()
 	if err != nil || len(docs) != 0 {
 		t.Fatalf("documents = %v, %v", docs, err)
@@ -81,268 +104,286 @@ func TestOpenDurableFreshEmptyWAL(t *testing.T) {
 }
 
 func TestDurableRecoversWithoutCheckpoint(t *testing.T) {
-	dir := t.TempDir()
-	s := openDur(t, dir)
-	doc, err := s.LoadString("hamlet", testDoc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hits, err := s.Query(doc, "/PLAY/ACT[1]/SCENE[1]/SPEECH[1]")
-	if err != nil || len(hits) != 1 {
-		t.Fatalf("query: %v, %v", hits, err)
-	}
-	if _, err := s.Insert(doc, hits[0].ID, After, "<SPEECH><SPEAKER>GHOST</SPEAKER></SPEECH>"); err != nil {
-		t.Fatal(err)
-	}
-	want := fingerprint(t, s)
-	if recs, lsn := s.Metrics().Counters["wal.appends"], durableLSN(s); recs != 2 || lsn != 2 {
-		t.Fatalf("wal.appends = %d, durable LSN = %d, want 2 and 2", recs, lsn)
-	}
-	s.Close()
+	eachPool(t, func(t *testing.T, opts Options) {
+		dir := t.TempDir()
+		s := openDur(t, dir, opts)
+		doc, err := s.LoadString("hamlet", testDoc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hits, err := s.Query(doc, "/PLAY/ACT[1]/SCENE[1]/SPEECH[1]")
+		if err != nil || len(hits) != 1 {
+			t.Fatalf("query: %v, %v", hits, err)
+		}
+		if _, err := s.Insert(doc, hits[0].ID, After, "<SPEECH><SPEAKER>GHOST</SPEAKER></SPEECH>"); err != nil {
+			t.Fatal(err)
+		}
+		want := fingerprint(t, s)
+		if recs, lsn := s.Metrics().Counters["wal.appends"], durableLSN(s); recs != 2 || lsn != 2 {
+			t.Fatalf("wal.appends = %d, durable LSN = %d, want 2 and 2", recs, lsn)
+		}
+		s.Close()
 
-	// No checkpoint ever ran: recovery replays the whole log into an empty
-	// store.
-	s = openDur(t, dir)
-	defer s.Close()
-	if got := fingerprint(t, s); got != want {
-		t.Fatalf("recovered state differs:\n got %q\nwant %q", got, want)
-	}
-	mustIntact(t, s)
+		// No checkpoint ever ran: recovery replays the whole log into an empty
+		// store.
+		s = openDur(t, dir, opts)
+		defer s.Close()
+		if got := fingerprint(t, s); got != want {
+			t.Fatalf("recovered state differs:\n got %q\nwant %q", got, want)
+		}
+		mustIntact(t, s)
+	})
 }
 
 func TestDurableReplayEveryMutationKind(t *testing.T) {
-	dir := t.TempDir()
-	s := openDur(t, dir)
-	doc, err := s.LoadString("hamlet", testDoc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scratch, err := s.LoadString("scratch", "<R><A/></R>")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Insert.
-	hits, err := s.Query(doc, "/PLAY/ACT[2]/SCENE[1]/SPEECH[1]")
-	if err != nil || len(hits) != 1 {
-		t.Fatalf("query: %v, %v", hits, err)
-	}
-	speech := hits[0].ID
-	if _, err := s.Insert(doc, speech, Before, "<SPEECH><SPEAKER>YORICK</SPEAKER><LINE>alas</LINE></SPEECH>"); err != nil {
-		t.Fatal(err)
-	}
-	// Delete.
-	hits, err = s.Query(doc, "/PLAY/ACT[1]/SCENE[1]/SPEECH[2]")
-	if err != nil || len(hits) != 1 {
-		t.Fatalf("query: %v, %v", hits, err)
-	}
-	if _, err := s.Delete(doc, hits[0].ID); err != nil {
-		t.Fatal(err)
-	}
-	// SetValue and Rename.
-	hits, err = s.Query(doc, "/PLAY/TITLE/text()")
-	if err != nil || len(hits) != 1 {
-		t.Fatalf("query: %v, %v", hits, err)
-	}
-	if err := s.SetValue(doc, hits[0].ID, "The Tragedy of Hamlet"); err != nil {
-		t.Fatal(err)
-	}
-	hits, err = s.Query(doc, "/PLAY/TITLE")
-	if err != nil || len(hits) != 1 {
-		t.Fatalf("query: %v, %v", hits, err)
-	}
-	if err := s.Rename(doc, hits[0].ID, "HEADLINE"); err != nil {
-		t.Fatal(err)
-	}
-	// Move.
-	hits, err = s.Query(doc, "/PLAY/ACT[2]")
-	if err != nil || len(hits) != 1 {
-		t.Fatalf("query: %v, %v", hits, err)
-	}
-	act2 := hits[0].ID
-	hits, err = s.Query(doc, "/PLAY/ACT[1]")
-	if err != nil || len(hits) != 1 {
-		t.Fatalf("query: %v, %v", hits, err)
-	}
-	if _, err := s.Move(doc, act2, hits[0].ID, Before); err != nil {
-		t.Fatal(err)
-	}
-	// Raw DML through the logged escape hatch.
-	if n, err := s.Exec(`INSERT INTO store_meta VALUES (?, ?)`, "test_marker", "survived"); err != nil || n != 1 {
-		t.Fatalf("exec: n=%d err=%v", n, err)
-	}
-	// Drop.
-	if err := s.Drop(scratch); err != nil {
-		t.Fatal(err)
-	}
-	want := fingerprint(t, s)
-	s.Close()
+	eachPool(t, func(t *testing.T, opts Options) {
+		dir := t.TempDir()
+		s := openDur(t, dir, opts)
+		doc, err := s.LoadString("hamlet", testDoc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scratch, err := s.LoadString("scratch", "<R><A/></R>")
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Insert.
+		hits, err := s.Query(doc, "/PLAY/ACT[2]/SCENE[1]/SPEECH[1]")
+		if err != nil || len(hits) != 1 {
+			t.Fatalf("query: %v, %v", hits, err)
+		}
+		speech := hits[0].ID
+		if _, err := s.Insert(doc, speech, Before, "<SPEECH><SPEAKER>YORICK</SPEAKER><LINE>alas</LINE></SPEECH>"); err != nil {
+			t.Fatal(err)
+		}
+		// Delete.
+		hits, err = s.Query(doc, "/PLAY/ACT[1]/SCENE[1]/SPEECH[2]")
+		if err != nil || len(hits) != 1 {
+			t.Fatalf("query: %v, %v", hits, err)
+		}
+		if _, err := s.Delete(doc, hits[0].ID); err != nil {
+			t.Fatal(err)
+		}
+		// SetValue and Rename.
+		hits, err = s.Query(doc, "/PLAY/TITLE/text()")
+		if err != nil || len(hits) != 1 {
+			t.Fatalf("query: %v, %v", hits, err)
+		}
+		if err := s.SetValue(doc, hits[0].ID, "The Tragedy of Hamlet"); err != nil {
+			t.Fatal(err)
+		}
+		hits, err = s.Query(doc, "/PLAY/TITLE")
+		if err != nil || len(hits) != 1 {
+			t.Fatalf("query: %v, %v", hits, err)
+		}
+		if err := s.Rename(doc, hits[0].ID, "HEADLINE"); err != nil {
+			t.Fatal(err)
+		}
+		// Move.
+		hits, err = s.Query(doc, "/PLAY/ACT[2]")
+		if err != nil || len(hits) != 1 {
+			t.Fatalf("query: %v, %v", hits, err)
+		}
+		act2 := hits[0].ID
+		hits, err = s.Query(doc, "/PLAY/ACT[1]")
+		if err != nil || len(hits) != 1 {
+			t.Fatalf("query: %v, %v", hits, err)
+		}
+		if _, err := s.Move(doc, act2, hits[0].ID, Before); err != nil {
+			t.Fatal(err)
+		}
+		// Raw DML through the logged escape hatch.
+		if n, err := s.Exec(`INSERT INTO store_meta VALUES (?, ?)`, "test_marker", "survived"); err != nil || n != 1 {
+			t.Fatalf("exec: n=%d err=%v", n, err)
+		}
+		// Drop.
+		if err := s.Drop(scratch); err != nil {
+			t.Fatal(err)
+		}
+		want := fingerprint(t, s)
+		s.Close()
 
-	s = openDur(t, dir)
-	defer s.Close()
-	if got := fingerprint(t, s); got != want {
-		t.Fatalf("recovered state differs:\n got %q\nwant %q", got, want)
-	}
-	rows, err := s.SQL(`SELECT v FROM store_meta WHERE k = ?`, "test_marker")
-	if err != nil || len(rows.Values) != 1 || rows.Values[0][0] != "survived" {
-		t.Fatalf("exec record not replayed: %v, %v", rows, err)
-	}
-	mustIntact(t, s)
+		s = openDur(t, dir, opts)
+		defer s.Close()
+		if got := fingerprint(t, s); got != want {
+			t.Fatalf("recovered state differs:\n got %q\nwant %q", got, want)
+		}
+		rows, err := s.SQL(`SELECT v FROM store_meta WHERE k = ?`, "test_marker")
+		if err != nil || len(rows.Values) != 1 || rows.Values[0][0] != "survived" {
+			t.Fatalf("exec record not replayed: %v, %v", rows, err)
+		}
+		mustIntact(t, s)
+	})
 }
 
 func TestDurableCheckpointBoundsReplay(t *testing.T) {
-	dir := t.TempDir()
-	s := openDur(t, dir)
-	doc, err := s.LoadString("hamlet", testDoc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	hits, err := s.Query(doc, "/PLAY/ACT[1]")
-	if err != nil || len(hits) != 1 {
-		t.Fatalf("query: %v, %v", hits, err)
-	}
-	if _, err := s.Insert(doc, hits[0].ID, LastChild, "<EPILOGUE/>"); err != nil {
-		t.Fatal(err)
-	}
-	want := fingerprint(t, s)
-	if n := s.Metrics().Counters["wal.rotations"]; n != 1 {
-		t.Fatalf("rotations = %d", n)
-	}
-	s.Close()
+	eachPool(t, func(t *testing.T, opts Options) {
+		dir := t.TempDir()
+		s := openDur(t, dir, opts)
+		doc, err := s.LoadString("hamlet", testDoc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		hits, err := s.Query(doc, "/PLAY/ACT[1]")
+		if err != nil || len(hits) != 1 {
+			t.Fatalf("query: %v, %v", hits, err)
+		}
+		if _, err := s.Insert(doc, hits[0].ID, LastChild, "<EPILOGUE/>"); err != nil {
+			t.Fatal(err)
+		}
+		want := fingerprint(t, s)
+		if n := s.Metrics().Counters["wal.rotations"]; n != 1 {
+			t.Fatalf("rotations = %d", n)
+		}
+		s.Close()
 
-	s = openDur(t, dir)
-	defer s.Close()
-	if got := fingerprint(t, s); got != want {
-		t.Fatalf("recovered state differs:\n got %q\nwant %q", got, want)
-	}
-	// Only the post-checkpoint insert replays, not the load.
-	if replayed := s.Metrics().Counters["wal.replay.records"]; replayed != 1 {
-		t.Fatalf("replayed %d records, want 1", replayed)
-	}
-	// LSNs continue past the checkpoint after recovery.
-	if _, err := s.Insert(doc, 1, LastChild, "<CODA/>"); err != nil {
-		t.Fatal(err)
-	}
-	if lsn := s.Metrics().Gauges["wal.last_lsn"]; lsn != 3 {
-		t.Fatalf("post-recovery LSN = %d, want 3", lsn)
-	}
-	mustIntact(t, s)
+		s = openDur(t, dir, opts)
+		defer s.Close()
+		if got := fingerprint(t, s); got != want {
+			t.Fatalf("recovered state differs:\n got %q\nwant %q", got, want)
+		}
+		// Only the post-checkpoint insert replays, not the load.
+		if replayed := s.Metrics().Counters["wal.replay.records"]; replayed != 1 {
+			t.Fatalf("replayed %d records, want 1", replayed)
+		}
+		// LSNs continue past the checkpoint after recovery.
+		if _, err := s.Insert(doc, 1, LastChild, "<CODA/>"); err != nil {
+			t.Fatal(err)
+		}
+		if lsn := s.Metrics().Gauges["wal.last_lsn"]; lsn != 3 {
+			t.Fatalf("post-recovery LSN = %d, want 3", lsn)
+		}
+		mustIntact(t, s)
+	})
 }
 
 func TestDurableTornTailDropsLastOp(t *testing.T) {
-	dir := t.TempDir()
-	s := openDur(t, dir)
-	doc, err := s.LoadString("hamlet", testDoc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hits, err := s.Query(doc, "/PLAY/ACT[1]")
-	if err != nil || len(hits) != 1 {
-		t.Fatalf("query: %v, %v", hits, err)
-	}
-	want := fingerprint(t, s)
-	if _, err := s.Insert(doc, hits[0].ID, LastChild, "<LOST/>"); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
+	eachPool(t, func(t *testing.T, opts Options) {
+		dir := t.TempDir()
+		s := openDur(t, dir, opts)
+		doc, err := s.LoadString("hamlet", testDoc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hits, err := s.Query(doc, "/PLAY/ACT[1]")
+		if err != nil || len(hits) != 1 {
+			t.Fatalf("query: %v, %v", hits, err)
+		}
+		want := fingerprint(t, s)
+		if _, err := s.Insert(doc, hits[0].ID, LastChild, "<LOST/>"); err != nil {
+			t.Fatal(err)
+		}
+		s.Close()
 
-	// Chop one byte off the log: the final record becomes a torn tail, as
-	// if the crash landed mid-write before the insert was acknowledged.
-	walPath := filepath.Join(dir, "wal.log")
-	st, err := os.Stat(walPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Truncate(walPath, st.Size()-1); err != nil {
-		t.Fatal(err)
-	}
+		// Chop one byte off the log: the final record becomes a torn tail, as
+		// if the crash landed mid-write before the insert was acknowledged.
+		walPath := filepath.Join(dir, "wal.log")
+		st, err := os.Stat(walPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Truncate(walPath, st.Size()-1); err != nil {
+			t.Fatal(err)
+		}
 
-	s = openDur(t, dir)
-	defer s.Close()
-	if got := fingerprint(t, s); got != want {
-		t.Fatalf("recovered state differs:\n got %q\nwant %q", got, want)
-	}
-	mustIntact(t, s)
+		s = openDur(t, dir, opts)
+		defer s.Close()
+		if got := fingerprint(t, s); got != want {
+			t.Fatalf("recovered state differs:\n got %q\nwant %q", got, want)
+		}
+		mustIntact(t, s)
+	})
 }
 
 func TestDurableInterruptedCheckpoint(t *testing.T) {
 	// An error injected at any checkpoint stage must leave a store that
-	// closes and recovers to exactly the pre-checkpoint state.
+	// closes and recovers — from the previous checkpoint, when there is one,
+	// plus the log — to exactly the pre-checkpoint state.
 	for _, fp := range []string{
-		"checkpoint.before-snapshot",
-		"checkpoint.before-rename",
-		"checkpoint.after-rename",
+		"checkpoint.paged.before-flush",
+		"checkpoint.paged.before-meta",
+		"checkpoint.paged.after-meta",
 		"wal.rotate.before",
 		"wal.rotate.before-rename",
 	} {
-		t.Run(fp, func(t *testing.T) {
-			failpoint.Reset()
-			t.Cleanup(failpoint.Reset)
-			dir := t.TempDir()
-			s := openDur(t, dir)
-			doc, err := s.LoadString("hamlet", testDoc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := s.SetValue(doc, 3, "renamed play"); err != nil {
-				t.Fatal(err)
-			}
-			want := fingerprint(t, s)
-			if err := failpoint.Arm(fp, failpoint.Error, 1); err != nil {
-				t.Fatal(err)
-			}
-			if err := s.Checkpoint(); !errors.Is(err, failpoint.ErrInjected) {
-				t.Fatalf("checkpoint error = %v, want injected", err)
-			}
-			s.Close()
+		for _, prior := range []string{"first", "second"} {
+			t.Run(fp+"/"+prior, func(t *testing.T) {
+				failpoint.Reset()
+				t.Cleanup(failpoint.Reset)
+				dir := t.TempDir()
+				opts := Options{Encoding: Dewey, BufferPoolFrames: 8}
+				s := openDur(t, dir, opts)
+				doc, err := s.LoadString("hamlet", testDoc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if prior == "second" {
+					if err := s.Checkpoint(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := s.SetValue(doc, 3, "renamed play"); err != nil {
+					t.Fatal(err)
+				}
+				want := fingerprint(t, s)
+				if err := failpoint.Arm(fp, failpoint.Error, 1); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.Checkpoint(); !errors.Is(err, failpoint.ErrInjected) {
+					t.Fatalf("checkpoint error = %v, want injected", err)
+				}
+				s.Close()
 
-			s = openDur(t, dir)
-			defer s.Close()
-			if got := fingerprint(t, s); got != want {
-				t.Fatalf("recovered state differs:\n got %q\nwant %q", got, want)
-			}
-			mustIntact(t, s)
-			// The store must still checkpoint cleanly afterwards.
-			if err := s.Checkpoint(); err != nil {
-				t.Fatalf("checkpoint after recovery: %v", err)
-			}
-		})
+				s = openDur(t, dir, opts)
+				if got := fingerprint(t, s); got != want {
+					t.Fatalf("recovered state differs:\n got %q\nwant %q", got, want)
+				}
+				mustIntact(t, s)
+				// The store must still checkpoint cleanly afterwards.
+				if err := s.Checkpoint(); err != nil {
+					t.Fatalf("checkpoint after recovery: %v", err)
+				}
+			})
+		}
 	}
 }
 
 func TestDurableFailedOpReplaysAsFailure(t *testing.T) {
-	dir := t.TempDir()
-	s := openDur(t, dir)
-	doc, err := s.LoadString("hamlet", testDoc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The operation is logged before the engine discovers it is invalid;
-	// replay must re-fail it identically instead of aborting recovery.
-	if _, err := s.Insert(doc, 99999, LastChild, "<X/>"); err == nil {
-		t.Fatal("insert at a bogus target succeeded")
-	}
-	want := fingerprint(t, s)
-	s.Close()
+	eachPool(t, func(t *testing.T, opts Options) {
+		dir := t.TempDir()
+		s := openDur(t, dir, opts)
+		doc, err := s.LoadString("hamlet", testDoc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The operation is logged before the engine discovers it is invalid;
+		// replay must re-fail it identically instead of aborting recovery.
+		if _, err := s.Insert(doc, 99999, LastChild, "<X/>"); err == nil {
+			t.Fatal("insert at a bogus target succeeded")
+		}
+		want := fingerprint(t, s)
+		s.Close()
 
-	s = openDur(t, dir)
-	defer s.Close()
-	if got := fingerprint(t, s); got != want {
-		t.Fatalf("recovered state differs:\n got %q\nwant %q", got, want)
-	}
-	if n := s.Metrics().Counters["wal.replay.op_errors"]; n != 1 {
-		t.Fatalf("replay op errors = %d, want 1", n)
-	}
-	mustIntact(t, s)
+		s = openDur(t, dir, opts)
+		defer s.Close()
+		if got := fingerprint(t, s); got != want {
+			t.Fatalf("recovered state differs:\n got %q\nwant %q", got, want)
+		}
+		if n := s.Metrics().Counters["wal.replay.op_errors"]; n != 1 {
+			t.Fatalf("replay op errors = %d, want 1", n)
+		}
+		mustIntact(t, s)
+	})
 }
 
 func TestDurableWALFailureRefusesMutations(t *testing.T) {
 	failpoint.Reset()
 	t.Cleanup(failpoint.Reset)
 	dir := t.TempDir()
-	s := openDur(t, dir)
+	s := openDur(t, dir, Options{Encoding: Dewey})
 	defer s.Close()
 	doc, err := s.LoadString("hamlet", testDoc)
 	if err != nil {
@@ -364,54 +405,127 @@ func TestDurableWALFailureRefusesMutations(t *testing.T) {
 }
 
 func TestDurableConcurrentMutations(t *testing.T) {
-	dir := t.TempDir()
-	s := openDur(t, dir)
-	const writers, per = 4, 8
-	docs := make([]DocID, writers)
-	for i := range docs {
-		var err error
-		if docs[i], err = s.LoadString(fmt.Sprintf("doc-%d", i), "<R><A>seed</A></R>"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var wg sync.WaitGroup
-	errs := make(chan error, writers)
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			doc := docs[w]
-			hits, err := s.Query(doc, "/R/A")
-			if err != nil || len(hits) != 1 {
-				errs <- fmt.Errorf("writer %d: query: %v, %v", w, hits, err)
-				return
+	eachPool(t, func(t *testing.T, opts Options) {
+		dir := t.TempDir()
+		s := openDur(t, dir, opts)
+		const writers, per = 4, 8
+		docs := make([]DocID, writers)
+		for i := range docs {
+			var err error
+			if docs[i], err = s.LoadString(fmt.Sprintf("doc-%d", i), "<R><A>seed</A></R>"); err != nil {
+				t.Fatal(err)
 			}
-			for i := 0; i < per; i++ {
-				if _, err := s.Insert(doc, hits[0].ID, After, fmt.Sprintf("<B n=%q/>", fmt.Sprint(i))); err != nil {
-					errs <- fmt.Errorf("writer %d insert %d: %w", w, i, err)
+		}
+		var wg sync.WaitGroup
+		errs := make(chan error, writers)
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				doc := docs[w]
+				hits, err := s.Query(doc, "/R/A")
+				if err != nil || len(hits) != 1 {
+					errs <- fmt.Errorf("writer %d: query: %v, %v", w, hits, err)
 					return
 				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	want := fingerprint(t, s)
-	wantRecs := int64(writers*per + writers)
-	if recs, lsn := s.Metrics().Counters["wal.appends"], durableLSN(s); recs != wantRecs || lsn != wantRecs {
-		t.Fatalf("wal.appends = %d, durable LSN = %d, want %d records", recs, lsn, wantRecs)
-	}
-	s.Close()
+				for i := 0; i < per; i++ {
+					if _, err := s.Insert(doc, hits[0].ID, After, fmt.Sprintf("<B n=%q/>", fmt.Sprint(i))); err != nil {
+						errs <- fmt.Errorf("writer %d insert %d: %w", w, i, err)
+						return
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatal(err)
+		}
+		want := fingerprint(t, s)
+		wantRecs := int64(writers*per + writers)
+		if recs, lsn := s.Metrics().Counters["wal.appends"], durableLSN(s); recs != wantRecs || lsn != wantRecs {
+			t.Fatalf("wal.appends = %d, durable LSN = %d, want %d records", recs, lsn, wantRecs)
+		}
+		s.Close()
 
-	s = openDur(t, dir)
-	defer s.Close()
-	if got := fingerprint(t, s); got != want {
-		t.Fatalf("recovered state differs:\n got %q\nwant %q", got, want)
+		s = openDur(t, dir, opts)
+		defer s.Close()
+		if got := fingerprint(t, s); got != want {
+			t.Fatalf("recovered state differs:\n got %q\nwant %q", got, want)
+		}
+		mustIntact(t, s)
+	})
+}
+
+// TestDurableClosedStore pins the Close contract: closing twice is a no-op,
+// and every other call on a closed store fails with ErrClosed without
+// touching the released log and page file — in particular without degrading
+// the store, which a write to the closed log would.
+func TestDurableClosedStore(t *testing.T) {
+	type call struct {
+		name string
+		call func(s *Store, doc DocID) error
 	}
-	mustIntact(t, s)
+	calls := []call{
+		{"Close", func(s *Store, _ DocID) error { return s.Close() }},
+		{"Load", func(s *Store, _ DocID) error { _, err := s.LoadString("late", "<R/>"); return err }},
+		{"Insert", func(s *Store, doc DocID) error { _, err := s.Insert(doc, 1, LastChild, "<X/>"); return err }},
+		{"Delete", func(s *Store, doc DocID) error { _, err := s.Delete(doc, 2); return err }},
+		{"SetValue", func(s *Store, doc DocID) error { return s.SetValue(doc, 3, "late") }},
+		{"Rename", func(s *Store, doc DocID) error { return s.Rename(doc, 1, "LATE") }},
+		{"Move", func(s *Store, doc DocID) error { _, err := s.Move(doc, 2, 1, LastChild); return err }},
+		{"Drop", func(s *Store, doc DocID) error { return s.Drop(doc) }},
+		{"Exec", func(s *Store, _ DocID) error {
+			_, err := s.Exec(`DELETE FROM store_meta WHERE k = ?`, "nope")
+			return err
+		}},
+		{"Checkpoint", func(s *Store, _ DocID) error { return s.Checkpoint() }},
+		{"Query", func(s *Store, doc DocID) error { _, err := s.Query(doc, "/PLAY/TITLE"); return err }},
+		{"QueryValues", func(s *Store, doc DocID) error { _, err := s.QueryValues(doc, "/PLAY/TITLE"); return err }},
+		{"Serialize", func(s *Store, doc DocID) error { _, err := s.SerializeDocument(doc); return err }},
+		{"SQL", func(s *Store, _ DocID) error { _, err := s.SQL(`SELECT k FROM store_meta`); return err }},
+		{"Documents", func(s *Store, _ DocID) error { _, err := s.Documents(); return err }},
+		{"CheckIntegrity", func(s *Store, _ DocID) error { _, err := s.CheckIntegrity(); return err }},
+	}
+	// Each call runs as the first thing after Close, and again after every
+	// other call has had its turn against the closed store.
+	for _, first := range calls {
+		t.Run(first.name, func(t *testing.T) {
+			dir := t.TempDir()
+			opts := Options{Encoding: Dewey, BufferPoolFrames: 8}
+			s := openDur(t, dir, opts)
+			doc, err := s.LoadString("hamlet", testDoc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := fingerprint(t, s)
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range append([]call{first}, calls...) {
+				err := c.call(s, doc)
+				if c.name == "Close" {
+					if err != nil {
+						t.Fatalf("Close on a closed store: %v", err)
+					}
+				} else if !errors.Is(err, ErrClosed) {
+					t.Fatalf("%s on a closed store: %v, want ErrClosed", c.name, err)
+				}
+			}
+			if ok, cause := s.Degraded(); ok {
+				t.Fatalf("use after close degraded the store: %s", cause)
+			}
+			// Nothing reached the files: the directory reopens to the state
+			// it was closed in.
+			r := openDur(t, dir, opts)
+			if got := fingerprint(t, r); got != want {
+				t.Fatalf("state after use-after-close differs:\n got %q\nwant %q", got, want)
+			}
+			if n := r.Metrics().Counters["wal.replay.records"]; n != 1 {
+				t.Fatalf("replayed %d records, want the 1 load", n)
+			}
+		})
+	}
 }
 
 func TestMemoryStoreHasNoDurability(t *testing.T) {

@@ -43,6 +43,9 @@ var (
 	// a WAL or page-file I/O error made further writes unsafe, so the store
 	// serves reads only. Reopen the store to attempt recovery.
 	ErrReadOnly = errors.New("store is read-only (degraded after an I/O error)")
+	// ErrClosed reports a call on a durable store after Close released its
+	// log and page file. Nothing is touched; reopen the directory to continue.
+	ErrClosed = errors.New("store is closed")
 )
 
 // storeGovern is the store's governance state. Zero value = ungoverned: no
@@ -153,6 +156,9 @@ func (s *Store) readOnlyErr() error {
 // must be called when the request finishes; it releases the admission slot
 // and the timeout's resources.
 func (s *Store) beginRead(ctx context.Context) (context.Context, func(), error) {
+	if err := s.closedErr(); err != nil {
+		return nil, nil, err
+	}
 	release, err := s.gov.gate.Load().Acquire(ctx)
 	if err != nil {
 		return nil, nil, err

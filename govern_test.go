@@ -363,7 +363,7 @@ func TestWALFailureDegradesToReadOnly(t *testing.T) {
 	failpoint.Reset()
 	t.Cleanup(failpoint.Reset)
 	dir := t.TempDir()
-	s := openDur(t, dir)
+	s := openDur(t, dir, Options{Encoding: Dewey})
 	doc, err := s.LoadString("hamlet", testDoc)
 	if err != nil {
 		t.Fatal(err)
@@ -415,7 +415,7 @@ func TestWALFailureDegradesToReadOnly(t *testing.T) {
 	// writable again. The doomed record failed before its fsync but after the
 	// file write, so replay may legitimately surface either state — the
 	// integrity check, not the fingerprint, is the recovery contract here.
-	s = openDur(t, dir)
+	s = openDur(t, dir, Options{Encoding: Dewey})
 	defer s.Close()
 	if ok, _ := s.Degraded(); ok {
 		t.Fatal("reopened store still degraded")
@@ -433,7 +433,7 @@ func TestPageWriteFailureDegradesStore(t *testing.T) {
 	failpoint.Reset()
 	t.Cleanup(failpoint.Reset)
 	dir := t.TempDir()
-	s := openPaged(t, dir, 16, Dewey)
+	s := openDur(t, dir, Options{Encoding: Dewey, BufferPoolFrames: 16})
 	doc, err := s.LoadString("hamlet", testDoc)
 	if err != nil {
 		t.Fatal(err)
@@ -461,7 +461,7 @@ func TestPageWriteFailureDegradesStore(t *testing.T) {
 	}
 	s.Close()
 
-	s2 := openPaged(t, dir, 16, Dewey)
+	s2 := openDur(t, dir, Options{Encoding: Dewey, BufferPoolFrames: 16})
 	if ok, _ := s2.Degraded(); ok {
 		t.Fatal("reopened store still degraded")
 	}

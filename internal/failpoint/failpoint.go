@@ -8,7 +8,7 @@
 // Arming is programmatic (Arm, for unit tests) or via the environment (the
 // ORDXML_FAILPOINTS variable, for child processes in crash-torture tests):
 //
-//	ORDXML_FAILPOINTS="wal.sync.before-fsync=crash@3,checkpoint.before-rename=error"
+//	ORDXML_FAILPOINTS="wal.sync.before-fsync=crash@3,checkpoint.paged.before-meta=error"
 //
 // Each entry is <name>=<mode>[@N]; the failpoint triggers on its Nth hit
 // (default 1). Mode "crash" terminates the process immediately with

@@ -3,8 +3,8 @@ package atomicmix_test
 import (
 	"testing"
 
-	"ordxml/internal/lint/framework"
 	"ordxml/internal/lint/atomicmix"
+	"ordxml/internal/lint/framework"
 )
 
 // TestAtomicMix runs the analyzer over a package mixing raw sync/atomic

@@ -26,7 +26,7 @@ func Read(c *Counter) uint64 {
 // Racy mixes plain accesses into locations the functions above treat as
 // atomic: every one is a data race against Inc/Read.
 func Racy(c *Counter) uint64 {
-	c.n = 0 // want `mixed atomic and plain access: n is accessed with sync/atomic elsewhere`
+	c.n = 0         // want `mixed atomic and plain access: n is accessed with sync/atomic elsewhere`
 	v := c.n + hits // want `mixed atomic and plain access: n is accessed with sync/atomic elsewhere` `mixed atomic and plain access: hits is accessed with sync/atomic elsewhere`
 	return v
 }

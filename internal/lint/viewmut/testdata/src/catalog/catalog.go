@@ -58,9 +58,9 @@ func fill(td *TableData) {
 
 // Refresh mutates a published view in place — the contract violation.
 func Refresh(v *View, t *Table) {
-	v.version++           // want `mutation of published snapshot: write to catalog.View.version outside the view builders`
-	v.tables[t.Name] = t  // want `mutation of published snapshot: write to catalog.View.tables outside the view builders`
-	v.data[t].heap = nil  // want `mutation of published snapshot: write to catalog.TableData.heap outside the view builders`
+	v.version++          // want `mutation of published snapshot: write to catalog.View.version outside the view builders`
+	v.tables[t.Name] = t // want `mutation of published snapshot: write to catalog.View.tables outside the view builders`
+	v.data[t].heap = nil // want `mutation of published snapshot: write to catalog.TableData.heap outside the view builders`
 }
 
 // evict mutates a published TableData through a method: its only caller is

@@ -78,12 +78,12 @@ func TestSpanTreeRecording(t *testing.T) {
 		t.Fatal("child not attached to ctx")
 	}
 	child.Arg("rows", 7)
-	child.End() // end 3ms, dur 1ms
-	w := root.StartWorker("worker", 2) // start 4ms
-	w.End()                            // end 5ms
+	child.End()                                 // end 3ms, dur 1ms
+	w := root.StartWorker("worker", 2)          // start 4ms
+	w.End()                                     // end 5ms
 	root.Event("note", Arg{Key: "k", Val: "v"}) // 6ms
-	root.End() // end 7ms, dur 6ms
-	root.End() // double End is a no-op
+	root.End()                                  // end 7ms, dur 6ms
+	root.End()                                  // double End is a no-op
 
 	recs := tr.Snapshot()
 	if len(recs) != 4 {

@@ -471,9 +471,21 @@ func (p *Pool) evictFrame(f *Frame) bool {
 }
 
 // flushFrame writes one dirty frame's payload to the page file and marks it
-// clean. Writer side only. The frame stays resident.
+// clean. Writer side only. The frame stays resident. Callers collect dirty
+// frames without holding the shard lock across the write, so the frame may
+// have been freed (FreeID → dropFrame, today from a GC finalizer) since the
+// caller saw it dirty: a frame that is no longer dirty is skipped, and the
+// dirty→clean transition is a swap under the shard lock, so whichever of
+// flushFrame and dropFrame gets there first is the one that decrements the
+// dirty count.
 func (p *Pool) flushFrame(f *Frame) error {
-	b := f.data.Load()
+	sh := p.shard(f.id)
+	sh.mu.Lock()
+	b, dirty := f.data.Load(), f.dirty.Load()
+	sh.mu.Unlock()
+	if !dirty {
+		return nil
+	}
 	if b == nil {
 		return fmt.Errorf("bufpool: dirty frame %d has no payload", f.id)
 	}
@@ -492,8 +504,11 @@ func (p *Pool) flushFrame(f *Frame) error {
 	if err := p.file.WritePage(f.id, lsn, *b); err != nil {
 		return p.writeError(err)
 	}
-	f.dirty.Store(false)
-	p.dirtyCount.Add(-1)
+	sh.mu.Lock()
+	if f.dirty.Swap(false) {
+		p.dirtyCount.Add(-1)
+	}
+	sh.mu.Unlock()
 	p.dirtyFlushes.Add(1)
 	return nil
 }

@@ -177,6 +177,43 @@ func TestEnsureDurableCalledBeforeFlush(t *testing.T) {
 	}
 }
 
+// TestFlushAllSkipsFrameFreedMidFlush is the regression test for the
+// checkpoint/finalizer race: FlushAll collects a shard's dirty frames, then
+// flushes them without the shard lock, and a FreeID in between (a GC
+// finalizer in production; the EnsureDurable hook here) drops a collected
+// frame's payload. The flush must skip that frame, not fail the checkpoint,
+// and the dirty count must come out at exactly zero.
+func TestFlushAllSkipsFrameFreedMidFlush(t *testing.T) {
+	p := newTestPool(t, 32) // large enough that allocation evicts nothing
+	for id := PageID(1); id <= 17; id++ {
+		f, err := p.Alloc()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.ID() != id {
+			t.Fatalf("allocated page %d, want %d", f.ID(), id)
+		}
+		f.Unpin()
+	}
+	// Shards flush in index order and frames within a shard in id order:
+	// shard 0 holds page 16 alone, then shard 1's pages 1 and 17 are
+	// collected together. Free 17 while 1 — the second flush — is on its way
+	// to disk.
+	flushes := 0
+	p.EnsureDurable = func(uint64) error {
+		if flushes++; flushes == 2 {
+			p.FreeID(17)
+		}
+		return nil
+	}
+	if err := p.FlushAll(); err != nil {
+		t.Fatalf("FlushAll with a frame freed mid-flush: %v", err)
+	}
+	if st := p.Stats(); st.Dirty != 0 || st.DirtyFlushes != 16 {
+		t.Fatalf("after flush: %d dirty frames, %d flushes; want 0 and 16", st.Dirty, st.DirtyFlushes)
+	}
+}
+
 func TestFreeIDRoutingAndCheckpointCommit(t *testing.T) {
 	p := newTestPool(t, 8)
 	a, err := p.Alloc()

@@ -84,24 +84,24 @@ func (db *DB) Dump(w io.Writer) error {
 	return err
 }
 
-// Load reads a snapshot produced by Dump into a fresh database. For
-// version-2 snapshots the checksum trailer is verified: a truncated or
-// bit-flipped snapshot fails with a descriptive error instead of loading a
-// silently wrong database.
-func Load(r io.Reader) (*DB, error) {
+// Load reads a snapshot produced by Dump into db, which must be empty and
+// not yet shared (Open for an in-memory database, OpenPooled to import the
+// snapshot into paged storage). For version-2 snapshots the checksum trailer
+// is verified: a truncated or bit-flipped snapshot fails with a descriptive
+// error instead of loading a silently wrong database; db is then garbage.
+func Load(r io.Reader, db *DB) error {
 	br := bufio.NewReader(r)
 	in := &pread{r: br, sum: crc32.NewIEEE()}
 
 	magic := in.bytes(len(persistMagic))
 	if in.err == nil && string(magic) != persistMagic {
-		return nil, fmt.Errorf("not an ordxml database snapshot")
+		return fmt.Errorf("not an ordxml database snapshot")
 	}
 	version := in.uvarint()
 	if in.err == nil && version != 1 && version != persistVersion {
-		return nil, fmt.Errorf("unsupported snapshot version %d (this build reads versions 1 and %d)",
+		return fmt.Errorf("unsupported snapshot version %d (this build reads versions 1 and %d)",
 			version, persistVersion)
 	}
-	db := Open()
 	nTables := in.uvarint()
 	type pendingIndex struct {
 		name, table string
@@ -125,7 +125,7 @@ func Load(r io.Reader) (*DB, error) {
 		}
 		t, err := db.cat.CreateTable(name, cols)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		// Rows go through the batch fast path (heap append, no per-row
 		// parse/plan or index churn — indexes are rebuilt bottom-up below),
@@ -150,17 +150,17 @@ func Load(r io.Reader) (*DB, error) {
 			}
 			row, err := sqltypes.DecodeRow(data)
 			if err != nil {
-				return nil, fmt.Errorf("table %s row %d: %w", name, ri, err)
+				return fmt.Errorf("table %s row %d: %w", name, ri, err)
 			}
 			batch = append(batch, row)
 			if len(batch) == loadChunk {
 				if err := flush(); err != nil {
-					return nil, err
+					return err
 				}
 			}
 		}
 		if err := flush(); err != nil {
-			return nil, err
+			return err
 		}
 		nIdx := in.uvarint()
 		for ii := uint64(0); ii < nIdx && in.err == nil; ii++ {
@@ -174,30 +174,30 @@ func Load(r io.Reader) (*DB, error) {
 		}
 	}
 	if in.err != nil {
-		return nil, fmt.Errorf("snapshot read: %w", in.err)
+		return fmt.Errorf("snapshot read: %w", in.err)
 	}
 	if version >= 2 {
 		got := in.sum.Sum32() // body CRC; the trailer itself is not hashed
 		tr := in.bytes(len(trailerMagic) + 4)
 		if in.err != nil {
-			return nil, fmt.Errorf("snapshot is truncated (missing checksum trailer): %w", in.err)
+			return fmt.Errorf("snapshot is truncated (missing checksum trailer): %w", in.err)
 		}
 		if string(tr[:len(trailerMagic)]) != trailerMagic {
-			return nil, fmt.Errorf("snapshot is truncated or corrupt (bad checksum trailer magic %q)",
+			return fmt.Errorf("snapshot is truncated or corrupt (bad checksum trailer magic %q)",
 				tr[:len(trailerMagic)])
 		}
 		if want := binary.LittleEndian.Uint32(tr[len(trailerMagic):]); want != got {
-			return nil, fmt.Errorf("snapshot checksum mismatch (corrupt snapshot: computed %08x, stored %08x)",
+			return fmt.Errorf("snapshot checksum mismatch (corrupt snapshot: computed %08x, stored %08x)",
 				got, want)
 		}
 	}
 	for _, pi := range indexes {
 		if _, err := db.cat.CreateIndex(pi.name, pi.table, pi.cols, pi.unique); err != nil {
-			return nil, fmt.Errorf("rebuild index %s: %w", pi.name, err)
+			return fmt.Errorf("rebuild index %s: %w", pi.name, err)
 		}
 	}
 	db.publish()
-	return db, nil
+	return nil
 }
 
 // perr is a sticky-error binary writer.

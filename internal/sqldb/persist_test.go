@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"bytes"
+	"io"
 	"testing"
 
 	"ordxml/internal/sqldb/sqltypes"
@@ -27,7 +28,7 @@ func TestPersistRoundTrip(t *testing.T) {
 	if err := db.Dump(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := Load(&buf)
+	back, err := load(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func contains(s, sub string) bool {
 
 func TestPersistBadInput(t *testing.T) {
 	for _, data := range []string{"", "short", "ordxmlDB\xff\xff\xff\xff\xff"} {
-		if _, err := Load(bytes.NewReader([]byte(data))); err == nil {
+		if _, err := load(bytes.NewReader([]byte(data))); err == nil {
 			t.Errorf("Load(%q) succeeded", data)
 		}
 	}
@@ -75,9 +76,15 @@ func TestPersistBadInput(t *testing.T) {
 	var buf bytes.Buffer
 	buf.WriteString("ordxmlDB")
 	buf.WriteByte(99) // uvarint version 99
-	if _, err := Load(&buf); err == nil {
+	if _, err := load(&buf); err == nil {
 		t.Error("future version accepted")
 	}
+}
+
+// load reads a snapshot into a fresh in-memory database.
+func load(r io.Reader) (*DB, error) {
+	db := Open()
+	return db, Load(r, db)
 }
 
 // dumpSample builds a small database and returns its snapshot bytes.
@@ -102,11 +109,11 @@ func TestPersistTruncatedRejected(t *testing.T) {
 	// Every proper prefix must be rejected: with the checksum trailer a
 	// truncation can no longer masquerade as a smaller valid snapshot.
 	for cut := 0; cut < len(data); cut++ {
-		if _, err := Load(bytes.NewReader(data[:cut])); err == nil {
+		if _, err := load(bytes.NewReader(data[:cut])); err == nil {
 			t.Fatalf("truncated snapshot (%d of %d bytes) loaded", cut, len(data))
 		}
 	}
-	if _, err := Load(bytes.NewReader(data)); err != nil {
+	if _, err := load(bytes.NewReader(data)); err != nil {
 		t.Fatalf("full snapshot rejected: %v", err)
 	}
 }
@@ -118,7 +125,7 @@ func TestPersistCorruptionRejected(t *testing.T) {
 	for _, pos := range []int{len(persistMagic) + 1, len(data) / 2, len(data) - 13} {
 		bad := append([]byte(nil), data...)
 		bad[pos] ^= 0x40
-		if _, err := Load(bytes.NewReader(bad)); err == nil {
+		if _, err := load(bytes.NewReader(bad)); err == nil {
 			t.Errorf("bit flip at %d not detected", pos)
 		}
 	}
@@ -134,7 +141,7 @@ func TestPersistReadsVersion1(t *testing.T) {
 		t.Fatalf("version byte = %d", v1[len(persistMagic)])
 	}
 	v1[len(persistMagic)] = 1
-	db, err := Load(bytes.NewReader(v1))
+	db, err := load(bytes.NewReader(v1))
 	if err != nil {
 		t.Fatalf("version-1 snapshot rejected: %v", err)
 	}

@@ -75,17 +75,18 @@ type Options struct {
 	// DeweyAsText stores Dewey keys as padded strings instead of the binary
 	// codec (larger, slower; kept for the paper's codec ablation).
 	DeweyAsText bool
-	// BufferPoolFrames, when positive, makes OpenDurable back the store's
-	// heaps and indexes with a fixed-capacity buffer pool over an on-disk
-	// page file, so the store can hold datasets larger than RAM and
-	// checkpoint incrementally (only dirty pages are written). Zero keeps
-	// the default all-in-RAM storage with full-snapshot checkpoints.
-	// Ignored by the memory-only Open.
+	// BufferPoolFrames sizes the buffer pool every OpenDurable store pages
+	// its heaps and indexes through: the number of 8 KiB pages kept resident
+	// over the on-disk page file. Zero or negative means DefaultPoolFrames.
+	// It selects nothing else — a durable store can always hold more data
+	// than RAM and always checkpoints incrementally — and the memory-only
+	// Open ignores it.
 	BufferPoolFrames int
 }
 
 // WithBufferPool returns default Options with an n-frame buffer pool, for
-// the common ordxml.OpenDurable(dir, ordxml.WithBufferPool(n)) call.
+// the common ordxml.OpenDurable(dir, ordxml.WithBufferPool(n)) call; n sizes
+// the pool and nothing else (see Options.BufferPoolFrames).
 func WithBufferPool(n int) Options { return Options{BufferPoolFrames: n} }
 
 // DocID identifies a stored document.
@@ -272,6 +273,9 @@ func (s *Store) DropCtx(ctx context.Context, doc DocID) error {
 
 // Documents lists stored documents.
 func (s *Store) Documents() ([]DocInfo, error) {
+	if err := s.closedErr(); err != nil {
+		return nil, err
+	}
 	infos, err := shred.Documents(s.db)
 	if err != nil {
 		return nil, err
@@ -539,9 +543,8 @@ type SlowQuery = sqldb.SlowQuery
 // Metrics returns a snapshot of the store's engine metrics, the one
 // statistics call: statement counts and latency histograms (sqldb.*), XPath
 // query count and latency (xpath.*), plan-cache counters (sqldb.plancache.*),
-// logical work and page/node read counters (storage.*) and, on durable and
-// pooled stores, write-ahead log (wal.*) and buffer-pool (bufpool.*)
-// activity. Subtract two snapshots to measure an operation. README
+// logical work and page/node read counters (storage.*) and, on durable
+// stores, write-ahead log (wal.*) and buffer-pool (bufpool.*) activity. Subtract two snapshots to measure an operation. README
 // "Observability" lists every name.
 func (s *Store) Metrics() Metrics { return s.db.Metrics() }
 
@@ -555,6 +558,9 @@ func (s *Store) ExplainSQL(query string) (string, error) {
 // wall time per operator. Equivalent to running `EXPLAIN ANALYZE <query>`
 // through SQL.
 func (s *Store) ExplainAnalyzeSQL(query string, args ...any) (string, error) {
+	if err := s.closedErr(); err != nil {
+		return "", err
+	}
 	params, err := toValues(args)
 	if err != nil {
 		return "", err
@@ -805,6 +811,9 @@ func (s *Store) moveTree(doc DocID, id, target NodeID, pos Position) (UpdateRepo
 // It returns the list of violations; an empty list means the stored form is
 // consistent.
 func (s *Store) Check(doc DocID) ([]string, error) {
+	if err := s.closedErr(); err != nil {
+		return nil, err
+	}
 	c, err := check.New(s.db, s.opts)
 	if err != nil {
 		return nil, err
@@ -831,6 +840,9 @@ const (
 )
 
 func (s *Store) CheckIntegrity() ([]string, error) {
+	if err := s.closedErr(); err != nil {
+		return nil, err
+	}
 	reg := s.db.Registry()
 	problems, err := check.Verify(s.db, s.opts)
 	reg.Gauge("integrity.last_run_unix").Set(time.Now().Unix())

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"strconv"
 
 	"ordxml/internal/core/encoding"
@@ -13,7 +12,6 @@ import (
 	"ordxml/internal/core/translate"
 	"ordxml/internal/core/update"
 	"ordxml/internal/sqldb"
-	"ordxml/internal/wal"
 )
 
 // This file implements snapshot persistence for stores: Save streams the
@@ -103,61 +101,57 @@ func (s *Store) Save(w io.Writer) error {
 }
 
 // SaveFile writes a snapshot to path, replacing any existing file. The
-// replacement is atomic: the snapshot is written to a temporary file in the
-// same directory, synced, and renamed over path, so a crash mid-save leaves
-// either the old complete snapshot or the new one — never a partial file.
+// replacement is atomic (see installFile): a crash mid-save leaves either
+// the old complete snapshot or the new one — never a partial file.
 func (s *Store) SaveFile(path string) error {
-	f, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp-*")
-	if err != nil {
+	if err := installFile(path, s.Save); err != nil {
 		return fmt.Errorf("save snapshot: %w", err)
 	}
-	tmp := f.Name()
-	fail := func(err error) error {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("save snapshot: %w", err)
-	}
-	if err := s.Save(f); err != nil {
-		return fail(err)
-	}
-	if err := f.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("save snapshot: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("save snapshot: %w", err)
-	}
-	return wal.SyncDir(filepath.Dir(path))
+	return nil
 }
 
 // OpenSnapshot restores a store from a snapshot produced by Save. The
 // encoding options travel with the snapshot. Truncated or corrupt snapshots
 // are rejected: the format carries a checksum trailer that Load verifies.
 func OpenSnapshot(r io.Reader) (*Store, error) {
-	db, err := sqldb.Load(r)
-	if err != nil {
+	return openSnapshotOn(r, sqldb.Open())
+}
+
+// openSnapshotOn loads a snapshot into the empty database db and builds the
+// store over it.
+func openSnapshotOn(r io.Reader, db *sqldb.DB) (*Store, error) {
+	if err := sqldb.Load(r, db); err != nil {
 		return nil, fmt.Errorf("open snapshot: %w", err)
 	}
+	return restoredStore(db, "snapshot")
+}
+
+// restoredStore builds the component stack over a database restored from a
+// snapshot or a checkpoint manifest (what names which, for errors); the
+// store's options are the ones recorded in its store_meta relation.
+func restoredStore(db *sqldb.DB, what string) (*Store, error) {
 	iopts, err := readMeta(db)
 	if err != nil {
 		return nil, err
 	}
 	if !encoding.Installed(db, iopts) {
-		return nil, fmt.Errorf("snapshot lacks the %s node table", iopts.Kind)
+		return nil, fmt.Errorf("%s lacks the %s node table", what, iopts.Kind)
 	}
 	return newStoreOn(db, iopts)
 }
 
 // OpenFile restores a store from a snapshot file.
 func OpenFile(path string) (*Store, error) {
+	return openSnapshotFile(path, sqldb.Open())
+}
+
+// openSnapshotFile loads the snapshot file at path into the empty database
+// db and builds the store over it.
+func openSnapshotFile(path string, db *sqldb.DB) (*Store, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return OpenSnapshot(f)
+	return openSnapshotOn(f, db)
 }

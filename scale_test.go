@@ -44,9 +44,6 @@ func TestScalePaged(t *testing.T) {
 				t.Fatalf("workload not beyond-RAM: %d heap pages vs %d pool frames",
 					st.HeapPages, frames)
 			}
-			if !store.Pooled() {
-				t.Fatal("store is not pooled")
-			}
 			pool := func() map[string]int64 { return store.Metrics().Gauges }
 			ps := pool()
 			if ps["bufpool.resident_frames"] > ps["bufpool.capacity"] {
