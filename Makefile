@@ -64,11 +64,11 @@ torture:
 # govern-torture runs the query-lifecycle governance suite under the race
 # detector: the cancellation storm (N readers canceled at random against a
 # writer, all three encodings), deadline aborts with goroutine-leak checks,
-# memory-budget and admission-shed paths, the degraded read-only transitions
-# (WAL append and page-write failures), and the streaming-cursor early-close
-# regression tests.
+# memory-budget and admission-shed paths (EXPLAIN ANALYZE included), the
+# degraded read-only transitions (WAL append and page-write failures), and the
+# cursor tests: streaming, early close, one record per statement per door.
 govern-torture:
 	$(GO) test -race -count=1 -v -run \
-		'TestCancellationStorm|TestQueryDeadlineAborts|TestQueryCancellation|TestSessionQueryTimeout|TestMemoryBudgetAbortsQuery|TestAdmissionControlSheds|TestWALFailureDegradesToReadOnly|TestPageWriteFailureDegradesStore' .
+		'TestCancellationStorm|TestQueryDeadlineAborts|TestQueryCancellation|TestSessionQueryTimeout|TestMemoryBudgetAbortsQuery|TestExplainAnalyzeIsGoverned|TestAdmissionControlSheds|TestWALFailureDegradesToReadOnly|TestPageWriteFailureDegradesStore' .
 	$(GO) test -race -count=1 -run 'TestQueryRows|TestQueryAborts' ./internal/sqldb/
 	$(GO) test -race -count=1 ./internal/govern/

@@ -299,6 +299,67 @@ func TestMemoryBudgetAbortsQuery(t *testing.T) {
 	mustIntact(t, s)
 }
 
+// TestExplainAnalyzeIsGoverned: EXPLAIN ANALYZE executes its statement, so it
+// is a read like any other whichever door it comes through — SQLCtx with the
+// EXPLAIN ANALYZE prefix or ExplainAnalyzeSQL. A canceled context, a memory
+// budget the first result row exceeds and a full admission gate each stop it
+// with the typed sentinel, and on a closed store both Explain*SQL calls fail
+// with ErrClosed.
+func TestExplainAnalyzeIsGoverned(t *testing.T) {
+	dir := t.TempDir()
+	s := openDur(t, dir, Options{Encoding: Global})
+	if _, err := s.LoadString("big", bigDoc(1500)); err != nil {
+		t.Fatal(err)
+	}
+	const sel = `SELECT id, tag FROM xg_nodes ORDER BY id`
+	const analyze = `EXPLAIN ANALYZE ` + sel
+	both := func(t *testing.T, ctx context.Context, want error) {
+		t.Helper()
+		if _, err := s.SQLCtx(ctx, analyze); !errors.Is(err, want) {
+			t.Errorf("SQLCtx(EXPLAIN ANALYZE): %v, want %v", err, want)
+		}
+		if _, err := s.ExplainAnalyzeSQL(sel); !errors.Is(err, want) {
+			t.Errorf("ExplainAnalyzeSQL: %v, want %v", err, want)
+		}
+	}
+
+	base := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := s.SQLCtx(ctx, analyze); !errors.Is(err, ErrCanceled) {
+		t.Errorf("SQLCtx(EXPLAIN ANALYZE) under a canceled context: %v, want ErrCanceled", err)
+	}
+	waitForGoroutines(t, base)
+
+	s.SetMemoryBudget(1)
+	both(t, context.Background(), ErrMemoryBudget)
+	s.SetMemoryBudget(0)
+
+	s.SetAdmissionLimit(1, 0, 0)
+	release, err := s.gov.gate.Load().Acquire(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	both(t, context.Background(), ErrOverloaded)
+	release()
+	s.SetAdmissionLimit(0, 0, 0)
+
+	if out, err := s.ExplainAnalyzeSQL(sel); err != nil || !strings.Contains(out, "actual rows=") {
+		t.Fatalf("ungoverned ExplainAnalyzeSQL: %v\n%s", err, out)
+	}
+	if n := s.Metrics().Gauges["sqldb.cursors.open"]; n != 0 {
+		t.Errorf("sqldb.cursors.open = %d after aborted analyzes, want 0", n)
+	}
+
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	both(t, context.Background(), ErrClosed)
+	if _, err := s.ExplainSQL(sel); !errors.Is(err, ErrClosed) {
+		t.Errorf("ExplainSQL on a closed store: %v, want ErrClosed", err)
+	}
+}
+
 // TestAdmissionControlSheds saturates a one-slot gate with concurrent
 // serializations; the overflow must be shed with ErrOverloaded, and removing
 // the gate restores unbounded admission.

@@ -57,7 +57,7 @@ func RunConcurrency(itemsPerRegion int, goroutines []int, perLevel time.Duration
 		if err != nil {
 			return rep, fmt.Errorf("%s: %w", cfg.Name, err)
 		}
-		// Warm plan caches and prepared statements once, serially.
+		// Warm the plan cache once, serially.
 		for _, q := range suite {
 			if _, err := s.QueryValues(id, q.XPath); err != nil {
 				return rep, fmt.Errorf("%s %s: %w", cfg.Name, q.ID, err)

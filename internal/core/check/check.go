@@ -20,8 +20,7 @@ import (
 type Checker struct {
 	db   *sqldb.DB
 	opts encoding.Options
-	all  *sqldb.Stmt
-	meta *sqldb.Stmt
+	all  string // every node row of one document
 }
 
 // New prepares a checker.
@@ -32,17 +31,9 @@ func New(db *sqldb.DB, opts encoding.Options) (*Checker, error) {
 	if !encoding.Installed(db, opts) {
 		return nil, fmt.Errorf("encoding %s is not installed", opts.Kind)
 	}
-	c := &Checker{db: db, opts: opts}
-	var err error
-	if c.all, err = db.Prepare(sqlgen.SQL(
+	return &Checker{db: db, opts: opts, all: sqlgen.SQL(
 		`SELECT id, parent, kind, tag, value, %s FROM %s WHERE doc = ?`,
-		opts.OrderColumn(), opts.NodesTable())); err != nil {
-		return nil, err
-	}
-	if c.meta, err = db.Prepare(`SELECT nodes FROM docs WHERE doc = ?`); err != nil {
-		return nil, err
-	}
-	return c, nil
+		opts.OrderColumn(), opts.NodesTable())}, nil
 }
 
 // row is one decoded node row.
@@ -59,7 +50,7 @@ type row struct {
 // Document verifies every invariant for one document and returns the list of
 // violations (empty means consistent).
 func (c *Checker) Document(doc int64) ([]string, error) {
-	res, err := c.all.Query(sqldb.I(doc))
+	res, err := c.db.Query(c.all, sqldb.I(doc))
 	if err != nil {
 		return nil, err
 	}
@@ -92,7 +83,7 @@ func (c *Checker) Document(doc int64) ([]string, error) {
 	}
 
 	// Registry consistency.
-	meta, err := c.meta.Query(sqldb.I(doc))
+	meta, err := c.db.Query(`SELECT nodes FROM docs WHERE doc = ?`, sqldb.I(doc))
 	if err != nil {
 		return nil, err
 	}

@@ -30,11 +30,13 @@ type Publisher struct {
 	db   *sqldb.DB
 	opts encoding.Options
 
-	allOrdered *sqldb.Stmt // doc rows in order-key order (global/dewey)
-	allRows    *sqldb.Stmt // doc rows unordered (local)
-	children   *sqldb.Stmt // rows under one parent in sibling order
-	byID       *sqldb.Stmt
-	pathRange  *sqldb.Stmt // dewey subtree range
+	// Statement texts; the engine's plan cache, keyed by them, spares each
+	// its parse and plan after the first run.
+	allOrdered string // doc rows in order-key order (global/dewey)
+	allRows    string // doc rows unordered (local)
+	children   string // rows under one parent in sibling order
+	byID       string
+	pathRange  string // dewey subtree range
 }
 
 // New prepares a publisher for the encoding.
@@ -46,33 +48,15 @@ func New(db *sqldb.DB, opts encoding.Options) (*Publisher, error) {
 		return nil, fmt.Errorf("encoding %s is not installed", opts.Kind)
 	}
 	tbl, ord := opts.NodesTable(), opts.OrderColumn()
-	p := &Publisher{db: db, opts: opts}
-	var err error
 	cols := sqlgen.List("id", "parent", "kind", "tag", "value", ord)
-	if p.allOrdered, err = db.Prepare(sqlgen.SQL(
-		`SELECT %s FROM %s WHERE doc = ? ORDER BY %s`, cols, tbl, ord)); err != nil {
-		return nil, err
-	}
-	if p.allRows, err = db.Prepare(sqlgen.SQL(
-		`SELECT %s FROM %s WHERE doc = ?`, cols, tbl)); err != nil {
-		return nil, err
-	}
-	if p.children, err = db.Prepare(sqlgen.SQL(
-		`SELECT %s FROM %s WHERE doc = ? AND parent = ? ORDER BY %s`, cols, tbl, ord)); err != nil {
-		return nil, err
-	}
-	if p.byID, err = db.Prepare(sqlgen.SQL(
-		`SELECT %s FROM %s WHERE doc = ? AND id = ?`, cols, tbl)); err != nil {
-		return nil, err
-	}
-	if opts.Kind == encoding.Dewey {
-		if p.pathRange, err = db.Prepare(sqlgen.SQL(
-			`SELECT %s FROM %s WHERE doc = ? AND %s >= ? AND %s < ? ORDER BY %s`,
-			cols, tbl, ord, ord, ord)); err != nil {
-			return nil, err
-		}
-	}
-	return p, nil
+	return &Publisher{db: db, opts: opts,
+		allOrdered: sqlgen.SQL(`SELECT %s FROM %s WHERE doc = ? ORDER BY %s`, cols, tbl, ord),
+		allRows:    sqlgen.SQL(`SELECT %s FROM %s WHERE doc = ?`, cols, tbl),
+		children:   sqlgen.SQL(`SELECT %s FROM %s WHERE doc = ? AND parent = ? ORDER BY %s`, cols, tbl, ord),
+		byID:       sqlgen.SQL(`SELECT %s FROM %s WHERE doc = ? AND id = ?`, cols, tbl),
+		pathRange: sqlgen.SQL(`SELECT %s FROM %s WHERE doc = ? AND %s >= ? AND %s < ? ORDER BY %s`,
+			cols, tbl, ord, ord, ord),
+	}, nil
 }
 
 // nodeRow is one decoded node record.
@@ -124,22 +108,17 @@ func attach(parent, child *xmltree.Node) {
 	parent.AddChild(child)
 }
 
-// Document reconstructs the whole document. The reconstruction pins one
-// storage snapshot, so every row it reads — across however many statements
-// the encoding needs — comes from the same store version.
+// Document is DocumentCtx with a background context and a snapshot of its
+// own.
 func (p *Publisher) Document(doc int64) (*xmltree.Node, error) {
-	return p.DocumentAt(nil, doc)
+	return p.DocumentCtx(context.Background(), nil, doc)
 }
 
-// DocumentAt reconstructs the document as of a pinned snapshot (nil pins the
-// current version).
-func (p *Publisher) DocumentAt(snap *sqldb.Snap, doc int64) (*xmltree.Node, error) {
-	return p.DocumentCtx(context.Background(), snap, doc)
-}
-
-// DocumentCtx is DocumentAt with a caller context: the reconstruction's
-// statements run governed (cancellation, deadline, memory budget) and join
-// the request trace.
+// DocumentCtx reconstructs the whole document as of a pinned snapshot (nil
+// pins the current version), so every row it reads — across however many
+// statements the encoding needs — comes from the same store version. The
+// statements run governed by ctx (cancellation, deadline, memory budget) and
+// join the request trace.
 func (p *Publisher) DocumentCtx(ctx context.Context, snap *sqldb.Snap, doc int64) (*xmltree.Node, error) {
 	if snap == nil {
 		snap = p.db.Snapshot()
@@ -147,7 +126,7 @@ func (p *Publisher) DocumentCtx(ctx context.Context, snap *sqldb.Snap, doc int64
 	if p.opts.Kind == encoding.Local {
 		return p.documentLocal(ctx, snap, doc)
 	}
-	res, err := p.allOrdered.QueryAtCtx(ctx, snap, sqldb.I(doc))
+	res, err := snap.Query(ctx, p.allOrdered, sqldb.I(doc))
 	if err != nil {
 		return nil, err
 	}
@@ -188,7 +167,7 @@ func buildPreOrder(rows []sqltypes.Row, rootParent int64) (*xmltree.Node, error)
 // documentLocal rebuilds from the local encoding: one unordered scan, then a
 // per-parent sibling sort.
 func (p *Publisher) documentLocal(ctx context.Context, snap *sqldb.Snap, doc int64) (*xmltree.Node, error) {
-	res, err := p.allRows.QueryAtCtx(ctx, snap, sqldb.I(doc))
+	res, err := snap.Query(ctx, p.allRows, sqldb.I(doc))
 	if err != nil {
 		return nil, err
 	}
@@ -231,24 +210,19 @@ func (p *Publisher) documentLocal(ctx context.Context, snap *sqldb.Snap, doc int
 	return root.node, nil
 }
 
-// Subtree reconstructs the subtree rooted at the node with the given
-// surrogate id, against one pinned storage snapshot.
+// Subtree is SubtreeCtx with a background context and a snapshot of its own.
 func (p *Publisher) Subtree(doc, id int64) (*xmltree.Node, error) {
-	return p.SubtreeAt(nil, doc, id)
+	return p.SubtreeCtx(context.Background(), nil, doc, id)
 }
 
-// SubtreeAt reconstructs a subtree as of a pinned snapshot (nil pins the
-// current version).
-func (p *Publisher) SubtreeAt(snap *sqldb.Snap, doc, id int64) (*xmltree.Node, error) {
-	return p.SubtreeCtx(context.Background(), snap, doc, id)
-}
-
-// SubtreeCtx is SubtreeAt with a caller context (see DocumentCtx).
+// SubtreeCtx reconstructs the subtree rooted at the node with the given
+// surrogate id, as of a pinned snapshot and under a caller context (see
+// DocumentCtx).
 func (p *Publisher) SubtreeCtx(ctx context.Context, snap *sqldb.Snap, doc, id int64) (*xmltree.Node, error) {
 	if snap == nil {
 		snap = p.db.Snapshot()
 	}
-	res, err := p.byID.QueryAtCtx(ctx, snap, sqldb.I(doc), sqldb.I(id))
+	res, err := snap.Query(ctx, p.byID, sqldb.I(doc), sqldb.I(id))
 	if err != nil {
 		return nil, err
 	}
@@ -277,7 +251,7 @@ func (p *Publisher) fillChildren(ctx context.Context, snap *sqldb.Snap, doc, id 
 	if err := govern.CtxErr(ctx); err != nil {
 		return err
 	}
-	res, err := p.children.QueryAtCtx(ctx, snap, sqldb.I(doc), sqldb.I(id))
+	res, err := snap.Query(ctx, p.children, sqldb.I(doc), sqldb.I(id))
 	if err != nil {
 		return err
 	}
@@ -318,7 +292,7 @@ func (p *Publisher) subtreeDewey(ctx context.Context, snap *sqldb.Snap, doc int6
 		}
 		high = sqldb.B(succ)
 	}
-	res, err := p.pathRange.QueryAtCtx(ctx, snap, sqldb.I(doc), low, high)
+	res, err := snap.Query(ctx, p.pathRange, sqldb.I(doc), low, high)
 	if err != nil {
 		return nil, err
 	}

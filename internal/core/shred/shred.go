@@ -21,11 +21,7 @@ type Shredder struct {
 	db   *sqldb.DB
 	opts encoding.Options
 
-	insertDoc *sqldb.Stmt
-	maxDoc    *sqldb.Stmt
-	docByID   *sqldb.Stmt
-	deleteDoc *sqldb.Stmt
-	deleteReg *sqldb.Stmt
+	deleteDoc string // DELETE of one document's rows from the encoding's node table
 
 	// nextDoc is the cached high-water mark for document ids: the next id to
 	// hand out, 0 until seeded by the first load. It replaces a full-scan
@@ -41,25 +37,8 @@ func New(db *sqldb.DB, opts encoding.Options) (*Shredder, error) {
 	if !encoding.Installed(db, opts) {
 		return nil, fmt.Errorf("encoding %s is not installed", opts.Kind)
 	}
-	tbl := opts.NodesTable()
-	s := &Shredder{db: db, opts: opts}
-	var err error
-	if s.insertDoc, err = db.Prepare(`INSERT INTO docs (doc, name, root, nodes) VALUES (?, ?, ?, ?)`); err != nil {
-		return nil, err
-	}
-	if s.maxDoc, err = db.Prepare(`SELECT MAX(doc) FROM docs`); err != nil {
-		return nil, err
-	}
-	if s.docByID, err = db.Prepare(`SELECT doc FROM docs WHERE doc = ?`); err != nil {
-		return nil, err
-	}
-	if s.deleteDoc, err = db.Prepare(sqlgen.SQL(`DELETE FROM %s WHERE doc = ?`, tbl)); err != nil {
-		return nil, err
-	}
-	if s.deleteReg, err = db.Prepare(`DELETE FROM docs WHERE doc = ?`); err != nil {
-		return nil, err
-	}
-	return s, nil
+	return &Shredder{db: db, opts: opts,
+		deleteDoc: sqlgen.SQL(`DELETE FROM %s WHERE doc = ?`, opts.NodesTable())}, nil
 }
 
 // Options returns the shredder's encoding options.
@@ -96,7 +75,8 @@ func (s *Shredder) LoadTree(name string, root *xmltree.Node) (int64, error) {
 	if _, err := s.db.BulkInsert(s.opts.NodesTable(), w.rows); err != nil {
 		return 0, err
 	}
-	if _, err := s.insertDoc.Exec(sqldb.I(docID), sqldb.S(name), sqldb.I(1), sqldb.I(w.nextID-1)); err != nil {
+	if _, err := s.db.Exec(`INSERT INTO docs (doc, name, root, nodes) VALUES (?, ?, ?, ?)`,
+		sqldb.I(docID), sqldb.S(name), sqldb.I(1), sqldb.I(w.nextID-1)); err != nil {
 		return 0, err
 	}
 	s.nextDoc = docID + 1
@@ -105,14 +85,14 @@ func (s *Shredder) LoadTree(name string, root *xmltree.Node) (int64, error) {
 
 // DropDocument removes a document and all its rows.
 func (s *Shredder) DropDocument(docID int64) error {
-	n, err := s.deleteDoc.Exec(sqldb.I(docID))
+	n, err := s.db.Exec(s.deleteDoc, sqldb.I(docID))
 	if err != nil {
 		return err
 	}
 	if n == 0 {
 		return fmt.Errorf("document %d has no rows in %s", docID, s.opts.NodesTable())
 	}
-	if _, err := s.deleteReg.Exec(sqldb.I(docID)); err != nil {
+	if _, err := s.db.Exec(`DELETE FROM docs WHERE doc = ?`, sqldb.I(docID)); err != nil {
 		return err
 	}
 	return nil
@@ -125,7 +105,7 @@ func (s *Shredder) DropDocument(docID int64) error {
 // encoding in the same database).
 func (s *Shredder) nextDocID() (int64, error) {
 	if s.nextDoc == 0 {
-		res, err := s.maxDoc.Query()
+		res, err := s.db.Query(`SELECT MAX(doc) FROM docs`)
 		if err != nil {
 			return 0, err
 		}
@@ -137,7 +117,7 @@ func (s *Shredder) nextDocID() (int64, error) {
 		return s.nextDoc, nil
 	}
 	for {
-		res, err := s.docByID.Query(sqldb.I(s.nextDoc))
+		res, err := s.db.Query(`SELECT doc FROM docs WHERE doc = ?`, sqldb.I(s.nextDoc))
 		if err != nil {
 			return 0, err
 		}

@@ -121,13 +121,10 @@ func (m *Manager) insertDewey(doc int64, t node, mode Mode, frag *xmltree.Node) 
 // lastChildComponent returns the sibling ordinal of parent's last child, or
 // 0 when childless.
 func (m *Manager) lastChildComponent(doc, parent int64) (uint32, error) {
-	stmt, err := m.prepare(sqlgen.SQL(
+	res, err := m.db.Query(sqlgen.SQL(
 		`SELECT %s FROM %s WHERE doc = ? AND parent = ? ORDER BY %s DESC LIMIT 1`,
-		m.ord, m.tbl, m.ord))
-	if err != nil {
-		return 0, err
-	}
-	res, err := stmt.Query(sqldb.I(doc), sqldb.I(parent))
+		m.ord, m.tbl, m.ord),
+		sqldb.I(doc), sqldb.I(parent))
 	if err != nil || len(res.Rows) == 0 {
 		return 0, err
 	}
@@ -141,13 +138,10 @@ func (m *Manager) lastChildComponent(doc, parent int64) (uint32, error) {
 // prevSiblingComponent returns the ordinal of the sibling immediately before
 // the anchor, or 0.
 func (m *Manager) prevSiblingComponent(doc, parent int64, anchorKey sqltypes.Value) (uint32, error) {
-	stmt, err := m.prepare(sqlgen.SQL(
+	res, err := m.db.Query(sqlgen.SQL(
 		`SELECT %s FROM %s WHERE doc = ? AND parent = ? AND %s < ? ORDER BY %s DESC LIMIT 1`,
-		m.ord, m.tbl, m.ord, m.ord))
-	if err != nil {
-		return 0, err
-	}
-	res, err := stmt.Query(sqldb.I(doc), sqldb.I(parent), anchorKey)
+		m.ord, m.tbl, m.ord, m.ord),
+		sqldb.I(doc), sqldb.I(parent), anchorKey)
 	if err != nil || len(res.Rows) == 0 {
 		return 0, err
 	}
@@ -179,21 +173,15 @@ func (m *Manager) shiftDeweySiblings(doc, parent int64, from dewey.Path, delta u
 		}
 		highKey = sqldb.B(high)
 	}
-	sel, err := m.prepare(sqlgen.SQL(
+	sel := sqlgen.SQL(
 		`SELECT id, %s FROM %s WHERE doc = ? AND %s >= ? AND %s < ? ORDER BY %s DESC`,
-		m.ord, m.tbl, m.ord, m.ord, m.ord))
+		m.ord, m.tbl, m.ord, m.ord, m.ord)
+	res, err := m.db.Query(sel, sqldb.I(doc), m.keyOf(from), highKey)
 	if err != nil {
 		return 0, err
 	}
-	res, err := sel.Query(sqldb.I(doc), m.keyOf(from), highKey)
-	if err != nil {
-		return 0, err
-	}
-	upd, err := m.prepare(sqlgen.SQL(
-		`UPDATE %s SET %s = ? WHERE doc = ? AND id = ?`, m.tbl, m.ord))
-	if err != nil {
-		return 0, err
-	}
+	upd := sqlgen.SQL(
+		`UPDATE %s SET %s = ? WHERE doc = ? AND id = ?`, m.tbl, m.ord)
 	comp := len(parentPath) // index of the sibling ordinal in each path
 	for _, r := range res.Rows {
 		p, err := m.pathOf(r[1])
@@ -202,7 +190,7 @@ func (m *Manager) shiftDeweySiblings(doc, parent int64, from dewey.Path, delta u
 		}
 		np := p.Clone()
 		np[comp] += delta
-		if _, err := upd.Exec(m.keyOf(np), sqldb.I(doc), sqldb.I(r[0].Int())); err != nil {
+		if _, err := m.db.Exec(upd, m.keyOf(np), sqldb.I(doc), sqldb.I(r[0].Int())); err != nil {
 			return 0, err
 		}
 	}
@@ -227,12 +215,9 @@ func (m *Manager) deleteDewey(doc int64, t node) (Stats, error) {
 		}
 		high = sqldb.B(succ)
 	}
-	stmt, err := m.prepare(sqlgen.SQL(
-		`DELETE FROM %s WHERE doc = ? AND %s >= ? AND %s < ?`, m.tbl, m.ord, m.ord))
-	if err != nil {
-		return Stats{}, err
-	}
-	n, err := stmt.Exec(sqldb.I(doc), low, high)
+	n, err := m.db.Exec(sqlgen.SQL(
+		`DELETE FROM %s WHERE doc = ? AND %s >= ? AND %s < ?`, m.tbl, m.ord, m.ord),
+		sqldb.I(doc), low, high)
 	if err != nil {
 		return Stats{}, err
 	}

@@ -134,13 +134,10 @@ func (m *Manager) successorAfterSubtree(doc int64, t node) (*node, error) {
 }
 
 func (m *Manager) nextSibling(doc int64, t node) (*node, error) {
-	stmt, err := m.prepare(sqlgen.SQL(
+	res, err := m.db.Query(sqlgen.SQL(
 		`SELECT id, parent, kind, %s FROM %s WHERE doc = ? AND parent = ? AND %s > ? ORDER BY %s LIMIT 1`,
-		m.ord, m.tbl, m.ord, m.ord))
-	if err != nil {
-		return nil, err
-	}
-	res, err := stmt.Query(sqldb.I(doc), sqldb.I(t.parent), t.order)
+		m.ord, m.tbl, m.ord, m.ord),
+		sqldb.I(doc), sqldb.I(t.parent), t.order)
 	if err != nil || len(res.Rows) == 0 {
 		return nil, err
 	}
@@ -149,13 +146,10 @@ func (m *Manager) nextSibling(doc int64, t node) (*node, error) {
 }
 
 func (m *Manager) firstNonAttrChild(doc, parent int64) (*node, error) {
-	stmt, err := m.prepare(sqlgen.SQL(
+	res, err := m.db.Query(sqlgen.SQL(
 		`SELECT id, parent, kind, %s FROM %s WHERE doc = ? AND parent = ? AND kind <> 'attr' ORDER BY %s LIMIT 1`,
-		m.ord, m.tbl, m.ord))
-	if err != nil {
-		return nil, err
-	}
-	res, err := stmt.Query(sqldb.I(doc), sqldb.I(parent))
+		m.ord, m.tbl, m.ord),
+		sqldb.I(doc), sqldb.I(parent))
 	if err != nil || len(res.Rows) == 0 {
 		return nil, err
 	}
@@ -164,11 +158,8 @@ func (m *Manager) firstNonAttrChild(doc, parent int64) (*node, error) {
 }
 
 func (m *Manager) maxOrder(doc int64) (int64, error) {
-	stmt, err := m.prepare(sqlgen.SQL(`SELECT MAX(%s) FROM %s WHERE doc = ?`, m.ord, m.tbl))
-	if err != nil {
-		return 0, err
-	}
-	res, err := stmt.Query(sqldb.I(doc))
+	res, err := m.db.Query(sqlgen.SQL(`SELECT MAX(%s) FROM %s WHERE doc = ?`, m.ord, m.tbl),
+		sqldb.I(doc))
 	if err != nil {
 		return 0, err
 	}
@@ -179,12 +170,9 @@ func (m *Manager) maxOrder(doc int64) (int64, error) {
 }
 
 func (m *Manager) maxOrderBelow(doc, below int64) (int64, error) {
-	stmt, err := m.prepare(sqlgen.SQL(
-		`SELECT MAX(%s) FROM %s WHERE doc = ? AND %s < ?`, m.ord, m.tbl, m.ord))
-	if err != nil {
-		return 0, err
-	}
-	res, err := stmt.Query(sqldb.I(doc), sqldb.I(below))
+	res, err := m.db.Query(sqlgen.SQL(
+		`SELECT MAX(%s) FROM %s WHERE doc = ? AND %s < ?`, m.ord, m.tbl, m.ord),
+		sqldb.I(doc), sqldb.I(below))
 	if err != nil {
 		return 0, err
 	}
@@ -198,23 +186,17 @@ func (m *Manager) maxOrderBelow(doc, below int64) (int64, error) {
 // from. Rows are rewritten in descending order so the unique (doc, gorder)
 // index never sees a transient collision.
 func (m *Manager) shiftGlobal(doc, from, delta int64) (int64, error) {
-	sel, err := m.prepare(sqlgen.SQL(
+	sel := sqlgen.SQL(
 		`SELECT id, %s FROM %s WHERE doc = ? AND %s >= ? ORDER BY %s DESC`,
-		m.ord, m.tbl, m.ord, m.ord))
+		m.ord, m.tbl, m.ord, m.ord)
+	res, err := m.db.Query(sel, sqldb.I(doc), sqldb.I(from))
 	if err != nil {
 		return 0, err
 	}
-	res, err := sel.Query(sqldb.I(doc), sqldb.I(from))
-	if err != nil {
-		return 0, err
-	}
-	upd, err := m.prepare(sqlgen.SQL(
-		`UPDATE %s SET %s = ? WHERE doc = ? AND id = ?`, m.tbl, m.ord))
-	if err != nil {
-		return 0, err
-	}
+	upd := sqlgen.SQL(
+		`UPDATE %s SET %s = ? WHERE doc = ? AND id = ?`, m.tbl, m.ord)
 	for _, r := range res.Rows {
-		if _, err := upd.Exec(sqldb.I(r[1].Int()+delta), sqldb.I(doc), sqldb.I(r[0].Int())); err != nil {
+		if _, err := m.db.Exec(upd, sqldb.I(r[1].Int()+delta), sqldb.I(doc), sqldb.I(r[0].Int())); err != nil {
 			return 0, err
 		}
 	}
@@ -229,22 +211,16 @@ func (m *Manager) deleteGlobal(doc int64, t node) (Stats, error) {
 	}
 	var n int
 	if succ == nil {
-		stmt, err := m.prepare(sqlgen.SQL(
-			`DELETE FROM %s WHERE doc = ? AND %s >= ?`, m.tbl, m.ord))
-		if err != nil {
-			return Stats{}, err
-		}
-		n, err = stmt.Exec(sqldb.I(doc), t.order)
+		n, err = m.db.Exec(sqlgen.SQL(
+			`DELETE FROM %s WHERE doc = ? AND %s >= ?`, m.tbl, m.ord),
+			sqldb.I(doc), t.order)
 		if err != nil {
 			return Stats{}, err
 		}
 	} else {
-		stmt, err := m.prepare(sqlgen.SQL(
-			`DELETE FROM %s WHERE doc = ? AND %s >= ? AND %s < ?`, m.tbl, m.ord, m.ord))
-		if err != nil {
-			return Stats{}, err
-		}
-		n, err = stmt.Exec(sqldb.I(doc), t.order, succ.order)
+		n, err = m.db.Exec(sqlgen.SQL(
+			`DELETE FROM %s WHERE doc = ? AND %s >= ? AND %s < ?`, m.tbl, m.ord, m.ord),
+			sqldb.I(doc), t.order, succ.order)
 		if err != nil {
 			return Stats{}, err
 		}

@@ -85,12 +85,9 @@ func (m *Manager) localAnchor(doc int64, t node, mode Mode) (*node, error) {
 }
 
 func (m *Manager) maxChildOrder(doc, parent int64) (int64, error) {
-	stmt, err := m.prepare(sqlgen.SQL(
-		`SELECT MAX(%s) FROM %s WHERE doc = ? AND parent = ?`, m.ord, m.tbl))
-	if err != nil {
-		return 0, err
-	}
-	res, err := stmt.Query(sqldb.I(doc), sqldb.I(parent))
+	res, err := m.db.Query(sqlgen.SQL(
+		`SELECT MAX(%s) FROM %s WHERE doc = ? AND parent = ?`, m.ord, m.tbl),
+		sqldb.I(doc), sqldb.I(parent))
 	if err != nil {
 		return 0, err
 	}
@@ -101,12 +98,9 @@ func (m *Manager) maxChildOrder(doc, parent int64) (int64, error) {
 }
 
 func (m *Manager) maxChildOrderBelow(doc, parent, below int64) (int64, error) {
-	stmt, err := m.prepare(sqlgen.SQL(
-		`SELECT MAX(%s) FROM %s WHERE doc = ? AND parent = ? AND %s < ?`, m.ord, m.tbl, m.ord))
-	if err != nil {
-		return 0, err
-	}
-	res, err := stmt.Query(sqldb.I(doc), sqldb.I(parent), sqldb.I(below))
+	res, err := m.db.Query(sqlgen.SQL(
+		`SELECT MAX(%s) FROM %s WHERE doc = ? AND parent = ? AND %s < ?`, m.ord, m.tbl, m.ord),
+		sqldb.I(doc), sqldb.I(parent), sqldb.I(below))
 	if err != nil {
 		return 0, err
 	}
@@ -119,23 +113,17 @@ func (m *Manager) maxChildOrderBelow(doc, parent, below int64) (int64, error) {
 // shiftSiblings adds delta to the sibling order of every child of parent at
 // or after from, in descending order to respect the unique sibling index.
 func (m *Manager) shiftSiblings(doc, parent, from, delta int64) (int64, error) {
-	sel, err := m.prepare(sqlgen.SQL(
+	sel := sqlgen.SQL(
 		`SELECT id, %s FROM %s WHERE doc = ? AND parent = ? AND %s >= ? ORDER BY %s DESC`,
-		m.ord, m.tbl, m.ord, m.ord))
+		m.ord, m.tbl, m.ord, m.ord)
+	res, err := m.db.Query(sel, sqldb.I(doc), sqldb.I(parent), sqldb.I(from))
 	if err != nil {
 		return 0, err
 	}
-	res, err := sel.Query(sqldb.I(doc), sqldb.I(parent), sqldb.I(from))
-	if err != nil {
-		return 0, err
-	}
-	upd, err := m.prepare(sqlgen.SQL(
-		`UPDATE %s SET %s = ? WHERE doc = ? AND id = ?`, m.tbl, m.ord))
-	if err != nil {
-		return 0, err
-	}
+	upd := sqlgen.SQL(
+		`UPDATE %s SET %s = ? WHERE doc = ? AND id = ?`, m.tbl, m.ord)
 	for _, r := range res.Rows {
-		if _, err := upd.Exec(sqldb.I(r[1].Int()+delta), sqldb.I(doc), sqldb.I(r[0].Int())); err != nil {
+		if _, err := m.db.Exec(upd, sqldb.I(r[1].Int()+delta), sqldb.I(doc), sqldb.I(r[0].Int())); err != nil {
 			return 0, err
 		}
 	}
@@ -145,20 +133,14 @@ func (m *Manager) shiftSiblings(doc, parent, from, delta int64) (int64, error) {
 // deleteLocal removes the subtree by walking children (the local encoding
 // has no subtree range).
 func (m *Manager) deleteLocal(doc int64, t node) (Stats, error) {
-	childSel, err := m.prepare(sqlgen.SQL(
-		`SELECT id FROM %s WHERE doc = ? AND parent = ?`, m.tbl))
-	if err != nil {
-		return Stats{}, err
-	}
-	del, err := m.prepare(sqlgen.SQL(
-		`DELETE FROM %s WHERE doc = ? AND id = ?`, m.tbl))
-	if err != nil {
-		return Stats{}, err
-	}
+	childSel := sqlgen.SQL(
+		`SELECT id FROM %s WHERE doc = ? AND parent = ?`, m.tbl)
+	del := sqlgen.SQL(
+		`DELETE FROM %s WHERE doc = ? AND id = ?`, m.tbl)
 	var count int64
 	var walk func(id int64) error
 	walk = func(id int64) error {
-		res, err := childSel.Query(sqldb.I(doc), sqldb.I(id))
+		res, err := m.db.Query(childSel, sqldb.I(doc), sqldb.I(id))
 		if err != nil {
 			return err
 		}
@@ -167,7 +149,7 @@ func (m *Manager) deleteLocal(doc int64, t node) (Stats, error) {
 				return err
 			}
 		}
-		if _, err := del.Exec(sqldb.I(doc), sqldb.I(id)); err != nil {
+		if _, err := m.db.Exec(del, sqldb.I(doc), sqldb.I(id)); err != nil {
 			return err
 		}
 		count++

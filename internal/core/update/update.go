@@ -74,11 +74,12 @@ type Manager struct {
 	tbl  string
 	ord  string
 
-	byID        *sqldb.Stmt
-	maxID       *sqldb.Stmt
-	bumpDocSize *sqldb.Stmt
-	stmts       map[string]*sqldb.Stmt
+	byID  string // one node's identity fields by (doc, id)
+	maxID string // highest surrogate id in a document
 }
+
+// bumpDocSize adjusts a document's registered node count.
+const bumpDocSize = `UPDATE docs SET nodes = nodes + ? WHERE doc = ?`
 
 // node mirrors one row's identity fields.
 type node struct {
@@ -96,40 +97,17 @@ func New(db *sqldb.DB, opts encoding.Options) (*Manager, error) {
 	if !encoding.Installed(db, opts) {
 		return nil, fmt.Errorf("encoding %s is not installed", opts.Kind)
 	}
-	m := &Manager{db: db, opts: opts, tbl: opts.NodesTable(), ord: opts.OrderColumn(),
-		stmts: map[string]*sqldb.Stmt{}}
-	var err error
-	if m.byID, err = db.Prepare(sqlgen.SQL(
-		`SELECT id, parent, kind, %s FROM %s WHERE doc = ? AND id = ?`, m.ord, m.tbl)); err != nil {
-		return nil, err
-	}
-	if m.maxID, err = db.Prepare(sqlgen.SQL(
-		`SELECT MAX(id) FROM %s WHERE doc = ?`, m.tbl)); err != nil {
-		return nil, err
-	}
-	if m.bumpDocSize, err = db.Prepare(`UPDATE docs SET nodes = nodes + ? WHERE doc = ?`); err != nil {
-		return nil, err
-	}
+	m := &Manager{db: db, opts: opts, tbl: opts.NodesTable(), ord: opts.OrderColumn()}
+	m.byID = sqlgen.SQL(`SELECT id, parent, kind, %s FROM %s WHERE doc = ? AND id = ?`, m.ord, m.tbl)
+	m.maxID = sqlgen.SQL(`SELECT MAX(id) FROM %s WHERE doc = ?`, m.tbl)
 	return m, nil
 }
 
 // Options returns the manager's encoding options.
 func (m *Manager) Options() encoding.Options { return m.opts }
 
-func (m *Manager) prepare(sql string) (*sqldb.Stmt, error) {
-	if s, ok := m.stmts[sql]; ok {
-		return s, nil
-	}
-	s, err := m.db.Prepare(sql)
-	if err != nil {
-		return nil, err
-	}
-	m.stmts[sql] = s
-	return s, nil
-}
-
 func (m *Manager) fetch(doc, id int64) (node, error) {
-	res, err := m.byID.Query(sqldb.I(doc), sqldb.I(id))
+	res, err := m.db.Query(m.byID, sqldb.I(doc), sqldb.I(id))
 	if err != nil {
 		return node{}, err
 	}
@@ -205,7 +183,7 @@ func (m *Manager) InsertTree(doc, target int64, mode Mode, frag *xmltree.Node) (
 		if err != nil {
 			return err
 		}
-		_, err = m.bumpDocSize.Exec(sqldb.I(stats.RowsInserted), sqldb.I(doc))
+		_, err = m.db.Exec(bumpDocSize, sqldb.I(stats.RowsInserted), sqldb.I(doc))
 		return err
 	})
 	return stats, err
@@ -213,7 +191,7 @@ func (m *Manager) InsertTree(doc, target int64, mode Mode, frag *xmltree.Node) (
 
 // nextID allocates fresh surrogate ids.
 func (m *Manager) nextID(doc int64) (int64, error) {
-	res, err := m.maxID.Query(sqldb.I(doc))
+	res, err := m.db.Query(m.maxID, sqldb.I(doc))
 	if err != nil {
 		return 0, err
 	}
@@ -250,7 +228,7 @@ func (m *Manager) Delete(doc, id int64) (Stats, error) {
 		if err != nil {
 			return err
 		}
-		_, err = m.bumpDocSize.Exec(sqldb.I(-stats.RowsDeleted), sqldb.I(doc))
+		_, err = m.db.Exec(bumpDocSize, sqldb.I(-stats.RowsDeleted), sqldb.I(doc))
 		return err
 	})
 	return stats, err
@@ -331,12 +309,9 @@ func (m *Manager) SetValue(doc, id int64, value string) error {
 	if t.kind == xmltree.Element {
 		return fmt.Errorf("node %d is an element; set the value of its text child", id)
 	}
-	upd, err := m.prepare(sqlgen.SQL(
-		`UPDATE %s SET value = ? WHERE doc = ? AND id = ?`, m.tbl))
-	if err != nil {
-		return err
-	}
-	_, err = upd.Exec(sqldb.S(value), sqldb.I(doc), sqldb.I(id))
+	_, err = m.db.Exec(sqlgen.SQL(
+		`UPDATE %s SET value = ? WHERE doc = ? AND id = ?`, m.tbl),
+		sqldb.S(value), sqldb.I(doc), sqldb.I(id))
 	return err
 }
 
@@ -349,12 +324,9 @@ func (m *Manager) Rename(doc, id int64, name string) error {
 	if t.kind == xmltree.Text {
 		return fmt.Errorf("node %d is a text node and has no name", id)
 	}
-	upd, err := m.prepare(sqlgen.SQL(
-		`UPDATE %s SET tag = ? WHERE doc = ? AND id = ?`, m.tbl))
-	if err != nil {
-		return err
-	}
-	_, err = upd.Exec(sqldb.S(name), sqldb.I(doc), sqldb.I(id))
+	_, err = m.db.Exec(sqlgen.SQL(
+		`UPDATE %s SET tag = ? WHERE doc = ? AND id = ?`, m.tbl),
+		sqldb.S(name), sqldb.I(doc), sqldb.I(id))
 	return err
 }
 

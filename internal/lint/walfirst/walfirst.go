@@ -8,8 +8,8 @@
 //     reach a WAL append (wal.Log.Append / AppendSync, through any helper
 //     chain — in the engine that chain is Store.logOp) marks the path as
 //     logged; a call that can reach a state-apply anchor (sqldb.DB.Exec /
-//     ExecCtx / BulkInsert, sqldb.Stmt.Exec, heap.Heap.Insert / Delete /
-//     Update / AppendBatch, btree.Tree.Insert / Delete / BulkLoad) before
+//     ExecCtx / BulkInsert, heap.Heap.Insert / Delete / Update /
+//     AppendBatch, btree.Tree.Insert / Delete / BulkLoad) before
 //     that point is a finding. A call that reaches both — a delegation like
 //     LoadString → Load, which logs internally before applying — satisfies
 //     the contract. The memory-only escape hatch `if s.dur == nil { ... }`
@@ -61,8 +61,7 @@ func isWALAppend(obj *types.Func) bool {
 // receiver type → method set.
 var applyAnchors = map[string]map[string]map[string]bool{
 	"sqldb": {
-		"DB":   {"Exec": true, "ExecCtx": true, "BulkInsert": true},
-		"Stmt": {"Exec": true},
+		"DB": {"Exec": true, "ExecCtx": true, "BulkInsert": true},
 	},
 	"heap": {
 		"Heap": {"Insert": true, "Delete": true, "Update": true, "AppendBatch": true},

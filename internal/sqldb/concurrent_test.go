@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -114,7 +115,7 @@ func TestSnapshotRepeatableRead(t *testing.T) {
 	snap := db.Snapshot()
 	mustExec(t, db, `UPDATE t SET v = 7`)
 
-	res, err := snap.Query(`SELECT MAX(v) FROM t`)
+	res, err := snap.Query(context.Background(), `SELECT MAX(v) FROM t`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,17 +130,22 @@ func TestSnapshotRepeatableRead(t *testing.T) {
 		t.Errorf("live view saw v=%d, want 7", got)
 	}
 
-	// Prepared statements pin the same way.
-	stmt, err := db.Prepare(`SELECT MIN(v) FROM t`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err = stmt.QueryAt(snap)
+	// The pin holds for a statement the live view has already run and cached
+	// (same SQL text, same catalog version, one shared plan) and for a cursor.
+	res, err = snap.Query(context.Background(), `SELECT MAX(v) FROM t`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := res.Rows[0][0].Int(); got != 0 {
-		t.Errorf("prepared QueryAt saw v=%d, want 0", got)
+		t.Errorf("pinned snapshot saw v=%d after the live view ran the same statement, want 0", got)
+	}
+	rows, err := snap.QueryRows(context.Background(), `SELECT MIN(v) FROM t`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rows.Close()
+	if !rows.Next() || rows.Row()[0].Int() != 0 {
+		t.Errorf("pinned cursor saw %v (err %v), want 0", rows.Row(), rows.Err())
 	}
 }
 

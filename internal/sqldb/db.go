@@ -1,8 +1,13 @@
 // Package sqldb is the embedded relational engine's public face: a DB value
-// that parses, plans and executes SQL statements over in-memory slotted-page
-// storage with B+tree indexes. The engine exists as the substrate the paper
-// assumes ("a relational database system"); the ordered-XML layer issues all
-// of its SQL through this package.
+// that parses, plans and executes SQL statements over slotted-page storage
+// with B+tree indexes. The engine exists as the substrate the paper assumes
+// ("a relational database system"); the ordered-XML layer issues all of its
+// SQL through this package, as statement text and parameters: the plan cache,
+// keyed by that text, is the only statement cache.
+//
+// One statement path per direction. Every SELECT — and EXPLAIN [ANALYZE] — is
+// a cursor (Rows) over one pinned catalog view, opened by DB.open; a Result is
+// that cursor drained. Every DDL/DML statement runs through DB.exec.
 //
 // Concurrency: a DB is safe for concurrent use. Mutating statements (DML and
 // DDL) serialize on the engine's write lock; after every mutation the engine
@@ -67,9 +72,6 @@ type DB struct {
 	openCursors atomic.Int64
 }
 
-// Result is re-exported for callers of Query.
-type Result = exec.Result
-
 // Open creates an empty database.
 func Open() *DB { return openCat(catalog.New()) }
 
@@ -105,14 +107,15 @@ func (db *DB) Pool() *bufpool.Pool { return db.cat.Pool() }
 // until SetEnabled(true).
 func (db *DB) Tracer() *obs.Tracer { return db.tracer }
 
-// rootSpan begins a new trace root when tracing is enabled and ctx carries
-// no span yet; with an ambient span (or tracing off) it returns (ctx, nil)
-// so nested engine calls join the caller's trace instead of forking one.
-func (db *DB) rootSpan(ctx context.Context, name string) (context.Context, *obs.ActiveSpan) {
-	if obs.FromContext(ctx) != nil {
-		return ctx, nil
+// startSpan begins a statement's span: a child of the span ctx carries, so
+// nested engine calls join the caller's trace instead of forking one; with
+// none, a new trace root unless the door is joinTrace. A nil span — tracing
+// off, or nothing to hang it on — is free.
+func (db *DB) startSpan(ctx context.Context, name string, d door) (context.Context, *obs.ActiveSpan) {
+	if d != joinTrace && obs.FromContext(ctx) == nil {
+		return db.tracer.StartRoot(ctx, name)
 	}
-	return db.tracer.StartRoot(ctx, name)
+	return obs.StartSpan(ctx, name)
 }
 
 // publish rebuilds and atomically installs the readers' catalog view. The
@@ -234,28 +237,27 @@ func (db *DB) CheckIntegrity() []string {
 // number of rows affected (0 for DDL). DML plans are cached by SQL text, so
 // repeated Exec calls skip parse and plan entirely.
 func (db *DB) Exec(sql string, params ...sqltypes.Value) (int, error) {
-	start := time.Now()
-	n, err := db.exec(sql, params)
-	db.metrics.recordExec(sql, time.Since(start), err)
-	return n, err
+	return db.exec(context.Background(), sql, params, joinTrace)
 }
 
 // ExecCtx is Exec with a caller context: when tracing is enabled the
 // statement records a span — a new root when ctx carries none, otherwise a
 // child of the ambient span (e.g. the durable store's mutation root).
 func (db *DB) ExecCtx(ctx context.Context, sql string, params ...sqltypes.Value) (int, error) {
-	_, root := db.rootSpan(ctx, "sql.exec")
-	sp := root
-	if sp == nil {
-		sp = obs.FromContext(ctx).StartChild("sql.exec")
-	}
-	sp.ArgStr("sql", truncForTrace(sql))
-	n, err := db.Exec(sql, params...)
-	sp.Arg("rows", int64(n)).End()
-	return n, err
+	return db.exec(ctx, sql, params, rootTrace)
 }
 
-func (db *DB) exec(sql string, params []sqltypes.Value) (int, error) {
+// exec is the one path every DDL/DML statement takes: the sql.exec span, the
+// write lock, the plan-cache lookup (else parse and plan), the run, the view
+// republication and the sqldb.execs / sqldb.exec.latency record.
+func (db *DB) exec(ctx context.Context, sql string, params []sqltypes.Value, d door) (n int, err error) {
+	start := time.Now()
+	_, sp := db.startSpan(ctx, "sql.exec", d)
+	sp.ArgStr("sql", truncForTrace(sql))
+	defer func() {
+		db.metrics.recordExec(sql, time.Since(start), err)
+		sp.Arg("rows", int64(n)).End()
+	}()
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	// Republish the readers' view even on error: a failed multi-row DML may
@@ -269,7 +271,6 @@ func (db *DB) exec(sql string, params []sqltypes.Value) (int, error) {
 		return 0, fmt.Errorf("use Query for SELECT statements")
 	}
 	if stmt == nil {
-		var err error
 		if stmt, err = sqlparse.Parse(sql); err != nil {
 			return 0, err
 		}
@@ -355,24 +356,15 @@ func (db *DB) createTable(s *sqlparse.CreateTable) error {
 // EXPLAIN and EXPLAIN ANALYZE statements are also accepted: they return a
 // single "plan" column with one row per plan line.
 func (db *DB) Query(sql string, params ...sqltypes.Value) (*Result, error) {
-	return db.QueryCtx(context.Background(), sql, params...)
+	return materialize(db.open(context.Background(), db.view.Load(), sql, params, joinTrace))
 }
 
-// QueryCtx is Query with a caller context: when the request tracer is
-// enabled, a trace root (or a child of the ambient span in ctx) covers
-// planning and every operator of the execution.
+// QueryCtx is Query with a caller context, which governs the statement
+// (cancellation, deadline, the request's memory accountant) and, when the
+// request tracer is enabled, places it: a trace root (or a child of the
+// ambient span in ctx) covers planning and every operator of the execution.
 func (db *DB) QueryCtx(ctx context.Context, sql string, params ...sqltypes.Value) (*Result, error) {
-	ctx, root := db.rootSpan(ctx, "sql.query")
-	root.ArgStr("sql", truncForTrace(sql))
-	start := time.Now()
-	res, err := db.queryAt(ctx, db.view.Load(), sql, nil, params)
-	rows := 0
-	if res != nil {
-		rows = len(res.Rows)
-	}
-	db.metrics.recordQuery(sql, time.Since(start), rows, err)
-	root.Arg("rows", int64(rows)).End()
-	return res, err
+	return materialize(db.open(ctx, db.view.Load(), sql, params, rootTrace))
 }
 
 // truncForTrace bounds SQL text attached as a span annotation.
@@ -382,32 +374,6 @@ func truncForTrace(sql string) string {
 		return sql[:max] + "…"
 	}
 	return sql
-}
-
-func (db *DB) queryAt(ctx context.Context, v *catalog.View, sql string, preparsed sqlparse.Statement, params []sqltypes.Value) (res *Result, err error) {
-	// Contain executor panics at the statement boundary: a query runs against
-	// an immutable snapshot and can corrupt nothing, so a panicking operator
-	// (or a poisoned page read surfacing as a panic) fails this statement
-	// with govern.ErrInternal instead of the process.
-	defer func() {
-		if p := recover(); p != nil {
-			res, err = nil, govern.Recovered(p)
-		}
-	}()
-	sp := obs.FromContext(ctx)
-	psp := sp.StartChild("plan")
-	node, ex, err := db.selectPlan(v, sql, preparsed)
-	psp.End()
-	if err != nil {
-		return nil, err
-	}
-	if ex != nil {
-		return db.runExplain(ctx, v, ex, params)
-	}
-	if planParallelism(node) > 0 {
-		db.metrics.parallelQ.Inc()
-	}
-	return exec.RunGoverned(ctx, node, params, v, sp, db.accountant(ctx))
 }
 
 // planParallelism returns the widest worker count of any exchange operator
@@ -429,13 +395,12 @@ func planParallelism(n plan.Node) int {
 }
 
 // selectPlan compiles (or fetches from the cache) the plan for a SELECT
-// against catalog view v. preparsed, when non-nil, is the already-parsed AST
-// (prepared statements) used on a cache miss. Plans are keyed by the view's
-// catalog version: a concurrent DDL publishes a newer version, so its
-// readers miss and replan rather than reuse schema objects that are not in
-// their view. EXPLAIN statements are returned unplanned (and are never
-// cached): the caller runs them through runExplain.
-func (db *DB) selectPlan(v *catalog.View, sql string, preparsed sqlparse.Statement) (plan.Node, *sqlparse.Explain, error) {
+// against catalog view v. Plans are keyed by the view's catalog version: a
+// concurrent DDL publishes a newer version, so its readers miss and replan
+// (from the cached AST) rather than reuse schema objects that are not in
+// their view. EXPLAIN statements are returned unplanned and are never
+// cached: open plans what they wrap.
+func (db *DB) selectPlan(v *catalog.View, sql string) (plan.Node, *sqlparse.Explain, error) {
 	ver := v.Version()
 	stmt, cached := db.plans.lookup(sql, ver)
 	if cached != nil {
@@ -443,9 +408,6 @@ func (db *DB) selectPlan(v *catalog.View, sql string, preparsed sqlparse.Stateme
 			return node, nil, nil
 		}
 		return nil, nil, fmt.Errorf("Query requires a SELECT statement")
-	}
-	if stmt == nil {
-		stmt = preparsed
 	}
 	if stmt == nil {
 		var err error
@@ -468,70 +430,22 @@ func (db *DB) selectPlan(v *catalog.View, sql string, preparsed sqlparse.Stateme
 	return node, nil, nil
 }
 
-// runExplain executes an EXPLAIN [ANALYZE] statement against view v, with no
-// lock held. The result has one "plan" column with a row per line.
-func (db *DB) runExplain(ctx context.Context, v *catalog.View, ex *sqlparse.Explain, params []sqltypes.Value) (*Result, error) {
-	if !ex.Analyze {
-		text, err := db.explainText(v, ex.Stmt)
-		if err != nil {
-			return nil, err
-		}
-		return planTextResult(text), nil
-	}
+// analyzedPlan plans the SELECT under an EXPLAIN ANALYZE, uncached.
+func (db *DB) analyzedPlan(v *catalog.View, ex *sqlparse.Explain) (plan.Node, error) {
 	sel, ok := ex.Stmt.(*sqlparse.Select)
 	if !ok {
 		return nil, fmt.Errorf("EXPLAIN ANALYZE supports only SELECT statements")
 	}
-	sp := obs.FromContext(ctx)
-	psp := sp.StartChild("plan")
-	node, err := plan.PlanSelectOpts(v, sel, db.planOpts())
-	psp.End()
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	res, stats, err := exec.RunAnalyze(node, params, v, sp)
-	total := time.Since(start)
-	if err != nil {
-		return nil, err
-	}
-	text := exec.FormatAnalyze(node, stats)
-	text += fmt.Sprintf("Total: rows=%d time=%s\n", len(res.Rows), total.Round(time.Microsecond))
-	return planTextResult(text), nil
+	return plan.PlanSelectOpts(v, sel, db.planOpts())
 }
 
-// planTextResult wraps multi-line plan text as a one-column result.
-func planTextResult(text string) *Result {
-	lines := strings.Split(strings.TrimRight(text, "\n"), "\n")
-	res := &Result{Columns: []string{"plan"}}
-	for _, l := range lines {
-		res.Rows = append(res.Rows, sqltypes.Row{sqltypes.NewText(l)})
-	}
-	return res
-}
-
-// ExplainAnalyze executes a SELECT with per-operator instrumentation and
+// ExplainAnalyzeCtx executes a SELECT with per-operator instrumentation and
 // returns the plan tree annotated with actual row counts, loop counts and
-// inclusive wall time per operator.
-func (db *DB) ExplainAnalyze(sql string, params ...sqltypes.Value) (string, error) {
-	return db.ExplainAnalyzeCtx(context.Background(), sql, params...)
-}
-
-// ExplainAnalyzeCtx is ExplainAnalyze with a caller context, so an analyzed
-// query records a full span tree (planner + per-operator spans) when the
-// tracer is enabled.
+// inclusive wall time per operator — `EXPLAIN ANALYZE <sql>` through QueryCtx,
+// as one string under a sql.analyze span. ctx governs the run like any other
+// statement's.
 func (db *DB) ExplainAnalyzeCtx(ctx context.Context, sql string, params ...sqltypes.Value) (string, error) {
-	stmt, err := sqlparse.Parse(sql)
-	if err != nil {
-		return "", err
-	}
-	if e, ok := stmt.(*sqlparse.Explain); ok {
-		stmt = e.Stmt
-	}
-	ctx, root := db.rootSpan(ctx, "sql.analyze")
-	root.ArgStr("sql", truncForTrace(sql))
-	defer root.End()
-	res, err := db.runExplain(ctx, db.view.Load(), &sqlparse.Explain{Stmt: stmt, Analyze: true}, params)
+	res, err := materialize(db.open(ctx, db.view.Load(), sql, params, analyzeDoor))
 	if err != nil {
 		return "", err
 	}
@@ -607,76 +521,6 @@ func (db *DB) explainText(v *catalog.View, stmt sqlparse.Statement) (string, err
 	}
 }
 
-// Stmt is a prepared statement: parsed once, with its plan cached in the
-// engine's shared plan cache (keyed by SQL text, validated against the
-// catalog version). Hot loops (the shredder, the update manager, the XPath
-// evaluator) therefore pay parse and plan once per schema version, not per
-// Run.
-type Stmt struct {
-	db   *DB
-	sql  string
-	stmt sqlparse.Statement
-}
-
-// Prepare parses a statement for repeated execution.
-func (db *DB) Prepare(sql string) (*Stmt, error) {
-	stmt, err := sqlparse.Parse(sql)
-	if err != nil {
-		return nil, err
-	}
-	return &Stmt{db: db, sql: sql, stmt: stmt}, nil
-}
-
-// Exec runs a prepared DML statement.
-func (s *Stmt) Exec(params ...sqltypes.Value) (int, error) {
-	start := time.Now()
-	n, err := s.exec(params)
-	s.db.metrics.recordExec(s.sql, time.Since(start), err)
-	return n, err
-}
-
-func (s *Stmt) exec(params []sqltypes.Value) (int, error) {
-	s.db.mu.Lock()
-	defer s.db.mu.Unlock()
-	defer s.db.publish()
-	if _, cached := s.db.plans.lookup(s.sql, s.db.cat.Version()); cached != nil && isDMLPlan(cached) {
-		return runDML(cached, params)
-	}
-	return s.db.execParsed(s.sql, s.stmt, params)
-}
-
-// Query runs a prepared SELECT against the latest published view, with no
-// lock held.
-func (s *Stmt) Query(params ...sqltypes.Value) (*Result, error) {
-	return s.QueryAt(nil, params...)
-}
-
-// QueryAt runs a prepared SELECT against a pinned snapshot (nil means the
-// latest published view).
-func (s *Stmt) QueryAt(snap *Snap, params ...sqltypes.Value) (*Result, error) {
-	return s.QueryAtCtx(context.Background(), snap, params...)
-}
-
-// QueryAtCtx is QueryAt with a caller context: with an ambient span in ctx
-// (the XPath pipeline threads one per request) the statement joins that
-// trace as a sql.query span over its planning and operators.
-func (s *Stmt) QueryAtCtx(ctx context.Context, snap *Snap, params ...sqltypes.Value) (*Result, error) {
-	v := s.db.view.Load()
-	if snap != nil {
-		v = snap.v
-	}
-	ctx, sp := obs.StartSpan(ctx, "sql.query")
-	start := time.Now()
-	res, err := s.db.queryAt(ctx, v, s.sql, s.stmt, params)
-	rows := 0
-	if res != nil {
-		rows = len(res.Rows)
-	}
-	s.db.metrics.recordQuery(s.sql, time.Since(start), rows, err)
-	sp.Arg("rows", int64(rows)).End()
-	return res, err
-}
-
 // Snap pins one published catalog view so several statements observe the
 // same snapshot — no writer, concurrent or otherwise, is visible through it.
 // A Snap is immutable and safe for concurrent use; dropping every reference
@@ -704,16 +548,10 @@ func (db *DB) TableStats(name string) (st heap.Stats, ok bool) {
 // Version reports the catalog version the snapshot was published at.
 func (s *Snap) Version() uint64 { return s.v.Version() }
 
-// Query runs a SELECT against the pinned snapshot.
-func (s *Snap) Query(sql string, params ...sqltypes.Value) (*Result, error) {
-	start := time.Now()
-	res, err := s.db.queryAt(context.Background(), s.v, sql, nil, params)
-	rows := 0
-	if res != nil {
-		rows = len(res.Rows)
-	}
-	s.db.metrics.recordQuery(sql, time.Since(start), rows, err)
-	return res, err
+// Query runs a SELECT against the pinned snapshot and materializes the
+// result; ctx governs it and, when it carries a span, places it in a trace.
+func (s *Snap) Query(ctx context.Context, sql string, params ...sqltypes.Value) (*Result, error) {
+	return materialize(s.db.open(ctx, s.v, sql, params, joinTrace))
 }
 
 // Convenience constructors so engine callers do not import sqltypes

@@ -355,28 +355,28 @@ func TestThreeWayJoin(t *testing.T) {
 	wantRows(t, res, "x|100", "y|101", "x|102")
 }
 
-func TestPrepared(t *testing.T) {
+// TestRepeatedStatement: statement text and parameters are the whole
+// interface. Re-running a text with new parameters binds them afresh, and
+// every run after the first is a plan-cache hit — no parse, no plan.
+func TestRepeatedStatement(t *testing.T) {
 	db := setupEmployees(t)
-	q, err := db.Prepare("SELECT name FROM emp WHERE id = ?")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for id, want := range map[int64]string{1: "ann", 3: "cal"} {
-		res, err := q.Query(I(id))
-		if err != nil {
+	const q = "SELECT name FROM emp WHERE id = ?"
+	wantRows(t, mustQuery(t, db, q, I(1)), "ann")
+	before := db.Metrics()
+	wantRows(t, mustQuery(t, db, q, I(3)), "cal")
+	for _, id := range []int64{7, 8} {
+		if _, err := db.Exec("INSERT INTO dept VALUES (?, ?)", I(id), S("ops")); err != nil {
 			t.Fatal(err)
 		}
-		wantRows(t, res, want)
 	}
-	ins, err := db.Prepare("INSERT INTO dept VALUES (?, ?)")
-	if err != nil {
-		t.Fatal(err)
+	after := db.Metrics()
+	if got := after.Counters["sqldb.plancache.hits"] - before.Counters["sqldb.plancache.hits"]; got != 2 {
+		t.Errorf("plan-cache hits = %d, want 2 (the second SELECT and the second INSERT)", got)
 	}
-	if _, err := ins.Exec(I(7), S("ops")); err != nil {
-		t.Fatal(err)
+	if got := after.Counters["sqldb.plancache.misses"] - before.Counters["sqldb.plancache.misses"]; got != 1 {
+		t.Errorf("plan-cache misses = %d, want 1 (the first INSERT)", got)
 	}
-	res := mustQuery(t, db, "SELECT name FROM dept WHERE id = 7")
-	wantRows(t, res, "ops")
+	wantRows(t, mustQuery(t, db, "SELECT name FROM dept WHERE id = 8"), "ops")
 }
 
 func TestErrors(t *testing.T) {

@@ -1,6 +1,8 @@
 // Package exec interprets physical plans with Volcano-style iterators and
 // runs DML statements. It is deliberately simple: every operator implements
-// Open/Next/Close over sqltypes.Row values.
+// Open/Next/Close over sqltypes.Row values, a SELECT tree starts in exactly
+// one place (Open), and what is done with its rows — stream, materialize,
+// analyze — is the engine's business (sqldb.Rows), not this package's.
 package exec
 
 import (
@@ -26,12 +28,6 @@ type Operator interface {
 	Close()
 }
 
-// Result is a fully materialized query result.
-type Result struct {
-	Columns []string
-	Rows    []sqltypes.Row
-}
-
 // EncodeRIDInt packs a heap RID into an int64 for the hidden _rid column.
 func EncodeRIDInt(rid heap.RID) int64 {
 	return int64(rid.Page)<<16 | int64(rid.Slot)
@@ -42,52 +38,70 @@ func DecodeRIDInt(v int64) heap.RID {
 	return heap.RID{Page: uint32(v >> 16), Slot: uint16(v & 0xFFFF)}
 }
 
-// buildEnv carries the per-query execution context through operator
-// construction: the catalog view the query reads (nil means live storage,
-// the writer side), the optional instrumentation map, and — inside a Gather
-// worker subtree — the shared partition state and the worker's ordinal.
-type buildEnv struct {
-	view   *catalog.View
-	stats  map[plan.Node]*OpStats
-	shared *gatherShared
-	worker int
-	// span, when non-nil, is the request span the operator tree hangs off:
+// Env is what a SELECT tree is built and opened under. The zero value reads
+// live storage ungoverned and uninstrumented — the writer side, where the
+// engine's write lock already serialises the statement.
+type Env struct {
+	// View is the catalog snapshot the query reads (nil means live storage).
+	View *catalog.View
+	// Span, when non-nil, is the request span the operator tree hangs off:
 	// every operator gets a child span (Open→Close wall interval, row count
 	// arg), and Gather workers open their own lanes under it.
-	span *obs.ActiveSpan
-	// ctx, when non-nil, is the statement context scans poll for
-	// cancellation; mem, when non-nil, is the query's shared memory
+	Span *obs.ActiveSpan
+	// Ctx, when non-nil, is the statement context scans poll for
+	// cancellation; Mem, when non-nil, is the query's shared memory
 	// accountant charged by pipeline-breaking operators.
-	ctx context.Context
-	mem *govern.Accountant
+	Ctx context.Context
+	Mem *govern.Accountant
+	// Stats, when non-nil, switches on EXPLAIN ANALYZE instrumentation: every
+	// operator is wrapped with a stats decorator registered under its plan
+	// node, and the map fills in as the query executes (see FormatAnalyze).
+	Stats map[plan.Node]*OpStats
+
+	// Inside a Gather worker subtree: the shared partition state and the
+	// worker's ordinal.
+	shared *gatherShared
+	worker int
 }
 
 // data resolves the table's readable storage for this query.
-func (e buildEnv) data(t *catalog.Table) *catalog.TableData { return e.view.Data(t) }
+func (e Env) data(t *catalog.Table) *catalog.TableData { return e.View.Data(t) }
 
-// Build compiles a plan node into an operator tree reading from view (nil
-// for live storage under the engine's write lock).
-func Build(n plan.Node, params []sqltypes.Value, view *catalog.View) (Operator, error) {
-	return build(n, params, buildEnv{view: view})
+// Open compiles a SELECT plan into an operator tree under env and opens it —
+// the one way a tree starts, whether the caller streams it, drains it or
+// analyzes it. On success the caller owns the operator and must Close it
+// exactly once: Close releases buffer-pool pins and reaps Gather workers even
+// when the stream is only partially consumed. On error nothing is retained.
+func Open(n plan.Node, params []sqltypes.Value, env Env) (Operator, error) {
+	op, err := build(n, params, env)
+	if err != nil {
+		return nil, err
+	}
+	if err := op.Open(); err != nil {
+		op.Close()
+		return nil, err
+	}
+	return op, nil
 }
 
-// build compiles one node (recursively). When env.stats is non-nil every
-// operator is wrapped with a stats decorator registered in the map under its
-// plan node (Gather workers carry their own maps, merged when the gather
-// drains). When env.span is non-nil every operator is additionally wrapped
-// with a trace decorator emitting one span per operator into the request's
-// trace tree.
-func build(n plan.Node, params []sqltypes.Value, env buildEnv) (Operator, error) {
-	tsp := env.span.StartChild("op." + opName(n))
-	env.span = tsp
+// build compiles one node (recursively), wrapping it with a stats decorator
+// under env.Stats (Gather workers carry their own maps, merged when the
+// gather drains) and with a trace decorator, one span per operator in the
+// request's trace tree, under env.Span.
+func build(n plan.Node, params []sqltypes.Value, env Env) (Operator, error) {
+	var tsp *obs.ActiveSpan
+	if env.Span != nil { // untraced, do not even format the name
+		tsp = env.Span.StartChild("op." + opName(n))
+	}
+	env.Span = tsp
 	op, err := buildOp(n, params, env)
 	if err != nil {
 		tsp.End()
 		return op, err
 	}
-	if env.stats != nil {
+	if env.Stats != nil {
 		st := &OpStats{}
-		env.stats[n] = st
+		env.Stats[n] = st
 		op = &statsOp{op: op, st: st}
 	}
 	if tsp != nil {
@@ -136,7 +150,7 @@ func (t *traceOp) Close() {
 	}
 }
 
-func buildOp(n plan.Node, params []sqltypes.Value, env buildEnv) (Operator, error) {
+func buildOp(n plan.Node, params []sqltypes.Value, env Env) (Operator, error) {
 	switch x := n.(type) {
 	case *plan.SeqScan:
 		return newSeqScan(x, params, env), nil
@@ -232,76 +246,6 @@ func buildOp(n plan.Node, params []sqltypes.Value, env buildEnv) (Operator, erro
 	}
 }
 
-// Run executes a SELECT plan to completion against the given view (nil for
-// live storage).
-func Run(n plan.Node, params []sqltypes.Value, view *catalog.View) (*Result, error) {
-	return RunSpan(n, params, view, nil)
-}
-
-// RunSpan executes a SELECT plan like Run, hanging one trace span per
-// operator off sp when sp is non-nil.
-func RunSpan(n plan.Node, params []sqltypes.Value, view *catalog.View, sp *obs.ActiveSpan) (*Result, error) {
-	return RunGoverned(nil, n, params, view, sp, nil)
-}
-
-// RunGoverned executes a SELECT plan under query governance: scans poll ctx
-// every govern.PollInterval rows (aborting with the typed cancellation
-// errors), and materializing operators plus the result buffer charge mem.
-// Both may be nil for an ungoverned run.
-func RunGoverned(ctx context.Context, n plan.Node, params []sqltypes.Value,
-	view *catalog.View, sp *obs.ActiveSpan, mem *govern.Accountant) (*Result, error) {
-	env := buildEnv{view: view, span: sp, ctx: ctx, mem: mem}
-	op, err := build(n, params, env)
-	if err != nil {
-		return nil, err
-	}
-	if err := op.Open(); err != nil {
-		op.Close()
-		return nil, err
-	}
-	defer op.Close()
-	schema := n.Schema()
-	res := &Result{Columns: make([]string, len(schema))}
-	for i, c := range schema {
-		res.Columns[i] = c.Column
-	}
-	tick := env.newTick()
-	for {
-		row, ok, err := op.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return res, nil
-		}
-		if err := tick.step(); err != nil {
-			return nil, err
-		}
-		if err := tick.chargeRow(row); err != nil {
-			return nil, err
-		}
-		res.Rows = append(res.Rows, row.Clone())
-	}
-}
-
-// OpenGoverned compiles and opens a governed operator tree without draining
-// it, for streaming consumers (the engine's cursor API). On success the
-// caller owns the operator and must Close it exactly once — Close releases
-// buffer-pool pins and reaps Gather workers even when the stream is only
-// partially consumed. On error nothing is retained.
-func OpenGoverned(ctx context.Context, n plan.Node, params []sqltypes.Value,
-	view *catalog.View, sp *obs.ActiveSpan, mem *govern.Accountant) (Operator, error) {
-	op, err := build(n, params, buildEnv{view: view, span: sp, ctx: ctx, mem: mem})
-	if err != nil {
-		return nil, err
-	}
-	if err := op.Open(); err != nil {
-		op.Close()
-		return nil, err
-	}
-	return op, nil
-}
-
 // RunInsert executes an insert plan, returning the number of rows inserted.
 func RunInsert(p *plan.InsertPlan, params []sqltypes.Value) (int, error) {
 	env := &expr.Env{Params: params}
@@ -376,11 +320,8 @@ type dmlMatch struct {
 }
 
 func collectDML(scan plan.Node, params []sqltypes.Value) ([]dmlMatch, error) {
-	op, err := Build(scan, params, nil)
+	op, err := Open(scan, params, Env{})
 	if err != nil {
-		return nil, err
-	}
-	if err := op.Open(); err != nil {
 		return nil, err
 	}
 	defer op.Close()

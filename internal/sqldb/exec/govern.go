@@ -8,7 +8,7 @@ import (
 )
 
 // Operator-level governance: every leaf and pipeline-breaking operator holds
-// a govTick built from the query's buildEnv. step() polls the statement
+// a govTick built from the query's Env. step() polls the statement
 // context once per govern.PollInterval rows, so cancellation and deadlines
 // abort a scan mid-flight; charge() books materialized bytes against the
 // query's shared memory accountant, so hash tables, sort buffers and result
@@ -26,11 +26,11 @@ type govTick struct {
 
 // newTick returns the governance handle for an operator built under env, or
 // nil when the query is ungoverned.
-func (e buildEnv) newTick() *govTick {
-	if e.ctx == nil && e.mem == nil {
+func (e Env) newTick() *govTick {
+	if e.Ctx == nil && e.Mem == nil {
 		return nil
 	}
-	return &govTick{ctx: e.ctx, mem: e.mem}
+	return &govTick{ctx: e.Ctx, mem: e.Mem}
 }
 
 // step counts one row and polls the context every govern.PollInterval rows.

@@ -29,7 +29,7 @@ type indexNLJoinOp struct {
 	low, high sqltypes.Value
 }
 
-func newIndexNLJoin(n *plan.IndexNLJoin, left Operator, params []sqltypes.Value, env buildEnv) *indexNLJoinOp {
+func newIndexNLJoin(n *plan.IndexNLJoin, left Operator, params []sqltypes.Value, env Env) *indexNLJoinOp {
 	return &indexNLJoinOp{node: n, left: left, env: &expr.Env{Params: params},
 		data: env.data(n.Table), gov: env.newTick()}
 }

@@ -116,7 +116,7 @@ func (g *gatherShared) ridCursor(n plan.Node, open func() (*catalog.IndexIter, e
 type gatherOp struct {
 	node   *plan.Gather
 	params []sqltypes.Value
-	env    buildEnv
+	env    Env
 
 	rows        chan sqltypes.Row
 	stop        chan struct{}
@@ -144,11 +144,11 @@ func (g *gatherOp) Open() error {
 		wenv.worker = i
 		// Each worker's subtree hangs under its own "gather.worker" span on
 		// a fresh lane, so overlapping workers render as parallel tracks.
-		wenv.span = g.env.span.StartWorker("gather.worker", i)
-		spans[i] = wenv.span
-		if g.env.stats != nil {
+		wenv.Span = g.env.Span.StartWorker("gather.worker", i)
+		spans[i] = wenv.Span
+		if g.env.Stats != nil {
 			ws := make(map[plan.Node]*OpStats)
-			wenv.stats = ws
+			wenv.Stats = ws
 			g.workerStats = append(g.workerStats, ws)
 		}
 		op, err := build(g.node.Input, g.params, wenv)
@@ -235,16 +235,16 @@ func (g *gatherOp) Close() {
 // operator's wall-clock contribution), and the per-worker breakdown is kept
 // for EXPLAIN ANALYZE.
 func (g *gatherOp) finish() {
-	if g.merged || g.env.stats == nil {
+	if g.merged || g.env.Stats == nil {
 		return
 	}
 	g.merged = true
 	for _, ws := range g.workerStats {
 		for n, st := range ws {
-			dst := g.env.stats[n]
+			dst := g.env.Stats[n]
 			if dst == nil {
 				dst = &OpStats{}
-				g.env.stats[n] = dst
+				g.env.Stats[n] = dst
 			}
 			dst.Rows += st.Rows
 			dst.Loops += st.Loops
@@ -265,7 +265,7 @@ type partHashJoinOp struct {
 	left       Operator
 	right      Operator
 	params     []sqltypes.Value
-	env        buildEnv
+	env        Env
 	rightWidth int
 
 	out []sqltypes.Row
@@ -322,8 +322,8 @@ func (j *partHashJoinOp) Open() error {
 	for _, o := range outs {
 		j.out = append(j.out, o...)
 	}
-	if j.env.stats != nil {
-		if st := j.env.stats[plan.Node(j.node)]; st != nil {
+	if j.env.Stats != nil {
+		if st := j.env.Stats[plan.Node(j.node)]; st != nil {
 			st.Workers = st.Workers[:0]
 			for _, o := range outs {
 				st.Workers = append(st.Workers, &OpStats{Rows: int64(len(o)), Loops: 1})

@@ -26,7 +26,7 @@ type seqScanOp struct {
 	done   bool
 }
 
-func newSeqScan(n *plan.SeqScan, params []sqltypes.Value, env buildEnv) *seqScanOp {
+func newSeqScan(n *plan.SeqScan, params []sqltypes.Value, env Env) *seqScanOp {
 	s := &seqScanOp{node: n, env: &expr.Env{Params: params}, data: env.data(n.Table), gov: env.newTick()}
 	if n.Parallel && env.shared != nil && s.data.CanPartition() {
 		s.cursor = env.shared.pageCursor(n, s.data.Pages())
@@ -123,7 +123,7 @@ type indexScanOp struct {
 	pos    int
 }
 
-func newIndexScan(n *plan.IndexScan, params []sqltypes.Value, env buildEnv) *indexScanOp {
+func newIndexScan(n *plan.IndexScan, params []sqltypes.Value, env Env) *indexScanOp {
 	s := &indexScanOp{node: n, env: &expr.Env{Params: params}, data: env.data(n.Table), gov: env.newTick()}
 	if n.Parallel && env.shared != nil {
 		s.shared = env.shared

@@ -5,8 +5,6 @@ import (
 	"strings"
 	"time"
 
-	"ordxml/internal/obs"
-	"ordxml/internal/sqldb/catalog"
 	"ordxml/internal/sqldb/plan"
 	"ordxml/internal/sqldb/sqltypes"
 )
@@ -27,8 +25,8 @@ type OpStats struct {
 }
 
 // statsOp decorates an operator, attributing wall time and row counts to its
-// plan node. The decorator exists only on the analyze path: plain Build never
-// allocates it, so normal execution pays nothing.
+// plan node. The decorator exists only under Env.Stats, so normal execution
+// pays nothing.
 type statsOp struct {
 	op Operator
 	st *OpStats
@@ -53,48 +51,6 @@ func (s *statsOp) Next() (sqltypes.Row, bool, error) {
 }
 
 func (s *statsOp) Close() { s.op.Close() }
-
-// BuildInstrumented compiles a plan into an operator tree where every node is
-// wrapped with a stats decorator. The returned map is keyed by plan node and
-// is filled in as the query executes.
-func BuildInstrumented(n plan.Node, params []sqltypes.Value, view *catalog.View) (Operator, map[plan.Node]*OpStats, error) {
-	stats := make(map[plan.Node]*OpStats)
-	op, err := build(n, params, buildEnv{view: view, stats: stats})
-	if err != nil {
-		return nil, nil, err
-	}
-	return op, stats, nil
-}
-
-// RunAnalyze executes a SELECT plan with per-operator instrumentation
-// against the given view and returns both the result and the collected
-// stats. A non-nil sp additionally emits one trace span per operator.
-func RunAnalyze(n plan.Node, params []sqltypes.Value, view *catalog.View, sp *obs.ActiveSpan) (*Result, map[plan.Node]*OpStats, error) {
-	stats := make(map[plan.Node]*OpStats)
-	op, err := build(n, params, buildEnv{view: view, stats: stats, span: sp})
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := op.Open(); err != nil {
-		return nil, nil, err
-	}
-	defer op.Close()
-	schema := n.Schema()
-	res := &Result{Columns: make([]string, len(schema))}
-	for i, c := range schema {
-		res.Columns[i] = c.Column
-	}
-	for {
-		row, ok, err := op.Next()
-		if err != nil {
-			return nil, nil, err
-		}
-		if !ok {
-			return res, stats, nil
-		}
-		res.Rows = append(res.Rows, row.Clone())
-	}
-}
 
 // FormatAnalyze renders the plan tree with per-operator actuals appended to
 // each line, e.g.

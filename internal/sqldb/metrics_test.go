@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -115,7 +116,7 @@ func TestExplainAnalyzeRejectsDML(t *testing.T) {
 
 func TestExplainAnalyzeMethod(t *testing.T) {
 	db := metricsTestDB(t)
-	out, err := db.ExplainAnalyze(`SELECT id FROM node WHERE parent = ? AND ord >= ?`, I(1), I(0))
+	out, err := db.ExplainAnalyzeCtx(context.Background(), `SELECT id FROM node WHERE parent = ? AND ord >= ?`, I(1), I(0))
 	if err != nil {
 		t.Fatal(err)
 	}

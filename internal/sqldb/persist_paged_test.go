@@ -43,13 +43,13 @@ func TestPagedManifestRoundTrip(t *testing.T) {
 		i INT PRIMARY KEY, r REAL, s TEXT NOT NULL, b BLOB, f BOOL)`)
 	mustExec(t, db, `CREATE INDEX t_s ON t (s, i)`)
 	mustExec(t, db, `CREATE TABLE empty (x INT)`)
-	ins, _ := db.Prepare("INSERT INTO t VALUES (?, ?, ?, ?, ?)")
+	const ins = "INSERT INTO t VALUES (?, ?, ?, ?, ?)"
 	for i := int64(0); i < 500; i++ {
 		var blob sqltypes.Value = B([]byte{byte(i), 0x00, 0xFF})
 		if i%7 == 0 {
 			blob = Null()
 		}
-		if _, err := ins.Exec(I(i), F(float64(i)/3), S("row"), blob, sqltypes.NewBool(i%2 == 0)); err != nil {
+		if _, err := db.Exec(ins, I(i), F(float64(i)/3), S("row"), blob, sqltypes.NewBool(i%2 == 0)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -96,9 +96,9 @@ func TestPagedManifestIncremental(t *testing.T) {
 	pool := newTestPool(t, 64)
 	db := OpenPooled(pool)
 	mustExec(t, db, "CREATE TABLE t (i INT PRIMARY KEY, s TEXT)")
-	ins, _ := db.Prepare("INSERT INTO t VALUES (?, ?)")
+	const ins = "INSERT INTO t VALUES (?, ?)"
 	for i := int64(0); i < 2000; i++ {
-		if _, err := ins.Exec(I(i), S("some row padding text for page fill")); err != nil {
+		if _, err := db.Exec(ins, I(i), S("some row padding text for page fill")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -155,11 +155,11 @@ func TestPagedBeyondRAM(t *testing.T) {
 	pool := bufpool.New(pf, frames)
 	db := OpenPooled(pool)
 	mustExec(t, db, "CREATE TABLE t (i INT PRIMARY KEY, s TEXT)")
-	ins, _ := db.Prepare("INSERT INTO t VALUES (?, ?)")
+	const ins = "INSERT INTO t VALUES (?, ?)"
 	pad := string(bytes.Repeat([]byte("x"), 200))
 	const rows = 4000 // ~800KB of row data vs a 64KB pool
 	for i := int64(0); i < rows; i++ {
-		if _, err := ins.Exec(I(i), S(pad)); err != nil {
+		if _, err := db.Exec(ins, I(i), S(pad)); err != nil {
 			t.Fatal(err)
 		}
 	}

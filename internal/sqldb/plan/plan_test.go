@@ -25,16 +25,13 @@ func setup(t *testing.T) *sqldb.DB {
 			t.Fatal(err)
 		}
 	}
-	ins, err := db.Prepare("INSERT INTO n VALUES (1, ?, ?, ?, ?)")
-	if err != nil {
-		t.Fatal(err)
-	}
+	const ins = "INSERT INTO n VALUES (1, ?, ?, ?, ?)"
 	for i := int64(1); i <= 100; i++ {
 		parent := sqldb.Null()
 		if i > 1 {
 			parent = sqldb.I(1)
 		}
-		if _, err := ins.Exec(sqldb.I(i), parent, sqldb.S("t"), sqldb.I(i*10)); err != nil {
+		if _, err := db.Exec(ins, sqldb.I(i), parent, sqldb.S("t"), sqldb.I(i*10)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -35,7 +35,9 @@ type cacheShard struct {
 }
 
 // planCache is a sharded LRU map from SQL text to parsed statement +
-// compiled plan. Every lookup revalidates the entry against the current
+// compiled plan — the engine's only statement cache: callers keep SQL text,
+// not statement handles, and DB.open / DB.exec look it up once per
+// statement. Every lookup revalidates the entry against the current
 // catalog version, which DDL bumps — so CREATE/DROP TABLE/INDEX can never
 // serve a stale plan. A stale entry still yields its parsed AST (parsing is
 // schema-independent), so only planning repeats after DDL.
@@ -44,8 +46,8 @@ type cacheShard struct {
 // trees are read-only after planning (parameters bind at execution inside
 // the operator tree), which is what makes the cache safe for the engine's
 // lock-free readers. Statements hash to shards by SQL text, so the hot
-// prepared statements of concurrent readers spread across
-// planCacheShards mutexes instead of serializing on one.
+// statements of concurrent readers spread across planCacheShards mutexes
+// instead of serializing on one.
 type planCache struct {
 	shards [planCacheShards]cacheShard
 

@@ -237,27 +237,38 @@ func TestConcurrentQueries(t *testing.T) {
 	}
 }
 
-// TestStmtReplanAfterDDL: prepared statements share the cache and must
-// survive DDL between executions.
-func TestStmtReplanAfterDDL(t *testing.T) {
+// TestStatementReplansAfterDDL: a statement text survives DDL between
+// executions — the run after the DDL misses the cache, replans against the
+// new catalog version (here without the dropped index) and returns the same
+// rows; the run after that hits again.
+func TestStatementReplansAfterDDL(t *testing.T) {
 	db := cacheDB(t)
-	stmt, err := db.Prepare(`SELECT id FROM items WHERE cat = ?`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1, err := stmt.Query(S("c2"))
+	const q = `SELECT id FROM items WHERE cat = ?`
+	r1, err := db.Query(q, S("c2"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := db.Exec(`DROP INDEX items_cat`); err != nil {
 		t.Fatal(err)
 	}
-	r2, err := stmt.Query(S("c2"))
+	before := db.Metrics()
+	r2, err := db.Query(q, S("c2"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(r1.Rows) != len(r2.Rows) {
 		t.Fatalf("rows changed across DDL: %d -> %d", len(r1.Rows), len(r2.Rows))
+	}
+	if _, err := db.Query(q, S("c2")); err != nil {
+		t.Fatal(err)
+	}
+	after := db.Metrics()
+	if h, m := after.Counters["sqldb.plancache.hits"]-before.Counters["sqldb.plancache.hits"],
+		after.Counters["sqldb.plancache.misses"]-before.Counters["sqldb.plancache.misses"]; h != 1 || m != 1 {
+		t.Errorf("after DDL: %d hits, %d misses over two runs, want 1 and 1", h, m)
+	}
+	if p, err := db.Explain(q); err != nil || strings.Contains(p, "items_cat") {
+		t.Errorf("plan after DROP INDEX still names the index (err %v):\n%s", err, p)
 	}
 }
 

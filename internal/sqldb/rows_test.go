@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"ordxml/internal/govern"
+	"ordxml/internal/obs"
 )
 
 // waitGoroutines polls until the process goroutine count drops back to base,
@@ -55,31 +57,148 @@ func TestQueryRowsStreams(t *testing.T) {
 	}
 }
 
-// A cursor is one SELECT statement to the metrics, counted when it is closed
-// (or fails to open), exactly like a materializing Query.
+// One statement, one record, whatever the door: every entry point goes
+// through DB.open or DB.exec, so each call adds exactly 1 to sqldb.queries (or
+// sqldb.execs) and one latency observation — a cursor when it is closed or
+// fails to open, however often it is closed — and looks the plan cache up at
+// most once (EXPLAIN is looked up but never stored). Under an ambient span a
+// door that takes a context records exactly one statement span, with one plan
+// child for a SELECT; with tracing on and no ambient span only the Ctx doors
+// the engine has always rooted open a trace root.
 func TestQueryRowsCountsAsQuery(t *testing.T) {
 	db := concurrentFixture(t, 10)
-	before := db.Metrics()
-	rows, err := db.QueryRows(context.Background(), `SELECT id FROM t`)
-	if err != nil {
-		t.Fatal(err)
+	const sel = `SELECT id FROM t`
+	const upd = `UPDATE t SET v = v + 1 WHERE id = ?`
+	drain := func(rows *Rows, err error) error {
+		if err != nil {
+			return err
+		}
+		for rows.Next() {
+		}
+		rows.Close()
+		return rows.Close() // idempotent: still one statement
 	}
-	for rows.Next() {
+	result := func(_ *Result, err error) error { return err }
+	doors := []struct {
+		name  string
+		span  string // statement span recorded under an ambient span; "" for a door with no context
+		roots bool   // opens a trace root when ctx carries no span
+		exec  bool
+		fails bool
+		run   func(ctx context.Context) error
+	}{
+		{name: "DB.Query",
+			run: func(context.Context) error { return result(db.Query(sel)) }},
+		{name: "DB.QueryCtx", span: "sql.query", roots: true,
+			run: func(ctx context.Context) error { return result(db.QueryCtx(ctx, sel)) }},
+		{name: "Snap.Query", span: "sql.query",
+			run: func(ctx context.Context) error { return result(db.Snapshot().Query(ctx, sel)) }},
+		{name: "DB.QueryRows", span: "sql.query",
+			run: func(ctx context.Context) error { return drain(db.QueryRows(ctx, sel)) }},
+		{name: "Snap.QueryRows", span: "sql.query",
+			run: func(ctx context.Context) error { return drain(db.Snapshot().QueryRows(ctx, sel)) }},
+		{name: "QueryRows/bad column", span: "sql.query", fails: true,
+			run: func(ctx context.Context) error { return drain(db.QueryRows(ctx, `SELECT nope FROM t`)) }},
+		{name: "EXPLAIN", span: "sql.query", roots: true,
+			run: func(ctx context.Context) error { return result(db.QueryCtx(ctx, `EXPLAIN `+sel)) }},
+		{name: "EXPLAIN ANALYZE", span: "sql.query", roots: true,
+			run: func(ctx context.Context) error { return result(db.QueryCtx(ctx, `EXPLAIN ANALYZE `+sel)) }},
+		{name: "EXPLAIN ANALYZE/cursor", span: "sql.query",
+			run: func(ctx context.Context) error { return drain(db.QueryRows(ctx, `EXPLAIN ANALYZE `+sel)) }},
+		{name: "DB.ExplainAnalyzeCtx", span: "sql.analyze", roots: true,
+			run: func(ctx context.Context) error { _, err := db.ExplainAnalyzeCtx(ctx, sel); return err }},
+		{name: "DB.Exec", exec: true,
+			run: func(context.Context) error { _, err := db.Exec(upd, I(1)); return err }},
+		{name: "DB.ExecCtx", span: "sql.exec", roots: true, exec: true,
+			run: func(ctx context.Context) error { _, err := db.ExecCtx(ctx, upd, I(1)); return err }},
 	}
-	rows.Close()
-	rows.Close() // idempotent: still one statement
-	if _, err := db.QueryRows(context.Background(), `SELECT nope FROM t`); err == nil {
-		t.Fatal("bad column accepted")
+	delta := func(before, after obs.Snapshot, name string) int64 {
+		return after.Counters[name] - before.Counters[name]
 	}
-	after := db.Metrics()
-	if got := after.Counters["sqldb.queries"] - before.Counters["sqldb.queries"]; got != 2 {
-		t.Errorf("sqldb.queries moved by %d, want 2", got)
-	}
-	if got := after.Counters["sqldb.query.errors"] - before.Counters["sqldb.query.errors"]; got != 1 {
-		t.Errorf("sqldb.query.errors moved by %d, want 1", got)
-	}
-	if got := after.Histograms["sqldb.query.latency"].Count - before.Histograms["sqldb.query.latency"].Count; got != 2 {
-		t.Errorf("sqldb.query.latency observed %d statements, want 2", got)
+	for _, d := range doors {
+		t.Run(d.name, func(t *testing.T) {
+			counter, failed, latency := "sqldb.queries", "sqldb.query.errors", "sqldb.query.latency"
+			if d.exec {
+				counter, failed, latency = "sqldb.execs", "sqldb.exec.errors", "sqldb.exec.latency"
+			}
+			before := db.Metrics()
+			if err := d.run(context.Background()); (err != nil) != d.fails {
+				t.Fatalf("err = %v, want failure = %v", err, d.fails)
+			}
+			after := db.Metrics()
+			if got := delta(before, after, "sqldb.queries") + delta(before, after, "sqldb.execs"); got != 1 {
+				t.Errorf("sqldb.queries + sqldb.execs moved by %d, want 1", got)
+			}
+			if got := delta(before, after, counter); got != 1 {
+				t.Errorf("%s moved by %d, want 1", counter, got)
+			}
+			if got := delta(before, after, failed); (got == 1) != d.fails || got > 1 {
+				t.Errorf("%s moved by %d, failure = %v", failed, got, d.fails)
+			}
+			if got := after.Histograms[latency].Count - before.Histograms[latency].Count; got != 1 {
+				t.Errorf("%s observed %d statements, want 1", latency, got)
+			}
+			if got := delta(before, after, "sqldb.plancache.hits") + delta(before, after, "sqldb.plancache.misses"); got != 1 {
+				t.Errorf("plan cache looked up %d times, want 1", got)
+			}
+			if strings.HasPrefix(d.name, "EXPLAIN") && after.Gauges["sqldb.plancache.entries"] != before.Gauges["sqldb.plancache.entries"] {
+				t.Error("an EXPLAIN statement was stored in the plan cache")
+			}
+			if got := after.Gauges["sqldb.cursors.open"]; got != 0 {
+				t.Errorf("sqldb.cursors.open = %d after the statement", got)
+			}
+
+			tr := db.Tracer()
+			tr.SetEnabled(true)
+			defer tr.SetEnabled(false)
+
+			// Under an ambient span: one statement span, one plan child.
+			tr.Reset()
+			ctx, ambient := tr.StartRoot(context.Background(), "test.ambient")
+			d.run(ctx)
+			ambient.End()
+			byName := map[string][]obs.SpanRecord{}
+			for _, r := range tr.Snapshot() {
+				byName[r.Name] = append(byName[r.Name], r)
+			}
+			stmts := append(append(byName["sql.query"], byName["sql.exec"]...), byName["sql.analyze"]...)
+			switch {
+			case d.span == "" && len(stmts)+len(byName["plan"]) != 0:
+				t.Errorf("a door with no context recorded spans: %v", stmts)
+			case d.span != "":
+				if len(stmts) != 1 || stmts[0].Name != d.span || stmts[0].Parent != ambient.SpanID() {
+					t.Fatalf("statement spans = %+v, want one %s under the ambient span", stmts, d.span)
+				}
+				wantPlans := 1
+				if d.exec {
+					wantPlans = 0
+				}
+				if len(byName["plan"]) != wantPlans {
+					t.Errorf("plan spans = %d, want %d", len(byName["plan"]), wantPlans)
+				}
+				for _, r := range byName["plan"] {
+					if r.Parent != stmts[0].ID {
+						t.Errorf("plan span hangs off %d, want the %s span %d", r.Parent, d.span, stmts[0].ID)
+					}
+				}
+			}
+
+			// With no ambient span: a root only where there has always been one.
+			tr.Reset()
+			d.run(context.Background())
+			roots := 0
+			for _, r := range tr.Snapshot() {
+				if r.Parent == 0 {
+					roots++
+				}
+			}
+			if want := map[bool]int{true: 1}[d.roots]; roots != want {
+				t.Errorf("trace roots = %d, want %d", roots, want)
+			}
+			if !d.roots && len(tr.Snapshot()) != 0 {
+				t.Errorf("spans recorded with nothing to hang them on: %+v", tr.Snapshot())
+			}
+		})
 	}
 }
 

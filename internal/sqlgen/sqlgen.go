@@ -8,7 +8,7 @@
 // depends on:
 //
 //   - no injection: a hostile or corrupt identifier cannot break out of the
-//     statement (it panics at Prepare time instead, loudly);
+//     statement (SQL panics instead, loudly, before any text exists);
 //   - plan-cache friendliness: statement text stays a function of the schema
 //     only, never of values, so the cache keyed by SQL text keeps hitting.
 //
@@ -31,8 +31,9 @@ var identRe = regexp.MustCompile(`^[A-Za-z_][A-Za-z0-9_]*$`)
 // the corresponding identifier argument; each argument must be a valid
 // identifier or a comma-separated identifier list (for column lists). Any
 // other format verb, a placeholder/argument count mismatch, or an invalid
-// identifier panics: statement templates are compiled-in and prepared at
-// startup, so a bad one is a programming error, not a runtime condition.
+// identifier panics: statement templates are compiled-in and their
+// identifiers come from the encoding's schema, so a bad one is a programming
+// error, not a runtime condition.
 func SQL(format string, idents ...string) string {
 	if n := countPlaceholders(format); n != len(idents) {
 		panic(fmt.Sprintf("sqlgen.SQL: template has %d %%s placeholders but %d identifiers given: %q", n, len(idents), format))

@@ -550,22 +550,28 @@ func (s *Store) Metrics() Metrics { return s.db.Metrics() }
 
 // ExplainSQL returns the physical plan of a SQL statement as text.
 func (s *Store) ExplainSQL(query string) (string, error) {
+	if err := s.closedErr(); err != nil {
+		return "", err
+	}
 	return s.db.Explain(query)
 }
 
 // ExplainAnalyzeSQL executes a SELECT with per-operator instrumentation and
 // returns the plan tree annotated with actual row counts, loop counts and
 // wall time per operator. Equivalent to running `EXPLAIN ANALYZE <query>`
-// through SQL.
+// through SQL, and governed like it: the run is admitted, timed out and
+// memory-budgeted as any other read.
 func (s *Store) ExplainAnalyzeSQL(query string, args ...any) (string, error) {
-	if err := s.closedErr(); err != nil {
-		return "", err
-	}
 	params, err := toValues(args)
 	if err != nil {
 		return "", err
 	}
-	return s.db.ExplainAnalyze(query, params...)
+	ctx, end, err := s.beginRead(context.Background())
+	if err != nil {
+		return "", err
+	}
+	defer end()
+	return s.db.ExplainAnalyzeCtx(ctx, query, params...)
 }
 
 // SlowQueries returns the engine's slow-query log, oldest first.
