@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race fmt-check lint lint-sarif check fuzz-smoke bench bench-query torture govern-torture
+.PHONY: build test race fmt-check lint lint-sarif check fuzz-smoke bench bench-query bench-paged torture govern-torture
 
 build:
 	$(GO) build ./...
@@ -53,6 +53,15 @@ bench:
 bench-query:
 	bash benchmark/run.sh --workload query_mem --seed 7 --seconds 20 --trace 1 | \
 		grep -E '^(ordxml\.q[69]_ms|exec\.statements_per_cycle|ordxml\.alloc_mb_per_cycle|btree\.node_reads_per_cycle)\.'
+
+# bench-paged is the traced ordbench run behind EXPERIMENTS.md's buffer-pool
+# table, on the same other seed: what the pool hit, missed and evicted per
+# cycle (and its layer probes), allocation per cycle and the descendant query
+# on durable stores. A report, not a gate: TestPagedRepeatedQueryHitsPool
+# asserts the pool serves a repeated query, deterministically, in go test.
+bench-paged:
+	bash benchmark/run.sh --workload query_paged --seed 7 --seconds 20 --trace 1 | \
+		grep -E '^(bufpool\.|ordxml\.alloc_mb_per_cycle\.|ordxml\.q6_ms\.)'
 
 # torture runs the crash-recovery harness with a longer session than the
 # default `go test` smoke: a child process is killed at every registered

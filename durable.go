@@ -89,9 +89,9 @@ const (
 
 // DefaultPoolFrames is the buffer-pool capacity OpenDurable uses when
 // Options.BufferPoolFrames is not positive (8 MiB of 8 KiB pages). A pool
-// smaller than the working set still answers correctly but pays for it: the
-// clock sweep gets almost no hits below working-set size (ROADMAP finding
-// (b)), so size the pool to the data when it fits in RAM.
+// smaller than the working set still answers correctly and degrades in
+// proportion: under uniform access its hit share is the share of the pages
+// it holds, and skewed access does better (DESIGN.md §12).
 const DefaultPoolFrames = 1024
 
 // durState is the durable half of a Store; nil for memory-only stores.

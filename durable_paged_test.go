@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"ordxml/internal/wal"
+	"ordxml/internal/xmlgen"
 )
 
 // dirNames lists dir's entries, sorted and space-separated.
@@ -352,4 +353,45 @@ func TestOpenDurableFinishesInterruptedImport(t *testing.T) {
 			t.Fatalf("directory holds %q", got)
 		}
 	})
+}
+
+// TestPagedRepeatedQueryHitsPool is the store-level check that the pool
+// caches: on the query_paged shape — an 8,430-node catalog in a 256-frame
+// store, checkpointed — the descendant query //keyword run a second time
+// must read the page file not once, and every heap page it reads must be a
+// pool hit. (Index nodes were materialized by the load and touch no page.)
+func TestPagedRepeatedQueryHitsPool(t *testing.T) {
+	xml := xmlgen.Catalog(xmlgen.CatalogConfig{
+		Regions: 3, ItemsPerRegion: 200, KeywordsPerItem: 2, DescriptionWords: 8, Seed: 42,
+	}).String()
+	for _, enc := range []Encoding{Global, Local, Dewey} {
+		t.Run(enc.String(), func(t *testing.T) {
+			s := openDur(t, t.TempDir(), Options{Encoding: enc, BufferPoolFrames: 256})
+			doc, err := s.LoadString("catalog", xml)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			q6 := func() map[string]int64 {
+				before := s.Metrics().Gauges
+				hits, err := s.Query(doc, "//keyword")
+				if err != nil || len(hits) != 3*200*2 {
+					t.Fatalf("//keyword = %d nodes, %v", len(hits), err)
+				}
+				delta := s.Metrics().Gauges
+				for k, v := range before {
+					delta[k] -= v
+				}
+				return delta
+			}
+			q6()
+			d := q6()
+			if d["bufpool.misses"] != 0 || d["bufpool.hits"] == 0 || d["bufpool.hits"] != d["storage.heap.page_reads"] {
+				t.Fatalf("second //keyword: %d pool misses, %d pool hits, %d heap page reads; want 0 misses and hits = reads > 0",
+					d["bufpool.misses"], d["bufpool.hits"], d["storage.heap.page_reads"])
+			}
+		})
+	}
 }

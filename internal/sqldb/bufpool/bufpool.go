@@ -3,9 +3,9 @@
 // *Frame handles; a frame's payload may or may not be resident. Access
 // follows fetch→pin→use→unpin: Pin (or Pool.Fetch/Alloc) returns the
 // payload bytes and takes a pin reference, Unpin drops it. The pool keeps at
-// most its configured number of frames resident, evicting clean unpinned
-// frames with a clock sweep when a fault or allocation would exceed the
-// capacity.
+// most its configured number of frames resident: every resident frame sits
+// in one slot of a fixed second-chance ring, and a fault or allocation first
+// evicts the frame the ring's hand selects and then takes its slot.
 //
 // Two properties make lock-free readers (the engine's published storage
 // snapshots) safe above this layer:
@@ -74,8 +74,12 @@ type Frame struct {
 	// dirty marks payload bytes newer than the page file. Set and cleared on
 	// the writer side under the frame's shard lock; read by evicting readers.
 	dirty atomic.Bool
-	// ref is the clock sweep's second-chance bit.
+	// ref is the second-chance bit: set on admission and access, cleared by
+	// the ring's hand as it passes.
 	ref atomic.Bool
+	// slot is the frame's Pool.ring index plus one, 0 while it holds no slot,
+	// or surplusSlot while it is on Pool.surplus. Guarded by Pool.ringMu.
+	slot int32
 	// recLSN is the WAL position when the frame was first dirtied since its
 	// last flush. Writer-side only.
 	recLSN uint64
@@ -132,11 +136,14 @@ func (f *Frame) Bytes() []byte {
 	if b := f.data.Load(); b != nil {
 		if p := f.pool; p != nil {
 			p.hits.Add(1)
-			f.ref.Store(true)
+			// Store only when clear: parallel scans must not dirty the line per row.
+			if !f.ref.Load() {
+				f.ref.Store(true)
+			}
 		}
 		return *b
 	}
-	return f.pool.fault(f)
+	return *f.pool.fault(f, false)
 }
 
 // MarkDirty flags the payload as newer than the page file, faulting it in
@@ -145,30 +152,31 @@ func (f *Frame) Bytes() []byte {
 func (f *Frame) MarkDirty() []byte {
 	p := f.pool
 	if p == nil {
-		b := f.data.Load()
-		return *b
+		return *f.data.Load()
 	}
 	sh := p.shard(f.id)
-	sh.mu.Lock()
-	if !f.dirty.Load() {
-		f.dirty.Store(true)
-		p.dirtyCount.Add(1)
-		if p.CurrentLSN != nil {
-			f.recLSN = p.CurrentLSN()
+	for {
+		sh.mu.Lock()
+		if b := f.data.Load(); b != nil {
+			if !f.dirty.Load() {
+				f.dirty.Store(true)
+				p.dirtyCount.Add(1)
+				if p.CurrentLSN != nil {
+					f.recLSN = p.CurrentLSN()
+				}
+			}
+			f.ref.Store(true)
+			sh.mu.Unlock()
+			return *b
 		}
+		sh.mu.Unlock()
+		// Fault outside the shard lock (the ring lock comes first) and
+		// re-check: a reader's sweep may evict the clean frame in between.
+		p.fault(f, true)
 	}
-	b := f.data.Load()
-	faulted := false
-	if b == nil {
-		b, faulted = p.faultLocked(f)
-	}
-	f.ref.Store(true)
-	sh.mu.Unlock()
-	if faulted {
-		p.addToClock(f)
-	}
-	return *b
 }
+
+const surplusSlot = -1 // Frame.slot of a frame on Pool.surplus
 
 // shardCount must be a power of two; 16 shards keep PR 6's parallel scans
 // from serializing on one page-table mutex.
@@ -199,10 +207,13 @@ type Pool struct {
 
 	shards [shardCount]shard
 
-	// evictMu serializes the clock sweep.
-	evictMu sync.Mutex
-	clock   []*Frame
-	hand    int
+	// ringMu guards the second-chance ring below and every Frame.slot. It is
+	// taken after mu and before any shard.mu.
+	ringMu  sync.Mutex
+	ring    []*Frame // cap slots, nil when empty; every resident frame is in one
+	used    int      // occupied slots
+	hand    int      // next slot the sweep examines; the newest frame is behind it
+	surplus []*Frame // admitted while nothing could be evicted; the first to go
 
 	// mu guards the page-id allocator and checkpoint bookkeeping.
 	mu      sync.Mutex
@@ -244,7 +255,7 @@ func New(file *pagefile.File, frames int) *Pool {
 	if frames < 8 {
 		frames = 8
 	}
-	p := &Pool{file: file, cap: frames, next: 1,
+	p := &Pool{file: file, cap: frames, ring: make([]*Frame, frames), next: 1,
 		durable: map[PageID]struct{}{}, newborn: map[PageID]struct{}{}}
 	for i := range p.shards {
 		p.shards[i].frames = map[PageID]*Frame{}
@@ -294,13 +305,14 @@ func (p *Pool) Alloc() (*Frame, error) {
 	p.pinned.Add(1)
 	p.dirtyCount.Add(1)
 
+	p.ringMu.Lock()
+	p.admit(f, true)
+	p.ringMu.Unlock()
 	sh := p.shard(id)
 	sh.mu.Lock()
 	sh.frames[id] = f
 	sh.mu.Unlock()
 	p.resident.Add(1)
-	p.addToClock(f)
-	p.makeRoom(true)
 	return f, nil
 }
 
@@ -309,9 +321,7 @@ func (p *Pool) Alloc() (*Frame, error) {
 // unreadable pages.
 func (p *Pool) Fetch(id PageID) *Frame {
 	f := p.Adopt(id)
-	f.pins.Add(1)
-	p.pinned.Add(1)
-	f.Bytes()
+	f.Pin()
 	return f
 }
 
@@ -330,144 +340,127 @@ func (p *Pool) Adopt(id PageID) *Frame {
 	return f
 }
 
-// fault loads the frame's payload from the page file.
-func (p *Pool) fault(f *Frame) []byte {
+// fault makes f resident and returns its payload. It claims a ring slot
+// first, evicting that slot's frame (readers evict clean frames only), and
+// then reads the page under f's shard lock: concurrent faults of one page do
+// one read. Each faulter pins f from inside the ring lock until the payload
+// is stored, so the slot it saw (its own or an earlier faulter's) cannot be
+// swept in between and leave f resident outside the ring.
+func (p *Pool) fault(f *Frame, writer bool) *[]byte {
+	p.ringMu.Lock()
+	if f.slot == 0 {
+		p.admit(f, writer)
+	}
+	f.pins.Add(1)
+	p.ringMu.Unlock()
+	defer f.pins.Add(-1)
 	sh := p.shard(f.id)
 	sh.mu.Lock()
-	b, faulted := p.faultLocked(f)
-	sh.mu.Unlock()
-	if faulted {
-		p.addToClock(f)
-	}
-	p.makeRoom(false)
-	return *b
-}
-
-// faultLocked reads the payload under the frame's shard lock, so concurrent
-// faults of the same page do one read, and eviction (which also takes the
-// shard lock) cannot interleave with the residency transition. It reports
-// whether it faulted (the nil→resident transition): the caller must then
-// register the frame with the clock sweep via addToClock — only after
-// releasing the shard lock, because the sweep holds evictMu while taking
-// shard locks and nesting evictMu inside a shard lock would deadlock.
-func (p *Pool) faultLocked(f *Frame) (*[]byte, bool) {
+	defer sh.mu.Unlock()
 	if b := f.data.Load(); b != nil {
 		p.hits.Add(1)
-		return b, false
+		return b
 	}
 	p.misses.Add(1)
 	_, payload, err := p.file.ReadPage(f.id)
 	if err != nil {
-		// Fail stop: the pool only faults pages it previously wrote (or that
-		// a verified checkpoint manifest references), so an unreadable page
-		// is unrecoverable storage corruption, mirroring the WAL's policy.
+		// Fail stop: the pool only faults pages it wrote or a verified manifest
+		// references, so an unreadable page is corruption (the WAL's policy).
 		panic(fmt.Sprintf("bufpool: fault page %d: %v", f.id, err))
 	}
 	f.data.Store(&payload)
 	p.resident.Add(1)
-	return &payload, true
+	return &payload
 }
 
-// addToClock registers a resident frame with the clock sweep. Lock order:
-// makeRoom acquires shard locks (via evictFrame) while holding evictMu, so
-// addToClock must never be called with a shard lock held.
-func (p *Pool) addToClock(f *Frame) {
-	p.evictMu.Lock()
-	p.clock = append(p.clock, f)
-	p.evictMu.Unlock()
-}
-
-// makeRoom runs the clock sweep until the resident count is back under
-// capacity. Reader-side callers (writer=false) evict clean unpinned frames
-// only; the writer may also flush-and-evict dirty frames, honoring
-// WAL-before-data. When every frame is pinned or (for readers) dirty, the
-// pool overshoots its capacity rather than blocking — the overshoot counter
-// records it.
-func (p *Pool) makeRoom(writer bool) {
-	if int(p.resident.Load()) <= p.cap {
+// admit puts f, reference bit set, in the first slot the hand can free, and
+// leaves the hand just past it: ring order is admission order and f is the
+// last frame the hand reaches again. The hand passes pinned frames and, for
+// readers, dirty ones; a referenced frame loses its bit and is passed once;
+// while an empty slot exists the hand walks to it and disturbs nothing. When
+// two revolutions — one may only clear bits — free no slot, f joins the
+// surplus list: the pool overshoots, never blocks. Caller holds ringMu.
+func (p *Pool) admit(f *Frame, writer bool) {
+	p.trimSurplus(writer)
+	f.ref.Store(true)
+	n := len(p.ring)
+	for steps := 2 * n; steps > 0; steps-- {
+		i := p.hand
+		p.hand = (i + 1) % n
+		if v := p.ring[i]; v != nil {
+			if p.used < n || !p.evictable(v, writer) || v.ref.Swap(false) || !p.drop(v, writer) {
+				continue
+			}
+		}
+		p.ring[i], f.slot = f, int32(i+1)
+		p.used++
 		return
 	}
-	p.evictMu.Lock()
-	defer p.evictMu.Unlock()
-	// Each lap visits every clock entry once; two laps let the first clear
-	// reference bits and the second collect.
-	budget := 2 * len(p.clock)
-	for int(p.resident.Load()) > p.cap && budget > 0 && len(p.clock) > 0 {
-		if p.hand >= len(p.clock) {
-			p.hand = 0
-		}
-		f := p.clock[p.hand]
-		budget--
-		if f.data.Load() == nil {
-			// Stale entry (evicted or freed elsewhere): compact.
-			last := len(p.clock) - 1
-			p.clock[p.hand] = p.clock[last]
-			p.clock = p.clock[:last]
-			continue
-		}
-		if f.ref.Swap(false) {
-			p.hand++
-			continue
-		}
-		if f.pins.Load() > 0 {
-			p.hand++
-			continue
-		}
-		if f.dirty.Load() {
-			if !writer {
-				p.hand++
-				continue
-			}
-			if err := p.flushFrame(f); err != nil {
-				// Flush failed (failpoint or I/O): leave the frame dirty and
-				// resident; the next checkpoint will retry and surface it.
-				p.hand++
-				continue
-			}
-		}
-		if fpEvict.Hit() != nil {
-			return
-		}
-		if !p.evictFrame(f) {
-			// The frame was re-pinned or re-dirtied between the unlocked
-			// checks above and evictFrame's shard-locked recheck: keep its
-			// clock entry so a later sweep revisits it.
-			p.hand++
-			continue
-		}
-		last := len(p.clock) - 1
-		p.clock[p.hand] = p.clock[last]
-		p.clock = p.clock[:last]
-	}
-	if int(p.resident.Load()) > p.cap {
-		p.overshoot.Add(1)
-		// Sustained overshoot means the working set of pinned+dirty pages
-		// exceeds capacity — the pool is thrashing, not just warm.
-		p.logger.Load().Every("bufpool.overshoot", 5*time.Second, olog.LevelWarn,
-			"bufpool: eviction pressure, resident frames exceed capacity",
-			olog.Int("resident", p.resident.Load()),
-			olog.Int("capacity", int64(p.cap)),
-			olog.Int("dirty", p.dirtyCount.Load()),
-			olog.Int("pinned", p.pinned.Load()))
-	}
+	f.slot = surplusSlot
+	p.surplus = append(p.surplus, f)
+	p.overshoot.Add(1)
+	// Sustained overshoot: the pinned+dirty working set exceeds capacity.
+	p.logger.Load().Every("bufpool.overshoot", 5*time.Second, olog.LevelWarn,
+		"bufpool: eviction pressure, no frame to evict, admitting one beyond capacity",
+		olog.Int("resident", p.resident.Load()),
+		olog.Int("capacity", int64(p.cap)),
+		olog.Int("dirty", p.dirtyCount.Load()),
+		olog.Int("pinned", p.pinned.Load()))
 }
 
-// evictFrame drops a clean frame's payload under its shard lock, so a
-// concurrent MarkDirty either completes first (the frame is dirty, caller
-// re-checks) or faults the page back in afterwards. It reports whether the
-// payload was actually dropped: a false return means the frame stays
-// resident and must keep its clock entry.
-func (p *Pool) evictFrame(f *Frame) bool {
-	sh := p.shard(f.id)
+// trimSurplus drops the surplus frames now evictable. Caller holds ringMu.
+func (p *Pool) trimSurplus(writer bool) {
+	keep := p.surplus[:0]
+	for _, f := range p.surplus {
+		// A frame whose slot changed was evicted or freed since it was listed.
+		if f.slot == surplusSlot && !(p.evictable(f, writer) && p.drop(f, writer)) {
+			keep = append(keep, f)
+		}
+	}
+	clear(p.surplus[len(keep):])
+	p.surplus = keep
+}
+
+// evictable reports whether the sweep may take v: resident (a frame admitted
+// but not yet read has no payload), unpinned and, for readers, clean.
+func (p *Pool) evictable(v *Frame, writer bool) bool {
+	return v.data.Load() != nil && v.pins.Load() == 0 && (writer || !v.dirty.Load())
+}
+
+// drop evicts v and empties its slot, the writer flushing v first if dirty.
+// A failed flush leaves it dirty and resident (the next checkpoint retries
+// and surfaces the error); a frame re-pinned or re-dirtied since evictable
+// looked stays too. Caller holds ringMu.
+func (p *Pool) drop(v *Frame, writer bool) bool {
+	if writer && v.dirty.Load() && p.flushFrame(v) != nil {
+		return false
+	}
+	if fpEvict.Hit() != nil {
+		return false
+	}
+	sh := p.shard(v.id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if f.pins.Load() == 0 && !f.dirty.Load() && f.data.Load() != nil {
-		f.data.Store(nil)
-		p.resident.Add(-1)
-		p.evictions.Add(1)
-		return true
+	// Under the shard lock a concurrent MarkDirty has either completed (the
+	// frame is dirty and stays) or will fault the page back in afterwards.
+	if v.pins.Load() > 0 || v.dirty.Load() || v.data.Load() == nil {
+		return false
 	}
-	return false
+	v.data.Store(nil)
+	p.resident.Add(-1)
+	p.evictions.Add(1)
+	p.clearSlot(v)
+	return true
+}
+
+// clearSlot takes f out of the ring, or marks its surplus entry stale.
+// Caller holds ringMu.
+func (p *Pool) clearSlot(f *Frame) {
+	if f.slot > 0 {
+		p.ring[f.slot-1] = nil
+		p.used--
+	}
+	f.slot = 0
 }
 
 // flushFrame writes one dirty frame's payload to the page file and marks it
@@ -522,7 +515,7 @@ func (p *Pool) writeError(err error) error {
 }
 
 // FlushAll writes every dirty frame to the page file (WAL-before-data
-// enforced per frame) and then trims the resident set back under capacity.
+// enforced per frame) and then drops the surplus frames it made clean.
 // Writer side only; it does not sync the file — the checkpoint does that
 // once, after all writes.
 func (p *Pool) FlushAll() error {
@@ -543,7 +536,9 @@ func (p *Pool) FlushAll() error {
 			}
 		}
 	}
-	p.makeRoom(true)
+	p.ringMu.Lock()
+	p.trimSurplus(true)
+	p.ringMu.Unlock()
 	return nil
 }
 
@@ -570,15 +565,20 @@ func (p *Pool) FreeID(id PageID) {
 	p.mu.Unlock()
 }
 
-// dropFrame removes the cached frame for id. Caller holds p.mu; the shard
-// lock nests inside it (never the reverse).
+// dropFrame removes the cached frame for id and empties its slot. Caller
+// holds p.mu; the ring and shard locks nest inside it (never the reverse).
 func (p *Pool) dropFrame(id PageID) {
+	p.ringMu.Lock()
+	defer p.ringMu.Unlock()
 	sh := p.shard(id)
 	sh.mu.Lock()
 	if f, ok := sh.frames[id]; ok {
 		delete(sh.frames, id)
+		// A frame mid-fault keeps its slot: it becomes resident when the
+		// read completes and leaves through the sweep like any other.
 		if f.data.Swap(nil) != nil {
 			p.resident.Add(-1)
+			p.clearSlot(f)
 		}
 		if f.dirty.Swap(false) {
 			p.dirtyCount.Add(-1)

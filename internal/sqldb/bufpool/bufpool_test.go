@@ -19,6 +19,13 @@ func newTestPool(t *testing.T, frames int) *Pool {
 	return New(pf, frames)
 }
 
+// evict drops f's payload as a reader's sweep would.
+func evict(p *Pool, f *Frame) {
+	p.ringMu.Lock()
+	p.drop(f, false)
+	p.ringMu.Unlock()
+}
+
 func TestUnpooledFrame(t *testing.T) {
 	f := NewFrame()
 	if f.Pooled() {
@@ -63,7 +70,7 @@ func TestAllocFlushEvictFetchRoundTrip(t *testing.T) {
 	}
 
 	// Force the payload out and fault it back via Fetch.
-	p.evictFrame(f)
+	evict(p, f)
 	if f.data.Load() != nil {
 		t.Fatal("clean unpinned frame did not evict")
 	}
@@ -116,6 +123,18 @@ func TestResidencyBoundedByCapacity(t *testing.T) {
 
 func TestReadersDoNotEvictDirtyOrPinned(t *testing.T) {
 	p := newTestPool(t, 8)
+	// One clean page on disk and out of the pool, for a reader to fault.
+	cold, err := p.Alloc()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold.MarkDirty()[0] = 42
+	cold.Unpin()
+	if err := p.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	evict(p, cold)
+
 	var frames []*Frame
 	for i := 0; i < 8; i++ {
 		f, err := p.Alloc()
@@ -124,24 +143,32 @@ func TestReadersDoNotEvictDirtyOrPinned(t *testing.T) {
 		}
 		frames = append(frames, f) // keep pinned
 	}
-	// All 8 frames are pinned and dirty; a reader-side makeRoom must not
-	// drop any of them even when over capacity.
-	f9, err := p.Alloc()
-	if err != nil {
-		t.Fatal(err)
+	// Every slot holds a pinned dirty frame: a reader's fault must find no
+	// victim, serve the read anyway and record the overshoot.
+	if b := cold.Bytes(); b[0] != 42 {
+		t.Fatalf("cold page payload = %d, want 42", b[0])
 	}
-	p.makeRoom(false)
 	for i, f := range frames {
 		if f.data.Load() == nil {
 			t.Fatalf("pinned dirty frame %d was evicted", i)
 		}
 	}
-	if p.Stats().Overshoots == 0 {
-		t.Fatal("over-capacity with nothing evictable did not record an overshoot")
+	st := p.Stats()
+	if st.Overshoots != 1 || st.Resident != 9 {
+		t.Fatalf("overshoots = %d, resident = %d; want 1 and 9", st.Overshoots, st.Resident)
 	}
-	f9.Unpin()
+	// Dirty but no longer pinned: still not a reader's to take, and the
+	// surplus frame is the first to go once a fault may evict again.
 	for _, f := range frames {
 		f.Unpin()
+	}
+	cold.Bytes()
+	if err := p.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	if st := p.Stats(); st.Resident != 8 || cold.data.Load() != nil {
+		t.Fatalf("after the flush: resident = %d, surplus frame resident = %v; want 8 and false",
+			st.Resident, cold.data.Load() != nil)
 	}
 }
 

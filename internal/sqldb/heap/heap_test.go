@@ -447,3 +447,50 @@ func TestPagedHeapRestoreRoundTrip(t *testing.T) {
 		t.Fatalf("validate: %v", problems)
 	}
 }
+
+// TestPagedReadsDegradeGradually loads a 64-page heap through pools of 8 to
+// 64 frames and then reads it uniformly at random through Get — Frame.Bytes
+// without a pin. The hit share must track the share of the heap the pool can
+// hold and grow with the pool, not fall off a cliff below the working-set
+// size.
+func TestPagedReadsDegradeGradually(t *testing.T) {
+	const pages, reads = 64, 20000
+	rows := make([][]byte, 2*pages) // two 3000-byte rows fill a page
+	for i := range rows {
+		rows[i] = []byte(strings.Repeat(string(rune('a'+i%26)), 3000))
+	}
+	prev := -1.0
+	for _, frames := range []int{8, 16, 32, 64} {
+		pool := newTestPool(t, frames)
+		h := NewPaged(pool)
+		rids, err := h.AppendBatch(rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := h.Stats().Pages; got != pages {
+			t.Fatalf("heap has %d pages, want %d", got, pages)
+		}
+		if err := pool.FlushAll(); err != nil {
+			t.Fatal(err)
+		}
+		before := pool.Stats()
+		rng := rand.New(rand.NewSource(42))
+		for n := 0; n < reads; n++ {
+			i := rng.Intn(len(rids))
+			got, err := h.Get(rids[i])
+			if err != nil || !bytes.Equal(got, rows[i]) {
+				t.Fatalf("%d frames: row %d: %v", frames, i, err)
+			}
+		}
+		after := pool.Stats()
+		hits, misses := after.Hits-before.Hits, after.Misses-before.Misses
+		share := 100 * float64(hits) / float64(hits+misses)
+		want := 100 * float64(frames) / pages
+		t.Logf("%d frames: %.1f%% hits (the pool holds %.0f%% of the heap)", frames, share, want)
+		if share < want-10 || share > want+10 || share <= prev {
+			t.Fatalf("%d frames: %.1f%% hits, want within 10 points of %.0f%% and above the %.1f%% of the smaller pool",
+				frames, share, want, prev)
+		}
+		prev = share
+	}
+}

@@ -223,7 +223,8 @@ func (pf *File) WritePage(id PageID, lsn uint64, payload []byte) error {
 }
 
 // ReadPage reads page id, verifies its checksum, and returns its header and
-// a fresh copy of the payload.
+// its payload. The payload is the tail of the one buffer the page was read
+// into — one allocation and no copy per call — and belongs to the caller.
 func (pf *File) ReadPage(id PageID) (Header, []byte, error) {
 	if id == 0 {
 		return Header{}, nil, fmt.Errorf("%w: 0 is the file header", ErrBadPage)
@@ -231,17 +232,15 @@ func (pf *File) ReadPage(id PageID) (Header, []byte, error) {
 	if err := fpRead.Hit(); err != nil {
 		return Header{}, nil, fmt.Errorf("pagefile: read page %d: %w", id, err)
 	}
-	var page [PageSize]byte
-	if _, err := pf.f.ReadAt(page[:], int64(id)*PageSize); err != nil {
+	page := make([]byte, PageSize)
+	if _, err := pf.f.ReadAt(page, int64(id)*PageSize); err != nil {
 		return Header{}, nil, fmt.Errorf("pagefile: read page %d: %w", id, err)
 	}
-	h, err := VerifyPage(page[:])
+	h, err := VerifyPage(page)
 	if err != nil {
 		return h, nil, fmt.Errorf("page %d: %w", id, err)
 	}
-	payload := make([]byte, PayloadSize)
-	copy(payload, page[HeaderSize:])
-	return h, payload, nil
+	return h, page[HeaderSize:], nil
 }
 
 // Sync flushes all written pages to stable storage.

@@ -46,8 +46,12 @@ func TestScalePaged(t *testing.T) {
 			}
 			pool := func() map[string]int64 { return store.Metrics().Gauges }
 			ps := pool()
-			if ps["bufpool.resident_frames"] > ps["bufpool.capacity"] {
-				t.Fatalf("resident frames %d exceed pool capacity %d", ps["bufpool.resident_frames"], ps["bufpool.capacity"])
+			// The load left every frame dirty and a reader never evicts a
+			// dirty frame, so Storage's page read above may sit on the surplus
+			// list — one frame over until the next fault or flush, no more.
+			if ps["bufpool.resident_frames"] > ps["bufpool.capacity"]+1 {
+				t.Fatalf("resident frames %d exceed pool capacity %d by more than the reader's surplus frame",
+					ps["bufpool.resident_frames"], ps["bufpool.capacity"])
 			}
 			if ps["bufpool.evictions"] == 0 {
 				t.Fatal("no evictions despite beyond-RAM load")
