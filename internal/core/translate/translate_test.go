@@ -337,6 +337,50 @@ func randQuery(r *rand.Rand) string {
 	return q
 }
 
+// randValueQuery builds a value predicate on a `//` step — a join whose
+// driver the planner picks from the data — with a literal that occurs in the
+// tree: an attribute compared with = or !=, a child's text, or the text of a
+// two-step child path. Read through text() the SQL's text-child comparison
+// is exactly XPath's, on mixed content and after mutations too. Half the
+// steps name the compared node's actual ancestor; the rest are any tag, more
+// or less common than the predicate's.
+func randValueQuery(r *rand.Rand, tree *xmltree.Node) string {
+	tags := []string{"a", "b", "c", "d", "zz"}
+	var attrs, texts []*xmltree.Node
+	tree.Walk(func(n *xmltree.Node) bool {
+		switch {
+		case n.Kind == xmltree.Attr:
+			attrs = append(attrs, n)
+		case n.Kind == xmltree.Text && n.Parent.Parent != nil:
+			texts = append(texts, n)
+		}
+		return true
+	})
+	op := "="
+	if r.Intn(3) == 0 {
+		op = "!="
+	}
+	step := func(owner *xmltree.Node) string {
+		if owner != nil && r.Intn(2) == 0 {
+			return owner.Tag
+		}
+		return tags[r.Intn(len(tags))]
+	}
+	if r.Intn(3) == 0 && len(attrs) > 0 {
+		a := attrs[r.Intn(len(attrs))]
+		return fmt.Sprintf("//%s[@%s %s '%s']", step(a.Parent), a.Tag, op, a.Value)
+	}
+	if len(texts) == 0 {
+		return "//a[b/text() = 'none']"
+	}
+	tx := texts[r.Intn(len(texts))]
+	child, elem := tx.Parent.Tag, tx.Parent.Parent
+	if r.Intn(2) == 0 && elem.Parent != nil {
+		return fmt.Sprintf("//%s[%s/%s/text() %s '%s']", step(elem.Parent), elem.Tag, child, op, tx.Value)
+	}
+	return fmt.Sprintf("//%s[%s/text() %s '%s']", step(elem), child, op, tx.Value)
+}
+
 // mutate applies ops random inserts, deletes and moves to the tree and, in
 // lock-step, to every loaded form of it, so that the queries that follow read
 // order keys after renumbering, holes and gap inserts, and parent links after
@@ -427,9 +471,12 @@ func TestRandomQueriesAgainstOracle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cross-validation sweep is slow")
 	}
-	sweep := func(t *testing.T, r *rand.Rand, lds []*loadedDoc, queries int) {
+	sweep := func(t *testing.T, r *rand.Rand, tree *xmltree.Node, lds []*loadedDoc, queries int) {
 		for qi := 0; qi < queries; qi++ {
 			q := randQuery(r)
+			if qi%3 == 0 {
+				q = randValueQuery(r, tree)
+			}
 			if _, err := xpath.Parse(q); err != nil {
 				continue
 			}
@@ -444,7 +491,7 @@ func TestRandomQueriesAgainstOracle(t *testing.T) {
 		for _, o := range allOptions() {
 			lds = append(lds, load(t, o, tree))
 		}
-		sweep(t, rand.New(rand.NewSource(docSeed*977)), lds, 90)
+		sweep(t, rand.New(rand.NewSource(docSeed*977)), tree, lds, 90)
 	}
 	for _, gap := range []uint32{1, 16} {
 		for docSeed := int64(0); docSeed < 6; docSeed++ {
@@ -456,10 +503,25 @@ func TestRandomQueriesAgainstOracle(t *testing.T) {
 			r := rand.New(rand.NewSource(docSeed*31 + int64(gap)))
 			for round := 0; round < 3; round++ {
 				mutate(t, r, tree, lds, 12)
-				sweep(t, r, lds, 40)
+				sweep(t, r, tree, lds, 40)
 			}
 		}
 	}
+}
+
+// valueSeeds are value predicates on `//` steps over fixtureDoc, with
+// predicate tags rarer than the step tag (one `featured` item, one `keyword`
+// path) and commoner (`name`, `id` against two persons).
+var valueSeeds = []string{
+	"//item[@featured = 'yes']",
+	"//item[@id != 'i2']",
+	"//item[name = 'gizmo']",
+	"//item[name != 'widget']",
+	"//item[description/keyword = 'vintage']",
+	"//person[name = 'bob']",
+	"//person[@id = 'p1']",
+	"//person[name != 'ann']",
+	"//*[name = 'widget']",
 }
 
 // FuzzTranslateOracle checks translate(xpath) against xpath.Eval for any
@@ -467,7 +529,7 @@ func TestRandomQueriesAgainstOracle(t *testing.T) {
 // fails to translate on every encoding (outside the supported fragment) or
 // returns the oracle's node sequence on each.
 func FuzzTranslateOracle(f *testing.F) {
-	for _, q := range fixtureQueries {
+	for _, q := range append(fixtureQueries, valueSeeds...) {
 		f.Add(q)
 	}
 	tree, err := xmltree.ParseString(fixtureDoc)

@@ -237,11 +237,7 @@ func get(root *node, key []byte, reads *atomic.Int64) (heap.RID, bool) {
 	n.ensure()
 	visited := int64(1)
 	for !n.leaf() {
-		i := n.search(key)
-		if i < len(n.keys) && bytes.Equal(n.keys[i], key) {
-			i++ // interior separator equal to key: key lives in right subtree
-		}
-		n = n.children[i]
+		n = n.children[n.childFor(key)]
 		n.ensure()
 		visited++
 	}
@@ -253,6 +249,49 @@ func get(root *node, key []byte, reads *atomic.Int64) (heap.RID, bool) {
 		return n.rids[i], true
 	}
 	return heap.RID{}, false
+}
+
+// Count returns the number of keys in [start, end), with the bounds of Seek.
+func (t *Tree) Count(start, end []byte) int { return count(t.root, start, end) }
+
+// count sizes a key range index-only: it descends into the children that can
+// hold keys of the range and counts leaf keys, reading no heap row. It adds
+// nothing to the node-read counter — the planner sizes access paths with it,
+// and that is not work a query did.
+func count(n *node, start, end []byte) int {
+	n.ensure()
+	if n.leaf() {
+		lo, hi := 0, len(n.keys)
+		if start != nil {
+			lo = n.search(start)
+		}
+		if end != nil {
+			hi = n.search(end)
+		}
+		return max(hi-lo, 0)
+	}
+	lo, hi := 0, len(n.children)-1
+	if start != nil {
+		lo = n.childFor(start)
+	}
+	if end != nil {
+		hi = n.childFor(end)
+	}
+	total := 0
+	for i := lo; i <= hi; i++ {
+		total += count(n.children[i], start, end)
+	}
+	return total
+}
+
+// childFor returns the index of the interior node's child whose subtree
+// holds key (a separator equal to key sends it to the right subtree).
+func (n *node) childFor(key []byte) int {
+	i := n.search(key)
+	if i < len(n.keys) && bytes.Equal(n.keys[i], key) {
+		i++
+	}
+	return i
 }
 
 // Insert adds key -> rid. The key bytes are copied.
@@ -524,6 +563,17 @@ func (s *Snapshot) ScanPrefix(prefix []byte) *Iterator {
 	return s.Seek(prefix, prefixSuccessor(prefix))
 }
 
+// Count returns the number of keys in [start, end), with the bounds of Seek.
+func (s *Snapshot) Count(start, end []byte) int { return count(s.root, start, end) }
+
+// Unmetered returns a twin of the snapshot whose lookups and iterators count
+// no node reads.
+func (s *Snapshot) Unmetered() *Snapshot {
+	c := *s
+	c.reads = nil
+	return &c
+}
+
 // iterFrame is one level of an iterator's descent stack: a node plus the
 // index of the key (leaf) or child (interior) the iterator is at.
 type iterFrame struct {
@@ -554,10 +604,7 @@ func seek(root *node, start, end []byte, reads *atomic.Int64) *Iterator {
 	for !n.leaf() {
 		i := 0
 		if start != nil {
-			i = n.search(start)
-			if i < len(n.keys) && bytes.Equal(n.keys[i], start) {
-				i++
-			}
+			i = n.childFor(start)
 		}
 		it.stack = append(it.stack, iterFrame{n: n, i: i})
 		n = n.children[i]

@@ -11,8 +11,9 @@ import (
 // the RID list at creation, so callers that mutate the table while iterating
 // see a stable view.
 type RowIter struct {
-	t  *Table
-	it *heap.Iter // snapshot path
+	t        *Table
+	counters *Counters  // nil: unmetered
+	it       *heap.Iter // snapshot path
 	// live path
 	rids []heap.RID
 	pos  int
@@ -20,7 +21,7 @@ type RowIter struct {
 
 // RowIter returns an iterator over the table's live rows in RID order.
 func (t *Table) RowIter() *RowIter {
-	it := &RowIter{t: t, rids: make([]heap.RID, 0, t.RowCount())}
+	it := &RowIter{t: t, counters: t.counters, rids: make([]heap.RID, 0, t.RowCount())}
 	t.Heap.Scan(func(rid heap.RID, _ []byte) bool {
 		it.rids = append(it.rids, rid)
 		return true
@@ -31,16 +32,18 @@ func (t *Table) RowIter() *RowIter {
 // RowIter returns an iterator over the view's rows in RID order.
 func (td *TableData) RowIter() *RowIter {
 	if td.heap != nil {
-		return &RowIter{t: td.t, it: td.heap.Iter()}
+		return &RowIter{t: td.t, counters: td.counters, it: td.heap.Iter()}
 	}
-	return td.t.RowIter()
+	it := td.t.RowIter()
+	it.counters = td.counters
+	return it
 }
 
 // RowIterRange returns an iterator over rows on heap pages [lo, hi) — one
 // worker's share of a page-range partitioned parallel scan. Only snapshot
 // views support it; parallel plans never run against live storage.
 func (td *TableData) RowIterRange(lo, hi int) *RowIter {
-	return &RowIter{t: td.t, it: td.heap.IterRange(lo, hi)}
+	return &RowIter{t: td.t, counters: td.counters, it: td.heap.IterRange(lo, hi)}
 }
 
 // Next decodes the next row, appending it to dst (see
@@ -71,7 +74,9 @@ func (it *RowIter) Next(dst sqltypes.Row) (heap.RID, sqltypes.Row, bool, error) 
 	if err != nil {
 		return heap.RID{}, nil, false, err
 	}
-	it.t.counters.RowsScanned.Add(1)
+	if it.counters != nil {
+		it.counters.RowsScanned.Add(1)
+	}
 	return rid, row, true, nil
 }
 
@@ -104,8 +109,8 @@ func indexRange(ix *Index, eq []sqltypes.Value, low, high *sqltypes.Value, lowEx
 
 // IndexIter is a pull iterator over an index range.
 type IndexIter struct {
-	t  *Table
-	it *btree.Iterator
+	counters *Counters // nil: unmetered
+	it       *btree.Iterator
 }
 
 // IndexIter returns a pull iterator with the same range semantics as
@@ -113,14 +118,14 @@ type IndexIter struct {
 // optional range on the next column.
 func (t *Table) IndexIter(ix *Index, eq []sqltypes.Value, low, high *sqltypes.Value, lowExcl, highExcl bool) *IndexIter {
 	start, end := indexRange(ix, eq, low, high, lowExcl, highExcl)
-	return &IndexIter{t: t, it: ix.Tree.Seek(start, end)}
+	return &IndexIter{counters: t.counters, it: ix.Tree.Seek(start, end)}
 }
 
 // IndexIter returns a pull iterator over the view's index data with the same
 // range semantics as Table.IndexIter.
 func (td *TableData) IndexIter(ix *Index, eq []sqltypes.Value, low, high *sqltypes.Value, lowExcl, highExcl bool) *IndexIter {
 	start, end := indexRange(ix, eq, low, high, lowExcl, highExcl)
-	return &IndexIter{t: td.t, it: td.seekTree(ix, start, end)}
+	return &IndexIter{counters: td.counters, it: td.seekTree(ix, start, end)}
 }
 
 // Next returns the next matching RID, or ok=false at the end.
@@ -129,7 +134,9 @@ func (it *IndexIter) Next() (heap.RID, bool) {
 		return heap.RID{}, false
 	}
 	rid := it.it.RID()
-	it.t.counters.IndexProbes.Add(1)
+	if it.counters != nil {
+		it.counters.IndexProbes.Add(1)
+	}
 	it.it.Next()
 	return rid, true
 }

@@ -21,17 +21,20 @@ type TableData struct {
 	heap    *heap.Snapshot // nil → read the live heap
 	// trees maps each index to its snapshot; nil → read the live trees.
 	trees map[*Index]*btree.Snapshot
+	// counters receives the rows scanned and index entries visited through
+	// this view; nil for an unmetered view.
+	counters *Counters
 }
 
 // LiveData returns a TableData that reads the table's live storage. Only
 // safe where table mutations are excluded (the engine's writer lock).
-func LiveData(t *Table) *TableData { return &TableData{t: t} }
+func LiveData(t *Table) *TableData { return &TableData{t: t, counters: t.counters} }
 
 // snapshotData publishes immutable snapshots of the table's heap and index
 // trees. Must run on the writer side; snapshots are cached by the storage
 // layer, so an unchanged table costs a few pointer loads.
 func (t *Table) snapshotData() *TableData {
-	td := &TableData{t: t, indexes: t.Indexes, heap: t.Heap.Snapshot()}
+	td := &TableData{t: t, indexes: t.Indexes, heap: t.Heap.Snapshot(), counters: t.counters}
 	if len(t.Indexes) > 0 {
 		td.trees = make(map[*Index]*btree.Snapshot, len(t.Indexes))
 		for _, ix := range t.Indexes {
@@ -113,6 +116,34 @@ func (td *TableData) seekTree(ix *Index, start, end []byte) *btree.Iterator {
 	return ix.Tree.Seek(start, end)
 }
 
+// IndexCount returns the number of entries of ix in the range IndexIter
+// would scan, counted index-only: no row is fetched and no counter moves.
+func (td *TableData) IndexCount(ix *Index, eq []sqltypes.Value, low, high *sqltypes.Value, lowExcl, highExcl bool) int {
+	start, end := indexRange(ix, eq, low, high, lowExcl, highExcl)
+	if td.trees != nil {
+		if snap, ok := td.trees[ix]; ok {
+			return snap.Count(start, end)
+		}
+	}
+	return ix.Tree.Count(start, end)
+}
+
+// unmetered returns a twin of the snapshot data whose reads count nowhere.
+func (td *TableData) unmetered() *TableData {
+	c := *td
+	c.counters = nil
+	if td.heap != nil {
+		c.heap = td.heap.Unmetered()
+	}
+	if td.trees != nil {
+		c.trees = make(map[*Index]*btree.Snapshot, len(td.trees))
+		for ix, snap := range td.trees {
+			c.trees[ix] = snap.Unmetered()
+		}
+	}
+	return &c
+}
+
 // View is an immutable snapshot of a whole database: the schema objects at
 // one catalog version plus a TableData snapshot per table. Readers obtain a
 // View from an atomic pointer and then run entirely against it — planning,
@@ -138,6 +169,18 @@ func (c *Catalog) BuildView() *View {
 		v.data[t] = t.snapshotData()
 	}
 	return v
+}
+
+// Unmetered returns a twin of the view that reads the same snapshots but
+// counts nothing: no heap page, B+tree node, scanned row or index entry read
+// through it moves the engine's counters. The planner's sample runs read
+// through it, so pricing a plan is not work the engine reports.
+func (v *View) Unmetered() *View {
+	u := &View{version: v.version, tables: v.tables, data: make(map[*Table]*TableData, len(v.data))}
+	for t, td := range v.data {
+		u.data[t] = td.unmetered()
+	}
+	return u
 }
 
 // Version returns the catalog version the view was built at. Plans cached
@@ -171,9 +214,9 @@ func (v *View) Data(t *Table) *TableData {
 	return LiveData(t)
 }
 
-// TableIndexes and TableRows let the planner consume either a live Catalog
-// (writer side, DML replanning) or a published View (lock-free readers)
-// through one interface.
+// TableIndexes, TableRows and IndexCount let the planner consume either a
+// live Catalog (writer side, DML replanning) or a published View (lock-free
+// readers) through one interface.
 
 // TableIndexes returns the indexes of t as of this view.
 func (v *View) TableIndexes(t *Table) []*Index { return v.Data(t).Indexes() }
@@ -186,3 +229,15 @@ func (c *Catalog) TableIndexes(t *Table) []*Index { return t.Indexes }
 
 // TableRows returns the current row count of t. Writer side only.
 func (c *Catalog) TableRows(t *Table) int { return t.RowCount() }
+
+// IndexCount returns the number of entries of ix in the range, as of this
+// view (see TableData.IndexCount).
+func (v *View) IndexCount(t *Table, ix *Index, eq []sqltypes.Value, low, high *sqltypes.Value, lowExcl, highExcl bool) int {
+	return v.Data(t).IndexCount(ix, eq, low, high, lowExcl, highExcl)
+}
+
+// IndexCount returns the number of entries of ix in the range in the live
+// tree. Writer side only.
+func (c *Catalog) IndexCount(t *Table, ix *Index, eq []sqltypes.Value, low, high *sqltypes.Value, lowExcl, highExcl bool) int {
+	return LiveData(t).IndexCount(ix, eq, low, high, lowExcl, highExcl)
+}

@@ -209,6 +209,45 @@ func (db *DB) planOpts() plan.Options {
 	return plan.Options{Workers: int(db.workers.Load())}
 }
 
+// snapshotPlanner is what a SELECT plans against: the catalog view it will
+// read, able to run the planner's sample plans on that view. Samples read
+// through the view's unmetered twin with no span, context or budget: they
+// are no statement, so sqldb.queries, the tracer and the storage.* counters
+// never see them.
+type snapshotPlanner struct {
+	*catalog.View
+	unmetered *catalog.View
+}
+
+func planOn(v *catalog.View) *snapshotPlanner { return &snapshotPlanner{View: v} }
+
+// Sample implements plan.Sampler.
+func (p *snapshotPlanner) Sample(n plan.Node) (map[plan.Node]int64, error) {
+	if p.unmetered == nil {
+		p.unmetered = p.View.Unmetered()
+	}
+	stats := map[plan.Node]*exec.OpStats{}
+	op, err := exec.Open(n, nil, exec.Env{View: p.unmetered, Stats: stats})
+	if err != nil {
+		return nil, err
+	}
+	defer op.Close()
+	for {
+		_, ok, err := op.Next()
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			break
+		}
+	}
+	rows := make(map[plan.Node]int64, len(stats))
+	for node, st := range stats {
+		rows[node] = st.Rows
+	}
+	return rows, nil
+}
+
 // Catalog exposes the live catalog (used by tests and the stats reporting in
 // the benchmark harness). Callers must not mutate tables concurrently with
 // statements.
@@ -422,7 +461,7 @@ func (db *DB) selectPlan(v *catalog.View, sql string) (plan.Node, *sqlparse.Expl
 	if !ok {
 		return nil, nil, fmt.Errorf("Query requires a SELECT statement")
 	}
-	node, err := plan.PlanSelectOpts(v, sel, db.planOpts())
+	node, err := plan.PlanSelectOpts(planOn(v), sel, db.planOpts())
 	if err != nil {
 		return nil, nil, err
 	}
@@ -436,7 +475,7 @@ func (db *DB) analyzedPlan(v *catalog.View, ex *sqlparse.Explain) (plan.Node, er
 	if !ok {
 		return nil, fmt.Errorf("EXPLAIN ANALYZE supports only SELECT statements")
 	}
-	return plan.PlanSelectOpts(v, sel, db.planOpts())
+	return plan.PlanSelectOpts(planOn(v), sel, db.planOpts())
 }
 
 // ExplainAnalyzeCtx executes a SELECT with per-operator instrumentation and
@@ -498,7 +537,7 @@ func (db *DB) explainText(v *catalog.View, stmt sqlparse.Statement) (string, err
 	var p any
 	var err error
 	if sel, ok := stmt.(*sqlparse.Select); ok {
-		p, err = plan.PlanSelectOpts(v, sel, db.planOpts())
+		p, err = plan.PlanSelectOpts(planOn(v), sel, db.planOpts())
 	} else {
 		db.mu.RLock()
 		p, err = plan.Plan(db.cat, stmt)

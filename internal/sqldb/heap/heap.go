@@ -595,6 +595,13 @@ func (h *Heap) Snapshot() *Snapshot {
 	return h.snap
 }
 
+// Unmetered returns a twin of the snapshot whose reads count no page reads.
+func (s *Snapshot) Unmetered() *Snapshot {
+	c := *s
+	c.reads = nil
+	return &c
+}
+
 // Rows returns the number of live records in the snapshot.
 func (s *Snapshot) Rows() int { return s.rows }
 

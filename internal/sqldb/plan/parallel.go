@@ -126,9 +126,11 @@ func parallelJoins(n Node, pc Context, opts Options) Node {
 	return n
 }
 
-// estimateRows is the coarse cardinality estimate driving the parallel
-// decision. It only needs to separate "a handful" from "worth sharing out":
-// equality prefixes divide, ranges halve, unique point lookups pin to one.
+// estimateRows is the cardinality estimate driving the parallel decision. It
+// only needs to separate "a handful" from "worth sharing out": a scan's rows
+// are the table's, or its index range's counted on the snapshot (the join
+// orderer's count), and a unique index with every column bound by equality
+// yields at most one row whether or not the values are known yet.
 func estimateRows(n Node, pc Context) int {
 	switch x := n.(type) {
 	case *SeqScan:
@@ -137,14 +139,7 @@ func estimateRows(n Node, pc Context) int {
 		if x.Index.Unique && len(x.Eq) == len(x.Index.Columns) {
 			return 1
 		}
-		rows := pc.TableRows(x.Table)
-		for range x.Eq {
-			rows /= 4
-		}
-		if x.Low != nil || x.High != nil {
-			rows /= 2
-		}
-		return rows
+		return indexRangeRows(pc, x)
 	case *Filter:
 		return estimateRows(x.Input, pc)
 	case *Project:

@@ -279,3 +279,232 @@ func TestAggregateOverIndexRange(t *testing.T) {
 		t.Fatalf("agg row = %v", r)
 	}
 }
+
+// valueDB is an edge table with a (doc, tag) index: a step tag and a
+// predicate tag to join by parent, in the shape the XPath translator emits.
+func valueDB(t *testing.T) *sqldb.DB {
+	t.Helper()
+	db := sqldb.Open()
+	for _, s := range []string{
+		"CREATE TABLE n (doc INT NOT NULL, id INT NOT NULL, parent INT, grp INT, tag TEXT, value TEXT)",
+		"CREATE UNIQUE INDEX n_id ON n (doc, id)",
+		"CREATE INDEX n_parent ON n (doc, parent)",
+		"CREATE INDEX n_tag ON n (doc, tag)",
+		"CREATE INDEX n_grp ON n (doc, grp)",
+	} {
+		if _, err := db.Exec(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return db
+}
+
+// valueRows bulk-loads rows (id, parent, tag, value) into valueDB's table in
+// document 1, with grp 0.
+func valueRows(t *testing.T, db *sqldb.DB, rows [][4]any) {
+	t.Helper()
+	var batch []sqltypes.Row
+	for _, r := range rows {
+		parent := sqldb.Null()
+		if p := r[1].(int); p > 0 {
+			parent = sqldb.I(int64(p))
+		}
+		batch = append(batch, sqltypes.Row{sqldb.I(1), sqldb.I(int64(r[0].(int))), parent, sqldb.I(0),
+			sqldb.S(r[2].(string)), sqldb.S(r[3].(string))})
+	}
+	if _, err := db.BulkInsert("n", batch); err != nil {
+		t.Fatal(err)
+	}
+}
+
+const valueSQL = `SELECT s.id FROM n s, n p WHERE s.doc = 1 AND s.tag = 'step'
+	AND p.doc = 1 AND p.parent = s.id AND p.tag = 'pred' AND p.value = 'v' ORDER BY s.id`
+
+// driver names the alias of the scan at the bottom of a plan: the table that
+// drives its joins.
+func driver(t *testing.T, db *sqldb.DB, sql string) string {
+	t.Helper()
+	lines := strings.Split(strings.TrimSpace(explain(t, db, sql)), "\n")
+	last := lines[len(lines)-1]
+	i := strings.Index(last, " AS ")
+	if i < 0 {
+		t.Fatalf("no alias in the driver line %q", last)
+	}
+	return strings.Fields(last[i+4:])[0]
+}
+
+func ids(t *testing.T, db *sqldb.DB, sql string) string {
+	t.Helper()
+	res, err := db.Query(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, r := range res.Rows {
+		out = append(out, r.String())
+	}
+	return strings.Join(out, " ")
+}
+
+// One statement, two data sets: where the predicate tag is rarer than the
+// step tag the predicate drives, where it is commoner the step does — and
+// both plans return the rows of a FROM-order join.
+func TestJoinOrderFollowsData(t *testing.T) {
+	rare := valueDB(t)
+	var rows [][4]any
+	id := 1
+	for s := 0; s < 200; s++ { // 200 steps with four other children each
+		step := id
+		rows = append(rows, [4]any{step, 0, "step", ""})
+		id++
+		for c := 0; c < 4; c++ {
+			rows = append(rows, [4]any{id, step, "other", ""})
+			id++
+		}
+		if s%70 == 0 { // and three predicate children in all
+			rows = append(rows, [4]any{id, step, "pred", "v"})
+			id++
+		}
+	}
+	valueRows(t, rare, rows)
+	if got := driver(t, rare, valueSQL); got != "p" {
+		t.Errorf("rare predicate: driver %s, want p\n%s", got, explain(t, rare, valueSQL))
+	}
+	if got, want := ids(t, rare, valueSQL), "(1) (352) (703)"; got != want {
+		t.Errorf("rare predicate rows %s, want %s", got, want)
+	}
+
+	common := valueDB(t)
+	rows = nil
+	for s := 1; s <= 3; s++ { // three steps with a predicate child each
+		rows = append(rows, [4]any{s, 0, "step", ""}, [4]any{10 + s, s, "pred", "v"})
+	}
+	for i := 0; i < 300; i++ { // 300 predicates elsewhere
+		rows = append(rows, [4]any{100 + i, 99, "pred", "v"})
+	}
+	valueRows(t, common, rows)
+	if got := driver(t, common, valueSQL); got != "s" {
+		t.Errorf("common predicate: driver %s, want s\n%s", got, explain(t, common, valueSQL))
+	}
+	if got, want := ids(t, common, valueSQL), "(1) (2) (3)"; got != want {
+		t.Errorf("common predicate rows %s, want %s", got, want)
+	}
+}
+
+// Statements the orderer does not price plan in FROM order: a relation
+// parameter, a LEFT JOIN, a single table — and a join whose alternative is
+// not cheaper by the tie factor.
+func TestJoinOrderKeepsFromOrder(t *testing.T) {
+	db := valueDB(t)
+	var rows [][4]any
+	for s := 1; s <= 200; s++ {
+		rows = append(rows, [4]any{s, 0, "step", ""}, [4]any{1000 + s, s, "other", ""})
+	}
+	rows = append(rows, [4]any{5000, 7, "pred", "v"})
+	valueRows(t, db, rows)
+	if got := driver(t, db, valueSQL); got != "p" {
+		t.Fatalf("inner join: driver %s, want p (the case the rules below must override)", got)
+	}
+	rel := explain(t, db, `SELECT s.id FROM ? c (id), n s, n p WHERE c.id = s.id AND s.doc = 1
+		AND s.tag = 'step' AND p.doc = 1 AND p.parent = s.id AND p.tag = 'pred' AND p.value = 'v'`)
+	if !strings.HasSuffix(strings.TrimSpace(rel), "ParamScan ?1 AS c (id)") {
+		t.Errorf("relation parameter: the relation does not drive\n%s", rel)
+	}
+	scalar := `SELECT s.id FROM n s, n p WHERE s.doc = 1 AND s.tag = ?
+		AND p.doc = 1 AND p.parent = s.id AND p.tag = 'pred' AND p.value = 'v'`
+	if got := driver(t, db, scalar); got != "s" {
+		t.Errorf("scalar parameter: driver %s, want s", got)
+	}
+	left := explain(t, db, `SELECT s.id FROM n s LEFT JOIN n p ON p.doc = 1 AND p.parent = s.id
+		AND p.tag = 'pred' WHERE s.doc = 1 AND s.tag = 'step'`)
+	if !strings.Contains(left, "LeftJoin s.id=p.parent") || !strings.Contains(left, "IndexScan n using n_tag AS s") {
+		t.Errorf("left join: not FROM order\n%s", left)
+	}
+	if single := explain(t, db, "SELECT id FROM n WHERE doc = 1 AND tag = 'pred'"); !strings.Contains(single, "IndexScan n using n_tag doc=1 tag='pred'") {
+		t.Errorf("single table:\n%s", single)
+	}
+
+	// A tie: five steps with one predicate child each cost the same from
+	// either side, and FROM order stays.
+	tie := valueDB(t)
+	rows = nil
+	for s := 1; s <= 5; s++ {
+		rows = append(rows, [4]any{s, 0, "step", ""}, [4]any{10 + s, s, "pred", "v"})
+	}
+	valueRows(t, tie, rows)
+	if got := driver(t, tie, valueSQL); got != "s" {
+		t.Errorf("tie: driver %s, want s (FROM order)\n%s", got, explain(t, tie, valueSQL))
+	}
+}
+
+// A driver whose access range is its whole table — p below has only
+// doc = 1, the one document — never replaces a driver with a selective
+// prefix, even where its estimate is lower: 50 steps share one group, so
+// every step probes the same 100 rows.
+func TestWholeTableDriverNeverLeads(t *testing.T) {
+	db := valueDB(t)
+	var batch []sqltypes.Row
+	for i := 1; i <= 150; i++ {
+		tag, value := "step", ""
+		if i > 50 {
+			tag, value = "member", "x"
+		}
+		if i == 150 {
+			value = "v"
+		}
+		batch = append(batch, sqltypes.Row{sqldb.I(1), sqldb.I(int64(i)), sqldb.Null(), sqldb.I(1),
+			sqldb.S(tag), sqldb.S(value)})
+	}
+	if _, err := db.BulkInsert("n", batch); err != nil {
+		t.Fatal(err)
+	}
+	sql := `SELECT s.id FROM n s, n p WHERE s.doc = 1 AND s.tag = 'step'
+		AND p.doc = 1 AND p.grp = s.grp AND p.value = 'v'`
+	if got := driver(t, db, sql); got != "s" {
+		t.Errorf("driver %s, want s\n%s", got, explain(t, db, sql))
+	}
+	res, err := db.Query(sql)
+	if err != nil || len(res.Rows) != 50 {
+		t.Fatalf("%v rows, %v", res, err)
+	}
+}
+
+// Pricing a join order runs sample plans, but they are not statements:
+// planning adds nothing to sqldb.queries or to the storage counters, so a
+// cold run of a reordered statement counts exactly what a warm one does.
+func TestJoinOrderSamplingIsUncounted(t *testing.T) {
+	db := valueDB(t)
+	var rows [][4]any
+	for s := 1; s <= 200; s++ {
+		rows = append(rows, [4]any{s, 0, "step", ""}, [4]any{1000 + s, s, "other", ""})
+	}
+	rows = append(rows, [4]any{5000, 7, "pred", "v"})
+	valueRows(t, db, rows)
+	run := func() (storage map[string]int64, queries int64) {
+		before := db.Metrics()
+		if got := ids(t, db, valueSQL); got != "(7)" {
+			t.Fatalf("rows %s", got)
+		}
+		after := db.Metrics()
+		storage = map[string]int64{}
+		for name, v := range after.Gauges {
+			if strings.HasPrefix(name, "storage.") {
+				storage[name] = v - before.Gauges[name]
+			}
+		}
+		return storage, after.Counters["sqldb.queries"] - before.Counters["sqldb.queries"]
+	}
+	cold, coldQueries := run()
+	warm, warmQueries := run()
+	if coldQueries != 1 || warmQueries != 1 {
+		t.Errorf("sqldb.queries moved %d cold, %d warm; want 1", coldQueries, warmQueries)
+	}
+	for name, v := range warm {
+		if cold[name] != v {
+			t.Errorf("%s: cold run %d, warm run %d", name, cold[name], v)
+		}
+	}
+	if warm["storage.index_probes"] == 0 {
+		t.Errorf("no storage counter moved: %v", warm)
+	}
+}

@@ -18,6 +18,22 @@ type Context interface {
 	Table(name string) *catalog.Table
 	TableIndexes(t *catalog.Table) []*catalog.Index
 	TableRows(t *catalog.Table) int
+	// IndexCount returns the exact number of entries of ix in a range (an
+	// equality prefix, then an optional range on the next column), counted
+	// index-only. It is the planner's one cardinality source.
+	IndexCount(t *catalog.Table, ix *catalog.Index, eq []sqltypes.Value, low, high *sqltypes.Value, lowExcl, highExcl bool) int
+}
+
+// Sampler is a Context that can also run a plan on the snapshot being
+// planned. Planned against one, an inner join picks its join order by
+// measured cost (joinorder.go); against a bare Context — the writer-side
+// catalog — it joins in FROM order.
+type Sampler interface {
+	Context
+	// Sample runs n to its end with no parameters bound and returns every
+	// plan node's actual output rows. A sample run is not a statement: it
+	// must not count as a query nor move the storage counters.
+	Sample(n Node) (map[Node]int64, error)
 }
 
 // Options tunes planning. The zero value plans serially.
@@ -88,34 +104,99 @@ func PlanSelect(pc Context, s *sqlparse.Select) (Node, error) {
 
 // PlanSelectOpts compiles a SELECT statement.
 func PlanSelectOpts(pc Context, s *sqlparse.Select, opts Options) (Node, error) {
+	q, err := newJoinQuery(pc, s)
+	if err != nil {
+		return nil, err
+	}
+	var orderHint []sqlparse.OrderItem
+	if len(q.entries) == 1 && len(s.GroupBy) == 0 && !s.Distinct {
+		orderHint = s.OrderBy
+	}
+	root, combined, satisfiesOrder, err := q.build(q.chooseOrder(pc), orderHint)
+	if err != nil {
+		return nil, err
+	}
+	if satisfiesOrder {
+		s = shallowCopyWithoutOrder(s)
+	}
+	root, err = planProjection(s, root, combined, q.fromSchema)
+	if err != nil {
+		return nil, err
+	}
+	return parallelize(root, pc, opts), nil
+}
+
+// joinQuery is a SELECT's FROM list with its join conjuncts, resolved once
+// against the FROM-order schema; build lays the joins out in any order.
+type joinQuery struct {
+	entries    []tableEntry // FROM order
+	fromSchema expr.Schema
+	// conjuncts are WHERE plus the ON conditions of inner joins (for an inner
+	// join, ON and WHERE are interchangeable); LEFT JOIN ONs stay attached to
+	// their join. refs[i] names the tables conjuncts[i] touches.
+	conjuncts []expr.Expr
+	refs      []map[string]bool
+}
+
+func newJoinQuery(pc Context, s *sqlparse.Select) (*joinQuery, error) {
 	entries, err := resolveTables(pc, s)
 	if err != nil {
 		return nil, err
 	}
-	combined := combinedSchema(entries)
-
-	// Gather conjuncts: WHERE plus the ON conditions of inner joins (for an
-	// inner join, ON and WHERE are interchangeable). LEFT JOIN ONs stay
-	// attached to their join.
-	var conjuncts []expr.Expr
+	q := &joinQuery{entries: entries, fromSchema: combinedSchema(entries)}
 	if s.Where != nil {
-		conjuncts = append(conjuncts, splitConjuncts(expr.Clone(s.Where))...)
+		q.conjuncts = append(q.conjuncts, splitConjuncts(expr.Clone(s.Where))...)
 	}
 	for _, e := range entries {
 		if e.join != nil && e.join.Kind == sqlparse.JoinInner && e.join.On != nil {
 			for _, c := range splitConjuncts(expr.Clone(e.join.On)) {
 				// A comma join is an inner join ON TRUE: nothing to evaluate.
 				if l, ok := c.(*expr.Literal); !ok || l.Val.Type() != sqltypes.Bool || !l.Val.Bool() {
-					conjuncts = append(conjuncts, c)
+					q.conjuncts = append(q.conjuncts, c)
 				}
 			}
 		}
 	}
 	// Resolve every conjunct against the combined schema so it can be
 	// classified by the tables it touches.
-	for _, c := range conjuncts {
-		if err := expr.Resolve(c, combined); err != nil {
+	for _, c := range q.conjuncts {
+		if err := expr.Resolve(c, q.fromSchema); err != nil {
 			return nil, err
+		}
+		q.refs = append(q.refs, referencedTables(c, q.fromSchema))
+	}
+	return q, nil
+}
+
+// build plans the join of the tables at the given FROM positions, left-deep
+// in that order, over the conjuncts that touch only those tables; nil means
+// all of them in FROM order, over q's conjuncts themselves (the final plan
+// may share them: plan trees are read-only). It returns the join tree, the
+// layout of its rows and whether the access path delivers orderHint.
+func (q *joinQuery) build(order []int, orderHint []sqlparse.OrderItem) (root Node, combined expr.Schema, satisfiesOrder bool, err error) {
+	entries, combined := q.entries, q.fromSchema
+	conjuncts, refs := q.conjuncts, q.refs
+	if order != nil {
+		entries = make([]tableEntry, len(order))
+		in := map[string]bool{}
+		offset := 0
+		for i, pos := range order {
+			entries[i] = q.entries[pos]
+			entries[i].offset = offset
+			offset += len(entries[i].schema())
+			in[entries[i].ref.Name()] = true
+		}
+		combined = combinedSchema(entries)
+		conjuncts, refs = nil, nil
+		for ci, c := range q.conjuncts {
+			if !onlyIn(q.refs[ci], in) {
+				continue
+			}
+			c = expr.Clone(c)
+			if err := expr.Resolve(c, combined); err != nil {
+				return nil, nil, false, err
+			}
+			conjuncts, refs = append(conjuncts, c), append(refs, q.refs[ci])
 		}
 	}
 	used := make([]bool, len(conjuncts))
@@ -123,43 +204,28 @@ func PlanSelectOpts(pc Context, s *sqlparse.Select, opts Options) (Node, error) 
 	// Classify single-table conjuncts per table (not yet consumed; the join
 	// builder decides where each lands).
 	perTable := make([][]int, len(entries))
-	for ci, c := range conjuncts {
-		refs := referencedTables(c, combined)
-		if len(refs) != 1 {
+	for ci := range conjuncts {
+		if len(refs[ci]) != 1 {
 			continue
 		}
 		for ti, e := range entries {
-			if refs[e.ref.Name()] && !e.leftOuter {
+			if refs[ci][e.ref.Name()] && !e.leftOuter {
 				perTable[ti] = append(perTable[ti], ci)
 			}
 		}
 	}
 
-	// Build the left-deep join tree in FROM order.
-	var root Node
+	// Build the left-deep join tree.
 	leftTables := map[string]bool{}
-	singleTable := len(entries) == 1
 	for ti := range entries {
 		e := &entries[ti]
 		if ti == 0 {
-			var orderHint []sqlparse.OrderItem
-			if singleTable && len(s.GroupBy) == 0 && !s.Distinct {
-				orderHint = s.OrderBy
-			}
 			local := localConjuncts(conjuncts, perTable[0], e.offset, used)
-			access, satisfiesOrder, err := buildAccess(*e, local, orderHint)
-			if err != nil {
-				return nil, err
+			if root, satisfiesOrder, err = buildAccess(*e, local, orderHint); err != nil {
+				return nil, nil, false, err
 			}
-			if satisfiesOrder {
-				s = shallowCopyWithoutOrder(s)
-			}
-			root = access
-		} else {
-			root, err = buildJoin(root, leftTables, e, perTable[ti], conjuncts, used, combined)
-			if err != nil {
-				return nil, err
-			}
+		} else if root, err = buildJoin(root, leftTables, e, perTable[ti], conjuncts, used, combined); err != nil {
+			return nil, nil, false, err
 		}
 		leftTables[e.ref.Name()] = true
 	}
@@ -174,12 +240,7 @@ func PlanSelectOpts(pc Context, s *sqlparse.Select, opts Options) (Node, error) 
 	if len(residual) > 0 {
 		root = &Filter{Input: root, Pred: andAll(residual)}
 	}
-
-	root, err = planProjection(s, root, combined)
-	if err != nil {
-		return nil, err
-	}
-	return parallelize(root, pc, opts), nil
+	return root, combined, satisfiesOrder, nil
 }
 
 // localConjuncts clones the given conjuncts rebased to a table-local layout

@@ -9,9 +9,11 @@ import (
 )
 
 // planProjection builds the upper part of a SELECT plan: aggregation,
-// projection, DISTINCT, ORDER BY (with hidden sort keys), and LIMIT.
-func planProjection(s *sqlparse.Select, input Node, inputSchema expr.Schema) (Node, error) {
-	items, names, err := expandItems(s, inputSchema)
+// projection, DISTINCT, ORDER BY (with hidden sort keys), and LIMIT. `*`
+// expands over fromSchema, the FROM-order layout, whatever order the joins
+// below lay their rows out in (inputSchema).
+func planProjection(s *sqlparse.Select, input Node, inputSchema, fromSchema expr.Schema) (Node, error) {
+	items, names, err := expandItems(s, fromSchema)
 	if err != nil {
 		return nil, err
 	}
@@ -100,15 +102,16 @@ func planProjection(s *sqlparse.Select, input Node, inputSchema expr.Schema) (No
 	return root, nil
 }
 
-// expandItems resolves `*` and `t.*`, returning cloned item expressions and
-// their output names.
-func expandItems(s *sqlparse.Select, inputSchema expr.Schema) ([]expr.Expr, []string, error) {
+// expandItems expands `*` and `t.*` over schema, returning cloned item
+// expressions and their output names; the caller resolves them against the
+// plan's row layout.
+func expandItems(s *sqlparse.Select, schema expr.Schema) ([]expr.Expr, []string, error) {
 	var items []expr.Expr
 	var names []string
 	for _, it := range s.Items {
 		if it.Star {
 			matched := false
-			for i, col := range inputSchema {
+			for i, col := range schema {
 				if it.StarTable != "" && !strings.EqualFold(col.Table, it.StarTable) {
 					continue
 				}
