@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"regexp"
 	"sort"
 	"strconv"
 	"strings"
@@ -72,16 +71,15 @@ const helpText = `commands:
   \check                            deep store-wide integrity check (all
                                     documents, heap pages, B+tree indexes)
   stats                             storage and work-counter summary
-  parallel <n>                      set the query parallelism degree (1 = serial)
   \timeout <dur>                    session query timeout for reads (e.g. 500ms;
                                     0 removes it; no argument shows the current)
   \explain <select ...>             show the SQL engine's physical plan
   \analyze <select ...>             run with EXPLAIN ANALYZE instrumentation
-                                    (per-worker actuals labeled w0=, w1=, ...)
+                                    (actual rows, loops and time per operator)
   \stats                            engine metrics (counters, latency histograms;
-                                    snapshot version/publishes, parallel queries,
-                                    WAL activity and buffer-pool hit/eviction
-                                    figures for durable stores)
+                                    snapshot version/publishes, WAL activity and
+                                    buffer-pool hit/eviction figures for durable
+                                    stores)
   \checkpoint                       checkpoint a durable store and rotate its log
   \slow                             slow-query log
   \trace on|off|status|clear        request tracing: record a span tree per
@@ -262,16 +260,6 @@ func (sh *shell) Execute(line string) (string, error) {
 			out += "\n" + bufpoolLine(g)
 		}
 		return out, nil
-	case "parallel":
-		if len(args) != 1 {
-			return "", fmt.Errorf("usage: parallel <n>")
-		}
-		n, err := strconv.Atoi(args[0])
-		if err != nil || n < 1 {
-			return "", fmt.Errorf("bad parallelism %q (want a positive integer)", args[0])
-		}
-		sh.store.SetParallelism(n)
-		return fmt.Sprintf("parallelism set to %d", sh.store.Parallelism()), nil
 	case `\timeout`:
 		if len(args) == 0 {
 			if d := sh.store.QueryTimeout(); d > 0 {
@@ -308,12 +296,11 @@ func (sh *shell) Execute(line string) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		return strings.TrimRight(labelWorkerRows(text), "\n"), nil
+		return strings.TrimRight(text, "\n"), nil
 	case `\stats`:
 		m := sh.store.Metrics()
-		out := fmt.Sprintf("snapshot: version %d, %d publishes; parallelism %d (%d parallel queries)\n%s",
+		out := fmt.Sprintf("snapshot: version %d, %d publishes\n%s",
 			m.Gauges["sqldb.view.version"], m.Counters["sqldb.view.publishes"],
-			sh.store.Parallelism(), m.Counters["sqldb.query.parallel"],
 			renderMetrics(m))
 		c, g := m.Counters, m.Gauges
 		if sh.store.Durable() {
@@ -602,23 +589,6 @@ func (sh *shell) traceQuery(xpath string) (string, error) {
 	}
 	fmt.Fprintf(&sb, "%d match(es)", len(nodes))
 	return sb.String(), nil
-}
-
-// workerRowsRE matches the engine's compact per-worker actuals annotation,
-// e.g. "workers rows=120/98/101/104".
-var workerRowsRE = regexp.MustCompile(`workers rows=([0-9]+(?:/[0-9]+)+)`)
-
-// labelWorkerRows expands the compact per-worker row breakdown into
-// explicitly labeled counts ("w0=120 w1=98 ...") for interactive reading.
-func labelWorkerRows(text string) string {
-	return workerRowsRE.ReplaceAllStringFunc(text, func(m string) string {
-		counts := strings.Split(strings.TrimPrefix(m, "workers rows="), "/")
-		parts := make([]string, len(counts))
-		for i, c := range counts {
-			parts[i] = fmt.Sprintf("w%d=%s", i, c)
-		}
-		return "workers " + strings.Join(parts, " ")
-	})
 }
 
 func parseID(args []string, i int, usage string) (int64, error) {

@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -242,50 +243,35 @@ func TestShellTraceQuery(t *testing.T) {
 	}
 }
 
-// TestShellParallelAndSnapshotStats covers the concurrency-era surface: the
-// parallel command, the snapshot summary line of \stats, and the labeled
-// per-worker actuals of \analyze.
-func TestShellParallelAndSnapshotStats(t *testing.T) {
+// TestShellSnapshotStats covers the concurrent-readers surface: the snapshot
+// summary line of \stats, which moves with every published view, and the
+// per-operator actuals of \analyze.
+func TestShellSnapshotStats(t *testing.T) {
 	sh := &shell{}
 	run(t, sh, "open global")
-	var doc strings.Builder
-	doc.WriteString("<catalog>")
-	for i := 0; i < 1500; i++ {
-		doc.WriteString("<item>v</item>")
+	summary := regexp.MustCompile(`^snapshot: version (\d+), (\d+) publishes\n`)
+	publishes := func() int {
+		t.Helper()
+		out := run(t, sh, `\stats`)
+		m := summary.FindStringSubmatch(out)
+		if m == nil {
+			t.Fatalf("\\stats lacks the snapshot summary line: %.120q", out)
+		}
+		if !strings.Contains(out, "sqldb.view.publishes") || !strings.Contains(out, "sqldb.view.version") {
+			t.Errorf("\\stats lacks the view metrics: %.200q", out)
+		}
+		n, _ := strconv.Atoi(m[2])
+		return n
 	}
-	doc.WriteString("</catalog>")
-	run(t, sh, "loadstr "+doc.String())
-
-	mustFail(t, sh, "parallel")
-	mustFail(t, sh, "parallel zero")
-	if out := run(t, sh, "parallel 4"); out != "parallelism set to 4" {
-		t.Errorf("parallel: %q", out)
+	before := publishes()
+	run(t, sh, "loadstr <catalog><item>v</item><item>w</item></catalog>")
+	if after := publishes(); after <= before {
+		t.Errorf("publishes %d -> %d across a load, want growth", before, after)
 	}
 
 	out := run(t, sh, `\analyze SELECT kind, COUNT(*) FROM xg_nodes GROUP BY kind ORDER BY kind`)
-	if !strings.Contains(out, "Gather workers=4") {
-		t.Errorf("\\analyze lacks exchange operator:\n%s", out)
-	}
-	if !strings.Contains(out, "workers w0=") || !strings.Contains(out, " w3=") {
-		t.Errorf("\\analyze lacks labeled per-worker actuals:\n%s", out)
-	}
-
-	out = run(t, sh, `\stats`)
-	if !strings.Contains(out, "snapshot: version ") ||
-		!strings.Contains(out, "parallelism 4 (") {
-		t.Errorf("\\stats lacks snapshot/parallel summary: %.120q", out)
-	}
-	if !strings.Contains(out, "sqldb.view.publishes") ||
-		!strings.Contains(out, "sqldb.query.parallel") {
-		t.Errorf("\\stats lacks view/parallel metrics: %.200q", out)
-	}
-}
-
-func TestLabelWorkerRows(t *testing.T) {
-	in := "SeqScan parallel t (actual rows=10 loops=4) [workers rows=3/3/2/2]\nrows=5/2 outside"
-	want := "SeqScan parallel t (actual rows=10 loops=4) [workers w0=3 w1=3 w2=2 w3=2]\nrows=5/2 outside"
-	if got := labelWorkerRows(in); got != want {
-		t.Errorf("labelWorkerRows:\n got %q\nwant %q", got, want)
+	if !strings.Contains(out, "HashAggregate") || !strings.Contains(out, "(actual rows=") {
+		t.Errorf("\\analyze lacks operator actuals:\n%s", out)
 	}
 }
 

@@ -10,7 +10,7 @@
 //
 //   - ErrCanceled / ErrDeadlineExceeded — the statement's context fired; the
 //     operator tree noticed at its next poll point and unwound, releasing
-//     snapshot pins and worker goroutines on the way out.
+//     its snapshot pin on the way out.
 //   - ErrMemoryBudget — a pipeline-breaking operator (hash join build, sort
 //     buffer, result materialization) asked the query's accountant for more
 //     bytes than the configured budget allows.
@@ -116,8 +116,9 @@ func NewMemMetrics(reg *obs.Registry) *MemMetrics {
 // materialization); the accountant is shared by every statement a single
 // request runs (an XPath query issues several), so the budget bounds the
 // request, not each statement separately. A nil accountant accepts every
-// charge. Accountants are goroutine-safe: Gather workers charge
-// concurrently.
+// charge. Accountants are goroutine-safe: a request context, and the
+// accountant it carries, may be shared by concurrent readers on several
+// goroutines.
 type Accountant struct {
 	budget int64 // 0 = unlimited
 	used   atomic.Int64
@@ -158,7 +159,7 @@ func (a *Accountant) Charge(n int64) error {
 }
 
 // Release returns n bytes to the budget (an operator freed its buffers
-// mid-query, e.g. a drained hash-join partition).
+// mid-query, e.g. a drained hash-join build table).
 func (a *Accountant) Release(n int64) {
 	if a == nil || n <= 0 {
 		return

@@ -6,7 +6,7 @@
 // trace buffer, so the stage or request simply vanishes from the Chrome
 // export without any error. The analyzer recognizes span values
 // structurally (the named type `ActiveSpan` declared in a package named
-// `obs`, produced by StartSpan, StartRoot, StartChild or StartWorker —
+// `obs`, produced by StartSpan, StartRoot or StartChild —
 // including the two-value `ctx, sp := ...` forms) and then runs a
 // conservative path walk:
 //
@@ -71,10 +71,9 @@ func isSpanType(t types.Type) bool {
 
 // startNames are the function/method names that mint spans.
 var startNames = map[string]bool{
-	"StartSpan":   true,
-	"StartRoot":   true,
-	"StartChild":  true,
-	"StartWorker": true,
+	"StartSpan":  true,
+	"StartRoot":  true,
+	"StartChild": true,
 }
 
 // isStartCall reports whether call produces a span via one of the start

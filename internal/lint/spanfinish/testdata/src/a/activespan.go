@@ -7,7 +7,8 @@ import (
 )
 
 // These cases mirror the request-tracer API's constructor shapes: two-value
-// root and ambient constructors, worker spans, and struct-field hand-off.
+// root and ambient constructors, a span per loop iteration, and struct-field
+// hand-off.
 
 func rootDeferred(tr *obs.Tracer, ctx int) int {
 	ctx, sp := tr.StartRoot(ctx, "root")
@@ -39,20 +40,12 @@ func ambientDeferred(ctx int) {
 	work()
 }
 
-func workerEnded(parent *obs.ActiveSpan) {
+func childPerIteration(parent *obs.ActiveSpan) {
 	for i := 0; i < 4; i++ {
-		w := parent.StartWorker("worker", i)
+		sp := parent.StartChild("iteration")
 		work()
-		w.End()
+		sp.End()
 	}
-}
-
-func workerLeak(parent *obs.ActiveSpan, skip bool) {
-	w := parent.StartWorker("worker", 0) // want `span w is not finished on all paths`
-	if skip {
-		return
-	}
-	w.End()
 }
 
 // holder keeps a span for a later lifecycle phase (the operator-decorator

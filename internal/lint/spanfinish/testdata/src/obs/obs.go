@@ -20,10 +20,6 @@ func (s *ActiveSpan) StartChild(name string) *ActiveSpan {
 	return &ActiveSpan{name: name}
 }
 
-func (s *ActiveSpan) StartWorker(name string, worker int) *ActiveSpan {
-	return &ActiveSpan{name: name}
-}
-
 func (s *ActiveSpan) End() {}
 
 // StartSpan mirrors the package-level ambient-context constructor.

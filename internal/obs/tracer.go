@@ -12,9 +12,9 @@ import (
 
 // This file is the request-scoped tracing layer, the engine's only tracer.
 // The Tracer records a *tree* of spans with trace/span/parent IDs into a
-// bounded in-memory ring buffer, safe for concurrent emission from parallel
-// query workers, and exports the buffer as Chrome trace-event JSON loadable
-// in Perfetto (chrome://tracing).
+// bounded in-memory ring buffer, safe for concurrent emission from concurrent
+// readers and writers, and exports the buffer as Chrome trace-event JSON
+// loadable in Perfetto (chrome://tracing).
 //
 // The active-span handle is a *ActiveSpan; nil is the disabled state and
 // every method is nil-safe, so call sites thread spans unconditionally:
@@ -43,7 +43,6 @@ type SpanRecord struct {
 	Trace   uint64        `json:"trace"`
 	ID      uint64        `json:"id"`
 	Parent  uint64        `json:"parent"` // 0 for roots
-	Lane    uint64        `json:"lane"`   // rendering track; workers get their own
 	Name    string        `json:"name"`
 	Start   time.Time     `json:"start"`
 	Dur     time.Duration `json:"dur_ns"`
@@ -165,7 +164,6 @@ type ActiveSpan struct {
 	trace uint64
 	id    uint64
 	par   uint64
-	lane  uint64
 	start time.Time
 
 	mu    sync.Mutex
@@ -179,19 +177,17 @@ func (t *Tracer) StartRoot(ctx context.Context, name string) (context.Context, *
 	if t == nil || !t.enabled.Load() {
 		return ctx, nil
 	}
-	id := t.nextSpan.Add(1)
 	sp := &ActiveSpan{
 		t:     t,
 		name:  name,
 		trace: t.nextTrace.Add(1),
-		id:    id,
-		lane:  id,
+		id:    t.nextSpan.Add(1),
 		start: t.now(),
 	}
 	return ContextWith(ctx, sp), sp
 }
 
-// StartChild begins a child span on the same lane. Nil-safe.
+// StartChild begins a child span. Nil-safe.
 func (s *ActiveSpan) StartChild(name string) *ActiveSpan {
 	if s == nil {
 		return nil
@@ -202,29 +198,8 @@ func (s *ActiveSpan) StartChild(name string) *ActiveSpan {
 		trace: s.trace,
 		id:    s.t.nextSpan.Add(1),
 		par:   s.id,
-		lane:  s.lane,
 		start: s.t.now(),
 	}
-}
-
-// StartWorker begins a child span on a fresh lane — one per parallel worker,
-// so overlapping worker spans render on separate tracks in Perfetto.
-func (s *ActiveSpan) StartWorker(name string, worker int) *ActiveSpan {
-	if s == nil {
-		return nil
-	}
-	id := s.t.nextSpan.Add(1)
-	w := &ActiveSpan{
-		t:     s.t,
-		name:  name,
-		trace: s.trace,
-		id:    id,
-		par:   s.id,
-		lane:  id,
-		start: s.t.now(),
-	}
-	w.Arg("worker", int64(worker))
-	return w
 }
 
 // MarkStart resets the span's start time to now. Operator spans are
@@ -271,7 +246,6 @@ func (s *ActiveSpan) Event(name string, args ...Arg) {
 		Trace:   s.trace,
 		ID:      s.t.nextSpan.Add(1),
 		Parent:  s.id,
-		Lane:    s.lane,
 		Name:    name,
 		Start:   s.t.now(),
 		Instant: true,
@@ -298,7 +272,6 @@ func (s *ActiveSpan) End() {
 		Trace:  s.trace,
 		ID:     s.id,
 		Parent: s.par,
-		Lane:   s.lane,
 		Name:   s.name,
 		Start:  start,
 		Dur:    s.t.now().Sub(start),
@@ -354,7 +327,8 @@ func StartSpan(ctx context.Context, name string) (context.Context, *ActiveSpan) 
 }
 
 // chromeEvent is one Chrome trace-event JSON object. ts and dur are in
-// microseconds; pid groups a trace, tid is the rendering lane.
+// microseconds; pid groups a trace and tid is the trace's one track (a
+// statement runs on one goroutine, so its spans nest rather than overlap).
 type chromeEvent struct {
 	Name  string         `json:"name"`
 	Cat   string         `json:"cat"`
@@ -382,7 +356,7 @@ func (t *Tracer) WriteChrome(w io.Writer) error {
 			Ts:   float64(r.Start.UnixNano()) / 1e3,
 			Dur:  float64(r.Dur) / 1e3,
 			Pid:  r.Trace,
-			Tid:  r.Lane,
+			Tid:  r.Trace,
 			Args: map[string]any{"span": r.ID, "parent": r.Parent},
 		}
 		if r.Instant {

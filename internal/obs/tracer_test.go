@@ -79,41 +79,33 @@ func TestSpanTreeRecording(t *testing.T) {
 	}
 	child.Arg("rows", 7)
 	child.End()                                 // end 3ms, dur 1ms
-	w := root.StartWorker("worker", 2)          // start 4ms
-	w.End()                                     // end 5ms
-	root.Event("note", Arg{Key: "k", Val: "v"}) // 6ms
-	root.End()                                  // end 7ms, dur 6ms
+	root.Event("note", Arg{Key: "k", Val: "v"}) // 4ms
+	root.End()                                  // end 5ms, dur 4ms
 	root.End()                                  // double End is a no-op
 
 	recs := tr.Snapshot()
-	if len(recs) != 4 {
-		t.Fatalf("got %d records, want 4", len(recs))
+	if len(recs) != 3 {
+		t.Fatalf("got %d records, want 3", len(recs))
 	}
 	byName := map[string]SpanRecord{}
 	for _, r := range recs {
 		byName[r.Name] = r
 	}
-	rr, cr, wr, er := byName["root"], byName["child"], byName["worker"], byName["note"]
+	rr, cr, er := byName["root"], byName["child"], byName["note"]
 	if rr.Parent != 0 || rr.Trace == 0 {
 		t.Fatalf("root record = %+v", rr)
 	}
-	if cr.Parent != rr.ID || cr.Trace != rr.Trace || cr.Lane != rr.Lane {
+	if cr.Parent != rr.ID || cr.Trace != rr.Trace {
 		t.Fatalf("child does not nest under root: %+v vs %+v", cr, rr)
 	}
 	if cr.Dur != time.Millisecond {
 		t.Fatalf("child dur = %v, want 1ms", cr.Dur)
 	}
-	if wr.Parent != rr.ID || wr.Lane == rr.Lane {
-		t.Fatalf("worker should get its own lane: %+v", wr)
-	}
-	if len(wr.Args) != 1 || wr.Args[0].Key != "worker" || wr.Args[0].Val != int64(2) {
-		t.Fatalf("worker args = %v", wr.Args)
-	}
-	if !er.Instant || er.Parent != rr.ID {
+	if !er.Instant || er.Parent != rr.ID || er.Trace != rr.Trace {
 		t.Fatalf("event record = %+v", er)
 	}
-	if rr.Dur != 6*time.Millisecond {
-		t.Fatalf("root dur = %v, want 6ms", rr.Dur)
+	if rr.Dur != 4*time.Millisecond {
+		t.Fatalf("root dur = %v, want 4ms", rr.Dur)
 	}
 }
 
@@ -243,28 +235,31 @@ func TestWriteChromeGolden(t *testing.T) {
 	}
 }
 
+// TestConcurrentEmission runs 8 goroutines, standing in for concurrent
+// readers with a trace each, that emit span trees into one tracer while the
+// buffer is exported.
 func TestConcurrentEmission(t *testing.T) {
 	tr := NewTracer(256)
 	tr.SetEnabled(true)
-	const workers, perWorker = 8, 50
+	const goroutines, perGoroutine = 8, 50
 
 	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
+	for i := 0; i < goroutines; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			for j := 0; j < perWorker; j++ {
+			for j := 0; j < perGoroutine; j++ {
 				ctx, root := tr.StartRoot(context.Background(), "req")
 				_, child := StartSpan(ctx, "stage")
 				child.Arg("j", int64(j)).End()
-				w := root.StartWorker("w", i)
-				w.Event("tick")
-				w.End()
+				op := root.StartChild("op")
+				op.Arg("reader", int64(i)).Event("tick")
+				op.End()
 				root.End()
 			}
 		}(i)
 	}
-	// Concurrent readers: Snapshot and WriteChrome while spans are emitted.
+	// Concurrent exports: Snapshot and WriteChrome while spans are emitted.
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -281,7 +276,7 @@ func TestConcurrentEmission(t *testing.T) {
 
 	// 4 records per iteration; buffer + dropped must account for all of them.
 	total := int64(len(tr.Snapshot())) + tr.Dropped()
-	if want := int64(workers * perWorker * 4); total != want {
+	if want := int64(goroutines * perGoroutine * 4); total != want {
 		t.Fatalf("accounted records = %d, want %d", total, want)
 	}
 }

@@ -136,7 +136,7 @@ func (f *Frame) Bytes() []byte {
 	if b := f.data.Load(); b != nil {
 		if p := f.pool; p != nil {
 			p.hits.Add(1)
-			// Store only when clear: parallel scans must not dirty the line per row.
+			// Store only when clear: concurrent readers must not dirty the line per row.
 			if !f.ref.Load() {
 				f.ref.Store(true)
 			}
@@ -178,8 +178,8 @@ func (f *Frame) MarkDirty() []byte {
 
 const surplusSlot = -1 // Frame.slot of a frame on Pool.surplus
 
-// shardCount must be a power of two; 16 shards keep PR 6's parallel scans
-// from serializing on one page-table mutex.
+// shardCount must be a power of two; 16 shards keep concurrent readers'
+// scans from serializing on one page-table mutex.
 const shardCount = 16
 
 type shard struct {

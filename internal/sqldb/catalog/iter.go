@@ -39,13 +39,6 @@ func (td *TableData) RowIter() *RowIter {
 	return it
 }
 
-// RowIterRange returns an iterator over rows on heap pages [lo, hi) — one
-// worker's share of a page-range partitioned parallel scan. Only snapshot
-// views support it; parallel plans never run against live storage.
-func (td *TableData) RowIterRange(lo, hi int) *RowIter {
-	return &RowIter{t: td.t, counters: td.counters, it: td.heap.IterRange(lo, hi)}
-}
-
 // Next decodes the next row, appending it to dst (see
 // sqltypes.DecodeRowInto), or returns ok=false at the end. Rows deleted since
 // the snapshot are skipped.

@@ -64,19 +64,6 @@ func (td *TableData) RowCount() int {
 	return td.t.RowCount()
 }
 
-// CanPartition reports whether the view supports page-range partitioned
-// scans (only storage snapshots do; live storage is writer-side and serial).
-func (td *TableData) CanPartition() bool { return td.heap != nil }
-
-// Pages returns the number of heap pages, the partitioning domain for
-// page-range parallel scans. Zero-parallelism callers need not check.
-func (td *TableData) Pages() int {
-	if td.heap != nil {
-		return td.heap.Pages()
-	}
-	return td.t.Heap.Stats().Pages
-}
-
 // HeapStats returns heap occupancy for the view.
 func (td *TableData) HeapStats() heap.Stats {
 	if td.heap != nil {

@@ -14,8 +14,10 @@
 // publishes an immutable catalog View (copy-on-write snapshots of every
 // table's heap and indexes) through an atomic pointer. Queries load that
 // pointer and plan + execute entirely against the snapshot with no lock
-// held, so readers never block behind writers and scale with cores. A
-// Snapshot() pins one View across multiple statements for repeatable reads.
+// held, so readers never block behind writers and scale with cores. Each
+// statement runs on the goroutine that opened it: the parallelism is across
+// concurrent readers, never inside one statement. A Snapshot() pins one View
+// across multiple statements for repeatable reads.
 // Old snapshot versions are reclaimed by the garbage collector once the last
 // reader drops them.
 package sqldb
@@ -49,9 +51,6 @@ type DB struct {
 	// lock held. Mutating statements republish it (cheap: unchanged tables
 	// reuse their cached storage snapshots).
 	view atomic.Pointer[catalog.View]
-	// workers is the session parallelism degree handed to the planner;
-	// 1 (the default) plans serially.
-	workers atomic.Int32
 	// atomicDepth > 0 defers view publication to the enclosing Atomically
 	// call, so a multi-statement operation appears to readers all at once.
 	atomicDepth atomic.Int32
@@ -88,7 +87,6 @@ func openCat(cat *catalog.Catalog) *DB {
 	reg := obs.NewRegistry()
 	db := &DB{cat: cat, plans: newPlanCache(reg), metrics: newDBMetrics(reg),
 		tracer: obs.NewTracer(0), memMetrics: govern.NewMemMetrics(reg)}
-	db.workers.Store(1)
 	db.publishes = reg.Counter("sqldb.view.publishes")
 	reg.RegisterFunc("sqldb.view.version", func() int64 {
 		return int64(db.view.Load().Version())
@@ -151,20 +149,6 @@ func (db *DB) Atomically(fn func() error) error {
 	return err
 }
 
-// SetParallelism sets the worker count the planner may use for parallel
-// operators (Gather, PartitionedHashJoin); n <= 1 plans serially. Cached
-// plans embed the old setting, so the plan cache is invalidated.
-func (db *DB) SetParallelism(n int) {
-	if n < 1 {
-		n = 1
-	}
-	db.workers.Store(int32(n))
-	db.plans.invalidate()
-}
-
-// Parallelism returns the current planner worker count.
-func (db *DB) Parallelism() int { return int(db.workers.Load()) }
-
 // SetMemoryBudget caps the bytes a single statement may materialize in
 // pipeline-breaking operators (hash-join builds, sort buffers, DISTINCT and
 // GROUP BY state) and the result set itself; statements that exceed it abort
@@ -203,10 +187,6 @@ func (db *DB) accountant(ctx context.Context) *govern.Accountant {
 		return govern.NewAccountant(b, db.memMetrics)
 	}
 	return nil
-}
-
-func (db *DB) planOpts() plan.Options {
-	return plan.Options{Workers: int(db.workers.Load())}
 }
 
 // snapshotPlanner is what a SELECT plans against: the catalog view it will
@@ -415,24 +395,6 @@ func truncForTrace(sql string) string {
 	return sql
 }
 
-// planParallelism returns the widest worker count of any exchange operator
-// in the plan, or 0 for a serial plan.
-func planParallelism(n plan.Node) int {
-	w := 0
-	switch x := n.(type) {
-	case *plan.Gather:
-		w = x.Workers
-	case *plan.PartitionedHashJoin:
-		w = x.Workers
-	}
-	for _, c := range plan.Children(n) {
-		if cw := planParallelism(c); cw > w {
-			w = cw
-		}
-	}
-	return w
-}
-
 // selectPlan compiles (or fetches from the cache) the plan for a SELECT
 // against catalog view v. Plans are keyed by the view's catalog version: a
 // concurrent DDL publishes a newer version, so its readers miss and replan
@@ -461,7 +423,7 @@ func (db *DB) selectPlan(v *catalog.View, sql string) (plan.Node, *sqlparse.Expl
 	if !ok {
 		return nil, nil, fmt.Errorf("Query requires a SELECT statement")
 	}
-	node, err := plan.PlanSelectOpts(planOn(v), sel, db.planOpts())
+	node, err := plan.PlanSelect(planOn(v), sel)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -475,7 +437,7 @@ func (db *DB) analyzedPlan(v *catalog.View, ex *sqlparse.Explain) (plan.Node, er
 	if !ok {
 		return nil, fmt.Errorf("EXPLAIN ANALYZE supports only SELECT statements")
 	}
-	return plan.PlanSelectOpts(planOn(v), sel, db.planOpts())
+	return plan.PlanSelect(planOn(v), sel)
 }
 
 // ExplainAnalyzeCtx executes a SELECT with per-operator instrumentation and
@@ -531,13 +493,13 @@ func (db *DB) Explain(sql string, params ...sqltypes.Value) (string, error) {
 }
 
 // explainText formats the plan of a parsed statement. SELECTs plan against
-// view v with the session's parallelism options (matching what Query runs);
-// DML plans against the live catalog under the read lock, matching Exec.
+// view v (matching what Query runs); DML plans against the live catalog under
+// the read lock, matching Exec.
 func (db *DB) explainText(v *catalog.View, stmt sqlparse.Statement) (string, error) {
 	var p any
 	var err error
 	if sel, ok := stmt.(*sqlparse.Select); ok {
-		p, err = plan.PlanSelectOpts(planOn(v), sel, db.planOpts())
+		p, err = plan.PlanSelect(planOn(v), sel)
 	} else {
 		db.mu.RLock()
 		p, err = plan.Plan(db.cat, stmt)

@@ -46,7 +46,7 @@ type Env struct {
 	View *catalog.View
 	// Span, when non-nil, is the request span the operator tree hangs off:
 	// every operator gets a child span (Open→Close wall interval, row count
-	// arg), and Gather workers open their own lanes under it.
+	// arg).
 	Span *obs.ActiveSpan
 	// Ctx, when non-nil, is the statement context scans poll for
 	// cancellation; Mem, when non-nil, is the query's shared memory
@@ -57,11 +57,6 @@ type Env struct {
 	// operator is wrapped with a stats decorator registered under its plan
 	// node, and the map fills in as the query executes (see FormatAnalyze).
 	Stats map[plan.Node]*OpStats
-
-	// Inside a Gather worker subtree: the shared partition state and the
-	// worker's ordinal.
-	shared *gatherShared
-	worker int
 }
 
 // data resolves the table's readable storage for this query.
@@ -69,9 +64,10 @@ func (e Env) data(t *catalog.Table) *catalog.TableData { return e.View.Data(t) }
 
 // Open compiles a SELECT plan into an operator tree under env and opens it —
 // the one way a tree starts, whether the caller streams it, drains it or
-// analyzes it. On success the caller owns the operator and must Close it
-// exactly once: Close releases buffer-pool pins and reaps Gather workers even
-// when the stream is only partially consumed. On error nothing is retained.
+// analyzes it. The tree runs on the calling goroutine. On success the caller
+// owns the operator and must Close it exactly once: Close ends the operator
+// spans even when the stream is only partially consumed. On error nothing is
+// retained.
 func Open(n plan.Node, params []sqltypes.Value, env Env) (Operator, error) {
 	op, err := build(n, params, env)
 	if err != nil {
@@ -85,8 +81,7 @@ func Open(n plan.Node, params []sqltypes.Value, env Env) (Operator, error) {
 }
 
 // build compiles one node (recursively), wrapping it with a stats decorator
-// under env.Stats (Gather workers carry their own maps, merged when the
-// gather drains) and with a trace decorator, one span per operator in the
+// under env.Stats and with a trace decorator, one span per operator in the
 // request's trace tree, under env.Span.
 func build(n plan.Node, params []sqltypes.Value, env Env) (Operator, error) {
 	var tsp *obs.ActiveSpan
@@ -110,7 +105,7 @@ func build(n plan.Node, params []sqltypes.Value, env Env) (Operator, error) {
 	return op, nil
 }
 
-// opName renders a plan node's operator name ("SeqScan", "Gather", ...).
+// opName renders a plan node's operator name ("SeqScan", "HashJoin", ...).
 func opName(n plan.Node) string {
 	s := fmt.Sprintf("%T", n)
 	if i := strings.LastIndexByte(s, '.'); i >= 0 {
@@ -205,19 +200,6 @@ func buildOp(n plan.Node, params []sqltypes.Value, env Env) (Operator, error) {
 		}
 		return &hashJoinOp{node: x, left: l, right: r, env: &expr.Env{Params: params},
 			gov: env.newTick(), rightWidth: len(x.Right.Schema())}, nil
-	case *plan.PartitionedHashJoin:
-		l, err := build(x.Left, params, env)
-		if err != nil {
-			return nil, err
-		}
-		r, err := build(x.Right, params, env)
-		if err != nil {
-			return nil, err
-		}
-		return &partHashJoinOp{node: x, left: l, right: r, params: params, env: env,
-			rightWidth: len(x.Right.Schema())}, nil
-	case *plan.Gather:
-		return &gatherOp{node: x, params: params, env: env}, nil
 	case *plan.IndexNLJoin:
 		l, err := build(x.Left, params, env)
 		if err != nil {

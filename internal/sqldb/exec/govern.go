@@ -16,8 +16,8 @@ import (
 // cost one branch per row on ungoverned queries.
 
 // govTick is one operator's governance handle. Each operator instance gets
-// its own (the row counter must not be shared across Gather workers); the
-// context and accountant behind it are shared query-wide.
+// its own row counter; the context and accountant behind it are shared
+// query-wide.
 type govTick struct {
 	ctx  context.Context
 	mem  *govern.Accountant

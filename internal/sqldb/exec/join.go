@@ -28,7 +28,7 @@ func (j *hashJoinOp) Open() error {
 		return err
 	}
 	// The build side is closed on every exit so an abort mid-build (budget,
-	// cancellation) still reaps a Gather running beneath it.
+	// cancellation) still ends the operator spans beneath it.
 	j.table = map[string][]sqltypes.Row{}
 	for {
 		row, ok, err := j.right.Next()

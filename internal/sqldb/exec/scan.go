@@ -5,15 +5,11 @@ import (
 
 	"ordxml/internal/sqldb/catalog"
 	"ordxml/internal/sqldb/expr"
-	"ordxml/internal/sqldb/heap"
 	"ordxml/internal/sqldb/plan"
 	"ordxml/internal/sqldb/sqltypes"
 )
 
-// seqScanOp streams every table row through the residual filters. A parallel
-// scan (beneath a Gather) claims page ranges from the shared cursor instead
-// of iterating the whole heap, so the Gather's workers cover disjoint slices
-// of the table.
+// seqScanOp streams every table row through the residual filters.
 type seqScanOp struct {
 	node *plan.SeqScan
 	env  *expr.Env
@@ -21,26 +17,14 @@ type seqScanOp struct {
 	iter *catalog.RowIter
 	buf  sqltypes.Row
 	gov  *govTick
-
-	cursor *pageCursor // non-nil only for a partitioned parallel scan
-	done   bool
 }
 
 func newSeqScan(n *plan.SeqScan, params []sqltypes.Value, env Env) *seqScanOp {
-	s := &seqScanOp{node: n, env: &expr.Env{Params: params}, data: env.data(n.Table), gov: env.newTick()}
-	if n.Parallel && env.shared != nil && s.data.CanPartition() {
-		s.cursor = env.shared.pageCursor(n, s.data.Pages())
-	}
-	return s
+	return &seqScanOp{node: n, env: &expr.Env{Params: params}, data: env.data(n.Table), gov: env.newTick()}
 }
 
 func (s *seqScanOp) Open() error {
-	s.done = false
-	if s.cursor != nil {
-		s.iter = nil // ranges claimed lazily in Next
-	} else {
-		s.iter = s.data.RowIter()
-	}
+	s.iter = s.data.RowIter()
 	width := len(s.node.Table.Columns)
 	if s.node.EmitRID {
 		width++
@@ -56,27 +40,9 @@ func (s *seqScanOp) Next() (sqltypes.Row, bool, error) {
 		if err := s.gov.step(); err != nil {
 			return nil, false, err
 		}
-		if s.iter == nil {
-			if s.cursor == nil || s.done {
-				return nil, false, nil
-			}
-			lo, hi, ok := s.cursor.claim()
-			if !ok {
-				s.done = true
-				return nil, false, nil
-			}
-			s.iter = s.data.RowIterRange(lo, hi)
-		}
 		rid, row, ok, err := s.iter.Next(s.buf[:0])
-		if err != nil {
+		if err != nil || !ok {
 			return nil, false, err
-		}
-		if !ok {
-			s.iter = nil
-			if s.cursor == nil {
-				return nil, false, nil
-			}
-			continue
 		}
 		if s.node.EmitRID {
 			row = append(row, sqltypes.NewInt(EncodeRIDInt(rid)))
@@ -105,30 +71,18 @@ func passesAll(filters []expr.Expr, env *expr.Env) (bool, error) {
 	return true, nil
 }
 
-// indexScanOp streams rows matching an index range. A parallel scan shares
-// one index cursor among the Gather's workers: each worker pulls RID batches
-// under the cursor's lock and performs the heap fetches concurrently.
+// indexScanOp streams rows matching an index range.
 type indexScanOp struct {
-	node  *plan.IndexScan
-	env   *expr.Env
-	data  *catalog.TableData
-	iter  *catalog.IndexIter
-	empty bool
-	buf   sqltypes.Row
-	gov   *govTick
-
-	shared *gatherShared
-	cursor *ridCursor
-	batch  []heap.RID
-	pos    int
+	node *plan.IndexScan
+	env  *expr.Env
+	data *catalog.TableData
+	iter *catalog.IndexIter // nil when a NULL bound makes the scan empty
+	buf  sqltypes.Row
+	gov  *govTick
 }
 
 func newIndexScan(n *plan.IndexScan, params []sqltypes.Value, env Env) *indexScanOp {
-	s := &indexScanOp{node: n, env: &expr.Env{Params: params}, data: env.data(n.Table), gov: env.newTick()}
-	if n.Parallel && env.shared != nil {
-		s.shared = env.shared
-	}
-	return s
+	return &indexScanOp{node: n, env: &expr.Env{Params: params}, data: env.data(n.Table), gov: env.newTick()}
 }
 
 // bound evaluates a row-independent bound expression and coerces it to the
@@ -189,28 +143,11 @@ func (s *indexScanOp) openIter() (*catalog.IndexIter, error) {
 }
 
 func (s *indexScanOp) Open() error {
-	s.empty = false
-	s.iter = nil
-	s.cursor = nil
-	s.batch = nil
-	s.pos = 0
-	if s.shared != nil {
-		cur, err := s.shared.ridCursor(s.node, s.openIter)
-		if err != nil {
-			return err
-		}
-		s.cursor = cur
-		s.batch = make([]heap.RID, 0, ridBatchSize)
-	} else {
-		it, err := s.openIter()
-		if err != nil {
-			return err
-		}
-		if it == nil {
-			s.empty = true
-		}
-		s.iter = it
+	it, err := s.openIter()
+	if err != nil {
+		return err
 	}
+	s.iter = it
 	width := len(s.node.Table.Columns)
 	if s.node.EmitRID {
 		width++
@@ -220,30 +157,16 @@ func (s *indexScanOp) Open() error {
 }
 
 func (s *indexScanOp) Next() (sqltypes.Row, bool, error) {
-	if s.empty {
+	if s.iter == nil {
 		return nil, false, nil
 	}
 	for {
 		if err := s.gov.step(); err != nil {
 			return nil, false, err
 		}
-		var rid heap.RID
-		if s.cursor != nil {
-			if s.pos >= len(s.batch) {
-				s.batch = s.cursor.nextBatch(s.batch[:0])
-				s.pos = 0
-				if len(s.batch) == 0 {
-					return nil, false, nil
-				}
-			}
-			rid = s.batch[s.pos]
-			s.pos++
-		} else {
-			r, ok := s.iter.Next()
-			if !ok {
-				return nil, false, nil
-			}
-			rid = r
+		rid, ok := s.iter.Next()
+		if !ok {
+			return nil, false, nil
 		}
 		row, err := s.data.FetchInto(rid, s.buf[:0])
 		if err != nil {

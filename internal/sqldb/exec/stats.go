@@ -17,11 +17,6 @@ type OpStats struct {
 	Rows  int64
 	Loops int64
 	Time  time.Duration
-	// Workers holds the per-worker breakdown for operators that ran under a
-	// Gather (one entry per worker, in worker order) or for a partitioned
-	// hash join (one entry per partition). For such operators the top-level
-	// Rows/Loops are sums across workers and Time is the slowest worker.
-	Workers []*OpStats
 }
 
 // statsOp decorates an operator, attributing wall time and row counts to its
@@ -56,28 +51,11 @@ func (s *statsOp) Close() { s.op.Close() }
 // each line, e.g.
 //
 //	SeqScan edge (actual rows=42 loops=1 time=17µs)
-//
-// Operators that ran across Gather workers (or join partitions) additionally
-// report each worker's row count:
-//
-//	SeqScan parallel edge (actual rows=42 loops=4 time=9µs) [workers rows=11/10/12/9]
 func FormatAnalyze(n plan.Node, stats map[plan.Node]*OpStats) string {
 	return plan.ExplainAnnotated(n, func(node plan.Node, b *strings.Builder) {
-		st := stats[node]
-		if st == nil {
-			return
-		}
-		fmt.Fprintf(b, " (actual rows=%d loops=%d time=%s)",
-			st.Rows, st.Loops, st.Time.Round(time.Microsecond))
-		if len(st.Workers) > 0 {
-			b.WriteString(" [workers rows=")
-			for i, w := range st.Workers {
-				if i > 0 {
-					b.WriteByte('/')
-				}
-				fmt.Fprintf(b, "%d", w.Rows)
-			}
-			b.WriteByte(']')
+		if st := stats[node]; st != nil {
+			fmt.Fprintf(b, " (actual rows=%d loops=%d time=%s)",
+				st.Rows, st.Loops, st.Time.Round(time.Microsecond))
 		}
 	})
 }

@@ -498,12 +498,12 @@ func locate(pages []*page, rid RID) ([]byte, int, int, error) {
 // Scan calls fn for every live record in RID order. The payload slice aliases
 // page memory; fn must not retain it. Scanning stops when fn returns false.
 func (h *Heap) Scan(fn func(rid RID, data []byte) bool) {
-	scanPages(h.pages, 0, len(h.pages), h.PageReads, fn)
+	scanPages(h.pages, h.PageReads, fn)
 }
 
-func scanPages(pages []*page, lo, hi int, reads *atomic.Int64, fn func(rid RID, data []byte) bool) {
-	for pi := lo; pi < hi; pi++ {
-		b := pages[pi].bytes()
+func scanPages(pages []*page, reads *atomic.Int64, fn func(rid RID, data []byte) bool) {
+	for pi, p := range pages {
+		b := p.bytes()
 		if reads != nil {
 			reads.Add(1)
 		}
@@ -605,10 +605,6 @@ func (s *Snapshot) Unmetered() *Snapshot {
 // Rows returns the number of live records in the snapshot.
 func (s *Snapshot) Rows() int { return s.rows }
 
-// Pages returns the number of pages in the snapshot, for page-range
-// partitioned parallel scans.
-func (s *Snapshot) Pages() int { return len(s.pages) }
-
 // Get returns the payload stored at rid. The returned slice aliases
 // immutable snapshot memory and stays valid for the snapshot's lifetime.
 func (s *Snapshot) Get(rid RID) ([]byte, error) {
@@ -624,19 +620,7 @@ func (s *Snapshot) Get(rid RID) ([]byte, error) {
 
 // Scan calls fn for every live record in RID order, like Heap.Scan.
 func (s *Snapshot) Scan(fn func(rid RID, data []byte) bool) {
-	scanPages(s.pages, 0, len(s.pages), s.reads, fn)
-}
-
-// ScanRange scans only pages [lo, hi), the unit of work handed to one worker
-// of a parallel heap scan. Bounds are clamped to the snapshot.
-func (s *Snapshot) ScanRange(lo, hi int, fn func(rid RID, data []byte) bool) {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > len(s.pages) {
-		hi = len(s.pages)
-	}
-	scanPages(s.pages, lo, hi, s.reads, fn)
+	scanPages(s.pages, s.reads, fn)
 }
 
 // Stats returns occupancy counters for the snapshot.
@@ -646,26 +630,16 @@ func (s *Snapshot) Stats() Stats {
 
 // Iter is a pull iterator over a snapshot's live records in RID order.
 type Iter struct {
-	pages  []*page
-	pi, hi int // current page, exclusive page bound
-	si     int // next slot on the current page
-	reads  *atomic.Int64
+	pages []*page
+	pi    int // current page
+	si    int // next slot on the current page
+	reads *atomic.Int64
 }
 
 // Iter returns a pull iterator over every live record.
-func (s *Snapshot) Iter() *Iter { return s.IterRange(0, len(s.pages)) }
-
-// IterRange returns a pull iterator over pages [lo, hi), clamped to the
-// snapshot — the unit of work handed to one worker of a parallel heap scan.
-func (s *Snapshot) IterRange(lo, hi int) *Iter {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > len(s.pages) {
-		hi = len(s.pages)
-	}
-	it := &Iter{pages: s.pages, pi: lo, hi: hi, reads: s.reads}
-	if lo < hi && it.reads != nil {
+func (s *Snapshot) Iter() *Iter {
+	it := &Iter{pages: s.pages, reads: s.reads}
+	if len(it.pages) > 0 && it.reads != nil {
 		it.reads.Add(1)
 	}
 	return it
@@ -675,7 +649,7 @@ func (s *Snapshot) IterRange(lo, hi int) *Iter {
 // aliases immutable snapshot memory and stays valid for the snapshot's
 // lifetime.
 func (it *Iter) Next() (RID, []byte, bool) {
-	for it.pi < it.hi {
+	for it.pi < len(it.pages) {
 		b := it.pages[it.pi].bytes()
 		for it.si < numSlots(b) {
 			si := it.si
@@ -688,7 +662,7 @@ func (it *Iter) Next() (RID, []byte, bool) {
 		}
 		it.pi++
 		it.si = 0
-		if it.pi < it.hi && it.reads != nil {
+		if it.pi < len(it.pages) && it.reads != nil {
 			it.reads.Add(1)
 		}
 	}

@@ -29,7 +29,6 @@ type dbMetrics struct {
 
 	queries     *obs.Counter   // sqldb.queries: SELECT statements executed
 	queryErrors *obs.Counter   // sqldb.query.errors
-	parallelQ   *obs.Counter   // sqldb.query.parallel: SELECTs run on a parallel plan
 	execs       *obs.Counter   // sqldb.execs: DDL/DML statements executed
 	execErrors  *obs.Counter   // sqldb.exec.errors
 	queryLat    *obs.Histogram // sqldb.query.latency
@@ -49,7 +48,6 @@ func newDBMetrics(reg *obs.Registry) *dbMetrics {
 		reg:         reg,
 		queries:     reg.Counter("sqldb.queries"),
 		queryErrors: reg.Counter("sqldb.query.errors"),
-		parallelQ:   reg.Counter("sqldb.query.parallel"),
 		execs:       reg.Counter("sqldb.execs"),
 		execErrors:  reg.Counter("sqldb.exec.errors"),
 		queryLat:    reg.Histogram("sqldb.query.latency"),

@@ -93,10 +93,6 @@ func Children(n Node) []Node {
 		return []Node{x.Input}
 	case *HashJoin:
 		return []Node{x.Left, x.Right}
-	case *PartitionedHashJoin:
-		return []Node{x.Left, x.Right}
-	case *Gather:
-		return []Node{x.Input}
 	case *NLJoin:
 		return []Node{x.Left, x.Right}
 	case *IndexNLJoin:
@@ -125,21 +121,13 @@ type SeqScan struct {
 	Alias   string
 	Filters []expr.Expr // resolved against Schema()
 	EmitRID bool        // append encoded RID as a hidden trailing column
-	// Parallel marks the scan as page-range partitioned across the workers
-	// of an enclosing Gather; each worker claims page chunks from a shared
-	// cursor. Only set beneath a Gather.
-	Parallel bool
 }
 
 // Schema implements Node.
 func (s *SeqScan) Schema() expr.Schema { return tableSchema(s.Table, s.Alias, s.EmitRID) }
 
 func (s *SeqScan) describe(b *strings.Builder) {
-	b.WriteString("SeqScan")
-	if s.Parallel {
-		b.WriteString(" parallel")
-	}
-	fmt.Fprintf(b, " %s", s.Table.Name)
+	fmt.Fprintf(b, "SeqScan %s", s.Table.Name)
 	if s.Alias != s.Table.Name {
 		fmt.Fprintf(b, " AS %s", s.Alias)
 	}
@@ -163,22 +151,13 @@ type IndexScan struct {
 	HighExcl bool
 	Filters  []expr.Expr
 	EmitRID  bool
-	// Parallel marks the scan as RID-batch partitioned across the workers of
-	// an enclosing Gather: one shared index cursor hands out RID batches,
-	// heap fetches run concurrently. Only set beneath a Gather (never on an
-	// order-satisfying scan).
-	Parallel bool
 }
 
 // Schema implements Node.
 func (s *IndexScan) Schema() expr.Schema { return tableSchema(s.Table, s.Alias, s.EmitRID) }
 
 func (s *IndexScan) describe(b *strings.Builder) {
-	b.WriteString("IndexScan")
-	if s.Parallel {
-		b.WriteString(" parallel")
-	}
-	fmt.Fprintf(b, " %s using %s", s.Table.Name, s.Index.Name)
+	fmt.Fprintf(b, "IndexScan %s using %s", s.Table.Name, s.Index.Name)
 	if s.Alias != s.Table.Name {
 		fmt.Fprintf(b, " AS %s", s.Alias)
 	}
@@ -267,51 +246,6 @@ func (j *HashJoin) describe(b *strings.Builder) {
 	if j.Residual != nil {
 		fmt.Fprintf(b, " residual=%s", j.Residual)
 	}
-}
-
-// PartitionedHashJoin is the parallel form of an inner HashJoin: both inputs
-// are materialized and hash-partitioned on the join keys into Workers
-// buckets, then each bucket pair is built and probed by its own worker.
-// Output order is nondeterministic, so the planner only places it beneath an
-// order-insensitive consumer (Sort or HashAggregate).
-type PartitionedHashJoin struct {
-	Left, Right Node
-	LeftKeys    []expr.Expr // resolved against Left schema
-	RightKeys   []expr.Expr // resolved against Right schema
-	Residual    expr.Expr   // resolved against combined schema; may be nil
-	Workers     int
-}
-
-// Schema implements Node.
-func (j *PartitionedHashJoin) Schema() expr.Schema {
-	return append(append(expr.Schema{}, j.Left.Schema()...), j.Right.Schema()...)
-}
-
-func (j *PartitionedHashJoin) describe(b *strings.Builder) {
-	fmt.Fprintf(b, "PartitionedHashJoin workers=%d", j.Workers)
-	for i := range j.LeftKeys {
-		fmt.Fprintf(b, " %s=%s", j.LeftKeys[i], j.RightKeys[i])
-	}
-	if j.Residual != nil {
-		fmt.Fprintf(b, " residual=%s", j.Residual)
-	}
-}
-
-// Gather is the exchange operator: it runs Workers instances of its input
-// subtree concurrently (each instance reading a disjoint partition of the
-// underlying parallel scan) and merges their outputs in arrival order. The
-// merged stream is unordered, so the planner only places a Gather beneath an
-// order-insensitive consumer (Sort or HashAggregate).
-type Gather struct {
-	Input   Node
-	Workers int
-}
-
-// Schema implements Node.
-func (g *Gather) Schema() expr.Schema { return g.Input.Schema() }
-
-func (g *Gather) describe(b *strings.Builder) {
-	fmt.Fprintf(b, "Gather workers=%d", g.Workers)
 }
 
 // NLJoin is a nested-loops join with an arbitrary ON predicate.

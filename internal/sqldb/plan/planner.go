@@ -36,40 +36,13 @@ type Sampler interface {
 	Sample(n Node) (map[Node]int64, error)
 }
 
-// Options tunes planning. The zero value plans serially.
-type Options struct {
-	// Workers > 1 enables parallel operators (Gather, PartitionedHashJoin)
-	// where the plan shape allows and row estimates justify them.
-	Workers int
-	// MinRows is the estimated-row threshold below which a scan stays
-	// serial; 0 means DefaultMinParallelRows.
-	MinRows int
-}
-
-// DefaultMinParallelRows is the estimated input size below which spawning
-// workers costs more than it saves.
-const DefaultMinParallelRows = 2048
-
-func (o Options) minRows() int {
-	if o.MinRows > 0 {
-		return o.MinRows
-	}
-	return DefaultMinParallelRows
-}
-
 // Plan compiles a parsed statement into an executable plan. The result is a
 // Node for SELECT and one of InsertPlan/UpdatePlan/DeletePlan for DML; DDL
 // statements are handled directly by the engine facade and rejected here.
 func Plan(pc Context, stmt sqlparse.Statement) (any, error) {
-	return PlanOpts(pc, stmt, Options{})
-}
-
-// PlanOpts is Plan with planner options. DML plans are always serial; the
-// options only affect SELECT.
-func PlanOpts(pc Context, stmt sqlparse.Statement, opts Options) (any, error) {
 	switch s := stmt.(type) {
 	case *sqlparse.Select:
-		return PlanSelectOpts(pc, s, opts)
+		return PlanSelect(pc, s)
 	case *sqlparse.Insert:
 		return planInsert(pc, s)
 	case *sqlparse.Update:
@@ -97,13 +70,8 @@ type tableEntry struct {
 	offset    int            // column offset in the combined schema
 }
 
-// PlanSelect compiles a SELECT statement with default options.
+// PlanSelect compiles a SELECT statement.
 func PlanSelect(pc Context, s *sqlparse.Select) (Node, error) {
-	return PlanSelectOpts(pc, s, Options{})
-}
-
-// PlanSelectOpts compiles a SELECT statement.
-func PlanSelectOpts(pc Context, s *sqlparse.Select, opts Options) (Node, error) {
 	q, err := newJoinQuery(pc, s)
 	if err != nil {
 		return nil, err
@@ -119,11 +87,7 @@ func PlanSelectOpts(pc Context, s *sqlparse.Select, opts Options) (Node, error) 
 	if satisfiesOrder {
 		s = shallowCopyWithoutOrder(s)
 	}
-	root, err = planProjection(s, root, combined, q.fromSchema)
-	if err != nil {
-		return nil, err
-	}
-	return parallelize(root, pc, opts), nil
+	return planProjection(s, root, combined, q.fromSchema)
 }
 
 // joinQuery is a SELECT's FROM list with its join conjuncts, resolved once

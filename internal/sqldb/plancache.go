@@ -126,19 +126,6 @@ func (pc *planCache) store(sql string, stmt sqlparse.Statement, ver uint64, plan
 	}
 }
 
-// invalidate drops every cached plan (parsed ASTs included). Used when a
-// planner setting changes (SetParallelism) — version revalidation only
-// catches schema changes, not option changes.
-func (pc *planCache) invalidate() {
-	for i := range pc.shards {
-		sh := &pc.shards[i]
-		sh.mu.Lock()
-		sh.items = map[string]*list.Element{}
-		sh.lru = list.New()
-		sh.mu.Unlock()
-	}
-}
-
 func (pc *planCache) len() int {
 	n := 0
 	for i := range pc.shards {

@@ -17,15 +17,14 @@ import (
 // Rows is a query cursor, and the only way the engine runs a SELECT: the
 // operator tree stays open between Next calls, so a caller can consume a
 // large result incrementally (or stop early) without materializing it. The
-// cursor pins the catalog snapshot it reads for its whole lifetime and may
-// hold live resources under it: buffer-pool pins in the scans and, for a
-// parallel plan, running Gather worker goroutines.
+// operator tree runs on the goroutine that calls Next; the cursor pins the
+// catalog snapshot it reads for its whole lifetime, so Close is not
+// optional.
 //
-// Close is therefore not optional. Closing a partially-consumed cursor stops
-// and reaps any Gather workers, releases operator buffers, and drops the
-// pinned view so the snapshot can be reclaimed; it is idempotent and safe
-// after Next has returned false. The sqldb.cursors.open gauge counts live
-// cursors, so a leak shows up in metrics before it shows up as memory.
+// Closing a partially-consumed cursor ends the statement's operator spans and
+// drops the pinned view so the snapshot can be reclaimed; it is idempotent
+// and safe after Next has returned false. The sqldb.cursors.open gauge counts
+// live cursors, so a leak shows up in metrics before it shows up as memory.
 //
 // A cursor is one statement to the metrics and the tracer: Close (or a failed
 // open) counts it in sqldb.queries, observes its open-to-close time in
@@ -114,9 +113,6 @@ func (db *DB) open(ctx context.Context, v *catalog.View, sql string, params []sq
 		return r, nil
 	}
 
-	if planParallelism(node) > 0 {
-		db.metrics.parallelQ.Inc()
-	}
 	r.mem = db.accountant(r.ctx)
 	env := exec.Env{View: v, Span: r.sp, Ctx: r.ctx, Mem: r.mem}
 	var execStart time.Time
@@ -254,10 +250,10 @@ func (r *Rows) Row() sqltypes.Row { return r.cur }
 // Err returns the error that terminated iteration, if any.
 func (r *Rows) Err() error { return r.err }
 
-// Close releases the cursor: it stops and reaps Gather workers (even on a
-// partially-consumed parallel query), releases operator buffers, and unpins
-// the snapshot view. Idempotent; returns the iteration error, if any, so
-// `defer rows.Close()` callers who check Err lose nothing.
+// Close releases the cursor: it closes the operator tree (even on a
+// partially-consumed query) and unpins the snapshot view. Idempotent; returns
+// the iteration error, if any, so `defer rows.Close()` callers who check Err
+// lose nothing.
 func (r *Rows) Close() error {
 	if r.closed {
 		return r.err

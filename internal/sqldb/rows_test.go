@@ -5,6 +5,7 @@ import (
 	"errors"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -202,43 +203,57 @@ func TestQueryRowsCountsAsQuery(t *testing.T) {
 	}
 }
 
-// TestQueryRowsEarlyCloseParallel is the cursor-leak regression test: a
-// parallel plan's Gather workers must be stopped and reaped when the cursor
-// is closed after reading only part of the result. Before streaming cursors
-// owned their operator tree, an early close left the workers parked on the
-// row channel forever.
+// TestQueryRowsEarlyCloseParallel is the cursor-leak regression test, run by
+// parallel readers: each opens cursors, reads only part of every result and
+// closes it early. Every cursor must be released (sqldb.cursors.open back to
+// 0), counted once as a statement, and no goroutine may outlive the flood.
 func TestQueryRowsEarlyCloseParallel(t *testing.T) {
 	db := concurrentFixture(t, 4096)
-	db.SetParallelism(4)
 	base := runtime.NumGoroutine()
-
-	// ORDER BY over a big filtered scan is the shape the planner parallelizes:
-	// Sort(Gather(Filter(SeqScan))).
-	rows, err := db.QueryRows(context.Background(), `SELECT id, v FROM t WHERE v = ? ORDER BY v`, I(0))
-	if err != nil {
-		t.Fatal(err)
+	queries := []string{
+		`SELECT id, v FROM t WHERE v = ? ORDER BY v`, // a Sort drains the scan at open
+		`SELECT id, v FROM t WHERE v = ?`,            // the scan streams
 	}
-	if got := db.Metrics().Counters["sqldb.query.parallel"]; got != 1 {
-		t.Fatalf("plan did not go parallel (parallel queries = %d)", got)
+	const readers, perReader = 4, 25
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := 0; i < perReader; i++ {
+				rows, err := db.QueryRows(context.Background(), queries[(r+i)%len(queries)], I(0))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for k := 0; k < 3; k++ {
+					if !rows.Next() {
+						t.Errorf("row %d: Next = false, err %v", k, rows.Err())
+						break
+					}
+				}
+				if err := rows.Close(); err != nil {
+					t.Error(err)
+					return
+				}
+				// Close is idempotent, and Next after Close stays false.
+				if rows.Next() {
+					t.Error("Next succeeded after Close")
+				}
+				if err := rows.Close(); err != nil {
+					t.Error(err)
+				}
+			}
+		}(r)
 	}
-	for i := 0; i < 3; i++ {
-		if !rows.Next() {
-			t.Fatalf("row %d: Next = false, err %v", i, rows.Err())
-		}
-	}
-	if err := rows.Close(); err != nil {
-		t.Fatal(err)
-	}
+	wg.Wait()
 	waitGoroutines(t, base)
-	if got := db.Metrics().Gauges["sqldb.cursors.open"]; got != 0 {
+	m := db.Metrics()
+	if got := m.Gauges["sqldb.cursors.open"]; got != 0 {
 		t.Fatalf("open cursors after early close = %d", got)
 	}
-	// Close is idempotent, and Next after Close stays false.
-	if rows.Next() {
-		t.Fatal("Next succeeded after Close")
-	}
-	if err := rows.Close(); err != nil {
-		t.Fatal(err)
+	if got := m.Counters["sqldb.queries"]; got != readers*perReader {
+		t.Fatalf("sqldb.queries = %d, want %d", got, readers*perReader)
 	}
 }
 
@@ -296,20 +311,55 @@ func TestQueryRowsMemoryBudget(t *testing.T) {
 	}
 }
 
-// TestQueryAbortsReleaseWorkersUnderRace floods a parallel plan with
-// cancellations: many short-deadline queries against a table big enough to
-// spawn Gather workers, all of which must unwind without leaking.
+// TestQueryAbortsReleaseWorkersUnderRace floods the engine with aborted
+// statements from several worker goroutines at once: short deadlines on a
+// Sort over the whole table, and cursors canceled after their first row.
+// Every statement runs on its worker's goroutine and must unwind without
+// leaking a cursor or a goroutine.
 func TestQueryAbortsReleaseWorkersUnderRace(t *testing.T) {
 	db := concurrentFixture(t, 4096)
-	db.SetParallelism(4)
 	base := runtime.NumGoroutine()
-	for i := 0; i < 25; i++ {
-		ctx, cancel := context.WithTimeout(context.Background(), time.Duration(i%5)*100*time.Microsecond)
-		_, err := db.QueryCtx(ctx, `SELECT id, v FROM t WHERE v = ? ORDER BY v`, I(0))
-		cancel()
-		if err != nil && !errors.Is(err, govern.ErrDeadlineExceeded) && !errors.Is(err, govern.ErrCanceled) {
-			t.Fatalf("query %d: %v", i, err)
-		}
+	aborted := func(err error) bool {
+		return errors.Is(err, govern.ErrDeadlineExceeded) || errors.Is(err, govern.ErrCanceled)
 	}
+	const workers, perWorker = 4, 25
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				if i%2 == 0 {
+					ctx, cancel := context.WithTimeout(context.Background(), time.Duration((w+i)%5)*100*time.Microsecond)
+					_, err := db.QueryCtx(ctx, `SELECT id, v FROM t WHERE v = ? ORDER BY v`, I(0))
+					cancel()
+					if err != nil && !aborted(err) {
+						t.Errorf("worker %d query %d: %v", w, i, err)
+						return
+					}
+					continue
+				}
+				ctx, cancel := context.WithCancel(context.Background())
+				rows, err := db.QueryRows(ctx, `SELECT id, v FROM t`)
+				if err != nil {
+					cancel()
+					t.Errorf("worker %d cursor %d: %v", w, i, err)
+					return
+				}
+				rows.Next()
+				cancel()
+				for rows.Next() {
+				}
+				if err := rows.Close(); !aborted(err) {
+					t.Errorf("worker %d cursor %d: canceled mid-stream, Close = %v", w, i, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 	waitGoroutines(t, base)
+	if got := db.Metrics().Gauges["sqldb.cursors.open"]; got != 0 {
+		t.Fatalf("open cursors after the abort flood = %d", got)
+	}
 }

