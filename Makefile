@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race fmt-check lint lint-sarif check fuzz-smoke bench bench-query bench-paged torture govern-torture
+.PHONY: build test race fmt-check lint lint-sarif check fuzz-smoke cli-smoke bench bench-query bench-paged torture govern-torture
 
 build:
 	$(GO) build ./...
@@ -43,6 +43,25 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzParse -fuzztime 10s ./internal/xmltree/
 	$(GO) test -fuzz FuzzVerifyPage -fuzztime 10s ./internal/sqldb/pagefile/
 	$(GO) test -fuzz FuzzTranslateOracle -fuzztime 10s ./internal/core/translate/
+
+# cli-smoke is the command-line round trip through a store directory: for
+# each encoding, xmlshred -save shreds a generated catalog into a durable
+# store, the directory must hold exactly the three store files, and
+# xmlquery -db on it must print what xmlquery prints for the XML file itself.
+cli-smoke:
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) build -o $$tmp/bin/ ./cmd/xmlgen ./cmd/xmlshred ./cmd/xmlquery; \
+	$$tmp/bin/xmlgen -kind catalog -items 20 > $$tmp/doc.xml; \
+	for enc in global local dewey; do \
+		dir=$$tmp/store-$$enc; \
+		$$tmp/bin/xmlshred -enc $$enc -save $$dir $$tmp/doc.xml > /dev/null; \
+		files=$$(ls $$dir | tr '\n' ' '); \
+		[ "$$files" = "meta.db pages.db wal.log " ] || { echo "cli-smoke $$enc: $$dir holds $$files"; exit 1; }; \
+		$$tmp/bin/xmlquery -db $$dir "//item[2]/name" > $$tmp/db.out; \
+		$$tmp/bin/xmlquery -enc $$enc $$tmp/doc.xml "//item[2]/name" > $$tmp/xml.out; \
+		diff $$tmp/xml.out $$tmp/db.out; \
+		echo "cli-smoke $$enc: ok ($$(tail -1 $$tmp/db.out))"; \
+	done
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run '^$$' ./...

@@ -7,7 +7,7 @@
 //	xmlquery -enc dewey doc.xml "/site/regions/namerica/item[2]/name"
 //	xmlquery -enc local -sql doc.xml "//keyword"
 //	xmlquery -serialize doc.xml "//item[1]"
-//	xmlquery -db store.oxdb "//item[2]"
+//	xmlquery -db store/ "//item[2]"
 package main
 
 import (
@@ -22,7 +22,7 @@ func main() {
 	encName := flag.String("enc", "dewey", "order encoding: global, local or dewey")
 	showSQL := flag.Bool("sql", false, "print the generated SQL and work counters")
 	serialize := flag.Bool("serialize", false, "print each match as a serialized subtree")
-	dbPath := flag.String("db", "", "open a snapshot file (from xmlshred -save) instead of loading XML")
+	dbPath := flag.String("db", "", "query the durable store in this directory (from xmlshred -save) instead of loading XML")
 	flag.Parse()
 
 	var store *ordxml.Store
@@ -30,13 +30,15 @@ func main() {
 	var query string
 	switch {
 	case *dbPath != "" && flag.NArg() == 1:
-		var err error
-		store, err = ordxml.OpenFile(*dbPath)
+		// OpenDurable creates a missing directory; a query must not.
+		_, err := os.Stat(*dbPath)
+		fatal(err)
+		store, err = ordxml.OpenDurable(*dbPath, ordxml.Options{})
 		fatal(err)
 		docs, err := store.Documents()
 		fatal(err)
 		if len(docs) == 0 {
-			fmt.Fprintln(os.Stderr, "xmlquery: snapshot holds no documents")
+			fmt.Fprintln(os.Stderr, "xmlquery: store holds no documents")
 			os.Exit(1)
 		}
 		doc = docs[0].ID
@@ -53,7 +55,7 @@ func main() {
 		fatal(err)
 		query = flag.Arg(1)
 	default:
-		fmt.Fprintln(os.Stderr, "usage: xmlquery [-enc E] [-sql] [-serialize] file.xml xpath\n       xmlquery -db store.oxdb xpath")
+		fmt.Fprintln(os.Stderr, "usage: xmlquery [-enc E] [-sql] [-serialize] file.xml xpath\n       xmlquery -db dir xpath")
 		os.Exit(2)
 	}
 	before := store.Metrics()
@@ -88,6 +90,7 @@ func main() {
 			after.Gauges["storage.index_probes"]-before.Gauges["storage.index_probes"],
 			after.Gauges["storage.rows_scanned"]-before.Gauges["storage.rows_scanned"])
 	}
+	fatal(store.Close())
 }
 
 func fatal(err error) {

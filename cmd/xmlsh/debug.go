@@ -12,7 +12,7 @@ import (
 )
 
 // serveDebug serves the operational endpoint suite on addr. Every endpoint
-// reads the store through the shell's guarded pointer, so open/restore in the
+// reads the store through the shell's guarded pointer, so open/opendur in the
 // REPL swap it safely; endpoints that can answer without a store do, so the
 // listener is useful (and probeable) from process start.
 //

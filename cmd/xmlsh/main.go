@@ -1,6 +1,7 @@
 // Command xmlsh is an interactive shell over an ordered-XML store: load
 // documents, run XPath and raw SQL, apply order-preserving updates, inspect
-// generated plans and work counters, and save/restore snapshots.
+// generated plans and work counters, and open durable stores (opendur,
+// \checkpoint).
 //
 //	$ go run ./cmd/xmlsh
 //	xmlsh> open dewey

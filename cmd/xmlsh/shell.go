@@ -19,7 +19,7 @@ import (
 // testable.
 //
 // mu guards the store pointer only: Execute (the single command goroutine)
-// swaps it on open/restore while the debug HTTP endpoint reads it
+// swaps it on open/opendur while the debug HTTP endpoint reads it
 // concurrently. The Store itself is safe for concurrent readers.
 type shell struct {
 	mu    sync.RWMutex
@@ -27,7 +27,7 @@ type shell struct {
 	doc   ordxml.DocID
 }
 
-// setStore swaps the active store (open/opendur/restore), releasing the
+// setStore swaps the active store (open/opendur), releasing the
 // previous store's write-ahead log if it was durable.
 func (sh *shell) setStore(st *ordxml.Store) {
 	sh.mu.Lock()
@@ -86,8 +86,6 @@ const helpText = `commands:
   \trace dump <file>                query/update into a bounded buffer, dump
                                     as Chrome trace-event JSON (Perfetto)
   trace <xpath>                     run a query; prints time and count per span name
-  save <path>                       write a snapshot file
-  restore <path>                    open a snapshot file
   help                              this text
   quit                              exit`
 
@@ -170,20 +168,6 @@ func (sh *shell) Execute(line string) (string, error) {
 		}
 		return fmt.Sprintf("opened durable %s store in %s (%d document(s) recovered)",
 			store.Encoding(), args[0], len(docs)), nil
-	case "restore":
-		if len(args) != 1 {
-			return "", fmt.Errorf("usage: restore <path>")
-		}
-		store, err := ordxml.OpenFile(args[0])
-		if err != nil {
-			return "", err
-		}
-		sh.setStore(store)
-		sh.doc = 0
-		if docs, err := store.Documents(); err == nil && len(docs) > 0 {
-			sh.doc = docs[0].ID
-		}
-		return fmt.Sprintf("restored %s store from %s", store.Encoding(), args[0]), nil
 	}
 
 	if sh.store == nil {
@@ -241,14 +225,6 @@ func (sh *shell) Execute(line string) (string, error) {
 		}
 		sh.doc = id
 		return fmt.Sprintf("using document %d", id), nil
-	case "save":
-		if len(args) != 1 {
-			return "", fmt.Errorf("usage: save <path>")
-		}
-		if err := sh.store.SaveFile(args[0]); err != nil {
-			return "", err
-		}
-		return "saved " + args[0], nil
 	case "stats":
 		st := sh.store.Storage()
 		g := sh.store.Metrics().Gauges

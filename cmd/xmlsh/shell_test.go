@@ -100,22 +100,11 @@ func TestShellSession(t *testing.T) {
 		t.Errorf("docs: %s", out)
 	}
 
-	// Snapshot round trip through a fresh shell.
-	path := filepath.Join(t.TempDir(), "s.oxdb")
-	run(t, sh, "save "+path)
-	want := run(t, sh, "serialize")
-	sh2 := &shell{}
-	run(t, sh2, "restore "+path)
-	if got := run(t, sh2, "serialize"); got != want {
-		t.Errorf("snapshot round trip: %s vs %s", got, want)
-	}
-
 	// Error paths with arguments.
 	mustFail(t, sh, "insert 1 sideways <x/>")
 	mustFail(t, sh, "insert notanid before <x/>")
 	mustFail(t, sh, "delete 9999")
 	mustFail(t, sh, "use")
-	mustFail(t, sh, "restore /nonexistent")
 	mustFail(t, sh, "sql DELETE FROM xd_nodes")
 }
 

@@ -1,12 +1,13 @@
 // Command xmlshred loads an XML file into a store and reports how it
 // shredded: row counts, storage size, and optionally a dump of the node
-// table so the three encodings can be inspected side by side.
+// table so the three encodings can be inspected side by side. With -save the
+// store is a durable directory, checkpointed after the load.
 //
 // Usage:
 //
 //	xmlshred -enc dewey doc.xml
 //	xmlshred -enc global -dump 20 doc.xml
-//	xmlshred -enc dewey -save store.oxdb doc.xml
+//	xmlshred -enc dewey -save store/ doc.xml
 package main
 
 import (
@@ -23,17 +24,25 @@ func main() {
 	encName := flag.String("enc", "dewey", "order encoding: global, local or dewey")
 	gap := flag.Uint("gap", 1, "order-value gap (sparse orders)")
 	dump := flag.Int("dump", 0, "dump the first N node rows")
-	save := flag.String("save", "", "also save the loaded store as a snapshot file")
+	save := flag.String("save", "", "load into a durable store in this directory and checkpoint it")
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: xmlshred [-enc global|local|dewey] [-gap N] [-dump N] file.xml")
+		fmt.Fprintln(os.Stderr, "usage: xmlshred [-enc global|local|dewey] [-gap N] [-dump N] [-save dir] file.xml")
 		os.Exit(2)
 	}
 
 	enc, err := ordxml.ParseEncoding(*encName)
 	fatal(err)
-	store, err := ordxml.Open(ordxml.Options{Encoding: enc, Gap: uint32(*gap)})
+	opts := ordxml.Options{Encoding: enc, Gap: uint32(*gap)}
+	var store *ordxml.Store
+	if *save != "" {
+		store, err = ordxml.OpenDurable(*save, opts)
+	} else {
+		store, err = ordxml.Open(opts)
+	}
 	fatal(err)
+	// An existing store directory keeps its own encoding.
+	enc = store.Encoding()
 
 	f, err := os.Open(flag.Arg(0))
 	fatal(err)
@@ -49,8 +58,8 @@ func main() {
 		st.Rows, st.HeapPages, st.HeapBytes, float64(st.HeapBytes)/float64(docs[len(docs)-1].Nodes))
 
 	if *save != "" {
-		fatal(store.SaveFile(*save))
-		fmt.Printf("  snapshot written to %s (reopen with xmlquery -db %s)\n", *save, *save)
+		fatal(store.Checkpoint())
+		fmt.Printf("  store checkpointed in %s (query it with xmlquery -db %s)\n", *save, *save)
 	}
 
 	if *dump > 0 {
@@ -69,6 +78,7 @@ func main() {
 			fmt.Println(strings.Join(r, "\t"))
 		}
 	}
+	fatal(store.Close())
 }
 
 func fatal(err error) {

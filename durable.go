@@ -55,9 +55,7 @@ import (
 // checkpoint's LSN.
 //
 // This file is the only place that knows where a durable store keeps its
-// checkpoint. A directory written by the retired all-RAM tier (a full
-// snapshot.db instead of pages.db + meta.db) is imported once on open; see
-// importedSnapshotFile.
+// checkpoint.
 
 // WAL record kinds, one per logical mutation the public API can perform.
 const (
@@ -162,13 +160,16 @@ func OpenDurable(dir string, opts Options) (*Store, error) {
 	}
 	pagesPath := filepath.Join(dir, pagesFile)
 	metaPath := filepath.Join(dir, metaFile)
-	snapPath := filepath.Join(dir, importedSnapshotFile)
 	checkpointed := fileExists(metaPath)
-	importing := !checkpointed && fileExists(snapPath)
+	// The retired full-snapshot format is refused, not mistaken for a store
+	// that was never checkpointed: opening it as one would start empty.
+	if snap := filepath.Join(dir, "snapshot.db"); !checkpointed && fileExists(snap) {
+		return nil, fmt.Errorf("open durable store %s: %s is a full-snapshot file, a format this build does not read", dir, snap)
+	}
 
 	// Without a manifest nothing in pages.db is durable yet (a crash before
 	// the first checkpoint finished), so the page file starts over and
-	// recovery is an empty — or imported — store plus a full WAL replay.
+	// recovery is an empty store plus a full WAL replay.
 	openPages := pagefile.Create
 	if checkpointed {
 		openPages = pagefile.Open
@@ -188,12 +189,9 @@ func OpenDurable(dir string, opts Options) (*Store, error) {
 	}
 
 	var s *Store
-	switch {
-	case checkpointed:
+	if checkpointed {
 		s, err = openPagedManifest(metaPath, pool)
-	case importing:
-		s, err = openSnapshotFile(snapPath, sqldb.OpenPooled(pool))
-	default:
+	} else {
 		s, err = openPagedFresh(pool, opts)
 	}
 	if err != nil {
@@ -212,6 +210,13 @@ func OpenDurable(dir string, opts Options) (*Store, error) {
 	replayStart := time.Now()
 	var replayed int64
 	if err := lg.Replay(snapLSN, func(rec wal.Record) error {
+		// Only a checkpoint rotates the log, and it installs the manifest
+		// first: a log whose first record lies past the checkpoint's LSN
+		// has lost the records in between to a missing or stale manifest.
+		if replayed == 0 && rec.LSN > snapLSN+1 {
+			return fmt.Errorf("log starts at LSN %d, past the checkpoint's LSN %d: checkpoint manifest %s is missing or stale",
+				rec.LSN, snapLSN, metaPath)
+		}
 		replayed++
 		return s.applyRecord(rec, opErrors)
 	}); err != nil {
@@ -283,27 +288,6 @@ func OpenDurable(dir string, opts Options) (*Store, error) {
 		}
 		return time.Since(time.Unix(0, ns)).Milliseconds()
 	})
-
-	// The import's second half: the first checkpoint makes the imported
-	// state (snapshot + WAL tail) durable as pages.db + meta.db, after which
-	// the old snapshot is dead weight. A crash before the manifest lands
-	// re-imports from scratch; one after it finds a manifest and only has
-	// the removal left to do.
-	if importing {
-		if err := s.Checkpoint(); err != nil {
-			return fail(fmt.Errorf("import %s: %w", snapPath, err))
-		}
-		logger.Info("imported full-snapshot store", olog.Str("dir", dir))
-	}
-	if fileExists(snapPath) {
-		err := os.Remove(snapPath)
-		if err == nil {
-			err = wal.SyncDir(dir)
-		}
-		if err != nil {
-			return fail(fmt.Errorf("import %s: %w", snapPath, err))
-		}
-	}
 	return s, nil
 }
 
@@ -341,15 +325,8 @@ func openPagedManifest(path string, pool *bufpool.Pool) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	return restoredStore(db, "manifest")
+	return restoredStore(db)
 }
-
-// importedSnapshotFile is the checkpoint file of the retired all-RAM durable
-// tier: a full Save-format snapshot, rewritten whole by every checkpoint.
-// OpenDurable no longer writes it; it only imports it, once: load it into
-// paged storage, replay the WAL tail behind it as for any store, checkpoint,
-// remove it.
-const importedSnapshotFile = "snapshot.db"
 
 // Close syncs and releases the write-ahead log and the page file. Closing a
 // closed store, or a memory-only store (which has nothing to release), is a
@@ -439,11 +416,13 @@ func (s *Store) CheckpointCtx(ctx context.Context) error {
 
 // checkpointPaged is the incremental checkpoint body:
 //
-//  1. serialize changed index nodes to fresh pages and build the manifest
-//     (shadow paging — pages the previous checkpoint references are never
-//     overwritten, so a crash anywhere below leaves it intact);
+//  1. serialize changed index nodes to fresh pages (shadow paging — pages
+//     the previous checkpoint references are never overwritten, so a crash
+//     anywhere below leaves it intact);
 //  2. flush every dirty frame and sync the page file;
-//  3. install the manifest atomically (temp + fsync + rename + dir sync);
+//  3. build the manifest, reading the allocator state only now (see
+//     sqldb.DB.DumpPaged), and install it atomically (temp + fsync + rename
+//     + dir sync);
 //  4. commit the pool's allocator: pages the old checkpoint no longer
 //     references become reusable.
 func (s *Store) checkpointPaged(sp *obs.ActiveSpan) error {
@@ -452,20 +431,20 @@ func (s *Store) checkpointPaged(sp *obs.ActiveSpan) error {
 	}
 	msp := sp.StartChild("checkpoint.manifest")
 	var manifest bytes.Buffer
-	err := s.db.DumpPaged(&manifest)
+	err := s.db.DumpPaged(&manifest, func() error {
+		fsp := msp.StartChild("bufpool.flush_all")
+		defer fsp.End()
+		if err := s.dur.pool.FlushAll(); err != nil {
+			return fmt.Errorf("flush pool: %w", err)
+		}
+		if err := s.dur.pf.Sync(); err != nil {
+			return fmt.Errorf("sync page file: %w", err)
+		}
+		return nil
+	})
 	msp.End()
 	if err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
-	}
-	fsp := sp.StartChild("bufpool.flush_all")
-	if err := s.dur.pool.FlushAll(); err != nil {
-		fsp.End()
-		return fmt.Errorf("checkpoint: flush pool: %w", err)
-	}
-	err = s.dur.pf.Sync()
-	fsp.End()
-	if err != nil {
-		return fmt.Errorf("checkpoint: sync page file: %w", err)
 	}
 	if err := fpPagedBeforeMeta.Hit(); err != nil {
 		return err
@@ -512,7 +491,7 @@ func installFile(path string, write func(io.Writer) error) error {
 	return wal.SyncDir(filepath.Dir(path))
 }
 
-// writeWALLSN upserts the log high-water mark into store_meta so snapshots
+// writeWALLSN upserts the log high-water mark into store_meta so checkpoints
 // are self-describing about how much of the log they contain. The write is
 // deliberately not WAL-logged: it is checkpoint metadata, not a mutation.
 func (s *Store) writeWALLSN(lsn uint64) error {
@@ -527,8 +506,8 @@ func (s *Store) writeWALLSN(lsn uint64) error {
 	return err
 }
 
-// readWALLSN reads the snapshot's log high-water mark (0 when the snapshot
-// predates any checkpoint or the key is absent).
+// readWALLSN reads the checkpoint's log high-water mark (0 for a store that
+// was never checkpointed).
 func readWALLSN(db *sqldb.DB) (uint64, error) {
 	res, err := db.Query(`SELECT v FROM store_meta WHERE k = ?`, sqldb.S("wal_lsn"))
 	if err != nil {
@@ -539,7 +518,7 @@ func readWALLSN(db *sqldb.DB) (uint64, error) {
 	}
 	lsn, err := strconv.ParseUint(res.Rows[0][0].Text(), 10, 64)
 	if err != nil {
-		return 0, fmt.Errorf("snapshot meta wal_lsn: %w", err)
+		return 0, fmt.Errorf("store meta wal_lsn: %w", err)
 	}
 	return lsn, nil
 }

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"ordxml/internal/wal"
 	"ordxml/internal/xmlgen"
 )
 
@@ -26,7 +25,7 @@ func dirNames(t *testing.T, dir string) string {
 
 // Page-level durable-store tests: what lands in the store directory, that
 // checkpoints are incremental, that dropped pages recycle, and that a
-// directory written by the retired full-snapshot tier is imported.
+// directory the store cannot recover from is refused.
 
 func TestPagedDurableRoundTrip(t *testing.T) {
 	for _, enc := range []Encoding{Global, Local, Dewey} {
@@ -180,179 +179,61 @@ func TestPagedDropReleasesPages(t *testing.T) {
 	mustIntact(t, r)
 }
 
-// TestOpenDurableImportsSnapshotTier opens directories laid out by the
-// retired all-RAM tier — a full snapshot.db, with and without a WAL tail
-// behind it — and expects a one-time import: the same documents, a clean
-// integrity check, pages.db + meta.db in place of snapshot.db, and a plain
-// paged open from then on.
-func TestOpenDurableImportsSnapshotTier(t *testing.T) {
-	// oldTier builds the directory and returns the state recovery must reach.
-	oldTier := func(t *testing.T, dir string, withTail bool) string {
-		t.Helper()
-		mem, err := Open(Options{Encoding: Local, Gap: 4})
-		if err != nil {
+// TestOpenDurableRefusesSnapshotFile: a directory from the retired
+// full-snapshot tier (snapshot.db and a log, no manifest) is refused with an
+// error naming the file — neither imported nor opened as an empty store —
+// and left as it was.
+func TestOpenDurableRefusesSnapshotFile(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{"snapshot.db", walFile} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("old tier"), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		doc, err := mem.LoadString("hamlet", testDoc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !withTail {
-			if err := mem.SaveFile(filepath.Join(dir, importedSnapshotFile)); err != nil {
-				t.Fatal(err)
-			}
-			return fingerprint(t, mem)
-		}
-		// A checkpoint at LSN 1 that crashed before rotating the log: record 1
-		// (the insert) is inside the snapshot and must not be applied twice,
-		// record 2 (the set-value) is the tail and must be.
-		const frag, value = "<EPILOGUE>fin</EPILOGUE>", "logged after the snapshot"
-		if _, err := mem.Insert(doc, 1, LastChild, frag); err != nil {
-			t.Fatal(err)
-		}
-		if err := mem.writeWALLSN(1); err != nil {
-			t.Fatal(err)
-		}
-		if err := mem.SaveFile(filepath.Join(dir, importedSnapshotFile)); err != nil {
-			t.Fatal(err)
-		}
-		if err := mem.SetValue(doc, 3, value); err != nil {
-			t.Fatal(err)
-		}
-		var ins, set wal.BodyWriter
-		ins.Int(doc)
-		ins.Int(1)
-		ins.String(LastChild.String())
-		ins.String(frag)
-		set.Int(doc)
-		set.Int(3)
-		set.String(value)
-		lg, err := wal.Open(filepath.Join(dir, walFile), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := lg.AppendSync(recInsert, ins.Finish()); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := lg.AppendSync(recSetValue, set.Finish()); err != nil {
-			t.Fatal(err)
-		}
-		if err := lg.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return fingerprint(t, mem)
 	}
-	for _, withTail := range []bool{false, true} {
-		name := "snapshot-only"
-		if withTail {
-			name = "snapshot+wal-tail"
-		}
-		t.Run(name, func(t *testing.T) {
-			dir := t.TempDir()
-			want := oldTier(t, dir, withTail)
-
-			// The snapshot's own encoding wins over the options passed.
-			s := openDur(t, dir, Options{Encoding: Dewey, BufferPoolFrames: 8})
-			if s.Encoding() != Local {
-				t.Fatalf("imported encoding = %v, want Local", s.Encoding())
-			}
-			if got := fingerprint(t, s); got != want {
-				t.Fatalf("imported state differs:\n got %q\nwant %q", got, want)
-			}
-			mustIntact(t, s)
-			wantReplayed := int64(0)
-			if withTail {
-				wantReplayed = 1
-			}
-			if n := s.Metrics().Counters["wal.replay.records"]; n != wantReplayed {
-				t.Fatalf("import replayed %d records, want %d", n, wantReplayed)
-			}
-			if got := dirNames(t, dir); got != "meta.db pages.db wal.log" {
-				t.Fatalf("directory after import holds %q", got)
-			}
-			if err := s.Close(); err != nil {
-				t.Fatal(err)
-			}
-
-			// From here on it is a paged store like any other: nothing left to
-			// import or replay, and it keeps taking updates and checkpoints.
-			r := openDur(t, dir, Options{})
-			if got := fingerprint(t, r); got != want {
-				t.Fatalf("reopened state differs:\n got %q\nwant %q", got, want)
-			}
-			if n := r.Metrics().Counters["wal.replay.records"]; n != 0 {
-				t.Fatalf("reopen after import replayed %d records", n)
-			}
-			if err := r.SetValue(1, 3, "after the import"); err != nil {
-				t.Fatal(err)
-			}
-			if err := r.Checkpoint(); err != nil {
-				t.Fatal(err)
-			}
-			mustIntact(t, r)
-		})
+	s, err := OpenDurable(dir, Options{})
+	if err == nil {
+		s.Close()
+		t.Fatal("OpenDurable opened a snapshot.db directory")
+	}
+	if !strings.Contains(err.Error(), "snapshot.db") {
+		t.Fatalf("error does not name the snapshot file: %v", err)
+	}
+	if got := dirNames(t, dir); got != "snapshot.db wal.log" {
+		t.Fatalf("refused directory now holds %q", got)
 	}
 }
 
-// TestOpenDurableFinishesInterruptedImport covers the two crash windows of
-// the import: before its checkpoint installed a manifest (pages.db holds
-// nothing durable — import again from the snapshot) and after (the manifest
-// already contains everything — only the snapshot's removal is left).
-func TestOpenDurableFinishesInterruptedImport(t *testing.T) {
-	mem, err := Open(Options{Encoding: Dewey})
+// TestOpenDurableMissingManifest: once a checkpoint has rotated the log, the
+// log alone no longer holds the store. Losing meta.db must fail the open with
+// an error naming it, not recover an empty store from the log tail.
+func TestOpenDurableMissingManifest(t *testing.T) {
+	dir := t.TempDir()
+	s := openDur(t, dir, Options{Encoding: Dewey})
+	doc, err := s.LoadString("d", "<R><A>one</A></R>")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mem.LoadString("hamlet", testDoc); err != nil {
+	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	want := fingerprint(t, mem)
-	snapshot := func(t *testing.T, dir string) {
-		t.Helper()
-		if err := mem.SaveFile(filepath.Join(dir, importedSnapshotFile)); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := s.Insert(doc, 1, LastChild, "<B>two</B>"); err != nil {
+		t.Fatal(err)
 	}
-
-	t.Run("before-manifest", func(t *testing.T) {
-		dir := t.TempDir()
-		snapshot(t, dir)
-		// A page file with garbage in it and no manifest beside it.
-		if err := os.WriteFile(filepath.Join(dir, pagesFile), []byte("torn"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		s := openDur(t, dir, Options{})
-		if got := fingerprint(t, s); got != want {
-			t.Fatalf("re-imported state differs:\n got %q\nwant %q", got, want)
-		}
-		if got := dirNames(t, dir); got != "meta.db pages.db wal.log" {
-			t.Fatalf("directory holds %q", got)
-		}
-	})
-	t.Run("after-manifest", func(t *testing.T) {
-		dir := t.TempDir()
-		snapshot(t, dir)
-		s := openDur(t, dir, Options{})
-		if err := s.SetValue(1, 3, "newer than the snapshot"); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Checkpoint(); err != nil {
-			t.Fatal(err)
-		}
-		newer := fingerprint(t, s)
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
-		// The stale snapshot reappears, as if its removal had not happened.
-		snapshot(t, dir)
-		r := openDur(t, dir, Options{})
-		if got := fingerprint(t, r); got != newer {
-			t.Fatalf("stale snapshot won over the manifest:\n got %q\nwant %q", got, newer)
-		}
-		if got := dirNames(t, dir); got != "meta.db pages.db wal.log" {
-			t.Fatalf("directory holds %q", got)
-		}
-	})
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(dir, metaFile)); err != nil {
+		t.Fatal(err)
+	}
+	r, err := OpenDurable(dir, Options{Encoding: Dewey})
+	if err == nil {
+		docs, _ := r.Documents()
+		r.Close()
+		t.Fatalf("OpenDurable without its manifest succeeded with %d document(s)", len(docs))
+	}
+	if !strings.Contains(err.Error(), metaFile) {
+		t.Fatalf("error does not name the missing manifest: %v", err)
+	}
 }
 
 // TestPagedRepeatedQueryHitsPool is the store-level check that the pool

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"ordxml/internal/failpoint"
+	"ordxml/internal/xmlgen"
 )
 
 // openDur opens a durable store in dir, failing the test on error. The store
@@ -547,26 +548,190 @@ func TestMemoryStoreHasNoDurability(t *testing.T) {
 	}
 }
 
-func TestDurableReopenKeepsEncodingOptions(t *testing.T) {
-	dir := t.TempDir()
-	s, err := OpenDurable(dir, Options{Encoding: Local, Gap: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.LoadString("d", "<R/>"); err != nil {
-		t.Fatal(err)
-	}
+// reopenConfigs are the encoding options a checkpointed store must keep
+// across a close and reopen.
+var reopenConfigs = []struct {
+	name string
+	opts Options
+}{
+	{"global", Options{Encoding: Global}},
+	{"local-gap8", Options{Encoding: Local, Gap: 8}},
+	{"dewey", Options{Encoding: Dewey}},
+	{"dewey-text", Options{Encoding: Dewey, DeweyAsText: true}},
+}
+
+// checkpointAndReopen checkpoints s, closes it and reopens dir with options
+// that match none of reopenConfigs: the reopened store must run on the
+// options it was created with, which the checkpoint recorded.
+func checkpointAndReopen(t *testing.T, dir string, s *Store) *Store {
+	t.Helper()
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	s.Close()
-	// Mismatched opts on reopen are ignored: the snapshot's encoding wins.
-	s, err = OpenDurable(dir, Options{Encoding: Global})
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r := openDur(t, dir, Options{Encoding: Local, Gap: 3})
+	if r.opts.Kind != s.opts.Kind || r.opts.EffectiveGap() != s.opts.EffectiveGap() ||
+		r.opts.DeweyAsText != s.opts.DeweyAsText {
+		t.Fatalf("options after reopen = %+v, want %+v", r.opts, s.opts)
+	}
+	return r
+}
+
+// TestDurableReopenKeepsEncodingOptions: mismatched options on reopen are
+// ignored — the encoding, gap and Dewey representation of the checkpoint win.
+func TestDurableReopenKeepsEncodingOptions(t *testing.T) {
+	for _, tc := range reopenConfigs {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s := openDur(t, dir, tc.opts)
+			if _, err := s.LoadString("d", "<R/>"); err != nil {
+				t.Fatal(err)
+			}
+			checkpointAndReopen(t, dir, s)
+		})
+	}
+}
+
+// TestSnapshotRoundTrip: the checkpointed store directory is the store's one
+// persisted snapshot. A store loaded, mutated, checkpointed and closed
+// reopens with every document byte-identical and still queryable and
+// updatable.
+func TestSnapshotRoundTrip(t *testing.T) {
+	for _, tc := range reopenConfigs {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s := openDur(t, dir, tc.opts)
+			doc, err := s.LoadString("d", testDoc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Mutate before the checkpoint so it captures updates too.
+			hits, err := s.Query(doc, "/PLAY/ACT[1]/SCENE[1]/SPEECH[1]")
+			if err != nil || len(hits) != 1 {
+				t.Fatalf("first speech = %v, %v", hits, err)
+			}
+			if _, err := s.Insert(doc, hits[0].ID, After,
+				"<SPEECH><SPEAKER>GHOST</SPEAKER><LINE>Mark me</LINE></SPEECH>"); err != nil {
+				t.Fatal(err)
+			}
+			want := fingerprint(t, s)
+
+			r := checkpointAndReopen(t, dir, s)
+			if got := fingerprint(t, r); got != want {
+				t.Fatalf("reopened store diverged:\n got %q\nwant %q", got, want)
+			}
+			speakers, err := r.QueryValues(doc, "/PLAY/ACT[1]/SCENE[1]/SPEECH/SPEAKER")
+			if err != nil || strings.Join(speakers, ",") != "BERNARDO,GHOST,FRANCISCO" {
+				t.Fatalf("speakers after reopen = %v, %v", speakers, err)
+			}
+			hits, err = r.Query(doc, "//SPEECH[SPEAKER = 'GHOST']")
+			if err != nil || len(hits) != 1 {
+				t.Fatalf("ghost speech after reopen = %v, %v", hits, err)
+			}
+			if _, err := r.Delete(doc, hits[0].ID); err != nil {
+				t.Fatalf("update after reopen: %v", err)
+			}
+			mustIntact(t, r)
+		})
+	}
+}
+
+// TestSnapshotRandomDocuments: random documents (xmlgen seeds 0-5) survive a
+// checkpoint and reopen byte-identically under every encoding configuration.
+func TestSnapshotRandomDocuments(t *testing.T) {
+	for _, tc := range reopenConfigs {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s := openDur(t, dir, tc.opts)
+			for seed := int64(0); seed < 6; seed++ {
+				xml := xmlgen.Random(xmlgen.DefaultRandom(seed)).String()
+				if _, err := s.LoadString(fmt.Sprintf("random%d", seed), xml); err != nil {
+					t.Fatalf("seed %d: %v", seed, err)
+				}
+			}
+			want := fingerprint(t, s)
+			r := checkpointAndReopen(t, dir, s)
+			if got := fingerprint(t, r); got != want {
+				t.Fatalf("reopened random documents diverged:\n got %q\nwant %q", got, want)
+			}
+			mustIntact(t, r)
+		})
+	}
+}
+
+// TestSnapshotFile: a checkpointed store is exactly its three files, and the
+// reopened store keeps its gap — an insert between siblings takes a free key
+// instead of renumbering.
+func TestSnapshotFile(t *testing.T) {
+	dir := t.TempDir()
+	s := openDur(t, dir, Options{Encoding: Dewey, Gap: 4})
+	doc, err := s.LoadString("d", "<a><b>x</b></a>")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
-	if s.Encoding() != Local {
-		t.Fatalf("encoding after reopen = %v, want Local", s.Encoding())
+	r := checkpointAndReopen(t, dir, s)
+	if got := dirNames(t, dir); got != "meta.db pages.db wal.log" {
+		t.Fatalf("store directory holds %q", got)
+	}
+	vals, err := r.QueryValues(doc, "/a/b")
+	if err != nil || len(vals) != 1 || vals[0] != "x" {
+		t.Fatalf("reopened query = %v, %v", vals, err)
+	}
+	hits, err := r.Query(doc, "/a/b")
+	if err != nil || len(hits) != 1 {
+		t.Fatalf("/a/b = %v, %v", hits, err)
+	}
+	rep, err := r.Insert(doc, hits[0].ID, Before, "<c/>")
+	if err != nil || rep.RowsRenumbered != 0 {
+		t.Fatalf("gap lost across reopen: %+v, %v", rep, err)
+	}
+}
+
+// TestSnapshotErrors: a store whose checkpoint manifest is junk, empty or
+// truncated is refused, as is a directory that cannot be created.
+func TestSnapshotErrors(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		damage func(meta []byte) []byte
+	}{
+		{"junk", func([]byte) []byte { return []byte("junk data") }},
+		{"empty", func([]byte) []byte { return nil }},
+		{"truncated", func(meta []byte) []byte { return meta[:len(meta)/2] }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s := openDur(t, dir, Options{Encoding: Global})
+			if _, err := s.LoadString("d", "<a/>"); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(dir, metaFile)
+			meta, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, tc.damage(meta), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if r, err := OpenDurable(dir, Options{}); err == nil {
+				r.Close()
+				t.Fatalf("store with a %s manifest opened", tc.name)
+			}
+		})
+	}
+	notDir := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(notDir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if r, err := OpenDurable(filepath.Join(notDir, "store"), Options{}); err == nil {
+		r.Close()
+		t.Fatal("store under a regular file opened")
 	}
 }

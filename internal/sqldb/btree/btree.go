@@ -367,8 +367,33 @@ func overfull(n *node) bool {
 	return len(n.keys) > maxKeys || (len(n.keys) > 1 && nodeBytes(n) > nodeByteBudget)
 }
 
+// splitPoint returns the index an overfull node splits at: the key-count
+// midpoint, unless the node is over the byte budget, when the split balances
+// bytes instead. Keys of mixed lengths would otherwise leave one half with
+// half the keys but a sliver of the bytes (Validate's fill rule relies on a
+// byte-split half keeping at least a quarter of the budget). Both halves keep
+// at least one key.
+func splitPoint(n *node) int {
+	if len(n.keys) > maxKeys {
+		return len(n.keys) / 2
+	}
+	per := ridBytes
+	if !n.leaf() {
+		per = childPidBytes
+	}
+	total, left := nodeBytes(n), nodeHeaderBytes
+	best, bestMax := 1, total
+	for mid := 1; mid < len(n.keys); mid++ {
+		left += 2 + len(n.keys[mid-1]) + per
+		if m := max(left, total-left+nodeHeaderBytes); m < bestMax {
+			best, bestMax = mid, m
+		}
+	}
+	return best
+}
+
 func (t *Tree) splitLeaf(n *node) ([]byte, *node, error) {
-	mid := len(n.keys) / 2
+	mid := splitPoint(n)
 	right := &node{
 		keys:  append([][]byte(nil), n.keys[mid:]...),
 		rids:  append([]heap.RID(nil), n.rids[mid:]...),
@@ -380,7 +405,7 @@ func (t *Tree) splitLeaf(n *node) ([]byte, *node, error) {
 }
 
 func (t *Tree) splitInterior(n *node) ([]byte, *node, error) {
-	mid := len(n.keys) / 2
+	mid := splitPoint(n)
 	promoted := n.keys[mid]
 	right := &node{
 		keys:     append([][]byte(nil), n.keys[mid+1:]...),

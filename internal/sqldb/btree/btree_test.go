@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"ordxml/internal/sqldb/heap"
@@ -260,5 +261,25 @@ func BenchmarkGet(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		tr.Get(key(i % n))
+	}
+}
+
+// TestInsertMixedKeyLengthsValidates: inserts alone, over keys whose lengths
+// vary enough that nodes split on bytes before they reach maxKeys, must leave
+// a tree Validate accepts. A count-midpoint byte split left halves with too
+// few keys and under half the budget while a neighbor merge fit.
+func TestInsertMixedKeyLengthsValidates(t *testing.T) {
+	for seed := int64(0); seed < 20; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		tr := New()
+		for i := 0; i < 3000; i++ {
+			k := fmt.Sprintf("%08d-%s", r.Intn(1<<30), strings.Repeat("x", r.Intn(150)))
+			if err := tr.Insert([]byte(k), rid(i)); err != nil && err != ErrDuplicate {
+				t.Fatal(err)
+			}
+		}
+		if problems := tr.Validate(); problems != nil {
+			t.Fatalf("seed %d: %v", seed, problems)
+		}
 	}
 }

@@ -5,10 +5,11 @@ import (
 	"fmt"
 )
 
-// minFill is the lowest legal key count for a non-root node. Splits and
-// rebalancing keep nodes at minKeys (32) or better, but BulkLoad distributes
-// items evenly over ceil(n/bulkFill) nodes, which can legally produce nodes
-// holding as few as bulkFill/2 keys (n = bulkFill+1 builds two 24/25 leaves).
+// minFill is the lowest legal key count for a non-root node that is not
+// byte-heavy. Count splits and rebalancing keep nodes at minKeys (32) or
+// better, but BulkLoad distributes items evenly over ceil(n/bulkFill) nodes,
+// which can legally produce nodes holding as few as bulkFill/2 keys
+// (n = bulkFill+1 builds two 24/25 leaves).
 const minFill = bulkFill / 2
 
 // Validate checks the tree's structural invariants and returns a description
@@ -16,8 +17,8 @@ const minFill = bulkFill / 2
 //
 //   - node shape: interior nodes have len(children) == len(keys)+1, leaves
 //     have parallel keys/rids;
-//   - fill: no node exceeds maxKeys; non-root nodes hold at least minFill
-//     keys;
+//   - fill: no node exceeds maxKeys; a non-root node holds at least minFill
+//     keys, or a quarter of nodeByteBudget, or cannot merge with a neighbor;
 //   - order: keys are strictly ascending within every node, and every key in
 //     child i of an interior node n satisfies n.keys[i-1] <= key < n.keys[i]
 //     (equal separators descend right, matching the search convention);
@@ -84,12 +85,14 @@ func (t *Tree) Validate() []string {
 		}
 		// Fill is checked from the parent so neighbor context is available:
 		// byte-budget splits and byte-blocked merges (long keys) legally
-		// produce nodes with few keys. A child is underfull only when it is
-		// small by both measures AND rebalance could have merged it — some
-		// neighbor merge fits the byte budget. (walk has materialized every
-		// child by this point, so nodeBytes is safe.)
+		// produce nodes with few keys. A byte split balances bytes, so each
+		// half keeps at least a quarter of the budget while no key entry
+		// exceeds half of it. A child is underfull only when it is small by
+		// both measures AND rebalance could have merged it — some neighbor
+		// merge fits the byte budget. (walk has materialized every child by
+		// this point, so nodeBytes is safe.)
 		for i, c := range n.children {
-			if len(c.keys) >= minFill || nodeBytes(c) >= nodeByteBudget/2 {
+			if len(c.keys) >= minFill || nodeBytes(c) >= nodeByteBudget/4 {
 				continue
 			}
 			leftFits := i > 0 && mergedNodeBytes(n, i-1) <= nodeByteBudget

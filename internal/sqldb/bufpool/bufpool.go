@@ -88,15 +88,9 @@ type Frame struct {
 // NewFrame returns an unpooled frame with a zeroed resident payload of
 // PayloadSize bytes: the in-RAM storage mode. Pin/Unpin/MarkDirty are cheap
 // no-ops beyond the pin count and the payload is never evicted.
-func NewFrame() *Frame { return NewFrameSize(PayloadSize) }
-
-// NewFrameSize returns an unpooled frame with a zeroed resident payload of n
-// bytes. Unpooled frames never touch the page file, so their payloads need
-// not match the disk payload size: the in-RAM heap keeps its legacy 8 KiB
-// page payload (PayloadSize plus the page-file header it never pays for).
-func NewFrameSize(n int) *Frame {
+func NewFrame() *Frame {
 	f := &Frame{}
-	b := make([]byte, n)
+	b := make([]byte, PayloadSize)
 	f.data.Store(&b)
 	return f
 }

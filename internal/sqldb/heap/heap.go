@@ -4,9 +4,10 @@
 // layout: a slot directory growing forward from the header and row payloads
 // growing backward from the end of the page.
 //
-// Page memory lives in buffer-pool frames (internal/sqldb/bufpool). In the
-// default in-RAM mode every page owns an unpooled frame that is resident
-// forever, so behaviour and cost match the pre-pool heap. In paged mode
+// Page memory lives in buffer-pool frames (internal/sqldb/bufpool), and
+// every page is one frame payload (bufpool.PayloadSize bytes) in either
+// mode, so both cap rows at MaxRowSize. In the default in-RAM mode every
+// page owns an unpooled frame that is resident forever. In paged mode
 // (NewPaged) frames belong to a fixed-capacity pool over a page file: cold
 // pages fault in on access and clean pages are evicted under memory
 // pressure, so a heap can exceed RAM. Logical page numbers (RID.Page) are
@@ -24,25 +25,13 @@ import (
 	"ordxml/internal/sqldb/bufpool"
 )
 
-// PageSize is the usable size of an in-RAM heap page in bytes. It predates
-// the buffer pool and stays at the legacy 8 KiB so snapshots written by
-// earlier all-RAM builds — whose rows may approach the matching MaxRowSize —
-// still load bit-for-bit. Pooled pages are slightly smaller: their frames
-// mirror disk pages, which lose pagefile header bytes (bufpool.PayloadSize).
-const PageSize = 8192
-
 const (
 	headerSize = 6 // numSlots(2) freeStart(2) freeEnd(2)
 	slotSize   = 4 // offset(2) length(2)
 )
 
-// MaxRowSize is the largest payload a single in-RAM page can hold. Paged
-// heaps (NewPaged) cap rows at pooledMaxRow instead; see Heap.maxRow.
-const MaxRowSize = PageSize - headerSize - slotSize
-
-// pooledMaxRow is the largest payload a pooled page can hold: pooled frames
-// match the on-disk page payload, which is smaller than PageSize.
-const pooledMaxRow = bufpool.PayloadSize - headerSize - slotSize
+// MaxRowSize is the largest payload a single page can hold.
+const MaxRowSize = bufpool.PayloadSize - headerSize - slotSize
 
 // RID addresses a record: page number and slot within the page.
 type RID struct {
@@ -260,19 +249,10 @@ func NewPaged(pool *bufpool.Pool) *Heap { return &Heap{pool: pool} }
 // Pooled reports whether the heap is backed by a buffer pool.
 func (h *Heap) Pooled() bool { return h.pool != nil }
 
-// maxRow returns the heap's per-row size bound: the legacy MaxRowSize for
-// the in-RAM tier, the smaller disk-page bound for pooled heaps.
-func (h *Heap) maxRow() int {
-	if h.pool != nil {
-		return pooledMaxRow
-	}
-	return MaxRowSize
-}
-
 // newPage allocates a fresh initialized page stamped with the current epoch.
 func (h *Heap) newPage() (*page, error) {
 	if h.pool == nil {
-		fr := bufpool.NewFrameSize(PageSize)
+		fr := bufpool.NewFrame()
 		initPage(fr.MarkDirty())
 		return &page{fr: fr, stamp: h.epoch}, nil
 	}
@@ -319,7 +299,7 @@ func (h *Heap) writable(pi int) (*page, error) {
 
 // Insert stores data and returns its RID.
 func (h *Heap) Insert(data []byte) (RID, error) {
-	if len(data) > h.maxRow() {
+	if len(data) > MaxRowSize {
 		return RID{}, fmt.Errorf("%w: %d bytes", ErrRowTooLarge, len(data))
 	}
 	h.snap = nil
@@ -380,7 +360,7 @@ func (h *Heap) Insert(data []byte) (RID, error) {
 // mode can leave a fresh empty tail page, which is harmless).
 func (h *Heap) AppendBatch(payloads [][]byte) ([]RID, error) {
 	for _, d := range payloads {
-		if len(d) > h.maxRow() {
+		if len(d) > MaxRowSize {
 			return nil, fmt.Errorf("%w: %d bytes", ErrRowTooLarge, len(d))
 		}
 	}
@@ -450,7 +430,7 @@ func (h *Heap) Delete(rid RID) error {
 // stays in place and the same RID remains valid; otherwise the record moves
 // and the new RID is returned. Callers must use the returned RID.
 func (h *Heap) Update(rid RID, data []byte) (RID, error) {
-	if len(data) > h.maxRow() {
+	if len(data) > MaxRowSize {
 		return RID{}, fmt.Errorf("%w: %d bytes", ErrRowTooLarge, len(data))
 	}
 	_, _, l, err := locate(h.pages, rid)

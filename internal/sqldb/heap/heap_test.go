@@ -2,6 +2,7 @@ package heap
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -45,6 +46,32 @@ func TestRowTooLarge(t *testing.T) {
 	}
 	if _, err := h.Insert(make([]byte, MaxRowSize)); err != nil {
 		t.Fatalf("max-size insert failed: %v", err)
+	}
+}
+
+// TestRowSizeBoundsPerTier: in-RAM and paged heaps share one page geometry,
+// so MaxRowSize is the bound for Insert, AppendBatch and Update in both.
+func TestRowSizeBoundsPerTier(t *testing.T) {
+	for name, h := range map[string]*Heap{"in-RAM": New(), "paged": NewPaged(newTestPool(t, 8))} {
+		if _, err := h.Insert(make([]byte, MaxRowSize+1)); !errors.Is(err, ErrRowTooLarge) {
+			t.Fatalf("%s: oversize insert: %v", name, err)
+		}
+		if _, err := h.AppendBatch([][]byte{make([]byte, MaxRowSize+1)}); !errors.Is(err, ErrRowTooLarge) {
+			t.Fatalf("%s: oversize batch: %v", name, err)
+		}
+		rid, err := h.Insert(make([]byte, MaxRowSize))
+		if err != nil {
+			t.Fatalf("%s: max-size insert failed: %v", name, err)
+		}
+		if got, err := h.Get(rid); err != nil || len(got) != MaxRowSize {
+			t.Fatalf("%s: max-size row read back: len %d, err %v", name, len(got), err)
+		}
+		if _, err := h.AppendBatch([][]byte{make([]byte, MaxRowSize)}); err != nil {
+			t.Fatalf("%s: max-size batch failed: %v", name, err)
+		}
+		if _, err := h.Update(rid, make([]byte, MaxRowSize+1)); !errors.Is(err, ErrRowTooLarge) {
+			t.Fatalf("%s: oversize update: %v", name, err)
+		}
 	}
 }
 

@@ -9,8 +9,8 @@ import (
 // of every violation found (nil for a healthy heap):
 //
 //   - header sanity: the slot directory ends exactly at freeStart, and
-//     freeStart <= freeEnd <= PageSize;
-//   - slot sanity: every live payload lies inside [freeEnd, PageSize);
+//     freeStart <= freeEnd <= the page's payload size;
+//   - slot sanity: every live payload lies inside [freeEnd, payload end);
 //   - no overlap: live payloads do not overlap one another;
 //   - row count: the cached rowCount equals the number of live slots.
 //

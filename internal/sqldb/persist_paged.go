@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
 	"hash/crc32"
 	"io"
 
@@ -16,31 +17,38 @@ import (
 )
 
 // Paged-checkpoint manifest: the durable root of a database whose storage
-// lives in a buffer-pooled page file. Unlike the full snapshot (persist.go),
-// which streams every row, the manifest records only *references* — the
-// page-id allocator state, each table's heap page list, and each index
+// lives in a buffer-pooled page file. The manifest records only *references*
+// — the page-id allocator state, each table's heap page list, and each index
 // tree's root page — so checkpointing a large store writes the dirty pages
 // plus a few kilobytes of manifest, not the whole database.
 //
 // Layout: magic, version, allocator state (next id, free list), table count,
 // then per table: name, columns, row count, heap page ids, and per index:
 // name, columns, uniqueness, root page id, entry count. All integers are
-// uvarints; the file ends with the same CRC32 trailer as the snapshot format.
+// uvarints; strings are uvarint-length-prefixed. The file ends with a
+// checksum trailer — trailer magic plus the CRC32 (IEEE) of every body byte
+// before it — so a truncated or corrupt manifest is rejected, not misread.
 
 const (
 	pagedMagic   = "ordxmlPM"
 	pagedVersion = 1
+	trailerMagic = "ordxmlCK"
 	// manifestMaxList bounds list lengths read from a manifest so a corrupt
 	// count fails cleanly instead of attempting a huge allocation.
 	manifestMaxList = 1 << 26
 )
 
-// DumpPaged assigns pages to every index tree and writes the checkpoint
-// manifest to w. The caller owns the rest of the checkpoint protocol: flush
-// the pool, sync the page file, atomically install the manifest, then commit
-// the pool's allocator (bufpool.Pool.CommitCheckpoint). Takes the engine's
-// write lock: tree serialization assigns page ids.
-func (db *DB) DumpPaged(w io.Writer) error {
+// DumpPaged assigns pages to every index tree, calls flush, then writes the
+// checkpoint manifest to w. flush must write every dirty frame to the page
+// file and sync it (bufpool.Pool.FlushAll plus the file's Sync). The
+// allocator state is read after it: a page whose last reference dies while
+// the checkpoint is in flight is freed by a finalizer and dropped unwritten,
+// so a state read before the flush would record that page as allocated and
+// the reopened store would find it unreadable. The caller then atomically
+// installs the manifest and commits the pool's allocator
+// (bufpool.Pool.CommitCheckpoint). Takes the engine's write lock: tree
+// serialization assigns page ids.
+func (db *DB) DumpPaged(w io.Writer, flush func() error) error {
 	pool := db.cat.Pool()
 	if pool == nil {
 		return errors.New("sqldb: DumpPaged on a database without a buffer pool")
@@ -62,6 +70,9 @@ func (db *DB) DumpPaged(w io.Writer) error {
 			}
 			roots[ix] = root
 		}
+	}
+	if err := flush(); err != nil {
+		return err
 	}
 	st := pool.PlannedState()
 
@@ -240,4 +251,90 @@ func readManifest(r io.Reader) (*manifest, error) {
 		return nil, fmt.Errorf("manifest checksum mismatch (computed %08x, stored %08x)", got, want)
 	}
 	return m, nil
+}
+
+// perr is a sticky-error binary writer.
+type perr struct {
+	w   *bufio.Writer
+	err error
+	buf [binary.MaxVarintLen64]byte
+}
+
+func (p *perr) bytes(b []byte) {
+	if p.err == nil {
+		_, p.err = p.w.Write(b)
+	}
+}
+
+func (p *perr) uvarint(v uint64) {
+	n := binary.PutUvarint(p.buf[:], v)
+	p.bytes(p.buf[:n])
+}
+
+func (p *perr) bool(v bool) {
+	b := byte(0)
+	if v {
+		b = 1
+	}
+	p.bytes([]byte{b})
+}
+
+func (p *perr) str(s string) {
+	p.uvarint(uint64(len(s)))
+	p.bytes([]byte(s))
+}
+
+// pread is the matching sticky-error reader. It maintains a running CRC of
+// the bytes it has consumed so readManifest can verify the trailer; uvarints
+// are hashed by re-encoding the value, which is exact because PutUvarint's
+// minimal encoding is the only one DumpPaged ever writes.
+type pread struct {
+	r   *bufio.Reader
+	sum hash.Hash32
+	err error
+}
+
+func (p *pread) bytes(n int) []byte {
+	if p.err != nil {
+		return nil
+	}
+	out := make([]byte, n)
+	if _, err := io.ReadFull(p.r, out); err != nil {
+		p.err = err
+		return nil
+	}
+	p.sum.Write(out)
+	return out
+}
+
+func (p *pread) uvarint() uint64 {
+	if p.err != nil {
+		return 0
+	}
+	v, err := binary.ReadUvarint(p.r)
+	if err != nil {
+		p.err = err
+		return 0
+	}
+	var buf [binary.MaxVarintLen64]byte
+	p.sum.Write(buf[:binary.PutUvarint(buf[:], v)])
+	return v
+}
+
+func (p *pread) bool() bool {
+	b := p.bytes(1)
+	return p.err == nil && b[0] != 0
+}
+
+func (p *pread) str() string {
+	n := p.uvarint()
+	if p.err != nil {
+		return ""
+	}
+	const maxStr = 1 << 24
+	if n > maxStr {
+		p.err = fmt.Errorf("corrupt manifest: %d-byte string", n)
+		return ""
+	}
+	return string(p.bytes(int(n)))
 }

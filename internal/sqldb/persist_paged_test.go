@@ -2,9 +2,15 @@ package sqldb
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/debug"
+	"strings"
 	"testing"
+	"time"
 
 	"ordxml/internal/sqldb/bufpool"
 	"ordxml/internal/sqldb/pagefile"
@@ -26,10 +32,7 @@ func newTestPool(t *testing.T, frames int) *bufpool.Pool {
 func checkpointPaged(t *testing.T, db *DB, pool *bufpool.Pool) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := db.DumpPaged(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := pool.FlushAll(); err != nil {
+	if err := db.DumpPaged(&buf, pool.FlushAll); err != nil {
 		t.Fatal(err)
 	}
 	pool.CommitCheckpoint()
@@ -72,7 +75,7 @@ func TestPagedManifestRoundTrip(t *testing.T) {
 	// Indexes were restored as page-backed trees, not rebuilt: plans use them
 	// and uniqueness still holds.
 	p, err := back.Explain("SELECT s FROM t WHERE i = 9")
-	if err != nil || !contains(p, "IndexScan t using t_pkey") {
+	if err != nil || !strings.Contains(p, "IndexScan t using t_pkey") {
 		t.Errorf("restored plan:\n%s (%v)", p, err)
 	}
 	if _, err := back.Exec("INSERT INTO t VALUES (3, 0, 'dup', NULL, FALSE)"); err == nil {
@@ -114,31 +117,148 @@ func TestPagedManifestIncremental(t *testing.T) {
 	}
 }
 
-func TestPagedManifestBadInput(t *testing.T) {
+// sampleManifest checkpoints a one-row database and returns its manifest.
+// Every rejection below happens while decoding, before the pool is touched,
+// so a test's attempts can share one pool.
+func sampleManifest(t *testing.T) []byte {
+	t.Helper()
 	pool := newTestPool(t, 16)
 	db := OpenPooled(pool)
 	mustExec(t, db, "CREATE TABLE t (i INT PRIMARY KEY)")
 	mustExec(t, db, "INSERT INTO t VALUES (7)")
-	manifest := checkpointPaged(t, db, pool)
+	return checkpointPaged(t, db, pool)
+}
 
-	fresh := func() *bufpool.Pool { return newTestPool(t, 16) }
-	if _, err := LoadPaged(bytes.NewReader(nil), fresh()); err == nil {
-		t.Error("empty manifest accepted")
+// TestPagedManifestBadInput: a manifest-shaped input with an absurd list
+// count or a foreign trailer is rejected; the intact manifest loads.
+func TestPagedManifestBadInput(t *testing.T) {
+	manifest := sampleManifest(t)
+	into := newTestPool(t, 16)
+
+	// A corrupt count fails cleanly instead of attempting a huge allocation.
+	huge := []byte(pagedMagic)
+	huge = binary.AppendUvarint(huge, pagedVersion)
+	huge = binary.AppendUvarint(huge, 1) // next page id
+	huge = binary.AppendUvarint(huge, manifestMaxList+1)
+	if _, err := LoadPaged(bytes.NewReader(huge), into); err == nil || !strings.Contains(err.Error(), "free ids") {
+		t.Errorf("oversized free-list count: %v", err)
 	}
-	if _, err := LoadPaged(bytes.NewReader([]byte("ordxmlDB rest")), fresh()); err == nil {
-		t.Error("snapshot magic accepted as manifest")
+	bad := append([]byte(nil), manifest...)
+	copy(bad[len(bad)-len(trailerMagic)-4:], "ordxmlXX")
+	if _, err := LoadPaged(bytes.NewReader(bad), into); err == nil {
+		t.Error("foreign trailer magic accepted")
 	}
-	// Truncation anywhere must fail the checksum or hit EOF.
-	for _, cut := range []int{len(manifest) / 2, len(manifest) - 1} {
-		if _, err := LoadPaged(bytes.NewReader(manifest[:cut]), fresh()); err == nil {
-			t.Errorf("truncated manifest (%d of %d bytes) accepted", cut, len(manifest))
+	if _, err := LoadPaged(bytes.NewReader(manifest), into); err != nil {
+		t.Fatalf("intact manifest rejected: %v", err)
+	}
+}
+
+// TestPersistBadInput: input that is not a manifest this build reads — empty,
+// too short, the retired full-snapshot format, a future version — is refused.
+func TestPersistBadInput(t *testing.T) {
+	into := newTestPool(t, 16)
+	for _, data := range []string{"", "short", "ordxmlDB\xff\xff\xff\xff\xff", "ordxmlDB rest"} {
+		if _, err := LoadPaged(bytes.NewReader([]byte(data)), into); err == nil {
+			t.Errorf("LoadPaged(%q) succeeded", data)
 		}
 	}
-	// A flipped byte in the body must fail the CRC.
-	bad := append([]byte(nil), manifest...)
-	bad[len(bad)/2] ^= 0x40
-	if _, err := LoadPaged(bytes.NewReader(bad), fresh()); err == nil {
-		t.Error("corrupt manifest accepted")
+	future := binary.AppendUvarint([]byte(pagedMagic), 99)
+	if _, err := LoadPaged(bytes.NewReader(future), into); err == nil || !strings.Contains(err.Error(), "version 99") {
+		t.Errorf("future manifest version: %v", err)
+	}
+}
+
+// TestPersistTruncatedRejected: every proper prefix of a manifest, the empty
+// one included, is rejected — with the checksum trailer a truncation cannot
+// pass as a smaller valid manifest.
+func TestPersistTruncatedRejected(t *testing.T) {
+	manifest := sampleManifest(t)
+	into := newTestPool(t, 16)
+	for cut := 0; cut < len(manifest); cut++ {
+		if _, err := LoadPaged(bytes.NewReader(manifest[:cut]), into); err == nil {
+			t.Fatalf("truncated manifest (%d of %d bytes) accepted", cut, len(manifest))
+		}
+	}
+	if _, err := LoadPaged(bytes.NewReader(manifest), into); err != nil {
+		t.Fatalf("intact manifest rejected: %v", err)
+	}
+}
+
+// TestPersistCorruptionRejected: a flipped bit anywhere in the body — just
+// past the magic, the middle, the last byte before the trailer — fails the
+// CRC.
+func TestPersistCorruptionRejected(t *testing.T) {
+	manifest := sampleManifest(t)
+	into := newTestPool(t, 16)
+	for _, pos := range []int{len(pagedMagic) + 1, len(manifest) / 2, len(manifest) - len(trailerMagic) - 5} {
+		bad := append([]byte(nil), manifest...)
+		bad[pos] ^= 0x40
+		if _, err := LoadPaged(bytes.NewReader(bad), into); err == nil {
+			t.Errorf("bit flip at %d of %d not detected", pos, len(manifest))
+		}
+	}
+}
+
+// TestPagedCheckpointListsPagesFreedInFlight: a page whose last reference
+// dies while a checkpoint is in flight is freed by its finalizer and dropped
+// unwritten. The manifest must list it as free; recorded as allocated, it is
+// a never-written page among the durable ones, and the reopened store fails
+// its integrity check.
+func TestPagedCheckpointListsPagesFreedInFlight(t *testing.T) {
+	// Keep the collector out of the set-up, so the finalizers of the pages
+	// the updates supersede are still pending when the checkpoint starts.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	path := filepath.Join(t.TempDir(), "pages.db")
+	pf, err := pagefile.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pf.Close()
+	pool := bufpool.New(pf, 64)
+	db := OpenPooled(pool)
+	mustExec(t, db, "CREATE TABLE t (i INT PRIMARY KEY, s TEXT)")
+	for i := int64(0); i < 300; i++ {
+		mustExec(t, db, "INSERT INTO t VALUES (?, ?)", I(i), S("some padding text for the heap page"))
+	}
+	// Every statement publishes a view, so each update copies its heap page.
+	for i := int64(0); i < 300; i += 3 {
+		mustExec(t, db, "UPDATE t SET s = 'x' WHERE i = ?", I(i))
+	}
+	var manifest bytes.Buffer
+	err = db.DumpPaged(&manifest, func() error {
+		free := len(pool.PlannedState().Free)
+		for i := 0; i < 1000 && len(pool.PlannedState().Free) == free; i++ {
+			runtime.GC()
+			time.Sleep(time.Millisecond)
+		}
+		if len(pool.PlannedState().Free) == free {
+			return errors.New("no superseded page was freed during the checkpoint")
+		}
+		if err := pool.FlushAll(); err != nil {
+			return err
+		}
+		return pf.Sync()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool.CommitCheckpoint()
+	runtime.KeepAlive(db)
+
+	pf2, err := pagefile.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pf2.Close()
+	back, err := LoadPaged(bytes.NewReader(manifest.Bytes()), bufpool.New(pf2, 64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if problems := back.CheckIntegrity(); len(problems) > 0 {
+		t.Fatalf("reopened store: %d integrity problems, first: %s", len(problems), problems[0])
+	}
+	if res := mustQuery(t, back, "SELECT COUNT(*) FROM t WHERE s = 'x'"); res.Rows[0][0].Int() != 100 {
+		t.Fatalf("updated rows after reopen = %v", res.Rows[0][0])
 	}
 }
 
