@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race fmt-check lint lint-sarif check fuzz-smoke cli-smoke bench bench-query bench-paged torture govern-torture
+.PHONY: build test race fmt-check lint lint-sarif check fuzz-smoke cli-smoke bench bench-query bench-paged bench-update torture govern-torture
 
 build:
 	$(GO) build ./...
@@ -83,6 +83,15 @@ bench-query:
 bench-paged:
 	bash benchmark/run.sh --workload query_paged --seed 7 --seconds 20 --trace 1 | \
 		grep -E '^(bufpool\.|ordxml\.alloc_mb_per_cycle\.|ordxml\.q6_ms\.)'
+
+# bench-update is the traced ordbench run behind EXPERIMENTS.md's
+# renumbering rows (E4-E6), on the same other seed: per-operation update
+# times, rows renumbered per cycle, allocation per cycle and the WAL's bytes
+# and fsyncs per cycle on durable stores. A report, not a gate:
+# TestRenumberingStatementsConstant asserts the statement count in go test.
+bench-update:
+	bash benchmark/run.sh --workload update_durable --seed 7 --seconds 20 --trace 1 | \
+		grep -E '^(update\.|ordxml\.alloc_mb_per_cycle\.|wal\.)'
 
 # torture runs the crash-recovery harness with a longer session than the
 # default `go test` smoke: a child process is killed at every registered

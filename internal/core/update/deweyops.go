@@ -157,7 +157,9 @@ func (m *Manager) prevSiblingComponent(doc, parent int64, anchorKey sqltypes.Val
 // rows form one contiguous key range — from the anchor path to the end of
 // the parent's subtree — so a single range scan finds them all; rows are
 // rewritten in descending key order so new paths never collide with unmoved
-// ones.
+// ones. Unlike Global and Local this stays one UPDATE per row: the new key
+// adds delta to one component of an encoded path, which the engine's SQL
+// cannot express without the dewey codec.
 func (m *Manager) shiftDeweySiblings(doc, parent int64, from dewey.Path, delta uint32) (int64, error) {
 	parentPath := from.Parent()
 	if parentPath == nil {

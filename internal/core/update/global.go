@@ -183,24 +183,13 @@ func (m *Manager) maxOrderBelow(doc, below int64) (int64, error) {
 }
 
 // shiftGlobal adds delta to the global order of every node at or after
-// from. Rows are rewritten in descending order so the unique (doc, gorder)
-// index never sees a transient collision.
+// from, in one statement; the engine checks uniqueness per statement, so the
+// shift never collides with itself.
 func (m *Manager) shiftGlobal(doc, from, delta int64) (int64, error) {
-	sel := sqlgen.SQL(
-		`SELECT id, %s FROM %s WHERE doc = ? AND %s >= ? ORDER BY %s DESC`,
-		m.ord, m.tbl, m.ord, m.ord)
-	res, err := m.db.Query(sel, sqldb.I(doc), sqldb.I(from))
-	if err != nil {
-		return 0, err
-	}
-	upd := sqlgen.SQL(
-		`UPDATE %s SET %s = ? WHERE doc = ? AND id = ?`, m.tbl, m.ord)
-	for _, r := range res.Rows {
-		if _, err := m.db.Exec(upd, sqldb.I(r[1].Int()+delta), sqldb.I(doc), sqldb.I(r[0].Int())); err != nil {
-			return 0, err
-		}
-	}
-	return int64(len(res.Rows)), nil
+	n, err := m.db.Exec(sqlgen.SQL(
+		`UPDATE %s SET %s = %s + ? WHERE doc = ? AND %s >= ?`, m.tbl, m.ord, m.ord, m.ord),
+		sqldb.I(delta), sqldb.I(doc), sqldb.I(from))
+	return int64(n), err
 }
 
 // deleteGlobal removes the contiguous global-order range of t's subtree.

@@ -111,23 +111,13 @@ func (m *Manager) maxChildOrderBelow(doc, parent, below int64) (int64, error) {
 }
 
 // shiftSiblings adds delta to the sibling order of every child of parent at
-// or after from, in descending order to respect the unique sibling index.
+// or after from, in one statement (uniqueness of the sibling index holds per
+// statement).
 func (m *Manager) shiftSiblings(doc, parent, from, delta int64) (int64, error) {
-	sel := sqlgen.SQL(
-		`SELECT id, %s FROM %s WHERE doc = ? AND parent = ? AND %s >= ? ORDER BY %s DESC`,
-		m.ord, m.tbl, m.ord, m.ord)
-	res, err := m.db.Query(sel, sqldb.I(doc), sqldb.I(parent), sqldb.I(from))
-	if err != nil {
-		return 0, err
-	}
-	upd := sqlgen.SQL(
-		`UPDATE %s SET %s = ? WHERE doc = ? AND id = ?`, m.tbl, m.ord)
-	for _, r := range res.Rows {
-		if _, err := m.db.Exec(upd, sqldb.I(r[1].Int()+delta), sqldb.I(doc), sqldb.I(r[0].Int())); err != nil {
-			return 0, err
-		}
-	}
-	return int64(len(res.Rows)), nil
+	n, err := m.db.Exec(sqlgen.SQL(
+		`UPDATE %s SET %s = %s + ? WHERE doc = ? AND parent = ? AND %s >= ?`, m.tbl, m.ord, m.ord, m.ord),
+		sqldb.I(delta), sqldb.I(doc), sqldb.I(parent), sqldb.I(from))
+	return int64(n), err
 }
 
 // deleteLocal removes the subtree by walking children (the local encoding

@@ -276,6 +276,37 @@ func TestRenumberingCosts(t *testing.T) {
 	}
 }
 
+// TestRenumberingStatementsConstant: renumbering is one UPDATE whatever it
+// touches, so an insert before the first of 20 or of 200 siblings issues the
+// same number of DML statements. Dewey is exempt: it rewrites one encoded
+// path component per row, which SQL cannot express, so it keeps one UPDATE
+// per renumbered row.
+func TestRenumberingStatementsConstant(t *testing.T) {
+	execs := func(opts encoding.Options, siblings int) (stmts, renumbered int64) {
+		r := xmltree.NewElement("r")
+		for i := 0; i < siblings; i++ {
+			r.AddChild(xmltree.NewElement("c")).AddChild(xmltree.NewText(fmt.Sprintf("t%d", i)))
+		}
+		s := newStore(t, opts, r)
+		before := s.db.Metrics().Counters["sqldb.execs"]
+		stats, err := s.mgr.InsertXML(s.doc, s.ids[r.Children[0]], Before, "<new/>")
+		if err != nil {
+			t.Fatalf("%s: %v", optName(opts), err)
+		}
+		return s.db.Metrics().Counters["sqldb.execs"] - before, stats.RowsRenumbered
+	}
+	for _, opts := range []encoding.Options{{Kind: encoding.Global}, {Kind: encoding.Local}} {
+		small, smallRows := execs(opts, 20)
+		large, largeRows := execs(opts, 200)
+		if smallRows == 0 || largeRows <= smallRows {
+			t.Fatalf("%s: renumbered %d then %d rows; the test needs both to renumber", optName(opts), smallRows, largeRows)
+		}
+		if small != large {
+			t.Errorf("%s: %d statements renumbering %d rows, %d renumbering %d", optName(opts), small, smallRows, large, largeRows)
+		}
+	}
+}
+
 func TestDeleteSubtree(t *testing.T) {
 	for _, opts := range allOptions() {
 		tree, _ := xmltree.ParseString(`<r><a><x/><y>t</y></a><b/><c/></r>`)

@@ -1,7 +1,9 @@
 // Package catalog holds the live schema objects of a database: tables with
 // their heap storage, columns, and B+tree indexes. All row mutations go
-// through Table methods so index maintenance and uniqueness enforcement live
-// in one place. The catalog also maintains the work counters that the
+// through this package so index maintenance and uniqueness enforcement live
+// in one place: a DML statement mutates rows through a Write (write.go),
+// which makes it all-or-nothing, and the bulk loader through
+// Table.BulkInsert. The catalog also maintains the work counters that the
 // benchmark harness reads (rows scanned, index probes, rows written), which
 // give a hardware-independent view of query and update cost.
 package catalog
@@ -102,14 +104,18 @@ func (ix *Index) ColumnNames() []string {
 // of the indexed columns, suffixed with the RID for non-unique indexes so
 // duplicate column values remain distinct tree keys.
 func (ix *Index) keyFor(row sqltypes.Row, rid heap.RID) []byte {
-	key := make([]byte, 0, 32)
+	return ix.appendKey(make([]byte, 0, 32), row, rid)
+}
+
+// appendKey appends keyFor's key to dst.
+func (ix *Index) appendKey(dst []byte, row sqltypes.Row, rid heap.RID) []byte {
 	for _, c := range ix.Columns {
-		key = sqltypes.EncodeKey(key, row[c])
+		dst = sqltypes.EncodeKey(dst, row[c])
 	}
 	if !ix.Unique {
-		key = AppendRID(key, rid)
+		dst = AppendRID(dst, rid)
 	}
-	return key
+	return dst
 }
 
 // prefixFor builds the column-value part of the key only (for lookups).
@@ -393,67 +399,6 @@ func (t *Table) Fetch(rid heap.RID) (sqltypes.Row, error) {
 		return nil, err
 	}
 	return sqltypes.DecodeRow(data)
-}
-
-// Delete removes the row at rid and its index entries.
-func (t *Table) Delete(rid heap.RID) error {
-	row, err := t.Fetch(rid)
-	if err != nil {
-		return err
-	}
-	for _, ix := range t.Indexes {
-		if err := ix.Tree.Delete(ix.keyFor(row, rid)); err != nil {
-			panic(fmt.Sprintf("catalog: index %s delete: %v", ix.Name, err))
-		}
-	}
-	if err := t.Heap.Delete(rid); err != nil {
-		return err
-	}
-	t.counters.RowsDeleted.Add(1)
-	return nil
-}
-
-// Update replaces the row at rid with newRow, returning the row's (possibly
-// new) RID.
-func (t *Table) Update(rid heap.RID, newRow sqltypes.Row) (heap.RID, error) {
-	newRow, err := t.checkRow(newRow)
-	if err != nil {
-		return heap.RID{}, err
-	}
-	oldRow, err := t.Fetch(rid)
-	if err != nil {
-		return heap.RID{}, err
-	}
-	// Unique pre-check, ignoring our own entry.
-	for _, ix := range t.Indexes {
-		if !ix.Unique {
-			continue
-		}
-		newKey := ix.keyFor(newRow, heap.RID{})
-		if got, exists := ix.Tree.Get(newKey); exists && got != rid {
-			return heap.RID{}, fmt.Errorf("unique index %s: duplicate key %s", ix.Name, describeKey(ix, newRow))
-		}
-	}
-	for _, ix := range t.Indexes {
-		if err := ix.Tree.Delete(ix.keyFor(oldRow, rid)); err != nil {
-			panic(fmt.Sprintf("catalog: index %s delete during update: %v", ix.Name, err))
-		}
-	}
-	newRID, err := t.Heap.Update(rid, sqltypes.EncodeRow(nil, newRow))
-	if err != nil {
-		// Restore old entries to keep the table consistent.
-		for _, ix := range t.Indexes {
-			_ = ix.Tree.Insert(ix.keyFor(oldRow, rid), rid)
-		}
-		return heap.RID{}, err
-	}
-	for _, ix := range t.Indexes {
-		if err := ix.Tree.Insert(ix.keyFor(newRow, newRID), newRID); err != nil {
-			panic(fmt.Sprintf("catalog: index %s insert during update: %v", ix.Name, err))
-		}
-	}
-	t.counters.RowsUpdated.Add(1)
-	return newRID, nil
 }
 
 // Scan iterates all rows, bumping the scan counter.

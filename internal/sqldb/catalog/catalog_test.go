@@ -99,10 +99,10 @@ func TestUniqueIndex(t *testing.T) {
 	}
 	// Update to a conflicting key must fail, non-conflicting must pass.
 	rid2, _ := tbl.Insert(row(2, "bob", 40))
-	if _, err := tbl.Update(rid2, row(1, "bob", 40)); err == nil {
+	if _, err := updateRow(tbl, rid2, row(1, "bob", 40)); err == nil {
 		t.Error("update to duplicate key accepted")
 	}
-	if _, err := tbl.Update(rid2, row(2, "bob", 41)); err != nil {
+	if _, err := updateRow(tbl, rid2, row(2, "bob", 41)); err != nil {
 		t.Errorf("self-conflicting update rejected: %v", err)
 	}
 }
@@ -115,7 +115,7 @@ func TestDeleteMaintainsIndexes(t *testing.T) {
 		rid, _ := tbl.Insert(row(int64(i), fmt.Sprintf("u%d", i), int64(i%3)))
 		rids = append(rids, rid)
 	}
-	if err := tbl.Delete(rids[4]); err != nil {
+	if err := deleteRow(tbl, rids[4]); err != nil {
 		t.Fatal(err)
 	}
 	count := 0
@@ -132,7 +132,7 @@ func TestUpdateMovesIndexEntries(t *testing.T) {
 	c, tbl := newTestTable(t)
 	ix, _ := c.CreateIndex("by_age", "users", []string{"age"}, false)
 	rid, _ := tbl.Insert(row(1, "ann", 30))
-	nrid, err := tbl.Update(rid, row(1, "ann", 35))
+	nrid, err := updateRow(tbl, rid, row(1, "ann", 35))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +283,7 @@ func TestCounters(t *testing.T) {
 	before := c.Counters.Snapshot()
 	rid, _ := tbl.Insert(row(1, "a", 10))
 	tbl.Insert(row(2, "b", 20))
-	tbl.Update(rid, row(1, "a", 11))
+	updateRow(tbl, rid, row(1, "a", 11))
 	tbl.Scan(func(heap.RID, sqltypes.Row) bool { return true })
 	tbl.IndexScan(ix, nil, nil, nil, false, false, func(heap.RID) bool { return true })
 	d := c.Counters.Snapshot().Sub(before)

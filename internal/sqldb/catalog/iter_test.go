@@ -16,7 +16,7 @@ func TestRowIterSnapshot(t *testing.T) {
 	}
 	it := tbl.RowIter()
 	// Delete a row after the snapshot: the iterator must skip it, not fail.
-	if err := tbl.Delete(rids[5]); err != nil {
+	if err := deleteRow(tbl, rids[5]); err != nil {
 		t.Fatal(err)
 	}
 	seen := 0
@@ -110,7 +110,7 @@ func TestFetchInto(t *testing.T) {
 			t.Errorf("%s: FetchInto = %v", name, got)
 		}
 	}
-	if err := tbl.Delete(rid); err != nil {
+	if err := deleteRow(tbl, rid); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := LiveData(tbl).FetchInto(rid, nil); err == nil {

@@ -279,8 +279,9 @@ func (db *DB) exec(ctx context.Context, sql string, params []sqltypes.Value, d d
 	}()
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	// Republish the readers' view even on error: a failed multi-row DML may
-	// have applied a prefix of its writes.
+	// Republish the readers' view even on error. A failed DML statement has
+	// undone its rows, so readers see the same data either way; the storage
+	// under it may have been rewritten by the undo.
 	defer db.publish()
 	stmt, cached := db.plans.lookup(sql, db.cat.Version())
 	if cached != nil {

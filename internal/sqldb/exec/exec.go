@@ -228,56 +228,74 @@ func buildOp(n plan.Node, params []sqltypes.Value, env Env) (Operator, error) {
 	}
 }
 
+// runRows is the one way a DML statement writes: apply(i) runs for rows
+// 0..n-1 against one catalog.Write, and the statement keeps every row or, on
+// any error — a constraint, an expression, storage — none, reporting 0 rows
+// with the error.
+func runRows(t *catalog.Table, n int, apply func(w *catalog.Write, i int) error) (int, error) {
+	w := t.BeginWrite()
+	var err error
+	for i := 0; i < n && err == nil; i++ {
+		err = apply(w, i)
+	}
+	if err := w.Finish(err); err != nil {
+		return 0, err
+	}
+	return n, nil
+}
+
 // RunInsert executes an insert plan, returning the number of rows inserted.
 func RunInsert(p *plan.InsertPlan, params []sqltypes.Value) (int, error) {
 	env := &expr.Env{Params: params}
-	count := 0
-	for _, exprRow := range p.Rows {
+	return runRows(p.Table, len(p.Rows), func(w *catalog.Write, i int) error {
 		row := make(sqltypes.Row, len(p.Table.Columns))
-		for i := range row {
-			row[i] = sqltypes.NullValue()
+		for c := range row {
+			row[c] = sqltypes.NullValue()
 		}
-		for vi, e := range exprRow {
+		for vi, e := range p.Rows[i] {
 			v, err := expr.Eval(e, env)
 			if err != nil {
-				return count, err
+				return err
 			}
 			row[p.Columns[vi]] = v
 		}
-		if _, err := p.Table.Insert(row); err != nil {
-			return count, err
-		}
-		count++
-	}
-	return count, nil
+		return w.Insert(row)
+	})
 }
 
 // RunUpdate executes an update plan, returning the number of rows updated.
 // Matching rows are materialized before any mutation so the scan never
-// observes its own writes.
+// observes its own writes. They are applied in reverse scan order: a shift
+// such as `SET k = k + d WHERE k >= x` over an ascending index scan then
+// moves each row into a key its successor already vacated, so no unique key
+// is parked and the trees change from the high end down. Any order is
+// correct; uniqueness holds per statement.
 func RunUpdate(p *plan.UpdatePlan, params []sqltypes.Value) (int, error) {
 	matches, err := collectDML(p.Scan, params)
 	if err != nil {
 		return 0, err
 	}
 	env := &expr.Env{Params: params}
-	count := 0
-	for _, m := range matches {
+	vals := make([]sqltypes.Value, len(p.SetExprs))
+	return runRows(p.Table, len(matches), func(w *catalog.Write, i int) error {
+		m := matches[len(matches)-1-i]
 		env.Row = m.row
-		newRow := m.row[:len(p.Table.Columns)].Clone()
-		for si, col := range p.SetCols {
-			v, err := expr.Eval(p.SetExprs[si], env)
+		for si, e := range p.SetExprs {
+			v, err := expr.Eval(e, env)
 			if err != nil {
-				return count, err
+				return err
 			}
-			newRow[col] = v
+			vals[si] = v
 		}
-		if _, err := p.Table.Update(m.rid, newRow); err != nil {
-			return count, err
+		// m.row is the statement's own copy: it becomes the new row once
+		// every SET expression has read the old values.
+		newRow := m.row[:len(p.Table.Columns)]
+		for si, col := range p.SetCols {
+			newRow[col] = vals[si]
 		}
-		count++
-	}
-	return count, nil
+		_, err := w.Update(m.rid, newRow)
+		return err
+	})
 }
 
 // RunDelete executes a delete plan, returning the number of rows deleted.
@@ -286,14 +304,9 @@ func RunDelete(p *plan.DeletePlan, params []sqltypes.Value) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	count := 0
-	for _, m := range matches {
-		if err := p.Table.Delete(m.rid); err != nil {
-			return count, err
-		}
-		count++
-	}
-	return count, nil
+	return runRows(p.Table, len(matches), func(w *catalog.Write, i int) error {
+		return w.Delete(matches[i].rid)
+	})
 }
 
 type dmlMatch struct {
