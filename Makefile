@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race fmt-check lint lint-sarif check fuzz-smoke cli-smoke bench bench-query bench-paged bench-update torture govern-torture
+.PHONY: build test race fmt-check lint lint-sarif check fuzz-smoke cli-smoke bench bench-query bench-paged bench-update torture govern-torture gc-stress
 
 build:
 	$(GO) build ./...
@@ -32,9 +32,13 @@ lint:
 lint-sarif:
 	$(GO) run ./cmd/ordlint -json ./... > ordlint.sarif
 
-# check runs the analyzer self-tests (each analyzer against its testdata).
+# check runs the analyzer self-tests (each analyzer against its testdata)
+# and fails if runtime.SetFinalizer appears in non-test Go outside
+# benchmark/: page ids belong to the writer, never to the collector.
 check:
 	$(GO) test ./internal/lint/...
+	@! grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark 'runtime\.SetFinalizer' . || \
+		{ echo "check: runtime.SetFinalizer outside tests and benchmark/"; exit 1; }
 
 fuzz-smoke:
 	$(GO) test -fuzz FuzzParse -fuzztime 10s ./internal/sqldb/sqlparse/
@@ -99,6 +103,17 @@ bench-update:
 # the store must recover to an acknowledged prefix.
 torture:
 	ORDXML_TORTURE_OPS=120 $(GO) test -run '^TestCrashTorture$$' -count=1 -v .
+
+# gc-stress runs the page-lifetime tests under the race detector with the
+# collector at GOGC=1 from process start: the seeded lock-step harness over
+# every encoding and pool size (its fixed seed list is in TestPageLifetime),
+# the reopen loop, exit without Close, closed-store collection, the
+# deterministic manifest and page-id ownership. The storage packages' own
+# race tests run under `make race`.
+gc-stress:
+	GOGC=1 $(GO) test -race -count=1 -run \
+		'TestPageLifetime|TestLifetime|TestClosedDurableStoreIsCollected|TestCheckpointManifestDeterministic' .
+	GOGC=1 $(GO) test -race -count=1 -run 'TestPagedPageOwnership|TestPagedBeyondRAM' ./internal/sqldb/
 
 # govern-torture runs the query-lifecycle governance suite under the race
 # detector: the cancellation storm (N readers canceled at random against a

@@ -418,33 +418,30 @@ func (s *Store) CheckpointCtx(ctx context.Context) error {
 //
 //  1. serialize changed index nodes to fresh pages (shadow paging — pages
 //     the previous checkpoint references are never overwritten, so a crash
-//     anywhere below leaves it intact);
+//     anywhere below leaves it intact) and build the manifest;
 //  2. flush every dirty frame and sync the page file;
-//  3. build the manifest, reading the allocator state only now (see
-//     sqldb.DB.DumpPaged), and install it atomically (temp + fsync + rename
-//     + dir sync);
+//  3. install the manifest atomically (temp + fsync + rename + dir sync);
 //  4. commit the pool's allocator: pages the old checkpoint no longer
-//     references become reusable.
+//     references become reusable. The durability mutex keeps out writers,
+//     which alone allocate and free ids, from step 1 to here.
 func (s *Store) checkpointPaged(sp *obs.ActiveSpan) error {
 	if err := fpPagedBeforeFlush.Hit(); err != nil {
 		return err
 	}
 	msp := sp.StartChild("checkpoint.manifest")
 	var manifest bytes.Buffer
-	err := s.db.DumpPaged(&manifest, func() error {
-		fsp := msp.StartChild("bufpool.flush_all")
-		defer fsp.End()
-		if err := s.dur.pool.FlushAll(); err != nil {
-			return fmt.Errorf("flush pool: %w", err)
-		}
-		if err := s.dur.pf.Sync(); err != nil {
-			return fmt.Errorf("sync page file: %w", err)
-		}
-		return nil
-	})
+	err := s.db.DumpPaged(&manifest)
 	msp.End()
 	if err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
+	}
+	fsp := sp.StartChild("bufpool.flush_all")
+	if err = s.dur.pool.FlushAll(); err == nil {
+		err = s.dur.pf.Sync()
+	}
+	fsp.End()
+	if err != nil {
+		return fmt.Errorf("checkpoint: flush pages: %w", err)
 	}
 	if err := fpPagedBeforeMeta.Hit(); err != nil {
 		return err

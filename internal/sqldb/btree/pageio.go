@@ -9,7 +9,8 @@ package btree
 // therefore written exactly once and never updated in place — superseded
 // pids queue on Tree.freed and return to the allocator at the next
 // WritePages, where the pool's shadow-paging rules keep checkpoint-
-// referenced pages intact until the next checkpoint commits.
+// referenced pages intact until the next checkpoint commits; Release frees
+// a dropped tree's pids at once.
 //
 // Restore rebuilds a tree from its root pid alone: nodes start as stubs
 // (pid + lazy loader) and materialize from their pages on first touch, so
@@ -17,13 +18,13 @@ package btree
 // visits. Materialization runs under a sync.Once per node — concurrent
 // snapshot readers race safely, and a node, once loaded, never reloads: by
 // the time a page id is freed its node has been materialized (cloning does
-// so), so no reader can fault a reused page.
+// so, and Release materializes the whole tree), so no reader can fault a
+// reused page.
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 
 	"ordxml/internal/sqldb/bufpool"
@@ -173,9 +174,6 @@ func NewPaged(pool *bufpool.Pool) *Tree {
 	return t
 }
 
-// Pooled reports whether the tree pages itself to a buffer pool.
-func (t *Tree) Pooled() bool { return t.pool != nil }
-
 // WritePages serializes every node changed since the last call to fresh
 // pool pages and returns the root's page id. Unchanged subtrees are not
 // visited. Superseded page ids collected by copy-on-write are released to
@@ -244,71 +242,47 @@ func Restore(pool *bufpool.Pool, rootPid bufpool.PageID, size int) *Tree {
 	}
 }
 
-// AdoptFrom makes t pooled with old's pool and schedules all of old's pages
-// for release. Used when the catalog replaces a tree wholesale — CREATE
-// INDEX backfill, bulk load into an empty table — so the superseded tree's
-// pages do not leak.
+// AdoptFrom makes t pooled with old's pool and releases all of old's pages.
+// Used when the catalog replaces a tree wholesale — CREATE INDEX backfill,
+// bulk load into an empty table — so the superseded tree's pages do not
+// leak.
 func (t *Tree) AdoptFrom(old *Tree) {
 	if old == nil || old.pool == nil {
 		return
 	}
 	t.pool = old.pool
-	// Pids old had already superseded are safe to release at t's next
-	// WritePages, exactly as old's own WritePages would have.
-	t.freed = append(t.freed, old.freed...)
-	old.freed = nil
-	old.ReleaseOnGC()
+	old.Release()
 }
 
-// ReleaseOnGC arranges for every page the tree references to return to the
-// allocator once no published snapshot can reach it (the tree's root node
-// becoming unreachable implies no iterator or snapshot survives, since all
-// of them hold the root). Page ids are collected eagerly — faulting interior
-// nodes only — so the deferred release does no I/O. Used by DropIndex and
-// AdoptFrom; the tree must not be mutated afterwards.
-func (t *Tree) ReleaseOnGC() {
+// Release returns every page the tree owns to the allocator now. PageIDs
+// materializes every node first, leaves included, so a snapshot still
+// reading the tree never faults an id the allocator may reuse; a drop reads
+// the whole tree. The tree must not be mutated afterwards.
+func (t *Tree) Release() {
 	if t.pool == nil {
 		return
 	}
-	for _, pid := range t.freed {
+	for _, pid := range t.PageIDs() {
 		t.pool.FreeID(pid)
 	}
-	t.freed = nil
-	pids := t.allPids()
-	if len(pids) == 0 {
-		return
-	}
-	pool := t.pool
-	runtime.SetFinalizer(t.root, func(*node) {
-		for _, pid := range pids {
-			pool.FreeID(pid)
-		}
-	})
+	t.freed, t.pendingFree = nil, nil
 }
 
-// allPids returns the page id of every node in the tree. Leaf pids come
-// from their parents' child lists, so only interior pages fault in.
-func (t *Tree) allPids() []bufpool.PageID {
-	var pids []bufpool.PageID
-	level := []*node{t.root}
-	for len(level) > 0 {
-		// All leaves sit at the same depth: materializing the first node of
-		// a level reveals whether the whole level is leaves.
-		level[0].ensure()
-		for _, n := range level {
-			if n.pid != 0 {
-				pids = append(pids, n.pid)
-			}
+// PageIDs returns every page id the tree owns: the page of each written
+// node, materializing the whole tree, and the superseded pids staged for
+// release at the next WritePages. Writer side only.
+func (t *Tree) PageIDs() []bufpool.PageID {
+	pids := append(append([]bufpool.PageID(nil), t.freed...), t.pendingFree...)
+	var walk func(n *node)
+	walk = func(n *node) {
+		n.ensure()
+		if n.pid != 0 {
+			pids = append(pids, n.pid)
 		}
-		if level[0].leaf() {
-			break
+		for _, c := range n.children {
+			walk(c)
 		}
-		var next []*node
-		for _, n := range level {
-			n.ensure()
-			next = append(next, n.children...)
-		}
-		level = next
 	}
+	walk(t.root)
 	return pids
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -161,18 +160,39 @@ func TestByteBudgetSplit(t *testing.T) {
 	}
 }
 
-func TestReleaseOnGCReturnsPages(t *testing.T) {
+// TestReleaseReturnsPages: Release frees every page of a restored tree at
+// once, and a snapshot taken before the release still reads every entry —
+// from nodes Release decoded, leaves included — after the freed ids have
+// been reallocated and overwritten.
+func TestReleaseReturnsPages(t *testing.T) {
 	pool := newTestPool(t, 16)
-	tr, _ := buildPooled(t, pool, 3000)
+	_, root := buildPooled(t, pool, 3000)
+	tr := Restore(pool, root, 3000)
+	snap := tr.Snapshot()
+	owned := len(tr.PageIDs())
 	before := pool.PlannedState()
 
-	tr.ReleaseOnGC()
-	tr = nil
-	for i := 0; i < 10; i++ {
-		runtime.GC()
-	}
+	tr.Release()
 	after := pool.PlannedState()
-	if len(after.Free) <= len(before.Free) {
-		t.Fatalf("free list did not grow after release: %d -> %d", len(before.Free), len(after.Free))
+	if got := len(after.Free) - len(before.Free); got != owned {
+		t.Fatalf("release freed %d ids, the tree owned %d", got, owned)
+	}
+	for i := 0; i < owned; i++ {
+		fr, err := pool.Alloc()
+		if err != nil {
+			t.Fatal(err)
+		}
+		clear(fr.MarkDirty())
+		fr.Unpin()
+	}
+	if err := pool.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for it := snap.Seek(nil, nil); it.Valid(); it.Next() {
+		n++
+	}
+	if n != 3000 {
+		t.Fatalf("snapshot reads %d entries after release, want 3000", n)
 	}
 }

@@ -78,7 +78,7 @@ type Frame struct {
 	// the ring's hand as it passes.
 	ref atomic.Bool
 	// slot is the frame's Pool.ring index plus one, 0 while it holds no slot,
-	// or surplusSlot while it is on Pool.surplus. Guarded by Pool.ringMu.
+	// surplusSlot on Pool.surplus, or freedSlot once detached. Guarded by ringMu.
 	slot int32
 	// recLSN is the WAL position when the frame was first dirtied since its
 	// last flush. Writer-side only.
@@ -97,9 +97,6 @@ func NewFrame() *Frame {
 
 // ID returns the frame's page id (0 for unpooled frames).
 func (f *Frame) ID() PageID { return f.id }
-
-// Pooled reports whether the frame is backed by a pool.
-func (f *Frame) Pooled() bool { return f.pool != nil }
 
 // Pin takes a pin reference and returns the payload bytes, faulting them in
 // from the page file if evicted. Every Pin must be paired with an Unpin on
@@ -170,7 +167,7 @@ func (f *Frame) MarkDirty() []byte {
 	}
 }
 
-const surplusSlot = -1 // Frame.slot of a frame on Pool.surplus
+const surplusSlot, freedSlot = -1, -2 // Frame.slot on Pool.surplus; after FreeID, for good
 
 // shardCount must be a power of two; 16 shards keep concurrent readers'
 // scans from serializing on one page-table mutex.
@@ -339,7 +336,8 @@ func (p *Pool) Adopt(id PageID) *Frame {
 // then reads the page under f's shard lock: concurrent faults of one page do
 // one read. Each faulter pins f from inside the ring lock until the payload
 // is stored, so the slot it saw (its own or an earlier faulter's) cannot be
-// swept in between and leave f resident outside the ring.
+// swept in between and leave f resident outside the ring. A detached frame
+// (freedSlot) takes no slot: it kept its payload, which the faulter returns.
 func (p *Pool) fault(f *Frame, writer bool) *[]byte {
 	p.ringMu.Lock()
 	if f.slot == 0 {
@@ -354,6 +352,10 @@ func (p *Pool) fault(f *Frame, writer bool) *[]byte {
 	if b := f.data.Load(); b != nil {
 		p.hits.Add(1)
 		return b
+	}
+	if sh.frames[f.id] != f {
+		// Fail stop: a freed frame keeps its payload, so this handle is stale.
+		panic(fmt.Sprintf("bufpool: fault page %d through a freed frame", f.id))
 	}
 	p.misses.Add(1)
 	_, payload, err := p.file.ReadPage(f.id)
@@ -459,9 +461,8 @@ func (p *Pool) clearSlot(f *Frame) {
 
 // flushFrame writes one dirty frame's payload to the page file and marks it
 // clean. Writer side only. The frame stays resident. Callers collect dirty
-// frames without holding the shard lock across the write, so the frame may
-// have been freed (FreeID → dropFrame, today from a GC finalizer) since the
-// caller saw it dirty: a frame that is no longer dirty is skipped, and the
+// frames without holding the shard lock across the write, so a frame freed
+// (FreeID → dropFrame) since the caller saw it dirty is skipped, and the
 // dirty→clean transition is a swap under the shard lock, so whichever of
 // flushFrame and dropFrame gets there first is the one that decrements the
 // dirty count.
@@ -538,8 +539,8 @@ func (p *Pool) FlushAll() error {
 
 // FreeID releases a page id. If the id is referenced by the last durable
 // checkpoint it joins the pending list (reusable only after the next
-// CommitCheckpoint); otherwise it is immediately reusable. The cached frame
-// (if any) is dropped. Safe to call from finalizers.
+// CommitCheckpoint); otherwise it is immediately reusable. Writer side only;
+// the cached frame is detached with its payload, for snapshots still reading.
 func (p *Pool) FreeID(id PageID) {
 	if id == 0 {
 		return
@@ -559,8 +560,8 @@ func (p *Pool) FreeID(id PageID) {
 	p.mu.Unlock()
 }
 
-// dropFrame removes the cached frame for id and empties its slot. Caller
-// holds p.mu; the ring and shard locks nest inside it (never the reverse).
+// dropFrame detaches the cached frame for id from the pool, payload intact.
+// Caller holds p.mu; the ring and shard locks nest inside it (never the reverse).
 func (p *Pool) dropFrame(id PageID) {
 	p.ringMu.Lock()
 	defer p.ringMu.Unlock()
@@ -568,11 +569,10 @@ func (p *Pool) dropFrame(id PageID) {
 	sh.mu.Lock()
 	if f, ok := sh.frames[id]; ok {
 		delete(sh.frames, id)
-		// A frame mid-fault keeps its slot: it becomes resident when the
-		// read completes and leaves through the sweep like any other.
-		if f.data.Swap(nil) != nil {
+		p.clearSlot(f)
+		f.slot = freedSlot // a reader already in fault must not re-admit it
+		if f.data.Load() != nil {
 			p.resident.Add(-1)
-			p.clearSlot(f)
 		}
 		if f.dirty.Swap(false) {
 			p.dirtyCount.Add(-1)
@@ -666,6 +666,28 @@ func (p *Pool) VerifyDisk() []string {
 	for _, id := range p.DurableIDs() {
 		if _, _, err := p.file.ReadPage(id); err != nil {
 			problems = append(problems, fmt.Sprintf("pagefile: %v", err))
+		}
+	}
+	return problems
+}
+
+// CheckOwnership reports every id in [1, next) not owned exactly once, by
+// the storage above (owned) or the pool's free or pending list. The caller
+// keeps writers out, so no id is allocated or freed meanwhile.
+func (p *Pool) CheckOwnership(owned []PageID) []string {
+	owners := map[PageID]int{}
+	p.mu.Lock()
+	for _, ids := range [][]PageID{owned, p.free, p.pending} {
+		for _, id := range ids {
+			owners[id]++
+		}
+	}
+	next := p.next
+	p.mu.Unlock()
+	var problems []string
+	for id := PageID(1); id < next && len(problems) < 64; id++ {
+		if n := owners[id]; n != 1 {
+			problems = append(problems, fmt.Sprintf("bufpool: page %d has %d owners, want 1 (0: leaked)", id, n))
 		}
 	}
 	return problems

@@ -2,6 +2,7 @@ package bufpool
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -122,5 +123,92 @@ func TestConcurrentUnpinnedFaults(t *testing.T) {
 	}
 	if st := p.Stats(); st.Resident > int64(p.Capacity()) || st.Pinned != 0 {
 		t.Fatalf("resident = %d (capacity %d), pinned = %d after the flush", st.Resident, p.Capacity(), st.Pinned)
+	}
+}
+
+// TestFaultRacesFreeID has readers read an old version of a page set, and
+// the current one, while the writer copy-on-writes the same pages the way
+// the heap does: pin the old frame, copy it to a fresh one, free the old id,
+// unpin. A reader waiting for the ring lock inside fault while its frame is
+// faulted in and freed must not put the detached frame in the ring: the
+// sweep would later evict it, uncounted, and the reader's next access would
+// fault an id the pool no longer maps.
+func TestFaultRacesFreeID(t *testing.T) {
+	const pages = 32
+	p, first := writtenPool(t, 8, pages)
+	cur := make([]atomic.Pointer[Frame], pages)
+	for i, f := range first {
+		cur[i].Store(f)
+	}
+	rounds := 100
+	if testing.Short() {
+		rounds = 20
+	}
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(seed int) {
+			defer wg.Done()
+			held := make([]*Frame, pages) // an old version, kept like a snapshot
+			for n := 0; !stop.Load(); n++ {
+				i := (seed*7 + n) % pages
+				if n%(3*pages) == 0 {
+					for j := range held {
+						held[j] = cur[j].Load()
+					}
+				}
+				for _, f := range []*Frame{held[i], cur[i].Load()} {
+					if b := f.Bytes(); b[0] != byte(i) {
+						t.Errorf("page %d payload = %d, want %d", f.ID(), b[0], i)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	for r := 0; r < rounds; r++ {
+		for i := range cur {
+			old := cur[i].Load()
+			b := old.Pin()
+			nf, err := p.Alloc()
+			if err != nil {
+				t.Fatal(err)
+			}
+			copy(nf.MarkDirty(), b)
+			nf.Unpin()
+			cur[i].Store(nf)
+			p.FreeID(old.ID())
+			old.Unpin()
+		}
+		if err := p.FlushAll(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+
+	// Every ring frame is mapped, every mapped resident frame holds a slot,
+	// and the resident count is exactly the mapped resident frames.
+	p.ringMu.Lock()
+	defer p.ringMu.Unlock()
+	for _, f := range p.ring {
+		if f != nil && p.shard(f.id).frames[f.id] != f {
+			t.Errorf("page %d: a detached frame holds a ring slot", f.id)
+		}
+	}
+	var resident int64
+	for si := range p.shards {
+		for _, f := range p.shards[si].frames {
+			if f.data.Load() != nil {
+				resident++
+				if f.slot == 0 || f.slot == freedSlot {
+					t.Errorf("page %d is resident but holds no ring slot", f.id)
+				}
+			}
+		}
+	}
+	if got := p.resident.Load(); got != resident {
+		t.Errorf("resident counter = %d, want %d mapped resident frames", got, resident)
 	}
 }

@@ -585,13 +585,27 @@ func (c *Catalog) DropTable(name string) error {
 	if !ok {
 		return fmt.Errorf("table %s does not exist", name)
 	}
-	// Index pages return to the pool once the last snapshot drops the trees;
-	// heap pages do the same through their own per-page finalizers.
+	// Every page returns to the pool now; snapshots still reading the table
+	// keep its bytes in memory (heap.Heap.Release, btree.Tree.Release).
 	for _, ix := range t.Indexes {
-		ix.Tree.ReleaseOnGC()
+		ix.Tree.Release()
 	}
+	t.Heap.Release()
 	c.replaceTables(name, nil)
 	return nil
+}
+
+// PageIDs returns every page id the catalog's heaps and index trees own.
+// Writer side only; it reads every index tree in full.
+func (c *Catalog) PageIDs() []bufpool.PageID {
+	var ids []bufpool.PageID
+	for _, t := range c.tables {
+		ids = append(ids, t.Heap.PageIDs()...)
+		for _, ix := range t.Indexes {
+			ids = append(ids, ix.Tree.PageIDs()...)
+		}
+	}
+	return ids
 }
 
 // Table returns the named table, or nil.
@@ -676,7 +690,7 @@ func (c *Catalog) DropIndex(name string) error {
 				keep = append(keep, t.Indexes[:i]...)
 				keep = append(keep, t.Indexes[i+1:]...)
 				t.Indexes = keep
-				ix.Tree.ReleaseOnGC()
+				ix.Tree.Release()
 				c.version.Add(1)
 				return nil
 			}

@@ -245,8 +245,9 @@ func (db *DB) CheckIntegrity() []string {
 	defer db.mu.RUnlock()
 	problems := db.cat.Validate()
 	if pool := db.cat.Pool(); pool != nil {
-		// Pooled storage adds an on-disk dimension: re-read every page the
-		// last checkpoint references and verify its checksum.
+		// Pooled storage adds: every allocated page id has one owner, and
+		// every page the last checkpoint references verifies on disk.
+		problems = append(problems, pool.CheckOwnership(db.cat.PageIDs())...)
 		problems = append(problems, pool.VerifyDisk()...)
 	}
 	return problems

@@ -12,14 +12,14 @@
 // pages fault in on access and clean pages are evicted under memory
 // pressure, so a heap can exceed RAM. Logical page numbers (RID.Page) are
 // positions in the heap's page table; the frame knows its physical page-file
-// id, and the mapping is persisted by the checkpoint manifest.
+// id, and the mapping is persisted by the checkpoint manifest. The writer
+// frees an id when it supersedes the page; snapshots keep the frame's bytes.
 package heap
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync/atomic"
 
 	"ordxml/internal/sqldb/bufpool"
@@ -246,9 +246,6 @@ func New() *Heap { return &Heap{} }
 // pool's page file, so the heap can exceed RAM.
 func NewPaged(pool *bufpool.Pool) *Heap { return &Heap{pool: pool} }
 
-// Pooled reports whether the heap is backed by a buffer pool.
-func (h *Heap) Pooled() bool { return h.pool != nil }
-
 // newPage allocates a fresh initialized page stamped with the current epoch.
 func (h *Heap) newPage() (*page, error) {
 	if h.pool == nil {
@@ -262,39 +259,44 @@ func (h *Heap) newPage() (*page, error) {
 	}
 	initPage(fr.MarkDirty())
 	fr.Unpin()
-	p := &page{fr: fr, stamp: h.epoch}
-	h.freeOnGC(p)
-	return p, nil
-}
-
-// freeOnGC arranges for the page's physical id to be released back to the
-// pool's allocator once no page table or snapshot references the wrapper.
-// The pool routes ids still referenced by the last durable checkpoint to a
-// pending list, so on-disk shadow pages outlive any crash window.
-func (h *Heap) freeOnGC(p *page) {
-	pool, id := h.pool, p.fr.ID()
-	if pool == nil || id == 0 {
-		return
-	}
-	runtime.SetFinalizer(p, func(*page) { pool.FreeID(id) })
+	return &page{fr: fr, stamp: h.epoch}, nil
 }
 
 // writable returns page pi ready for mutation, cloning it first if it is
 // frozen in an earlier epoch (and therefore possibly shared with a published
 // Snapshot). The clone gets a fresh frame (and, in paged mode, a fresh
-// physical page id — shadow paging), leaving the old frame to its snapshots.
+// physical page id — shadow paging). The old frame stays pinned across the
+// copy and the free, so it is detached resident and its snapshots read memory.
 func (h *Heap) writable(pi int) (*page, error) {
 	p := h.pages[pi]
 	if p.stamp == h.epoch {
 		return p, nil
 	}
+	old := p.fr.Pin()
+	defer p.fr.Unpin()
 	np, err := h.newPage()
 	if err != nil {
 		return nil, err
 	}
-	copy(np.dirty(), p.bytes())
+	copy(np.dirty(), old)
 	h.pages[pi] = np
+	if h.pool != nil {
+		h.pool.FreeID(p.fr.ID())
+	}
 	return np, nil
+}
+
+// Release frees every page of a dropped heap, each pinned (so detached
+// resident, like writable's) for snapshots still reading it.
+func (h *Heap) Release() {
+	if h.pool == nil {
+		return
+	}
+	for _, p := range h.pages {
+		p.fr.Pin()
+		h.pool.FreeID(p.fr.ID())
+		p.fr.Unpin()
+	}
 }
 
 // Insert stores data and returns its RID.
@@ -539,9 +541,7 @@ func RestorePaged(pool *bufpool.Pool, ids []bufpool.PageID, rows int) *Heap {
 	h := &Heap{pool: pool, rowCount: rows, epoch: 1}
 	h.pages = make([]*page, len(ids))
 	for i, id := range ids {
-		p := &page{fr: pool.Adopt(id), stamp: 0}
-		h.freeOnGC(p)
-		h.pages[i] = p
+		h.pages[i] = &page{fr: pool.Adopt(id), stamp: 0}
 	}
 	return h
 }
@@ -549,9 +549,9 @@ func RestorePaged(pool *bufpool.Pool, ids []bufpool.PageID, rows int) *Heap {
 // Snapshot is an immutable point-in-time view of a heap. It shares page
 // memory with the heap via copy-on-write: the heap clones any frozen page
 // before mutating it, so a Snapshot can be read concurrently, without locks,
-// while the heap keeps changing. Old pages are reclaimed by the garbage
-// collector once the last Snapshot referencing them is dropped (and, in
-// paged mode, their physical page slots are returned to the allocator).
+// while the heap keeps changing. Old pages' memory is reclaimed by the
+// garbage collector once the last Snapshot referencing them is dropped; in
+// paged mode their ids went back to the allocator when they were superseded.
 type Snapshot struct {
 	pages []*page
 	rows  int

@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"ordxml/internal/sqldb/bufpool"
@@ -519,5 +521,87 @@ func TestPagedReadsDegradeGradually(t *testing.T) {
 				frames, share, want, prev)
 		}
 		prev = share
+	}
+}
+
+// TestPagedSnapshotReadersRaceCopyOnWrite scans snapshots of a 32-page heap
+// from several goroutines through an 8-frame pool while the writer rewrites
+// every row, so each round copy-on-writes, and frees, the very pages the
+// readers are faulting. Each reader rescans its snapshot while newer rounds
+// supersede it: every scan must return that snapshot's round, and the pool
+// must not lose track of a frame.
+func TestPagedSnapshotReadersRaceCopyOnWrite(t *testing.T) {
+	const pages = 32
+	rounds := 40
+	if testing.Short() {
+		rounds = 10
+	}
+	pool := newTestPool(t, 8)
+	h := NewPaged(pool)
+	row := func(round, i int) []byte { // two rows fill a page
+		return []byte(fmt.Sprintf("%04d-%04d-%s", round, i, strings.Repeat("z", 2990)))
+	}
+	rows := make([][]byte, 2*pages)
+	for i := range rows {
+		rows[i] = row(0, i)
+	}
+	rids, err := h.AppendBatch(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pool.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	index := make(map[RID]int, len(rids))
+	for i, rid := range rids {
+		index[rid] = i
+	}
+	type version struct {
+		s     *Snapshot
+		round int
+	}
+	var latest atomic.Pointer[version]
+	latest.Store(&version{h.Snapshot(), 0})
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !stop.Load() {
+				v := latest.Load()
+				for k := 0; k < 3; k++ {
+					n := 0
+					v.s.Scan(func(rid RID, data []byte) bool {
+						n++
+						if want := row(v.round, index[rid]); !bytes.Equal(data, want) {
+							t.Errorf("round %d snapshot, %s: got %.9q, want %.9q", v.round, rid, data, want)
+							return false
+						}
+						return true
+					})
+					if n != len(rids) {
+						t.Errorf("round %d snapshot scanned %d rows, want %d", v.round, n, len(rids))
+						return
+					}
+				}
+			}
+		}()
+	}
+	for r := 1; r <= rounds; r++ {
+		for i, rid := range rids {
+			if got, err := h.Update(rid, row(r, i)); err != nil || got != rid {
+				t.Fatalf("round %d: update %s = %s, %v; want in place", r, rid, got, err)
+			}
+		}
+		if err := pool.FlushAll(); err != nil {
+			t.Fatal(err)
+		}
+		latest.Store(&version{h.Snapshot(), r})
+	}
+	stop.Store(true)
+	wg.Wait()
+	if st := pool.Stats(); st.Resident < 0 || st.Resident > int64(pool.Capacity()) || st.Pinned != 0 {
+		t.Fatalf("resident = %d (capacity %d), pinned = %d", st.Resident, pool.Capacity(), st.Pinned)
 	}
 }

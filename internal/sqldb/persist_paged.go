@@ -38,17 +38,12 @@ const (
 	manifestMaxList = 1 << 26
 )
 
-// DumpPaged assigns pages to every index tree, calls flush, then writes the
-// checkpoint manifest to w. flush must write every dirty frame to the page
-// file and sync it (bufpool.Pool.FlushAll plus the file's Sync). The
-// allocator state is read after it: a page whose last reference dies while
-// the checkpoint is in flight is freed by a finalizer and dropped unwritten,
-// so a state read before the flush would record that page as allocated and
-// the reopened store would find it unreadable. The caller then atomically
-// installs the manifest and commits the pool's allocator
-// (bufpool.Pool.CommitCheckpoint). Takes the engine's write lock: tree
-// serialization assigns page ids.
-func (db *DB) DumpPaged(w io.Writer, flush func() error) error {
+// DumpPaged assigns pages to every index tree, then writes the checkpoint
+// manifest to w. Takes the engine's write lock: tree serialization assigns
+// page ids. Only writers allocate and free ids, so the caller keeps them out
+// while it flushes and syncs the pool's page file, installs the manifest and
+// commits the pool's allocator (bufpool.Pool.CommitCheckpoint).
+func (db *DB) DumpPaged(w io.Writer) error {
 	pool := db.cat.Pool()
 	if pool == nil {
 		return errors.New("sqldb: DumpPaged on a database without a buffer pool")
@@ -70,9 +65,6 @@ func (db *DB) DumpPaged(w io.Writer, flush func() error) error {
 			}
 			roots[ix] = root
 		}
-	}
-	if err := flush(); err != nil {
-		return err
 	}
 	st := pool.PlannedState()
 
