@@ -15,15 +15,18 @@ race:
 fmt-check:
 	@test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
 
-# lint runs go vet plus the project's own analyzers: the per-package checks
-# (encoding-dispatch exhaustiveness, pin pairing, raw-SQL construction, span
-# lifetime, error wrapping) and the interprocedural contract checks (lock
-# order, WAL-first durability, view immutability, atomic-access consistency).
-# staticcheck runs too when it is on PATH; it is optional locally.
+# lint runs go vet plus the project's own analyzers (one standalone
+# ordlint run over the source tree): the per-package checks
+# (encoding-dispatch exhaustiveness, raw-SQL construction, error wrapping,
+# and pin pairing and span lifetime, two configurations of one release
+# walker) and the interprocedural contract checks (lock order, WAL-first
+# durability, view immutability, atomic-access consistency). staticcheck
+# runs too when it is on PATH, and its findings fail the target; it is
+# optional locally.
 lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/ordlint ./...
-	@command -v staticcheck >/dev/null 2>&1 && staticcheck ./... || echo "staticcheck not installed; skipping"
+	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; else echo "staticcheck not installed; skipping"; fi
 
 # lint-sarif runs the full analyzer suite and writes ordlint.sarif (SARIF
 # 2.1.0, the interchange format code-scanning UIs ingest). The exit status
@@ -32,11 +35,12 @@ lint:
 lint-sarif:
 	$(GO) run ./cmd/ordlint -json ./... > ordlint.sarif
 
-# check runs the analyzer self-tests (each analyzer against its testdata)
-# and fails if runtime.SetFinalizer appears in non-test Go outside
-# benchmark/: page ids belong to the writer, never to the collector.
+# check runs the analyzer self-tests (each analyzer against its testdata,
+# plus the ordlint driver's registry and -list golden) and fails if
+# runtime.SetFinalizer appears in non-test Go outside benchmark/: page ids
+# belong to the writer, never to the collector.
 check:
-	$(GO) test ./internal/lint/...
+	$(GO) test ./internal/lint/... ./cmd/ordlint/
 	@! grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark 'runtime\.SetFinalizer' . || \
 		{ echo "check: runtime.SetFinalizer outside tests and benchmark/"; exit 1; }
 

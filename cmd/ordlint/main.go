@@ -21,39 +21,31 @@
 //	walfirst   — durable mutation paths must append to the WAL before
 //	             applying engine state
 //
-// Standalone use (the common path):
+// pinpair and spanfinish are two configurations of one release walker,
+// framework.Release.
+//
+// Usage:
 //
 //	go run ./cmd/ordlint ./...
 //	go run ./cmd/ordlint -only rawsql,wraperr ./internal/core/...
 //	go run ./cmd/ordlint -json ./... > ordlint.sarif
 //
-// Findings print one per line as file:line:col: message [analyzer]; with
-// -json they render instead as a SARIF 2.1.0 log on stdout, the format CI
-// code-scanning surfaces ingest. Either way the exit status is 1 when any
-// finding is reported, 0 on a clean tree, and the stderr summary breaks the
-// count down per analyzer. A finding is silenced only by an
+// Packages are loaded and type-checked from source, so the whole-program
+// analyzers see every package the patterns name. Findings print one per
+// line as file:line:col: message [analyzer]; with -json they render instead
+// as a SARIF 2.1.0 log on stdout, the format CI code-scanning surfaces
+// ingest. Either way the exit status is 1 when any finding is reported, 0
+// on a clean tree, and the stderr summary breaks the count down per
+// analyzer. A finding is silenced only by an
 // `//ordlint:ignore <analyzer> <reason>` annotation on or above its line —
 // the reason is mandatory.
-//
-// The command also speaks enough of the vet driver protocol (-V=full, -flags,
-// a single *.cfg argument) to run as `go vet -vettool=$(which ordlint)`; in
-// that mode packages are type-checked from the export data the go command
-// supplies rather than from source.
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"go/ast"
-	"go/importer"
-	"go/parser"
-	"go/token"
-	"go/types"
 	"io"
 	"os"
-	"runtime"
 	"sort"
 	"strings"
 
@@ -69,8 +61,8 @@ import (
 	"ordxml/internal/lint/wraperr"
 )
 
-// analyzers is kept sorted by name; -list and the SARIF rule table rely on
-// the order being deterministic.
+// analyzers is kept sorted by name (TestAnalyzersSorted); -list and the
+// SARIF rule table rely on the order being deterministic.
 var analyzers = []*framework.Analyzer{
 	atomicmix.Analyzer,
 	exhaustenc.Analyzer,
@@ -83,12 +75,10 @@ var analyzers = []*framework.Analyzer{
 	wraperr.Analyzer,
 }
 
-// listAnalyzers renders the registry, one analyzer per line, sorted by name
-// regardless of registration order (the output is covered by a golden test).
+// listAnalyzers renders the registry, one analyzer per line (the output is
+// covered by a golden test).
 func listAnalyzers(w io.Writer) {
-	sorted := append([]*framework.Analyzer(nil), analyzers...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Name < sorted[j].Name })
-	for _, a := range sorted {
+	for _, a := range analyzers {
 		doc := a.Doc
 		if i := strings.IndexByte(doc, '\n'); i >= 0 {
 			doc = doc[:i]
@@ -116,42 +106,7 @@ func summarize(findings []framework.Finding) string {
 	return fmt.Sprintf("ordlint: %d finding(s) (%s)", len(findings), strings.Join(parts, ", "))
 }
 
-// selfBuildID hashes this executable so the go command's vet cache is keyed
-// to the exact tool build (a rebuilt ordlint invalidates cached results).
-func selfBuildID() string {
-	exe, err := os.Executable()
-	if err == nil {
-		if f, err := os.Open(exe); err == nil {
-			defer f.Close()
-			h := sha256.New()
-			if _, err := io.Copy(h, f); err == nil {
-				return fmt.Sprintf("%x", h.Sum(nil)[:16])
-			}
-		}
-	}
-	return "unknown"
-}
-
 func main() {
-	// Vet driver handshake, before normal flag parsing: the go command probes
-	// the tool's version and flag set, then invokes it with a single
-	// unit.cfg argument per package.
-	for _, arg := range os.Args[1:] {
-		switch {
-		case arg == "-V=full" || arg == "--V=full":
-			// The go command requires the last field to be "buildID=<hex>"
-			// and caches vet results against it, so hash the executable.
-			fmt.Printf("ordlint version devel %s buildID=%s\n", runtime.Version(), selfBuildID())
-			return
-		case arg == "-flags" || arg == "--flags":
-			fmt.Println("[]")
-			return
-		}
-	}
-	if len(os.Args) == 2 && strings.HasSuffix(os.Args[1], ".cfg") {
-		os.Exit(vetUnit(os.Args[1]))
-	}
-
 	var (
 		list     = flag.Bool("list", false, "list the registered analyzers and exit")
 		only     = flag.String("only", "", "comma-separated analyzer names to run (default: all)")
@@ -195,7 +150,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "ordlint:", err)
 		os.Exit(2)
 	}
-	framework.SortFindings(findings)
 	if *jsonMode {
 		if err := framework.WriteSARIF(os.Stdout, selected, findings, cwd); err != nil {
 			fmt.Fprintln(os.Stderr, "ordlint:", err)
@@ -225,120 +179,13 @@ func selectAnalyzers(only string) ([]*framework.Analyzer, error) {
 		name = strings.TrimSpace(name)
 		a, ok := byName[name]
 		if !ok {
-			known := make([]string, 0, len(byName))
-			for n := range byName {
-				known = append(known, n)
+			known := make([]string, len(analyzers))
+			for i, a := range analyzers {
+				known[i] = a.Name
 			}
-			sort.Strings(known)
 			return nil, fmt.Errorf("unknown analyzer %q (have %s)", name, strings.Join(known, ", "))
 		}
 		out = append(out, a)
 	}
 	return out, nil
-}
-
-// vetConfig mirrors the fields of the unit.cfg JSON file the go command
-// writes for vet tools.
-type vetConfig struct {
-	ID                        string
-	Dir                       string
-	ImportPath                string
-	GoFiles                   []string
-	NonGoFiles                []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-// vetUnit analyzes one package unit under the vet driver protocol and
-// returns the process exit code: 0 clean, 2 findings, 1 on internal error.
-func vetUnit(cfgPath string) int {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ordlint:", err)
-		return 1
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "ordlint: parse %s: %v\n", cfgPath, err)
-		return 1
-	}
-	// The engine's analyzers export no facts, so the vetx output is always
-	// empty — but it must exist for the go command's cache.
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, nil, 0o666); err != nil {
-			fmt.Fprintln(os.Stderr, "ordlint:", err)
-			return 1
-		}
-	}
-	if cfg.VetxOnly {
-		return 0
-	}
-
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, name := range cfg.GoFiles {
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ordlint:", err)
-			return 1
-		}
-		files = append(files, f)
-	}
-
-	lookup := func(path string) (io.ReadCloser, error) {
-		if p, ok := cfg.ImportMap[path]; ok {
-			path = p
-		}
-		file, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(file)
-	}
-	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Implicits:  map[ast.Node]types.Object{},
-		Scopes:     map[ast.Node]*types.Scope{},
-		Instances:  map[*ast.Ident]types.Instance{},
-	}
-	var typeErrs []error
-	conf := types.Config{
-		Importer:    importer.ForCompiler(fset, "gc", lookup),
-		Sizes:       types.SizesFor("gc", runtime.GOARCH),
-		FakeImportC: true,
-		Error:       func(err error) { typeErrs = append(typeErrs, err) },
-	}
-	tpkg, err := conf.Check(cfg.ImportPath, fset, files, info)
-	if err != nil && cfg.SucceedOnTypecheckFailure {
-		return 0
-	}
-
-	pkg := &framework.Package{
-		ImportPath: cfg.ImportPath,
-		Dir:        cfg.Dir,
-		Fset:       fset,
-		Files:      files,
-		Types:      tpkg,
-		Info:       info,
-		TypeErrors: typeErrs,
-	}
-	findings, err := framework.RunAnalyzers([]*framework.Package{pkg}, analyzers)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ordlint:", err)
-		return 1
-	}
-	framework.SortFindings(findings)
-	for _, f := range findings {
-		fmt.Fprintln(os.Stderr, f)
-	}
-	if len(findings) > 0 {
-		return 2
-	}
-	return 0
 }

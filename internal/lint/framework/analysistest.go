@@ -96,19 +96,3 @@ func RunTest(t *testing.T, analyzer *Analyzer, dir string) {
 		}
 	}
 }
-
-// ExpectFindings is a convenience for driver-level tests: it asserts the
-// findings, rendered, contain each substring.
-func ExpectFindings(t *testing.T, findings []Finding, substrings ...string) {
-	t.Helper()
-	rendered := make([]string, len(findings))
-	for i, f := range findings {
-		rendered[i] = f.String()
-	}
-	all := strings.Join(rendered, "\n")
-	for _, s := range substrings {
-		if !strings.Contains(all, s) {
-			t.Errorf("findings missing %q in:\n%s", s, all)
-		}
-	}
-}

@@ -66,23 +66,7 @@ type CallSite struct {
 
 // Name renders the function as package.Name or package.Recv.Name for
 // diagnostics.
-func (f *Func) Name() string {
-	obj := f.Obj
-	name := obj.Name()
-	if sig, ok := obj.Type().(*types.Signature); ok && sig.Recv() != nil {
-		t := sig.Recv().Type()
-		if p, ok := t.(*types.Pointer); ok {
-			t = p.Elem()
-		}
-		if named, ok := t.(*types.Named); ok {
-			name = named.Obj().Name() + "." + name
-		}
-	}
-	if obj.Pkg() != nil {
-		name = obj.Pkg().Name() + "." + name
-	}
-	return name
-}
+func (f *Func) Name() string { return FuncName(f.Obj) }
 
 // BuildProgram links packages into a Program: it indexes every declared
 // function with a body and resolves each call site to its static callee and

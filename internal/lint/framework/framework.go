@@ -14,10 +14,13 @@
 package framework
 
 import (
+	"cmp"
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
+	"strings"
 )
 
 // Analyzer describes one static analysis: a named pass over a type-checked
@@ -78,6 +81,52 @@ func (p *Pass) ObjectOf(id *ast.Ident) types.Object {
 		return o
 	}
 	return nil
+}
+
+// NamedType returns the named type t denotes, looking through one pointer,
+// or nil.
+func NamedType(t types.Type) *types.Named {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	named, _ := t.(*types.Named)
+	return named
+}
+
+// IsNamed reports whether t is (a pointer to) a type with one of names
+// declared in a package named pkg. The match is structural, by package
+// name, so an analyzer's test double of a package triggers it too.
+func IsNamed(t types.Type, pkg string, names ...string) bool {
+	named := NamedType(t)
+	if named == nil || named.Obj().Pkg() == nil || named.Obj().Pkg().Name() != pkg {
+		return false
+	}
+	return slices.Contains(names, named.Obj().Name())
+}
+
+// RecvName returns the name of fn's receiver type, or "" for a plain
+// function.
+func RecvName(fn *types.Func) string {
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil {
+		return ""
+	}
+	if named := NamedType(sig.Recv().Type()); named != nil {
+		return named.Obj().Name()
+	}
+	return ""
+}
+
+// FuncName renders fn as package.Name or package.Recv.Name for diagnostics.
+func FuncName(fn *types.Func) string {
+	name := fn.Name()
+	if recv := RecvName(fn); recv != "" {
+		name = recv + "." + name
+	}
+	if fn.Pkg() != nil {
+		name = fn.Pkg().Name() + "." + name
+	}
+	return name
 }
 
 // ProgramPass provides the whole analyzed program to an Analyzer's
@@ -168,32 +217,14 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
 		}
 	}
 	findings = FilterSuppressed(findings)
-	SortFindings(findings)
-	return findings, nil
-}
-
-// SortFindings orders findings by file, line, column, then analyzer.
-func SortFindings(fs []Finding) {
-	sortSlice(fs, func(a, b Finding) bool {
-		if a.Posn.Filename != b.Posn.Filename {
-			return a.Posn.Filename < b.Posn.Filename
-		}
-		if a.Posn.Line != b.Posn.Line {
-			return a.Posn.Line < b.Posn.Line
-		}
-		if a.Posn.Column != b.Posn.Column {
-			return a.Posn.Column < b.Posn.Column
-		}
-		return a.Analyzer < b.Analyzer
+	// By file, line, column, then analyzer; stable, so findings at one
+	// position keep the order their analyzer reported them in.
+	slices.SortStableFunc(findings, func(a, b Finding) int {
+		return cmp.Or(
+			strings.Compare(a.Posn.Filename, b.Posn.Filename),
+			cmp.Compare(a.Posn.Line, b.Posn.Line),
+			cmp.Compare(a.Posn.Column, b.Posn.Column),
+			strings.Compare(a.Analyzer, b.Analyzer))
 	})
-}
-
-func sortSlice[T any](s []T, less func(a, b T) bool) {
-	// Insertion sort: finding lists are short and this avoids importing sort
-	// with interface shims.
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && less(s[j], s[j-1]); j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
+	return findings, nil
 }

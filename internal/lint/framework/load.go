@@ -16,18 +16,15 @@ import (
 	"strings"
 )
 
-// Package is one loaded, parsed and type-checked package.
+// Package is one loaded, parsed and type-checked package. Analyzers run
+// over packages with type errors too, with degraded type information.
 type Package struct {
 	ImportPath string
 	Dir        string
-	Standard   bool // part of the Go standard library
 	Fset       *token.FileSet
 	Files      []*ast.File
 	Types      *types.Package
 	Info       *types.Info
-	// TypeErrors collects type-checker complaints. Analyzers still run over
-	// packages with errors (with degraded type information).
-	TypeErrors []error
 }
 
 // listedPackage mirrors the fields of `go list -json` output this loader
@@ -39,7 +36,6 @@ type listedPackage struct {
 	GoFiles    []string
 	Imports    []string
 	ImportMap  map[string]string
-	Standard   bool
 	Incomplete bool
 	Error      *struct{ Err string }
 }
@@ -91,7 +87,6 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		pkg := &Package{
 			ImportPath: lp.ImportPath,
 			Dir:        lp.Dir,
-			Standard:   lp.Standard,
 			Fset:       fset,
 		}
 		for _, f := range lp.GoFiles {
@@ -107,7 +102,8 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 			Importer:    &mapImporter{typed: typed, importMap: lp.ImportMap},
 			Sizes:       sizes,
 			FakeImportC: true,
-			Error:       func(err error) { pkg.TypeErrors = append(pkg.TypeErrors, err) },
+			// A non-nil Error keeps the checker going past the first error.
+			Error: func(error) {},
 		}
 		tpkg, _ := conf.Check(lp.ImportPath, fset, pkg.Files, pkg.Info)
 		pkg.Types = tpkg

@@ -78,19 +78,8 @@ func isSyncLockMethod(obj *types.Func) bool {
 	if obj == nil || obj.Pkg() == nil || obj.Pkg().Path() != "sync" {
 		return false
 	}
-	sig, ok := obj.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	t := sig.Recv().Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	return named.Obj().Name() == "Mutex" || named.Obj().Name() == "RWMutex"
+	recv := framework.RecvName(obj)
+	return recv == "Mutex" || recv == "RWMutex"
 }
 
 // edge is one observed acquisition order: to was (or may be) acquired while
@@ -336,15 +325,14 @@ func (w *walker) lockCall(call *ast.CallExpr) (string, lockOp) {
 func (w *walker) lockClass(sel *ast.SelectorExpr, selection *types.Selection) string {
 	info := w.fn.Pkg.Info
 	recv := ast.Unparen(sel.X)
-	t := deref(info.TypeOf(recv))
+	t := info.TypeOf(recv)
 
-	if isSyncLock(t) {
+	if framework.IsNamed(t, "sync", "Mutex", "RWMutex") {
 		switch x := recv.(type) {
 		case *ast.SelectorExpr:
 			// base.field — the common shape. The class is the field on the
 			// base's named type.
-			base := deref(info.TypeOf(x.X))
-			if named, ok := base.(*types.Named); ok {
+			if named := framework.NamedType(info.TypeOf(x.X)); named != nil {
 				return typeKey(named) + "." + x.Sel.Name
 			}
 			return ""
@@ -363,7 +351,7 @@ func (w *walker) lockClass(sel *ast.SelectorExpr, selection *types.Selection) st
 
 	// Promoted method through embedding: the receiver is the outer struct;
 	// the selection's index path names the embedded field chain.
-	if named, ok := t.(*types.Named); ok {
+	if named := framework.NamedType(t); named != nil {
 		idx := selection.Index()
 		parts := []string{typeKey(named)}
 		cur := named.Underlying()
@@ -374,7 +362,11 @@ func (w *walker) lockClass(sel *ast.SelectorExpr, selection *types.Selection) st
 			}
 			f := st.Field(i)
 			parts = append(parts, f.Name())
-			cur = deref(f.Type()).Underlying()
+			embedded := framework.NamedType(f.Type())
+			if embedded == nil {
+				return ""
+			}
+			cur = embedded.Underlying()
 		}
 		return strings.Join(parts, ".")
 	}
@@ -382,23 +374,13 @@ func (w *walker) lockClass(sel *ast.SelectorExpr, selection *types.Selection) st
 }
 
 // calleeName renders a call site's callee as pkg.Recv.Name for diagnostics,
-// preferring a resolved program target (whose rendering includes receiver and
-// package) over the bare method name.
+// preferring a resolved program target (the concrete method an interface
+// call dispatches to) over the static callee.
 func calleeName(cs *framework.CallSite) string {
 	if len(cs.Targets) > 0 {
 		return cs.Targets[0].Name()
 	}
-	obj := cs.Callee
-	name := obj.Name()
-	if sig, ok := obj.Type().(*types.Signature); ok && sig.Recv() != nil {
-		if named, ok := deref(sig.Recv().Type()).(*types.Named); ok {
-			name = named.Obj().Name() + "." + name
-		}
-	}
-	if obj.Pkg() != nil {
-		name = obj.Pkg().Name() + "." + name
-	}
-	return name
+	return framework.FuncName(cs.Callee)
 }
 
 // typeKey renders a named type as pkg.Name.
@@ -417,27 +399,6 @@ func contains(s []string, k string) bool {
 		}
 	}
 	return false
-}
-
-func deref(t types.Type) types.Type {
-	if t == nil {
-		return nil
-	}
-	if p, ok := t.(*types.Pointer); ok {
-		return p.Elem()
-	}
-	return t
-}
-
-// isSyncLock reports whether t is sync.Mutex or sync.RWMutex.
-func isSyncLock(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "sync" &&
-		(obj.Name() == "Mutex" || obj.Name() == "RWMutex")
 }
 
 // addEdge records one acquisition-order edge, keeping the first position

@@ -7,424 +7,32 @@
 // eviction, so a missing Unpin slowly wedges a small pool until every frame
 // is pinned and the clock sweep overshoots capacity for every new fault. The
 // analyzer recognizes frames structurally (a named type `Frame` declared in
-// a package named `bufpool`) and runs the same conservative path walk as
-// spanfinish:
+// a package named `bufpool`) and is a configuration of the framework's
+// release walk (framework.Release), shared with spanfinish. What is specific
+// to frames:
 //
-//   - a deferred Unpin anywhere in the function discharges the pin;
-//   - otherwise every return statement — and the fall-through exit of the
-//     statement list that owns the pin — must be preceded by an Unpin;
-//   - a frame that escapes as a value (passed to a call, returned, stored,
-//     captured) is assumed to be unpinned by its new owner and is not
-//     flagged — but method calls on the frame itself (Bytes, MarkDirty, ID)
-//     are ordinary use, not escapes;
-//   - a pinned frame that is immediately discarded is always flagged.
+//   - `fr.Pin()` pins its receiver, so it opens an obligation on fr;
+//   - method calls on the frame (Bytes, MarkDirty, ID) are ordinary use, not
+//     escapes; passing, returning or capturing it is an escape;
+//   - a pinned frame that is immediately discarded — dropped, or assigned
+//     to _ or a field — is always flagged.
 package pinpair
 
-import (
-	"go/ast"
-	"go/types"
-	"strings"
-
-	"ordxml/internal/lint/framework"
-)
+import "ordxml/internal/lint/framework"
 
 // Analyzer is the pin-pair pass.
 var Analyzer = &framework.Analyzer{
 	Name: "pinpair",
 	Doc:  "every buffer-pool pin (Fetch/Alloc/Pin) must be released on all paths (defer fr.Unpin() or Unpin before every exit)",
-	Run:  run,
-}
-
-func run(pass *framework.Pass) error {
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			var body *ast.BlockStmt
-			switch fn := n.(type) {
-			case *ast.FuncDecl:
-				body = fn.Body
-			case *ast.FuncLit:
-				body = fn.Body
-			}
-			if body != nil {
-				checkFunc(pass, body)
-			}
-			return true
-		})
-	}
-	return nil
-}
-
-// isFrameType reports whether t is (a pointer to) a named type Frame
-// declared in a package named bufpool.
-func isFrameType(t types.Type) bool {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Name() == "Frame" && obj.Pkg() != nil && obj.Pkg().Name() == "bufpool"
-}
-
-// isPinProducer reports whether call pins a frame and yields it as (part of)
-// its result: Fetch returning *Frame, or Alloc returning (*Frame, error).
-func isPinProducer(pass *framework.Pass, call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || (sel.Sel.Name != "Fetch" && sel.Sel.Name != "Alloc") {
-		return false
-	}
-	switch t := pass.TypeOf(call).(type) {
-	case *types.Tuple:
-		return t.Len() > 0 && isFrameType(t.At(0).Type())
-	case types.Type:
-		return isFrameType(t)
-	}
-	return false
-}
-
-// pinReceiver returns the identifier of the frame being pinned when call is
-// `fr.Pin()` on an identifier of frame type, else nil.
-func pinReceiver(pass *framework.Pass, call *ast.CallExpr) *ast.Ident {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Pin" || len(call.Args) != 0 {
-		return nil
-	}
-	id, ok := sel.X.(*ast.Ident)
-	if !ok {
-		return nil
-	}
-	t := pass.TypeOf(sel.X)
-	if t == nil || !isFrameType(t) {
-		return nil
-	}
-	return id
-}
-
-// checkFunc analyzes one function body. Nested function literals are walked
-// separately by run; identifiers inside them count as escapes for outer
-// frames.
-func checkFunc(pass *framework.Pass, body *ast.BlockStmt) {
-	type pinDef struct {
-		obj    types.Object
-		errObj types.Object // error assigned alongside the frame (Alloc), or nil
-		pos    ast.Node
-		owner  []ast.Stmt // statement list containing the pin
-		index  int        // position of the pin within owner
-	}
-	var defs []pinDef
-	var walkList func(list []ast.Stmt)
-	var walkStmt func(s ast.Stmt)
-	walkList = func(list []ast.Stmt) {
-		for i, s := range list {
-			if as, ok := s.(*ast.AssignStmt); ok && len(as.Rhs) == 1 {
-				if call, ok := as.Rhs[0].(*ast.CallExpr); ok && isPinProducer(pass, call) {
-					// fr := pool.Fetch(id) or fr, err := pool.Alloc().
-					if id, ok := as.Lhs[0].(*ast.Ident); ok && id.Name != "_" {
-						if obj := pass.ObjectOf(id); obj != nil {
-							d := pinDef{obj: obj, pos: call, owner: list, index: i}
-							if len(as.Lhs) == 2 {
-								if errID, ok := as.Lhs[1].(*ast.Ident); ok {
-									d.errObj = pass.ObjectOf(errID)
-								}
-							}
-							defs = append(defs, d)
-						}
-						continue
-					}
-					pass.Reportf(call.Pos(), "pinned frame discarded: assign it and call Unpin, or drop the call")
-					continue
-				}
-				// b := fr.Pin(): the pin obligation lands on the receiver.
-				if call, ok := as.Rhs[0].(*ast.CallExpr); ok {
-					if id := pinReceiver(pass, call); id != nil {
-						if obj := pass.ObjectOf(id); obj != nil {
-							defs = append(defs, pinDef{obj: obj, pos: call, owner: list, index: i})
-						}
-						continue
-					}
-				}
-			}
-			if es, ok := s.(*ast.ExprStmt); ok {
-				if call, ok := es.X.(*ast.CallExpr); ok {
-					if isPinProducer(pass, call) {
-						pass.Reportf(call.Pos(), "pinned frame discarded: assign it and call Unpin, or drop the call")
-						continue
-					}
-					if id := pinReceiver(pass, call); id != nil {
-						if obj := pass.ObjectOf(id); obj != nil {
-							defs = append(defs, pinDef{obj: obj, pos: call, owner: list, index: i})
-						}
-						continue
-					}
-				}
-			}
-			walkStmt(s)
-		}
-	}
-	walkStmt = func(s ast.Stmt) {
-		switch st := s.(type) {
-		case *ast.BlockStmt:
-			walkList(st.List)
-		case *ast.IfStmt:
-			walkList(st.Body.List)
-			if st.Else != nil {
-				walkStmt(st.Else)
-			}
-		case *ast.ForStmt:
-			walkList(st.Body.List)
-		case *ast.RangeStmt:
-			walkList(st.Body.List)
-		case *ast.SwitchStmt:
-			for _, c := range st.Body.List {
-				if cc, ok := c.(*ast.CaseClause); ok {
-					walkList(cc.Body)
-				}
-			}
-		case *ast.TypeSwitchStmt:
-			for _, c := range st.Body.List {
-				if cc, ok := c.(*ast.CaseClause); ok {
-					walkList(cc.Body)
-				}
-			}
-		case *ast.SelectStmt:
-			for _, c := range st.Body.List {
-				if cc, ok := c.(*ast.CommClause); ok {
-					walkList(cc.Body)
-				}
-			}
-		case *ast.LabeledStmt:
-			walkStmt(st.Stmt)
-		}
-	}
-	walkList(body.List)
-
-	for _, d := range defs {
-		if hasDeferredUnpin(pass, body, d.obj) {
-			continue
-		}
-		if escapes(pass, body, d.obj) {
-			continue
-		}
-		w := &walker{pass: pass, obj: d.obj, errObj: d.errObj}
-		ended, terminated := w.walkList(d.owner[d.index+1:], false)
-		if w.violated || (!ended && !terminated) {
-			pass.Reportf(d.pos.Pos(),
-				"frame %s is pinned but not unpinned on all paths: defer %s.Unpin() or call Unpin before every exit",
-				d.obj.Name(), d.obj.Name())
-		}
-	}
-}
-
-// isUnpinCall reports whether e is obj.Unpin().
-func isUnpinCall(pass *framework.Pass, e ast.Expr, obj types.Object) bool {
-	call, ok := e.(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Unpin" {
-		return false
-	}
-	id, ok := sel.X.(*ast.Ident)
-	return ok && pass.ObjectOf(id) == obj
-}
-
-// hasDeferredUnpin reports whether the function defers obj.Unpin(), directly
-// or through a deferred closure that calls it.
-func hasDeferredUnpin(pass *framework.Pass, body *ast.BlockStmt, obj types.Object) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		ds, ok := n.(*ast.DeferStmt)
-		if !ok {
-			return true
-		}
-		if isUnpinCall(pass, ds.Call, obj) {
-			found = true
-			return false
-		}
-		if lit, ok := ds.Call.Fun.(*ast.FuncLit); ok {
-			ast.Inspect(lit.Body, func(m ast.Node) bool {
-				if e, ok := m.(ast.Expr); ok && isUnpinCall(pass, e, obj) {
-					found = true
-					return false
-				}
-				return !found
-			})
-		}
-		return !found
-	})
-	return found
-}
-
-// escapes reports whether obj is used as a value — passed as an argument,
-// returned, stored into a struct or slice, reassigned, captured — anywhere
-// in the function. Method calls with obj as the receiver (fr.Bytes(),
-// fr.MarkDirty(), fr.Unpin(), ...) are ordinary use of a pinned frame, not
-// escapes. An escaped frame's pin is assumed to be released by its new
-// owner.
-func escapes(pass *framework.Pass, body *ast.BlockStmt, obj types.Object) bool {
-	benign := map[*ast.Ident]bool{}
-	ast.Inspect(body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		if id, ok := sel.X.(*ast.Ident); ok && pass.ObjectOf(id) == obj {
-			benign[id] = true
-		}
-		return true
-	})
-	escaped := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if escaped {
-			return false
-		}
-		id, ok := n.(*ast.Ident)
-		if !ok || pass.ObjectOf(id) != obj || benign[id] {
-			return true
-		}
-		if pass.TypesInfo != nil && pass.TypesInfo.Defs[id] == obj {
-			return true // the definition itself
-		}
-		escaped = true
-		return false
-	})
-	return escaped
-}
-
-// walker performs the conservative all-paths-unpin analysis for one pin.
-type walker struct {
-	pass     *framework.Pass
-	obj      types.Object
-	errObj   types.Object
-	violated bool
-}
-
-// isErrGuard reports whether cond is `err != nil` for the error produced
-// alongside the frame: on that path the pin was never taken, so a bare
-// return is fine.
-func (w *walker) isErrGuard(cond ast.Expr) bool {
-	if w.errObj == nil {
-		return false
-	}
-	bin, ok := cond.(*ast.BinaryExpr)
-	if !ok || bin.Op.String() != "!=" {
-		return false
-	}
-	id, ok := bin.X.(*ast.Ident)
-	if !ok || w.pass.ObjectOf(id) != w.errObj {
-		return false
-	}
-	nilID, ok := bin.Y.(*ast.Ident)
-	return ok && nilID.Name == "nil"
-}
-
-// walkList walks a statement list with the given entry state and returns
-// whether the pin is definitely released at the fall-through exit, and
-// whether control cannot fall through (all paths returned or panicked).
-func (w *walker) walkList(list []ast.Stmt, ended bool) (bool, bool) {
-	terminated := false
-	for _, s := range list {
-		if terminated {
-			break // unreachable
-		}
-		ended, terminated = w.walkStmt(s, ended)
-	}
-	return ended, terminated
-}
-
-func (w *walker) walkStmt(s ast.Stmt, ended bool) (bool, bool) {
-	switch st := s.(type) {
-	case *ast.ExprStmt:
-		if isUnpinCall(w.pass, st.X, w.obj) {
-			return true, false
-		}
-		if isTerminalCall(st.X) {
-			return ended, true
-		}
-	case *ast.DeferStmt:
-		if isUnpinCall(w.pass, st.Call, w.obj) {
-			return true, false
-		}
-	case *ast.ReturnStmt:
-		if !ended {
-			w.violated = true
-		}
-		return ended, true
-	case *ast.BranchStmt:
-		// break/continue/goto leave this list; the pin may still be released
-		// on the resumed path, which a one-pass walk cannot see. Treat as a
-		// terminator without judgement (conservatively no violation).
-		return ended, true
-	case *ast.BlockStmt:
-		return w.walkList(st.List, ended)
-	case *ast.LabeledStmt:
-		return w.walkStmt(st.Stmt, ended)
-	case *ast.IfStmt:
-		if w.isErrGuard(st.Cond) {
-			// Error path of the producing call: no pin exists there.
-			return ended, false
-		}
-		bEnded, bTerm := w.walkList(st.Body.List, ended)
-		if st.Else == nil {
-			return ended, false
-		}
-		eEnded, eTerm := w.walkStmt(st.Else, ended)
-		merged := ended || ((bEnded || bTerm) && (eEnded || eTerm))
-		return merged, bTerm && eTerm
-	case *ast.ForStmt:
-		w.walkList(st.Body.List, ended)
-		return ended, false
-	case *ast.RangeStmt:
-		w.walkList(st.Body.List, ended)
-		return ended, false
-	case *ast.SwitchStmt:
-		w.walkCases(st.Body, ended)
-		return ended, false
-	case *ast.TypeSwitchStmt:
-		w.walkCases(st.Body, ended)
-		return ended, false
-	case *ast.SelectStmt:
-		for _, c := range st.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				w.walkList(cc.Body, ended)
-			}
-		}
-		return ended, false
-	}
-	return ended, false
-}
-
-func (w *walker) walkCases(body *ast.BlockStmt, ended bool) {
-	for _, c := range body.List {
-		if cc, ok := c.(*ast.CaseClause); ok {
-			w.walkList(cc.Body, ended)
-		}
-	}
-}
-
-// isTerminalCall reports whether e is a call that never returns: panic, or a
-// Fatal/Exit-style function.
-func isTerminalCall(e ast.Expr) bool {
-	call, ok := e.(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	switch fn := call.Fun.(type) {
-	case *ast.Ident:
-		return fn.Name == "panic"
-	case *ast.SelectorExpr:
-		return strings.HasPrefix(fn.Sel.Name, "Fatal") ||
-			strings.HasPrefix(fn.Sel.Name, "Panic") || fn.Sel.Name == "Exit"
-	}
-	return false
+	Run: (&framework.Release{
+		Pkg:            "bufpool",
+		Type:           "Frame",
+		Producers:      []string{"Fetch", "Alloc"},
+		Method:         "Unpin",
+		Acquire:        "Pin",
+		AnyMethodIsUse: true,
+		DiscardUnbound: true,
+		Discarded:      "pinned frame discarded: assign it and call Unpin, or drop the call",
+		Leaked:         "frame %s is pinned but not unpinned on all paths: defer %s.Unpin() or call Unpin before every exit",
+	}).Run,
 }

@@ -149,3 +149,24 @@ func unrelatedFetch(t *table) {
 	row := t.Fetch(3)
 	use(row)
 }
+
+// The remaining shapes mirror spanfinish's fixture, so both configurations
+// of the shared release walker see every path shape.
+
+func bothBranchesUnpin(p *bufpool.Pool, fast bool) {
+	fr := p.Fetch(1)
+	if fast {
+		fr.Unpin()
+	} else {
+		use(fr.Bytes())
+		fr.Unpin()
+	}
+}
+
+func pinPerIteration(p *bufpool.Pool) {
+	for i := 0; i < 4; i++ {
+		fr := p.Fetch(bufpool.PageID(i))
+		use(fr.Bytes())
+		fr.Unpin()
+	}
+}

@@ -184,11 +184,8 @@ func builderCone(prog *framework.Program, frozen map[string]bool) map[*framework
 }
 
 func isFrozenType(t types.Type, frozen map[string]bool) bool {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	return ok && frozen[typeKey(named)]
+	named := framework.NamedType(t)
+	return named != nil && frozen[typeKey(named)]
 }
 
 // checkWrites reports every write to a frozen struct's field — plain
@@ -237,15 +234,8 @@ func frozenFieldWrite(info *types.Info, lhs ast.Expr, frozen map[string]bool) (*
 	if !ok {
 		return nil, ""
 	}
-	t := info.TypeOf(sel.X)
-	if t == nil {
-		return nil, ""
-	}
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok || !frozen[typeKey(named)] {
+	named := framework.NamedType(info.TypeOf(sel.X))
+	if named == nil || !frozen[typeKey(named)] {
 		return nil, ""
 	}
 	return named, sel.Sel.Name

@@ -54,7 +54,7 @@ func isWALAppend(obj *types.Func) bool {
 	if obj.Name() != "Append" && obj.Name() != "AppendSync" {
 		return false
 	}
-	return recvNamed(obj) == "Log"
+	return framework.RecvName(obj) == "Log"
 }
 
 // applyAnchors lists the engine-state mutation anchors: package name →
@@ -80,29 +80,13 @@ func isApply(obj *types.Func) bool {
 	if !ok {
 		return false
 	}
-	return byRecv[recvNamed(obj)][obj.Name()]
-}
-
-// recvNamed returns the name of obj's receiver type ("" for plain functions).
-func recvNamed(obj *types.Func) string {
-	sig, ok := obj.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return ""
-	}
-	t := sig.Recv().Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	if named, ok := t.(*types.Named); ok {
-		return named.Obj().Name()
-	}
-	return ""
+	return byRecv[framework.RecvName(obj)][obj.Name()]
 }
 
 // isEntryPoint reports whether fn is part of the public mutation surface: an
 // exported method on a receiver type named Store.
 func isEntryPoint(fn *framework.Func) bool {
-	return fn.Decl.Name.IsExported() && recvNamed(fn.Obj) == "Store"
+	return fn.Decl.Name.IsExported() && framework.RecvName(fn.Obj) == "Store"
 }
 
 func run(pass *framework.ProgramPass) error {
