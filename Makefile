@@ -94,12 +94,15 @@ bench-paged:
 
 # bench-update is the traced ordbench run behind EXPERIMENTS.md's
 # renumbering rows (E4-E6), on the same other seed: per-operation update
-# times, rows renumbered per cycle, allocation per cycle and the WAL's bytes
-# and fsyncs per cycle on durable stores. A report, not a gate:
-# TestRenumberingStatementsConstant asserts the statement count in go test.
+# times, rows renumbered per cycle, allocation per cycle, the WAL's bytes
+# and fsyncs per cycle on durable stores, and the layer attribution of an
+# update cycle — B+tree nodes and heap pages read per cycle and rows
+# examined per result. A report, not a gate: TestRenumberingStatementsConstant
+# asserts the statement count and TestInsertWorkIndependentOfDocumentSize the
+# rows an append examines, in go test.
 bench-update:
 	bash benchmark/run.sh --workload update_durable --seed 7 --seconds 20 --trace 1 | \
-		grep -E '^(update\.|ordxml\.alloc_mb_per_cycle\.|wal\.)'
+		grep -E '^(update\.|ordxml\.alloc_mb_per_cycle\.|wal\.|btree\.node_reads_per_cycle\.|heap\.page_reads_per_cycle\.|exec\.rows_examined_per_result\.)'
 
 # torture runs the crash-recovery harness with a longer session than the
 # default `go test` smoke: a child process is killed at every registered

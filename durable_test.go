@@ -217,6 +217,49 @@ func TestDurableReplayEveryMutationKind(t *testing.T) {
 	})
 }
 
+// TestDurableDocIDSurvivesReplay: a document loaded after dropping the
+// highest ones gets the same id in the session and on replay, so logged
+// operations on it replay against it. Ids derive from the stored documents
+// alone: MAX(doc)+1, which reuses the ids of dropped highest documents.
+func TestDurableDocIDSurvivesReplay(t *testing.T) {
+	dir := t.TempDir()
+	s := openDur(t, dir, Options{Encoding: Dewey})
+	for i := 1; i <= 3; i++ {
+		if doc, err := s.LoadString(fmt.Sprintf("d%d", i), "<r><a/></r>"); err != nil || doc != DocID(i) {
+			t.Fatalf("load %d: id %d, %v", i, doc, err)
+		}
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	for _, doc := range []DocID{3, 2} {
+		if err := s.Drop(doc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	doc, err := s.LoadString("d", "<r><b/></r>")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if doc != 2 {
+		t.Errorf("new document id %d, want 2 (one past the highest stored)", doc)
+	}
+	if _, err := s.Insert(doc, 1, LastChild, "<c/>"); err != nil {
+		t.Fatal(err)
+	}
+	want := fingerprint(t, s)
+	s.Close()
+
+	s = openDur(t, dir, Options{Encoding: Dewey})
+	if got := fingerprint(t, s); got != want {
+		t.Fatalf("recovered state differs:\n got %q\nwant %q", got, want)
+	}
+	if n := s.Metrics().Counters["wal.replay.op_errors"]; n != 0 {
+		t.Fatalf("replay skipped %d failing operations", n)
+	}
+	mustIntact(t, s)
+}
+
 func TestDurableCheckpointBoundsReplay(t *testing.T) {
 	eachPool(t, func(t *testing.T, opts Options) {
 		dir := t.TempDir()

@@ -22,11 +22,6 @@ type Shredder struct {
 	opts encoding.Options
 
 	deleteDoc string // DELETE of one document's rows from the encoding's node table
-
-	// nextDoc is the cached high-water mark for document ids: the next id to
-	// hand out, 0 until seeded by the first load. It replaces a full-scan
-	// MAX(doc) per load with one indexed point probe.
-	nextDoc int64
 }
 
 // New prepares a shredder. The encoding's schema must already be installed.
@@ -79,7 +74,6 @@ func (s *Shredder) LoadTree(name string, root *xmltree.Node) (int64, error) {
 		sqldb.I(docID), sqldb.S(name), sqldb.I(1), sqldb.I(w.nextID-1)); err != nil {
 		return 0, err
 	}
-	s.nextDoc = docID + 1
 	return docID, nil
 }
 
@@ -98,34 +92,20 @@ func (s *Shredder) DropDocument(docID int64) error {
 	return nil
 }
 
-// nextDocID returns the next unused document id. The first call seeds the
-// high-water mark with one MAX(doc) scan; every later call costs a single
-// point probe through the docs primary-key index — the probe guards against
-// other writers on the shared docs table (e.g. a second shredder for another
-// encoding in the same database).
+// nextDocID returns one past the highest stored document id: one descent
+// of the docs primary key. The id derives from the stored documents alone,
+// so WAL replay hands out the same id the live load did (the id of a
+// dropped highest document is reused), and every shredder sharing the docs
+// table agrees on it.
 func (s *Shredder) nextDocID() (int64, error) {
-	if s.nextDoc == 0 {
-		res, err := s.db.Query(`SELECT MAX(doc) FROM docs`)
-		if err != nil {
-			return 0, err
-		}
-		if len(res.Rows) == 0 || res.Rows[0][0].IsNull() {
-			s.nextDoc = 1
-		} else {
-			s.nextDoc = res.Rows[0][0].Int() + 1
-		}
-		return s.nextDoc, nil
+	res, err := s.db.Query(`SELECT MAX(doc) FROM docs`)
+	if err != nil {
+		return 0, err
 	}
-	for {
-		res, err := s.db.Query(`SELECT doc FROM docs WHERE doc = ?`, sqldb.I(s.nextDoc))
-		if err != nil {
-			return 0, err
-		}
-		if len(res.Rows) == 0 {
-			return s.nextDoc, nil
-		}
-		s.nextDoc++
+	if len(res.Rows) == 0 || res.Rows[0][0].IsNull() {
+		return 1, nil
 	}
+	return res.Rows[0][0].Int() + 1, nil
 }
 
 // nodeCols is the node-table row width: doc, id, parent, kind, tag, value

@@ -307,6 +307,49 @@ func TestRenumberingStatementsConstant(t *testing.T) {
 	}
 }
 
+// TestInsertWorkIndependentOfDocumentSize: an append that renumbers nothing
+// costs the same rows examined in a 50-item and a 400-item document. Its
+// reads — the target, the anchor, the largest order key and the largest id —
+// are each one index descent, never a pass over the document or the
+// sibling list.
+func TestInsertWorkIndependentOfDocumentSize(t *testing.T) {
+	examined := func(opts encoding.Options, items int, region bool) int64 {
+		tree := xmlgen.Catalog(xmlgen.CatalogConfig{Regions: 1, ItemsPerRegion: items, KeywordsPerItem: 2, DescriptionWords: 4, Seed: 1})
+		target := tree
+		if region {
+			target = tree.Children[0].Children[0]
+		}
+		s := newStore(t, opts, tree)
+		before := s.db.Counters()
+		stats, err := s.mgr.InsertXML(s.doc, s.ids[target], LastChild, "<item><name>new</name></item>")
+		if err != nil {
+			t.Fatalf("%s: %v", optName(opts), err)
+		}
+		if stats.RowsRenumbered != 0 {
+			t.Fatalf("%s: the append renumbered %d rows", optName(opts), stats.RowsRenumbered)
+		}
+		d := s.db.Counters().Sub(before)
+		return d.IndexProbes + d.RowsScanned
+	}
+	for _, opts := range allOptions() {
+		// Appending under the root renumbers nothing under any encoding;
+		// appending after the last of the region's items renumbers nothing
+		// where order keys are sibling-local (under Global it shifts the
+		// nodes that follow the region).
+		targets := []bool{false}
+		if opts.Kind != encoding.Global {
+			targets = append(targets, true)
+		}
+		for _, region := range targets {
+			small, large := examined(opts, 50, region), examined(opts, 400, region)
+			if large-small > 2 || small-large > 2 {
+				t.Errorf("%s (region target %v): append examined %d rows in a 50-item document, %d in a 400-item one",
+					optName(opts), region, small, large)
+			}
+		}
+	}
+}
+
 func TestDeleteSubtree(t *testing.T) {
 	for _, opts := range allOptions() {
 		tree, _ := xmltree.ParseString(`<r><a><x/><y>t</y></a><b/><c/></r>`)

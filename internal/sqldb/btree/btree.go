@@ -580,7 +580,13 @@ func (s *Snapshot) Get(key []byte) (heap.RID, bool) {
 // Seek returns an iterator positioned at the first key >= start. A nil start
 // begins at the smallest key. end, when non-nil, is an exclusive upper bound.
 func (s *Snapshot) Seek(start, end []byte) *Iterator {
-	return seek(s.root, start, end, s.reads)
+	return seek(s.root, start, end, s.reads, false)
+}
+
+// SeekDesc returns an iterator over the keys of [start, end) in descending
+// order, positioned at the last key < end. Nil bounds are open, as in Seek.
+func (s *Snapshot) SeekDesc(start, end []byte) *Iterator {
+	return seek(s.root, start, end, s.reads, true)
 }
 
 // ScanPrefix returns an iterator over all keys with the given prefix.
@@ -606,46 +612,81 @@ type iterFrame struct {
 	i int
 }
 
-// Iterator walks entries in ascending key order. It keeps the root-to-leaf
-// descent stack instead of following sideways leaf links, so it works over
-// copy-on-write snapshots whose leaves carry no next pointers.
+// Iterator walks the entries of a key range in ascending or descending key
+// order. It keeps the root-to-leaf descent stack instead of following
+// sideways leaf links, so it works over copy-on-write snapshots whose leaves
+// carry no next pointers.
 type Iterator struct {
-	stack []iterFrame   // path from root (bottom) to current leaf (top)
-	end   []byte        // exclusive upper bound; nil = none
+	stack []iterFrame // path from root (bottom) to current leaf (top)
+	// bound is the range end the iterator walks toward: the exclusive upper
+	// bound ascending, the inclusive lower bound descending; nil = none.
+	bound []byte
 	reads *atomic.Int64 // owning tree's node-read counter; may be nil
+	desc  bool
 }
 
 // Seek returns an iterator positioned at the first key >= start. A nil start
 // begins at the smallest key. end, when non-nil, is an exclusive upper bound.
 func (t *Tree) Seek(start, end []byte) *Iterator {
-	return seek(t.root, start, end, t.NodeReads)
+	return seek(t.root, start, end, t.NodeReads, false)
 }
 
-func seek(root *node, start, end []byte, reads *atomic.Int64) *Iterator {
-	it := &Iterator{end: end, reads: reads}
-	n := root
-	n.ensure()
-	visited := int64(1)
-	for !n.leaf() {
-		i := 0
-		if start != nil {
-			i = n.childFor(start)
-		}
-		it.stack = append(it.stack, iterFrame{n: n, i: i})
-		n = n.children[i]
+// SeekDesc returns an iterator over the keys of [start, end) in descending
+// order, positioned at the last key < end. Nil bounds are open, as in Seek.
+func (t *Tree) SeekDesc(start, end []byte) *Iterator {
+	return seek(t.root, start, end, t.NodeReads, true)
+}
+
+func seek(root *node, start, end []byte, reads *atomic.Int64, desc bool) *Iterator {
+	it := &Iterator{bound: end, reads: reads, desc: desc}
+	if desc {
+		it.bound = start
+	}
+	it.descend(root, start, end)
+	it.settle()
+	return it
+}
+
+// descend pushes the path from n down to a leaf, metering every node it
+// reads. Each frame is positioned where the range [start, end) begins in the
+// iterator's direction: ascending, on the child holding start and then the
+// first key >= start; descending, on the child that can hold the last key
+// < end and then that key. Nil bounds select the first (ascending) or last
+// (descending) child and key, which is how advancing enters the next
+// subtree. A leaf index may land one past either end; settle moves on.
+func (it *Iterator) descend(n *node, start, end []byte) {
+	visited := int64(0)
+	for {
 		n.ensure()
 		visited++
+		var i int
+		switch {
+		case !it.desc && start == nil:
+			i = 0
+		case !it.desc && n.leaf():
+			i = n.search(start)
+		case !it.desc:
+			i = n.childFor(start)
+		case n.leaf() && end == nil:
+			i = len(n.keys) - 1
+		case n.leaf():
+			i = n.search(end) - 1
+		case end == nil:
+			i = len(n.children) - 1
+		default:
+			// The first separator >= end bounds the child from above, so
+			// every key < end that is not in it lies to its left.
+			i = n.search(end)
+		}
+		it.stack = append(it.stack, iterFrame{n: n, i: i})
+		if n.leaf() {
+			break
+		}
+		n = n.children[i]
 	}
-	if reads != nil {
-		reads.Add(visited)
+	if it.reads != nil {
+		it.reads.Add(visited)
 	}
-	i := 0
-	if start != nil {
-		i = n.search(start)
-	}
-	it.stack = append(it.stack, iterFrame{n: n, i: i})
-	it.advance()
-	return it
 }
 
 // ScanPrefix returns an iterator over all keys with the given prefix.
@@ -665,38 +706,29 @@ func prefixSuccessor(p []byte) []byte {
 	return nil
 }
 
-// advance moves the iterator to the next positioned leaf entry, popping
-// exhausted frames and descending into the leftmost path of the next
-// sibling subtree.
-func (it *Iterator) advance() {
+// settle moves the iterator onto the nearest leaf entry in its direction:
+// it pops exhausted frames and descends into the next sibling subtree (the
+// one to the right ascending, to the left descending).
+func (it *Iterator) settle() {
 	for len(it.stack) > 0 {
 		top := &it.stack[len(it.stack)-1]
 		if top.n.leaf() {
-			if top.i < len(top.n.keys) {
+			if uint(top.i) < uint(len(top.n.keys)) {
 				return
 			}
 			it.stack = it.stack[:len(it.stack)-1]
 			continue
 		}
-		top.i++
-		if top.i >= len(top.n.children) {
+		if it.desc {
+			top.i--
+		} else {
+			top.i++
+		}
+		if top.i < 0 || top.i >= len(top.n.children) {
 			it.stack = it.stack[:len(it.stack)-1]
 			continue
 		}
-		// Descend to the leftmost leaf of the next child subtree.
-		n := top.n.children[top.i]
-		n.ensure()
-		visited := int64(1)
-		for !n.leaf() {
-			it.stack = append(it.stack, iterFrame{n: n, i: 0})
-			n = n.children[0]
-			n.ensure()
-			visited++
-		}
-		it.stack = append(it.stack, iterFrame{n: n, i: 0})
-		if it.reads != nil {
-			it.reads.Add(visited)
-		}
+		it.descend(top.n.children[top.i], nil, nil)
 	}
 }
 
@@ -706,10 +738,11 @@ func (it *Iterator) Valid() bool {
 		return false
 	}
 	top := it.stack[len(it.stack)-1]
-	if top.i >= len(top.n.keys) {
+	if uint(top.i) >= uint(len(top.n.keys)) {
 		return false
 	}
-	return it.end == nil || bytes.Compare(top.n.keys[top.i], it.end) < 0
+	// Ascending keys must lie below the bound, descending ones at or above.
+	return it.bound == nil || (bytes.Compare(top.n.keys[top.i], it.bound) < 0) != it.desc
 }
 
 // Key returns the current key. Valid only while Valid() is true. The slice
@@ -725,8 +758,15 @@ func (it *Iterator) RID() heap.RID {
 	return top.n.rids[top.i]
 }
 
-// Next advances the iterator.
+// Next moves the iterator to the following entry in its direction.
 func (it *Iterator) Next() {
-	it.stack[len(it.stack)-1].i++
-	it.advance()
+	top := &it.stack[len(it.stack)-1]
+	if it.desc {
+		top.i--
+	} else {
+		top.i++
+	}
+	if uint(top.i) >= uint(len(top.n.keys)) {
+		it.settle() // the leaf is exhausted
+	}
 }

@@ -106,19 +106,13 @@ type IndexIter struct {
 	it       *btree.Iterator
 }
 
-// IndexIter returns a pull iterator with the same range semantics as
-// IndexScan: an equality prefix over the leading index columns, then an
-// optional range on the next column.
-func (t *Table) IndexIter(ix *Index, eq []sqltypes.Value, low, high *sqltypes.Value, lowExcl, highExcl bool) *IndexIter {
+// IndexIter returns a pull iterator over the view's index data with the
+// same range semantics as Table.IndexScan: an equality prefix over the
+// leading index columns, then an optional range on the next column. desc
+// walks the range from its last entry to its first.
+func (td *TableData) IndexIter(ix *Index, eq []sqltypes.Value, low, high *sqltypes.Value, lowExcl, highExcl, desc bool) *IndexIter {
 	start, end := indexRange(ix, eq, low, high, lowExcl, highExcl)
-	return &IndexIter{counters: t.counters, it: ix.Tree.Seek(start, end)}
-}
-
-// IndexIter returns a pull iterator over the view's index data with the same
-// range semantics as Table.IndexIter.
-func (td *TableData) IndexIter(ix *Index, eq []sqltypes.Value, low, high *sqltypes.Value, lowExcl, highExcl bool) *IndexIter {
-	start, end := indexRange(ix, eq, low, high, lowExcl, highExcl)
-	return &IndexIter{counters: td.counters, it: td.seekTree(ix, start, end)}
+	return &IndexIter{counters: td.counters, it: td.seekTree(ix, start, end, desc)}
 }
 
 // Next returns the next matching RID, or ok=false at the end.

@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"slices"
 	"testing"
 
 	"ordxml/internal/sqldb/heap"
@@ -61,9 +62,9 @@ func TestIndexIterRanges(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		tbl.Insert(row(int64(i), "u", int64(i*2)))
 	}
-	collect := func(low, high *sqltypes.Value, lx, hx bool) []int64 {
+	collectDir := func(low, high *sqltypes.Value, lx, hx, desc bool) []int64 {
 		var out []int64
-		it := tbl.IndexIter(ix, nil, low, high, lx, hx)
+		it := LiveData(tbl).IndexIter(ix, nil, low, high, lx, hx, desc)
 		for {
 			rid, ok := it.Next()
 			if !ok {
@@ -74,6 +75,15 @@ func TestIndexIterRanges(t *testing.T) {
 		}
 		return out
 	}
+	// Every range reads the same entries in both directions.
+	collect := func(low, high *sqltypes.Value, lx, hx bool) []int64 {
+		asc, desc := collectDir(low, high, lx, hx, false), collectDir(low, high, lx, hx, true)
+		slices.Reverse(desc)
+		if !slices.Equal(asc, desc) {
+			t.Errorf("range %v..%v: ascending %v, descending reversed %v", low, high, asc, desc)
+		}
+		return asc
+	}
 	iv := func(v int64) *sqltypes.Value { x := sqltypes.NewInt(v); return &x }
 	got := collect(iv(4), iv(10), false, true)
 	if len(got) != 3 || got[0] != 4 || got[2] != 8 {
@@ -81,6 +91,9 @@ func TestIndexIterRanges(t *testing.T) {
 	}
 	if got := collect(nil, nil, false, false); len(got) != 10 {
 		t.Errorf("full scan = %v", got)
+	}
+	if got := collectDir(iv(4), iv(10), false, false, true); !slices.Equal(got, []int64{10, 8, 6, 4}) {
+		t.Errorf("descending [4,10] = %v", got)
 	}
 	// Exclusive low skips duplicates of the bound value.
 	tbl.Insert(row(100, "dup", 4))

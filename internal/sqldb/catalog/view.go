@@ -90,17 +90,22 @@ func (td *TableData) FetchInto(rid heap.RID, dst sqltypes.Row) (sqltypes.Row, er
 	return row, err
 }
 
-// seekTree opens a range iterator on the index tree this view reads: the
-// snapshot when the view holds one, the live tree otherwise. A snapshot view
-// can only lack an index if the caller mixed schema versions, which
-// version-keyed plans prevent.
-func (td *TableData) seekTree(ix *Index, start, end []byte) *btree.Iterator {
-	if td.trees != nil {
-		if snap, ok := td.trees[ix]; ok {
-			return snap.Seek(start, end)
-		}
+// seekTree opens a range iterator, ascending or descending, on the index
+// tree this view reads: the snapshot when the view holds one, the live tree
+// otherwise. A snapshot view can only lack an index if the caller mixed
+// schema versions, which version-keyed plans prevent.
+func (td *TableData) seekTree(ix *Index, start, end []byte, desc bool) *btree.Iterator {
+	var tree interface {
+		Seek(start, end []byte) *btree.Iterator
+		SeekDesc(start, end []byte) *btree.Iterator
+	} = ix.Tree
+	if snap, ok := td.trees[ix]; ok {
+		tree = snap
 	}
-	return ix.Tree.Seek(start, end)
+	if desc {
+		return tree.SeekDesc(start, end)
+	}
+	return tree.Seek(start, end)
 }
 
 // IndexCount returns the number of entries of ix in the range IndexIter

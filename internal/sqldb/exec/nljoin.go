@@ -86,7 +86,7 @@ func (j *indexNLJoinOp) openInner() (bool, error) {
 			high = &j.high
 		}
 	}
-	j.inner = j.data.IndexIter(j.node.Index, j.eq, low, high, j.node.LowExcl, j.node.HighExcl)
+	j.inner = j.data.IndexIter(j.node.Index, j.eq, low, high, j.node.LowExcl, j.node.HighExcl, false)
 	return true, nil
 }
 

@@ -139,7 +139,7 @@ func (s *indexScanOp) openIter() (*catalog.IndexIter, error) {
 		}
 		high = v
 	}
-	return s.data.IndexIter(s.node.Index, eq, low, high, s.node.LowExcl, s.node.HighExcl), nil
+	return s.data.IndexIter(s.node.Index, eq, low, high, s.node.LowExcl, s.node.HighExcl, s.node.Desc), nil
 }
 
 func (s *indexScanOp) Open() error {

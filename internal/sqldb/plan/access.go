@@ -145,8 +145,9 @@ func buildAccess(e tableEntry, conjuncts []expr.Expr, orderHint []sqlparse.Order
 		cands[i] = classify(c)
 	}
 
-	// Resolve the order hint to table columns (best effort).
-	orderCols, orderOK := resolveOrderHint(orderHint, schema)
+	// Resolve the order hint to table columns (best effort). An index
+	// delivers a descending order by scanning its range backwards.
+	orderCols, desc, orderOK := resolveOrderHint(orderHint, schema)
 
 	type choice struct {
 		ix      *catalog.Index
@@ -226,14 +227,14 @@ func buildAccess(e tableEntry, conjuncts []expr.Expr, orderHint []sqlparse.Order
 		if orderOK {
 			for _, ix := range e.indexes {
 				if indexDeliversOrder(ix.Columns, orderCols) {
-					return &IndexScan{Table: t, Alias: alias, Index: ix, Filters: conjuncts}, true, nil
+					return &IndexScan{Table: t, Alias: alias, Index: ix, Filters: conjuncts, Desc: desc}, true, nil
 				}
 			}
 		}
 		return &SeqScan{Table: t, Alias: alias, Filters: conjuncts}, false, nil
 	}
 
-	scan := &IndexScan{Table: t, Alias: alias, Index: best.ix, Eq: best.eq}
+	scan := &IndexScan{Table: t, Alias: alias, Index: best.ix, Eq: best.eq, Desc: best.ordered && desc}
 	consumed := map[int]bool{}
 	for _, ci := range best.eqCands {
 		consumed[ci] = true
@@ -260,28 +261,29 @@ func buildAccess(e tableEntry, conjuncts []expr.Expr, orderHint []sqlparse.Order
 	return scan, best.ordered, nil
 }
 
-// resolveOrderHint maps ORDER BY items to table column indexes; ok is false
-// when any item is not a plain ascending column of this table.
-func resolveOrderHint(items []sqlparse.OrderItem, schema expr.Schema) ([]int, bool) {
+// resolveOrderHint maps ORDER BY items to table column indexes and their
+// shared direction; ok is false when any item is not a plain column of this
+// table or the items mix directions (an index scan runs one way).
+func resolveOrderHint(items []sqlparse.OrderItem, schema expr.Schema) (cols []int, desc, ok bool) {
 	if len(items) == 0 {
-		return nil, false
+		return nil, false, false
 	}
-	cols := make([]int, 0, len(items))
+	cols = make([]int, 0, len(items))
 	for _, it := range items {
-		if it.Desc {
-			return nil, false
+		if it.Desc != items[0].Desc {
+			return nil, false, false
 		}
-		c, ok := it.Expr.(*expr.ColRef)
-		if !ok {
-			return nil, false
+		c, isCol := it.Expr.(*expr.ColRef)
+		if !isCol {
+			return nil, false, false
 		}
 		idx, err := schema.Find(c.Table, c.Column)
 		if err != nil {
-			return nil, false
+			return nil, false, false
 		}
 		cols = append(cols, idx)
 	}
-	return cols, true
+	return cols, items[0].Desc, true
 }
 
 // indexDeliversOrder reports whether scanning index columns (after any

@@ -139,7 +139,8 @@ func (s *SeqScan) describe(b *strings.Builder) {
 // IndexScan reads rows via an index: an equality prefix over the first
 // len(Eq) index columns, then an optional range on the next column. Eq, Low
 // and High are row-independent expressions (literals, parameters, arithmetic
-// over them) evaluated once at open time.
+// over them) evaluated once at open time. Rows come in index key order, or
+// in reverse key order when Desc is set.
 type IndexScan struct {
 	Table    *catalog.Table
 	Alias    string
@@ -151,6 +152,7 @@ type IndexScan struct {
 	HighExcl bool
 	Filters  []expr.Expr
 	EmitRID  bool
+	Desc     bool
 }
 
 // Schema implements Node.
@@ -178,6 +180,9 @@ func (s *IndexScan) describe(b *strings.Builder) {
 			op = "<"
 		}
 		fmt.Fprintf(b, " %s%s%s", names[len(s.Eq)], op, s.High)
+	}
+	if s.Desc {
+		b.WriteString(" desc")
 	}
 	for _, f := range s.Filters {
 		fmt.Fprintf(b, " filter=%s", f)

@@ -98,10 +98,128 @@ func TestOrderSatisfiedByIndex(t *testing.T) {
 	if strings.Contains(p, "Sort") {
 		t.Errorf("sort not elided:\n%s", p)
 	}
-	// DESC order cannot ride the (ascending) index.
-	p = explain(t, db, "SELECT id FROM n WHERE doc = 1 AND parent = 1 ORDER BY ord DESC")
-	if !strings.Contains(p, "Sort") {
-		t.Errorf("DESC wrongly elided sort:\n%s", p)
+	// DESC order rides the same index backwards, and yields the rows a Sort
+	// of the same query yields.
+	const desc = "SELECT id FROM n WHERE doc = 1 AND parent = 1 ORDER BY ord DESC"
+	p = explain(t, db, desc)
+	if strings.Contains(p, "Sort") || !strings.Contains(p, "IndexScan n using n_parent doc=1 parent=1 desc") {
+		t.Errorf("DESC not delivered by a backward index scan:\n%s", p)
+	}
+	const sorted = "SELECT id FROM n WHERE doc = 1 AND parent = 1 ORDER BY ord + 0 DESC"
+	if p := explain(t, db, sorted); !strings.Contains(p, "Sort") {
+		t.Fatalf("reference query does not sort:\n%s", p)
+	}
+	if got, want := ids(t, db, desc), ids(t, db, sorted); got != want || !strings.HasPrefix(got, "(100) (99) (98) ") {
+		t.Errorf("backward scan rows %q, sorted rows %q", got, want)
+	}
+}
+
+// A descending ORDER BY with LIMIT reads only the rows it returns.
+func TestDescLimitStopsEarly(t *testing.T) {
+	db := setup(t)
+	before := db.Counters()
+	if got := ids(t, db, "SELECT id FROM n WHERE doc = 1 ORDER BY ord DESC LIMIT 3"); got != "(100) (99) (98)" {
+		t.Errorf("rows = %q", got)
+	}
+	d := db.Counters().Sub(before)
+	if examined := d.IndexProbes + d.RowsScanned; examined != 3 {
+		t.Errorf("examined %d rows for LIMIT 3", examined)
+	}
+}
+
+// An ORDER BY whose items mix directions cannot ride one index scan; the
+// same items in one direction can, either way.
+func TestMixedDirectionOrderSorts(t *testing.T) {
+	db := setup(t)
+	mixed := "SELECT id FROM n WHERE doc = 1 AND parent = 1 ORDER BY parent, ord DESC"
+	if p := explain(t, db, mixed); !strings.Contains(p, "Sort") {
+		t.Errorf("mixed directions elided the sort:\n%s", p)
+	}
+	if got := ids(t, db, mixed); !strings.HasPrefix(got, "(100) (99) ") {
+		t.Errorf("mixed-direction rows = %q", got)
+	}
+	for _, q := range []string{
+		"SELECT id FROM n WHERE doc = 1 ORDER BY parent, ord",
+		"SELECT id FROM n WHERE doc = 1 ORDER BY parent DESC, ord DESC",
+	} {
+		if p := explain(t, db, q); strings.Contains(p, "Sort") || !strings.Contains(p, "using n_parent") {
+			t.Errorf("%s: not delivered by n_parent:\n%s", q, p)
+		}
+	}
+}
+
+// TestMinMaxEndpoint: a lone MIN or MAX over an indexed column reads one
+// index entry, whatever the range holds, and answers what the full
+// aggregate answers (a second aggregate keeps the full HashAggregate plan).
+func TestMinMaxEndpoint(t *testing.T) {
+	db := setup(t)
+	// Document 3's rows all have a NULL parent.
+	for i := int64(1); i <= 3; i++ {
+		if _, err := db.Exec("INSERT INTO n VALUES (3, ?, NULL, 'r', ?)", sqldb.I(i), sqldb.I(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cases := []struct {
+		agg, where string
+		plan       string // expected scan line fragment
+		want       string // expected result
+	}{
+		{"MAX(id)", "doc = 1", "using n_id doc=1 desc", "100"},
+		{"MIN(id)", "doc = 1", "using n_id doc=1\n", "1"},
+		{"MAX(ord)", "doc = 1 AND ord < 555", "using n_ord doc=1 ord<555 desc", "550"},
+		{"MIN(ord)", "doc = 1 AND ord > 555", "using n_ord doc=1 ord>555\n", "560"},
+		{"MAX(ord)", "doc = 1 AND id < 50", "filter=(id < 50)", "490"},
+		{"MIN(ord)", "doc = 1 AND tag = 't' AND id > 50", "filter=", "510"},
+		// Empty ranges: the aggregate still returns its one NULL row.
+		{"MAX(id)", "doc = 2", "using n_id doc=2 desc", "NULL"},
+		{"MIN(ord)", "doc = 1 AND ord > 5000", "using n_ord doc=1 ord>5000", "NULL"},
+		// NULLs sort first in the index; MIN and MAX skip them.
+		{"MIN(parent)", "doc = 1", "filter=(n.parent IS NOT NULL)", "1"},
+		{"MAX(parent)", "doc = 1", "desc filter=(n.parent IS NOT NULL)", "1"},
+		{"MIN(parent)", "doc = 3", "filter=(n.parent IS NOT NULL)", "NULL"},
+		{"MAX(doc)", "", "IndexScan n using n_ord desc", "3"},
+	}
+	for _, c := range cases {
+		where := ""
+		if c.where != "" {
+			where = " WHERE " + c.where
+		}
+		q := "SELECT " + c.agg + " FROM n" + where
+		p := explain(t, db, q)
+		if !strings.Contains(p, "HashAggregate") || !strings.Contains(p, "Limit limit=1") || !strings.Contains(p+"\n", c.plan) {
+			t.Errorf("%s: want HashAggregate over Limit 1 over %q:\n%s", q, c.plan, p)
+		}
+		before := db.Counters()
+		res, err := db.Query(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		d := db.Counters().Sub(before)
+		if len(res.Rows) != 1 || res.Rows[0][0].String() != c.want {
+			t.Errorf("%s = %v, want %s", q, res.Rows, c.want)
+		}
+		full, err := db.Query("SELECT " + c.agg + ", COUNT(*) FROM n" + where)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, ref := res.Rows[0][0].String(), full.Rows[0][0].String(); got != ref {
+			t.Errorf("%s = %s, full aggregate %s", q, got, ref)
+		}
+		if strings.Contains(c.plan, "filter=") {
+			continue // residual filters and skipped NULLs read past the endpoint
+		}
+		if examined := d.IndexProbes + d.RowsScanned; examined > 1 {
+			t.Errorf("%s examined %d rows", q, examined)
+		}
+	}
+	for _, q := range []string{
+		"SELECT MIN(ord), MAX(ord) FROM n WHERE doc = 1",
+		"SELECT MAX(ord) FROM n WHERE doc = 1 GROUP BY parent",
+		"SELECT MAX(tag) FROM n WHERE doc = 1",
+	} {
+		if p := explain(t, db, q); strings.Contains(p, "Limit") {
+			t.Errorf("%s: endpoint rule applied:\n%s", q, p)
+		}
 	}
 }
 

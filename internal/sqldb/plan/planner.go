@@ -80,14 +80,79 @@ func PlanSelect(pc Context, s *sqlparse.Select) (Node, error) {
 	if len(q.entries) == 1 && len(s.GroupBy) == 0 && !s.Distinct {
 		orderHint = s.OrderBy
 	}
+	endpoint, col := minMaxArg(q, s)
+	if endpoint != nil {
+		orderHint = []sqlparse.OrderItem{{Expr: endpoint.Arg, Desc: endpoint.Name == "MAX"}}
+	}
 	root, combined, satisfiesOrder, err := q.build(q.chooseOrder(pc), orderHint)
 	if err != nil {
 		return nil, err
 	}
-	if satisfiesOrder {
+	switch {
+	case satisfiesOrder && endpoint != nil:
+		root = firstNonNull(root, q.entries[0].table, col)
+	case satisfiesOrder:
 		s = shallowCopyWithoutOrder(s)
 	}
 	return planProjection(s, root, combined, q.fromSchema)
+}
+
+// minMaxArg returns the aggregate of a SELECT whose only aggregate is MIN or
+// MAX of a plain column, over one table with no GROUP BY, HAVING or
+// DISTINCT, and that column's index in the table; nil otherwise. Such a
+// query needs one row: the first of an access path ordered on the column
+// (ascending for MIN, descending for MAX).
+func minMaxArg(q *joinQuery, s *sqlparse.Select) (*expr.Aggregate, int) {
+	if len(q.entries) != 1 || q.entries[0].table == nil || len(s.GroupBy) > 0 || s.Having != nil || s.Distinct {
+		return nil, 0
+	}
+	var agg *expr.Aggregate
+	mixed := false
+	for _, it := range s.Items {
+		if it.Star {
+			return nil, 0
+		}
+		expr.Walk(it.Expr, func(n expr.Expr) bool {
+			a, ok := n.(*expr.Aggregate)
+			if !ok {
+				return true
+			}
+			mixed = mixed || (agg != nil && a.String() != agg.String())
+			agg = a
+			return false
+		})
+	}
+	if agg == nil || mixed || (agg.Name != "MIN" && agg.Name != "MAX") {
+		return nil, 0
+	}
+	c, ok := agg.Arg.(*expr.ColRef)
+	if !ok {
+		return nil, 0
+	}
+	col, err := q.entries[0].schema().Find(c.Table, c.Column)
+	if err != nil {
+		return nil, 0
+	}
+	return agg, col
+}
+
+// firstNonNull caps an access path that delivers rows in MIN or MAX order of
+// column col at its first row. MIN and MAX ignore NULLs, which sort first in
+// an index, so a nullable column's scan filters them out below the cap. The
+// aggregate above still turns empty input into its one NULL row.
+func firstNonNull(root Node, t *catalog.Table, col int) Node {
+	if !t.Columns[col].NotNull {
+		scan := root
+		for f, ok := scan.(*Filter); ok; f, ok = scan.(*Filter) {
+			scan = f.Input
+		}
+		is := scan.(*IndexScan)
+		is.Filters = append(is.Filters, &expr.IsNull{
+			X:   &expr.ColRef{Table: is.Alias, Column: t.Columns[col].Name, Idx: col},
+			Not: true,
+		})
+	}
+	return &Limit{Input: root, Limit: &expr.Literal{Val: sqltypes.NewInt(1)}}
 }
 
 // joinQuery is a SELECT's FROM list with its join conjuncts, resolved once
