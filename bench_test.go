@@ -87,7 +87,8 @@ func BenchmarkE3Queries(b *testing.B) {
 
 // benchInsert measures repeated single-fragment inserts at a named position,
 // rebuilding the store whenever the document has grown 50% so position
-// semantics stay comparable.
+// semantics stay comparable. Beside rows renumbered it reports the SQL
+// statements (reads and writes) each insert issued.
 func benchInsert(b *testing.B, cfg bench.Config, where string, items int) {
 	doc := bench.CatalogDoc(items)
 	baseNodes := doc.Size()
@@ -103,7 +104,15 @@ func benchInsert(b *testing.B, cfg bench.Config, where string, items int) {
 		inserted = 0
 	}
 	rebuild()
-	var renumbered int64
+	var renumbered, stmts int64
+	// statements reads the statement counters with the timer stopped, so the
+	// metrics snapshot stays out of ns/op.
+	statements := func() int64 {
+		b.StopTimer()
+		defer b.StartTimer()
+		c := s.Metrics().Counters
+		return c["sqldb.queries"] + c["sqldb.execs"]
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if inserted*10 > baseNodes/2 {
@@ -115,14 +124,17 @@ func benchInsert(b *testing.B, cfg bench.Config, where string, items int) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		before := statements()
 		rep, err := s.Insert(id, target, pos, "<note><text>x</text></note>")
 		if err != nil {
 			b.Fatal(err)
 		}
+		stmts += statements() - before
 		renumbered += rep.RowsRenumbered
 		inserted++
 	}
 	b.ReportMetric(float64(renumbered)/float64(b.N), "renumbered/op")
+	b.ReportMetric(float64(stmts)/float64(b.N), "stmts/op")
 }
 
 func insertTarget(s *ordxml.Store, id ordxml.DocID, where string) (ordxml.NodeID, ordxml.Position, error) {

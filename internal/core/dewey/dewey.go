@@ -15,6 +15,7 @@
 package dewey
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -228,6 +229,23 @@ func FromBytes(b []byte) (Path, error) {
 	return p, nil
 }
 
+// ShiftBytes returns the binary-encoded path b with delta added to its
+// 0-based component depth. It fails when b does not decode, has no such
+// component, or the shifted component is outside the binary codec's range.
+func ShiftBytes(b []byte, depth int, delta int64) ([]byte, error) {
+	p, err := FromBytes(b)
+	if err != nil {
+		return nil, err
+	}
+	if depth < 0 || depth >= len(p) {
+		return nil, fmt.Errorf("dewey: path %s has no component %d", p, depth)
+	}
+	if p[depth], err = shifted(p[depth], delta, false); err != nil {
+		return nil, err
+	}
+	return p.Bytes(), nil
+}
+
 // PrefixSuccessor returns the exclusive upper bound of the byte range
 // containing every descendant-or-self encoding of p: keys k with
 // Bytes(p) <= k < PrefixSuccessor(p) are exactly p and its descendants.
@@ -244,9 +262,39 @@ func (p Path) PrefixSuccessor() []byte {
 	return nil
 }
 
-// PaddedWidth is the component width of the padded string codec: documents
-// with sibling ordinals up to 10^8-1 stay order-preserving.
-const PaddedWidth = 8
+// PaddedWidth is the component width of the padded string codec, and
+// MaxPaddedComponent the largest ordinal it holds: a wider component would
+// sort before its narrower siblings, out of document order.
+const (
+	PaddedWidth        = 8
+	MaxPaddedComponent = 99_999_999
+)
+
+// ErrRange reports a component the codec cannot encode.
+var ErrRange = errors.New("dewey: component out of range")
+
+// Component checks that c is encodable — by the padded codec when padded,
+// else by the binary codec — and returns it as a path component. Callers
+// compute ordinals in uint64 so that ordinal × gap cannot wrap first.
+func Component(c uint64, padded bool) (uint32, error) {
+	limit := uint64(MaxComponent)
+	if padded {
+		limit = MaxPaddedComponent
+	}
+	if c == 0 || c > limit {
+		return 0, fmt.Errorf("%w: %d (codec maximum %d)", ErrRange, c, limit)
+	}
+	return uint32(c), nil
+}
+
+// shifted is c + delta as a component of the codec.
+func shifted(c uint32, delta int64, padded bool) (uint32, error) {
+	v := int64(c) + delta
+	if v <= 0 {
+		return 0, fmt.Errorf("%w: %d%+d", ErrRange, c, delta)
+	}
+	return Component(uint64(v), padded)
+}
 
 // PaddedString renders the path with fixed-width zero-padded components so
 // that plain string comparison preserves document order ("00000002" <
@@ -260,6 +308,27 @@ func (p Path) PaddedString() string {
 		fmt.Fprintf(&sb, "%0*d", PaddedWidth, c)
 	}
 	return sb.String()
+}
+
+// ShiftPadded returns the padded path s with delta added to its 0-based
+// component depth; the components before and after are copied unchanged. It
+// fails when s has no such padded component or the shifted component is
+// outside the padded codec's range.
+func ShiftPadded(s string, depth int, delta int64) (string, error) {
+	start := depth * (PaddedWidth + 1)
+	end := start + PaddedWidth
+	if depth < 0 || end > len(s) || end < len(s) && s[end] != '.' {
+		return "", fmt.Errorf("dewey: %q has no padded component %d", s, depth)
+	}
+	c, err := strconv.ParseUint(s[start:end], 10, 32)
+	if err != nil || c == 0 {
+		return "", fmt.Errorf("dewey: bad padded component %q in %q", s[start:end], s)
+	}
+	nc, err := shifted(uint32(c), delta, true)
+	if err != nil {
+		return "", err
+	}
+	return fmt.Sprintf("%s%0*d%s", s[:start], PaddedWidth, nc, s[end:]), nil
 }
 
 // ParsePadded reads the padded form.

@@ -2,6 +2,7 @@ package dewey
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -286,5 +287,122 @@ func sign(x int) int {
 		return 1
 	default:
 		return 0
+	}
+}
+
+func TestComponentRange(t *testing.T) {
+	cases := []struct {
+		c      uint64
+		padded bool
+		ok     bool
+	}{
+		{1, false, true},
+		{uint64(MaxComponent), false, true},
+		{uint64(MaxComponent) + 1, false, false},
+		{400_000_000, false, false},
+		{1 << 32, false, false}, // would wrap to 0 in uint32
+		{1<<32 + 5, false, false},
+		{0, false, false},
+		{MaxPaddedComponent, true, true},
+		{MaxPaddedComponent + 1, true, false},
+		{0, true, false},
+	}
+	for _, c := range cases {
+		got, err := Component(c.c, c.padded)
+		if c.ok != (err == nil) {
+			t.Errorf("Component(%d, padded=%v) error = %v", c.c, c.padded, err)
+		}
+		if err != nil && !errors.Is(err, ErrRange) {
+			t.Errorf("Component(%d) error %v is not ErrRange", c.c, err)
+		}
+		if c.ok && uint64(got) != c.c {
+			t.Errorf("Component(%d) = %d", c.c, got)
+		}
+	}
+	// Every padded component is exactly PaddedWidth digits wide, so padded
+	// strings order like paths up to the padded maximum.
+	if w := len(Path{MaxPaddedComponent}.PaddedString()); w != PaddedWidth {
+		t.Errorf("largest padded component is %d digits, want %d", w, PaddedWidth)
+	}
+}
+
+// The shift helpers agree with the Path reference: decode, add delta to one
+// component, encode.
+func TestShiftMatchesPath(t *testing.T) {
+	r := rand.New(rand.NewSource(31))
+	for n := 0; n < 5000; n++ {
+		in := randPath(r)
+		depth := r.Intn(len(in))
+		var delta int64
+		switch r.Intn(3) {
+		case 0:
+			delta = int64(r.Intn(200))
+		case 1:
+			delta = int64(r.Intn(1 << 22))
+		default:
+			delta = -int64(r.Intn(int(in[depth])))
+		}
+		want := in.Clone()
+		want[depth] = uint32(int64(want[depth]) + delta)
+		got, err := ShiftBytes(in.Bytes(), depth, delta)
+		if want[depth] > MaxComponent {
+			if !errors.Is(err, ErrRange) {
+				t.Fatalf("ShiftBytes(%v, %d, %d) = %x, %v; want a range error", in, depth, delta, got, err)
+			}
+		} else if err != nil || !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("ShiftBytes(%v, %d, %d) = %x, %v; want %v", in, depth, delta, got, err, want)
+		}
+
+		padded := in.Clone()
+		for i := range padded {
+			padded[i] %= MaxPaddedComponent + 1
+			if padded[i] == 0 {
+				padded[i] = 1
+			}
+		}
+		if delta < 0 {
+			delta = -int64(r.Intn(int(padded[depth])))
+		}
+		want = padded.Clone()
+		want[depth] = uint32(int64(want[depth]) + delta)
+		gotS, err := ShiftPadded(padded.PaddedString(), depth, delta)
+		if want[depth] > MaxPaddedComponent {
+			if !errors.Is(err, ErrRange) {
+				t.Fatalf("ShiftPadded(%v, %d, %d) = %q, %v; want a range error", padded, depth, delta, gotS, err)
+			}
+		} else if err != nil || gotS != want.PaddedString() {
+			t.Fatalf("ShiftPadded(%v, %d, %d) = %q, %v; want %v", padded, depth, delta, gotS, err, want)
+		}
+	}
+}
+
+func TestShiftErrors(t *testing.T) {
+	b := Path{1, 2, 3}.Bytes()
+	for _, depth := range []int{-1, 3, 10} {
+		if _, err := ShiftBytes(b, depth, 1); err == nil {
+			t.Errorf("ShiftBytes depth %d accepted", depth)
+		}
+		if _, err := ShiftPadded(Path{1, 2, 3}.PaddedString(), depth, 1); err == nil {
+			t.Errorf("ShiftPadded depth %d accepted", depth)
+		}
+	}
+	if _, err := ShiftBytes(b, 1, -2); !errors.Is(err, ErrRange) {
+		t.Errorf("shift to zero: %v", err)
+	}
+	if _, err := ShiftBytes(Path{1, MaxComponent}.Bytes(), 1, 1); !errors.Is(err, ErrRange) {
+		t.Errorf("shift past MaxComponent: %v", err)
+	}
+	if _, err := ShiftPadded(Path{1, MaxPaddedComponent}.PaddedString(), 1, 1); !errors.Is(err, ErrRange) {
+		t.Errorf("shift past MaxPaddedComponent: %v", err)
+	}
+	for _, s := range []string{"", "1.2", "00000001.2", "00000001.000000002", "00000001.00000000", "00000001.0000000x"} {
+		if _, err := ShiftPadded(s, 1, 1); err == nil {
+			t.Errorf("ShiftPadded(%q, 1, 1) accepted", s)
+		}
+	}
+	for _, bad := range [][]byte{{0xFF}, {0x80}, {0x01, 0xE0, 0x01}} {
+		if _, err := ShiftBytes(bad, 1, 1); err == nil {
+			t.Errorf("ShiftBytes(%x) accepted", bad)
+		}
 	}
 }

@@ -143,7 +143,11 @@ func (w *walker) walk(n *xmltree.Node, parentID int64, ordinal uint32) error {
 	var path dewey.Path
 	isDewey := w.s.opts.Kind == encoding.Dewey
 	if isDewey {
-		w.stack = append(w.stack, ordinal*w.s.opts.EffectiveGap())
+		comp, err := dewey.Component(uint64(ordinal)*uint64(gap), w.s.opts.DeweyAsText)
+		if err != nil {
+			return err
+		}
+		w.stack = append(w.stack, comp)
 		path = w.stack
 	}
 	if err := w.insert(n, id, parentID, ordinal, path); err != nil {

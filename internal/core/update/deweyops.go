@@ -2,9 +2,11 @@ package update
 
 import (
 	"fmt"
+	"math"
 
 	"ordxml/internal/core/dewey"
 	"ordxml/internal/sqldb"
+	"ordxml/internal/sqldb/expr"
 	"ordxml/internal/sqldb/sqltypes"
 	"ordxml/internal/sqlgen"
 	"ordxml/internal/xmltree"
@@ -52,6 +54,15 @@ func (m *Manager) insertDewey(doc int64, t node, mode Mode, frag *xmltree.Node) 
 	}
 	gap := m.opts.EffectiveGap()
 	stats := Stats{RowsInserted: int64(frag.Size())}
+	// The fragment's own sibling components are checked before anything is
+	// written; rows[0] is its root, whose component is chosen below.
+	rows := flattenFragment(frag)
+	comps := make([]uint32, len(rows))
+	for i := 1; i < len(rows); i++ {
+		if comps[i], err = dewey.Component(uint64(rows[i].ordinal)*uint64(gap), m.opts.DeweyAsText); err != nil {
+			return stats, err
+		}
+	}
 
 	var rootComp uint32
 	if anchor == nil {
@@ -59,7 +70,9 @@ func (m *Manager) insertDewey(doc int64, t node, mode Mode, frag *xmltree.Node) 
 		if err != nil {
 			return stats, err
 		}
-		rootComp = last + gap
+		if rootComp, err = dewey.Component(uint64(last)+uint64(gap), m.opts.DeweyAsText); err != nil {
+			return stats, err
+		}
 	} else {
 		aPath, err := m.pathOf(anchor.order)
 		if err != nil {
@@ -73,7 +86,7 @@ func (m *Manager) insertDewey(doc int64, t node, mode Mode, frag *xmltree.Node) 
 		if aComp-prevComp > 1 {
 			rootComp = prevComp + (aComp-prevComp)/2
 		} else {
-			renumbered, err := m.shiftDeweySiblings(doc, parentID, aPath, gap)
+			renumbered, err := m.shiftDeweySiblings(doc, aPath, gap)
 			if err != nil {
 				return stats, err
 			}
@@ -94,7 +107,6 @@ func (m *Manager) insertDewey(doc int64, t node, mode Mode, frag *xmltree.Node) 
 	if err != nil {
 		return stats, err
 	}
-	rows := flattenFragment(frag)
 	paths := map[int64]dewey.Path{}
 	batch := make([]sqltypes.Row, 0, len(rows))
 	for i := range rows {
@@ -106,7 +118,7 @@ func (m *Manager) insertDewey(doc int64, t node, mode Mode, frag *xmltree.Node) 
 			p = rootPath
 		} else {
 			pid += base - 1
-			p = paths[pid].Child(rows[i].ordinal * gap)
+			p = paths[pid].Child(comps[i])
 		}
 		paths[rows[i].id] = p
 		batch = append(batch, m.buildRow(doc, rows[i], pid, m.keyOf(p)))
@@ -155,12 +167,11 @@ func (m *Manager) prevSiblingComponent(doc, parent int64, anchorKey sqltypes.Val
 // shiftDeweySiblings renumbers every sibling at or after the anchor path by
 // +delta ordinals, re-pathing each sibling's entire subtree. The affected
 // rows form one contiguous key range — from the anchor path to the end of
-// the parent's subtree — so a single range scan finds them all; rows are
-// rewritten in descending key order so new paths never collide with unmoved
-// ones. Unlike Global and Local this stays one UPDATE per row: the new key
-// adds delta to one component of an encoded path, which the engine's SQL
-// cannot express without the dewey codec.
-func (m *Manager) shiftDeweySiblings(doc, parent int64, from dewey.Path, delta uint32) (int64, error) {
+// the parent's subtree — and every one of them moves by delta in the same
+// component, the sibling ordinal, so the shift is one statement like
+// Global's and Local's (uniqueness of the order index holds per statement);
+// DEWEY_SHIFT does the codec arithmetic.
+func (m *Manager) shiftDeweySiblings(doc int64, from dewey.Path, delta uint32) (int64, error) {
 	parentPath := from.Parent()
 	if parentPath == nil {
 		return 0, fmt.Errorf("internal: anchor %s has no parent path", from)
@@ -175,28 +186,51 @@ func (m *Manager) shiftDeweySiblings(doc, parent int64, from dewey.Path, delta u
 		}
 		highKey = sqldb.B(high)
 	}
-	sel := sqlgen.SQL(
-		`SELECT id, %s FROM %s WHERE doc = ? AND %s >= ? AND %s < ? ORDER BY %s DESC`,
-		m.ord, m.tbl, m.ord, m.ord, m.ord)
-	res, err := m.db.Query(sel, sqldb.I(doc), m.keyOf(from), highKey)
-	if err != nil {
-		return 0, err
+	n, err := m.db.Exec(m.deweyShiftSQL(),
+		sqldb.I(int64(len(parentPath))), sqldb.I(int64(delta)), sqldb.I(doc), m.keyOf(from), highKey)
+	return int64(n), err
+}
+
+// deweyShiftSQL adds ?2 to component ?1 of every path in [?4, ?5) of
+// document ?3.
+func (m *Manager) deweyShiftSQL() string {
+	return sqlgen.SQL(
+		`UPDATE %s SET %s = DEWEY_SHIFT(%s, ?, ?) WHERE doc = ? AND %s >= ? AND %s < ?`,
+		m.tbl, m.ord, m.ord, m.ord, m.ord)
+}
+
+func init() { expr.RegisterScalar("DEWEY_SHIFT", deweyShift) }
+
+// deweyShift is DEWEY_SHIFT(path, depth, delta): the stored Dewey key path —
+// a BLOB under the binary codec, TEXT under the padded one — with delta added
+// to its 0-based component depth. A shifted component outside the codec's
+// range is an error, which fails the whole statement.
+func deweyShift(a []sqltypes.Value) (sqltypes.Value, error) {
+	if len(a) != 3 {
+		return sqltypes.Value{}, fmt.Errorf("DEWEY_SHIFT takes 3 arguments, got %d", len(a))
 	}
-	upd := sqlgen.SQL(
-		`UPDATE %s SET %s = ? WHERE doc = ? AND id = ?`, m.tbl, m.ord)
-	comp := len(parentPath) // index of the sibling ordinal in each path
-	for _, r := range res.Rows {
-		p, err := m.pathOf(r[1])
+	if a[1].Type() != sqltypes.Int || a[2].Type() != sqltypes.Int {
+		return sqltypes.Value{}, fmt.Errorf("DEWEY_SHIFT(%s, %s, %s): depth and delta must be INT", a[0].Type(), a[1].Type(), a[2].Type())
+	}
+	depth := a[1].Int()
+	if depth < 0 || depth > math.MaxInt32 {
+		return sqltypes.Value{}, fmt.Errorf("DEWEY_SHIFT: bad depth %d", depth)
+	}
+	switch a[0].Type() {
+	case sqltypes.Blob:
+		b, err := dewey.ShiftBytes(a[0].Blob(), int(depth), a[2].Int())
 		if err != nil {
-			return 0, err
+			return sqltypes.Value{}, err
 		}
-		np := p.Clone()
-		np[comp] += delta
-		if _, err := m.db.Exec(upd, m.keyOf(np), sqldb.I(doc), sqldb.I(r[0].Int())); err != nil {
-			return 0, err
+		return sqltypes.NewBlob(b), nil
+	case sqltypes.Text:
+		s, err := dewey.ShiftPadded(a[0].Text(), int(depth), a[2].Int())
+		if err != nil {
+			return sqltypes.Value{}, err
 		}
+		return sqltypes.NewText(s), nil
 	}
-	return int64(len(res.Rows)), nil
+	return sqltypes.Value{}, fmt.Errorf("DEWEY_SHIFT of %s", a[0].Type())
 }
 
 // deleteDewey removes the subtree with one path-range delete.

@@ -1,14 +1,20 @@
 package update
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
+	"ordxml/internal/core/dewey"
 	"ordxml/internal/core/encoding"
 	"ordxml/internal/core/publish"
 	"ordxml/internal/core/shred"
 	"ordxml/internal/sqldb"
+	"ordxml/internal/sqldb/expr"
+	"ordxml/internal/sqldb/sqltypes"
 	"ordxml/internal/xmlgen"
 	"ordxml/internal/xmltree"
 )
@@ -277,32 +283,113 @@ func TestRenumberingCosts(t *testing.T) {
 }
 
 // TestRenumberingStatementsConstant: renumbering is one UPDATE whatever it
-// touches, so an insert before the first of 20 or of 200 siblings issues the
-// same number of DML statements. Dewey is exempt: it rewrites one encoded
-// path component per row, which SQL cannot express, so it keeps one UPDATE
-// per renumbered row.
+// touches, under every encoding, so an insert before the first of 20 or of
+// 200 siblings issues the same number of statements, reads and writes alike.
 func TestRenumberingStatementsConstant(t *testing.T) {
-	execs := func(opts encoding.Options, siblings int) (stmts, renumbered int64) {
+	statements := func(opts encoding.Options, siblings int) (stmts, renumbered int64) {
 		r := xmltree.NewElement("r")
 		for i := 0; i < siblings; i++ {
 			r.AddChild(xmltree.NewElement("c")).AddChild(xmltree.NewText(fmt.Sprintf("t%d", i)))
 		}
 		s := newStore(t, opts, r)
-		before := s.db.Metrics().Counters["sqldb.execs"]
+		count := func() int64 {
+			c := s.db.Metrics().Counters
+			return c["sqldb.queries"] + c["sqldb.execs"]
+		}
+		before := count()
 		stats, err := s.mgr.InsertXML(s.doc, s.ids[r.Children[0]], Before, "<new/>")
 		if err != nil {
 			t.Fatalf("%s: %v", optName(opts), err)
 		}
-		return s.db.Metrics().Counters["sqldb.execs"] - before, stats.RowsRenumbered
+		return count() - before, stats.RowsRenumbered
 	}
-	for _, opts := range []encoding.Options{{Kind: encoding.Global}, {Kind: encoding.Local}} {
-		small, smallRows := execs(opts, 20)
-		large, largeRows := execs(opts, 200)
+	for _, opts := range []encoding.Options{
+		{Kind: encoding.Global}, {Kind: encoding.Local}, {Kind: encoding.Dewey},
+		{Kind: encoding.Dewey, DeweyAsText: true},
+	} {
+		small, smallRows := statements(opts, 20)
+		large, largeRows := statements(opts, 200)
 		if smallRows == 0 || largeRows <= smallRows {
 			t.Fatalf("%s: renumbered %d then %d rows; the test needs both to renumber", optName(opts), smallRows, largeRows)
 		}
 		if small != large {
 			t.Errorf("%s: %d statements renumbering %d rows, %d renumbering %d", optName(opts), small, smallRows, large, largeRows)
+		}
+	}
+}
+
+// TestDeweyShiftPlansAsRangeScan: the sibling shift reads its rows with one
+// range scan of the (doc, path) order index, never a pass over the table.
+func TestDeweyShiftPlansAsRangeScan(t *testing.T) {
+	for _, opts := range []encoding.Options{{Kind: encoding.Dewey}, {Kind: encoding.Dewey, DeweyAsText: true}} {
+		tree, _ := xmltree.ParseString(`<r><a/><b/></r>`)
+		s := newStore(t, opts, tree)
+		out, err := s.db.Explain(s.mgr.deweyShiftSQL())
+		if err != nil {
+			t.Fatalf("%s: %v", optName(opts), err)
+		}
+		want := fmt.Sprintf("IndexScan %s using %s_order doc=? path>=? path<?", opts.NodesTable(), opts.NodesTable())
+		if !strings.Contains(out, want) {
+			t.Errorf("%s: shift plans as\n%s\nwant %q", optName(opts), out, want)
+		}
+	}
+}
+
+// TestDeweyShiftFunction: DEWEY_SHIFT agrees with the Path reference under
+// both codecs, and rejects what it cannot shift.
+func TestDeweyShiftFunction(t *testing.T) {
+	call := func(args ...sqltypes.Value) (sqltypes.Value, error) {
+		lits := make([]expr.Expr, len(args))
+		for i, a := range args {
+			lits[i] = &expr.Literal{Val: a}
+		}
+		return expr.Eval(&expr.Call{Name: "DEWEY_SHIFT", Args: lits}, &expr.Env{})
+	}
+	r := rand.New(rand.NewSource(7))
+	for n := 0; n < 2000; n++ {
+		p := make(dewey.Path, 1+r.Intn(6))
+		for i := range p {
+			p[i] = 1 + uint32(r.Intn(1<<[]int{6, 13, 20, 26}[r.Intn(4)]))
+		}
+		depth := r.Intn(len(p))
+		delta := int64(r.Intn(1<<[]int{4, 12, 24, 27}[r.Intn(4)])) - int64(r.Intn(int(p[depth])))
+		want := p.Clone()
+		want[depth] = uint32(int64(want[depth]) + delta)
+
+		got, err := call(sqldb.B(p.Bytes()), sqldb.I(int64(depth)), sqldb.I(delta))
+		if err != nil || got.Type() != sqltypes.Blob || !bytes.Equal(got.Blob(), want.Bytes()) {
+			t.Fatalf("DEWEY_SHIFT(%v, %d, %d) = %v, %v; want %v", p, depth, delta, got, err, want)
+		}
+		got, err = call(sqldb.S(p.PaddedString()), sqldb.I(int64(depth)), sqldb.I(delta))
+		if want[depth] > dewey.MaxPaddedComponent {
+			if !errors.Is(err, dewey.ErrRange) {
+				t.Fatalf("padded DEWEY_SHIFT(%v, %d, %d) = %v, %v; want a range error", p, depth, delta, got, err)
+			}
+		} else if err != nil || got.Type() != sqltypes.Text || got.Text() != want.PaddedString() {
+			t.Fatalf("padded DEWEY_SHIFT(%v, %d, %d) = %v, %v; want %v", p, depth, delta, got, err, want)
+		}
+	}
+
+	path := sqldb.B(dewey.Path{1, 2, 3}.Bytes())
+	bad := map[string][]sqltypes.Value{
+		"depth past the path":  {path, sqldb.I(3), sqldb.I(1)},
+		"negative depth":       {path, sqldb.I(-1), sqldb.I(1)},
+		"shift to zero":        {path, sqldb.I(1), sqldb.I(-2)},
+		"past MaxComponent":    {sqldb.B(dewey.Path{1, dewey.MaxComponent}.Bytes()), sqldb.I(1), sqldb.I(1)},
+		"NULL path":            {sqldb.Null(), sqldb.I(0), sqldb.I(1)},
+		"NULL depth":           {path, sqldb.Null(), sqldb.I(1)},
+		"NULL delta":           {path, sqldb.I(0), sqldb.Null()},
+		"INT path":             {sqldb.I(5), sqldb.I(0), sqldb.I(1)},
+		"TEXT depth":           {path, sqldb.S("0"), sqldb.I(1)},
+		"corrupt blob":         {sqldb.B([]byte{0xFF}), sqldb.I(0), sqldb.I(1)},
+		"unpadded text":        {sqldb.S("1.2"), sqldb.I(1), sqldb.I(1)},
+		"two arguments":        {path, sqldb.I(0)},
+		"four arguments":       {path, sqldb.I(0), sqldb.I(1), sqldb.I(1)},
+		"padded past 10^8 - 1": {sqldb.S(dewey.Path{1, dewey.MaxPaddedComponent}.PaddedString()), sqldb.I(1), sqldb.I(1)},
+	}
+	for name, args := range bad {
+		if got, err := call(args...); err == nil {
+			t.Errorf("%s: DEWEY_SHIFT = %v, want an error", name, got)
 		}
 	}
 }

@@ -471,6 +471,27 @@ func arity(name string, a []sqltypes.Value, n int) error {
 	return nil
 }
 
+// RegisterScalar adds a deterministic scalar function under name, for
+// packages that own a value codec the engine does not (the parser and the
+// evaluator then treat it as a built-in). Call it only from a package init:
+// the table is read without a lock. It panics when name is not an upper-case
+// identifier or is already a function or aggregate, so nothing can shadow a
+// built-in.
+func RegisterScalar(name string, fn func([]sqltypes.Value) (sqltypes.Value, error)) {
+	if name == "" {
+		panic("expr: RegisterScalar needs a name")
+	}
+	for i, r := range name {
+		if !(r >= 'A' && r <= 'Z' || r == '_' || i > 0 && r >= '0' && r <= '9') {
+			panic(fmt.Sprintf("expr: scalar function name %q is not an upper-case identifier", name))
+		}
+	}
+	if _, err := NewAggState(name, false); IsScalarFunc(name) || err == nil {
+		panic(fmt.Sprintf("expr: function %s is already defined", name))
+	}
+	scalarFuncs[name] = fn
+}
+
 // IsScalarFunc reports whether name (upper-case) is a known scalar function.
 func IsScalarFunc(name string) bool {
 	_, ok := scalarFuncs[name]

@@ -140,3 +140,40 @@ func TestConcatCoercesBlobFails(t *testing.T) {
 		t.Errorf("blob || text: %v", err)
 	}
 }
+
+// A function registered at init is a built-in to the evaluator and to the
+// parser's IsScalarFunc check.
+func init() {
+	RegisterScalar("TWICE_2", func(a []sqltypes.Value) (sqltypes.Value, error) {
+		if err := arity("TWICE_2", a, 1); err != nil {
+			return sqltypes.Value{}, err
+		}
+		return sqltypes.NewInt(2 * a[0].Int()), nil
+	})
+}
+
+func TestRegisterScalar(t *testing.T) {
+	if !IsScalarFunc("TWICE_2") {
+		t.Fatal("registered function is not a scalar function")
+	}
+	if got := evalOK(t, &Call{Name: "TWICE_2", Args: []Expr{i(21)}}); got.Int() != 42 {
+		t.Errorf("TWICE_2(21) = %v", got)
+	}
+	if _, err := Eval(&Call{Name: "TWICE_2", Args: nil}, &Env{}); err == nil {
+		t.Error("registered function's own arity check did not run")
+	}
+	fn := func([]sqltypes.Value) (sqltypes.Value, error) { return sqltypes.NullValue(), nil }
+	for _, name := range []string{"TWICE_2", "LENGTH", "COALESCE", "MAX", "COUNT", "lower", "Mixed", "", "2X", "A-B"} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("RegisterScalar(%q) did not panic", name)
+				}
+			}()
+			RegisterScalar(name, fn)
+		}()
+	}
+	if got := evalOK(t, &Call{Name: "LENGTH", Args: []Expr{s("abc")}}); got.Int() != 3 {
+		t.Errorf("LENGTH was shadowed: %v", got)
+	}
+}
