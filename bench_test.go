@@ -88,7 +88,8 @@ func BenchmarkE3Queries(b *testing.B) {
 // benchInsert measures repeated single-fragment inserts at a named position,
 // rebuilding the store whenever the document has grown 50% so position
 // semantics stay comparable. Beside rows renumbered it reports the SQL
-// statements (reads and writes) each insert issued.
+// statements (reads and writes) each insert issued and the index entries its
+// statements wrote.
 func benchInsert(b *testing.B, cfg bench.Config, where string, items int) {
 	doc := bench.CatalogDoc(items)
 	baseNodes := doc.Size()
@@ -104,14 +105,14 @@ func benchInsert(b *testing.B, cfg bench.Config, where string, items int) {
 		inserted = 0
 	}
 	rebuild()
-	var renumbered, stmts int64
-	// statements reads the statement counters with the timer stopped, so the
-	// metrics snapshot stays out of ns/op.
-	statements := func() int64 {
+	var renumbered, stmts, ixwrites int64
+	// work reads the statement and index-write counters with the timer
+	// stopped, so the metrics snapshot stays out of ns/op.
+	work := func() (statements, indexWrites int64) {
 		b.StopTimer()
 		defer b.StartTimer()
-		c := s.Metrics().Counters
-		return c["sqldb.queries"] + c["sqldb.execs"]
+		m := s.Metrics()
+		return m.Counters["sqldb.queries"] + m.Counters["sqldb.execs"], m.Gauges["storage.index_writes"]
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -124,17 +125,20 @@ func benchInsert(b *testing.B, cfg bench.Config, where string, items int) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		before := statements()
+		stmts0, ixw0 := work()
 		rep, err := s.Insert(id, target, pos, "<note><text>x</text></note>")
 		if err != nil {
 			b.Fatal(err)
 		}
-		stmts += statements() - before
+		stmts1, ixw1 := work()
+		stmts += stmts1 - stmts0
+		ixwrites += ixw1 - ixw0
 		renumbered += rep.RowsRenumbered
 		inserted++
 	}
 	b.ReportMetric(float64(renumbered)/float64(b.N), "renumbered/op")
 	b.ReportMetric(float64(stmts)/float64(b.N), "stmts/op")
+	b.ReportMetric(float64(ixwrites)/float64(b.N), "ixwrites/op")
 }
 
 func insertTarget(s *ordxml.Store, id ordxml.DocID, where string) (ordxml.NodeID, ordxml.Position, error) {

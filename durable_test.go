@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"ordxml/internal/failpoint"
+	"ordxml/internal/sqldb/btree"
 	"ordxml/internal/xmlgen"
 )
 
@@ -421,6 +422,64 @@ func TestDurableFailedOpReplaysAsFailure(t *testing.T) {
 		}
 		mustIntact(t, s)
 	})
+}
+
+// An element name whose index key cannot fit a tree page is an error, not
+// a panic, on every encoding: the row would fit the heap, but the catalog
+// sizes every key before it touches storage. A durable store has already
+// logged the operation, so reopening replays it as one failed operation.
+func TestOversizedTagIsAnError(t *testing.T) {
+	// An 8,145-byte name: the row (8,164 bytes under Local) fits a heap
+	// page, but Local's (doc, tag) key, the shortest of the three
+	// encodings' tag keys, is 8,163 bytes.
+	frag := "<t" + strings.Repeat("x", 8144) + "/>"
+	insert := func(t *testing.T, s *Store) (DocID, string) {
+		t.Helper()
+		doc, err := s.LoadString("hamlet", testDoc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := fingerprint(t, s)
+		if _, err := s.Insert(doc, 1, LastChild, frag); !errors.Is(err, btree.ErrKeyTooLarge) {
+			t.Fatalf("insert of an oversized tag: err = %v, want btree.ErrKeyTooLarge", err)
+		}
+		if got := fingerprint(t, s); got != want {
+			t.Fatalf("failed insert changed the store:\n got %q\nwant %q", got, want)
+		}
+		mustIntact(t, s)
+		return doc, want
+	}
+	for _, enc := range []Encoding{Global, Local, Dewey} {
+		t.Run(enc.String()+"/memory", func(t *testing.T) {
+			s, err := Open(Options{Encoding: enc})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			doc, _ := insert(t, s)
+			// The store still takes valid updates.
+			if _, err := s.Insert(doc, 1, LastChild, "<t/>"); err != nil {
+				t.Fatal(err)
+			}
+			mustIntact(t, s)
+		})
+		t.Run(enc.String()+"/durable", func(t *testing.T) {
+			dir := t.TempDir()
+			s := openDur(t, dir, Options{Encoding: enc})
+			_, want := insert(t, s)
+			s.Close()
+
+			s = openDur(t, dir, Options{Encoding: enc})
+			defer s.Close()
+			if got := fingerprint(t, s); got != want {
+				t.Fatalf("recovered state differs:\n got %q\nwant %q", got, want)
+			}
+			if n := s.Metrics().Counters["wal.replay.op_errors"]; n != 1 {
+				t.Fatalf("replay op errors = %d, want 1", n)
+			}
+			mustIntact(t, s)
+		})
+	}
 }
 
 func TestDurableWALFailureRefusesMutations(t *testing.T) {

@@ -318,6 +318,43 @@ func TestRenumberingStatementsConstant(t *testing.T) {
 	}
 }
 
+// TestUpdateWritesOnlyChangedIndexEntries: a renumbered row rewrites only
+// the index entries whose keys hold its order key, one write each. Global
+// and Dewey keep the order key in three of their four indexes, (doc, id)
+// being the fourth; Local keeps it only in (doc, parent, ord), not in
+// (doc, id) or (doc, tag). The fragment's rows arrive through the bulk
+// loader, which the counter leaves out, and the document's size bump leaves
+// the docs key as it was: the shift's writes are all that is counted.
+func TestUpdateWritesOnlyChangedIndexEntries(t *testing.T) {
+	for _, c := range []struct {
+		opts   encoding.Options
+		perRow int64
+	}{
+		{encoding.Options{Kind: encoding.Global}, 3},
+		{encoding.Options{Kind: encoding.Local}, 1},
+		{encoding.Options{Kind: encoding.Dewey}, 3},
+	} {
+		r := xmltree.NewElement("r")
+		for i := 0; i < 50; i++ {
+			r.AddChild(xmltree.NewElement("c"))
+		}
+		s := newStore(t, c.opts, r)
+		before := s.db.Counters().IndexWrites
+		stats, err := s.mgr.InsertXML(s.doc, s.ids[r.Children[0]], Before, "<new/>")
+		if err != nil {
+			t.Fatalf("%s: %v", optName(c.opts), err)
+		}
+		if stats.RowsRenumbered < 50 {
+			t.Fatalf("%s: renumbered %d rows; the test needs the shift", optName(c.opts), stats.RowsRenumbered)
+		}
+		got := s.db.Counters().IndexWrites - before
+		if want := c.perRow * stats.RowsRenumbered; got != want {
+			t.Errorf("%s: renumbering %d rows wrote %d index entries, want %d (%d per row)",
+				optName(c.opts), stats.RowsRenumbered, got, want, c.perRow)
+		}
+	}
+}
+
 // TestDeweyShiftPlansAsRangeScan: the sibling shift reads its rows with one
 // range scan of the (doc, path) order index, never a pass over the table.
 func TestDeweyShiftPlansAsRangeScan(t *testing.T) {

@@ -6,12 +6,12 @@
 // disambiguate.
 //
 // Mutations are copy-on-write against the most recently published Snapshot:
-// every node carries the epoch it was created in, and Insert/Delete clone any
-// node stamped in an earlier epoch before touching it (path copying, plus
-// siblings during rebalancing). A Snapshot is therefore an immutable root
-// that concurrent readers can traverse without locks while the tree keeps
-// changing; superseded nodes are reclaimed by the garbage collector once the
-// last Snapshot referencing them is dropped.
+// every node carries the epoch it was created in, and Insert/Delete/Replace
+// clone any node stamped in an earlier epoch before touching it (path
+// copying, plus siblings during rebalancing). A Snapshot is therefore an
+// immutable root that concurrent readers can traverse without locks while the
+// tree keeps changing; superseded nodes are reclaimed by the garbage
+// collector once the last Snapshot referencing them is dropped.
 //
 // Trees are in-RAM by default. A pooled tree (Restore, or AdoptFrom on a
 // fresh build) additionally pages itself to a buffer pool: WritePages
@@ -25,6 +25,7 @@ package btree
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"sync/atomic"
 
 	"ordxml/internal/sqldb/bufpool"
@@ -145,15 +146,17 @@ func (t *Tree) Len() int { return t.size }
 // copied. The clone has no page yet (pid 0): WritePages gives changed nodes
 // fresh pages. Cloning materializes n, so once a node is superseded its
 // in-memory content — not its page — serves any snapshot still holding it.
+// The spines have room for one more entry, so the insert or borrow that
+// usually follows a clone does not copy them again.
 func (t *Tree) clone(n *node) *node {
 	n.ensure()
 	c := &node{stamp: t.epoch}
-	c.keys = append(make([][]byte, 0, len(n.keys)), n.keys...)
+	c.keys = append(make([][]byte, 0, len(n.keys)+1), n.keys...)
 	if n.children != nil {
-		c.children = append(make([]*node, 0, len(n.children)), n.children...)
+		c.children = append(make([]*node, 0, len(n.children)+1), n.children...)
 	}
 	if n.rids != nil {
-		c.rids = append(make([]heap.RID, 0, len(n.rids)), n.rids...)
+		c.rids = append(make([]heap.RID, 0, len(n.rids)+1), n.rids...)
 	}
 	return c
 }
@@ -175,13 +178,13 @@ func (t *Tree) commitFreed() {
 	t.pendingFree = t.pendingFree[:0]
 }
 
-// abortMutation resolves pendingFree after a failed Insert or Delete, given
-// the root the mutation ran against. If that root was a clone (the tree was
-// frozen by a snapshot), the clone and every node linked into it are
-// discarded and t.root still references the originals — their pids must
-// stay live, so the staged ids are dropped. If the mutation ran in place on
-// the live root, clones relinked during the descent remain reachable and
-// their originals really are superseded, so the staged ids are committed.
+// abortMutation resolves pendingFree after a failed mutation, given the root
+// the mutation ran against. If that root was a clone (the tree was frozen by
+// a snapshot), the clone and every node linked into it are discarded and
+// t.root still references the originals — their pids must stay live, so the
+// staged ids are dropped. If the mutation ran in place on the live root,
+// clones relinked during the descent remain reachable and their originals
+// really are superseded, so the staged ids are committed.
 func (t *Tree) abortMutation(root *node) {
 	if root == t.root {
 		t.commitFreed()
@@ -435,6 +438,87 @@ func (t *Tree) Delete(key []byte) error {
 	return nil
 }
 
+// Replace removes old and inserts newKey -> rid: the index side of a row
+// whose key changed. It makes one copy-on-write descent by old, noting the
+// separator bounds [lo, hi) of the leaf it reaches. When newKey falls in
+// those bounds and the leaf stays within the byte budget, the entry moves
+// inside the leaf: the key count is unchanged, so nothing splits or
+// rebalances. Otherwise it falls back to Delete then Insert. A missing old
+// returns ErrNotFound and changes nothing; a newKey already present returns
+// ErrDuplicate with old removed, as Delete then Insert would. The key bytes
+// are copied.
+func (t *Tree) Replace(old, newKey []byte, rid heap.RID) error {
+	if len(newKey) > MaxKeySize {
+		return ErrKeyTooLarge
+	}
+	t.snap = nil
+	root := t.writableRoot()
+	n := root
+	var lo, hi []byte
+	for !n.leaf() {
+		i := n.childFor(old)
+		if i > 0 {
+			lo = n.keys[i-1]
+		}
+		if i < len(n.keys) {
+			hi = n.keys[i]
+		}
+		n = t.writableChild(n, i)
+	}
+	i := n.search(old)
+	if i >= len(n.keys) || !bytes.Equal(n.keys[i], old) {
+		t.abortMutation(root)
+		return ErrNotFound
+	}
+	// The path is cloned and identical in content, so it is installed even
+	// when the move falls back: Delete and Insert then run on it in place.
+	t.installRoot(root)
+	if !t.moveInLeaf(n, i, newKey, rid, lo, hi) {
+		if err := t.Delete(old); err != nil {
+			return err
+		}
+		return t.Insert(newKey, rid)
+	}
+	return nil
+}
+
+// moveInLeaf rewrites entry i of the writable leaf n as newKey -> rid,
+// shifting the entries between its old and new positions by one slot. It
+// reports false, changing nothing, when the result would leave the leaf's
+// bounds [lo, hi), collide with another key, outgrow the byte budget, or
+// shrink a leaf that is underfull by key count below the byte fill that
+// Validate accepts in its place (Delete would have rebalanced it).
+func (t *Tree) moveInLeaf(n *node, i int, newKey []byte, rid heap.RID, lo, hi []byte) bool {
+	if (lo != nil && bytes.Compare(newKey, lo) < 0) || (hi != nil && bytes.Compare(newKey, hi) >= 0) {
+		return false
+	}
+	j := n.search(newKey)
+	if j < len(n.keys) && j != i && bytes.Equal(n.keys[j], newKey) {
+		return false
+	}
+	if grow := len(newKey) - len(n.keys[i]); grow > 0 {
+		if len(n.keys) > 1 && nodeBytes(n)+grow > nodeByteBudget {
+			return false
+		}
+	} else if grow < 0 && len(n.keys) < minFill && nodeBytes(n)+grow < nodeByteBudget/4 {
+		return false
+	}
+	k := make([]byte, len(newKey))
+	copy(k, newKey)
+	if j > i {
+		// newKey sorts after entries i+1..j-1: they shift down one slot.
+		j--
+		copy(n.keys[i:j], n.keys[i+1:j+1])
+		copy(n.rids[i:j], n.rids[i+1:j+1])
+	} else if j < i {
+		copy(n.keys[j+1:i+1], n.keys[j:i])
+		copy(n.rids[j+1:i+1], n.rids[j:i])
+	}
+	n.keys[j] = k
+	n.rids[j] = rid
+	return true
+}
+
 // delete removes key from the subtree under the writable node n.
 func (t *Tree) delete(n *node, key []byte) error {
 	if n.leaf() {
@@ -476,15 +560,15 @@ func (t *Tree) rebalance(n *node, i int) {
 		left := t.writableChild(n, i-1)
 		if child.leaf() {
 			last := len(left.keys) - 1
-			child.keys = append([][]byte{left.keys[last]}, child.keys...)
-			child.rids = append([]heap.RID{left.rids[last]}, child.rids...)
+			child.keys = slices.Insert(child.keys, 0, left.keys[last])
+			child.rids = slices.Insert(child.rids, 0, left.rids[last])
 			left.keys = left.keys[:last]
 			left.rids = left.rids[:last]
 			n.keys[i-1] = child.keys[0]
 		} else {
 			last := len(left.keys) - 1
-			child.keys = append([][]byte{n.keys[i-1]}, child.keys...)
-			child.children = append([]*node{left.children[last+1]}, child.children...)
+			child.keys = slices.Insert(child.keys, 0, n.keys[i-1])
+			child.children = slices.Insert(child.children, 0, left.children[last+1])
 			n.keys[i-1] = left.keys[last]
 			left.keys = left.keys[:last]
 			left.children = left.children[:last+1]

@@ -43,6 +43,9 @@ type Counters struct {
 	// read counter here, so page/node traffic aggregates per database.
 	HeapPageReads  atomic.Int64
 	BtreeNodeReads atomic.Int64
+	// IndexWrites counts index entries DML inserted, deleted or moved: one
+	// per tree Insert, Delete or Replace.
+	IndexWrites atomic.Int64
 }
 
 // Snapshot is a point-in-time copy of the counters.
@@ -54,6 +57,7 @@ type Snapshot struct {
 	RowsUpdated    int64
 	HeapPageReads  int64
 	BtreeNodeReads int64
+	IndexWrites    int64
 }
 
 // Snapshot copies the current counter values.
@@ -66,6 +70,7 @@ func (c *Counters) Snapshot() Snapshot {
 		RowsUpdated:    c.RowsUpdated.Load(),
 		HeapPageReads:  c.HeapPageReads.Load(),
 		BtreeNodeReads: c.BtreeNodeReads.Load(),
+		IndexWrites:    c.IndexWrites.Load(),
 	}
 }
 
@@ -79,6 +84,7 @@ func (s Snapshot) Sub(prev Snapshot) Snapshot {
 		RowsUpdated:    s.RowsUpdated - prev.RowsUpdated,
 		HeapPageReads:  s.HeapPageReads - prev.HeapPageReads,
 		BtreeNodeReads: s.BtreeNodeReads - prev.BtreeNodeReads,
+		IndexWrites:    s.IndexWrites - prev.IndexWrites,
 	}
 }
 
@@ -116,6 +122,16 @@ func (ix *Index) appendKey(dst []byte, row sqltypes.Row, rid heap.RID) []byte {
 		dst = AppendRID(dst, rid)
 	}
 	return dst
+}
+
+// checkKeySize fails, naming the index, when key is too large for a tree
+// page. Writers check every key before they touch storage, so an oversized
+// value is an error and never a partly indexed row.
+func (ix *Index) checkKeySize(key []byte) error {
+	if len(key) > btree.MaxKeySize {
+		return fmt.Errorf("index %s: %d-byte key: %w", ix.Name, len(key), btree.ErrKeyTooLarge)
+	}
+	return nil
 }
 
 // prefixFor builds the column-value part of the key only (for lookups).
@@ -214,13 +230,19 @@ func (t *Table) Insert(row sqltypes.Row) (heap.RID, error) {
 	if err != nil {
 		return heap.RID{}, err
 	}
-	// Check unique constraints before touching storage.
-	for _, ix := range t.Indexes {
+	// Build and check every key before touching storage: its size, and
+	// uniqueness. Non-unique keys carry a placeholder RID suffix until the
+	// heap has placed the row.
+	keys := make([][]byte, len(t.Indexes))
+	for i, ix := range t.Indexes {
+		keys[i] = ix.keyFor(row, heap.RID{})
+		if err := ix.checkKeySize(keys[i]); err != nil {
+			return heap.RID{}, err
+		}
 		if !ix.Unique {
 			continue
 		}
-		key := ix.keyFor(row, heap.RID{})
-		if _, exists := ix.Tree.Get(key); exists {
+		if _, exists := ix.Tree.Get(keys[i]); exists {
 			return heap.RID{}, fmt.Errorf("unique index %s: duplicate key %s", ix.Name, describeKey(ix, row))
 		}
 	}
@@ -228,12 +250,16 @@ func (t *Table) Insert(row sqltypes.Row) (heap.RID, error) {
 	if err != nil {
 		return heap.RID{}, err
 	}
-	for _, ix := range t.Indexes {
-		if err := ix.Tree.Insert(ix.keyFor(row, rid), rid); err != nil {
-			// Unique violation was pre-checked; any error here is corruption.
+	for i, ix := range t.Indexes {
+		if !ix.Unique {
+			patchRID(keys[i], rid)
+		}
+		if err := ix.Tree.Insert(keys[i], rid); err != nil {
+			// Size and uniqueness were pre-checked; any error here is corruption.
 			panic(fmt.Sprintf("catalog: index %s insert: %v", ix.Name, err))
 		}
 	}
+	t.counters.IndexWrites.Add(int64(len(t.Indexes)))
 	t.counters.RowsInserted.Add(1)
 	return rid, nil
 }
@@ -285,6 +311,9 @@ func (t *Table) BulkInsert(rows []sqltypes.Row) ([]heap.RID, error) {
 				arena = AppendRID(arena, heap.RID{})
 			}
 			keys[i] = arena[start:len(arena):len(arena)]
+			if err := ix.checkKeySize(keys[i]); err != nil {
+				return nil, fmt.Errorf("row %d: %w", i+1, err)
+			}
 			if i > 0 && sorted {
 				cmp := bytes.Compare(keys[i-1], keys[i])
 				if cmp > 0 {

@@ -1,12 +1,14 @@
 package sqldb
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
 	"strings"
 	"testing"
 
+	"ordxml/internal/sqldb/btree"
 	"ordxml/internal/sqldb/heap"
 	"ordxml/internal/sqldb/sqltypes"
 )
@@ -93,32 +95,54 @@ func TestUpdatePermutesUniqueKeys(t *testing.T) {
 	}
 }
 
+// oversized is a TEXT value whose index key cannot fit a tree page: the key
+// codec escapes every NUL byte into two, so 5,000 of them encode to more
+// than btree.MaxKeySize although the row fits a heap page.
+var oversized = sqltypes.NewText(strings.Repeat("\x00", 5000))
+
+// withTextIndex adds a table u whose unique k index precedes a non-unique
+// index over the TEXT column s, holding (1, 1, 'a'), (2, 2, 'b'), (3, 3, 'c').
+func withTextIndex(t *testing.T, db *DB) *DB {
+	t.Helper()
+	mustExec(t, db, `CREATE TABLE u (id INT PRIMARY KEY, k INT NOT NULL, s TEXT)`)
+	mustExec(t, db, `CREATE UNIQUE INDEX u_k ON u (k)`)
+	mustExec(t, db, `CREATE INDEX u_s ON u (s)`)
+	mustExec(t, db, `INSERT INTO u VALUES (1, 1, 'a'), (2, 2, 'b'), (3, 3, 'c')`)
+	return db
+}
+
 // A statement that fails leaves nothing behind: every row, every index scan
 // and the integrity check are as they were, and Exec reports 0 rows.
 func TestFailedDMLLeavesNoPrefix(t *testing.T) {
 	for _, paged := range []bool{false, true} {
 		for _, c := range []struct {
-			name string
-			sql  string
+			name   string
+			sql    string
+			params []sqltypes.Value
 		}{
-			{"update collision", `UPDATE t SET k = 10 WHERE k >= 1`},
-			{"update NOT NULL", `UPDATE t SET k = NULL WHERE id = 3`},
-			{"update pkey collision", `UPDATE t SET id = id + 1 WHERE id <= 2`},
-			{"insert duplicate in batch", `INSERT INTO t VALUES (10, 10, 0), (11, 11, 0), (12, 10, 0)`},
-			{"insert duplicate of existing", `INSERT INTO t VALUES (10, 10, 0), (11, 2, 0)`},
-			{"insert NOT NULL", `INSERT INTO t VALUES (7, 7, 0), (8, NULL, 0)`},
+			{"update collision", `UPDATE t SET k = 10 WHERE k >= 1`, nil},
+			{"update NOT NULL", `UPDATE t SET k = NULL WHERE id = 3`, nil},
+			{"update pkey collision", `UPDATE t SET id = id + 1 WHERE id <= 2`, nil},
+			{"insert duplicate in batch", `INSERT INTO t VALUES (10, 10, 0), (11, 11, 0), (12, 10, 0)`, nil},
+			{"insert duplicate of existing", `INSERT INTO t VALUES (10, 10, 0), (11, 2, 0)`, nil},
+			{"insert NOT NULL", `INSERT INTO t VALUES (7, 7, 0), (8, NULL, 0)`, nil},
+			// u_k's key changes and u_s's new key is too large: the size
+			// check fails the row before any index is rewritten.
+			{"update oversized later key", `UPDATE u SET k = k + 10, s = ? WHERE id = 2`, []sqltypes.Value{oversized}},
+			{"insert oversized key", `INSERT INTO u VALUES (4, 4, 'd'), (5, 5, ?)`, []sqltypes.Value{oversized}},
 		} {
 			t.Run(fmt.Sprintf("paged=%v/%s", paged, c.name), func(t *testing.T) {
-				db := denseKeys(t, 3, paged)
-				before := tableState(t, db, "t")
-				n, err := db.Exec(c.sql)
+				db := withTextIndex(t, denseKeys(t, 3, paged))
+				state := func() string { return tableState(t, db, "t") + "\n" + tableState(t, db, "u") }
+				before := state()
+				n, err := db.Exec(c.sql, c.params...)
 				if err == nil {
 					t.Fatalf("%s succeeded", c.sql)
 				}
 				if n != 0 {
 					t.Errorf("failed statement reported %d rows", n)
 				}
-				if after := tableState(t, db, "t"); after != before {
+				if after := state(); after != before {
 					t.Errorf("table changed by a failed statement\nbefore: %s\nafter:  %s", before, after)
 				}
 				// The table still takes the statements that are valid.
@@ -127,6 +151,80 @@ func TestFailedDMLLeavesNoPrefix(t *testing.T) {
 				tableState(t, db, "t")
 			})
 		}
+	}
+}
+
+// An index key too large for a tree page is an error naming the index, on
+// every write path, and the table is left as it was.
+func TestOversizedIndexKeyIsAnError(t *testing.T) {
+	for _, paged := range []bool{false, true} {
+		t.Run(fmt.Sprintf("paged=%v", paged), func(t *testing.T) {
+			db := Open()
+			if paged {
+				db = OpenPooled(newTestPool(t, 64))
+			}
+			withTextIndex(t, db)
+			before := tableState(t, db, "u")
+			check := func(what string, err error) {
+				t.Helper()
+				if !errors.Is(err, btree.ErrKeyTooLarge) || !strings.Contains(err.Error(), "u_s") {
+					t.Errorf("%s: err = %v, want btree.ErrKeyTooLarge naming u_s", what, err)
+				}
+				if after := tableState(t, db, "u"); after != before {
+					t.Errorf("%s changed the table\nbefore: %s\nafter:  %s", what, before, after)
+				}
+			}
+			_, err := db.Exec(`INSERT INTO u VALUES (4, 4, 'd'), (5, 5, ?), (6, 6, 'f')`, oversized)
+			check("multi-row INSERT", err)
+			_, err = db.Exec(`UPDATE u SET s = ? WHERE id = 3`, oversized)
+			check("UPDATE", err)
+			_, err = db.BulkInsert("u", []sqltypes.Row{
+				{I(4), I(4), sqltypes.NewText("d")},
+				{I(5), I(5), oversized},
+			})
+			check("BulkInsert", err)
+		})
+	}
+}
+
+// An UPDATE that grows a row past its heap page moves it to a new RID, and
+// every index follows it, including those whose columns did not change.
+func TestUpdateMovingRowRepointsEveryIndex(t *testing.T) {
+	for _, paged := range []bool{false, true} {
+		t.Run(fmt.Sprintf("paged=%v", paged), func(t *testing.T) {
+			db := Open()
+			if paged {
+				db = OpenPooled(newTestPool(t, 64))
+			}
+			withTextIndex(t, db)
+			for i := int64(4); i <= 150; i++ {
+				mustExec(t, db, `INSERT INTO u VALUES (?, ?, ?)`, I(i), I(i), sqltypes.NewText(strings.Repeat("p", 40)))
+			}
+			tbl := db.Catalog().Table("u")
+			ridOf := func() heap.RID {
+				var rid heap.RID
+				tbl.IndexScan(tbl.Indexes[0], []sqltypes.Value{I(2)}, nil, nil, false, false, func(r heap.RID) bool {
+					rid = r
+					return false
+				})
+				return rid
+			}
+			was := ridOf()
+			writes := db.Counters().IndexWrites
+			mustExec(t, db, `UPDATE u SET s = ? WHERE id = 2`, sqltypes.NewText(strings.Repeat("g", 3000)))
+			if ridOf() == was {
+				t.Fatal("the grown row kept its RID; the test needs the heap to move it")
+			}
+			if n := db.Counters().IndexWrites - writes; n != int64(len(tbl.Indexes)) {
+				t.Errorf("moving the row wrote %d index entries, want one per index (%d)", n, len(tbl.Indexes))
+			}
+			tableState(t, db, "u")
+			for _, q := range []string{`SELECT s FROM u WHERE id = 2`, `SELECT s FROM u WHERE k = 2`} {
+				if res := mustQuery(t, db, q); len(res.Rows) != 1 || len(res.Rows[0][0].Text()) != 3000 {
+					t.Errorf("%s after the move: %v", q, res.Rows)
+				}
+			}
+		})
 	}
 }
 
@@ -257,5 +355,26 @@ func TestDMLMatchesModel(t *testing.T) {
 		if failed < steps/10 || failed > steps*9/10 {
 			t.Errorf("seed %d: %d of %d statements failed", seed, failed, steps)
 		}
+	}
+}
+
+// TestUpdateSetReadsRID checks that SET expressions still see the hidden
+// _rid column: an UPDATE keeps its matched rows encoded without it and adds
+// it back before evaluating them.
+func TestUpdateSetReadsRID(t *testing.T) {
+	for _, paged := range []bool{false, true} {
+		db := denseKeys(t, 50, paged)
+		if n := mustExec(t, db, `UPDATE t SET v = _rid WHERE k > 10`); n != 40 {
+			t.Fatalf("paged=%v: updated %d rows, want 40", paged, n)
+		}
+		seen := map[int64]bool{}
+		for _, r := range mustQuery(t, db, `SELECT v FROM t WHERE k > 10`).Rows {
+			v := r[0].Int()
+			if v < 3 || seen[v] {
+				t.Errorf("paged=%v: v = %d, want a distinct packed RID", paged, v)
+			}
+			seen[v] = true
+		}
+		tableState(t, db, "t")
 	}
 }

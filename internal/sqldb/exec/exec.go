@@ -8,6 +8,7 @@ package exec
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 
 	"ordxml/internal/govern"
@@ -234,6 +235,7 @@ func buildOp(n plan.Node, params []sqltypes.Value, env Env) (Operator, error) {
 // with the error.
 func runRows(t *catalog.Table, n int, apply func(w *catalog.Write, i int) error) (int, error) {
 	w := t.BeginWrite()
+	w.Reserve(n)
 	var err error
 	for i := 0; i < n && err == nil; i++ {
 		err = apply(w, i)
@@ -271,15 +273,25 @@ func RunInsert(p *plan.InsertPlan, params []sqltypes.Value) (int, error) {
 // is parked and the trees change from the high end down. Any order is
 // correct; uniqueness holds per statement.
 func RunUpdate(p *plan.UpdatePlan, params []sqltypes.Value) (int, error) {
-	matches, err := collectDML(p.Scan, params)
+	matches, err := collectDML(p.Scan, params, true)
 	if err != nil {
 		return 0, err
 	}
 	env := &expr.Env{Params: params}
 	vals := make([]sqltypes.Value, len(p.SetExprs))
-	return runRows(p.Table, len(matches), func(w *catalog.Write, i int) error {
-		m := matches[len(matches)-1-i]
-		env.Row = m.row
+	var row sqltypes.Row
+	newRow := make(sqltypes.Row, len(p.Table.Columns))
+	n := len(matches.rids)
+	return runRows(p.Table, n, func(w *catalog.Write, i int) error {
+		i = n - 1 - i
+		rid, old := matches.rids[i], matches.row(i)
+		var err error
+		if row, _, err = sqltypes.DecodeRowInto(row[:0], old); err != nil {
+			return err
+		}
+		// SET expressions resolve against the scan's row, which ends in _rid.
+		row = append(row, sqltypes.NewInt(EncodeRIDInt(rid)))
+		env.Row = row
 		for si, e := range p.SetExprs {
 			v, err := expr.Eval(e, env)
 			if err != nil {
@@ -287,49 +299,83 @@ func RunUpdate(p *plan.UpdatePlan, params []sqltypes.Value) (int, error) {
 			}
 			vals[si] = v
 		}
-		// m.row is the statement's own copy: it becomes the new row once
-		// every SET expression has read the old values.
-		newRow := m.row[:len(p.Table.Columns)]
+		// The matched row stays as the scan read it: the Write takes the old
+		// index keys from it and keeps its encoding for undo. The new row is
+		// built in a second scratch row.
+		oldRow := row[:len(newRow)]
+		copy(newRow, oldRow)
 		for si, col := range p.SetCols {
 			newRow[col] = vals[si]
 		}
-		_, err := w.Update(m.rid, newRow)
+		_, err = w.UpdateFrom(rid, old, oldRow, newRow)
 		return err
 	})
 }
 
 // RunDelete executes a delete plan, returning the number of rows deleted.
 func RunDelete(p *plan.DeletePlan, params []sqltypes.Value) (int, error) {
-	matches, err := collectDML(p.Scan, params)
+	matches, err := collectDML(p.Scan, params, false)
 	if err != nil {
 		return 0, err
 	}
-	return runRows(p.Table, len(matches), func(w *catalog.Write, i int) error {
-		return w.Delete(matches[i].rid)
+	return runRows(p.Table, len(matches.rids), func(w *catalog.Write, i int) error {
+		return w.Delete(matches.rids[i])
 	})
 }
 
-type dmlMatch struct {
-	rid heap.RID
-	row sqltypes.Row
+// dmlMatches is what a DML statement's scan matched, read in full before the
+// statement changes anything: each row's RID and, when kept, its table
+// columns row-encoded back to back, as the heap stores them. Decoded, a row
+// would take a 64-byte Value per column.
+type dmlMatches struct {
+	rids []heap.RID
+	rows []byte
+	ends []int // row i is rows[ends[i-1]:ends[i]]
 }
 
-func collectDML(scan plan.Node, params []sqltypes.Value) ([]dmlMatch, error) {
+// row returns match i's encoded row.
+func (m *dmlMatches) row(i int) []byte {
+	start := 0
+	if i > 0 {
+		start = m.ends[i-1]
+	}
+	return m.rows[start:m.ends[i]]
+}
+
+func collectDML(scan plan.Node, params []sqltypes.Value, keepRows bool) (dmlMatches, error) {
+	var m dmlMatches
 	op, err := Open(scan, params, Env{})
 	if err != nil {
-		return nil, err
+		return m, err
 	}
 	defer op.Close()
-	var out []dmlMatch
 	for {
 		row, ok, err := op.Next()
 		if err != nil {
-			return nil, err
+			return m, err
 		}
 		if !ok {
-			return out, nil
+			return m, nil
 		}
-		ridVal := row[len(row)-1]
-		out = append(out, dmlMatch{rid: DecodeRIDInt(ridVal.Int()), row: row.Clone()})
+		last := len(row) - 1
+		m.rids = append(reserve(m.rids, 1), DecodeRIDInt(row[last].Int()))
+		if keepRows {
+			m.rows = sqltypes.EncodeRow(reserve(m.rows, encodedRowReserve), row[:last])
+			m.ends = append(reserve(m.ends, 1), len(m.rows))
+		}
 	}
+}
+
+// encodedRowReserve is the free space collectDML leaves before encoding a
+// row. A larger row still fits: EncodeRow's own append grows the buffer.
+const encodedRowReserve = 256
+
+// reserve returns s with room for n more elements, doubling its capacity when
+// it must grow. append alone grows a large slice by a quarter at a time, so
+// a slice built up row by row allocates about five times its final size.
+func reserve[S ~[]E, E any](s S, n int) S {
+	if cap(s)-len(s) < n {
+		s = slices.Grow(s, max(n, cap(s)))
+	}
+	return s
 }

@@ -147,4 +147,5 @@ func (db *DB) registerStorageFuncs() {
 	db.metrics.reg.RegisterFunc("storage.rows_inserted", c.RowsInserted.Load)
 	db.metrics.reg.RegisterFunc("storage.rows_deleted", c.RowsDeleted.Load)
 	db.metrics.reg.RegisterFunc("storage.rows_updated", c.RowsUpdated.Load)
+	db.metrics.reg.RegisterFunc("storage.index_writes", c.IndexWrites.Load)
 }
