@@ -51,6 +51,7 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzParse -fuzztime 10s ./internal/xmltree/
 	$(GO) test -fuzz FuzzVerifyPage -fuzztime 10s ./internal/sqldb/pagefile/
 	$(GO) test -fuzz FuzzReplace -fuzztime 10s ./internal/sqldb/btree/
+	$(GO) test -fuzz FuzzReseek -fuzztime 10s ./internal/sqldb/btree/
 	$(GO) test -fuzz FuzzTranslateOracle -fuzztime 10s ./internal/core/translate/
 
 # cli-smoke is the command-line round trip through a store directory: for

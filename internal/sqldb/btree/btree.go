@@ -374,21 +374,28 @@ func overfull(n *node) bool {
 // midpoint, unless the node is over the byte budget, when the split balances
 // bytes instead. Keys of mixed lengths would otherwise leave one half with
 // half the keys but a sliver of the bytes (Validate's fill rule relies on a
-// byte-split half keeping at least a quarter of the budget). Both halves keep
-// at least one key.
+// byte-split half keeping at least a quarter of the budget). A leaf splits
+// into keys[:mid] and keys[mid:]; an interior node promotes keys[mid] and
+// keeps keys[:mid] and keys[mid+1:], each with one child more than keys.
+// Both halves keep at least one key, except an interior node of two keys,
+// whose right half keeps only a child.
 func splitPoint(n *node) int {
 	if len(n.keys) > maxKeys {
 		return len(n.keys) / 2
 	}
-	per := ridBytes
+	per, left, last := ridBytes, nodeHeaderBytes, len(n.keys)-1
 	if !n.leaf() {
-		per = childPidBytes
+		per, left, last = childPidBytes, nodeHeaderBytes+childPidBytes, max(len(n.keys)-2, 1)
 	}
-	total, left := nodeBytes(n), nodeHeaderBytes
+	total := nodeBytes(n)
 	best, bestMax := 1, total
-	for mid := 1; mid < len(n.keys); mid++ {
+	for mid := 1; mid <= last; mid++ {
 		left += 2 + len(n.keys[mid-1]) + per
-		if m := max(left, total-left+nodeHeaderBytes); m < bestMax {
+		right := total - left + nodeHeaderBytes
+		if !n.leaf() {
+			right -= 2 + len(n.keys[mid])
+		}
+		if m := max(left, right); m < bestMax {
 			best, bestMax = mid, m
 		}
 	}
@@ -701,7 +708,7 @@ type iterFrame struct {
 // sideways leaf links, so it works over copy-on-write snapshots whose leaves
 // carry no next pointers.
 type Iterator struct {
-	stack []iterFrame // path from root (bottom) to current leaf (top)
+	stack []iterFrame // path from root (bottom) to current leaf (top); never empty
 	// bound is the range end the iterator walks toward: the exclusive upper
 	// bound ascending, the inclusive lower bound descending; nil = none.
 	bound []byte
@@ -792,35 +799,76 @@ func prefixSuccessor(p []byte) []byte {
 
 // settle moves the iterator onto the nearest leaf entry in its direction:
 // it pops exhausted frames and descends into the next sibling subtree (the
-// one to the right ascending, to the left descending).
+// one to the right ascending, to the left descending). An exhausted iterator
+// keeps the root frame, positioned past its last child or key, so Reseek
+// always has a path to start from.
 func (it *Iterator) settle() {
-	for len(it.stack) > 0 {
+	for {
 		top := &it.stack[len(it.stack)-1]
 		if top.n.leaf() {
 			if uint(top.i) < uint(len(top.n.keys)) {
 				return
 			}
-			it.stack = it.stack[:len(it.stack)-1]
-			continue
-		}
-		if it.desc {
-			top.i--
 		} else {
-			top.i++
+			if it.desc {
+				top.i--
+			} else {
+				top.i++
+			}
+			if uint(top.i) < uint(len(top.n.children)) {
+				it.descend(top.n.children[top.i], nil, nil)
+				continue
+			}
 		}
-		if top.i < 0 || top.i >= len(top.n.children) {
-			it.stack = it.stack[:len(it.stack)-1]
-			continue
+		if len(it.stack) == 1 {
+			return
 		}
-		it.descend(top.n.children[top.i], nil, nil)
+		it.stack = it.stack[:len(it.stack)-1]
 	}
+}
+
+// Reseek repositions an ascending iterator at the first key >= start, with
+// end as its new exclusive upper bound (nil bounds are open, as in Seek). It
+// yields exactly what a fresh Seek(start, end) on the same tree would, but
+// reuses the descent stack: child i of an interior node holds the keys in
+// [keys[i-1], keys[i]), so the separators on the path bound every frame's
+// key range, and the deepest frame whose range holds start is where a fresh
+// descent would pass too. Reseek keeps that frame and the ones above it and
+// searches down from there. A probe just ahead of the previous one costs one
+// leaf search; one that goes backwards keeps only the root and costs what a
+// fresh Seek costs. Every node whose keys Reseek searches — the kept frame
+// and each node it descends into — counts as a node read.
+//
+// The tree must not have changed since the iterator was positioned: the
+// stack holds its nodes.
+func (it *Iterator) Reseek(start, end []byte) {
+	if it.desc {
+		panic("btree: Reseek on a descending iterator")
+	}
+	it.bound = end
+	keep := 0
+	var lo, hi []byte
+	for d := 0; d+1 < len(it.stack); d++ {
+		f := it.stack[d]
+		if f.i > 0 {
+			lo = f.n.keys[f.i-1]
+		}
+		if f.i < len(f.n.keys) {
+			hi = f.n.keys[f.i]
+		}
+		if bytes.Compare(start, lo) < 0 || (hi != nil && bytes.Compare(start, hi) >= 0) {
+			break
+		}
+		keep = d + 1
+	}
+	n := it.stack[keep].n
+	it.stack = it.stack[:keep]
+	it.descend(n, start, end)
+	it.settle()
 }
 
 // Valid reports whether the iterator is positioned on an entry.
 func (it *Iterator) Valid() bool {
-	if len(it.stack) == 0 {
-		return false
-	}
 	top := it.stack[len(it.stack)-1]
 	if uint(top.i) >= uint(len(top.n.keys)) {
 		return false

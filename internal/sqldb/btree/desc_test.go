@@ -262,9 +262,10 @@ func TestSeekDescNodeReads(t *testing.T) {
 	}
 }
 
-// TestIteratorSizeClass guards the allocation per probe: query workloads
-// open one iterator per index probe, and the direction flag must not push
-// it out of the 64-byte size class.
+// TestIteratorSizeClass keeps Iterator in the 64-byte size class. An index
+// join opens one iterator for its whole run and moves it with Reseek, but
+// every index scan still opens its own, and the direction flag must not push
+// it into the next class.
 func TestIteratorSizeClass(t *testing.T) {
 	if size := unsafe.Sizeof(Iterator{}); size > 64 {
 		t.Fatalf("Iterator is %d bytes, want at most 64", size)

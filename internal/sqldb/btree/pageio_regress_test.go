@@ -89,3 +89,15 @@ func TestDeleteMergeRespectsPageByteBudget(t *testing.T) {
 		}
 	}
 }
+
+// An interior node over the byte budget whose last separator is the long one
+// must not split with that separator promoted and nothing to its right: the
+// right half would be an interior node of no keys, which Validate rejects
+// when a merge with its neighbour fits.
+func TestInteriorByteSplitKeepsRightKey(t *testing.T) {
+	keys := [][]byte{[]byte("a"), []byte("b"), []byte("c"), []byte(strings.Repeat("d", nodeByteBudget))}
+	n := &node{keys: keys, children: make([]*node, len(keys)+1)}
+	if mid := splitPoint(n); mid < 1 || mid > len(keys)-2 {
+		t.Fatalf("splitPoint = %d: a half keeps no key", mid)
+	}
+}

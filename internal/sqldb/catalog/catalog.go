@@ -134,15 +134,6 @@ func (ix *Index) checkKeySize(key []byte) error {
 	return nil
 }
 
-// prefixFor builds the column-value part of the key only (for lookups).
-func (ix *Index) prefixFor(vals []sqltypes.Value) []byte {
-	key := make([]byte, 0, 32)
-	for _, v := range vals {
-		key = sqltypes.EncodeKey(key, v)
-	}
-	return key
-}
-
 // AppendRID appends the fixed-width big-endian encoding of rid to key.
 func AppendRID(key []byte, rid heap.RID) []byte {
 	var buf [6]byte
@@ -450,7 +441,7 @@ func (t *Table) Scan(fn func(rid heap.RID, row sqltypes.Row) bool) error {
 // the equality prefix lies in [low, high] (nil bounds are open). fn receives
 // the RID; loading the row is the caller's choice.
 func (t *Table) IndexScan(ix *Index, eq []sqltypes.Value, low, high *sqltypes.Value, lowExcl, highExcl bool, fn func(rid heap.RID) bool) {
-	start, end := indexRange(ix, eq, low, high, lowExcl, highExcl)
+	start, end := indexRange(nil, nil, eq, low, high, lowExcl, highExcl)
 	it := ix.Tree.Seek(start, end)
 	for ; it.Valid(); it.Next() {
 		t.counters.IndexProbes.Add(1)

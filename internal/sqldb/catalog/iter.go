@@ -73,29 +73,29 @@ func (it *RowIter) Next(dst sqltypes.Row) (heap.RID, sqltypes.Row, bool, error) 
 	return rid, row, true, nil
 }
 
-// indexRange builds the [start, end) key range for an index scan: an
+// indexRange builds the [start, end) key range for an index scan — an
 // equality prefix over the leading index columns, then an optional residual
-// range on the next column (nil bounds are open).
-func indexRange(ix *Index, eq []sqltypes.Value, low, high *sqltypes.Value, lowExcl, highExcl bool) (start, end []byte) {
-	prefix := ix.prefixFor(eq)
-	start = prefix
+// range on the next column (nil bounds are open) — appending the keys to the
+// caller's buffers start and end. A nil end is open: the prefix has no
+// successor.
+func indexRange(start, end []byte, eq []sqltypes.Value, low, high *sqltypes.Value, lowExcl, highExcl bool) ([]byte, []byte) {
+	start = sqltypes.EncodeKey(start, eq...)
+	end = append(end, start...)
+	if high != nil {
+		end = sqltypes.EncodeKey(end, *high)
+		if !highExcl {
+			end = sqltypes.AppendPrefixSuccessor(end[:0], end)
+		}
+	} else {
+		end = sqltypes.AppendPrefixSuccessor(end[:0], end)
+	}
 	if low != nil {
-		start = sqltypes.EncodeKey(append([]byte{}, prefix...), *low)
+		start = sqltypes.EncodeKey(start, *low)
 		if lowExcl {
 			// Skip all entries equal to low: successor of the encoded value
 			// within this column (works because keys are self-delimiting).
-			start = sqltypes.PrefixSuccessor(start)
+			start = sqltypes.AppendPrefixSuccessor(start[:0], start)
 		}
-	}
-	if high != nil {
-		hk := sqltypes.EncodeKey(append([]byte{}, prefix...), *high)
-		if highExcl {
-			end = hk
-		} else {
-			end = sqltypes.PrefixSuccessor(hk)
-		}
-	} else {
-		end = sqltypes.PrefixSuccessor(prefix)
 	}
 	return start, end
 }
@@ -104,6 +104,9 @@ func indexRange(ix *Index, eq []sqltypes.Value, low, high *sqltypes.Value, lowEx
 type IndexIter struct {
 	counters *Counters // nil: unmetered
 	it       *btree.Iterator
+	// start and end hold the current range's keys; Reseek rebuilds them in
+	// place.
+	start, end []byte
 }
 
 // IndexIter returns a pull iterator over the view's index data with the
@@ -111,8 +114,20 @@ type IndexIter struct {
 // leading index columns, then an optional range on the next column. desc
 // walks the range from its last entry to its first.
 func (td *TableData) IndexIter(ix *Index, eq []sqltypes.Value, low, high *sqltypes.Value, lowExcl, highExcl, desc bool) *IndexIter {
-	start, end := indexRange(ix, eq, low, high, lowExcl, highExcl)
-	return &IndexIter{counters: td.counters, it: td.seekTree(ix, start, end, desc)}
+	it := &IndexIter{counters: td.counters}
+	it.start, it.end = indexRange(nil, nil, eq, low, high, lowExcl, highExcl)
+	it.it = td.seekTree(ix, it.start, it.end, desc)
+	return it
+}
+
+// Reseek moves an ascending iterator to another range of its index, with
+// the bounds of IndexIter, continuing from where the iterator stands (see
+// btree.Iterator.Reseek): a range just ahead of the last one costs a leaf
+// search, not a descent from the root. The index must not have changed
+// since the iterator was opened.
+func (it *IndexIter) Reseek(eq []sqltypes.Value, low, high *sqltypes.Value, lowExcl, highExcl bool) {
+	it.start, it.end = indexRange(it.start[:0], it.end[:0], eq, low, high, lowExcl, highExcl)
+	it.it.Reseek(it.start, it.end)
 }
 
 // Next returns the next matching RID, or ok=false at the end.

@@ -111,7 +111,7 @@ func (td *TableData) seekTree(ix *Index, start, end []byte, desc bool) *btree.It
 // IndexCount returns the number of entries of ix in the range IndexIter
 // would scan, counted index-only: no row is fetched and no counter moves.
 func (td *TableData) IndexCount(ix *Index, eq []sqltypes.Value, low, high *sqltypes.Value, lowExcl, highExcl bool) int {
-	start, end := indexRange(ix, eq, low, high, lowExcl, highExcl)
+	start, end := indexRange(nil, nil, eq, low, high, lowExcl, highExcl)
 	if td.trees != nil {
 		if snap, ok := td.trees[ix]; ok {
 			return snap.Count(start, end)

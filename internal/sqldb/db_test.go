@@ -342,6 +342,37 @@ func TestIndexNLJoinResults(t *testing.T) {
 	wantRows(t, res, "ann|2", "ann|3")
 }
 
+// A NULL bound matches nothing in every plan shape. PREFIX_SUCC of an
+// all-0xFF blob is NULL, so `k < PREFIX_SUCC(?)` holds for no row: an
+// IndexScan, an IndexNLJoin whose upper bound comes from the left row, and a
+// NestedLoopJoin over an unindexed copy must all return no rows.
+func TestNullBoundMatchesNothing(t *testing.T) {
+	db := Open()
+	for _, tbl := range []string{"t", "u"} {
+		mustExec(t, db, "CREATE TABLE "+tbl+" (id INT PRIMARY KEY, k BLOB)")
+		for i, k := range []string{"\xfe", "\xff", "\xff\x01", "\xff\xff"} {
+			mustExec(t, db, "INSERT INTO "+tbl+" VALUES (?, ?)", I(int64(i)), sqltypes.NewBlob([]byte(k)))
+		}
+	}
+	mustExec(t, db, "CREATE INDEX t_k ON t (k)")
+	ff := sqltypes.NewBlob([]byte{0xFF})
+	for _, c := range []struct{ sql, op string }{
+		{"SELECT k FROM t WHERE k > ? AND k < PREFIX_SUCC(?)", "IndexScan t using t_k"},
+		{"SELECT b.k FROM t a, t b WHERE a.k = ? AND b.k > a.k AND b.k < PREFIX_SUCC(a.k)", "IndexNLJoin t using t_k"},
+		{"SELECT b.k FROM u a, u b WHERE a.k = ? AND b.k > a.k AND b.k < PREFIX_SUCC(a.k)", "NestedLoopJoin"},
+	} {
+		p, err := db.Explain(c.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(p, c.op) {
+			t.Fatalf("%s: plan lacks %s:\n%s", c.sql, c.op, p)
+		}
+		params := []sqltypes.Value{ff, ff}[:strings.Count(c.sql, "?")]
+		wantRows(t, mustQuery(t, db, c.sql, params...))
+	}
+}
+
 func TestThreeWayJoin(t *testing.T) {
 	db := Open()
 	mustExec(t, db, "CREATE TABLE a (id INT PRIMARY KEY, v TEXT)")

@@ -10,7 +10,9 @@ import (
 )
 
 // indexNLJoinOp probes the inner table's index once per left row, with
-// bounds computed from that row.
+// bounds computed from that row. One iterator serves the whole run: the
+// first probe seeks it, and every later probe moves it on with Reseek, so
+// left rows bound in index key order share the B+tree path.
 type indexNLJoinOp struct {
 	node *plan.IndexNLJoin
 	left Operator
@@ -19,14 +21,15 @@ type indexNLJoinOp struct {
 	gov  *govTick
 
 	inner *catalog.IndexIter
+	// probing is set while inner walks the current left row's matches.
+	probing bool
 	// buf is the output row: buf[:leftWidth] holds the current left row for
 	// the whole of its inner scan, and each inner row is decoded in place
 	// behind it.
 	buf       sqltypes.Row
 	leftWidth int
-	// eq, low and high are the probe bounds, re-evaluated per left row.
-	eq        []sqltypes.Value
-	low, high sqltypes.Value
+	// bounds are the probe bounds, re-evaluated per left row.
+	bounds indexBounds
 }
 
 func newIndexNLJoin(n *plan.IndexNLJoin, left Operator, params []sqltypes.Value, env Env) *indexNLJoinOp {
@@ -37,56 +40,28 @@ func newIndexNLJoin(n *plan.IndexNLJoin, left Operator, params []sqltypes.Value,
 func (j *indexNLJoinOp) Open() error {
 	j.leftWidth = len(j.node.Left.Schema())
 	j.buf = make(sqltypes.Row, j.leftWidth, j.leftWidth+len(j.node.Table.Columns))
-	j.eq = make([]sqltypes.Value, len(j.node.Eq))
-	j.inner = nil
+	j.inner, j.probing = nil, false
 	return j.left.Open()
 }
 
-// bound evaluates a bound expression against the current left row, coercing
-// to the index column type. A NULL result means "no rows can match".
-func (j *indexNLJoinOp) bound(e expr.Expr, col int) (sqltypes.Value, error) {
+// probe positions the inner iterator on the current left row's matches;
+// ok=false means the row cannot match (a NULL bound).
+func (j *indexNLJoinOp) probe() (bool, error) {
+	n := j.node
 	j.env.Row = j.buf[:j.leftWidth]
-	v, err := expr.Eval(e, j.env)
-	if err != nil || v.IsNull() {
-		return v, err
+	low, high, ok, err := j.bounds.eval(n.Table, n.Index, n.Eq, n.Low, n.High, j.env)
+	if !ok {
+		return false, err
 	}
-	t := j.node.Table.Columns[j.node.Index.Columns[col]].Type
-	cv, err := sqltypes.Coerce(v, t)
-	if err != nil {
-		return cv, fmt.Errorf("index %s column %d: %w", j.node.Index.Name, col, err)
+	if j.inner == nil {
+		j.inner = j.data.IndexIter(n.Index, j.bounds.eq, low, high, n.LowExcl, n.HighExcl, false)
+		return true, nil
 	}
-	return cv, nil
-}
-
-// openInner starts the index scan for the current left row; ok=false means
-// the row cannot match (NULL bound).
-func (j *indexNLJoinOp) openInner() (bool, error) {
-	for i, e := range j.node.Eq {
-		v, err := j.bound(e, i)
-		if err != nil || v.IsNull() {
-			return false, err
-		}
-		j.eq[i] = v
-	}
-	var low, high *sqltypes.Value
-	var err error
-	if j.node.Low != nil {
-		if j.low, err = j.bound(j.node.Low, len(j.eq)); err != nil || j.low.IsNull() {
-			return false, err
-		}
-		low = &j.low
-	}
-	if j.node.High != nil {
-		if j.high, err = j.bound(j.node.High, len(j.eq)); err != nil {
-			return false, err
-		}
-		// A NULL upper bound is PREFIX_SUCC of an all-0xFF prefix: scan to
-		// the end of the equality prefix.
-		if !j.high.IsNull() {
-			high = &j.high
-		}
-	}
-	j.inner = j.data.IndexIter(j.node.Index, j.eq, low, high, j.node.LowExcl, j.node.HighExcl, false)
+	// The iterator keeps index nodes from one probe to the next. That holds
+	// because the view a statement reads does not change while its operator
+	// tree runs: snapshot views are immutable, and the live view is read only
+	// by DML scans, which materialize every match before the first write.
+	j.inner.Reseek(j.bounds.eq, low, high, n.LowExcl, n.HighExcl)
 	return true, nil
 }
 
@@ -97,23 +72,24 @@ func (j *indexNLJoinOp) Next() (sqltypes.Row, bool, error) {
 		if err := j.gov.step(); err != nil {
 			return nil, false, err
 		}
-		if j.inner == nil {
+		if !j.probing {
 			leftRow, ok, err := j.left.Next()
 			if err != nil || !ok {
 				return nil, false, err
 			}
 			copy(j.buf[:j.leftWidth], leftRow)
-			ok, err = j.openInner()
+			ok, err = j.probe()
 			if err != nil {
 				return nil, false, err
 			}
 			if !ok {
 				continue
 			}
+			j.probing = true
 		}
 		rid, ok := j.inner.Next()
 		if !ok {
-			j.inner = nil
+			j.probing = false
 			continue
 		}
 		row, err := j.data.FetchInto(rid, j.buf[:j.leftWidth])

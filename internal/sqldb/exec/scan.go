@@ -73,81 +73,80 @@ func passesAll(filters []expr.Expr, env *expr.Env) (bool, error) {
 
 // indexScanOp streams rows matching an index range.
 type indexScanOp struct {
-	node *plan.IndexScan
-	env  *expr.Env
-	data *catalog.TableData
-	iter *catalog.IndexIter // nil when a NULL bound makes the scan empty
-	buf  sqltypes.Row
-	gov  *govTick
+	node   *plan.IndexScan
+	env    *expr.Env
+	data   *catalog.TableData
+	iter   *catalog.IndexIter // nil when a NULL bound makes the scan empty
+	bounds indexBounds
+	buf    sqltypes.Row
+	gov    *govTick
 }
 
 func newIndexScan(n *plan.IndexScan, params []sqltypes.Value, env Env) *indexScanOp {
 	return &indexScanOp{node: n, env: &expr.Env{Params: params}, data: env.data(n.Table), gov: env.newTick()}
 }
 
-// bound evaluates a row-independent bound expression and coerces it to the
-// index column's type so key encoding matches stored keys. A NULL bound makes
-// the scan empty (SQL comparisons with NULL never hold).
-func (s *indexScanOp) bound(e expr.Expr, col int) (*sqltypes.Value, error) {
-	v, err := expr.Eval(e, s.env)
-	if err != nil {
-		return nil, err
-	}
-	if v.IsNull() {
-		return nil, nil
-	}
-	t := s.node.Table.Columns[s.node.Index.Columns[col]].Type
-	cv, err := sqltypes.Coerce(v, t)
-	if err != nil {
-		return nil, fmt.Errorf("index %s column %d: %w", s.node.Index.Name, col, err)
-	}
-	return &cv, nil
+// indexBounds holds the bounds of one index probe — an equality prefix over
+// the leading index columns, then an optional range on the next column —
+// with storage reused from probe to probe.
+type indexBounds struct {
+	eq        []sqltypes.Value
+	low, high sqltypes.Value
 }
 
-// openIter evaluates the scan bounds and opens the index iterator; a nil
-// result means no rows can match (a NULL bound).
-func (s *indexScanOp) openIter() (*catalog.IndexIter, error) {
-	eq := make([]sqltypes.Value, len(s.node.Eq))
-	for i, e := range s.node.Eq {
-		v, err := s.bound(e, i)
-		if err != nil {
-			return nil, err
+// eval evaluates the bound expressions of a probe of index ix on table t
+// against env, coercing each to its index column's type so key encoding
+// matches stored keys. ok=false means a bound is NULL, so no row can match:
+// SQL comparisons with NULL never hold. low and high point into b, or are
+// nil when the range is open on that side.
+func (b *indexBounds) eval(t *catalog.Table, ix *catalog.Index, eq []expr.Expr, lowE, highE expr.Expr, env *expr.Env) (low, high *sqltypes.Value, ok bool, err error) {
+	b.eq = b.eq[:0]
+	for i, e := range eq {
+		v, err := indexBound(t, ix, i, e, env)
+		if err != nil || v.IsNull() {
+			return nil, nil, false, err
 		}
-		if v == nil {
-			return nil, nil
-		}
-		eq[i] = *v
+		b.eq = append(b.eq, v)
 	}
-	var low, high *sqltypes.Value
-	if s.node.Low != nil {
-		v, err := s.bound(s.node.Low, len(eq))
-		if err != nil {
-			return nil, err
+	if lowE != nil {
+		if b.low, err = indexBound(t, ix, len(eq), lowE, env); err != nil || b.low.IsNull() {
+			return nil, nil, false, err
 		}
-		if v == nil {
-			return nil, nil
-		}
-		low = v
+		low = &b.low
 	}
-	if s.node.High != nil {
-		v, err := s.bound(s.node.High, len(eq))
-		if err != nil {
-			return nil, err
+	if highE != nil {
+		if b.high, err = indexBound(t, ix, len(eq), highE, env); err != nil || b.high.IsNull() {
+			return nil, nil, false, err
 		}
-		if v == nil {
-			return nil, nil
-		}
-		high = v
+		high = &b.high
 	}
-	return s.data.IndexIter(s.node.Index, eq, low, high, s.node.LowExcl, s.node.HighExcl, s.node.Desc), nil
+	return low, high, true, nil
+}
+
+// indexBound evaluates one bound and coerces a non-NULL result to the type
+// of index column col.
+func indexBound(t *catalog.Table, ix *catalog.Index, col int, e expr.Expr, env *expr.Env) (sqltypes.Value, error) {
+	v, err := expr.Eval(e, env)
+	if err != nil || v.IsNull() {
+		return v, err
+	}
+	cv, err := sqltypes.Coerce(v, t.Columns[ix.Columns[col]].Type)
+	if err != nil {
+		return cv, fmt.Errorf("index %s column %d: %w", ix.Name, col, err)
+	}
+	return cv, nil
 }
 
 func (s *indexScanOp) Open() error {
-	it, err := s.openIter()
+	n := s.node
+	low, high, ok, err := s.bounds.eval(n.Table, n.Index, n.Eq, n.Low, n.High, s.env)
 	if err != nil {
 		return err
 	}
-	s.iter = it
+	s.iter = nil
+	if ok {
+		s.iter = s.data.IndexIter(n.Index, s.bounds.eq, low, high, n.LowExcl, n.HighExcl, n.Desc)
+	}
 	width := len(s.node.Table.Columns)
 	if s.node.EmitRID {
 		width++

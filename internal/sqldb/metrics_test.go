@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"ordxml/internal/sqldb/sqltypes"
 )
 
 func metricsTestDB(t *testing.T) *DB {
@@ -185,5 +187,41 @@ func TestRecordingZeroAlloc(t *testing.T) {
 		m.recordExec(sql, 5*time.Microsecond, nil)
 	}); n != 0 {
 		t.Errorf("recordExec allocates %.1f per call, want 0", n)
+	}
+}
+
+// An index join moves one iterator from probe to probe: left rows whose
+// keys share a leaf cost one root-to-leaf descent for the first probe and
+// then one leaf search each, so N probes read N-1 nodes more than a single
+// probe does — not (N-1) times the tree height.
+func TestIndexNLJoinProbeNodeReads(t *testing.T) {
+	db := Open()
+	mustExec(t, db, "CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+	for i := int64(1); i <= 5000; i++ {
+		mustExec(t, db, "INSERT INTO t VALUES (?, ?)", I(i), I(i))
+	}
+	const q = "SELECT t.v FROM ? c (id), t WHERE t.id = c.id"
+	if p, err := db.Explain(q); err != nil || !strings.Contains(p, "IndexNLJoin t using t_pkey") {
+		t.Fatalf("plan does not probe t_pkey: %v\n%s", err, p)
+	}
+	// Sequential inserts leave keys 1..32 in the first leaf.
+	reads := func(ids ...int64) int64 {
+		var rel []byte
+		for _, id := range ids {
+			rel = sqltypes.EncodeRow(rel, sqltypes.Row{I(id)})
+		}
+		before := db.Metrics().Gauges["storage.btree.node_reads"]
+		if res := mustQuery(t, db, q, sqltypes.NewBlob(rel)); len(res.Rows) != len(ids) {
+			t.Fatalf("%d rows for %d probes", len(res.Rows), len(ids))
+		}
+		return db.Metrics().Gauges["storage.btree.node_reads"] - before
+	}
+	one := reads(2)
+	if one < 3 {
+		t.Fatalf("a probe read %d nodes; the test needs a tree of height 3 or more", one)
+	}
+	ids := []int64{2, 3, 4, 5, 6, 7, 8, 9}
+	if got, want := reads(ids...)-one, int64(len(ids)-1); got != want {
+		t.Errorf("%d probes in one leaf read %d nodes more than one probe, want %d", len(ids), got, want)
 	}
 }

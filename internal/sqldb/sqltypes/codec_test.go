@@ -205,14 +205,19 @@ func TestPrefixSuccessor(t *testing.T) {
 		{[]byte{}, nil},
 	}
 	for _, c := range cases {
-		got := PrefixSuccessor(c.in)
+		got := AppendPrefixSuccessor(nil, c.in)
 		if !bytes.Equal(got, c.want) {
-			t.Errorf("PrefixSuccessor(%x) = %x, want %x", c.in, got, c.want)
+			t.Errorf("AppendPrefixSuccessor(nil, %x) = %x, want %x", c.in, got, c.want)
+		}
+		// In place: the successor overwrites its own input buffer.
+		in := bytes.Clone(c.in)
+		if got := AppendPrefixSuccessor(in[:0], in); !bytes.Equal(got, c.want) {
+			t.Errorf("AppendPrefixSuccessor(p[:0], %x) = %x, want %x", c.in, got, c.want)
 		}
 	}
 	// Successor must bound exactly the prefix range.
 	p := []byte{5, 0xFF}
-	s := PrefixSuccessor(p)
+	s := AppendPrefixSuccessor(nil, p)
 	inRange := [][]byte{{5, 0xFF}, {5, 0xFF, 0}, {5, 0xFF, 0xFF, 0xFF}}
 	for _, k := range inRange {
 		if !(bytes.Compare(k, p) >= 0 && bytes.Compare(k, s) < 0) {

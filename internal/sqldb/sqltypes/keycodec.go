@@ -209,16 +209,17 @@ func decodeEscaped(data []byte) (raw []byte, used int, err error) {
 	return nil, 0, fmt.Errorf("unterminated escaped key")
 }
 
-// PrefixSuccessor returns the smallest byte string greater than every string
-// having prefix p, or nil when no such string exists (p is all 0xFF). It is
-// used to turn prefix scans into [p, successor) range scans.
-func PrefixSuccessor(p []byte) []byte {
-	out := make([]byte, len(p))
-	copy(out, p)
-	for i := len(out) - 1; i >= 0; i-- {
-		if out[i] != 0xFF {
-			out[i]++
-			return out[:i+1]
+// AppendPrefixSuccessor appends the smallest byte string greater than every
+// string having prefix p to dst and returns the extended slice, or nil when
+// no such string exists (p is all 0xFF). It turns prefix scans into
+// [p, successor) range scans. dst may be p[:0]: the successor then replaces
+// p in its own buffer.
+func AppendPrefixSuccessor(dst, p []byte) []byte {
+	for i := len(p) - 1; i >= 0; i-- {
+		if p[i] != 0xFF {
+			dst = append(dst, p[:i+1]...)
+			dst[len(dst)-1]++
+			return dst
 		}
 	}
 	return nil
