@@ -205,18 +205,26 @@ func TestShellTraceQuery(t *testing.T) {
 	sh := &shell{}
 	run(t, sh, "open global")
 	run(t, sh, "loadstr <a><b><c>1</c><c>2</c></b><b><c>3</c></b></a>")
-	out := run(t, sh, "trace /a/b[1]//c")
-	var names []string
-	for _, line := range strings.Split(out, "\n") {
-		if f := strings.Fields(line); len(f) == 3 && strings.HasPrefix(f[2], "x") {
-			names = append(names, f[0])
+	spans := func(out string) string {
+		var names []string
+		for _, line := range strings.Split(out, "\n") {
+			if f := strings.Fields(line); len(f) == 3 && strings.HasPrefix(f[2], "x") {
+				names = append(names, f[0])
+			}
 		}
+		return strings.Join(names, " ")
 	}
-	got := strings.Join(names, " ")
-	for _, want := range []string{"parse translate segment sql.query plan", "positional", "op.ParamScan", "sort"} {
+	out := run(t, sh, "trace /a/b[1]//c")
+	got := spans(out)
+	for _, want := range []string{"parse translate segment sql.query plan", "positional", "op.ParamScan", "op.Sort"} {
 		if !strings.Contains(got, want) {
 			t.Errorf("trace rows %q lack %q", got, want)
 		}
+	}
+	// The final statement's ORDER BY is a Global result's order; only a
+	// final ancestor step, whose nodes come in context order, sorts here.
+	if got := spans(run(t, sh, "trace //c/ancestor::b")); !strings.Contains(got, " sort") {
+		t.Errorf("trace rows %q lack the client-side sort", got)
 	}
 	// /a/b[1] and //c are one segment each.
 	if !regexp.MustCompile(`segment +\S+ +x2\n`).MatchString(out) || !strings.HasSuffix(out, "2 match(es)") {

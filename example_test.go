@@ -46,7 +46,7 @@ func ExampleStore_ExplainQuery() {
 	sqls, _ := store.ExplainQuery(doc, "/a/b")
 	fmt.Println(sqls[0])
 	// Output:
-	// SELECT n2.id, n2.parent, n2.gorder, n2.kind, n2.tag, n2.value FROM xg_nodes n1, xg_nodes n2 WHERE n1.doc = 1 AND n1.parent IS NULL AND n1.kind = 'elem' AND n1.tag = 'a' AND n2.doc = 1 AND n2.parent = n1.id AND n2.kind = 'elem' AND n2.tag = 'b' ORDER BY n2.gorder
+	// SELECT n2.id, n2.parent, n2.gorder, n2.kind, n2.tag, n2.value FROM xg_nodes n1, xg_nodes n2 WHERE n1.doc = 1 AND n1.parent IS NULL AND n1.kind = 'elem' AND n1.tag = 'a' AND n2.doc = 1 AND n2.parent = n1.id AND n2.kind = 'elem' AND n2.tag = 'b' ORDER BY n1.gorder, n2.gorder
 }
 
 func ExampleStore_Insert() {

@@ -43,19 +43,24 @@ type chainSQL struct {
 }
 
 // buildChainSQL compiles a segment into one SELECT.
-func (e *Evaluator) buildChainSQL(doc int64, seg segment, first bool) (chainSQL, error) {
+func (e *Evaluator) buildChainSQL(doc int64, seg segment) (chainSQL, error) {
 	b := &chainBuilder{ev: e, doc: doc}
 	out := chainSQL{}
 	group := ""
+	// steps are the step aliases, n1 to nk; chained reports that ordering by
+	// their order keys in turn is document order of nk (see below).
+	var steps []string
+	chained := false
 
 	for i, s := range seg.steps {
 		alias := b.addNodeAlias()
 		if i == 0 {
-			mode, err := b.anchorConds(alias, s, first, seg.ancestryCheck)
+			mode, err := b.anchorConds(alias, s, seg.first, seg.ancestryCheck)
 			if err != nil {
 				return chainSQL{}, err
 			}
 			out.anchor = mode
+			chained = mode == anchorRoot
 			switch mode {
 			case anchorEmpty:
 				return out, nil
@@ -68,7 +73,10 @@ func (e *Evaluator) buildChainSQL(doc int64, seg segment, first bool) (chainSQL,
 		} else {
 			b.stepConds(alias, b.prevAlias, s)
 			group = b.prevAlias
+			chained = chained && (s.Axis == xpath.Child || s.Axis == xpath.Attribute ||
+				s.Axis == xpath.Descendant && i == len(seg.steps)-1)
 		}
+		steps = append(steps, alias)
 		b.testConds(alias, s.Axis, s.Test)
 		for _, pred := range s.Preds {
 			if pred.Kind == xpath.PredValue || pred.Kind == xpath.PredExists {
@@ -92,8 +100,29 @@ func (e *Evaluator) buildChainSQL(doc int64, seg segment, first bool) (chainSQL,
 	sb.WriteString(strings.Join(b.from, ", "))
 	sb.WriteString(" WHERE ")
 	sb.WriteString(strings.Join(b.where, " AND "))
-	if e.opts.Kind != encoding.Local {
-		sb.WriteString(" ORDER BY " + final + "." + e.ord)
+	// Only the final segment's order matters: the next segment re-sorts its
+	// context set into index-key order anyway. Local has no document-order
+	// column; evalPath sorts its result. Under Global and Dewey the final
+	// statement's ORDER BY is the query's result order, and every order key
+	// is a document-order key, so ordering by nk alone is document order.
+	//
+	// A chain from the root whose later steps are child or attribute steps
+	// orders by n1, ..., nk instead, which the planner can deliver straight
+	// from the join's index probes. It is the same order: the nodes of each
+	// step are all at one depth, so their subtrees are disjoint and each
+	// node's children follow it, and precede its next sibling's, in document
+	// order. A last Dewey descendant step keeps that, for the same reason.
+	// A child step below a descendant step would not: with a match a nested
+	// in a match a', the key order puts every child of a' first, even one
+	// that follows a, and so a's children, in document order.
+	if seg.last && e.opts.Kind != encoding.Local {
+		if !chained {
+			steps = steps[len(steps)-1:]
+		}
+		for i, a := range steps {
+			steps[i] = a + "." + e.ord
+		}
+		sb.WriteString(" ORDER BY " + strings.Join(steps, ", "))
 	}
 	out.sql = sb.String()
 	return out, nil

@@ -69,12 +69,64 @@ func TestChainSQLChildPath(t *testing.T) {
 		if !strings.Contains(sql, "n4.parent = n3.id") {
 			t.Errorf("%s: parent join missing:\n%s", opts.Kind, sql)
 		}
-		ordered := strings.Contains(sql, "ORDER BY n4."+opts.OrderColumn())
-		if opts.Kind == encoding.Local && ordered {
+		if opts.Kind == encoding.Local && strings.Contains(sql, "ORDER BY") {
 			t.Errorf("local must not ORDER BY lorder globally:\n%s", sql)
 		}
-		if opts.Kind != encoding.Local && !ordered {
-			t.Errorf("%s: ORDER BY missing:\n%s", opts.Kind, sql)
+		ord := opts.OrderColumn()
+		chain := "ORDER BY n1." + ord + ", n2." + ord + ", n3." + ord + ", n4." + ord
+		if opts.Kind != encoding.Local && !strings.HasSuffix(sql, chain) {
+			t.Errorf("%s: want %s:\n%s", opts.Kind, chain, sql)
+		}
+	}
+}
+
+// TestChainSQLOrderBy pins which statements order and by what: only the
+// final one, by every step's key on a chain from the root of child steps
+// (and a last Dewey descendant step), by the final step's key otherwise.
+func TestChainSQLOrderBy(t *testing.T) {
+	for _, c := range []struct {
+		kind  encoding.Kind
+		query string
+		want  []string // per statement: the ORDER BY clause, "" for none
+	}{
+		{encoding.Dewey, "/site/regions//keyword", []string{" ORDER BY n1.path, n2.path, n3.path"}},
+		{encoding.Dewey, "/site//item/name", []string{" ORDER BY n3.path"}},
+		{encoding.Dewey, "//item/name", []string{" ORDER BY n2.path"}},
+		{encoding.Dewey, "/site/regions/namerica/item[1]/following-sibling::item",
+			[]string{"", " ORDER BY n1.path"}},
+		{encoding.Global, "/site/regions/namerica/item/@id", []string{" ORDER BY n1.gorder, n2.gorder, n3.gorder, n4.gorder, n5.gorder"}},
+		{encoding.Global, "/site/regions/namerica/item[1]/following-sibling::item",
+			[]string{"", " ORDER BY n1.gorder"}},
+	} {
+		sqls := sqlFor(t, encoding.Options{Kind: c.kind}, c.query)
+		if len(sqls) != len(c.want) {
+			t.Fatalf("%s %s: %d statements, want %d: %v", c.kind, c.query, len(sqls), len(c.want), sqls)
+		}
+		for i, sql := range sqls {
+			_, got, _ := strings.Cut(sql, " ORDER BY ")
+			if got != "" {
+				got = " ORDER BY " + got
+			}
+			if got != c.want[i] {
+				t.Errorf("%s %s statement %d: ORDER BY %q, want %q:\n%s", c.kind, c.query, i+1, got, c.want[i], sql)
+			}
+		}
+	}
+}
+
+// TestNestedMatchesKeepDocumentOrder runs chains whose step matches nest on
+// a document where ordering by the step keys in turn is not document order
+// (the inner a's c precedes the outer a's c): they must order by the final
+// step's key, and every encoding must return the oracle's sequence.
+func TestNestedMatchesKeepDocumentOrder(t *testing.T) {
+	tree, err := xmltree.ParseString(`<r><a><a><c>1</c></a><c>2</c></a><a><c>3</c><b><c>4</c></b></a></r>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range allOptions() {
+		ld := load(t, o, tree)
+		for _, q := range []string{"/r//a/c", "/r//a/c[1]", "/r//a/c[last()]", "//a/c", "/r/a//c", "/r/a//c[last()]", "/r//a//c", "//a//c[1]"} {
+			ld.check(t, q)
 		}
 	}
 }

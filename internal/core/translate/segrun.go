@@ -28,13 +28,13 @@ type binding struct {
 // statement joining the context relation to the node table, plus, where the
 // encoding needs them, the level-wise statements of intervalRows and
 // loadChains — and returns the matched final-step nodes.
-func (r *run) runSegment(doc int64, seg segment, ctx []NodeRef, first bool) ([]NodeRef, error) {
+func (r *run) runSegment(doc int64, seg segment, ctx []NodeRef) ([]NodeRef, error) {
 	var bindings []binding
 	var err error
 	if seg.steps[0].Axis == xpath.Ancestor {
 		bindings, err = r.ancestorBindings(doc, seg.steps[0].Test, ctx)
 	} else {
-		bindings, err = r.chainBindings(doc, seg, ctx, first)
+		bindings, err = r.chainBindings(doc, seg, ctx)
 	}
 	if err != nil {
 		return nil, err
@@ -48,8 +48,9 @@ func (r *run) runSegment(doc int64, seg segment, ctx []NodeRef, first bool) ([]N
 		}
 	}
 
-	// Distinct final nodes, preserving first-seen order (the caller sorts
-	// into document order at the end).
+	// Distinct final nodes, preserving first-seen order: the statement's
+	// order, which is document order on a final Global or Dewey chain (see
+	// buildChainSQL) and is re-sorted by whoever reads the set otherwise.
 	seen := make(map[int64]bool, len(bindings))
 	var out []NodeRef
 	for _, b := range bindings {
@@ -66,8 +67,8 @@ func (r *run) runSegment(doc int64, seg segment, ctx []NodeRef, first bool) ([]N
 
 // chainBindings compiles the segment's steps into one SELECT and runs it
 // with the context set bound as its relation parameter.
-func (r *run) chainBindings(doc int64, seg segment, ctx []NodeRef, first bool) ([]binding, error) {
-	cs, err := r.buildChainSQL(doc, seg, first)
+func (r *run) chainBindings(doc int64, seg segment, ctx []NodeRef) ([]binding, error) {
+	cs, err := r.buildChainSQL(doc, seg)
 	if err != nil || cs.anchor == anchorEmpty {
 		return nil, err
 	}

@@ -4,8 +4,10 @@
 //   - Structural joins (child, parent, sibling ranges, descendant ranges)
 //     become joins of the node table that the engine executes as correlated
 //     index lookups, probing in key order.
-//   - Ordered output comes from ORDER BY on the order key (Global, Dewey);
-//     the Local encoding has no document-order column, so results are sorted
+//   - Ordered output is the final statement's ORDER BY on the order key
+//     (Global, Dewey). A chain from the root orders by every step's key,
+//     which the planner delivers from its index joins without sorting. The
+//     Local encoding has no document-order column, so results are sorted
 //     client-side by their root-to-node vectors of sibling positions — the
 //     cost the paper attributes to local order.
 //   - The descendant axis is an index range scan of the order key: under
@@ -240,8 +242,10 @@ func (e *Evaluator) evaluate(ctx context.Context, snap *sqldb.Snap, doc int64, p
 	return refs, r.sqls, nil
 }
 
-// evalPath runs the parsed path's segments in order and sorts the final
-// node set into document order.
+// evalPath runs the parsed path's segments in order. Under Global and Dewey
+// the final statement's ORDER BY delivers document order, which the
+// per-segment dedupe and positional filter keep; only Local results and a
+// final ancestor segment, whose nodes come in context order, are sorted here.
 func (r *run) evalPath(ctx context.Context, doc int64, p *xpath.Path) ([]NodeRef, error) {
 	tsp := obs.FromContext(ctx).StartChild("translate")
 	segs, err := splitSegments(p, r.opts.Kind)
@@ -253,7 +257,7 @@ func (r *run) evalPath(ctx context.Context, doc int64, p *xpath.Path) ([]NodeRef
 	for i, seg := range segs {
 		segSp := obs.FromContext(ctx).StartChild("segment").Arg("index", int64(i))
 		r.ctx = obs.ContextWith(ctx, segSp)
-		nodes, err = r.runSegment(doc, seg, nodes, i == 0)
+		nodes, err = r.runSegment(doc, seg, nodes)
 		segSp.End()
 		if err != nil {
 			return nil, err
@@ -261,6 +265,9 @@ func (r *run) evalPath(ctx context.Context, doc int64, p *xpath.Path) ([]NodeRef
 		if len(nodes) == 0 {
 			return nil, nil
 		}
+	}
+	if r.opts.Kind != encoding.Local && segs[len(segs)-1].steps[0].Axis != xpath.Ancestor {
+		return nodes, nil
 	}
 	ssp := obs.FromContext(ctx).StartChild("sort")
 	r.ctx = obs.ContextWith(ctx, ssp)
@@ -274,10 +281,12 @@ func (r *run) evalPath(ctx context.Context, doc int64, p *xpath.Path) ([]NodeRef
 
 // segment is a run of steps compiled into one SQL statement. ancestryCheck
 // marks a Local descendant segment, whose statement finds nodes by node test
-// alone: its results are kept when an ancestor is in the context set.
+// alone: its results are kept when an ancestor is in the context set. first
+// and last mark the path's first and final segments.
 type segment struct {
 	steps         []xpath.Step
 	ancestryCheck bool
+	first, last   bool
 }
 
 // splitSegments partitions the path. Boundaries fall after a step carrying
@@ -328,6 +337,9 @@ func splitSegments(p *xpath.Path, kind encoding.Kind) ([]segment, error) {
 		}
 	}
 	flush()
+	if len(segs) > 0 {
+		segs[0].first, segs[len(segs)-1].last = true, true
+	}
 	return segs, nil
 }
 

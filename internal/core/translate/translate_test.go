@@ -579,7 +579,10 @@ func sqlQueries(db *sqldb.DB) int64 { return db.Metrics().Counters["sqldb.querie
 
 // TestStatementsPerQuery guards set-at-a-time evaluation: a query runs one
 // statement per segment plus at most a few per tree level, whatever the size
-// of its context sets. A per-context-node loop would run hundreds here.
+// of its context sets. A per-context-node loop would run hundreds here. It
+// also guards the order the planner delivers on a real catalog, where join
+// order can differ from the golden fixture's: under Global and Dewey no
+// root-anchored chain statement may plan a Sort.
 func TestStatementsPerQuery(t *testing.T) {
 	const items = 200
 	tree := xmlgen.Catalog(xmlgen.CatalogConfig{Regions: 3, ItemsPerRegion: items, KeywordsPerItem: 2, DescriptionWords: 8, Seed: 1})
@@ -588,12 +591,29 @@ func TestStatementsPerQuery(t *testing.T) {
 		"//keyword/ancestor::item", "//item//keyword[1]", "//description//text()")
 	for _, k := range []encoding.Kind{encoding.Global, encoding.Local, encoding.Dewey} {
 		ld := load(t, encoding.Options{Kind: k}, tree)
+		rooted := 0
 		for _, q := range queries {
 			before := sqlQueries(ld.db)
 			ld.check(t, q)
 			if n := sqlQueries(ld.db) - before; n > 12 {
 				t.Errorf("%s: %q ran %d statements, want <= 12\nSQL: %v", k, q, n, ld.eval.LastSQL())
 			}
+			for _, sql := range ld.eval.LastSQL() {
+				if k == encoding.Local || !strings.Contains(sql, "n1.parent IS NULL") || !strings.Contains(sql, " ORDER BY ") {
+					continue
+				}
+				plan, err := ld.db.Explain(sql)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if strings.Contains(plan, "Sort") {
+					t.Errorf("%s: %q: root-anchored chain plans a Sort:\n%s\n%s", k, q, sql, plan)
+				}
+				rooted++
+			}
+		}
+		if k != encoding.Local && rooted < 3 {
+			t.Errorf("%s: %d root-anchored chain statements checked, want Q1–Q3 at least", k, rooted)
 		}
 	}
 }
@@ -715,7 +735,7 @@ func TestLastSQLExposed(t *testing.T) {
 	if len(sqls) != 1 {
 		t.Fatalf("LastSQL = %v", sqls)
 	}
-	if got := sqls[0]; !contains(got, "xd_nodes n3") || !contains(got, "ORDER BY n3.path") {
+	if got := sqls[0]; !contains(got, "xd_nodes n3") || !contains(got, "ORDER BY n1.path, n2.path, n3.path") {
 		t.Errorf("generated SQL unexpected: %s", got)
 	}
 }

@@ -75,7 +75,7 @@ func (it *RowIter) Next(dst sqltypes.Row) (heap.RID, sqltypes.Row, bool, error) 
 
 // indexRange builds the [start, end) key range for an index scan — an
 // equality prefix over the leading index columns, then an optional residual
-// range on the next column (nil bounds are open) — appending the keys to the
+// range on the next column (nil bounds are open, and a range excludes NULL) — appending the keys to the
 // caller's buffers start and end. A nil end is open: the prefix has no
 // successor.
 func indexRange(start, end []byte, eq []sqltypes.Value, low, high *sqltypes.Value, lowExcl, highExcl bool) ([]byte, []byte) {
@@ -96,6 +96,11 @@ func indexRange(start, end []byte, eq []sqltypes.Value, low, high *sqltypes.Valu
 			// within this column (works because keys are self-delimiting).
 			start = sqltypes.AppendPrefixSuccessor(start[:0], start)
 		}
+	} else if high != nil {
+		// No comparison holds for NULL, which sorts first: an upper bound
+		// alone starts past the column's NULL entries.
+		start = sqltypes.EncodeKey(start, sqltypes.NullValue())
+		start = sqltypes.AppendPrefixSuccessor(start[:0], start)
 	}
 	return start, end
 }

@@ -373,6 +373,32 @@ func TestNullBoundMatchesNothing(t *testing.T) {
 	}
 }
 
+// A range comparison never holds for NULL. NULL sorts first in an index, so
+// a range with only an upper bound must start past the NULL entries: in an
+// IndexScan, in an IndexNLJoin probe, and as on an unindexed copy.
+func TestUpperBoundSkipsNulls(t *testing.T) {
+	db := Open()
+	for _, tbl := range []string{"t", "u"} {
+		mustExec(t, db, "CREATE TABLE "+tbl+" (id INT PRIMARY KEY, p INT, k INT)")
+		mustExec(t, db, "INSERT INTO "+tbl+" VALUES (1, 1, NULL), (2, 1, 3), (3, 1, 9)")
+	}
+	mustExec(t, db, "CREATE INDEX t_pk ON t (p, k)")
+	for _, c := range []struct{ sql, op string }{
+		{"SELECT id FROM t WHERE p = 1 AND k < 5", "IndexScan t using t_pk"},
+		{"SELECT b.id FROM t a, t b WHERE a.id = 3 AND b.p = a.p AND b.k < a.k", "IndexNLJoin t using t_pk"},
+		{"SELECT b.id FROM u a, u b WHERE a.id = 3 AND b.p = a.p AND b.k < a.k", "HashJoin"},
+	} {
+		p, err := db.Explain(c.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(p, c.op) {
+			t.Fatalf("%s: plan lacks %s:\n%s", c.sql, c.op, p)
+		}
+		wantRows(t, mustQuery(t, db, c.sql), "2")
+	}
+}
+
 func TestThreeWayJoin(t *testing.T) {
 	db := Open()
 	mustExec(t, db, "CREATE TABLE a (id INT PRIMARY KEY, v TEXT)")

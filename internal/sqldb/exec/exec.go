@@ -177,7 +177,7 @@ func buildOp(n plan.Node, params []sqltypes.Value, env Env) (Operator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &sortOp{input: in, keys: x.Keys, env: &expr.Env{Params: params}, gov: env.newTick()}, nil
+		return &sortOp{input: in, keys: x.Keys, gov: env.newTick()}, nil
 	case *plan.Limit:
 		in, err := build(x.Input, params, env)
 		if err != nil {

@@ -1,7 +1,7 @@
 package exec
 
 import (
-	"sort"
+	"slices"
 
 	"ordxml/internal/sqldb/expr"
 	"ordxml/internal/sqldb/plan"
@@ -85,25 +85,34 @@ func (t *trimOp) Next() (sqltypes.Row, bool, error) {
 
 func (t *trimOp) Close() { t.input.Close() }
 
-// sortOp materializes and sorts its input.
+// sortOp materializes and sorts its input. Buffered rows are copied into
+// chunks of one backing array that never move: a chunk holds as many rows as
+// all earlier chunks together, from sortChunkRows up to maxSortChunkRows, so
+// a sort makes a few allocations however many rows it holds, wastes at most
+// one chunk's tail, and copies no row twice. The rows it returns point into
+// those chunks, which no later call reuses.
 type sortOp struct {
 	input Operator
 	keys  []plan.SortKey
-	env   *expr.Env
 	gov   *govTick
 	rows  []sqltypes.Row
 	pos   int
 }
 
+// sortChunkRows and maxSortChunkRows bound the rows of one sort chunk: the
+// first chunk is small for the common small sort, and a cap keeps the unused
+// tail of the last chunk of a large sort under 1,024 rows.
+const (
+	sortChunkRows    = 16
+	maxSortChunkRows = 1024
+)
+
 func (s *sortOp) Open() error {
 	if err := s.input.Open(); err != nil {
 		return err
 	}
-	type keyed struct {
-		row  sqltypes.Row
-		keys sqltypes.Row
-	}
-	var items []keyed
+	s.rows, s.pos = nil, 0
+	var chunk []sqltypes.Value
 	for {
 		row, ok, err := s.input.Next()
 		if err != nil {
@@ -116,34 +125,23 @@ func (s *sortOp) Open() error {
 		if err := s.gov.chargeRow(row); err != nil {
 			return err
 		}
-		k := keyed{row: row.Clone(), keys: make(sqltypes.Row, len(s.keys))}
-		s.env.Row = k.row
-		for i, sk := range s.keys {
-			v, err := expr.Eval(sk.Expr, s.env)
-			if err != nil {
-				return err
-			}
-			k.keys[i] = v
+		if cap(chunk)-len(chunk) < len(row) {
+			chunk = make([]sqltypes.Value, 0, min(max(len(s.rows), sortChunkRows), maxSortChunkRows)*len(row))
 		}
-		items = append(items, k)
+		chunk = append(chunk, row...)
+		s.rows = append(s.rows, chunk[len(chunk)-len(row):len(chunk):len(chunk)])
 	}
-	sort.SliceStable(items, func(a, b int) bool {
-		for i, sk := range s.keys {
-			c := sqltypes.Compare(items[a].keys[i], items[b].keys[i])
-			if c == 0 {
-				continue
+	slices.SortStableFunc(s.rows, func(a, b sqltypes.Row) int {
+		for _, k := range s.keys {
+			if c := sqltypes.Compare(a[k.Col], b[k.Col]); c != 0 {
+				if k.Desc {
+					return -c
+				}
+				return c
 			}
-			if sk.Desc {
-				return c > 0
-			}
-			return c < 0
 		}
-		return false
+		return 0
 	})
-	s.rows = make([]sqltypes.Row, len(items))
-	for i, it := range items {
-		s.rows[i] = it.row
-	}
 	return nil
 }
 

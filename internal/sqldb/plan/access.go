@@ -126,15 +126,15 @@ func textSuccessor(p string) string {
 
 // buildAccess picks the cheapest access path for one table given its
 // pushed-down conjuncts. orderHint, when non-empty, lets the access path
-// volunteer to produce rows in that order; the second result reports whether
-// it did.
-func buildAccess(e tableEntry, conjuncts []expr.Expr, orderHint []sqlparse.OrderItem) (Node, bool, error) {
+// volunteer to produce rows in the order of its leading items that are
+// columns of this table; deliveredOrder tells what it delivers.
+func buildAccess(e tableEntry, conjuncts []expr.Expr, orderHint []sqlparse.OrderItem) Node {
 	if e.table == nil {
 		var n Node = &ParamScan{Param: e.ref.Param, Alias: e.ref.Alias, Cols: e.ref.Cols}
 		if len(conjuncts) > 0 {
 			n = &Filter{Input: n, Pred: andAll(conjuncts)}
 		}
-		return n, false, nil
+		return n
 	}
 	t := e.table
 	alias := e.ref.Name()
@@ -227,11 +227,11 @@ func buildAccess(e tableEntry, conjuncts []expr.Expr, orderHint []sqlparse.Order
 		if orderOK {
 			for _, ix := range e.indexes {
 				if indexDeliversOrder(ix.Columns, orderCols) {
-					return &IndexScan{Table: t, Alias: alias, Index: ix, Filters: conjuncts, Desc: desc}, true, nil
+					return &IndexScan{Table: t, Alias: alias, Index: ix, Filters: conjuncts, Desc: desc}
 				}
 			}
 		}
-		return &SeqScan{Table: t, Alias: alias, Filters: conjuncts}, false, nil
+		return &SeqScan{Table: t, Alias: alias, Filters: conjuncts}
 	}
 
 	scan := &IndexScan{Table: t, Alias: alias, Index: best.ix, Eq: best.eq, Desc: best.ordered && desc}
@@ -258,32 +258,28 @@ func buildAccess(e tableEntry, conjuncts []expr.Expr, orderHint []sqlparse.Order
 			scan.Filters = append(scan.Filters, c)
 		}
 	}
-	return scan, best.ordered, nil
+	return scan
 }
 
-// resolveOrderHint maps ORDER BY items to table column indexes and their
-// shared direction; ok is false when any item is not a plain column of this
-// table or the items mix directions (an index scan runs one way).
+// resolveOrderHint maps the leading ORDER BY items that are plain columns of
+// this table to column indexes, with their shared direction; ok is false when
+// there are none or they mix directions (an index scan runs one way).
 func resolveOrderHint(items []sqlparse.OrderItem, schema expr.Schema) (cols []int, desc, ok bool) {
-	if len(items) == 0 {
-		return nil, false, false
-	}
-	cols = make([]int, 0, len(items))
 	for _, it := range items {
-		if it.Desc != items[0].Desc {
-			return nil, false, false
-		}
 		c, isCol := it.Expr.(*expr.ColRef)
 		if !isCol {
-			return nil, false, false
+			break
 		}
 		idx, err := schema.Find(c.Table, c.Column)
 		if err != nil {
+			break
+		}
+		if it.Desc != items[0].Desc {
 			return nil, false, false
 		}
 		cols = append(cols, idx)
 	}
-	return cols, items[0].Desc, true
+	return cols, len(cols) > 0 && items[0].Desc, len(cols) > 0
 }
 
 // indexDeliversOrder reports whether scanning index columns (after any

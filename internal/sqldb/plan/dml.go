@@ -66,10 +66,7 @@ func planDMLScan(pc Context, ref sqlparse.TableRef, where expr.Expr) (*catalog.T
 		}
 	}
 	entry := tableEntry{ref: ref, table: t, indexes: pc.TableIndexes(t)}
-	access, _, err := buildAccess(entry, conjuncts, nil)
-	if err != nil {
-		return nil, nil, err
-	}
+	access := buildAccess(entry, conjuncts, nil)
 	switch a := access.(type) {
 	case *SeqScan:
 		a.EmitRID = true

@@ -135,7 +135,7 @@ func (q *joinQuery) connected(order []int, next int) bool {
 // comment). ok is false when the order is not one scan under a chain of
 // index nested-loop joins, or its sample run failed.
 func (q *joinQuery) price(sp Sampler, order []int) (cost float64, ok bool) {
-	root, _, _, err := q.build(order, nil)
+	root, _, err := q.build(order, nil)
 	if err != nil {
 		return 0, false
 	}

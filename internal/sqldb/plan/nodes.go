@@ -276,9 +276,11 @@ func (j *NLJoin) describe(b *strings.Builder) {
 	}
 }
 
-// SortKey is one ORDER BY key.
+// SortKey is one ORDER BY key: a column of the sorted rows. The projection
+// below a Sort computes every key, appending hidden columns for keys the
+// SELECT list lacks.
 type SortKey struct {
-	Expr expr.Expr
+	Col  int
 	Desc bool
 }
 
@@ -298,7 +300,7 @@ func (s *Sort) describe(b *strings.Builder) {
 		if k.Desc {
 			dir = " DESC"
 		}
-		fmt.Fprintf(b, " %s%s", k.Expr, dir)
+		fmt.Fprintf(b, " $sort%d%s", k.Col, dir)
 	}
 }
 

@@ -114,6 +114,19 @@ func TestOrderSatisfiedByIndex(t *testing.T) {
 	}
 }
 
+// An ORDER BY name that is a SELECT alias means the aliased item, even when
+// a column has that name too: the index on the column does not deliver it.
+func TestOrderByAliasShadowingColumn(t *testing.T) {
+	db := setup(t)
+	const q = "SELECT 0 - id AS ord FROM n WHERE doc = 1 ORDER BY ord LIMIT 3"
+	if p := explain(t, db, q); !strings.Contains(p, "Sort") {
+		t.Errorf("the ord column's index stood in for the alias:\n%s", p)
+	}
+	if got := ids(t, db, q); got != "(-100) (-99) (-98)" {
+		t.Errorf("rows = %q", got)
+	}
+}
+
 // A descending ORDER BY with LIMIT reads only the rows it returns.
 func TestDescLimitStopsEarly(t *testing.T) {
 	db := setup(t)

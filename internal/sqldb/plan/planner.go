@@ -70,29 +70,33 @@ type tableEntry struct {
 	offset    int            // column offset in the combined schema
 }
 
-// PlanSelect compiles a SELECT statement.
+// PlanSelect compiles a SELECT statement. The join tree's driver is asked
+// for the leading ORDER BY columns it holds; when the tree then delivers the
+// whole requested order (see deliveredOrder), the ORDER BY needs no Sort, and
+// a MIN or MAX endpoint reads one row.
 func PlanSelect(pc Context, s *sqlparse.Select) (Node, error) {
 	q, err := newJoinQuery(pc, s)
 	if err != nil {
 		return nil, err
 	}
 	var orderHint []sqlparse.OrderItem
-	if len(q.entries) == 1 && len(s.GroupBy) == 0 && !s.Distinct {
+	if len(s.GroupBy) == 0 && !s.Distinct {
 		orderHint = s.OrderBy
 	}
 	endpoint, col := minMaxArg(q, s)
 	if endpoint != nil {
 		orderHint = []sqlparse.OrderItem{{Expr: endpoint.Arg, Desc: endpoint.Name == "MAX"}}
 	}
-	root, combined, satisfiesOrder, err := q.build(q.chooseOrder(pc), orderHint)
+	root, combined, err := q.build(q.chooseOrder(pc), orderHint)
 	if err != nil {
 		return nil, err
 	}
-	switch {
-	case satisfiesOrder && endpoint != nil:
-		root = firstNonNull(root, q.entries[0].table, col)
-	case satisfiesOrder:
-		s = shallowCopyWithoutOrder(s)
+	if want, ok := requestedOrder(s, endpoint, combined, q.fromSchema); ok && hasOrderPrefix(deliveredOrder(pc, root).keys, want) {
+		if endpoint != nil {
+			root = firstNonNull(root, q.entries[0].table, col)
+		} else {
+			s = shallowCopyWithoutOrder(s)
+		}
 	}
 	return planProjection(s, root, combined, q.fromSchema)
 }
@@ -200,9 +204,10 @@ func newJoinQuery(pc Context, s *sqlparse.Select) (*joinQuery, error) {
 // build plans the join of the tables at the given FROM positions, left-deep
 // in that order, over the conjuncts that touch only those tables; nil means
 // all of them in FROM order, over q's conjuncts themselves (the final plan
-// may share them: plan trees are read-only). It returns the join tree, the
-// layout of its rows and whether the access path delivers orderHint.
-func (q *joinQuery) build(order []int, orderHint []sqlparse.OrderItem) (root Node, combined expr.Schema, satisfiesOrder bool, err error) {
+// may share them: plan trees are read-only). The driver's access path is
+// asked for the leading orderHint items that are its own columns. It returns
+// the join tree and the layout of its rows.
+func (q *joinQuery) build(order []int, orderHint []sqlparse.OrderItem) (root Node, combined expr.Schema, err error) {
 	entries, combined := q.entries, q.fromSchema
 	conjuncts, refs := q.conjuncts, q.refs
 	if order != nil {
@@ -223,7 +228,7 @@ func (q *joinQuery) build(order []int, orderHint []sqlparse.OrderItem) (root Nod
 			}
 			c = expr.Clone(c)
 			if err := expr.Resolve(c, combined); err != nil {
-				return nil, nil, false, err
+				return nil, nil, err
 			}
 			conjuncts, refs = append(conjuncts, c), append(refs, q.refs[ci])
 		}
@@ -250,11 +255,9 @@ func (q *joinQuery) build(order []int, orderHint []sqlparse.OrderItem) (root Nod
 		e := &entries[ti]
 		if ti == 0 {
 			local := localConjuncts(conjuncts, perTable[0], e.offset, used)
-			if root, satisfiesOrder, err = buildAccess(*e, local, orderHint); err != nil {
-				return nil, nil, false, err
-			}
+			root = buildAccess(*e, local, orderHint)
 		} else if root, err = buildJoin(root, leftTables, e, perTable[ti], conjuncts, used, combined); err != nil {
-			return nil, nil, false, err
+			return nil, nil, err
 		}
 		leftTables[e.ref.Name()] = true
 	}
@@ -269,7 +272,7 @@ func (q *joinQuery) build(order []int, orderHint []sqlparse.OrderItem) (root Nod
 	if len(residual) > 0 {
 		root = &Filter{Input: root, Pred: andAll(residual)}
 	}
-	return root, combined, satisfiesOrder, nil
+	return root, combined, nil
 }
 
 // localConjuncts clones the given conjuncts rebased to a table-local layout
@@ -286,7 +289,7 @@ func localConjuncts(conjuncts []expr.Expr, idxs []int, offset int, used []bool) 
 	return out
 }
 
-// shallowCopyWithoutOrder returns s minus its ORDER BY (the access path
+// shallowCopyWithoutOrder returns s minus its ORDER BY (the join tree
 // already delivers that order).
 func shallowCopyWithoutOrder(s *sqlparse.Select) *sqlparse.Select {
 	c := *s
@@ -415,7 +418,7 @@ func buildJoin(left Node, leftTables map[string]bool, e *tableEntry, perTable []
 	// For LEFT JOIN the ON predicate is the join condition; WHERE conjuncts
 	// stay above and per-table pushdown was disabled.
 	if e.leftOuter {
-		right := accessForJoin(e, nil)
+		right := buildAccess(*e, nil, nil)
 		on := expr.Clone(e.join.On)
 		if err := expr.Resolve(on, combined); err != nil {
 			return nil, err
@@ -457,7 +460,7 @@ func buildJoin(left Node, leftTables map[string]bool, e *tableEntry, perTable []
 
 	// 2. Hash join on equality keys.
 	local := localConjuncts(conjuncts, perTable, e.offset, used)
-	right := accessForJoin(e, local)
+	right := buildAccess(*e, local, nil)
 	var candidates []expr.Expr
 	var candidateIdx []int
 	for _, ci := range cross {
@@ -482,16 +485,6 @@ func buildJoin(left Node, leftTables map[string]bool, e *tableEntry, perTable []
 		}
 	}
 	return &NLJoin{Left: left, Right: right, On: on, Outer: false}, nil
-}
-
-// accessForJoin builds the inner access path for hash/NL joins.
-func accessForJoin(e *tableEntry, local []expr.Expr) Node {
-	access, _, err := buildAccess(*e, local, nil)
-	if err != nil {
-		// buildAccess only errors on order hints, which are nil here.
-		panic(fmt.Sprintf("plan: accessForJoin: %v", err))
-	}
-	return access
 }
 
 // equiKeys extracts equality key pairs (leftExpr = rightExpr) from conjuncts.

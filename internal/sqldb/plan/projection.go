@@ -68,10 +68,7 @@ func planProjection(s *sqlparse.Select, input Node, inputSchema, fromSchema expr
 			projExprs = append(projExprs, keyExpr)
 			idx = len(projExprs) - 1
 		}
-		sortKeys = append(sortKeys, SortKey{
-			Expr: &expr.ColRef{Column: fmt.Sprintf("$sort%d", idx), Idx: idx},
-			Desc: oi.Desc,
-		})
+		sortKeys = append(sortKeys, SortKey{Col: idx, Desc: oi.Desc})
 	}
 
 	projNames := make([]string, len(projExprs))
