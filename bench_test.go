@@ -193,7 +193,8 @@ func BenchmarkE6Gaps(b *testing.B) {
 }
 
 // BenchmarkE7Publish measures reconstruction of the whole document and of a
-// region subtree per encoding (reconstruction figure).
+// region subtree per encoding (reconstruction figure), and the string values
+// of the region's items, with the statements each QueryValues ran.
 func BenchmarkE7Publish(b *testing.B) {
 	doc := bench.CatalogDoc(benchItems)
 	for _, cfg := range bench.Encodings() {
@@ -218,6 +219,15 @@ func BenchmarkE7Publish(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+		})
+		b.Run("values/"+cfg.Name, func(b *testing.B) {
+			before := s.Metrics().Counters["sqldb.queries"]
+			for i := 0; i < b.N; i++ {
+				if _, err := s.QueryValues(id, "/site/regions/namerica/item"); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(s.Metrics().Counters["sqldb.queries"]-before)/float64(b.N), "stmts/op")
 		})
 	}
 }

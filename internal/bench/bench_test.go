@@ -100,8 +100,15 @@ func TestE7E8Run(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tbl.Rows) != 6 {
+	if len(tbl.Rows) != 9 {
 		t.Fatalf("E7 rows = %d", len(tbl.Rows))
+	}
+	// Dewey reads a subtree with one statement after the root's row, and the
+	// items' values with one after the query's.
+	for _, row := range tbl.Rows {
+		if row[1] == "dewey" && row[0] != "document" && row[4] != "2" {
+			t.Errorf("E7 %s on dewey ran %s statements, want 2", row[0], row[4])
+		}
 	}
 	tbl, err = RunE8(6, 1)
 	if err != nil {

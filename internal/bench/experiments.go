@@ -257,11 +257,13 @@ func RunE6(itemsPerRegion, inserts int, gaps []uint32) (Table, error) {
 	return t, nil
 }
 
-// RunE7 measures document and subtree reconstruction per encoding.
+// RunE7 measures document and subtree reconstruction per encoding, and the
+// string values of the items of one region, read set-at-a-time. Beside the
+// time it reports the SQL statements one extraction runs.
 func RunE7(itemsPerRegion, reps int) (Table, error) {
 	t := Table{
 		Title:  "E7: reconstruction (publish)",
-		Header: []string{"scope", "encoding", "nodes", "ms/publish"},
+		Header: []string{"scope", "encoding", "nodes", "ms/publish", "stmts/extraction"},
 	}
 	doc := CatalogDoc(itemsPerRegion)
 	for _, cfg := range Encodings() {
@@ -269,18 +271,6 @@ func RunE7(itemsPerRegion, reps int) (Table, error) {
 		if err != nil {
 			return t, err
 		}
-		d, err := timeOp(reps, func() error {
-			_, err := s.SerializeDocument(id)
-			return err
-		})
-		if err != nil {
-			return t, err
-		}
-		t.Rows = append(t.Rows, []string{
-			"document", cfg.Name, fmt.Sprint(doc.Size()),
-			fmt.Sprintf("%.2f", float64(d.Nanoseconds())/1e6),
-		})
-		// Subtree: the namerica region.
 		hits, err := s.Query(id, "/site/regions/namerica")
 		if err != nil {
 			return t, fmt.Errorf("region lookup: %w", err)
@@ -293,18 +283,39 @@ func RunE7(itemsPerRegion, reps int) (Table, error) {
 		if err != nil {
 			return t, err
 		}
-		subNodes := mustSize(sub)
-		d, err = timeOp(reps, func() error {
-			_, err := s.Serialize(id, regionID)
-			return err
-		})
-		if err != nil {
-			return t, err
+		scopes := []struct {
+			name  string
+			nodes int
+			op    func() error
+		}{
+			{"document", doc.Size(), func() error {
+				_, err := s.SerializeDocument(id)
+				return err
+			}},
+			{"region subtree", mustSize(sub), func() error {
+				_, err := s.Serialize(id, regionID)
+				return err
+			}},
+			{"region item values", mustSize(sub) - 1, func() error {
+				_, err := s.QueryValues(id, "/site/regions/namerica/item")
+				return err
+			}},
 		}
-		t.Rows = append(t.Rows, []string{
-			"region subtree", cfg.Name, fmt.Sprint(subNodes),
-			fmt.Sprintf("%.2f", float64(d.Nanoseconds())/1e6),
-		})
+		for _, sc := range scopes {
+			before := s.Metrics().Counters["sqldb.queries"]
+			if err := sc.op(); err != nil {
+				return t, err
+			}
+			stmts := s.Metrics().Counters["sqldb.queries"] - before
+			d, err := timeOp(reps, sc.op)
+			if err != nil {
+				return t, err
+			}
+			t.Rows = append(t.Rows, []string{
+				sc.name, cfg.Name, fmt.Sprint(sc.nodes),
+				fmt.Sprintf("%.2f", float64(d.Nanoseconds())/1e6), fmt.Sprint(stmts),
+			})
+		}
 	}
 	return t, nil
 }

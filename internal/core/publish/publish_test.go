@@ -1,6 +1,7 @@
 package publish
 
 import (
+	"strings"
 	"testing"
 
 	"ordxml/internal/core/encoding"
@@ -122,5 +123,30 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(db, encoding.Options{Kind: encoding.Global}); err == nil {
 		t.Error("uninstalled encoding accepted")
+	}
+}
+
+// TestSubtreeStatementPlans pins the access paths of the set-at-a-time
+// subtree reads: Global and Local probe the (doc, parent, order) index once
+// per frontier id, Dewey the (doc, order) index once per root interval, and
+// neither scans or hashes the node table.
+func TestSubtreeStatementPlans(t *testing.T) {
+	for _, opts := range []encoding.Options{
+		{Kind: encoding.Global}, {Kind: encoding.Local}, {Kind: encoding.Dewey},
+		{Kind: encoding.Dewey, DeweyAsText: true},
+	} {
+		p, _, db := setup(t, opts, `<a><b x="1">hi</b></a>`)
+		sql, index := p.level, opts.NodesTable()+"_parent"
+		if opts.Kind == encoding.Dewey {
+			sql, index = p.intervals, opts.NodesTable()+"_order"
+		}
+		plan, err := db.Explain(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(plan, "IndexNLJoin "+opts.NodesTable()+" using "+index) ||
+			strings.Contains(plan, "SeqScan") || strings.Contains(plan, "HashJoin") {
+			t.Errorf("%s: %s\nplans\n%s", opts.Kind, sql, plan)
+		}
 	}
 }

@@ -128,7 +128,7 @@ func (e *Evaluator) buildChainSQL(doc int64, seg segment) (chainSQL, error) {
 	return out, nil
 }
 
-// nodeCols is the select list decodeNode reads: one node's full row.
+// nodeCols is the select list DecodeNode reads: one node's full row.
 func (e *Evaluator) nodeCols(alias string) string {
 	return fmt.Sprintf("%[1]s.id, %[1]s.parent, %[1]s.%[2]s, %[1]s.kind, %[1]s.tag, %[1]s.value", alias, e.ord)
 }

@@ -92,7 +92,7 @@ func (r *run) chainBindings(doc int64, seg segment, ctx []NodeRef) ([]binding, e
 			b.group, row = row[0].Int(), row[1:]
 		}
 		var err error
-		if b.node, err = decodeNode(row); err != nil {
+		if b.node, err = DecodeNode(row); err != nil {
 			return err
 		}
 		bindings = append(bindings, b)
@@ -165,7 +165,7 @@ func (r *run) intervalRows(doc int64, ctx []NodeRef, nested bool) (relation, err
 	if r.opts.Kind == encoding.Dewey {
 		his = make([]sqltypes.Value, len(elems))
 		for i, c := range elems {
-			if his[i], err = r.deweySuccessor(c.Order); err != nil {
+			if his[i], err = DeweySuccessor(r.opts, c.Order); err != nil {
 				return nil, err
 			}
 		}
@@ -263,10 +263,10 @@ func (r *run) globalBounds(doc int64, elems []NodeRef) ([]sqltypes.Value, error)
 	return his, nil
 }
 
-// deweySuccessor computes the exclusive upper bound of a node's descendant
-// range from its stored order key.
-func (e *Evaluator) deweySuccessor(order sqltypes.Value) (sqltypes.Value, error) {
-	if e.opts.DeweyAsText {
+// DeweySuccessor computes the exclusive upper bound of a Dewey node's
+// descendant range from its stored order key.
+func DeweySuccessor(opts encoding.Options, order sqltypes.Value) (sqltypes.Value, error) {
+	if opts.DeweyAsText {
 		p, err := dewey.ParsePadded(order.Text())
 		if err != nil {
 			return sqltypes.Value{}, err
@@ -284,8 +284,10 @@ func (e *Evaluator) deweySuccessor(order sqltypes.Value) (sqltypes.Value, error)
 	return sqldb.B(succ), nil
 }
 
-// decodeNode reads one node from the six columns of Evaluator.nodeCols.
-func decodeNode(row sqltypes.Row) (NodeRef, error) {
+// DecodeNode reads one node from the six columns of a node row selected as
+// id, parent, order key, kind, tag, value (see Evaluator.nodeCols). Its
+// strings and order key do not alias row, so a cursor may reuse it.
+func DecodeNode(row sqltypes.Row) (NodeRef, error) {
 	ref := NodeRef{ID: row[0].Int(), Order: row[2]}
 	if !row[1].IsNull() {
 		ref.Parent = row[1].Int()
@@ -408,7 +410,7 @@ func (r *run) ancestorBindings(doc int64, test xpath.NodeTest, ctx []NodeRef) ([
 	matched := map[int64]NodeRef{}
 	err := r.each(fmt.Sprintf("SELECT %s FROM ? c (id), %s WHERE n1.id = c.id AND %s",
 		r.nodeCols("n1"), b.from[0], strings.Join(b.where, " AND ")), rel, func(row sqltypes.Row) error {
-		a, err := decodeNode(row)
+		a, err := DecodeNode(row)
 		matched[a.ID] = a
 		return err
 	})

@@ -370,15 +370,16 @@ func (s *Store) renderOrderKey(v sqltypes.Value) string {
 }
 
 // QueryValues evaluates a query and returns the XPath string value of each
-// match (text content for elements). The query and the per-element content
-// extraction share one pinned snapshot, so the values always belong to the
-// same store version as the match set.
+// match (text content for elements). The query and the content extraction
+// share one pinned snapshot, so the values always belong to the same store
+// version as the match set. The element matches' subtrees are read together:
+// one statement per tree level under Global and Local, one under Dewey.
 func (s *Store) QueryValues(doc DocID, xpathExpr string) ([]string, error) {
 	return s.QueryValuesCtx(context.Background(), doc, xpathExpr)
 }
 
 // QueryValuesCtx is QueryValues with a caller context: the query and the
-// per-element content extraction both run governed, sharing the request's
+// content extraction both run governed, sharing the request's
 // deadline and memory budget.
 func (s *Store) QueryValuesCtx(ctx context.Context, doc DocID, xpathExpr string) ([]string, error) {
 	ctx, end, err := s.beginRead(ctx)
@@ -391,19 +392,11 @@ func (s *Store) QueryValuesCtx(ctx context.Context, doc DocID, xpathExpr string)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]string, len(refs))
-	for i, r := range refs {
-		if kindOf(r.Kind) == ElementNode {
-			sub, err := s.publisher.SubtreeCtx(ctx, snap, doc, r.ID)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = sub.TextContent()
-		} else {
-			out[i] = r.Value
-		}
+	sub, err := s.publisher.SubtreesCtx(ctx, snap, doc, refs)
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	return sub.StringValues(ctx, refs)
 }
 
 // ExplainQuery evaluates a query and returns the SQL statements the store
