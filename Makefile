@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race fmt-check lint lint-sarif check fuzz-smoke cli-smoke bench bench-query bench-paged bench-update torture govern-torture gc-stress
+.PHONY: build test race fmt-check lint lint-sarif check fuzz-smoke cli-smoke bench bench-query bench-paged bench-update soak govern-torture
 
 build:
 	$(GO) build ./...
@@ -107,22 +107,16 @@ bench-update:
 	bash benchmark/run.sh --workload update_durable --seed 7 --seconds 20 --trace 1 | \
 		grep -E '^(update\.|ordxml\.alloc_mb_per_cycle\.|wal\.|btree\.node_reads_per_cycle\.|heap\.page_reads_per_cycle\.|exec\.rows_examined_per_result\.)'
 
-# torture runs the crash-recovery harness with a longer session than the
-# default `go test` smoke: a child process is killed at every registered
-# failpoint (WAL, buffer-pool flush and eviction, each checkpoint step) and
-# the store must recover to an acknowledged prefix.
-torture:
-	ORDXML_TORTURE_OPS=120 $(GO) test -run '^TestCrashTorture$$' -count=1 -v .
-
-# gc-stress runs the page-lifetime tests under the race detector with the
-# collector at GOGC=1 from process start: the seeded lock-step harness over
-# every encoding and pool size (its fixed seed list is in TestPageLifetime),
-# the reopen loop, exit without Close, closed-store collection, the
-# deterministic manifest and page-id ownership. The storage packages' own
-# race tests run under `make race`.
-gc-stress:
-	GOGC=1 $(GO) test -race -count=1 -run \
-		'TestPageLifetime|TestLifetime|TestClosedDurableStoreIsCollected|TestCheckpointManifestDeterministic' .
+# soak runs the model harness (model_test.go) with long seeds under the race
+# detector and the collector at GOGC=1 from process start: ORDXML_SOAK is
+# "seeds:ops" per configuration and fault plug-in, crash rounds included, so
+# the crash children replay the longer sessions too. The page-lifetime tests
+# the harness does not cover (closed-store collection, the deterministic
+# manifest) and the storage packages' page-ownership and beyond-RAM tests
+# run alongside.
+soak:
+	ORDXML_SOAK=2:96 GOGC=1 $(GO) test -race -count=1 -timeout 60m -run \
+		'TestModel|TestLifetime|TestClosedDurableStoreIsCollected|TestCheckpointManifestDeterministic' .
 	GOGC=1 $(GO) test -race -count=1 -run 'TestPagedPageOwnership|TestPagedBeyondRAM' ./internal/sqldb/
 
 # govern-torture runs the query-lifecycle governance suite under the race

@@ -381,6 +381,11 @@ func (s *Store) CheckpointCtx(ctx context.Context) error {
 	if err := s.closedErr(); err != nil {
 		return err
 	}
+	// A degraded store's pages may be behind its pool: it writes no
+	// checkpoint until a reopen has recovered it.
+	if err := s.readOnlyErr(); err != nil {
+		return fmt.Errorf("checkpoint: %w", err)
+	}
 	start := time.Now()
 	lsn := s.dur.log.LastLSN()
 	// The wal_lsn row is checkpoint metadata, deliberately outside the
@@ -442,6 +447,12 @@ func (s *Store) checkpointPaged(sp *obs.ActiveSpan) error {
 	fsp.End()
 	if err != nil {
 		return fmt.Errorf("checkpoint: flush pages: %w", err)
+	}
+	// A page write that failed earlier in the checkpoint (an eviction while
+	// the manifest was built) degraded the store even if the flush then
+	// succeeded: install nothing, so the previous checkpoint stays current.
+	if err := s.readOnlyErr(); err != nil {
+		return fmt.Errorf("checkpoint: %w", err)
 	}
 	if err := fpPagedBeforeMeta.Hit(); err != nil {
 		return err

@@ -203,39 +203,6 @@ func TestOpenDurableRefusesSnapshotFile(t *testing.T) {
 	}
 }
 
-// TestOpenDurableMissingManifest: once a checkpoint has rotated the log, the
-// log alone no longer holds the store. Losing meta.db must fail the open with
-// an error naming it, not recover an empty store from the log tail.
-func TestOpenDurableMissingManifest(t *testing.T) {
-	dir := t.TempDir()
-	s := openDur(t, dir, Options{Encoding: Dewey})
-	doc, err := s.LoadString("d", "<R><A>one</A></R>")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Insert(doc, 1, LastChild, "<B>two</B>"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Remove(filepath.Join(dir, metaFile)); err != nil {
-		t.Fatal(err)
-	}
-	r, err := OpenDurable(dir, Options{Encoding: Dewey})
-	if err == nil {
-		docs, _ := r.Documents()
-		r.Close()
-		t.Fatalf("OpenDurable without its manifest succeeded with %d document(s)", len(docs))
-	}
-	if !strings.Contains(err.Error(), metaFile) {
-		t.Fatalf("error does not name the missing manifest: %v", err)
-	}
-}
-
 // TestPagedRepeatedQueryHitsPool is the store-level check that the pool
 // caches: on the query_paged shape — an 8,430-node catalog in a 256-frame
 // store, checkpointed — the descendant query //keyword run a second time

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"ordxml/internal/failpoint"
-	"ordxml/internal/sqldb/btree"
 	"ordxml/internal/xmlgen"
 )
 
@@ -137,128 +136,25 @@ func TestDurableRecoversWithoutCheckpoint(t *testing.T) {
 	})
 }
 
-func TestDurableReplayEveryMutationKind(t *testing.T) {
+// TestDurableExecReplays: raw DML through the logged escape hatch replays
+// on recovery. (The XPath-level mutation kinds replay under the model
+// harness's durable configurations.)
+func TestDurableExecReplays(t *testing.T) {
 	eachPool(t, func(t *testing.T, opts Options) {
 		dir := t.TempDir()
 		s := openDur(t, dir, opts)
-		doc, err := s.LoadString("hamlet", testDoc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		scratch, err := s.LoadString("scratch", "<R><A/></R>")
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Insert.
-		hits, err := s.Query(doc, "/PLAY/ACT[2]/SCENE[1]/SPEECH[1]")
-		if err != nil || len(hits) != 1 {
-			t.Fatalf("query: %v, %v", hits, err)
-		}
-		speech := hits[0].ID
-		if _, err := s.Insert(doc, speech, Before, "<SPEECH><SPEAKER>YORICK</SPEAKER><LINE>alas</LINE></SPEECH>"); err != nil {
-			t.Fatal(err)
-		}
-		// Delete.
-		hits, err = s.Query(doc, "/PLAY/ACT[1]/SCENE[1]/SPEECH[2]")
-		if err != nil || len(hits) != 1 {
-			t.Fatalf("query: %v, %v", hits, err)
-		}
-		if _, err := s.Delete(doc, hits[0].ID); err != nil {
-			t.Fatal(err)
-		}
-		// SetValue and Rename.
-		hits, err = s.Query(doc, "/PLAY/TITLE/text()")
-		if err != nil || len(hits) != 1 {
-			t.Fatalf("query: %v, %v", hits, err)
-		}
-		if err := s.SetValue(doc, hits[0].ID, "The Tragedy of Hamlet"); err != nil {
-			t.Fatal(err)
-		}
-		hits, err = s.Query(doc, "/PLAY/TITLE")
-		if err != nil || len(hits) != 1 {
-			t.Fatalf("query: %v, %v", hits, err)
-		}
-		if err := s.Rename(doc, hits[0].ID, "HEADLINE"); err != nil {
-			t.Fatal(err)
-		}
-		// Move.
-		hits, err = s.Query(doc, "/PLAY/ACT[2]")
-		if err != nil || len(hits) != 1 {
-			t.Fatalf("query: %v, %v", hits, err)
-		}
-		act2 := hits[0].ID
-		hits, err = s.Query(doc, "/PLAY/ACT[1]")
-		if err != nil || len(hits) != 1 {
-			t.Fatalf("query: %v, %v", hits, err)
-		}
-		if _, err := s.Move(doc, act2, hits[0].ID, Before); err != nil {
-			t.Fatal(err)
-		}
-		// Raw DML through the logged escape hatch.
 		if n, err := s.Exec(`INSERT INTO store_meta VALUES (?, ?)`, "test_marker", "survived"); err != nil || n != 1 {
 			t.Fatalf("exec: n=%d err=%v", n, err)
 		}
-		// Drop.
-		if err := s.Drop(scratch); err != nil {
-			t.Fatal(err)
-		}
-		want := fingerprint(t, s)
 		s.Close()
 
 		s = openDur(t, dir, opts)
-		defer s.Close()
-		if got := fingerprint(t, s); got != want {
-			t.Fatalf("recovered state differs:\n got %q\nwant %q", got, want)
-		}
 		rows, err := s.SQL(`SELECT v FROM store_meta WHERE k = ?`, "test_marker")
 		if err != nil || len(rows.Values) != 1 || rows.Values[0][0] != "survived" {
 			t.Fatalf("exec record not replayed: %v, %v", rows, err)
 		}
 		mustIntact(t, s)
 	})
-}
-
-// TestDurableDocIDSurvivesReplay: a document loaded after dropping the
-// highest ones gets the same id in the session and on replay, so logged
-// operations on it replay against it. Ids derive from the stored documents
-// alone: MAX(doc)+1, which reuses the ids of dropped highest documents.
-func TestDurableDocIDSurvivesReplay(t *testing.T) {
-	dir := t.TempDir()
-	s := openDur(t, dir, Options{Encoding: Dewey})
-	for i := 1; i <= 3; i++ {
-		if doc, err := s.LoadString(fmt.Sprintf("d%d", i), "<r><a/></r>"); err != nil || doc != DocID(i) {
-			t.Fatalf("load %d: id %d, %v", i, doc, err)
-		}
-	}
-	if err := s.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	for _, doc := range []DocID{3, 2} {
-		if err := s.Drop(doc); err != nil {
-			t.Fatal(err)
-		}
-	}
-	doc, err := s.LoadString("d", "<r><b/></r>")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if doc != 2 {
-		t.Errorf("new document id %d, want 2 (one past the highest stored)", doc)
-	}
-	if _, err := s.Insert(doc, 1, LastChild, "<c/>"); err != nil {
-		t.Fatal(err)
-	}
-	want := fingerprint(t, s)
-	s.Close()
-
-	s = openDur(t, dir, Options{Encoding: Dewey})
-	if got := fingerprint(t, s); got != want {
-		t.Fatalf("recovered state differs:\n got %q\nwant %q", got, want)
-	}
-	if n := s.Metrics().Counters["wal.replay.op_errors"]; n != 0 {
-		t.Fatalf("replay skipped %d failing operations", n)
-	}
-	mustIntact(t, s)
 }
 
 func TestDurableCheckpointBoundsReplay(t *testing.T) {
@@ -422,89 +318,6 @@ func TestDurableFailedOpReplaysAsFailure(t *testing.T) {
 		}
 		mustIntact(t, s)
 	})
-}
-
-// An element name whose index key cannot fit a tree page is an error, not
-// a panic, on every encoding: the row would fit the heap, but the catalog
-// sizes every key before it touches storage. A durable store has already
-// logged the operation, so reopening replays it as one failed operation.
-func TestOversizedTagIsAnError(t *testing.T) {
-	// An 8,145-byte name: the row (8,164 bytes under Local) fits a heap
-	// page, but Local's (doc, tag) key, the shortest of the three
-	// encodings' tag keys, is 8,163 bytes.
-	frag := "<t" + strings.Repeat("x", 8144) + "/>"
-	insert := func(t *testing.T, s *Store) (DocID, string) {
-		t.Helper()
-		doc, err := s.LoadString("hamlet", testDoc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := fingerprint(t, s)
-		if _, err := s.Insert(doc, 1, LastChild, frag); !errors.Is(err, btree.ErrKeyTooLarge) {
-			t.Fatalf("insert of an oversized tag: err = %v, want btree.ErrKeyTooLarge", err)
-		}
-		if got := fingerprint(t, s); got != want {
-			t.Fatalf("failed insert changed the store:\n got %q\nwant %q", got, want)
-		}
-		mustIntact(t, s)
-		return doc, want
-	}
-	for _, enc := range []Encoding{Global, Local, Dewey} {
-		t.Run(enc.String()+"/memory", func(t *testing.T) {
-			s, err := Open(Options{Encoding: enc})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Close()
-			doc, _ := insert(t, s)
-			// The store still takes valid updates.
-			if _, err := s.Insert(doc, 1, LastChild, "<t/>"); err != nil {
-				t.Fatal(err)
-			}
-			mustIntact(t, s)
-		})
-		t.Run(enc.String()+"/durable", func(t *testing.T) {
-			dir := t.TempDir()
-			s := openDur(t, dir, Options{Encoding: enc})
-			_, want := insert(t, s)
-			s.Close()
-
-			s = openDur(t, dir, Options{Encoding: enc})
-			defer s.Close()
-			if got := fingerprint(t, s); got != want {
-				t.Fatalf("recovered state differs:\n got %q\nwant %q", got, want)
-			}
-			if n := s.Metrics().Counters["wal.replay.op_errors"]; n != 1 {
-				t.Fatalf("replay op errors = %d, want 1", n)
-			}
-			mustIntact(t, s)
-		})
-	}
-}
-
-func TestDurableWALFailureRefusesMutations(t *testing.T) {
-	failpoint.Reset()
-	t.Cleanup(failpoint.Reset)
-	dir := t.TempDir()
-	s := openDur(t, dir, Options{Encoding: Dewey})
-	defer s.Close()
-	doc, err := s.LoadString("hamlet", testDoc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := failpoint.Arm("wal.sync.before-fsync", failpoint.Error, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SetValue(doc, 3, "doomed"); !errors.Is(err, failpoint.ErrInjected) {
-		t.Fatalf("want injected error, got %v", err)
-	}
-	// The log is fail-stop: every further mutation is refused, reads work.
-	if err := s.SetValue(doc, 3, "refused"); err == nil {
-		t.Fatal("mutation accepted after WAL failure")
-	}
-	if _, err := s.Query(doc, "/PLAY/TITLE"); err != nil {
-		t.Fatalf("read after WAL failure: %v", err)
-	}
 }
 
 func TestDurableConcurrentMutations(t *testing.T) {

@@ -2,222 +2,16 @@ package ordxml_test
 
 import (
 	"fmt"
-	"math/rand"
-	"strings"
 	"sync"
 	"testing"
 
 	"ordxml"
-	"ordxml/internal/core/xpath"
 	"ordxml/internal/xmlgen"
-	"ordxml/internal/xmltree"
 )
 
-// This file holds the end-to-end session tests: long random sequences of
-// queries and updates, run through the public API against every encoding in
-// parallel with an in-memory oracle document. After every mutation the
-// stores must serialize to the oracle's exact XML, and every query must
-// return the oracle's exact node sequence.
-
-// session pairs a store with the oracle node -> store id mapping.
-type session struct {
-	name  string
-	store *ordxml.Store
-	doc   ordxml.DocID
-	ids   map[*xmltree.Node]int64
-}
-
-func newSessions(t *testing.T, tree *xmltree.Node) []*session {
-	t.Helper()
-	configs := []struct {
-		name string
-		opts ordxml.Options
-	}{
-		{"global", ordxml.Options{Encoding: ordxml.Global}},
-		{"local", ordxml.Options{Encoding: ordxml.Local}},
-		{"dewey", ordxml.Options{Encoding: ordxml.Dewey}},
-		{"global_gap", ordxml.Options{Encoding: ordxml.Global, Gap: 8}},
-		{"dewey_gap", ordxml.Options{Encoding: ordxml.Dewey, Gap: 8}},
-		{"dewey_text", ordxml.Options{Encoding: ordxml.Dewey, DeweyAsText: true}},
-	}
-	var out []*session
-	for _, cfg := range configs {
-		store, err := ordxml.Open(cfg.opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		doc, err := store.LoadString("session", tree.String())
-		if err != nil {
-			t.Fatal(err)
-		}
-		s := &session{name: cfg.name, store: store, doc: doc, ids: map[*xmltree.Node]int64{}}
-		next := int64(1)
-		tree.Walk(func(n *xmltree.Node) bool {
-			s.ids[n] = next
-			next++
-			return true
-		})
-		out = append(out, s)
-	}
-	return out
-}
-
-func (s *session) mapFragment(frag *xmltree.Node, base int64) {
-	next := base
-	frag.Walk(func(n *xmltree.Node) bool {
-		s.ids[n] = next
-		next++
-		return true
-	})
-}
-
-// checkQuery compares the store result with the oracle.
-func (s *session) checkQuery(t *testing.T, oracle *xmltree.Node, q string) {
-	t.Helper()
-	wantNodes, err := xpath.EvalString(oracle, q)
-	if err != nil {
-		t.Fatalf("oracle %q: %v", q, err)
-	}
-	want := make([]int64, len(wantNodes))
-	for i, n := range wantNodes {
-		want[i] = s.ids[n]
-	}
-	got, err := s.store.Query(s.doc, q)
-	if err != nil {
-		t.Fatalf("%s: %q: %v", s.name, q, err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("%s: %q: %d results, oracle has %d", s.name, q, len(got), len(want))
-	}
-	for i := range want {
-		if got[i].ID != want[i] {
-			t.Fatalf("%s: %q: result %d = node %d, oracle %d", s.name, q, i, got[i].ID, want[i])
-		}
-	}
-}
-
-// TestRandomSessions runs mixed query/update sessions; the main end-to-end
-// property of the library.
-func TestRandomSessions(t *testing.T) {
-	if testing.Short() {
-		t.Skip("long session sweep")
-	}
-	queries := []string{
-		"//ins", "//leaf", "//a", "//b/c", "/%s", "//a[1]", "//b[last()]",
-		"//a/following-sibling::*", "//c/preceding-sibling::*[1]",
-		"//leaf/ancestor::ins", "//c/parent::*", "//ins[@n = '3']",
-		"//ins[leaf = 'v2']", "//a//b", "//*[2]",
-	}
-	for seed := int64(0); seed < 4; seed++ {
-		r := rand.New(rand.NewSource(seed + 55))
-		oracle := xmlgen.Random(xmlgen.DefaultRandom(seed + 300))
-		sessions := newSessions(t, oracle)
-		rootQ := fmt.Sprintf(queries[4], oracle.Tag)
-		for op := 0; op < 30; op++ {
-			var elems []*xmltree.Node
-			oracle.Walk(func(n *xmltree.Node) bool {
-				if n.Kind == xmltree.Element {
-					elems = append(elems, n)
-				}
-				return true
-			})
-			target := elems[r.Intn(len(elems))]
-			isRoot := target.Parent == nil
-			switch r.Intn(5) {
-			case 0: // query round
-				q := queries[r.Intn(len(queries))]
-				if strings.Contains(q, "%s") {
-					q = rootQ
-				}
-				for _, s := range sessions {
-					s.checkQuery(t, oracle, q)
-				}
-			case 1: // delete
-				if isRoot || len(elems) < 4 {
-					continue
-				}
-				for _, s := range sessions {
-					if _, err := s.store.Delete(s.doc, s.ids[target]); err != nil {
-						t.Fatalf("seed %d op %d %s: delete: %v", seed, op, s.name, err)
-					}
-				}
-				p := target.Parent
-				idx := target.ChildIndex()
-				p.Children = append(p.Children[:idx], p.Children[idx+1:]...)
-			case 2: // set value / rename
-				var leaves []*xmltree.Node
-				oracle.Walk(func(n *xmltree.Node) bool {
-					if n.Kind != xmltree.Element {
-						leaves = append(leaves, n)
-					}
-					return true
-				})
-				if len(leaves) == 0 {
-					continue
-				}
-				leaf := leaves[r.Intn(len(leaves))]
-				val := fmt.Sprintf("edit%d", op)
-				for _, s := range sessions {
-					if err := s.store.SetValue(s.doc, s.ids[leaf], val); err != nil {
-						t.Fatalf("seed %d op %d %s: setvalue: %v", seed, op, s.name, err)
-					}
-				}
-				leaf.Value = val
-			default: // insert
-				mode := []ordxml.Position{ordxml.FirstChild, ordxml.LastChild, ordxml.Before, ordxml.After}[r.Intn(4)]
-				if isRoot && (mode == ordxml.Before || mode == ordxml.After) {
-					mode = ordxml.FirstChild
-				}
-				fragXML := fmt.Sprintf(`<ins n="%d"><leaf>v%d</leaf><b><c/></b></ins>`, op, op)
-				oracleFrag, _ := xmltree.ParseString(fragXML)
-				for _, s := range sessions {
-					rep, err := s.store.Insert(s.doc, s.ids[target], mode, fragXML)
-					if err != nil {
-						t.Fatalf("seed %d op %d %s: insert: %v", seed, op, s.name, err)
-					}
-					s.mapFragment(oracleFrag, rep.NewID)
-				}
-				// Mirror on the oracle.
-				switch mode {
-				case ordxml.FirstChild:
-					oracleFrag.Parent = target
-					target.Children = append([]*xmltree.Node{oracleFrag}, target.Children...)
-				case ordxml.LastChild:
-					target.AddChild(oracleFrag)
-				default:
-					p := target.Parent
-					idx := target.ChildIndex()
-					if mode == ordxml.After {
-						idx++
-					}
-					oracleFrag.Parent = p
-					p.Children = append(p.Children, nil)
-					copy(p.Children[idx+1:], p.Children[idx:])
-					p.Children[idx] = oracleFrag
-				}
-			}
-		}
-		want := oracle.String()
-		for _, s := range sessions {
-			got, err := s.store.SerializeDocument(s.doc)
-			if err != nil {
-				t.Fatalf("seed %d %s: %v", seed, s.name, err)
-			}
-			if got != want {
-				t.Fatalf("seed %d %s: final document diverged", seed, s.name)
-			}
-			// Deep check: logical per-document invariants plus heap-page and
-			// B+tree structural invariants and index/heap agreement.
-			problems, err := s.store.CheckIntegrity()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(problems) != 0 {
-				t.Fatalf("seed %d %s: invariants violated: %v", seed, s.name, problems)
-			}
-		}
-	}
-}
+// Concurrency tests through the public API: readers against one store, and
+// readers interleaved with a writer. Sequential sessions against the oracle
+// are the model harness's (model_test.go).
 
 // TestConcurrentReaders checks the documented concurrency contract: many
 // goroutines querying one store while results stay consistent.

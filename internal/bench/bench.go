@@ -7,6 +7,7 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -150,15 +151,23 @@ func (t Table) String() string {
 	return sb.String()
 }
 
-// timeOp measures fn over reps repetitions, returning the mean duration.
+// timeOp calls fn once untimed, to warm caches and the plan cache, then
+// times reps calls one by one and returns the median: a collection or a
+// descheduling inside one call moves the mean, not the median.
 func timeOp(reps int, fn func() error) (time.Duration, error) {
-	start := time.Now()
-	for i := 0; i < reps; i++ {
+	if err := fn(); err != nil {
+		return 0, err
+	}
+	times := make([]time.Duration, reps)
+	for i := range times {
+		start := time.Now()
 		if err := fn(); err != nil {
 			return 0, err
 		}
+		times[i] = time.Since(start)
 	}
-	return time.Since(start) / time.Duration(reps), nil
+	slices.Sort(times)
+	return times[len(times)/2], nil
 }
 
 func us(d time.Duration) string {

@@ -91,11 +91,12 @@ func RunE3(itemsPerRegion, reps int) (Table, error) {
 	}
 	for _, q := range QuerySuite(itemsPerRegion) {
 		for _, e := range envs {
+			before := Examined(e.s)
 			res, err := e.s.Query(e.id, q.XPath)
 			if err != nil {
 				return t, fmt.Errorf("%s on %s: %w", q.ID, e.cfg.Name, err)
 			}
-			before := Examined(e.s)
+			perOp := Examined(e.s) - before
 			d, err := timeOp(reps, func() error {
 				_, err := e.s.Query(e.id, q.XPath)
 				return err
@@ -103,7 +104,6 @@ func RunE3(itemsPerRegion, reps int) (Table, error) {
 			if err != nil {
 				return t, err
 			}
-			perOp := (Examined(e.s) - before) / int64(reps)
 			t.Rows = append(t.Rows, []string{
 				q.ID, q.Feature, e.cfg.Name,
 				fmt.Sprint(len(res)), us(d), fmt.Sprint(perOp),
@@ -385,6 +385,10 @@ func RunE9(sizes []int, reps int) (Table, error) {
 					return t, err
 				}
 				before := Examined(s)
+				if _, err := s.Query(id, q.XPath); err != nil {
+					return t, err
+				}
+				perOp := Examined(s) - before
 				d, err := timeOp(reps, func() error {
 					_, err := s.Query(id, q.XPath)
 					return err
@@ -392,7 +396,6 @@ func RunE9(sizes []int, reps int) (Table, error) {
 				if err != nil {
 					return t, err
 				}
-				perOp := (Examined(s) - before) / int64(reps)
 				t.Rows = append(t.Rows, []string{
 					q.ID, fmt.Sprint(size), fmt.Sprint(nodes), cfg.Name, us(d), fmt.Sprint(perOp),
 				})

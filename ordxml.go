@@ -764,9 +764,10 @@ func (s *Store) moveTree(doc DocID, id, target NodeID, pos Position) (UpdateRepo
 	if err != nil {
 		return UpdateReport{}, err
 	}
-	// Reject moves into the subtree being moved (the target would be
-	// deleted out from under the insert): walk up from the target and fail
-	// if the moved node appears on the ancestor chain.
+	// Reject, before the delete, every move the reinsert would refuse: one
+	// into the subtree being moved (the target would be deleted out from
+	// under the insert) — walk up from the target and fail if the moved node
+	// appears on the ancestor chain — and one beside the document root.
 	cur := target
 	for cur != 0 {
 		if cur == id {
@@ -775,6 +776,9 @@ func (s *Store) moveTree(doc DocID, id, target NodeID, pos Position) (UpdateRepo
 		parent, err := s.manager.Node(doc, cur)
 		if err != nil {
 			return UpdateReport{}, err
+		}
+		if parent == 0 && cur == target && (pos == Before || pos == After) {
+			return UpdateReport{}, fmt.Errorf("cannot move a node beside the document root")
 		}
 		cur = parent
 	}

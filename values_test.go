@@ -3,203 +3,14 @@ package ordxml_test
 import (
 	"context"
 	"errors"
-	"fmt"
-	"math/rand"
-	"slices"
-	"strings"
 	"testing"
 	"time"
 
 	"ordxml"
 	"ordxml/internal/bench"
 	"ordxml/internal/core/xpath"
-	"ordxml/internal/xmlgen"
 	"ordxml/internal/xmltree"
 )
-
-// valuesFixture nests a inside a, so one query's matches lie inside each
-// other's subtrees, and mixes text, attributes and empty elements.
-const valuesFixture = `<r><a id="1">x<a id="2">y<b k="v">z</b><a id="3"/></a>w</a>` +
-	`<c>t<a id="4">u<b/></a></c><b k="w">q<c><a>v<a>s</a></a></c></b></r>`
-
-// valuesFixtureQueries return nested matches, repeated subtrees, attribute
-// and text nodes and nothing at all.
-var valuesFixtureQueries = []string{
-	"//a", "//a//a", "//*", "/r", "//b", "//a/b", "//c//a", "//a[1]", "//a[last()]",
-	"//a/ancestor::*", "//b/..", "//a/following-sibling::*", "//a[@id = '2']",
-	"//*/@k", "//*/@id", "//b/@k", "//text()", "//a/text()", "//nosuch", "/r/nosuch//a",
-}
-
-// randomValueQueries draws n paths of one to three child or descendant steps
-// over the random documents' tags, some with a positional predicate or a
-// text or attribute step at the end.
-func randomValueQueries(r *rand.Rand, n int) []string {
-	tags := []string{"a", "b", "c", "d", "*"}
-	out := make([]string, n)
-	for i := range out {
-		var sb strings.Builder
-		for k := 1 + r.Intn(3); k > 0; k-- {
-			sb.WriteString([]string{"/", "//"}[min(1, r.Intn(3))])
-			sb.WriteString(tags[r.Intn(len(tags))])
-			if r.Intn(4) == 0 {
-				sb.WriteString([]string{"[1]", "[2]", "[last()]"}[r.Intn(3)])
-			}
-		}
-		switch r.Intn(6) {
-		case 0:
-			sb.WriteString("/text()")
-		case 1:
-			sb.WriteString("/@*")
-		}
-		out[i] = sb.String()
-	}
-	return out
-}
-
-// valuesSessions loads tree into a memory and an 8-frame durable store per
-// encoding, and into a memory store with padded-text Dewey keys.
-func valuesSessions(t *testing.T, tree *xmltree.Node) []*session {
-	t.Helper()
-	text, err := ordxml.Open(ordxml.Options{Encoding: ordxml.Dewey, DeweyAsText: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sessions := []*session{{name: "dewey_text/memory", store: text}}
-	for _, enc := range []ordxml.Encoding{ordxml.Global, ordxml.Local, ordxml.Dewey} {
-		mem, err := ordxml.Open(ordxml.Options{Encoding: enc})
-		if err != nil {
-			t.Fatal(err)
-		}
-		dur, err := ordxml.OpenDurable(t.TempDir(), ordxml.Options{Encoding: enc, BufferPoolFrames: 8})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { dur.Close() })
-		sessions = append(sessions, &session{name: enc.String() + "/memory", store: mem},
-			&session{name: enc.String() + "/durable", store: dur})
-	}
-	for _, s := range sessions {
-		if s.doc, err = s.store.LoadString("values", tree.String()); err != nil {
-			t.Fatal(err)
-		}
-		s.ids = map[*xmltree.Node]int64{}
-		s.mapFragment(tree, 1)
-	}
-	return sessions
-}
-
-// checkValues compares QueryValues with the oracle's string values.
-func (s *session) checkValues(t *testing.T, oracle *xmltree.Node, q string) {
-	t.Helper()
-	nodes, err := xpath.EvalString(oracle, q)
-	if err != nil {
-		t.Fatalf("oracle %q: %v", q, err)
-	}
-	want := xpath.StringValues(nodes)
-	got, err := s.store.QueryValues(s.doc, q)
-	if err != nil {
-		t.Fatalf("%s: %q: %v", s.name, q, err)
-	}
-	if !slices.Equal(got, want) {
-		t.Fatalf("%s: %q: values %q, oracle %q", s.name, q, got, want)
-	}
-}
-
-// editSession applies n random inserts, deletes and moves to every session
-// and mirrors them on the oracle. Inserted fragments nest a inside a.
-func editSession(t *testing.T, r *rand.Rand, oracle *xmltree.Node, sessions []*session, n int) {
-	t.Helper()
-	for op := 0; op < n; op++ {
-		var elems []*xmltree.Node
-		oracle.Walk(func(n *xmltree.Node) bool {
-			if n.Kind == xmltree.Element {
-				elems = append(elems, n)
-			}
-			return true
-		})
-		node, target := elems[r.Intn(len(elems))], elems[r.Intn(len(elems))]
-		pos := []ordxml.Position{ordxml.FirstChild, ordxml.LastChild, ordxml.Before, ordxml.After}[r.Intn(4)]
-		if target.Parent == nil && (pos == ordxml.Before || pos == ordxml.After) {
-			pos = ordxml.LastChild
-		}
-		switch r.Intn(3) {
-		case 0: // delete
-			if node.Parent == nil || len(elems) < 6 {
-				continue
-			}
-			for _, s := range sessions {
-				if _, err := s.store.Delete(s.doc, s.ids[node]); err != nil {
-					t.Fatalf("%s: op %d: delete: %v", s.name, op, err)
-				}
-			}
-			detach(node)
-		case 1: // move
-			inside := false
-			for p := target; p != nil; p = p.Parent {
-				inside = inside || p == node
-			}
-			if node.Parent == nil || inside {
-				continue
-			}
-			for _, s := range sessions {
-				rep, err := s.store.Move(s.doc, s.ids[node], s.ids[target], pos)
-				if err != nil {
-					t.Fatalf("%s: op %d: move: %v", s.name, op, err)
-				}
-				s.mapFragment(node, rep.NewID)
-			}
-			detach(node)
-			place(node, target, pos)
-		default: // insert
-			frag := fmt.Sprintf(`<a n="%d">s%d<a><b>t%d</b></a>u</a>`, op, op, op)
-			fragNode, err := xmltree.ParseString(frag)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, s := range sessions {
-				rep, err := s.store.Insert(s.doc, s.ids[target], pos, frag)
-				if err != nil {
-					t.Fatalf("%s: op %d: insert: %v", s.name, op, err)
-				}
-				s.mapFragment(fragNode, rep.NewID)
-			}
-			place(fragNode, target, pos)
-		}
-	}
-}
-
-func detach(n *xmltree.Node) {
-	p := n.Parent
-	p.Children = slices.Delete(p.Children, n.ChildIndex(), n.ChildIndex()+1)
-	n.Parent = nil
-}
-
-// TestQueryValuesAgainstOracle holds QueryValues to the xpath oracle's string
-// values on every encoding, in memory and on a durable store whose pool holds
-// 8 pages (and with padded-text Dewey keys in memory), before and after a random session of inserts, deletes and moves.
-// The queries return matches nested inside other matches, the same subtree
-// under several matches, attribute and text nodes, and nothing.
-func TestQueryValuesAgainstOracle(t *testing.T) {
-	fixture, err := xmltree.ParseString(valuesFixture)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, oracle := range []*xmltree.Node{fixture, xmlgen.Random(xmlgen.DefaultRandom(7))} {
-		r := rand.New(rand.NewSource(int64(i)))
-		queries := append(slices.Clone(valuesFixtureQueries), randomValueQueries(r, 40)...)
-		sessions := valuesSessions(t, oracle)
-		check := func() {
-			for _, q := range queries {
-				for _, s := range sessions {
-					s.checkValues(t, oracle, q)
-				}
-			}
-		}
-		check()
-		editSession(t, r, oracle, sessions, 16)
-		check()
-	}
-}
 
 // subtreeHeight is the number of edges on the longest downward path from n.
 func subtreeHeight(n *xmltree.Node) int {
