@@ -54,6 +54,7 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzReseek -fuzztime 10s ./internal/sqldb/btree/
 	$(GO) test -fuzz FuzzTranslateOracle -fuzztime 10s ./internal/core/translate/
 	$(GO) test -fuzz FuzzPlanOrder -fuzztime 10s ./internal/sqldb/
+	$(GO) test -fuzz FuzzRowCodec -fuzztime 10s ./internal/sqldb/sqltypes/
 
 # cli-smoke is the command-line round trip through a store directory: for
 # each encoding, xmlshred -save shreds a generated catalog into a durable

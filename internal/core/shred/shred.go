@@ -204,7 +204,7 @@ func (w *walker) insert(n *xmltree.Node, id, parentID int64, ordinal uint32, pat
 		} else {
 			off := len(w.pathBuf)
 			w.pathBuf = path.AppendBytes(w.pathBuf)
-			orderKey = sqldb.B(w.pathBuf[off:len(w.pathBuf):len(w.pathBuf)])
+			orderKey = sqldb.B(w.pathBuf[off:])
 		}
 	default:
 		panic(fmt.Sprintf("shred: unknown encoding kind %d", int(w.s.opts.Kind)))

@@ -566,7 +566,8 @@ func I(v int64) sqltypes.Value { return sqltypes.NewInt(v) }
 // S returns a TEXT parameter value.
 func S(v string) sqltypes.Value { return sqltypes.NewText(v) }
 
-// B returns a BLOB parameter value.
+// B returns a BLOB parameter value. Like sqltypes.NewBlob it aliases v,
+// which the caller must not write to afterwards.
 func B(v []byte) sqltypes.Value { return sqltypes.NewBlob(v) }
 
 // F returns a REAL parameter value.

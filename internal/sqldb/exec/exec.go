@@ -326,7 +326,7 @@ func RunDelete(p *plan.DeletePlan, params []sqltypes.Value) (int, error) {
 // dmlMatches is what a DML statement's scan matched, read in full before the
 // statement changes anything: each row's RID and, when kept, its table
 // columns row-encoded back to back, as the heap stores them. Decoded, a row
-// would take a 64-byte Value per column.
+// would take a 32-byte Value per column, about four times its encoding.
 type dmlMatches struct {
 	rids []heap.RID
 	rows []byte

@@ -155,7 +155,9 @@ func TestKeyCompositePrefix(t *testing.T) {
 }
 
 func TestKeyRealEdgeCases(t *testing.T) {
-	vals := []float64{math.Inf(-1), -1e300, -1, -0.5, 0, 0.5, 1, 1e300, math.Inf(1)}
+	vals := []float64{
+		math.Inf(-1), -1e300, -1, -0.5, 0, math.SmallestNonzeroFloat64, 0.5, 1, 1e300, math.Inf(1),
+	}
 	var prev []byte
 	for i, f := range vals {
 		k := EncodeKey(nil, NewReal(f))
@@ -174,6 +176,85 @@ func TestKeyRealEdgeCases(t *testing.T) {
 	if bytes.Compare(kneg, kpos) >= 0 {
 		t.Error("-0.0 must sort before +0.0 in byte form (distinct bit patterns)")
 	}
+	// A NaN has no place in Compare's order (it compares equal to every
+	// number); its key sorts after +Inf.
+	if knan := EncodeKey(nil, NewReal(math.NaN())); bytes.Compare(prev, knan) >= 0 {
+		t.Error("NaN key must sort after +Inf")
+	}
+	// Real edge values keep their exact bits through the accessors; the
+	// codecs are checked for every edge value in
+	// TestRowCodecRoundTripProperty.
+	for _, v := range edgeValues {
+		if v.Type() != Real {
+			continue
+		}
+		if got := NewReal(v.Real()); !sameValue(got, v) {
+			t.Errorf("accessor round trip %v -> %v", v, got)
+		}
+		checkRepresentations(t, v)
+	}
+}
+
+// edgeValues are the values whose bits or ordering a codec is most likely to
+// lose: signed zero, infinities, a NaN, the smallest subnormal, an empty
+// Blob (which must stay distinct from NULL), a Blob holding the escape bytes
+// 0x00 and 0xFF, and a Text and a Blob with equal bytes (which order by type
+// tag).
+var edgeValues = []Value{
+	NullValue(),
+	NewBlob(nil),
+	NewReal(math.Copysign(0, -1)),
+	NewReal(0),
+	NewReal(math.Inf(-1)),
+	NewReal(math.Inf(1)),
+	NewReal(math.NaN()),
+	NewReal(math.SmallestNonzeroFloat64),
+	NewReal(-math.SmallestNonzeroFloat64),
+	NewBlob([]byte{0x00, 0xFF}),
+	NewBlob([]byte{0xFF, 0x00}),
+	NewText("ab"),
+	NewBlob([]byte("ab")),
+	NewText(""),
+}
+
+// sameValue reports whether a and b are the same value bit for bit (NaN
+// payloads and the sign of zero included), not merely equal under Compare.
+func sameValue(a, b Value) bool {
+	return a.Type() == b.Type() && bytes.Equal(EncodeRow(nil, Row{a}), EncodeRow(nil, Row{b}))
+}
+
+// checkRepresentations sends v through the row codec and the key codec and
+// fails unless each hands back the same value.
+func checkRepresentations(t *testing.T, v Value) {
+	t.Helper()
+	got, n, err := DecodeRowInto(nil, EncodeRow(nil, Row{v}))
+	if err != nil || len(got) != 1 || !sameValue(got[0], v) {
+		t.Errorf("row codec round trip %v (%s) -> %v, %d bytes, %v", v, v.Type(), got, n, err)
+	}
+	key := EncodeKey(nil, v)
+	kgot, used, err := DecodeKeyTyped(key, []Type{v.Type()})
+	if err != nil || used != len(key) || !sameValue(kgot[0], v) {
+		t.Errorf("key codec round trip %v (%s) -> %v, %v", v, v.Type(), kgot, err)
+	}
+}
+
+// keyOrderHolds reports whether EncodeKey orders a and b as Compare does,
+// where the key encoding promises that: for values of one type (as within
+// an index column), NULL against anything, and Text against Blob. NaN has
+// no order under Compare, and -0.0 and +0.0 are equal under Compare while
+// their keys keep the distinct bit patterns, so neither case is checked.
+func keyOrderHolds(a, b Value) bool {
+	text := func(v Value) bool { return v.Type() == Text || v.Type() == Blob }
+	if a.Type() != b.Type() && !a.IsNull() && !b.IsNull() && !(text(a) && text(b)) {
+		return true
+	}
+	want := Compare(a, b)
+	if a.Type() == Real && b.Type() == Real {
+		if math.IsNaN(a.Real()) || math.IsNaN(b.Real()) || want == 0 && a.Real() == 0 {
+			return true
+		}
+	}
+	return sign(bytes.Compare(EncodeKey(nil, a), EncodeKey(nil, b))) == want
 }
 
 func TestDecodeKeyErrors(t *testing.T) {
@@ -229,29 +310,62 @@ func TestPrefixSuccessor(t *testing.T) {
 	}
 }
 
-// Property: row codec round-trips arbitrary rows.
+// Property: row codec round-trips arbitrary rows, edge values among them,
+// and the decoded values keep their order under Compare and the key codec.
 func TestRowCodecRoundTripProperty(t *testing.T) {
 	f := func(seed int64, n8 uint8) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := int(n8 % 10)
 		row := make(Row, n)
 		for i := range row {
-			row[i] = randValue(r)
+			if r.Intn(4) == 0 {
+				row[i] = edgeValues[r.Intn(len(edgeValues))]
+			} else {
+				row[i] = randValue(r)
+			}
 		}
 		data := EncodeRow(nil, row)
-		got, err := DecodeRow(data)
-		if err != nil || len(got) != len(row) {
+		got, used, err := DecodeRowInto(nil, data)
+		if err != nil || used != len(data) || len(got) != len(row) {
 			return false
 		}
 		for i := range row {
-			if row[i].Type() != got[i].Type() || Compare(row[i], got[i]) != 0 {
+			if !sameValue(row[i], got[i]) {
 				return false
+			}
+			for j := range row {
+				if Compare(got[i], got[j]) != Compare(row[i], row[j]) || !keyOrderHolds(got[i], got[j]) {
+					return false
+				}
 			}
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 3000}); err != nil {
 		t.Error(err)
+	}
+	// All edge values in one row, an empty Blob right beside NULL.
+	data := EncodeRow(nil, edgeValues)
+	got, err := DecodeRow(data)
+	if err != nil || len(got) != len(edgeValues) {
+		t.Fatalf("edge row: %v, %v", got, err)
+	}
+	if !got[0].IsNull() || got[1].Type() != Blob || Compare(got[0], got[1]) >= 0 {
+		t.Errorf("NULL and empty Blob: %s %v, %s %v", got[0].Type(), got[0], got[1].Type(), got[1])
+	}
+	for i, v := range edgeValues {
+		checkRepresentations(t, v)
+		for j, w := range edgeValues {
+			if c := Compare(got[i], got[j]); c != Compare(v, w) {
+				t.Errorf("Compare(%v, %v) = %d after decoding, %d before", got[i], got[j], c, Compare(v, w))
+			}
+			if !keyOrderHolds(v, w) {
+				t.Errorf("key order of %v (%s) and %v (%s) disagrees with Compare", v, v.Type(), w, w.Type())
+			}
+		}
+	}
+	if Compare(NewText("ab"), NewBlob([]byte("ab"))) >= 0 {
+		t.Error("Text must order before a Blob with equal bytes")
 	}
 }
 
@@ -265,6 +379,11 @@ func TestDecodeRowErrors(t *testing.T) {
 		{1, rowBool},
 		{1, 0x63},
 		{0xff, 0xff, 0xff, 0xff, 0x0f, rowNull}, // count far beyond the data
+		// Longer forms than EncodeRow writes: the encoding is canonical.
+		{0x81, 0x00, rowNull},
+		{1, rowInt, 0x80, 0x00},
+		{1, rowText, 0x81, 0x00, 'a'},
+		{1, rowBool, 2},
 	}
 	for _, d := range bad {
 		if _, err := DecodeRow(d); err == nil {

@@ -1,7 +1,6 @@
 package sqltypes
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -47,52 +46,33 @@ func encodeKeyValue(dst []byte, v Value) []byte {
 		return append(dst, tagNull)
 	case Int, Bool:
 		dst = append(dst, tagNum)
-		var buf [8]byte
-		binary.BigEndian.PutUint64(buf[:], uint64(v.i)^(1<<63))
-		return append(dst, buf[:]...)
+		return binary.BigEndian.AppendUint64(dst, uint64(v.i)^(1<<63))
 	case Real:
 		dst = append(dst, tagNum)
-		bits := math.Float64bits(v.f)
+		bits := uint64(v.i) // the IEEE bits NewReal stored
 		if bits&(1<<63) != 0 {
 			bits = ^bits // negative: flip all bits
 		} else {
 			bits |= 1 << 63 // positive: set sign bit
 		}
-		var buf [8]byte
-		binary.BigEndian.PutUint64(buf[:], bits)
-		return append(dst, buf[:]...)
+		return binary.BigEndian.AppendUint64(dst, bits)
 	case Text:
 		dst = append(dst, tagText)
-		return appendEscapedString(dst, v.s)
+		return appendEscaped(dst, v.s)
 	case Blob:
 		dst = append(dst, tagBlob)
-		return appendEscaped(dst, v.b)
+		return appendEscaped(dst, v.s)
 	default:
 		panic(fmt.Sprintf("sqltypes: cannot key-encode %s", v.typ))
 	}
 }
 
-// appendEscaped writes data with 0x00 escaped as 0x00 0xFF and a 0x00 0x01
+// appendEscaped writes s with 0x00 escaped as 0x00 0xFF and a 0x00 0x01
 // terminator. Lexicographic order of escaped forms equals order of raw forms,
 // and a key that is a prefix of another sorts first. Zero-free runs (the
-// overwhelmingly common case) are appended wholesale.
-func appendEscaped(dst, data []byte) []byte {
-	for len(data) > 0 {
-		i := bytes.IndexByte(data, 0x00)
-		if i < 0 {
-			dst = append(dst, data...)
-			break
-		}
-		dst = append(dst, data[:i]...)
-		dst = append(dst, 0x00, 0xFF)
-		data = data[i+1:]
-	}
-	return append(dst, 0x00, 0x01)
-}
-
-// appendEscapedString is appendEscaped for string payloads, avoiding the
-// []byte conversion.
-func appendEscapedString(dst []byte, s string) []byte {
+// overwhelmingly common case) are appended wholesale. Text and Blob payloads
+// are both strings in a Value, so one function serves both.
+func appendEscaped(dst []byte, s string) []byte {
 	for len(s) > 0 {
 		i := strings.IndexByte(s, 0x00)
 		if i < 0 {

@@ -3,12 +3,12 @@ package sqltypes
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 )
 
 // This file implements the storage encoding for heap rows: compact,
 // length-prefixed, not order-preserving. Each value is a type byte followed
-// by a payload; integers use varints.
+// by a payload; integers use varints. The encoding is canonical: the decoder
+// accepts only what EncodeRow writes.
 
 const (
 	rowNull byte = 0
@@ -31,17 +31,15 @@ func EncodeRow(dst []byte, r Row) []byte {
 			dst = binary.AppendVarint(dst, v.i)
 		case Real:
 			dst = append(dst, rowReal)
-			var buf [8]byte
-			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v.f))
-			dst = append(dst, buf[:]...)
-		case Text:
-			dst = append(dst, rowText)
+			dst = binary.LittleEndian.AppendUint64(dst, uint64(v.i)) // IEEE bits
+		case Text, Blob:
+			tag := rowText
+			if v.typ == Blob {
+				tag = rowBlob
+			}
+			dst = append(dst, tag)
 			dst = binary.AppendUvarint(dst, uint64(len(v.s)))
 			dst = append(dst, v.s...)
-		case Blob:
-			dst = append(dst, rowBlob)
-			dst = binary.AppendUvarint(dst, uint64(len(v.b)))
-			dst = append(dst, v.b...)
 		case Bool:
 			dst = append(dst, rowBool)
 			dst = append(dst, byte(v.i))
@@ -66,7 +64,7 @@ func DecodeRow(data []byte) (Row, error) {
 // the form a relation parameter (`FROM ? alias (col, ...)`) is bound in.
 func DecodeRowInto(dst Row, data []byte) (Row, int, error) {
 	n, used := binary.Uvarint(data)
-	if used <= 0 {
+	if !shortVarint(data, used) {
 		return nil, 0, fmt.Errorf("bad row header")
 	}
 	pos := used
@@ -91,7 +89,7 @@ func DecodeRowInto(dst Row, data []byte) (Row, int, error) {
 			row = append(row, NullValue())
 		case rowInt:
 			v, used := binary.Varint(data[pos:])
-			if used <= 0 {
+			if !shortVarint(data[pos:], used) {
 				return nil, 0, fmt.Errorf("bad int at value %d", i)
 			}
 			pos += used
@@ -100,30 +98,25 @@ func DecodeRowInto(dst Row, data []byte) (Row, int, error) {
 			if pos+8 > len(data) {
 				return nil, 0, fmt.Errorf("truncated real at value %d", i)
 			}
-			bits := binary.LittleEndian.Uint64(data[pos : pos+8])
+			row = append(row, Value{typ: Real, i: int64(binary.LittleEndian.Uint64(data[pos : pos+8]))})
 			pos += 8
-			row = append(row, NewReal(math.Float64frombits(bits)))
-		case rowText:
+		case rowText, rowBlob:
+			typ := Text
+			if tag == rowBlob {
+				typ = Blob
+			}
 			l, used := binary.Uvarint(data[pos:])
-			if used <= 0 || l > uint64(len(data)-pos-used) {
-				return nil, 0, fmt.Errorf("bad text at value %d", i)
+			if !shortVarint(data[pos:], used) || l > uint64(len(data)-pos-used) {
+				return nil, 0, fmt.Errorf("bad %s at value %d", typ, i)
 			}
 			pos += used
-			row = append(row, NewText(string(data[pos:pos+int(l)])))
+			// One string copy for either type: the value never aliases
+			// data, which is often a page the pool will reuse.
+			row = append(row, Value{typ: typ, s: string(data[pos : pos+int(l)])})
 			pos += int(l)
-		case rowBlob:
-			l, used := binary.Uvarint(data[pos:])
-			if used <= 0 || l > uint64(len(data)-pos-used) {
-				return nil, 0, fmt.Errorf("bad blob at value %d", i)
-			}
-			pos += used
-			b := make([]byte, l)
-			copy(b, data[pos:pos+int(l)])
-			pos += int(l)
-			row = append(row, NewBlob(b))
 		case rowBool:
-			if pos >= len(data) {
-				return nil, 0, fmt.Errorf("truncated bool at value %d", i)
+			if pos >= len(data) || data[pos] > 1 {
+				return nil, 0, fmt.Errorf("bad bool at value %d", i)
 			}
 			row = append(row, NewBool(data[pos] != 0))
 			pos++
@@ -132,4 +125,13 @@ func DecodeRowInto(dst Row, data []byte) (Row, int, error) {
 		}
 	}
 	return row, pos, nil
+}
+
+// shortVarint reports whether a varint that binary.Uvarint or
+// binary.Varint read from the front of b in used bytes decoded, and in its
+// shortest form: a longer form ends in a zero byte. Only the shortest form,
+// the one EncodeRow writes, is accepted, so every row has exactly one
+// encoding (FuzzRowCodec checks that decoding and re-encoding agree).
+func shortVarint(b []byte, used int) bool {
+	return used == 1 || used > 1 && b[used-1] != 0
 }

@@ -9,6 +9,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"unsafe"
 )
 
 // Type identifies a column or value type.
@@ -64,26 +65,33 @@ func ParseType(s string) (Type, error) {
 }
 
 // Value is a single SQL value. The zero Value is NULL.
+//
+// A Value is 32 bytes: the tag, one word of scalar payload and one string
+// header. Every row the executor copies, buffers and shreds is a slice of
+// these, so the width is pinned by TestValueSize.
 type Value struct {
+	_   [0]func() // keeps Value non-comparable: compare with Compare, not ==
 	typ Type
-	i   int64 // Int, Bool (0/1)
-	f   float64
-	s   string // Text
-	b   []byte // Blob
+	i   int64  // Int, Bool (0/1), Real (IEEE bits)
+	s   string // Text, and Blob bytes (see NewBlob)
 }
 
 // NewInt returns an Int value.
 func NewInt(v int64) Value { return Value{typ: Int, i: v} }
 
 // NewReal returns a Real value.
-func NewReal(v float64) Value { return Value{typ: Real, f: v} }
+func NewReal(v float64) Value { return Value{typ: Real, i: int64(math.Float64bits(v))} }
 
 // NewText returns a Text value.
 func NewText(v string) Value { return Value{typ: Text, s: v} }
 
-// NewBlob returns a Blob value. The slice is not copied; callers must not
-// mutate it afterwards.
-func NewBlob(v []byte) Value { return Value{typ: Blob, b: v} }
+// NewBlob returns a Blob value that aliases v: the bytes are not copied, so
+// the call never allocates. The caller hands the bytes over and must not
+// write to them afterwards. Appending to a buffer v was cut from is fine:
+// the value holds only v's first len(v) bytes.
+func NewBlob(v []byte) Value {
+	return Value{typ: Blob, s: unsafe.String(unsafe.SliceData(v), len(v))}
+}
 
 // NewBool returns a Bool value.
 func NewBool(v bool) Value {
@@ -115,7 +123,7 @@ func (v Value) Int() int64 {
 func (v Value) Real() float64 {
 	switch v.typ {
 	case Real:
-		return v.f
+		return math.Float64frombits(uint64(v.i))
 	case Int, Bool:
 		return float64(v.i)
 	default:
@@ -131,12 +139,15 @@ func (v Value) Text() string {
 	return v.s
 }
 
-// Blob returns the bytes payload. It panics if the value is not Blob.
+// Blob returns the bytes payload. It panics if the value is not Blob. The
+// result aliases the value's bytes (no copy, no allocation), and those may
+// be shared with other values or be read-only string data: callers must
+// not write to it. Its capacity equals its length, so an append copies.
 func (v Value) Blob() []byte {
 	if v.typ != Blob {
 		panic(fmt.Sprintf("sqltypes: Blob() on %s value", v.typ))
 	}
-	return v.b
+	return unsafe.Slice(unsafe.StringData(v.s), len(v.s))
 }
 
 // Bool returns the boolean payload. It panics if the value is not Bool.
@@ -155,11 +166,11 @@ func (v Value) String() string {
 	case Int:
 		return strconv.FormatInt(v.i, 10)
 	case Real:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.Real(), 'g', -1, 64)
 	case Text:
 		return v.s
 	case Blob:
-		return fmt.Sprintf("x'%x'", v.b)
+		return fmt.Sprintf("x'%x'", v.s)
 	case Bool:
 		if v.i != 0 {
 			return "TRUE"
@@ -225,33 +236,8 @@ func Compare(a, b Value) int {
 		return 1
 	}
 	switch a.typ {
-	case Text:
+	case Text, Blob:
 		return strings.Compare(a.s, b.s)
-	case Blob:
-		return compareBytes(a.b, b.b)
-	default:
-		return 0
-	}
-}
-
-func compareBytes(a, b []byte) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			if a[i] < b[i] {
-				return -1
-			}
-			return 1
-		}
-	}
-	switch {
-	case len(a) < len(b):
-		return -1
-	case len(a) > len(b):
-		return 1
 	default:
 		return 0
 	}
@@ -270,8 +256,8 @@ func Coerce(v Value, t Type) (Value, error) {
 	case Int:
 		switch v.typ {
 		case Real:
-			if v.f == math.Trunc(v.f) && v.f >= math.MinInt64 && v.f <= math.MaxInt64 {
-				return NewInt(int64(v.f)), nil
+			if f := v.Real(); f == math.Trunc(f) && f >= math.MinInt64 && f <= math.MaxInt64 {
+				return NewInt(int64(f)), nil
 			}
 		case Bool:
 			return NewInt(v.i), nil
@@ -293,7 +279,7 @@ func Coerce(v Value, t Type) (Value, error) {
 		return NewText(v.String()), nil
 	case Blob:
 		if v.typ == Text {
-			return NewBlob([]byte(v.s)), nil
+			return Value{typ: Blob, s: v.s}, nil
 		}
 	case Bool:
 		switch v.typ {
@@ -304,22 +290,15 @@ func Coerce(v Value, t Type) (Value, error) {
 	return Value{}, fmt.Errorf("cannot coerce %s value %s to %s", v.typ, v, t)
 }
 
-// valueOverhead approximates the in-memory size of the Value struct itself
-// (tag + three payload fields + string/slice headers, rounded up to cover
-// allocator slack). Used by the query memory accountant.
-const valueOverhead = 64
+// valueOverhead is the in-memory size of the Value struct itself (tag,
+// scalar word and string header), so the query memory accountant follows
+// the layout.
+const valueOverhead = int64(unsafe.Sizeof(Value{}))
 
 // Memory estimates the value's in-memory footprint in bytes: the struct
 // plus any out-of-line text or blob payload.
 func (v Value) Memory() int64 {
-	n := int64(valueOverhead)
-	switch v.typ {
-	case Text:
-		n += int64(len(v.s))
-	case Blob:
-		n += int64(len(v.b))
-	}
-	return n
+	return valueOverhead + int64(len(v.s))
 }
 
 // Row is a tuple of values.

@@ -2,7 +2,9 @@ package sqltypes
 
 import (
 	"math"
+	"reflect"
 	"testing"
+	"unsafe"
 )
 
 func TestTypeString(t *testing.T) {
@@ -177,5 +179,59 @@ func TestRowCloneAndString(t *testing.T) {
 	}
 	if got := r.String(); got != "(1, x)" {
 		t.Errorf("Row.String() = %q", got)
+	}
+}
+
+// TestValueSize pins the 32-byte layout: rows of Values are what every join,
+// sort and shred copies and buffers, so a field that widens Value widens all
+// of them. Value stays non-comparable, so == cannot stand in for Compare
+// (which orders Int against Real and equates -0.0 with +0.0), and Blob and
+// Real round trips stay allocation-free.
+func TestValueSize(t *testing.T) {
+	if size := unsafe.Sizeof(Value{}); size != 32 {
+		t.Fatalf("Value is %d bytes, want 32", size)
+	}
+	if reflect.TypeOf(Value{}).Comparable() {
+		t.Error("Value is comparable; == must stay a compile error")
+	}
+	b := []byte{1, 2, 3}
+	var sink int
+	if n := testing.AllocsPerRun(100, func() { sink += len(NewBlob(b).Blob()) }); n != 0 {
+		t.Errorf("NewBlob+Blob: %v allocations, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { sink += int(NewReal(2.5).Real()) }); n != 0 {
+		t.Errorf("NewReal+Real: %v allocations, want 0", n)
+	}
+	_ = sink
+}
+
+// TestBlobAliases checks both directions of NewBlob's no-copy contract: the
+// value reads the caller's bytes, and Blob hands back the same bytes with
+// capacity cut to length, so an append never writes into the value.
+func TestBlobAliases(t *testing.T) {
+	b := []byte{1, 2, 3}
+	got := NewBlob(b).Blob()
+	if &got[0] != &b[0] {
+		t.Error("NewBlob copied its slice")
+	}
+	if cap(got) != len(got) {
+		t.Errorf("Blob() cap %d, want %d", cap(got), len(got))
+	}
+	if got := NewBlob(nil).Blob(); len(got) != 0 {
+		t.Errorf("empty Blob() = %v", got)
+	}
+}
+
+// TestRowMemory checks the memory accountant's charge for a shredded node
+// row (doc, id, parent, kind, tag, value, order key): the slice header plus
+// one Value per column plus the text and blob payload bytes.
+func TestRowMemory(t *testing.T) {
+	row := Row{
+		NewInt(1), NewInt(42), NewInt(7),
+		NewText("element"), NewText("item"), NullValue(), NewBlob([]byte{1, 3, 2}),
+	}
+	want := int64(24 + 7*32 + len("element") + len("item") + 3)
+	if got := row.Memory(); got != want {
+		t.Errorf("Row.Memory() = %d, want %d", got, want)
 	}
 }
