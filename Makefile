@@ -110,11 +110,11 @@ bench-update:
 
 # soak runs the model harness (model_test.go) with long seeds under the race
 # detector and the collector at GOGC=1 from process start: ORDXML_SOAK is
-# "seeds:ops" per configuration and fault plug-in, crash rounds included, so
-# the crash children replay the longer sessions too. The page-lifetime tests
-# the harness does not cover (closed-store collection, the deterministic
-# manifest) and the storage packages' page-ownership and beyond-RAM tests
-# run alongside.
+# "seeds:ops" per configuration and fault plug-in, so the crash and I/O-error
+# rounds on the simulated disk run the longer sessions too. The page-lifetime
+# tests the harness does not cover (closed-store collection, the deterministic
+# manifest) and the storage packages' page-ownership and beyond-RAM tests run
+# alongside.
 soak:
 	ORDXML_SOAK=2:96 GOGC=1 $(GO) test -race -count=1 -timeout 60m -run \
 		'TestModel|TestLifetime|TestClosedDurableStoreIsCollected|TestCheckpointManifestDeterministic' .

@@ -3,8 +3,9 @@ package ordxml
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
-	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -14,7 +15,6 @@ import (
 	"time"
 
 	"ordxml/internal/core/update"
-	"ordxml/internal/failpoint"
 	"ordxml/internal/govern"
 	"ordxml/internal/obs"
 	olog "ordxml/internal/obs/log"
@@ -22,6 +22,7 @@ import (
 	"ordxml/internal/sqldb/bufpool"
 	"ordxml/internal/sqldb/pagefile"
 	"ordxml/internal/sqldb/sqltypes"
+	"ordxml/internal/vfs"
 	"ordxml/internal/wal"
 )
 
@@ -55,7 +56,8 @@ import (
 // checkpoint's LSN.
 //
 // This file is the only place that knows where a durable store keeps its
-// checkpoint.
+// checkpoint. Every file call goes through a vfs.FS: the OS in production,
+// a simulated disk that crashes or fails calls in the tests.
 
 // WAL record kinds, one per logical mutation the public API can perform.
 const (
@@ -67,15 +69,6 @@ const (
 	recMove     byte = 6 // doc, id, target, mode
 	recDrop     byte = 7 // doc
 	recExec     byte = 8 // sql, row-encoded params
-)
-
-// Checkpoint failpoints (the WAL package registers its own for the
-// append/sync/rotate/replay paths; the buffer pool registers bufpool.flush
-// and bufpool.evict).
-var (
-	fpPagedBeforeFlush = failpoint.New("checkpoint.paged.before-flush")
-	fpPagedBeforeMeta  = failpoint.New("checkpoint.paged.before-meta")
-	fpPagedAfterMeta   = failpoint.New("checkpoint.paged.after-meta")
 )
 
 // Durable-store file names inside the store directory.
@@ -94,6 +87,7 @@ const DefaultPoolFrames = 1024
 
 // durState is the durable half of a Store; nil for memory-only stores.
 type durState struct {
+	fs  vfs.FS
 	dir string
 	log *wal.Log
 	// mu serializes logged mutations and checkpoints so the WAL's record
@@ -154,27 +148,40 @@ func (s *Store) Health() []string {
 //
 // Close the store to release the log and page files; call Checkpoint
 // periodically to bound the log and recovery time.
-func OpenDurable(dir string, opts Options) (*Store, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+func OpenDurable(dir string, opts Options) (*Store, error) { return openDurable(vfs.OS, dir, opts) }
+
+// openDurable is OpenDurable on fsys.
+func openDurable(fsys vfs.FS, dir string, opts Options) (*Store, error) {
+	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("open durable store: %w", err)
 	}
 	pagesPath := filepath.Join(dir, pagesFile)
 	metaPath := filepath.Join(dir, metaFile)
-	checkpointed := fileExists(metaPath)
+	// A crash inside installFile leaves its temporary file; it is never the
+	// manifest. Then the directory is synced: a manifest or log installed by
+	// a checkpoint that failed before its directory sync may not be durable
+	// yet, and recovery must not build on names a crash can take back.
+	if err := fsys.Remove(tempPath(metaPath)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return nil, fmt.Errorf("open durable store %s: %w", dir, err)
+	}
+	if err := fsys.SyncDir(dir); err != nil {
+		return nil, fmt.Errorf("open durable store %s: %w", dir, err)
+	}
+	checkpointed := fileExists(fsys, metaPath)
 	// The retired full-snapshot format is refused, not mistaken for a store
 	// that was never checkpointed: opening it as one would start empty.
-	if snap := filepath.Join(dir, "snapshot.db"); !checkpointed && fileExists(snap) {
+	if snap := filepath.Join(dir, "snapshot.db"); !checkpointed && fileExists(fsys, snap) {
 		return nil, fmt.Errorf("open durable store %s: %s is a full-snapshot file, a format this build does not read", dir, snap)
 	}
 
 	// Without a manifest nothing in pages.db is durable yet (a crash before
 	// the first checkpoint finished), so the page file starts over and
 	// recovery is an empty store plus a full WAL replay.
-	openPages := pagefile.Create
+	openPages := pagefile.CreateFS
 	if checkpointed {
-		openPages = pagefile.Open
+		openPages = pagefile.OpenFS
 	}
-	pf, err := openPages(pagesPath)
+	pf, err := openPages(fsys, pagesPath)
 	if err != nil {
 		return nil, fmt.Errorf("open durable store %s: %w", dir, err)
 	}
@@ -190,7 +197,7 @@ func OpenDurable(dir string, opts Options) (*Store, error) {
 
 	var s *Store
 	if checkpointed {
-		s, err = openPagedManifest(metaPath, pool)
+		s, err = openPagedManifest(fsys, metaPath, pool)
 	} else {
 		s, err = openPagedFresh(pool, opts)
 	}
@@ -202,7 +209,7 @@ func OpenDurable(dir string, opts Options) (*Store, error) {
 		return fail(fmt.Errorf("open durable store %s: %w", dir, err))
 	}
 
-	if lg, err = wal.Open(filepath.Join(dir, walFile), s.db.Registry()); err != nil {
+	if lg, err = wal.OpenFS(fsys, filepath.Join(dir, walFile), s.db.Registry()); err != nil {
 		return fail(err)
 	}
 	opErrors := s.db.Registry().Counter("wal.replay.op_errors")
@@ -262,6 +269,7 @@ func OpenDurable(dir string, opts Options) (*Store, error) {
 
 	reg := s.db.Registry()
 	s.dur = &durState{
+		fs:          fsys,
 		dir:         dir,
 		log:         lg,
 		pool:        pool,
@@ -291,9 +299,13 @@ func OpenDurable(dir string, opts Options) (*Store, error) {
 	return s, nil
 }
 
-func fileExists(path string) bool {
-	_, err := os.Stat(path)
-	return err == nil
+func fileExists(fsys vfs.FS, path string) bool {
+	f, err := fsys.OpenFile(path, os.O_RDONLY, 0)
+	if err != nil {
+		return false
+	}
+	f.Close()
+	return true
 }
 
 // poolFrames resolves the pool capacity of a durable store.
@@ -315,8 +327,8 @@ func openPagedFresh(pool *bufpool.Pool, opts Options) (*Store, error) {
 
 // openPagedManifest opens the store a checkpoint manifest describes, over
 // pool. Table data stays on disk and faults in on first touch.
-func openPagedManifest(path string, pool *bufpool.Pool) (*Store, error) {
-	f, err := os.Open(path)
+func openPagedManifest(fsys vfs.FS, path string, pool *bufpool.Pool) (*Store, error) {
+	f, err := fsys.OpenFile(path, os.O_RDONLY, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -397,16 +409,23 @@ func (s *Store) CheckpointCtx(ctx context.Context) error {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
 	logger := s.db.Registry().Log()
-	if err := s.checkpointPaged(sp); err != nil {
+	err := s.checkpointPaged(sp)
+	if err == nil {
+		rsp := sp.StartChild("wal.rotate")
+		if err = s.dur.log.Rotate(); err != nil {
+			err = fmt.Errorf("checkpoint: rotate log: %w", err)
+		}
+		rsp.End()
+	}
+	if err != nil {
+		// A checkpoint that fails part way leaves a disk the next one
+		// cannot build on: a failed fsync may have dropped pages the pool
+		// now holds clean, and a manifest renamed but not yet durable may
+		// reach the disk later, naming pages the pool goes on to reuse.
+		// The store degrades to read-only until a reopen recovers it.
+		s.enterDegraded(fmt.Sprintf("checkpoint failed: %v", err))
 		logger.Error("checkpoint failed", olog.Str("dir", s.dur.dir), olog.Err(err))
 		return err
-	}
-	rsp := sp.StartChild("wal.rotate")
-	err := s.dur.log.Rotate()
-	rsp.End()
-	if err != nil {
-		logger.Error("checkpoint failed", olog.Str("dir", s.dur.dir), olog.Err(err))
-		return fmt.Errorf("checkpoint: rotate log: %w", err)
 	}
 	s.dur.checkpoints.Inc()
 	s.dur.ckptLat.Observe(time.Since(start))
@@ -430,9 +449,6 @@ func (s *Store) CheckpointCtx(ctx context.Context) error {
 //     references become reusable. The durability mutex keeps out writers,
 //     which alone allocate and free ids, from step 1 to here.
 func (s *Store) checkpointPaged(sp *obs.ActiveSpan) error {
-	if err := fpPagedBeforeFlush.Hit(); err != nil {
-		return err
-	}
 	msp := sp.StartChild("checkpoint.manifest")
 	var manifest bytes.Buffer
 	err := s.db.DumpPaged(&manifest)
@@ -454,35 +470,26 @@ func (s *Store) checkpointPaged(sp *obs.ActiveSpan) error {
 	if err := s.readOnlyErr(); err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
-	if err := fpPagedBeforeMeta.Hit(); err != nil {
-		return err
-	}
 	isp := sp.StartChild("checkpoint.install")
 	defer isp.End()
-	if err := installFile(s.dur.metaPath, func(w io.Writer) error {
-		_, err := w.Write(manifest.Bytes())
-		return err
-	}); err != nil {
+	if err := installFile(s.dur.fs, s.dur.metaPath, manifest.Bytes()); err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
-	}
-	if err := fpPagedAfterMeta.Hit(); err != nil {
-		return err
 	}
 	s.dur.pool.CommitCheckpoint()
 	return nil
 }
 
-// installFile atomically replaces path with what write produces: the bytes
-// go to a temporary file in the same directory, which is synced, renamed
-// over path, and made durable by syncing the directory. A crash at any point
-// leaves either the old complete file or the new one — never a partial one.
-func installFile(path string, write func(io.Writer) error) error {
-	f, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp-*")
+// installFile atomically replaces path with data: the bytes go to a
+// temporary file in the same directory, which is synced, renamed over path,
+// and made durable by syncing the directory. A crash at any point leaves
+// either the old complete file or the new one — never a partial one.
+func installFile(fsys vfs.FS, path string, data []byte) error {
+	tmp := tempPath(path)
+	f, err := fsys.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
-	tmp := f.Name()
-	err = write(f)
+	_, err = f.Write(data)
 	if err == nil {
 		err = f.Sync()
 	}
@@ -490,14 +497,17 @@ func installFile(path string, write func(io.Writer) error) error {
 		err = cerr
 	}
 	if err == nil {
-		err = os.Rename(tmp, path)
+		err = fsys.Rename(tmp, path)
 	}
 	if err != nil {
-		os.Remove(tmp)
+		fsys.Remove(tmp)
 		return err
 	}
-	return wal.SyncDir(filepath.Dir(path))
+	return fsys.SyncDir(filepath.Dir(path))
 }
+
+// tempPath is the temporary file installFile writes path's contents to.
+func tempPath(path string) string { return path + ".tmp" }
 
 // writeWALLSN upserts the log high-water mark into store_meta so checkpoints
 // are self-describing about how much of the log they contain. The write is

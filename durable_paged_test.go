@@ -27,73 +27,6 @@ func dirNames(t *testing.T, dir string) string {
 // checkpoints are incremental, that dropped pages recycle, and that a
 // directory the store cannot recover from is refused.
 
-func TestPagedDurableRoundTrip(t *testing.T) {
-	for _, enc := range []Encoding{Global, Local, Dewey} {
-		t.Run(enc.String(), func(t *testing.T) {
-			dir := t.TempDir()
-			s := openDur(t, dir, Options{Encoding: enc, BufferPoolFrames: 16})
-			doc, err := s.LoadString("d", "<R><A>alpha</A><B>beta</B><C/></R>")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := s.Insert(doc, 1, LastChild, "<D>delta</D>"); err != nil {
-				t.Fatal(err)
-			}
-			if err := s.Checkpoint(); err != nil {
-				t.Fatal(err)
-			}
-			// Post-checkpoint mutations live only in the WAL until reopen.
-			if _, err := s.Insert(doc, 1, FirstChild, "<Z>zeta</Z>"); err != nil {
-				t.Fatal(err)
-			}
-			want := fingerprint(t, s)
-			mustIntact(t, s)
-			if err := s.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if got := dirNames(t, dir); got != "meta.db pages.db wal.log" {
-				t.Fatalf("store directory holds %q", got)
-			}
-
-			r := openDur(t, dir, Options{Encoding: enc, BufferPoolFrames: 16})
-			if got := fingerprint(t, r); got != want {
-				t.Fatalf("reopened store diverged:\n got %q\nwant %q", got, want)
-			}
-			vals, err := r.QueryValues(doc, "/R/Z")
-			if err != nil || len(vals) != 1 || vals[0] != "zeta" {
-				t.Fatalf("WAL-replayed insert lost: %v, %v", vals, err)
-			}
-			mustIntact(t, r)
-		})
-	}
-}
-
-func TestPagedRecoveryWithoutCheckpoint(t *testing.T) {
-	dir := t.TempDir()
-	s := openDur(t, dir, Options{Encoding: Dewey, BufferPoolFrames: 16})
-	doc, err := s.LoadString("d", "<R><A>one</A></R>")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SetValue(doc, 3, "two"); err != nil {
-		t.Fatal(err)
-	}
-	want := fingerprint(t, s)
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// pages.db exists but no manifest was ever installed: recovery must
-	// rebuild everything from the WAL alone.
-	if _, err := os.Stat(filepath.Join(dir, metaFile)); err == nil {
-		t.Fatal("manifest exists before any checkpoint")
-	}
-	r := openDur(t, dir, Options{Encoding: Dewey, BufferPoolFrames: 16})
-	if got := fingerprint(t, r); got != want {
-		t.Fatalf("WAL-only recovery diverged:\n got %q\nwant %q", got, want)
-	}
-	mustIntact(t, r)
-}
-
 // TestPagedIncrementalCheckpoint is the metrics-verified incrementality
 // check: a checkpoint after one tiny update must flush only the handful of
 // pages that update dirtied, not the whole store.

@@ -9,7 +9,7 @@ import (
 	"sync"
 	"testing"
 
-	"ordxml/internal/failpoint"
+	"ordxml/internal/vfs"
 	"ordxml/internal/xmlgen"
 )
 
@@ -18,7 +18,13 @@ import (
 // themselves first (Close is idempotent).
 func openDur(t *testing.T, dir string, opts Options) *Store {
 	t.Helper()
-	s, err := OpenDurable(dir, opts)
+	return openDurFS(t, vfs.OS, dir, opts)
+}
+
+// openDurFS is openDur on fsys.
+func openDurFS(t *testing.T, fsys vfs.FS, dir string, opts Options) *Store {
+	t.Helper()
+	s, err := openDurable(fsys, dir, opts)
 	if err != nil {
 		t.Fatalf("OpenDurable: %v", err)
 	}
@@ -104,38 +110,6 @@ func TestOpenDurableFreshEmptyWAL(t *testing.T) {
 	}
 }
 
-func TestDurableRecoversWithoutCheckpoint(t *testing.T) {
-	eachPool(t, func(t *testing.T, opts Options) {
-		dir := t.TempDir()
-		s := openDur(t, dir, opts)
-		doc, err := s.LoadString("hamlet", testDoc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		hits, err := s.Query(doc, "/PLAY/ACT[1]/SCENE[1]/SPEECH[1]")
-		if err != nil || len(hits) != 1 {
-			t.Fatalf("query: %v, %v", hits, err)
-		}
-		if _, err := s.Insert(doc, hits[0].ID, After, "<SPEECH><SPEAKER>GHOST</SPEAKER></SPEECH>"); err != nil {
-			t.Fatal(err)
-		}
-		want := fingerprint(t, s)
-		if recs, lsn := s.Metrics().Counters["wal.appends"], durableLSN(s); recs != 2 || lsn != 2 {
-			t.Fatalf("wal.appends = %d, durable LSN = %d, want 2 and 2", recs, lsn)
-		}
-		s.Close()
-
-		// No checkpoint ever ran: recovery replays the whole log into an empty
-		// store.
-		s = openDur(t, dir, opts)
-		defer s.Close()
-		if got := fingerprint(t, s); got != want {
-			t.Fatalf("recovered state differs:\n got %q\nwant %q", got, want)
-		}
-		mustIntact(t, s)
-	})
-}
-
 // TestDurableExecReplays: raw DML through the logged escape hatch replays
 // on recovery. (The XPath-level mutation kinds replay under the model
 // harness's durable configurations.)
@@ -152,169 +126,6 @@ func TestDurableExecReplays(t *testing.T) {
 		rows, err := s.SQL(`SELECT v FROM store_meta WHERE k = ?`, "test_marker")
 		if err != nil || len(rows.Values) != 1 || rows.Values[0][0] != "survived" {
 			t.Fatalf("exec record not replayed: %v, %v", rows, err)
-		}
-		mustIntact(t, s)
-	})
-}
-
-func TestDurableCheckpointBoundsReplay(t *testing.T) {
-	eachPool(t, func(t *testing.T, opts Options) {
-		dir := t.TempDir()
-		s := openDur(t, dir, opts)
-		doc, err := s.LoadString("hamlet", testDoc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Checkpoint(); err != nil {
-			t.Fatal(err)
-		}
-		hits, err := s.Query(doc, "/PLAY/ACT[1]")
-		if err != nil || len(hits) != 1 {
-			t.Fatalf("query: %v, %v", hits, err)
-		}
-		if _, err := s.Insert(doc, hits[0].ID, LastChild, "<EPILOGUE/>"); err != nil {
-			t.Fatal(err)
-		}
-		want := fingerprint(t, s)
-		if n := s.Metrics().Counters["wal.rotations"]; n != 1 {
-			t.Fatalf("rotations = %d", n)
-		}
-		s.Close()
-
-		s = openDur(t, dir, opts)
-		defer s.Close()
-		if got := fingerprint(t, s); got != want {
-			t.Fatalf("recovered state differs:\n got %q\nwant %q", got, want)
-		}
-		// Only the post-checkpoint insert replays, not the load.
-		if replayed := s.Metrics().Counters["wal.replay.records"]; replayed != 1 {
-			t.Fatalf("replayed %d records, want 1", replayed)
-		}
-		// LSNs continue past the checkpoint after recovery.
-		if _, err := s.Insert(doc, 1, LastChild, "<CODA/>"); err != nil {
-			t.Fatal(err)
-		}
-		if lsn := s.Metrics().Gauges["wal.last_lsn"]; lsn != 3 {
-			t.Fatalf("post-recovery LSN = %d, want 3", lsn)
-		}
-		mustIntact(t, s)
-	})
-}
-
-func TestDurableTornTailDropsLastOp(t *testing.T) {
-	eachPool(t, func(t *testing.T, opts Options) {
-		dir := t.TempDir()
-		s := openDur(t, dir, opts)
-		doc, err := s.LoadString("hamlet", testDoc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		hits, err := s.Query(doc, "/PLAY/ACT[1]")
-		if err != nil || len(hits) != 1 {
-			t.Fatalf("query: %v, %v", hits, err)
-		}
-		want := fingerprint(t, s)
-		if _, err := s.Insert(doc, hits[0].ID, LastChild, "<LOST/>"); err != nil {
-			t.Fatal(err)
-		}
-		s.Close()
-
-		// Chop one byte off the log: the final record becomes a torn tail, as
-		// if the crash landed mid-write before the insert was acknowledged.
-		walPath := filepath.Join(dir, "wal.log")
-		st, err := os.Stat(walPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.Truncate(walPath, st.Size()-1); err != nil {
-			t.Fatal(err)
-		}
-
-		s = openDur(t, dir, opts)
-		defer s.Close()
-		if got := fingerprint(t, s); got != want {
-			t.Fatalf("recovered state differs:\n got %q\nwant %q", got, want)
-		}
-		mustIntact(t, s)
-	})
-}
-
-func TestDurableInterruptedCheckpoint(t *testing.T) {
-	// An error injected at any checkpoint stage must leave a store that
-	// closes and recovers — from the previous checkpoint, when there is one,
-	// plus the log — to exactly the pre-checkpoint state.
-	for _, fp := range []string{
-		"checkpoint.paged.before-flush",
-		"checkpoint.paged.before-meta",
-		"checkpoint.paged.after-meta",
-		"wal.rotate.before",
-		"wal.rotate.before-rename",
-	} {
-		for _, prior := range []string{"first", "second"} {
-			t.Run(fp+"/"+prior, func(t *testing.T) {
-				failpoint.Reset()
-				t.Cleanup(failpoint.Reset)
-				dir := t.TempDir()
-				opts := Options{Encoding: Dewey, BufferPoolFrames: 8}
-				s := openDur(t, dir, opts)
-				doc, err := s.LoadString("hamlet", testDoc)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if prior == "second" {
-					if err := s.Checkpoint(); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if err := s.SetValue(doc, 3, "renamed play"); err != nil {
-					t.Fatal(err)
-				}
-				want := fingerprint(t, s)
-				if err := failpoint.Arm(fp, failpoint.Error, 1); err != nil {
-					t.Fatal(err)
-				}
-				if err := s.Checkpoint(); !errors.Is(err, failpoint.ErrInjected) {
-					t.Fatalf("checkpoint error = %v, want injected", err)
-				}
-				s.Close()
-
-				s = openDur(t, dir, opts)
-				if got := fingerprint(t, s); got != want {
-					t.Fatalf("recovered state differs:\n got %q\nwant %q", got, want)
-				}
-				mustIntact(t, s)
-				// The store must still checkpoint cleanly afterwards.
-				if err := s.Checkpoint(); err != nil {
-					t.Fatalf("checkpoint after recovery: %v", err)
-				}
-			})
-		}
-	}
-}
-
-func TestDurableFailedOpReplaysAsFailure(t *testing.T) {
-	eachPool(t, func(t *testing.T, opts Options) {
-		dir := t.TempDir()
-		s := openDur(t, dir, opts)
-		doc, err := s.LoadString("hamlet", testDoc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The operation is logged before the engine discovers it is invalid;
-		// replay must re-fail it identically instead of aborting recovery.
-		if _, err := s.Insert(doc, 99999, LastChild, "<X/>"); err == nil {
-			t.Fatal("insert at a bogus target succeeded")
-		}
-		want := fingerprint(t, s)
-		s.Close()
-
-		s = openDur(t, dir, opts)
-		defer s.Close()
-		if got := fingerprint(t, s); got != want {
-			t.Fatalf("recovered state differs:\n got %q\nwant %q", got, want)
-		}
-		if n := s.Metrics().Counters["wal.replay.op_errors"]; n != 1 {
-			t.Fatalf("replay op errors = %d, want 1", n)
 		}
 		mustIntact(t, s)
 	})
@@ -505,50 +316,6 @@ func TestDurableReopenKeepsEncodingOptions(t *testing.T) {
 				t.Fatal(err)
 			}
 			checkpointAndReopen(t, dir, s)
-		})
-	}
-}
-
-// TestSnapshotRoundTrip: the checkpointed store directory is the store's one
-// persisted snapshot. A store loaded, mutated, checkpointed and closed
-// reopens with every document byte-identical and still queryable and
-// updatable.
-func TestSnapshotRoundTrip(t *testing.T) {
-	for _, tc := range reopenConfigs {
-		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			s := openDur(t, dir, tc.opts)
-			doc, err := s.LoadString("d", testDoc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Mutate before the checkpoint so it captures updates too.
-			hits, err := s.Query(doc, "/PLAY/ACT[1]/SCENE[1]/SPEECH[1]")
-			if err != nil || len(hits) != 1 {
-				t.Fatalf("first speech = %v, %v", hits, err)
-			}
-			if _, err := s.Insert(doc, hits[0].ID, After,
-				"<SPEECH><SPEAKER>GHOST</SPEAKER><LINE>Mark me</LINE></SPEECH>"); err != nil {
-				t.Fatal(err)
-			}
-			want := fingerprint(t, s)
-
-			r := checkpointAndReopen(t, dir, s)
-			if got := fingerprint(t, r); got != want {
-				t.Fatalf("reopened store diverged:\n got %q\nwant %q", got, want)
-			}
-			speakers, err := r.QueryValues(doc, "/PLAY/ACT[1]/SCENE[1]/SPEECH/SPEAKER")
-			if err != nil || strings.Join(speakers, ",") != "BERNARDO,GHOST,FRANCISCO" {
-				t.Fatalf("speakers after reopen = %v, %v", speakers, err)
-			}
-			hits, err = r.Query(doc, "//SPEECH[SPEAKER = 'GHOST']")
-			if err != nil || len(hits) != 1 {
-				t.Fatalf("ghost speech after reopen = %v, %v", hits, err)
-			}
-			if _, err := r.Delete(doc, hits[0].ID); err != nil {
-				t.Fatalf("update after reopen: %v", err)
-			}
-			mustIntact(t, r)
 		})
 	}
 }

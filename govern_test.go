@@ -13,7 +13,7 @@ import (
 	"testing"
 	"time"
 
-	"ordxml/internal/failpoint"
+	"ordxml/internal/vfs/vfstest"
 )
 
 // Governance tests at the Store level: cancellation and deadlines, the
@@ -421,21 +421,17 @@ func TestAdmissionControlSheds(t *testing.T) {
 // reports the injected I/O error, later mutations report ErrReadOnly, reads
 // keep serving, health reports the degradation — and a reopen recovers.
 func TestWALFailureDegradesToReadOnly(t *testing.T) {
-	failpoint.Reset()
-	t.Cleanup(failpoint.Reset)
-	dir := t.TempDir()
-	s := openDur(t, dir, Options{Encoding: Dewey})
+	disk := vfstest.New()
+	s := openDurFS(t, disk, "/store", Options{Encoding: Dewey})
 	doc, err := s.LoadString("hamlet", testDoc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := fingerprint(t, s)
 
-	if err := failpoint.Arm("wal.sync.before-fsync", failpoint.Error, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SetValue(doc, 3, "doomed"); !errors.Is(err, failpoint.ErrInjected) {
-		t.Fatalf("first mutation: want injected error, got %v", err)
+	disk.Arm(vfstest.Fault{Op: "sync", Name: walFile, N: 1, Err: syscall.EIO})
+	if err := s.SetValue(doc, 3, "doomed"); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("first mutation: want the injected EIO, got %v", err)
 	}
 	if ok, cause := s.Degraded(); !ok || cause == "" {
 		t.Fatalf("Degraded = %v, %q", ok, cause)
@@ -472,14 +468,15 @@ func TestWALFailureDegradesToReadOnly(t *testing.T) {
 	}
 	s.Close()
 
-	// Reopen: recovery replays the log; the store is healthy, consistent and
-	// writable again. The doomed record failed before its fsync but after the
-	// file write, so replay may legitimately surface either state — the
-	// integrity check, not the fingerprint, is the recovery contract here.
-	s = openDur(t, dir, Options{Encoding: Dewey})
-	defer s.Close()
+	// Reopen after a power cut: the failed fsync dropped the doomed record,
+	// so recovery replays the log to the state before it, and the store is
+	// healthy and writable again.
+	s = openDurFS(t, disk.Image(vfstest.Synced, nil), "/store", Options{Encoding: Dewey})
 	if ok, _ := s.Degraded(); ok {
 		t.Fatal("reopened store still degraded")
+	}
+	if got := fingerprint(t, s); got != want {
+		t.Fatalf("recovered state differs:\n got %q\nwant %q", got, want)
 	}
 	mustIntact(t, s)
 	if err := s.SetValue(doc, 3, "recovered"); err != nil {
@@ -491,19 +488,16 @@ func TestWALFailureDegradesToReadOnly(t *testing.T) {
 // a buffer-pooled store: the checkpoint's flush fails, the store degrades,
 // reads keep serving, and a reopen recovers from the WAL.
 func TestPageWriteFailureDegradesStore(t *testing.T) {
-	failpoint.Reset()
-	t.Cleanup(failpoint.Reset)
-	dir := t.TempDir()
-	s := openDur(t, dir, Options{Encoding: Dewey, BufferPoolFrames: 16})
+	disk := vfstest.New()
+	opts := Options{Encoding: Dewey, BufferPoolFrames: 16}
+	s := openDurFS(t, disk, "/store", opts)
 	doc, err := s.LoadString("hamlet", testDoc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := fingerprint(t, s)
 
-	if err := failpoint.Arm("pagefile.write", failpoint.Enospc, 1); err != nil {
-		t.Fatal(err)
-	}
+	disk.Arm(vfstest.Fault{Op: "write", Name: pagesFile, N: 1, Err: syscall.ENOSPC})
 	err = s.Checkpoint()
 	if err == nil {
 		t.Fatal("checkpoint succeeded through a full disk")
@@ -522,7 +516,7 @@ func TestPageWriteFailureDegradesStore(t *testing.T) {
 	}
 	s.Close()
 
-	s2 := openDur(t, dir, Options{Encoding: Dewey, BufferPoolFrames: 16})
+	s2 := openDurFS(t, disk.Image(vfstest.Synced, nil), "/store", opts)
 	if ok, _ := s2.Degraded(); ok {
 		t.Fatal("reopened store still degraded")
 	}

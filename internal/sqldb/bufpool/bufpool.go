@@ -40,7 +40,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"ordxml/internal/failpoint"
 	"ordxml/internal/obs"
 	olog "ordxml/internal/obs/log"
 	"ordxml/internal/sqldb/pagefile"
@@ -51,13 +50,6 @@ type PageID = pagefile.PageID
 
 // PayloadSize is the usable byte size of every frame payload.
 const PayloadSize = pagefile.PayloadSize
-
-// Failpoints on the flush and eviction paths; the crash-torture harness
-// kills the process here to prove recovery copes with partial flushes.
-var (
-	fpFlush = failpoint.New("bufpool.flush")
-	fpEvict = failpoint.New("bufpool.evict")
-)
 
 // Frame is the handle to one logical page. Unpooled frames (NewFrame) hold
 // their payload forever — the in-RAM mode with zero eviction machinery —
@@ -431,9 +423,6 @@ func (p *Pool) drop(v *Frame, writer bool) bool {
 	if writer && v.dirty.Load() && p.flushFrame(v) != nil {
 		return false
 	}
-	if fpEvict.Hit() != nil {
-		return false
-	}
 	sh := p.shard(v.id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -485,9 +474,6 @@ func (p *Pool) flushFrame(f *Frame) error {
 		if err := p.EnsureDurable(lsn); err != nil {
 			return p.writeError(fmt.Errorf("bufpool: wal-before-data for page %d: %w", f.id, err))
 		}
-	}
-	if err := fpFlush.Hit(); err != nil {
-		return p.writeError(err)
 	}
 	if err := p.file.WritePage(f.id, lsn, *b); err != nil {
 		return p.writeError(err)

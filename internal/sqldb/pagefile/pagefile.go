@@ -18,17 +18,10 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 
-	"ordxml/internal/failpoint"
-)
-
-// Failpoints on the page I/O paths. The write point supports enospc mode
-// (full-disk simulation) to drive the store's degraded read-only transition;
-// the read point exercises fault handling above the pool.
-var (
-	fpWrite = failpoint.New("pagefile.write")
-	fpRead  = failpoint.New("pagefile.read")
+	"ordxml/internal/vfs"
 )
 
 // PageID names one page slot in the file. ID 0 is the file header page and
@@ -108,7 +101,7 @@ func VerifyPage(page []byte) (Header, error) {
 
 // File is one open page file.
 type File struct {
-	f    *os.File
+	f    vfs.File
 	path string
 	// pages is the current number of page slots the file has room for
 	// (including the header page). Grown in chunks by EnsureSize.
@@ -119,10 +112,13 @@ type File struct {
 // loads extend the file in 2 MiB steps instead of one ftruncate per page.
 const growChunk = 256
 
-// Create initializes a fresh page file at path (truncating any existing
-// file) and writes the header page.
-func Create(path string) (*File, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+// Create is CreateFS on the operating system's file system.
+func Create(path string) (*File, error) { return CreateFS(vfs.OS, path) }
+
+// CreateFS initializes a fresh page file at path on fsys (truncating any
+// existing file) and writes and syncs the header page.
+func CreateFS(fsys vfs.FS, path string) (*File, error) {
+	f, err := fsys.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("pagefile: create: %w", err)
 	}
@@ -143,16 +139,19 @@ func Create(path string) (*File, error) {
 	return pf, nil
 }
 
-// Open opens an existing page file and validates its header page.
-func Open(path string) (*File, error) {
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
+// Open is OpenFS on the operating system's file system.
+func Open(path string) (*File, error) { return OpenFS(vfs.OS, path) }
+
+// OpenFS opens an existing page file on fsys and validates its header page.
+func OpenFS(fsys vfs.FS, path string) (*File, error) {
+	f, err := fsys.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("pagefile: open: %w", err)
 	}
-	st, err := f.Stat()
+	size, err := f.Seek(0, io.SeekEnd)
 	if err != nil {
 		f.Close()
-		return nil, fmt.Errorf("pagefile: stat: %w", err)
+		return nil, fmt.Errorf("pagefile: size: %w", err)
 	}
 	var page [PageSize]byte
 	if _, err := f.ReadAt(page[:], 0); err != nil {
@@ -176,7 +175,7 @@ func Open(path string) (*File, error) {
 		f.Close()
 		return nil, fmt.Errorf("pagefile: file has %d-byte pages, this build uses %d", ps, PageSize)
 	}
-	return &File{f: f, path: path, pages: PageID(st.Size() / PageSize)}, nil
+	return &File{f: f, path: path, pages: PageID(size / PageSize)}, nil
 }
 
 // Path returns the file's path.
@@ -210,9 +209,6 @@ func (pf *File) WritePage(id PageID, lsn uint64, payload []byte) error {
 	if err := pf.EnsureSize(id); err != nil {
 		return err
 	}
-	if err := fpWrite.Hit(); err != nil {
-		return fmt.Errorf("pagefile: write page %d: %w", id, err)
-	}
 	var page [PageSize]byte
 	copy(page[HeaderSize:], payload)
 	SealPage(page[:], lsn, 0)
@@ -228,9 +224,6 @@ func (pf *File) WritePage(id PageID, lsn uint64, payload []byte) error {
 func (pf *File) ReadPage(id PageID) (Header, []byte, error) {
 	if id == 0 {
 		return Header{}, nil, fmt.Errorf("%w: 0 is the file header", ErrBadPage)
-	}
-	if err := fpRead.Hit(); err != nil {
-		return Header{}, nil, fmt.Errorf("pagefile: read page %d: %w", id, err)
 	}
 	page := make([]byte, PageSize)
 	if _, err := pf.f.ReadAt(page, int64(id)*PageSize); err != nil {

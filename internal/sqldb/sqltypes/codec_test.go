@@ -2,6 +2,8 @@ package sqltypes
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -123,7 +125,7 @@ func TestKeyRoundTripProperty(t *testing.T) {
 		width := 1 + int(width8%4)
 		a, _, types := randTypedRows(r, width)
 		key := EncodeKey(nil, a...)
-		got, used, err := DecodeKeyTyped(key, types)
+		got, used, err := decodeKeyTyped(key, types)
 		if err != nil || used != len(key) {
 			return false
 		}
@@ -164,7 +166,7 @@ func TestKeyRealEdgeCases(t *testing.T) {
 		if i > 0 && bytes.Compare(prev, k) >= 0 {
 			t.Errorf("real order broken at %g", f)
 		}
-		got, _, err := DecodeKeyTyped(k, []Type{Real})
+		got, _, err := decodeKeyTyped(k, []Type{Real})
 		if err != nil || got[0].Real() != f {
 			t.Errorf("real round trip %g -> %v, %v", f, got, err)
 		}
@@ -232,7 +234,7 @@ func checkRepresentations(t *testing.T, v Value) {
 		t.Errorf("row codec round trip %v (%s) -> %v, %d bytes, %v", v, v.Type(), got, n, err)
 	}
 	key := EncodeKey(nil, v)
-	kgot, used, err := DecodeKeyTyped(key, []Type{v.Type()})
+	kgot, used, err := decodeKeyTyped(key, []Type{v.Type()})
 	if err != nil || used != len(key) || !sameValue(kgot[0], v) {
 		t.Errorf("key codec round trip %v (%s) -> %v, %v", v, v.Type(), kgot, err)
 	}
@@ -258,19 +260,19 @@ func keyOrderHolds(a, b Value) bool {
 }
 
 func TestDecodeKeyErrors(t *testing.T) {
-	if _, _, err := DecodeKey([]byte{}, 1); err == nil {
+	if _, _, err := decodeKey([]byte{}, 1); err == nil {
 		t.Error("empty key decoded")
 	}
-	if _, _, err := DecodeKey([]byte{tagNum, 1, 2}, 1); err == nil {
+	if _, _, err := decodeKey([]byte{tagNum, 1, 2}, 1); err == nil {
 		t.Error("truncated numeric decoded")
 	}
-	if _, _, err := DecodeKey([]byte{tagText, 'a'}, 1); err == nil {
+	if _, _, err := decodeKey([]byte{tagText, 'a'}, 1); err == nil {
 		t.Error("unterminated text decoded")
 	}
-	if _, _, err := DecodeKey([]byte{tagText, 0x00, 0x02}, 1); err == nil {
+	if _, _, err := decodeKey([]byte{tagText, 0x00, 0x02}, 1); err == nil {
 		t.Error("bad escape decoded")
 	}
-	if _, _, err := DecodeKey([]byte{0x77}, 1); err == nil {
+	if _, _, err := decodeKey([]byte{0x77}, 1); err == nil {
 		t.Error("bad tag decoded")
 	}
 }
@@ -440,4 +442,108 @@ func TestDecodeRowNoAlias(t *testing.T) {
 	if !reflect.DeepEqual(got[0].Blob(), []byte{1, 2, 3}) {
 		t.Error("decoded blob aliases the input buffer")
 	}
+}
+
+// decodeKey decodes n values from key, returning the values and the number of
+// bytes consumed: the inverse of EncodeKey, which only tests need (index
+// scans compare encoded keys and never decode them).
+func decodeKey(key []byte, n int) ([]Value, int, error) {
+	vals := make([]Value, 0, n)
+	pos := 0
+	for i := 0; i < n; i++ {
+		if pos >= len(key) {
+			return nil, 0, fmt.Errorf("key too short: want %d values, got %d", n, i)
+		}
+		tag := key[pos]
+		pos++
+		switch tag {
+		case tagNull:
+			vals = append(vals, NullValue())
+		case tagNum:
+			if pos+8 > len(key) {
+				return nil, 0, fmt.Errorf("truncated numeric key")
+			}
+			u := binary.BigEndian.Uint64(key[pos : pos+8])
+			pos += 8
+			// Int and Real share a tag; keys round-trip as Int when the
+			// stored column was Int. We cannot distinguish here, so numeric
+			// keys decode as raw bits and callers that need exact values
+			// decode through the column type with decodeKeyTyped.
+			vals = append(vals, NewInt(int64(u^(1<<63))))
+		case tagText:
+			raw, used, err := decodeEscaped(key[pos:])
+			if err != nil {
+				return nil, 0, err
+			}
+			pos += used
+			vals = append(vals, NewText(string(raw)))
+		case tagBlob:
+			raw, used, err := decodeEscaped(key[pos:])
+			if err != nil {
+				return nil, 0, err
+			}
+			pos += used
+			vals = append(vals, NewBlob(raw))
+		default:
+			return nil, 0, fmt.Errorf("bad key tag 0x%02x", tag)
+		}
+	}
+	return vals, pos, nil
+}
+
+// decodeKeyTyped decodes values of the given column types from key.
+func decodeKeyTyped(key []byte, types []Type) ([]Value, int, error) {
+	vals, pos, err := decodeKey(key, len(types))
+	if err != nil {
+		return nil, 0, err
+	}
+	for i, t := range types {
+		if vals[i].IsNull() {
+			continue
+		}
+		switch t {
+		case Real:
+			if vals[i].typ == Int {
+				stored := uint64(vals[i].i) ^ (1 << 63) // raw stored bytes
+				var bits uint64
+				if stored&(1<<63) != 0 {
+					bits = stored ^ (1 << 63) // was positive: sign bit had been set
+				} else {
+					bits = ^stored // was negative: all bits had been flipped
+				}
+				vals[i] = NewReal(math.Float64frombits(bits))
+			}
+		case Bool:
+			if vals[i].typ == Int {
+				vals[i] = NewBool(vals[i].i != 0)
+			}
+		}
+	}
+	return vals, pos, nil
+}
+
+func decodeEscaped(data []byte) (raw []byte, used int, err error) {
+	out := make([]byte, 0, len(data))
+	i := 0
+	for i < len(data) {
+		b := data[i]
+		if b != 0x00 {
+			out = append(out, b)
+			i++
+			continue
+		}
+		if i+1 >= len(data) {
+			return nil, 0, fmt.Errorf("truncated escaped key")
+		}
+		switch data[i+1] {
+		case 0x01:
+			return out, i + 2, nil
+		case 0xFF:
+			out = append(out, 0x00)
+			i += 2
+		default:
+			return nil, 0, fmt.Errorf("bad escape 0x00 0x%02x", data[i+1])
+		}
+	}
+	return nil, 0, fmt.Errorf("unterminated escaped key")
 }

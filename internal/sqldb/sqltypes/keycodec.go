@@ -3,7 +3,6 @@ package sqltypes
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"strings"
 )
 
@@ -84,109 +83,6 @@ func appendEscaped(dst []byte, s string) []byte {
 		s = s[i+1:]
 	}
 	return append(dst, 0x00, 0x01)
-}
-
-// DecodeKey decodes n values from key, returning the values and the number of
-// bytes consumed. It is the inverse of EncodeKey.
-func DecodeKey(key []byte, n int) ([]Value, int, error) {
-	vals := make([]Value, 0, n)
-	pos := 0
-	for i := 0; i < n; i++ {
-		if pos >= len(key) {
-			return nil, 0, fmt.Errorf("key too short: want %d values, got %d", n, i)
-		}
-		tag := key[pos]
-		pos++
-		switch tag {
-		case tagNull:
-			vals = append(vals, NullValue())
-		case tagNum:
-			if pos+8 > len(key) {
-				return nil, 0, fmt.Errorf("truncated numeric key")
-			}
-			u := binary.BigEndian.Uint64(key[pos : pos+8])
-			pos += 8
-			// Int and Real share a tag; keys round-trip as Int when the
-			// stored column was Int. We cannot distinguish here, so numeric
-			// keys decode as raw bits and callers that need exact values
-			// decode through the column type with DecodeKeyTyped.
-			vals = append(vals, NewInt(int64(u^(1<<63))))
-		case tagText:
-			raw, used, err := decodeEscaped(key[pos:])
-			if err != nil {
-				return nil, 0, err
-			}
-			pos += used
-			vals = append(vals, NewText(string(raw)))
-		case tagBlob:
-			raw, used, err := decodeEscaped(key[pos:])
-			if err != nil {
-				return nil, 0, err
-			}
-			pos += used
-			vals = append(vals, NewBlob(raw))
-		default:
-			return nil, 0, fmt.Errorf("bad key tag 0x%02x", tag)
-		}
-	}
-	return vals, pos, nil
-}
-
-// DecodeKeyTyped decodes values of the given column types from key.
-func DecodeKeyTyped(key []byte, types []Type) ([]Value, int, error) {
-	vals, pos, err := DecodeKey(key, len(types))
-	if err != nil {
-		return nil, 0, err
-	}
-	for i, t := range types {
-		if vals[i].IsNull() {
-			continue
-		}
-		switch t {
-		case Real:
-			if vals[i].typ == Int {
-				stored := uint64(vals[i].i) ^ (1 << 63) // raw stored bytes
-				var bits uint64
-				if stored&(1<<63) != 0 {
-					bits = stored ^ (1 << 63) // was positive: sign bit had been set
-				} else {
-					bits = ^stored // was negative: all bits had been flipped
-				}
-				vals[i] = NewReal(math.Float64frombits(bits))
-			}
-		case Bool:
-			if vals[i].typ == Int {
-				vals[i] = NewBool(vals[i].i != 0)
-			}
-		}
-	}
-	return vals, pos, nil
-}
-
-func decodeEscaped(data []byte) (raw []byte, used int, err error) {
-	out := make([]byte, 0, len(data))
-	i := 0
-	for i < len(data) {
-		b := data[i]
-		if b != 0x00 {
-			out = append(out, b)
-			i++
-			continue
-		}
-		if i+1 >= len(data) {
-			return nil, 0, fmt.Errorf("truncated escaped key")
-		}
-		switch data[i+1] {
-		case 0x01:
-			return out, i + 2, nil
-		case 0xFF:
-			out = append(out, 0x00)
-			i += 2
-		default:
-			return nil, 0, fmt.Errorf("bad escape 0x00 0x%02x", data[i+1])
-		}
-	}
-	return nil, 0, fmt.Errorf("unterminated escaped key")
 }
 
 // AppendPrefixSuccessor appends the smallest byte string greater than every

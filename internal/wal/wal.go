@@ -18,29 +18,19 @@ package wal
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sync"
 	"time"
 
-	"ordxml/internal/failpoint"
 	"ordxml/internal/obs"
 	olog "ordxml/internal/obs/log"
-)
-
-// Failpoints threaded through the append/sync/rotate paths. The crash-torture
-// harness arms each of these in a child process and kills it there.
-var (
-	fpAppend       = failpoint.New("wal.append")
-	fpSyncPartial  = failpoint.New("wal.sync.partial-write")
-	fpSyncBefore   = failpoint.New("wal.sync.before-fsync")
-	fpSyncAfter    = failpoint.New("wal.sync.after-fsync")
-	fpRotateBefore = failpoint.New("wal.rotate.before")
-	fpRotateRename = failpoint.New("wal.rotate.before-rename")
-	fpReplay       = failpoint.New("wal.replay.record")
+	"ordxml/internal/vfs"
 )
 
 // Stats is a point-in-time summary of a log's activity since Open.
@@ -90,11 +80,12 @@ func newMetrics(reg *obs.Registry) *metrics {
 
 // Log is one write-ahead log file. Safe for concurrent use.
 type Log struct {
+	fs   vfs.FS
 	path string
 
 	mu      sync.Mutex
 	cond    *sync.Cond // signals completion of a group sync
-	f       *os.File
+	f       vfs.File
 	pending []byte // framed records appended but not yet written
 	nextLSN uint64 // LSN the next Append hands out
 	lastIn  uint64 // last LSN placed in pending (0 = none yet)
@@ -110,19 +101,26 @@ type Log struct {
 	log *olog.Logger
 }
 
-// Open opens (creating if absent) the log at path, validates its header,
-// scans the records and truncates a torn tail, leaving the log positioned to
-// append with the next sequential LSN. Metrics are registered on reg (a
+// Open is OpenFS on the operating system's file system.
+func Open(path string, reg *obs.Registry) (*Log, error) { return OpenFS(vfs.OS, path, reg) }
+
+// OpenFS opens (creating if absent) the log at path on fsys, validates its
+// header, scans the records and truncates a torn tail, leaving the log
+// positioned to append with the next sequential LSN. A rotation's temporary
+// file that a crash left behind is removed. Metrics are registered on reg (a
 // private registry is used when reg is nil).
-func Open(path string, reg *obs.Registry) (*Log, error) {
+func OpenFS(fsys vfs.FS, path string, reg *obs.Registry) (*Log, error) {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	if err := fsys.Remove(rotatePath(path)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return nil, fmt.Errorf("wal: remove leftover rotation file: %w", err)
+	}
+	f, err := fsys.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("wal: open %s: %w", path, err)
 	}
-	l := &Log{path: path, f: f, nextLSN: 1, met: newMetrics(reg), log: reg.Log()}
+	l := &Log{fs: fsys, path: path, f: f, nextLSN: 1, met: newMetrics(reg), log: reg.Log()}
 	l.cond = sync.NewCond(&l.mu)
 	if err := l.recover(); err != nil {
 		f.Close()
@@ -150,11 +148,11 @@ func (l *Log) Failed() error {
 // recover validates the header (writing one into a fresh or torn-created
 // file), scans records, and truncates the file after the last valid record.
 func (l *Log) recover() error {
-	st, err := l.f.Stat()
+	size, err := l.f.Seek(0, io.SeekEnd)
 	if err != nil {
-		return fmt.Errorf("wal: stat %s: %w", l.path, err)
+		return fmt.Errorf("wal: size of %s: %w", l.path, err)
 	}
-	if st.Size() < int64(len(fileMagic)) {
+	if size < int64(len(fileMagic)) {
 		// Fresh log, or a crash landed between creation and the header
 		// fsync. No record can exist yet; initialize the header.
 		if err := l.f.Truncate(0); err != nil {
@@ -166,8 +164,8 @@ func (l *Log) recover() error {
 		if err := l.f.Sync(); err != nil {
 			return fmt.Errorf("wal: init %s: %w", l.path, err)
 		}
-		if err := SyncDir(filepath.Dir(l.path)); err != nil {
-			return err
+		if err := l.fs.SyncDir(filepath.Dir(l.path)); err != nil {
+			return fmt.Errorf("wal: init %s: %w", l.path, err)
 		}
 		if _, err := l.f.Seek(int64(len(fileMagic)), io.SeekStart); err != nil {
 			return fmt.Errorf("wal: seek %s: %w", l.path, err)
@@ -179,21 +177,32 @@ func (l *Log) recover() error {
 	if err != nil {
 		return err
 	}
-	if end < st.Size() {
+	if end < size {
 		// Torn tail: a crash interrupted a record write. Everything past the
 		// last valid record is unacknowledged by construction (acknowledgment
 		// follows fsync of a complete record), so truncation loses nothing
 		// that was promised.
 		l.log.Warn("wal: truncating torn tail",
 			olog.Str("path", l.path),
-			olog.Int("torn_bytes", st.Size()-end),
+			olog.Int("torn_bytes", size-end),
 			olog.Int("valid_bytes", end))
 		if err := l.f.Truncate(end); err != nil {
 			return fmt.Errorf("wal: truncate torn tail of %s: %w", l.path, err)
 		}
-		if err := l.f.Sync(); err != nil {
-			return fmt.Errorf("wal: sync after truncate of %s: %w", l.path, err)
-		}
+	}
+	// Replay builds on every record just scanned, and a record whose fsync
+	// failed stays readable without ever reaching the disk (Linux marks its
+	// pages clean). Writing the records again before the fsync makes what
+	// recovery reads what the disk holds.
+	valid := make([]byte, end)
+	if _, err := l.f.ReadAt(valid, 0); err != nil {
+		return fmt.Errorf("wal: read %s: %w", l.path, err)
+	}
+	if _, err := l.f.WriteAt(valid, 0); err != nil {
+		return fmt.Errorf("wal: rewrite %s: %w", l.path, err)
+	}
+	if err := l.f.Sync(); err != nil {
+		return fmt.Errorf("wal: sync %s: %w", l.path, err)
 	}
 	if _, err := l.f.Seek(0, io.SeekEnd); err != nil {
 		return fmt.Errorf("wal: seek %s: %w", l.path, err)
@@ -213,7 +222,7 @@ func (l *Log) recover() error {
 // the last valid LSN. Invalid data — short frame, bad CRC, absurd length,
 // non-sequential LSN — ends the scan without error: the caller treats the
 // remainder as a torn tail.
-func scan(f *os.File, path string, fn func(Record) error) (end int64, lastLSN uint64, err error) {
+func scan(f vfs.File, path string, fn func(Record) error) (end int64, lastLSN uint64, err error) {
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		return 0, 0, fmt.Errorf("wal: seek %s: %w", path, err)
 	}
@@ -278,9 +287,6 @@ func (l *Log) Replay(from uint64, fn func(Record) error) error {
 		if rec.LSN <= from {
 			return nil
 		}
-		if err := fpReplay.Hit(); err != nil {
-			return err
-		}
 		l.met.replayed.Inc()
 		return fn(rec)
 	})
@@ -307,6 +313,7 @@ func (l *Log) EnsureNextLSN(next uint64) {
 		l.nextLSN = next
 		if next > 1 {
 			l.durable = next - 1
+			l.met.lastLSN.SetMax(int64(next - 1))
 		}
 	}
 }
@@ -329,9 +336,6 @@ func (l *Log) DurableLSN() uint64 {
 // to disk; pair with Sync (or use AppendSync) to make it durable.
 func (l *Log) Append(kind byte, body []byte) (uint64, error) {
 	start := time.Now()
-	if err := fpAppend.Hit(); err != nil {
-		return 0, err
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.failed != nil {
@@ -417,20 +421,10 @@ func (l *Log) commitLocked(target uint64) error {
 // the group-commit leader; the file offset is only ever touched by the
 // single active leader (or by Rotate, which excludes appends by contract).
 func (l *Log) writeAndSync(buf []byte) error {
-	if len(buf) > 0 && fpSyncPartial.Check() {
-		// Deliberately tear the tail: write half of the batch, force it to
-		// disk so the torn bytes really land, then crash or fail.
-		l.f.Write(buf[:(len(buf)+1)/2])
-		l.f.Sync()
-		return fpSyncPartial.Act()
-	}
 	if len(buf) > 0 {
 		if _, err := l.f.Write(buf); err != nil {
 			return fmt.Errorf("append to %s: %w", l.path, err)
 		}
-	}
-	if err := fpSyncBefore.Hit(); err != nil {
-		return err
 	}
 	start := time.Now()
 	if err := l.f.Sync(); err != nil {
@@ -439,9 +433,6 @@ func (l *Log) writeAndSync(buf []byte) error {
 	l.stats.fsyncs++
 	l.met.fsyncs.Inc()
 	l.met.fsyncLat.Observe(time.Since(start))
-	if err := fpSyncAfter.Hit(); err != nil {
-		return err
-	}
 	return nil
 }
 
@@ -459,17 +450,14 @@ func (l *Log) Rotate() error {
 	if err := l.commitLocked(l.lastIn); err != nil {
 		return err
 	}
-	if err := fpRotateBefore.Hit(); err != nil {
-		return err
-	}
-	tmp := l.path + ".rotate"
-	nf, err := os.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	tmp := rotatePath(l.path)
+	nf, err := l.fs.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: rotate %s: %w", l.path, err)
 	}
 	cleanup := func() {
 		nf.Close()
-		os.Remove(tmp)
+		l.fs.Remove(tmp)
 	}
 	if _, err := nf.Write([]byte(fileMagic)); err != nil {
 		cleanup()
@@ -479,20 +467,16 @@ func (l *Log) Rotate() error {
 		cleanup()
 		return fmt.Errorf("wal: rotate %s: %w", l.path, err)
 	}
-	if err := fpRotateRename.Hit(); err != nil {
-		cleanup()
-		return err
-	}
-	if err := os.Rename(tmp, l.path); err != nil {
+	if err := l.fs.Rename(tmp, l.path); err != nil {
 		cleanup()
 		return fmt.Errorf("wal: rotate %s: %w", l.path, err)
 	}
-	if err := SyncDir(filepath.Dir(l.path)); err != nil {
+	if err := l.fs.SyncDir(filepath.Dir(l.path)); err != nil {
 		// The rename already happened; without the directory fsync the
 		// log's on-disk identity is unknowable, so fail-stop.
 		nf.Close()
-		l.failed = err
-		return err
+		l.failed = fmt.Errorf("wal: rotate %s: %w", l.path, err)
+		return l.failed
 	}
 	l.f.Close()
 	l.f = nf
@@ -529,16 +513,5 @@ func (l *Log) Close() error {
 	return err
 }
 
-// SyncDir fsyncs a directory so a just-created or just-renamed entry in it
-// survives a crash.
-func SyncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("wal: open dir %s: %w", dir, err)
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return fmt.Errorf("wal: fsync dir %s: %w", dir, err)
-	}
-	return nil
-}
+// rotatePath is the temporary file Rotate builds the empty log in.
+func rotatePath(path string) string { return path + ".rotate" }

@@ -1,14 +1,18 @@
 package wal
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"sync"
+	"syscall"
 	"testing"
 
-	"ordxml/internal/failpoint"
+	"ordxml/internal/vfs/vfstest"
 )
 
 func openLog(t *testing.T, path string) *Log {
@@ -250,58 +254,87 @@ func TestGroupCommitConcurrent(t *testing.T) {
 	}
 }
 
+// TestInjectedSyncErrorIsSticky: a failed fsync fails the append and every
+// later one, and the disk keeps only what was acknowledged.
 func TestInjectedSyncErrorIsSticky(t *testing.T) {
-	failpoint.Reset()
-	t.Cleanup(failpoint.Reset)
-	path := filepath.Join(t.TempDir(), "wal.log")
-	l := openLog(t, path)
+	disk := vfstest.New()
+	disk.MkdirAll("/d", 0o755)
+	l, err := OpenFS(disk, "/d/wal.log", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := l.AppendSync(1, []byte("ok")); err != nil {
 		t.Fatal(err)
 	}
-	if err := failpoint.Arm("wal.sync.before-fsync", failpoint.Error, 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := l.AppendSync(1, []byte("doomed")); !errors.Is(err, failpoint.ErrInjected) {
-		t.Fatalf("want injected error, got %v", err)
+	disk.Arm(vfstest.Fault{Op: "sync", Name: "wal.log", N: 1, Err: syscall.EIO})
+	if _, err := l.AppendSync(1, []byte("doomed")); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("want the injected EIO, got %v", err)
 	}
 	// The log is fail-stop after a sync failure.
 	if _, err := l.AppendSync(1, []byte("refused")); err == nil {
 		t.Fatal("append after failure should be refused")
 	}
 	l.Close()
-	// Reopen recovers the acknowledged prefix.
-	l = openLog(t, path)
+	l, err = OpenFS(disk.Image(vfstest.Synced, nil), "/d/wal.log", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer l.Close()
-	recs := collect(t, l, 0)
-	if len(recs) < 1 || string(recs[0].Body) != "ok" {
+	if recs := collect(t, l, 0); len(recs) != 1 || string(recs[0].Body) != "ok" {
 		t.Fatalf("recovered %+v", recs)
 	}
 }
 
+// TestInjectedPartialWriteTornTail: a crash before a record's fsync keeps
+// none, some sectors or all of it; reopening truncates a torn record away
+// and appends resume after the last whole one.
 func TestInjectedPartialWriteTornTail(t *testing.T) {
-	failpoint.Reset()
-	t.Cleanup(failpoint.Reset)
-	path := filepath.Join(t.TempDir(), "wal.log")
-	l := openLog(t, path)
+	disk := vfstest.New()
+	disk.MkdirAll("/d", 0o755)
+	l, err := OpenFS(disk, "/d/wal.log", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := l.AppendSync(1, []byte("first-record")); err != nil {
 		t.Fatal(err)
 	}
-	if err := failpoint.Arm("wal.sync.partial-write", failpoint.Error, 1); err != nil {
-		t.Fatal(err)
+	firstEnd := l.Stats().SizeBytes
+	disk.Arm(vfstest.Fault{Op: "sync", Name: "wal.log", N: 1})
+	big := bytes.Repeat([]byte("torn-record "), 200)
+	if _, err := l.AppendSync(1, big); !errors.Is(err, vfstest.ErrCrashed) {
+		t.Fatalf("want the crash, got %v", err)
 	}
-	if _, err := l.AppendSync(1, []byte("torn-record-torn-record")); !errors.Is(err, failpoint.ErrInjected) {
-		t.Fatalf("want injected error, got %v", err)
+	torn := 0
+	for seed := int64(0); seed < 20; seed++ {
+		img := disk.Image(vfstest.Prefixes, rand.New(rand.NewSource(seed)))
+		f, err := img.OpenFile("/d/wal.log", os.O_RDONLY, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		size, _ := f.Seek(0, io.SeekEnd)
+		f.Close()
+		l, err := OpenFS(img, "/d/wal.log", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs := collect(t, l, 0)
+		if len(recs) == 2 && bytes.Equal(recs[1].Body, big) {
+			l.Close()
+			continue
+		}
+		if len(recs) != 1 || string(recs[0].Body) != "first-record" {
+			t.Fatalf("seed %d: recovered %+v", seed, recs)
+		}
+		if size > firstEnd {
+			torn++
+		}
+		if lsn, err := l.AppendSync(1, []byte("resume")); err != nil || lsn != 2 {
+			t.Fatalf("seed %d: resume: lsn=%d err=%v", seed, lsn, err)
+		}
+		l.Close()
 	}
-	l.Close()
-	// The torn bytes are on disk; reopen must truncate them away.
-	l = openLog(t, path)
-	defer l.Close()
-	recs := collect(t, l, 0)
-	if len(recs) != 1 || string(recs[0].Body) != "first-record" {
-		t.Fatalf("recovered %+v", recs)
-	}
-	if lsn, err := l.AppendSync(1, []byte("resume")); err != nil || lsn != 2 {
-		t.Fatalf("resume: lsn=%d err=%v", lsn, err)
+	if torn == 0 {
+		t.Fatal("no crash image of 20 tore the record")
 	}
 }
 

@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"syscall"
 	"testing"
 
 	"ordxml/internal/core/xpath"
+	"ordxml/internal/vfs/vfstest"
 	"ordxml/internal/xmlgen"
 	"ordxml/internal/xmltree"
 )
@@ -72,6 +74,30 @@ func TestLifetimeAbandonAfterCheckpoint(t *testing.T) {
 		{Kind: "insert", Pos: "last-child", XML: "<after>checkpoint</after>"},
 		{Kind: "abandon"},
 	})
+}
+
+// TestFailedPageSyncDegrades: an fsync error on the page file during a
+// checkpoint drops pages that the pool then holds clean. The store must
+// degrade: a later checkpoint's sync would succeed and install a manifest
+// naming pages the disk lost, which the reopen after a power cut reads.
+func TestFailedPageSyncDegrades(t *testing.T) {
+	ops := []modelOp{
+		{Kind: "load", Name: "d", XML: valuesFixture},
+		{Kind: "checkpoint"},
+		{Kind: "checkpoint"},
+		{Kind: "reopen"},
+	}
+	for _, name := range []string{"dewey/durable", "global/pool=8"} {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			runOrShrink(t, name+" ioerr", 0, ops, func(cand []modelOp) error {
+				r := newModelRun(modelConfigNamed(name), "ioerr", "", 0, len(cand))
+				r.ioStep, r.ioFault = 1, vfstest.Fault{Op: "sync", Name: pagesFile, N: 1, Err: syscall.EIO}
+				r.strict = len(cand) == len(ops)
+				return r.session(cand)
+			})
+		})
+	}
 }
 
 // TestOpenDurableMissingManifest: once a checkpoint has rotated the log, the

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	osexec "os/exec"
 	"path/filepath"
 	"runtime"
 	"runtime/debug"
@@ -16,12 +15,14 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
 	"ordxml/internal/core/xpath"
-	"ordxml/internal/failpoint"
 	"ordxml/internal/sqldb/btree"
+	"ordxml/internal/vfs"
+	"ordxml/internal/vfs/vfstest"
 	"ordxml/internal/xmlgen"
 	"ordxml/internal/xmltree"
 )
@@ -34,9 +35,11 @@ import (
 // do, and one checker compares the store with the oracle after every step:
 // the document list and every document's serialisation, each query's node
 // sequence, string values and one element's Serialize, and the integrity
-// checker after every checkpoint and reopen. The same session runs on every
-// configuration (seven encoding variants × memory, durable with the default
-// pool, durable with 8 frames) under each fault plug-in:
+// checker after every checkpoint and reopen; on durable stores also the
+// log: one record appended and the durable LSN one higher per logged
+// operation. The same session runs on every configuration (seven encoding
+// variants × memory, durable with the default pool, durable with 8 frames)
+// under each fault plug-in:
 //
 //   - none;
 //   - gc: GOGC=1 plus forced collections — page ids belong to the writer, so
@@ -44,17 +47,22 @@ import (
 //   - cancel: every call runs under a context that expires after a random
 //     few microseconds; a cancelled mutation applies fully or not at all and
 //     a cancelled read returns the oracle's answer or a typed error;
-//   - ioerr: one WAL or page write fails mid-session; the store must degrade
+//   - ioerr: on a simulated disk (vfstest), one write, sync or rename of a
+//     store file fails mid-session with EIO or ENOSPC; the store must degrade
 //     to read-only, keep answering like the oracle and recover on reopen;
-//   - crash: the session runs in a re-executed child killed at a failpoint,
-//     and the reopened store must equal the acknowledged prefix of the
-//     session, or that prefix plus the operation in flight.
+//   - crash: on a simulated disk that crashes before its k-th sync, the
+//     store is abandoned and reopened from what the crash leaves on disk,
+//     which must equal the acknowledged prefix of the session, or that
+//     prefix plus the operation in flight.
+//
+// On the simulated disk a reopen is a power cut after Close: the store must
+// have made durable everything it acknowledged.
 //
 // Operations name documents and nodes by position, never by id: the d-th
 // stored document, and the n-th element (//*) or text node (//text()) of it
 // in document order, each modulo the count. An op list is plain JSON; any
 // subset of it still runs, which is what lets a failure shrink to a short
-// list, and the crash child replays it as it is.
+// list.
 
 // modelOp is one step of a session.
 type modelOp struct {
@@ -394,48 +402,88 @@ func modelSession(seed int64, n int) []modelOp {
 type modelRun struct {
 	cfg   modelConfig
 	fault string
-	dir   string // the store directory (durable configurations)
+	dir   string      // the store directory (durable configurations)
+	disk  *vfstest.FS // the simulated disk the store runs on, or nil for the OS
 	rng   *rand.Rand
 	store *Store
 	model *oracle
 	lists map[DocID]map[string]listed // listings valid until the next mutation
 
-	checkpointed bool   // a checkpoint has installed the manifest
-	failedLogged int    // logged mutations that failed since the last checkpoint
-	ioStep       int    // ioerr: the step from which the next mutation or checkpoint fails
-	injected     string // ioerr: the failpoint whose write failure degraded the store
-	strict       bool   // the unshrunk session: its fault must have fired by the end
+	checkpointed bool  // a checkpoint has installed the manifest
+	ckptFailed   bool  // a failed checkpoint may have installed it
+	sinceCkpt    int   // records logged since the last checkpoint
+	failedLogged int   // of those, mutations that failed
+	lsn          int64 // records logged
+	appends      int64 // records logged since the store was opened
+	rotations    int64 // checkpoints since the store was opened
+	strict       bool  // the unshrunk session: its fault must have fired by the end
 	degraded     bool
-	alt          *oracle // degraded: the state if the failed mutation reached the log
+	alt          *oracle // degraded: the state if the failed record is read back
 	done         bool    // the store is gone for good (a lost manifest)
+	acked        int     // steps completed; after a crash, the one in flight
 
-	opened func(*Store)    // called with every store the run opens
-	ack    func(int) error // called after every step
+	ioStep   int           // ioerr: the step from which mutations and checkpoints run with the fault armed
+	ioFault  vfstest.Fault // ioerr: the call that fails
+	injected bool          // ioerr: the fault has fired
+
+	opened func(*Store) // called with every store the run opens
 }
 
+// ioFaults are the calls the ioerr plug-in fails, one per session: a write
+// and a sync of the log, of the page file and of the manifest's temporary
+// file, the renames of a checkpoint and its directory sync.
+var ioFaults = []vfstest.Fault{
+	{Op: "write", Name: walFile}, {Op: "sync", Name: walFile},
+	{Op: "write", Name: pagesFile}, {Op: "sync", Name: pagesFile},
+	{Op: "write", Name: metaFile + ".tmp"}, {Op: "sync", Name: metaFile + ".tmp"},
+	{Op: "rename", Name: metaFile + ".tmp"}, {Op: "sync", Name: "store"},
+	{Op: "write", Name: walFile + ".rotate"}, {Op: "rename", Name: walFile + ".rotate"},
+}
+
+// newModelRun makes a run of n ops; an empty dir puts a durable store on a
+// simulated disk, which ioerr and crash need.
 func newModelRun(cfg modelConfig, fault, dir string, seed int64, n int) *modelRun {
 	rng := rand.New(rand.NewSource(seed))
-	return &modelRun{cfg: cfg, fault: fault, dir: dir, rng: rng, model: &oracle{}, ioStep: n/4 + rng.Intn(n/2+1)}
+	r := &modelRun{cfg: cfg, fault: fault, dir: dir, rng: rng, model: &oracle{}}
+	if dir == "" {
+		r.dir, r.disk = "/store", vfstest.New()
+	}
+	// The fault is armed before the checkpoint at n/2, the only one a
+	// session is sure to make.
+	r.ioStep = n/4 + rng.Intn(n/4+1)
+	r.ioFault = ioFaults[int(seed)%len(ioFaults)]
+	r.ioFault.N, r.ioFault.Err = 1, []syscall.Errno{syscall.EIO, syscall.ENOSPC}[rng.Intn(2)]
+	return r
 }
 
-// session runs ops, returning the first divergence from the oracle.
+func (r *modelRun) fsys() vfs.FS {
+	if r.disk != nil {
+		return r.disk
+	}
+	return vfs.OS
+}
+
+func (r *modelRun) crashed() bool { return r.disk != nil && r.disk.Crashed() }
+
+// session runs ops, returning the first divergence from the oracle. A crash
+// ends it without error: what the store does after it is a dead process's.
 func (r *modelRun) session(ops []modelOp) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("panic: %v\n%s", p, debug.Stack())
 		}
+		if r.crashed() {
+			err = nil
+		}
 	}()
 	if r.fault == "gc" {
 		defer debug.SetGCPercent(debug.SetGCPercent(1))
-	}
-	if r.fault == "ioerr" {
-		defer failpoint.Reset() // a panic between arm and disarm leaves it armed
 	}
 	if err := r.open(); err != nil {
 		return err
 	}
 	defer func() {
-		if r.store != nil {
+		if r.store != nil && !r.crashed() {
 			r.store.Close()
 		}
 	}()
@@ -443,23 +491,32 @@ func (r *modelRun) session(ops []modelOp) (err error) {
 		if r.done {
 			break
 		}
-		if err := r.do(i, op); err != nil {
+		r.acked = i
+		model, lsn := r.model, r.lsn
+		err := r.do(i, op)
+		if r.crashed() {
+			// Recovery judges the step in flight; the run keeps the state
+			// the acknowledged steps left.
+			r.model, r.lsn = model, lsn
+			return nil
+		}
+		if err != nil {
 			return fmt.Errorf("step %d (%s): %w", i, op.Kind, err)
 		}
 		if r.fault == "gc" {
 			runtime.GC()
 		}
-		if r.ack != nil {
-			if err := r.ack(i); err != nil {
-				return err
-			}
-		}
 	}
-	if r.strict && r.fault == "ioerr" && r.injected == "" {
-		return fmt.Errorf("ioerr: no write failed from step %d on", r.ioStep)
+	r.acked = len(ops)
+	if r.strict && r.fault == "ioerr" && !r.injected {
+		return fmt.Errorf("ioerr: no %s of %s failed from step %d on", r.ioFault.Op, r.ioFault.Name, r.ioStep)
 	}
 	if r.degraded {
-		return r.reopen(false, "")
+		// Recovery must leave a store that checkpoints again.
+		if err := r.reopen(false, ""); err != nil {
+			return err
+		}
+		return r.checkpoint(len(ops))
 	}
 	return nil
 }
@@ -476,22 +533,26 @@ func (r *modelRun) do(i int, op modelOp) error {
 	return r.mutate(i, op)
 }
 
+// options are what an open asks for: once a checkpoint has recorded the
+// encoding, options that it must ignore.
+func (r *modelRun) options() Options {
+	if r.checkpointed {
+		return Options{Encoding: Local, Gap: 3, BufferPoolFrames: r.cfg.opts.BufferPoolFrames}
+	}
+	return r.cfg.opts
+}
+
 func (r *modelRun) open() error {
 	var err error
-	if opts := r.cfg.opts; r.cfg.durable {
-		if r.checkpointed {
-			// The checkpoint recorded the encoding; what a reopen asks for
-			// is ignored.
-			opts = Options{Encoding: Local, Gap: 3, BufferPoolFrames: opts.BufferPoolFrames}
-		}
-		r.store, err = OpenDurable(r.dir, opts)
+	if r.cfg.durable {
+		r.store, err = openDurable(r.fsys(), r.dir, r.options())
 	} else {
 		r.store, err = Open(r.cfg.opts)
 	}
 	if err != nil {
 		return fmt.Errorf("open: %w", err)
 	}
-	r.lists = map[DocID]map[string]listed{}
+	r.lists, r.appends, r.rotations = map[DocID]map[string]listed{}, 0, 0
 	if r.opened != nil {
 		r.opened(r.store)
 	}
@@ -512,38 +573,32 @@ func (r *modelRun) canceled(err error) bool {
 	return r.fault == "cancel" && (errors.Is(err, ErrCanceled) || errors.Is(err, ErrDeadlineExceeded))
 }
 
-// inject arms the ioerr plug-in's failpoint for the call at step i, until
-// a write has failed: a WAL sync for a mutation and, on the 8-frame pool, a
-// page write for a checkpoint (so a session on the default pool always
-// fails its log). It returns the disarm and the failpoint armed, or "".
-func (r *modelRun) inject(i int, checkpoint bool) (func(), string) {
-	if r.fault != "ioerr" || r.injected != "" || r.degraded || i < r.ioStep ||
-		checkpoint && r.cfg.opts.BufferPoolFrames == 0 {
-		return func() {}, ""
+// inject arms the ioerr plug-in's fault for the call at step i, until it
+// has fired. The returned disarm reports whether it fired.
+func (r *modelRun) inject(i int) (disarm func() bool) {
+	if r.fault != "ioerr" || r.injected || r.degraded || i < r.ioStep {
+		return func() bool { return false }
 	}
-	name, mode := "wal.sync.before-fsync", failpoint.Error
-	if checkpoint {
-		name, mode = "pagefile.write", failpoint.Enospc
+	r.disk.Arm(r.ioFault)
+	return func() bool {
+		r.injected = r.disk.Fired()
+		r.disk.Arm(vfstest.Fault{})
+		return r.injected
 	}
-	if err := failpoint.Arm(name, mode, 1); err != nil {
-		panic(err)
-	}
-	return func() { failpoint.Disarm(name) }, name
 }
 
-// degrade handles a call that the write failure injected at failpoint fp
-// failed: the error must be the injected one, or ErrReadOnly when an
-// earlier write of the call failed, and the store degraded by it. alt is
-// the state a reopen may surface, when the failed record reached the log.
-func (r *modelRun) degrade(err error, alt *oracle, fp string) error {
+// degrade handles a call during which the injected fault fired: the call's
+// error, if any, must be the injected one, or ErrReadOnly when an earlier
+// write of the call failed, and the store must be degraded by it.
+func (r *modelRun) degrade(err error) error {
 	ok, cause := r.store.Degraded()
-	if !ok || !strings.Contains(cause, fp) {
-		return fmt.Errorf("store not degraded by %s (%q) after %v", fp, cause, err)
+	if !ok || !strings.Contains(cause, r.ioFault.Err.Error()) {
+		return fmt.Errorf("store not degraded by the failed %s of %s (%q) after %v", r.ioFault.Op, r.ioFault.Name, cause, err)
 	}
-	if !errors.Is(err, failpoint.ErrInjected) && !errors.Is(err, ErrReadOnly) {
-		return fmt.Errorf("injected write failure reported as %v", err)
+	if err != nil && !errors.Is(err, r.ioFault.Err) && !errors.Is(err, ErrReadOnly) {
+		return fmt.Errorf("injected %v reported as %v", r.ioFault.Err, err)
 	}
-	r.injected, r.degraded, r.alt = fp, true, alt
+	r.degraded = true
 	return r.check()
 }
 
@@ -572,12 +627,12 @@ func (r *modelRun) mutate(i int, op modelOp) error {
 	}
 	ctx, cancel := r.ctx()
 	defer cancel()
-	disarm, armed := func() {}, ""
+	disarm := func() bool { return false }
 	if want == nil {
-		disarm, armed = r.inject(i, false)
+		disarm = r.inject(i)
 	}
 	rep, err := r.call(ctx, op, doc, node, target)
-	disarm()
+	fired := disarm()
 	clear(r.lists)
 	switch {
 	case r.degraded:
@@ -587,8 +642,16 @@ func (r *modelRun) mutate(i int, op modelOp) error {
 		return r.check()
 	case err != nil && r.canceled(err):
 		return r.check()
-	case err != nil && armed != "":
-		return r.degrade(err, next, armed)
+	case fired && err == nil:
+		// The record was durable; a page write of the apply failed.
+		r.model = next
+		r.logged()
+		return r.degrade(err)
+	case fired:
+		// A failed fsync keeps the record from the disk, not from reads: a
+		// reopen without a power cut may replay it.
+		r.alt = next
+		return r.degrade(err)
 	case (err == nil) != (want == nil):
 		return fmt.Errorf("store error %v, oracle %v", err, want)
 	case want != nil && want != errInvalid && !errors.Is(err, want):
@@ -596,8 +659,12 @@ func (r *modelRun) mutate(i int, op modelOp) error {
 	case want != nil:
 		if r.cfg.durable {
 			r.failedLogged++
+			r.logged()
 		}
 		return r.check()
+	}
+	if r.cfg.durable {
+		r.logged()
 	}
 	r.model = next
 	if placed != nil {
@@ -636,33 +703,33 @@ func (r *modelRun) checkpoint(i int) error {
 	if !r.cfg.durable {
 		return r.intact()
 	}
-	disarm, armed := r.inject(i, true)
+	disarm := r.inject(i)
 	err := r.store.Checkpoint()
-	disarm()
-	degraded, _ := r.store.Degraded()
+	fired := disarm()
 	switch {
 	case r.degraded:
 		if !errors.Is(err, ErrReadOnly) {
 			return fmt.Errorf("checkpoint of a degraded store: %v, want ErrReadOnly", err)
 		}
 		return r.check()
-	case armed != "" && (err != nil || degraded):
-		// The failed write may be the flush's or an eviction's while the
-		// manifest was built; either way the checkpoint must fail.
+	case fired:
 		if err == nil {
-			return fmt.Errorf("checkpoint returned nil on a store it degraded")
+			return fmt.Errorf("checkpoint returned nil through a failed %s of %s", r.ioFault.Op, r.ioFault.Name)
 		}
-		return r.degrade(err, nil, armed)
+		r.ckptFailed = true
+		return r.degrade(err)
 	case err != nil:
 		return fmt.Errorf("checkpoint: %w", err)
 	}
-	r.checkpointed, r.failedLogged = true, 0
+	r.checkpointed, r.sinceCkpt, r.failedLogged = true, 0, 0
+	r.rotations++
 	return r.intact()
 }
 
 // reopen closes the store — or, for abandon, drops it without Close as a
-// process exit would — and opens its directory again. With lose set, that
-// file is removed first and the open must fail naming it.
+// process exit would — and opens its directory again; on the simulated disk
+// a Close is followed by a power cut. With lose set, that file is removed
+// first and the open must fail naming it.
 func (r *modelRun) reopen(abandon bool, lose string) error {
 	if !r.cfg.durable {
 		return r.intact()
@@ -672,13 +739,15 @@ func (r *modelRun) reopen(abandon bool, lose string) error {
 		runtime.GC()
 	} else if err := r.store.Close(); err != nil && !r.degraded {
 		return fmt.Errorf("close: %w", err)
+	} else if r.disk != nil {
+		r.disk.PowerCut()
 	}
 	if lose != "" {
 		r.store, r.done = nil, true
-		if err := os.Remove(filepath.Join(r.dir, lose)); err != nil {
+		if err := r.fsys().Remove(filepath.Join(r.dir, lose)); err != nil {
 			return err
 		}
-		s, err := OpenDurable(r.dir, r.cfg.opts)
+		s, err := openDurable(r.fsys(), r.dir, r.cfg.opts)
 		if err == nil {
 			s.Close()
 			return fmt.Errorf("store opened without its %s", lose)
@@ -694,29 +763,62 @@ func (r *modelRun) reopen(abandon bool, lose string) error {
 	if ok, cause := r.store.Degraded(); ok {
 		return fmt.Errorf("reopened store degraded: %s", cause)
 	}
-	want := "pages.db wal.log"
-	if r.checkpointed {
-		want = "meta.db pages.db wal.log"
+	if err := r.listing(r.ckptFailed); err != nil {
+		return err
+	}
+	if r.alt != nil && r.check() != nil {
+		r.model = r.alt
+		r.logged()
+	}
+	r.degraded, r.alt, r.appends = false, nil, 0
+	m := r.store.Metrics().Counters
+	replayed, failed := int(m["wal.replay.records"]), int(m["wal.replay.op_errors"])
+	if r.ckptFailed {
+		// A checkpoint that failed once its manifest was durable holds the
+		// records before it.
+		r.sinceCkpt, r.failedLogged = min(r.sinceCkpt, replayed), min(r.failedLogged, failed)
+		r.ckptFailed, r.checkpointed = false, r.checkpointed || slices.Contains(r.files(), metaFile)
+	}
+	if replayed != r.sinceCkpt || failed != r.failedLogged {
+		return fmt.Errorf("replayed %d records, %d failing, the session logged %d, %d failing, since the checkpoint",
+			replayed, failed, r.sinceCkpt, r.failedLogged)
+	}
+	return r.intact()
+}
+
+// logged counts a record the session appended to the log.
+func (r *modelRun) logged() { r.lsn, r.appends, r.sinceCkpt = r.lsn+1, r.appends+1, r.sinceCkpt+1 }
+
+// files lists the store directory.
+func (r *modelRun) files() []string {
+	if r.disk != nil {
+		return r.disk.List(r.dir)
 	}
 	entries, err := os.ReadDir(r.dir)
 	if err != nil {
-		return err
+		return []string{err.Error()}
 	}
 	var names []string
 	for _, e := range entries {
 		names = append(names, e.Name())
 	}
-	if got := strings.Join(names, " "); got != want {
+	return names
+}
+
+// listing checks that the store directory holds the page file, the log and,
+// once a checkpoint has installed it, the manifest: no temporary file a
+// crash left. maybeMeta allows a manifest that a checkpoint which failed or
+// crashed may have installed.
+func (r *modelRun) listing(maybeMeta bool) error {
+	want := "pages.db wal.log"
+	if r.checkpointed {
+		want = "meta.db pages.db wal.log"
+	}
+	got := strings.Join(r.files(), " ")
+	if got != want && !(maybeMeta && got == "meta.db "+want) {
 		return fmt.Errorf("store directory holds %q, want %q", got, want)
 	}
-	if r.alt != nil && r.check() != nil {
-		r.model = r.alt
-	}
-	r.degraded, r.alt = false, nil
-	if n := r.store.Metrics().Counters["wal.replay.op_errors"]; n != int64(r.failedLogged) {
-		return fmt.Errorf("replay skipped %d failing operations, the session logged %d", n, r.failedLogged)
-	}
-	return r.intact()
+	return nil
 }
 
 func (r *modelRun) intact() error {
@@ -746,8 +848,18 @@ func (r *modelRun) check() error {
 		}
 	}
 	if r.store.Durable() && !r.degraded {
-		if lag := r.store.Metrics().Gauges["wal.durable_lag"]; lag != 0 {
+		m := r.store.Metrics()
+		if lag := m.Gauges["wal.durable_lag"]; lag != 0 {
 			return fmt.Errorf("%d acknowledged log records not durable", lag)
+		}
+		if lsn := m.Gauges["wal.last_lsn"]; lsn != r.lsn {
+			return fmt.Errorf("durable LSN %d, the session logged %d operations", lsn, r.lsn)
+		}
+		if n := m.Counters["wal.appends"]; n != r.appends {
+			return fmt.Errorf("%d log appends since the open, the session logged %d", n, r.appends)
+		}
+		if n := m.Counters["wal.rotations"]; n != r.rotations {
+			return fmt.Errorf("%d log rotations since the open, the session checkpointed %d times", n, r.rotations)
 		}
 	}
 	return nil
@@ -910,34 +1022,13 @@ func modelBudget(t *testing.T, fault string, cfg modelConfig) (seeds, n int) {
 	return seeds, n
 }
 
-// crashRounds are the failpoints the crash plug-in kills its child at, with
-// the storage each needs: WAL points on both pools; the points that only
-// page traffic reaches (a dirty-page flush, an eviction, each checkpoint
-// step) on the 8-frame pool; "replay" kills a second child during recovery
-// itself.
-var crashRounds = map[string][]string{
-	"pool=8": {
-		"wal.append=crash@3", "wal.sync.partial-write=crash@2", "wal.sync.before-fsync=crash@1",
-		"wal.sync.before-fsync=crash@5", "wal.sync.after-fsync=crash@5", "wal.rotate.before=crash@1",
-		"wal.rotate.before-rename=crash@1", "bufpool.flush=crash@1", "bufpool.flush=crash@5",
-		"bufpool.evict=crash@1", "bufpool.evict=crash@20", "checkpoint.paged.before-flush=crash@1",
-		"checkpoint.paged.before-meta=crash@1", "checkpoint.paged.after-meta=crash@1", "replay",
-	},
-	"durable": {
-		"wal.append=crash@3", "wal.sync.partial-write=crash@2", "wal.sync.before-fsync=crash@1",
-		"wal.sync.before-fsync=crash@5", "wal.sync.after-fsync=crash@5", "wal.rotate.before=crash@1",
-		"wal.rotate.before-rename=crash@1", "replay",
-	},
-}
-
-// readerRounds run snapshot readers in the child while it crashes, on
-// dewey/durable under a subtest of their own.
-var readerRounds = []string{"wal.sync.before-fsync=crash@5", "wal.sync.after-fsync=crash@5", "wal.append=crash@6"}
+// crashRounds are the crash plug-in's rounds on each configuration, each
+// at a crash point sampled by seed; "replay" crashes recovery a second time.
+var crashRounds = []string{"round=1", "round=2", "replay"}
 
 // TestModel runs generated sessions on every configuration under every
-// fault plug-in, one subtest per seed. The crash rounds are spread over the
-// encodings, one failpoint per subtest, and the reader rounds run on
-// dewey/durable.
+// fault plug-in, one subtest per seed, or per crash round under crash, where
+// dewey/durable adds a round with snapshot readers in flight.
 func TestModel(t *testing.T) {
 	for fi, fault := range []string{"none", "gc", "cancel", "ioerr", "crash"} {
 		t.Run(fault, func(t *testing.T) {
@@ -957,22 +1048,32 @@ func TestModel(t *testing.T) {
 							})
 							continue
 						}
-						crash := func(t *testing.T, round string) {
-							runOrShrink(t, cfg.name+" crash "+round, seed, ops, func(cand []modelOp) error {
-								return crashRound(cfg, round, t.TempDir(), cand, len(cand) == n)
-							})
-						}
-						_, storage, _ := strings.Cut(cfg.name, "/")
-						for ri, round := range crashRounds[storage] {
-							if ri%7 == ci%7 {
-								t.Run(round, func(t *testing.T) { crash(t, round) })
-							}
-						}
-						if cfg.name == "dewey/durable" {
-							t.Run("readers", func(t *testing.T) {
-								for _, round := range readerRounds {
-									t.Run(round, func(t *testing.T) { crash(t, "readers/"+round) })
+						// The rounds' crash points are drawn from the syncs
+						// of one uncrashed run.
+						syncs := 0
+						t.Run("uncrashed", func(t *testing.T) {
+							runOrShrink(t, cfg.name+" uncrashed", seed, ops, func(cand []modelOp) error {
+								r := newModelRun(cfg, "none", "", seed, len(cand))
+								err := r.session(cand)
+								if len(cand) == n {
+									syncs = r.disk.Calls("sync")
 								}
+								return err
+							})
+						})
+						rounds := crashRounds
+						if cfg.name == "dewey/durable" {
+							rounds = append(rounds, "readers")
+						}
+						for ri, round := range rounds {
+							t.Run(round, func(t *testing.T) {
+								seed := 10*seed + int64(ri)
+								runOrShrink(t, cfg.name+" crash "+round, seed, ops, func(cand []modelOp) error {
+									if len(cand) == n {
+										return crashRound(cfg, round, seed, cand, syncs)
+									}
+									return crashRound(cfg, round, seed, cand, 0)
+								})
 							})
 						}
 					}
@@ -983,19 +1084,23 @@ func TestModel(t *testing.T) {
 }
 
 // parallel runs a configuration's sessions alongside the others of its
-// plug-in, except under gc and ioerr, whose collector setting and failpoint
-// belong to the whole process.
+// plug-in, except under gc, whose collector setting belongs to the whole
+// process.
 func parallel(t *testing.T, fault string) {
-	if fault != "gc" && fault != "ioerr" {
+	if fault != "gc" {
 		t.Parallel()
 	}
 }
 
-// sessionRun runs a session of ops on a fresh store; a session of full ops
-// is strict: its fault plug-in must fire.
+// sessionRun runs a session of ops on a fresh store, on the simulated disk
+// under ioerr; a session of full ops is strict: its fault plug-in must fire.
 func sessionRun(t *testing.T, cfg modelConfig, fault string, seed int64, full int) func([]modelOp) error {
 	return func(ops []modelOp) error {
-		r := newModelRun(cfg, fault, t.TempDir(), seed, len(ops))
+		dir := ""
+		if fault != "ioerr" {
+			dir = t.TempDir()
+		}
+		r := newModelRun(cfg, fault, dir, seed, len(ops))
 		r.strict = len(ops) == full
 		return r.session(ops)
 	}
@@ -1041,147 +1146,120 @@ func runOrShrink(t *testing.T, what string, seed int64, ops []modelOp, run func(
 		what, seed, first, len(short), len(ops), err, list.String())
 }
 
-// modelDirEnv points a re-executed test binary at a crash session.
-const modelDirEnv = "ORDXML_MODEL_DIR"
-
-// crashSession is what the parent hands its child: the configuration, the
-// ops, snapshot readers to run alongside, and whether to only recover.
-type crashSession struct {
-	Config  string    `json:"config"`
-	Ops     []modelOp `json:"ops"`
-	Readers int       `json:"readers,omitempty"`
-	Recover bool      `json:"recover,omitempty"`
-}
-
-// crashRound runs ops in a child killed at round's failpoint, then checks
-// that the reopened store equals the oracle after the acknowledged ops, or
-// after those and the one in flight. A strict round must crash.
-func crashRound(cfg modelConfig, round, dir string, ops []modelOp, strict bool) error {
-	sess := crashSession{Config: cfg.name, Ops: ops}
-	spec, readers := strings.CutPrefix(round, "readers/")
-	if readers {
-		sess.Readers = 3
+// crashRound runs ops on a simulated disk that crashes before a sync chosen
+// by seed among the syncs an uncrashed run of ops makes (counted here when
+// zero), with snapshot readers in flight in the readers round. The store is
+// abandoned, and each of three images of the disk must recover to the
+// oracle after the acknowledged ops, or after those and the one in flight:
+// what was synced alone, that with every pending create and rename, and a
+// seeded prefix of everything pending. In the replay round recovery from the
+// last image crashes too, and the image it leaves must recover the same way.
+// The session must reach the crash.
+func crashRound(cfg modelConfig, round string, seed int64, ops []modelOp, syncs int) error {
+	if syncs == 0 {
+		dry := newModelRun(cfg, "none", "", seed, len(ops))
+		if err := dry.session(ops); err != nil {
+			return fmt.Errorf("uncrashed: %w", err)
+		}
+		syncs = dry.disk.Calls("sync")
 	}
-	if round == "replay" {
-		spec = "wal.sync.after-fsync=crash@4"
+	rng := rand.New(rand.NewSource(seed))
+	k := 1 + rng.Intn(syncs)
+	r := newModelRun(cfg, "crash", "", seed, len(ops))
+	r.disk.Arm(vfstest.Fault{Op: "sync", N: k})
+	stop := func() {}
+	if round == "readers" {
+		stop = readWhileRunning(r, 3)
 	}
-	crashed, err := runModelChild(dir, spec, sess)
+	err := r.session(ops)
+	stop()
 	if err != nil {
 		return err
 	}
-	if strict && !crashed {
-		return fmt.Errorf("the session ran to its end without reaching %s", spec)
+	if !r.crashed() {
+		return fmt.Errorf("the session ran to its end without reaching sync %d of %d", k, syncs)
 	}
-	acked := 0
-	if data, err := os.ReadFile(filepath.Join(dir, "acks")); err == nil {
-		acked = strings.Count(string(data), "\n")
-	}
-	if round == "replay" {
-		// Kill a second child mid-replay: an interrupted recovery must
-		// change nothing the next one reads.
-		sess.Recover = true
-		if again, err := runModelChild(dir, "wal.replay.record=crash@1", sess); err != nil || !crashed || !again {
-			return fmt.Errorf("replay round: session crashed %v, recovery crashed %v, %v", crashed, again, err)
+	for _, keep := range []vfstest.Keep{vfstest.Synced, vfstest.Names, vfstest.Prefixes} {
+		img := r.disk.Image(keep, rng)
+		if round == "replay" && keep == vfstest.Prefixes {
+			img = r.crashRecovery(img, rng)
+		}
+		if err := r.recovered(img, ops); err != nil {
+			return fmt.Errorf("crash before sync %d in step %d, image %d: %w", k, r.acked, keep, err)
 		}
 	}
-	r := newModelRun(cfg, "none", filepath.Join(dir, "store"), 0, 0)
-	if err := r.open(); err != nil {
-		return fmt.Errorf("recovery after %d acks: %w", acked, err)
+	return nil
+}
+
+// crashRecovery recovers from img on a disk that crashes before a sync
+// chosen among those recovery makes, or just after recovery, and returns
+// what that crash leaves on disk.
+func (r *modelRun) crashRecovery(img *vfstest.FS, rng *rand.Rand) *vfstest.FS {
+	dry := img.Image(vfstest.Synced, nil)
+	s, err := openDurable(dry, r.dir, r.options())
+	syncs := dry.Calls("sync")
+	if err == nil {
+		s.Close()
 	}
-	defer r.store.Close()
-	if problems, err := r.store.CheckIntegrity(); err != nil || len(problems) > 0 {
+	img.Arm(vfstest.Fault{Op: "sync", N: 1 + rng.Intn(syncs+1)})
+	if s, err := openDurable(img, r.dir, r.options()); err == nil && !img.Crashed() {
+		defer s.Close()
+	}
+	return img.Image(vfstest.Prefixes, rng)
+}
+
+// recovered opens the store on img and checks it against the oracle after
+// the acknowledged ops, or after those and the one in flight.
+func (r *modelRun) recovered(img *vfstest.FS, ops []modelOp) error {
+	c := &modelRun{cfg: r.cfg, fault: "none", dir: r.dir, disk: img, model: r.model,
+		checkpointed: r.checkpointed, lsn: r.lsn}
+	if err := c.open(); err != nil {
+		return fmt.Errorf("recovery: %w", err)
+	}
+	defer c.store.Close()
+	var inflight modelOp
+	if r.acked < len(ops) {
+		inflight = ops[r.acked]
+	}
+	if err := c.listing(inflight.Kind == "checkpoint"); err != nil {
+		return err
+	}
+	if problems, err := c.store.CheckIntegrity(); err != nil || len(problems) > 0 {
 		return fmt.Errorf("integrity after recovery: %v %v", err, problems)
 	}
-	// The oracle after the acknowledged ops, then after the one in flight.
-	for _, op := range ops[:acked] {
-		r.model.apply(op)
-	}
-	err = r.check()
-	if err != nil && acked < len(ops) {
-		r.model.apply(ops[acked])
-		clear(r.lists)
-		if r.check() == nil {
-			err = nil
+	err := c.check()
+	if err != nil && !slices.Contains([]string{"", "query", "checkpoint", "reopen", "abandon"}, inflight.Kind) {
+		// The operation in flight reached the log: its effect, or its
+		// failure, replayed.
+		after := r.model.clone()
+		if _, werr := after.apply(inflight); werr != errSkip {
+			c.model, c.lsn = after, r.lsn+1
+			clear(c.lists)
+			if c.check() == nil {
+				err = nil
+			}
 		}
 	}
 	if err != nil {
-		return fmt.Errorf("recovered state after %d acks is neither that prefix nor the next: %w", acked, err)
+		return fmt.Errorf("recovered state is neither that of the acknowledged ops nor that with the op in flight: %w", err)
 	}
-	return r.query(modelOp{Kind: "query", Value: "//*"})
+	return c.query(modelOp{Kind: "query", Value: "//*"})
 }
 
-// runModelChild re-executes the test binary as TestModelChild on the session
-// in dir with the failpoint spec armed. crashed reports the failpoint's exit.
-func runModelChild(dir, spec string, sess crashSession) (crashed bool, err error) {
-	data, err := json.Marshal(sess)
-	if err != nil {
-		return false, err
-	}
-	if err := os.WriteFile(filepath.Join(dir, "session.json"), data, 0o644); err != nil {
-		return false, err
-	}
-	cmd := osexec.Command(os.Args[0], "-test.run=^TestModelChild$", "-test.count=1")
-	cmd.Env = append(os.Environ(), modelDirEnv+"="+dir, failpoint.EnvVar+"="+spec)
-	out, err := cmd.CombinedOutput()
-	var exit *osexec.ExitError
-	if errors.As(err, &exit) && exit.ExitCode() == failpoint.CrashExitCode {
-		return true, nil
-	}
-	if err != nil {
-		return false, fmt.Errorf("child (%s): %v\n%s", spec, err, out)
-	}
-	return false, nil
-}
-
-// TestModelChild is the crash plug-in's re-executed half: it runs the
-// session the parent left in its directory, checked against the oracle
-// like any other, and appends a synced ack line after every step.
-func TestModelChild(t *testing.T) {
-	dir := os.Getenv(modelDirEnv)
-	if dir == "" {
-		t.Skip("crash child (spawned by TestModel's crash plug-in)")
-	}
-	data, err := os.ReadFile(filepath.Join(dir, "session.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sess crashSession
-	if err := json.Unmarshal(data, &sess); err != nil {
-		t.Fatal(err)
-	}
-	r := newModelRun(modelConfigNamed(sess.Config), "none", filepath.Join(dir, "store"), 0, 0)
-	if sess.Recover {
-		if err := r.open(); err != nil {
-			t.Fatal(err)
-		}
-		r.store.Close()
-		return
-	}
-	ack, err := os.OpenFile(filepath.Join(dir, "acks"), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ack.Close()
-	r.ack = func(i int) error {
-		if _, err := fmt.Fprintf(ack, "%d\n", i); err != nil {
-			return err
-		}
-		return ack.Sync()
-	}
-	// Snapshot readers race the session up to the crash, so that it lands
-	// with reads in flight; what they read is not checked (a document may
-	// vanish under them), what recovery finds is.
+// readWhileRunning races n snapshot readers against r's session, so that a
+// crash lands with reads in flight. What they read is not checked (a
+// document may vanish under them); what recovery finds is. It returns the
+// stop.
+func readWhileRunning(r *modelRun, n int) (stop func()) {
 	var cur atomic.Pointer[Store]
-	var stop atomic.Bool
+	var done atomic.Bool
 	var wg sync.WaitGroup
-	defer wg.Wait()
-	defer stop.Store(true)
 	r.opened = func(s *Store) { cur.Store(s) }
-	for i := 0; i < sess.Readers; i++ {
+	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for !stop.Load() {
+			for !done.Load() {
 				s := cur.Load()
 				if s == nil {
 					runtime.Gosched()
@@ -1195,7 +1273,8 @@ func TestModelChild(t *testing.T) {
 			}
 		}()
 	}
-	if err := r.session(sess.Ops); err != nil {
-		t.Fatal(err)
+	return func() {
+		done.Store(true)
+		wg.Wait()
 	}
 }
