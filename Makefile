@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race fmt-check lint lint-sarif check fuzz-smoke cli-smoke bench bench-query bench-paged bench-update soak govern-torture
+.PHONY: build test race fmt-check lint lint-sarif check golden fuzz-smoke cli-smoke bench bench-query bench-paged bench-update soak govern-torture
 
 build:
 	$(GO) build ./...
@@ -43,6 +43,13 @@ check:
 	$(GO) test ./internal/lint/... ./cmd/ordlint/
 	@! grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark 'runtime\.SetFinalizer' . || \
 		{ echo "check: runtime.SetFinalizer outside tests and benchmark/"; exit 1; }
+
+# golden rewrites every golden file: the EXPLAIN goldens and the work ledger
+# (testdata/) and ordlint's -list catalog. A change explains every row its
+# diff to testdata/work.golden moves.
+golden:
+	$(GO) test . -run 'TestExplainGolden|TestWorkLedger' -update
+	$(GO) test ./cmd/ordlint/ -run TestListGolden -update
 
 fuzz-smoke:
 	$(GO) test -fuzz FuzzParse -fuzztime 10s ./internal/sqldb/sqlparse/

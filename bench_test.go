@@ -1,8 +1,9 @@
 // Benchmarks reproducing the paper's tables and figures (experiments E1–E9;
 // see DESIGN.md §6 and EXPERIMENTS.md). Each benchmark mirrors one
-// cmd/xmlbench experiment as a testing.B target; custom metrics report the
-// hardware-independent work counters (rows renumbered, index probes, bytes)
-// alongside wall time.
+// cmd/xmlbench experiment as a testing.B target; custom metrics report rows
+// renumbered and bytes alongside wall time. The exact work counts per query
+// and update (statements, rows examined, index writes) are the work ledger's
+// (TestWorkLedger).
 package ordxml_test
 
 import (
@@ -62,8 +63,7 @@ func BenchmarkE2Load(b *testing.B) {
 	}
 }
 
-// BenchmarkE3Queries runs the ordered query suite per encoding. The work
-// metric counts index probes + rows scanned per query.
+// BenchmarkE3Queries runs the ordered query suite per encoding.
 func BenchmarkE3Queries(b *testing.B) {
 	doc := bench.CatalogDoc(benchItems)
 	for _, cfg := range bench.Encodings() {
@@ -73,13 +73,11 @@ func BenchmarkE3Queries(b *testing.B) {
 		}
 		for _, q := range bench.QuerySuite(benchItems) {
 			b.Run(q.ID+"/"+cfg.Name, func(b *testing.B) {
-				before := bench.Examined(s)
 				for i := 0; i < b.N; i++ {
 					if _, err := s.Query(id, q.XPath); err != nil {
 						b.Fatal(err)
 					}
 				}
-				b.ReportMetric(float64(bench.Examined(s)-before)/float64(b.N), "work/op")
 			})
 		}
 	}
@@ -87,9 +85,7 @@ func BenchmarkE3Queries(b *testing.B) {
 
 // benchInsert measures repeated single-fragment inserts at a named position,
 // rebuilding the store whenever the document has grown 50% so position
-// semantics stay comparable. Beside rows renumbered it reports the SQL
-// statements (reads and writes) each insert issued and the index entries its
-// statements wrote.
+// semantics stay comparable, and reports the rows each insert renumbered.
 func benchInsert(b *testing.B, cfg bench.Config, where string, items int) {
 	doc := bench.CatalogDoc(items)
 	baseNodes := doc.Size()
@@ -105,15 +101,7 @@ func benchInsert(b *testing.B, cfg bench.Config, where string, items int) {
 		inserted = 0
 	}
 	rebuild()
-	var renumbered, stmts, ixwrites int64
-	// work reads the statement and index-write counters with the timer
-	// stopped, so the metrics snapshot stays out of ns/op.
-	work := func() (statements, indexWrites int64) {
-		b.StopTimer()
-		defer b.StartTimer()
-		m := s.Metrics()
-		return m.Counters["sqldb.queries"] + m.Counters["sqldb.execs"], m.Gauges["storage.index_writes"]
-	}
+	var renumbered int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if inserted*10 > baseNodes/2 {
@@ -125,20 +113,14 @@ func benchInsert(b *testing.B, cfg bench.Config, where string, items int) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		stmts0, ixw0 := work()
 		rep, err := s.Insert(id, target, pos, "<note><text>x</text></note>")
 		if err != nil {
 			b.Fatal(err)
 		}
-		stmts1, ixw1 := work()
-		stmts += stmts1 - stmts0
-		ixwrites += ixw1 - ixw0
 		renumbered += rep.RowsRenumbered
 		inserted++
 	}
 	b.ReportMetric(float64(renumbered)/float64(b.N), "renumbered/op")
-	b.ReportMetric(float64(stmts)/float64(b.N), "stmts/op")
-	b.ReportMetric(float64(ixwrites)/float64(b.N), "ixwrites/op")
 }
 
 func insertTarget(s *ordxml.Store, id ordxml.DocID, where string) (ordxml.NodeID, ordxml.Position, error) {
@@ -194,7 +176,7 @@ func BenchmarkE6Gaps(b *testing.B) {
 
 // BenchmarkE7Publish measures reconstruction of the whole document and of a
 // region subtree per encoding (reconstruction figure), and the string values
-// of the region's items, with the statements each QueryValues ran.
+// of the region's items.
 func BenchmarkE7Publish(b *testing.B) {
 	doc := bench.CatalogDoc(benchItems)
 	for _, cfg := range bench.Encodings() {
@@ -221,13 +203,11 @@ func BenchmarkE7Publish(b *testing.B) {
 			}
 		})
 		b.Run("values/"+cfg.Name, func(b *testing.B) {
-			before := s.Metrics().Counters["sqldb.queries"]
 			for i := 0; i < b.N; i++ {
 				if _, err := s.QueryValues(id, "/site/regions/namerica/item"); err != nil {
 					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(float64(s.Metrics().Counters["sqldb.queries"]-before)/float64(b.N), "stmts/op")
 		})
 	}
 }

@@ -48,14 +48,7 @@ func mustRangeErr(t *testing.T, what string, err error) {
 func TestDeweyComponentOutOfRange(t *testing.T) {
 	for _, c := range deweyRangeCases {
 		t.Run(c.name, func(t *testing.T) {
-			s, err := Open(c.opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			doc, err := s.LoadString("d", "<r><a/></r>")
-			if err != nil {
-				t.Fatal(err)
-			}
+			s, doc := loadedStore(t, c.opts, "mem", "<r><a/></r>")
 			want, wantRows := fingerprint(t, s), rawRows(t, s)
 			unchanged := func(what string) {
 				t.Helper()
@@ -68,7 +61,7 @@ func TestDeweyComponentOutOfRange(t *testing.T) {
 				mustIntact(t, s)
 			}
 
-			_, err = s.Insert(doc, 1, LastChild, "<b/>")
+			_, err := s.Insert(doc, 1, LastChild, "<b/>")
 			mustRangeErr(t, "append a second child", err)
 			unchanged("the failed append")
 
@@ -97,14 +90,7 @@ func TestDeweyShiftOverflowFailsWhole(t *testing.T) {
 		{Encoding: Dewey, DeweyAsText: true, Gap: 40_000_000}, // last sibling 8e7 + 4e7 > 10^8 - 1
 	} {
 		t.Run(fmt.Sprintf("text=%v", opts.DeweyAsText), func(t *testing.T) {
-			s, err := Open(opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			doc, err := s.LoadString("d", "<r><a><t>x</t></a><b><t>y</t></b></r>")
-			if err != nil {
-				t.Fatal(err)
-			}
+			s, doc := loadedStore(t, opts, "mem", "<r><a><t>x</t></a><b><t>y</t></b></r>")
 			for i := 0; ; i++ {
 				if i == 64 {
 					t.Fatal("64 inserts before the first child never exhausted the gap")
@@ -141,14 +127,7 @@ func TestDeweyShiftOverflowFailsWhole(t *testing.T) {
 // by one writes every child but the first before the first fails at zero.
 func TestDeweyShiftStatementUndo(t *testing.T) {
 	for _, opts := range []Options{{Encoding: Dewey}, {Encoding: Dewey, DeweyAsText: true}} {
-		s, err := Open(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		doc, err := s.LoadString("d", "<r><a>1</a><b>2</b><c>3</c><d>4</d></r>")
-		if err != nil {
-			t.Fatal(err)
-		}
+		s, doc := loadedStore(t, opts, "mem", "<r><a>1</a><b>2</b><c>3</c><d>4</d></r>")
 		want, wantRows := fingerprint(t, s), rawRows(t, s)
 		table := "xd_nodes"
 		if opts.DeweyAsText {

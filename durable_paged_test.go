@@ -5,8 +5,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"ordxml/internal/xmlgen"
 )
 
 // dirNames lists dir's entries, sorted and space-separated.
@@ -142,9 +140,7 @@ func TestOpenDurableRefusesSnapshotFile(t *testing.T) {
 // must read the page file not once, and every heap page it reads must be a
 // pool hit. (Index nodes were materialized by the load and touch no page.)
 func TestPagedRepeatedQueryHitsPool(t *testing.T) {
-	xml := xmlgen.Catalog(xmlgen.CatalogConfig{
-		Regions: 3, ItemsPerRegion: 200, KeywordsPerItem: 2, DescriptionWords: 8, Seed: 42,
-	}).String()
+	xml := catalogDoc(200).String()
 	for _, enc := range []Encoding{Global, Local, Dewey} {
 		t.Run(enc.String(), func(t *testing.T) {
 			s := openDur(t, t.TempDir(), Options{Encoding: enc, BufferPoolFrames: 256})
@@ -155,23 +151,18 @@ func TestPagedRepeatedQueryHitsPool(t *testing.T) {
 			if err := s.Checkpoint(); err != nil {
 				t.Fatal(err)
 			}
-			q6 := func() map[string]int64 {
-				before := s.Metrics().Gauges
-				hits, err := s.Query(doc, "//keyword")
-				if err != nil || len(hits) != 3*200*2 {
+			var before Metrics
+			for i := 0; i < 2; i++ {
+				before = s.Metrics()
+				if hits, err := s.Query(doc, "//keyword"); err != nil || len(hits) != 3*200*2 {
 					t.Fatalf("//keyword = %d nodes, %v", len(hits), err)
 				}
-				delta := s.Metrics().Gauges
-				for k, v := range before {
-					delta[k] -= v
-				}
-				return delta
 			}
-			q6()
-			d := q6()
-			if d["bufpool.misses"] != 0 || d["bufpool.hits"] == 0 || d["bufpool.hits"] != d["storage.heap.page_reads"] {
+			after := s.Metrics()
+			misses, hits, reads := after.Delta(before, "bufpool.misses"), after.Delta(before, "bufpool.hits"), after.Delta(before, "storage.heap.page_reads")
+			if misses != 0 || hits == 0 || hits != reads {
 				t.Fatalf("second //keyword: %d pool misses, %d pool hits, %d heap page reads; want 0 misses and hits = reads > 0",
-					d["bufpool.misses"], d["bufpool.hits"], d["storage.heap.page_reads"])
+					misses, hits, reads)
 			}
 		})
 	}

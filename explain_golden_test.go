@@ -82,14 +82,7 @@ func TestExplainGolden(t *testing.T) {
 		t.Run(enc.String(), func(t *testing.T) {
 			var out strings.Builder
 			for _, gd := range goldenDocs {
-				store, err := Open(Options{Encoding: enc})
-				if err != nil {
-					t.Fatal(err)
-				}
-				doc, err := store.LoadString("golden", gd.xml)
-				if err != nil {
-					t.Fatal(err)
-				}
+				store, doc := loadedStore(t, Options{Encoding: enc}, "mem", gd.xml)
 				for _, q := range gd.queries {
 					fmt.Fprintf(&out, "== %s %s ==\n", q.id, q.xpath)
 					sqls, err := store.ExplainQuery(doc, q.xpath)
@@ -143,14 +136,7 @@ func TestExplainGolden(t *testing.T) {
 // encodings and reports per-operator actual rows.
 func TestExplainAnalyzeActualRows(t *testing.T) {
 	for _, enc := range []Encoding{Global, Local, Dewey} {
-		store, err := Open(Options{Encoding: enc})
-		if err != nil {
-			t.Fatal(err)
-		}
-		doc, err := store.LoadString("golden", explainDoc)
-		if err != nil {
-			t.Fatal(err)
-		}
+		store, doc := loadedStore(t, Options{Encoding: enc}, "mem", explainDoc)
 		sqls, err := store.ExplainQuery(doc, "/site/regions/namerica/item[3]")
 		if err != nil {
 			t.Fatal(err)
@@ -175,14 +161,7 @@ func TestExplainAnalyzeActualRows(t *testing.T) {
 // table, the positional filter and the final sort. The always-on query
 // metrics move whether or not the tracer is on.
 func TestQueryTraceSpans(t *testing.T) {
-	store, err := Open(Options{Encoding: Local})
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc, err := store.LoadString("golden", explainDoc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	store, doc := loadedStore(t, Options{Encoding: Local}, "mem", explainDoc)
 	store.Tracer().SetEnabled(true)
 	nodes, err := store.Query(doc, "/site/regions/namerica//name[position() <= 5]")
 	if err != nil {

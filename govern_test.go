@@ -55,14 +55,7 @@ func waitForGoroutines(t *testing.T, base int) {
 // sleep guarantees the deadline has fired before the query starts, so the
 // test asserts behavior, not scheduling luck.
 func TestQueryDeadlineAborts(t *testing.T) {
-	s, err := Open(Options{Encoding: Dewey})
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc, err := s.LoadString("big", bigDoc(2000))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, doc := loadedStore(t, Options{Encoding: Dewey}, "mem", bigDoc(2000))
 	base := runtime.NumGoroutine()
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
@@ -84,14 +77,7 @@ func TestQueryDeadlineAborts(t *testing.T) {
 }
 
 func TestQueryCancellation(t *testing.T) {
-	s, err := Open(Options{Encoding: Global})
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc, err := s.LoadString("big", bigDoc(1500))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, doc := loadedStore(t, Options{Encoding: Global}, "mem", bigDoc(1500))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := s.QueryCtx(ctx, doc, "/R/item"); !errors.Is(err, ErrCanceled) {
@@ -107,14 +93,7 @@ func TestQueryCancellation(t *testing.T) {
 // query different paths on the same store: the statements it returns must be
 // those of its own evaluation, never a concurrent query's.
 func TestExplainQueryReturnsOwnSQL(t *testing.T) {
-	s, err := Open(Options{Encoding: Dewey})
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc, err := s.LoadString("d", bigDoc(50))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, doc := loadedStore(t, Options{Encoding: Dewey}, "mem", bigDoc(50))
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for _, path := range []string{"/R/item/v", "//v", "/R/item[2]/v", "/R/item/v[1]"} {
@@ -151,14 +130,7 @@ func TestExplainQueryReturnsOwnSQL(t *testing.T) {
 // lets queries through, a nanosecond one kills them, and a caller-supplied
 // deadline always wins over the session default.
 func TestSessionQueryTimeout(t *testing.T) {
-	s, err := Open(Options{Encoding: Dewey})
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc, err := s.LoadString("big", bigDoc(1500))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, doc := loadedStore(t, Options{Encoding: Dewey}, "mem", bigDoc(1500))
 	s.SetQueryTimeout(time.Minute)
 	if got := s.QueryTimeout(); got != time.Minute {
 		t.Fatalf("QueryTimeout = %v", got)
@@ -193,14 +165,7 @@ func TestCancellationStorm(t *testing.T) {
 	for _, enc := range []Encoding{Global, Local, Dewey} {
 		enc := enc
 		t.Run(enc.String(), func(t *testing.T) {
-			s, err := Open(Options{Encoding: enc, Gap: 4})
-			if err != nil {
-				t.Fatal(err)
-			}
-			doc, err := s.LoadString("storm", bigDoc(300))
-			if err != nil {
-				t.Fatal(err)
-			}
+			s, doc := loadedStore(t, Options{Encoding: enc, Gap: 4}, "mem", bigDoc(300))
 			base := runtime.NumGoroutine()
 
 			var stop atomic.Bool
@@ -270,14 +235,7 @@ func TestCancellationStorm(t *testing.T) {
 // a scan of the document blows it, and checks the typed error, the metrics,
 // and that removing the budget restores service.
 func TestMemoryBudgetAbortsQuery(t *testing.T) {
-	s, err := Open(Options{Encoding: Global})
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc, err := s.LoadString("big", bigDoc(1500))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, doc := loadedStore(t, Options{Encoding: Global}, "mem", bigDoc(1500))
 	s.SetMemoryBudget(4 * 1024)
 	if got := s.MemoryBudget(); got != 4*1024 {
 		t.Fatalf("MemoryBudget = %d", got)
@@ -364,14 +322,7 @@ func TestExplainAnalyzeIsGoverned(t *testing.T) {
 // serializations; the overflow must be shed with ErrOverloaded, and removing
 // the gate restores unbounded admission.
 func TestAdmissionControlSheds(t *testing.T) {
-	s, err := Open(Options{Encoding: Dewey})
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc, err := s.LoadString("big", bigDoc(3000))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, doc := loadedStore(t, Options{Encoding: Dewey}, "mem", bigDoc(3000))
 	s.SetAdmissionLimit(1, 0, 0)
 
 	const n = 6

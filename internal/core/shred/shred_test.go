@@ -363,15 +363,14 @@ func TestNextDocIDNoFullScan(t *testing.T) {
 	if _, err := s.LoadTree("first", doc); err != nil {
 		t.Fatal(err)
 	}
-	before := db.Counters()
+	before := db.Metrics()
 	for i := 0; i < 5; i++ {
 		if _, err := s.LoadTree("more", doc); err != nil {
 			t.Fatal(err)
 		}
 	}
-	delta := db.Counters().Sub(before)
-	if delta.RowsScanned != 0 {
-		t.Fatalf("loads after the first scanned %d rows, want 0", delta.RowsScanned)
+	if n := db.Metrics().Delta(before, "storage.rows_scanned"); n != 0 {
+		t.Fatalf("loads after the first scanned %d rows, want 0", n)
 	}
 }
 

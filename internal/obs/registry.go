@@ -353,3 +353,13 @@ func (s Snapshot) HistogramNames() []string {
 	sort.Strings(names)
 	return names
 }
+
+// Delta returns the work done between two snapshots: the sum over the named
+// counters and gauges of each one's value in s minus its value in before.
+func (s Snapshot) Delta(before Snapshot, names ...string) int64 {
+	var d int64
+	for _, n := range names {
+		d += s.Counters[n] + s.Gauges[n] - before.Counters[n] - before.Gauges[n]
+	}
+	return d
+}

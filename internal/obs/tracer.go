@@ -60,22 +60,22 @@ type Tracer struct {
 
 	now func() time.Time // test hook; time.Now outside tests
 
-	mu   sync.Mutex
-	buf  []SpanRecord // ring: next is the slot to overwrite once full
-	next int
-	full bool
+	mu       sync.Mutex
+	capacity int
+	buf      []SpanRecord // ring, made by the first record; next is the slot to overwrite once full
+	next     int
+	full     bool
 }
 
 // NewTracer returns a disabled tracer with a bounded buffer of capacity
-// span records (DefaultTracerCapacity if capacity <= 0).
+// span records (DefaultTracerCapacity if capacity <= 0). The buffer is
+// allocated by the first record, so a tracer that never records costs no
+// buffer.
 func NewTracer(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultTracerCapacity
 	}
-	return &Tracer{
-		now: time.Now,
-		buf: make([]SpanRecord, 0, capacity),
-	}
+	return &Tracer{now: time.Now, capacity: capacity}
 }
 
 // SetEnabled turns span recording on or off. Disabling does not clear the
@@ -94,7 +94,7 @@ func (t *Tracer) Capacity() int {
 	if t == nil {
 		return 0
 	}
-	return cap(t.buf)
+	return t.capacity
 }
 
 // Dropped returns how many records were overwritten because the ring
@@ -123,6 +123,9 @@ func (t *Tracer) Reset() {
 // once full.
 func (t *Tracer) record(r SpanRecord) {
 	t.mu.Lock()
+	if t.buf == nil {
+		t.buf = make([]SpanRecord, 0, t.capacity)
+	}
 	if !t.full && len(t.buf) < cap(t.buf) {
 		t.buf = append(t.buf, r)
 		if len(t.buf) == cap(t.buf) {

@@ -30,8 +30,8 @@ type Column struct {
 }
 
 // Counters accumulates engine work. All fields are updated atomically; the
-// benchmark harness snapshots them around operations to report logical cost
-// independent of hardware.
+// database publishes each as a storage.* metric, whose deltas around an
+// operation give its logical cost independent of hardware.
 type Counters struct {
 	RowsScanned  atomic.Int64 // rows produced by sequential scans
 	IndexProbes  atomic.Int64 // index entries visited by index scans/lookups
@@ -46,46 +46,6 @@ type Counters struct {
 	// IndexWrites counts index entries DML inserted, deleted or moved: one
 	// per tree Insert, Delete or Replace.
 	IndexWrites atomic.Int64
-}
-
-// Snapshot is a point-in-time copy of the counters.
-type Snapshot struct {
-	RowsScanned    int64
-	IndexProbes    int64
-	RowsInserted   int64
-	RowsDeleted    int64
-	RowsUpdated    int64
-	HeapPageReads  int64
-	BtreeNodeReads int64
-	IndexWrites    int64
-}
-
-// Snapshot copies the current counter values.
-func (c *Counters) Snapshot() Snapshot {
-	return Snapshot{
-		RowsScanned:    c.RowsScanned.Load(),
-		IndexProbes:    c.IndexProbes.Load(),
-		RowsInserted:   c.RowsInserted.Load(),
-		RowsDeleted:    c.RowsDeleted.Load(),
-		RowsUpdated:    c.RowsUpdated.Load(),
-		HeapPageReads:  c.HeapPageReads.Load(),
-		BtreeNodeReads: c.BtreeNodeReads.Load(),
-		IndexWrites:    c.IndexWrites.Load(),
-	}
-}
-
-// Sub returns the per-field difference s - prev.
-func (s Snapshot) Sub(prev Snapshot) Snapshot {
-	return Snapshot{
-		RowsScanned:    s.RowsScanned - prev.RowsScanned,
-		IndexProbes:    s.IndexProbes - prev.IndexProbes,
-		RowsInserted:   s.RowsInserted - prev.RowsInserted,
-		RowsDeleted:    s.RowsDeleted - prev.RowsDeleted,
-		RowsUpdated:    s.RowsUpdated - prev.RowsUpdated,
-		HeapPageReads:  s.HeapPageReads - prev.HeapPageReads,
-		BtreeNodeReads: s.BtreeNodeReads - prev.BtreeNodeReads,
-		IndexWrites:    s.IndexWrites - prev.IndexWrites,
-	}
 }
 
 // Index is a live secondary (or primary) index.

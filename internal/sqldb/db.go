@@ -233,9 +233,6 @@ func (p *snapshotPlanner) Sample(n plan.Node) (map[plan.Node]int64, error) {
 // statements.
 func (db *DB) Catalog() *catalog.Catalog { return db.cat }
 
-// Counters returns a snapshot of the engine work counters.
-func (db *DB) Counters() catalog.Snapshot { return db.cat.Counters.Snapshot() }
-
 // CheckIntegrity validates the physical invariants of every table in the
 // database — heap page structure, B+tree structure, and index/heap agreement
 // — and returns a description of each violation (nil for a healthy

@@ -2,9 +2,11 @@ package sqldb
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
+	"ordxml/internal/obs"
 	"ordxml/internal/sqldb/sqltypes"
 )
 
@@ -487,20 +489,35 @@ func TestOrderByExpressionNotInSelect(t *testing.T) {
 
 func TestCounters(t *testing.T) {
 	db := setupEmployees(t)
-	before := db.Counters()
+	before := db.Metrics()
 	mustQuery(t, db, "SELECT name FROM emp WHERE dept = 1")
-	d := db.Counters().Sub(before)
-	if d.IndexProbes == 0 {
-		t.Errorf("index query did no probes: %+v", d)
+	after := db.Metrics()
+	if n := after.Delta(before, "storage.index_probes"); n == 0 {
+		t.Error("index query did no probes")
 	}
-	if d.RowsScanned != 0 {
-		t.Errorf("index query did a seq scan: %+v", d)
+	if n := after.Delta(before, "storage.rows_scanned"); n != 0 {
+		t.Errorf("index query scanned %d rows", n)
 	}
-	before = db.Counters()
+	before = db.Metrics()
 	mustQuery(t, db, "SELECT name FROM emp WHERE salary = 100")
-	d = db.Counters().Sub(before)
-	if d.RowsScanned != 5 {
-		t.Errorf("seq scan scanned %d rows", d.RowsScanned)
+	if n := db.Metrics().Delta(before, "storage.rows_scanned"); n != 5 {
+		t.Errorf("seq scan scanned %d rows", n)
+	}
+}
+
+// TestOpenAllocatesNoSpanRing: with tracing off, opening a database makes no
+// span ring; the tracer makes it on its first record, at the capacity it
+// reports from the start.
+func TestOpenAllocatesNoSpanRing(t *testing.T) {
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	db := Open()
+	runtime.ReadMemStats(&m1)
+	if n := m1.TotalAlloc - m0.TotalAlloc; n >= 100<<10 {
+		t.Errorf("Open allocated %d bytes with tracing off, want < 100 KB", n)
+	}
+	if got := db.Tracer().Capacity(); got != obs.DefaultTracerCapacity {
+		t.Errorf("tracer capacity = %d, want %d", got, obs.DefaultTracerCapacity)
 	}
 }
 

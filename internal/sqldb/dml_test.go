@@ -210,12 +210,12 @@ func TestUpdateMovingRowRepointsEveryIndex(t *testing.T) {
 				return rid
 			}
 			was := ridOf()
-			writes := db.Counters().IndexWrites
+			before := db.Metrics()
 			mustExec(t, db, `UPDATE u SET s = ? WHERE id = 2`, sqltypes.NewText(strings.Repeat("g", 3000)))
 			if ridOf() == was {
 				t.Fatal("the grown row kept its RID; the test needs the heap to move it")
 			}
-			if n := db.Counters().IndexWrites - writes; n != int64(len(tbl.Indexes)) {
+			if n := db.Metrics().Delta(before, "storage.index_writes"); n != int64(len(tbl.Indexes)) {
 				t.Errorf("moving the row wrote %d index entries, want one per index (%d)", n, len(tbl.Indexes))
 			}
 			tableState(t, db, "u")

@@ -51,7 +51,7 @@ func explain(t *testing.T, db *sqldb.DB, sql string) string {
 // (an unbounded high end made Dewey subtree scans read to end-of-document).
 func TestRangeUsesBothBounds(t *testing.T) {
 	db := setup(t)
-	before := db.Counters()
+	before := db.Metrics()
 	res, err := db.Query("SELECT id FROM n WHERE doc = 1 AND ord >= ? AND ord < ?",
 		sqldb.I(200), sqldb.I(300))
 	if err != nil {
@@ -60,9 +60,8 @@ func TestRangeUsesBothBounds(t *testing.T) {
 	if len(res.Rows) != 10 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
-	d := db.Counters().Sub(before)
-	if d.IndexProbes != 10 {
-		t.Errorf("probes = %d, want 10 (upper bound not pushed into scan?)", d.IndexProbes)
+	if n := db.Metrics().Delta(before, "storage.index_probes"); n != 10 {
+		t.Errorf("probes = %d, want 10 (upper bound not pushed into scan?)", n)
 	}
 	p := explain(t, db, "SELECT id FROM n WHERE doc = 1 AND ord >= 200 AND ord < 300")
 	if !strings.Contains(p, "ord>=200") || !strings.Contains(p, "ord<300") {
@@ -130,12 +129,11 @@ func TestOrderByAliasShadowingColumn(t *testing.T) {
 // A descending ORDER BY with LIMIT reads only the rows it returns.
 func TestDescLimitStopsEarly(t *testing.T) {
 	db := setup(t)
-	before := db.Counters()
+	before := db.Metrics()
 	if got := ids(t, db, "SELECT id FROM n WHERE doc = 1 ORDER BY ord DESC LIMIT 3"); got != "(100) (99) (98)" {
 		t.Errorf("rows = %q", got)
 	}
-	d := db.Counters().Sub(before)
-	if examined := d.IndexProbes + d.RowsScanned; examined != 3 {
+	if examined := db.Metrics().Delta(before, "storage.index_probes", "storage.rows_scanned"); examined != 3 {
 		t.Errorf("examined %d rows for LIMIT 3", examined)
 	}
 }
@@ -202,12 +200,12 @@ func TestMinMaxEndpoint(t *testing.T) {
 		if !strings.Contains(p, "HashAggregate") || !strings.Contains(p, "Limit limit=1") || !strings.Contains(p+"\n", c.plan) {
 			t.Errorf("%s: want HashAggregate over Limit 1 over %q:\n%s", q, c.plan, p)
 		}
-		before := db.Counters()
+		before := db.Metrics()
 		res, err := db.Query(q)
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
-		d := db.Counters().Sub(before)
+		examined := db.Metrics().Delta(before, "storage.index_probes", "storage.rows_scanned")
 		if len(res.Rows) != 1 || res.Rows[0][0].String() != c.want {
 			t.Errorf("%s = %v, want %s", q, res.Rows, c.want)
 		}
@@ -221,7 +219,7 @@ func TestMinMaxEndpoint(t *testing.T) {
 		if strings.Contains(c.plan, "filter=") {
 			continue // residual filters and skipped NULLs read past the endpoint
 		}
-		if examined := d.IndexProbes + d.RowsScanned; examined > 1 {
+		if examined > 1 {
 			t.Errorf("%s examined %d rows", q, examined)
 		}
 	}

@@ -113,9 +113,6 @@ func TestQueryRowsCountsAsQuery(t *testing.T) {
 		{name: "DB.ExecCtx", span: "sql.exec", roots: true, exec: true,
 			run: func(ctx context.Context) error { _, err := db.ExecCtx(ctx, upd, I(1)); return err }},
 	}
-	delta := func(before, after obs.Snapshot, name string) int64 {
-		return after.Counters[name] - before.Counters[name]
-	}
 	for _, d := range doors {
 		t.Run(d.name, func(t *testing.T) {
 			counter, failed, latency := "sqldb.queries", "sqldb.query.errors", "sqldb.query.latency"
@@ -127,19 +124,19 @@ func TestQueryRowsCountsAsQuery(t *testing.T) {
 				t.Fatalf("err = %v, want failure = %v", err, d.fails)
 			}
 			after := db.Metrics()
-			if got := delta(before, after, "sqldb.queries") + delta(before, after, "sqldb.execs"); got != 1 {
+			if got := after.Delta(before, "sqldb.queries", "sqldb.execs"); got != 1 {
 				t.Errorf("sqldb.queries + sqldb.execs moved by %d, want 1", got)
 			}
-			if got := delta(before, after, counter); got != 1 {
+			if got := after.Delta(before, counter); got != 1 {
 				t.Errorf("%s moved by %d, want 1", counter, got)
 			}
-			if got := delta(before, after, failed); (got == 1) != d.fails || got > 1 {
+			if got := after.Delta(before, failed); (got == 1) != d.fails || got > 1 {
 				t.Errorf("%s moved by %d, failure = %v", failed, got, d.fails)
 			}
 			if got := after.Histograms[latency].Count - before.Histograms[latency].Count; got != 1 {
 				t.Errorf("%s observed %d statements, want 1", latency, got)
 			}
-			if got := delta(before, after, "sqldb.plancache.hits") + delta(before, after, "sqldb.plancache.misses"); got != 1 {
+			if got := after.Delta(before, "sqldb.plancache.hits", "sqldb.plancache.misses"); got != 1 {
 				t.Errorf("plan cache looked up %d times, want 1", got)
 			}
 			if strings.HasPrefix(d.name, "EXPLAIN") && after.Gauges["sqldb.plancache.entries"] != before.Gauges["sqldb.plancache.entries"] {

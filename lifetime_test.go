@@ -7,8 +7,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"testing"
-
-	"ordxml/internal/xmlgen"
 )
 
 // Page lifetimes: page ids belong to the writer and page memory to the
@@ -20,9 +18,7 @@ import (
 // nothing reachable. Five open → load → checkpoint → close cycles may not
 // grow the live heap by more than 1 MB over the first.
 func TestClosedDurableStoreIsCollected(t *testing.T) {
-	xml := xmlgen.Catalog(xmlgen.CatalogConfig{
-		Regions: 3, ItemsPerRegion: 100, KeywordsPerItem: 2, DescriptionWords: 8, Seed: 42,
-	}).String()
+	xml := catalogDoc(100).String()
 	live := func() uint64 {
 		runtime.GC()
 		runtime.GC()

@@ -182,9 +182,7 @@ func TestQueriesAfterOutOfOrderIDs(t *testing.T) {
 				"dewey/memory", "dewey/pool=8"}, list)
 		})
 	}
-	catalog := xmlgen.Catalog(xmlgen.CatalogConfig{
-		Regions: 3, ItemsPerRegion: 12, KeywordsPerItem: 2, DescriptionWords: 8, Seed: 42,
-	}).String()
+	catalog := catalogDoc(12).String()
 	step("load", modelOp{Kind: "load", Name: "catalog", XML: catalog})
 	step("insert at the beginning of a region", modelOp{Kind: "insert",
 		Node: l.at(0, "/site/regions/namerica"), Pos: "first-child",
