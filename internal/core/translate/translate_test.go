@@ -558,6 +558,66 @@ func FuzzTranslateOracle(f *testing.F) {
 	})
 }
 
+// e3Suite is the paper's ordered query suite (EXPERIMENTS.md E3) for a
+// catalog with the given items per region.
+func e3Suite(items int) []string {
+	mid := items / 2
+	return []string{
+		"/site/regions/namerica/item",
+		fmt.Sprintf("/site/regions/namerica/item[%d]", mid),
+		"/site/regions/namerica/item[position() <= 10]",
+		"/site/regions/namerica/item[3]/following-sibling::item",
+		fmt.Sprintf("/site/regions/namerica/item[%d]/preceding-sibling::item", mid),
+		"//keyword",
+		fmt.Sprintf("//item[@id = 'item%d']", mid),
+		"//item[quantity = '5']",
+		"/site/regions/namerica//keyword",
+	}
+}
+
+func sqlQueries(db *sqldb.DB) int64 { return db.Metrics().Counters["sqldb.queries"] }
+
+// TestStatementsPerQuery guards set-at-a-time evaluation: a query runs one
+// statement per segment plus at most a few per tree level, whatever the size
+// of its context sets. A per-context-node loop would run hundreds here. It
+// also guards the order the planner delivers on a real catalog, where join
+// order can differ from the golden fixture's: under Global and Dewey no
+// root-anchored chain statement may plan a Sort.
+func TestStatementsPerQuery(t *testing.T) {
+	const items = 200
+	tree := xmlgen.Catalog(xmlgen.CatalogConfig{Regions: 3, ItemsPerRegion: items, KeywordsPerItem: 2, DescriptionWords: 8, Seed: 1})
+	// Wide context sets on every axis, beyond the suite's mostly single-node ones.
+	queries := append(e3Suite(items), "//item//keyword", "//item/name/..", "//item/following-sibling::item[1]",
+		"//keyword/ancestor::item", "//item//keyword[1]", "//description//text()")
+	for _, k := range []encoding.Kind{encoding.Global, encoding.Local, encoding.Dewey} {
+		ld := load(t, encoding.Options{Kind: k}, tree)
+		rooted := 0
+		for _, q := range queries {
+			before := sqlQueries(ld.db)
+			ld.check(t, q)
+			if n := sqlQueries(ld.db) - before; n > 12 {
+				t.Errorf("%s: %q ran %d statements, want <= 12\nSQL: %v", k, q, n, ld.eval.LastSQL())
+			}
+			for _, sql := range ld.eval.LastSQL() {
+				if k == encoding.Local || !strings.Contains(sql, "n1.parent IS NULL") || !strings.Contains(sql, " ORDER BY ") {
+					continue
+				}
+				plan, err := ld.db.Explain(sql)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if strings.Contains(plan, "Sort") {
+					t.Errorf("%s: %q: root-anchored chain plans a Sort:\n%s\n%s", k, q, sql, plan)
+				}
+				rooted++
+			}
+		}
+		if k != encoding.Local && rooted < 3 {
+			t.Errorf("%s: %d root-anchored chain statements checked, want Q1–Q3 at least", k, rooted)
+		}
+	}
+}
+
 // TestCancelWideContext cancels //a//b while its 10^5-node context set is in
 // flight: the statements poll inside the executor and the node-set loops
 // between them poll too, so the query must return ErrCanceled promptly

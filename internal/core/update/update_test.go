@@ -282,6 +282,79 @@ func TestRenumberingCosts(t *testing.T) {
 	}
 }
 
+// TestRenumberingStatementsConstant: renumbering is one UPDATE whatever it
+// touches, under every encoding, so an insert before the first of 20 or of
+// 200 siblings issues the same number of statements, reads and writes alike.
+func TestRenumberingStatementsConstant(t *testing.T) {
+	statements := func(opts encoding.Options, siblings int) (stmts, renumbered int64) {
+		r := xmltree.NewElement("r")
+		for i := 0; i < siblings; i++ {
+			r.AddChild(xmltree.NewElement("c")).AddChild(xmltree.NewText(fmt.Sprintf("t%d", i)))
+		}
+		s := newStore(t, opts, r)
+		count := func() int64 {
+			c := s.db.Metrics().Counters
+			return c["sqldb.queries"] + c["sqldb.execs"]
+		}
+		before := count()
+		stats, err := s.mgr.InsertXML(s.doc, s.ids[r.Children[0]], Before, "<new/>")
+		if err != nil {
+			t.Fatalf("%s: %v", optName(opts), err)
+		}
+		return count() - before, stats.RowsRenumbered
+	}
+	for _, opts := range []encoding.Options{
+		{Kind: encoding.Global}, {Kind: encoding.Local}, {Kind: encoding.Dewey},
+		{Kind: encoding.Dewey, DeweyAsText: true},
+	} {
+		small, smallRows := statements(opts, 20)
+		large, largeRows := statements(opts, 200)
+		if smallRows == 0 || largeRows <= smallRows {
+			t.Fatalf("%s: renumbered %d then %d rows; the test needs both to renumber", optName(opts), smallRows, largeRows)
+		}
+		if small != large {
+			t.Errorf("%s: %d statements renumbering %d rows, %d renumbering %d", optName(opts), small, smallRows, large, largeRows)
+		}
+	}
+}
+
+// TestUpdateWritesOnlyChangedIndexEntries: a renumbered row rewrites only
+// the index entries whose keys hold its order key, one write each. Global
+// and Dewey keep the order key in three of their four indexes, (doc, id)
+// being the fourth; Local keeps it only in (doc, parent, ord), not in
+// (doc, id) or (doc, tag). The fragment's rows arrive through the bulk
+// loader, which the counter leaves out, and the document's size bump leaves
+// the docs key as it was: the shift's writes are all that is counted.
+func TestUpdateWritesOnlyChangedIndexEntries(t *testing.T) {
+	for _, c := range []struct {
+		opts   encoding.Options
+		perRow int64
+	}{
+		{encoding.Options{Kind: encoding.Global}, 3},
+		{encoding.Options{Kind: encoding.Local}, 1},
+		{encoding.Options{Kind: encoding.Dewey}, 3},
+	} {
+		r := xmltree.NewElement("r")
+		for i := 0; i < 50; i++ {
+			r.AddChild(xmltree.NewElement("c"))
+		}
+		s := newStore(t, c.opts, r)
+		before := s.db.Metrics()
+		stats, err := s.mgr.InsertXML(s.doc, s.ids[r.Children[0]], Before, "<new/>")
+		if err != nil {
+			t.Fatalf("%s: %v", optName(c.opts), err)
+		}
+		if stats.RowsRenumbered < 50 {
+			t.Fatalf("%s: renumbered %d rows; the test needs the shift", optName(c.opts), stats.RowsRenumbered)
+		}
+		got := s.db.Metrics().Delta(before, "storage.index_writes")
+		if want := c.perRow * stats.RowsRenumbered; got != want {
+			t.Errorf("%s: renumbering %d rows wrote %d index entries, want %d (%d per row)",
+				optName(c.opts), stats.RowsRenumbered, got, want, c.perRow)
+		}
+	}
+}
+
 // TestDeweyShiftPlansAsRangeScan: the sibling shift reads its rows with one
 // range scan of the (doc, path) order index, never a pass over the table.
 func TestDeweyShiftPlansAsRangeScan(t *testing.T) {
@@ -354,6 +427,48 @@ func TestDeweyShiftFunction(t *testing.T) {
 	for name, args := range bad {
 		if got, err := call(args...); err == nil {
 			t.Errorf("%s: DEWEY_SHIFT = %v, want an error", name, got)
+		}
+	}
+}
+
+// TestInsertWorkIndependentOfDocumentSize: an append that renumbers nothing
+// costs the same rows examined in a 50-item and a 400-item document. Its
+// reads — the target, the anchor, the largest order key and the largest id —
+// are each one index descent, never a pass over the document or the
+// sibling list.
+func TestInsertWorkIndependentOfDocumentSize(t *testing.T) {
+	examined := func(opts encoding.Options, items int, region bool) int64 {
+		tree := xmlgen.Catalog(xmlgen.CatalogConfig{Regions: 1, ItemsPerRegion: items, KeywordsPerItem: 2, DescriptionWords: 4, Seed: 1})
+		target := tree
+		if region {
+			target = tree.Children[0].Children[0]
+		}
+		s := newStore(t, opts, tree)
+		before := s.db.Metrics()
+		stats, err := s.mgr.InsertXML(s.doc, s.ids[target], LastChild, "<item><name>new</name></item>")
+		if err != nil {
+			t.Fatalf("%s: %v", optName(opts), err)
+		}
+		if stats.RowsRenumbered != 0 {
+			t.Fatalf("%s: the append renumbered %d rows", optName(opts), stats.RowsRenumbered)
+		}
+		return s.db.Metrics().Delta(before, "storage.index_probes", "storage.rows_scanned")
+	}
+	for _, opts := range allOptions() {
+		// Appending under the root renumbers nothing under any encoding;
+		// appending after the last of the region's items renumbers nothing
+		// where order keys are sibling-local (under Global it shifts the
+		// nodes that follow the region).
+		targets := []bool{false}
+		if opts.Kind != encoding.Global {
+			targets = append(targets, true)
+		}
+		for _, region := range targets {
+			small, large := examined(opts, 50, region), examined(opts, 400, region)
+			if large-small > 2 || small-large > 2 {
+				t.Errorf("%s (region target %v): append examined %d rows in a 50-item document, %d in a 400-item one",
+					optName(opts), region, small, large)
+			}
 		}
 	}
 }

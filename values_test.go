@@ -6,8 +6,79 @@ import (
 	"testing"
 	"time"
 
+	"ordxml/internal/core/xpath"
 	"ordxml/internal/xmltree"
 )
+
+// subtreeHeight is the number of edges on the longest downward path from n.
+func subtreeHeight(n *xmltree.Node) int {
+	h := 0
+	if len(n.Attrs) > 0 {
+		h = 1
+	}
+	for _, c := range n.Children {
+		h = max(h, 1+subtreeHeight(c))
+	}
+	return h
+}
+
+// TestPublishStatementsPerQuery guards set-at-a-time publishing on the E3
+// suite: beyond the query's own statements, QueryValues reads its element
+// matches' subtrees with at most one statement per tree level below them
+// (Global, Local) or exactly one (Dewey), and Serialize reads one match's
+// subtree the same way after the statement that finds its row — at a catalog
+// of 20 and of 800 items per region alike, whatever the number of matches.
+func TestPublishStatementsPerQuery(t *testing.T) {
+	for _, items := range []int{20, 800} {
+		oracle := catalogDoc(items)
+		xml := oracle.String()
+		for _, enc := range ledgerEncodings[:3] {
+			s, doc := loadedStore(t, ledgerOptions(enc), "mem", xml)
+			statements := func() int64 { return s.Metrics().Counters["sqldb.queries"] }
+			var suite int64
+			for _, q := range ledgerCases(oracle, items)[:9] {
+				nodes, err := xpath.EvalString(oracle, q.xpath)
+				if err != nil || len(nodes) == 0 {
+					t.Fatalf("oracle %s: %d nodes, %v", q.name, len(nodes), err)
+				}
+				height := 0
+				for _, n := range nodes {
+					height = max(height, subtreeHeight(n))
+				}
+				levels := int64(height + 1)
+				if enc == "dewey" {
+					levels = 1
+				}
+				before := statements()
+				hits, err := s.Query(doc, q.xpath)
+				if err != nil {
+					t.Fatal(err)
+				}
+				own := statements() - before
+				before = statements()
+				if _, err := s.QueryValues(doc, q.xpath); err != nil {
+					t.Fatal(err)
+				}
+				values := statements() - before
+				suite += values
+				if values > own+levels {
+					t.Errorf("%s items=%d %s: QueryValues ran %d statements, the query %d, want at most %d more",
+						enc, items, q.name, values, own, levels)
+				}
+				before = statements()
+				if _, err := s.Serialize(doc, hits[0].ID); err != nil {
+					t.Fatal(err)
+				}
+				if n := statements() - before; n > 1+levels {
+					t.Errorf("%s items=%d %s: Serialize ran %d statements, want at most %d", enc, items, q.name, n, 1+levels)
+				}
+			}
+			if suite > 80 {
+				t.Errorf("%s items=%d: the suite's QueryValues ran %d statements, want at most 80", enc, items, suite)
+			}
+		}
+	}
+}
 
 // TestCancelWideQueryValues cancels QueryValues over 10^5 element matches at
 // several points of its run: the query's statements, the subtree reads and
