@@ -19,18 +19,39 @@ var deweyRangeCases = []struct {
 	{"text", Options{Encoding: Dewey, DeweyAsText: true, Gap: 60_000_000}},
 }
 
-// rawRows dumps a Dewey store's node table, order keys included.
+// rawRows dumps a store's node table, order keys included.
 func rawRows(t *testing.T, s *Store) string {
 	t.Helper()
-	table := "xd_nodes"
-	if s.opts.DeweyAsText {
-		table = "xs_nodes"
-	}
-	rows, err := s.SQL("SELECT doc, id, parent, tag, path FROM " + table + " ORDER BY doc, id")
+	rows, err := s.SQL("SELECT doc, id, parent, kind, tag, value, " + s.opts.OrderColumn() +
+		" FROM " + s.opts.NodesTable() + " ORDER BY doc, id")
 	if err != nil {
 		t.Fatal(err)
 	}
 	return fmt.Sprint(rows.Values)
+}
+
+// TestLoadAndAppendBuildSameRows: loading <r>A B</r> and loading <r>A</r>
+// then appending B as the root's last child store the same node rows — ids,
+// parents, kinds, tags, values and order keys — on every encoding and gap.
+func TestLoadAndAppendBuildSameRows(t *testing.T) {
+	const a = `<a n="1">one<c/></a>`
+	const b = `<b k="v" m="w">two<c><d x="y">three</d><e/></c>tail</b>`
+	for _, enc := range ledgerEncodings {
+		for _, gap := range []uint32{1, 10} {
+			t.Run(fmt.Sprintf("%s/gap=%d", enc, gap), func(t *testing.T) {
+				opts := ledgerOptions(enc)
+				opts.Gap = gap
+				loaded, _ := loadedStore(t, opts, "mem", "<r>"+a+b+"</r>")
+				appended, doc := loadedStore(t, opts, "mem", "<r>"+a+"</r>")
+				if _, err := appended.Insert(doc, 1, LastChild, b); err != nil {
+					t.Fatal(err)
+				}
+				if got, want := rawRows(t, appended), rawRows(t, loaded); got != want {
+					t.Fatalf("append built\n%s\nload built\n%s", got, want)
+				}
+			})
+		}
+	}
 }
 
 // mustRangeErr fails the test unless err is the codec's range error.

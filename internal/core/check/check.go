@@ -192,13 +192,7 @@ func (c *Checker) checkLocal(rows map[int64]row, report func(string, ...any)) {
 func (c *Checker) checkDewey(rows map[int64]row, report func(string, ...any)) {
 	paths := make(map[int64]dewey.Path, len(rows))
 	for _, n := range rows {
-		var p dewey.Path
-		var err error
-		if c.opts.DeweyAsText {
-			p, err = dewey.ParsePadded(n.order.Text())
-		} else {
-			p, err = dewey.FromBytes(n.order.Blob())
-		}
+		p, err := c.opts.DeweyPath(n.order)
 		if err != nil {
 			report("node %d has undecodable path: %v", n.id, err)
 			continue

@@ -24,7 +24,9 @@ package encoding
 import (
 	"fmt"
 
+	"ordxml/internal/core/dewey"
 	"ordxml/internal/sqldb"
+	"ordxml/internal/sqldb/sqltypes"
 	"ordxml/internal/sqlgen"
 )
 
@@ -97,6 +99,47 @@ func (o Options) Validate() error {
 		return fmt.Errorf("DeweyAsText requires the Dewey encoding")
 	}
 	return nil
+}
+
+// DeweyComponent returns c as a Dewey path component, or an error wrapping
+// dewey.ErrRange when the stored-key codec cannot hold it.
+func (o Options) DeweyComponent(c uint64) (uint32, error) {
+	return dewey.Component(c, o.DeweyAsText)
+}
+
+// DeweyKey encodes p as a stored Dewey order key: a binary BLOB, or a padded
+// TEXT under DeweyAsText. The binary key is appended to buf and aliases it;
+// DeweyKey returns the extended buf, so a caller building many keys shares
+// one backing array (nil allocates per key).
+func (o Options) DeweyKey(buf []byte, p dewey.Path) (sqltypes.Value, []byte) {
+	if o.DeweyAsText {
+		return sqldb.S(p.PaddedString()), buf
+	}
+	off := len(buf)
+	buf = p.AppendBytes(buf)
+	return sqldb.B(buf[off:]), buf
+}
+
+// DeweyPath decodes a stored Dewey order key.
+func (o Options) DeweyPath(key sqltypes.Value) (dewey.Path, error) {
+	if o.DeweyAsText {
+		return dewey.ParsePadded(key.Text())
+	}
+	return dewey.FromBytes(key.Blob())
+}
+
+// DeweyUpper returns the exclusive upper bound of the stored keys of p's
+// subtree: a key k is p or one of its descendants exactly when
+// DeweyKey(p) <= k < DeweyUpper(p).
+func (o Options) DeweyUpper(p dewey.Path) (sqltypes.Value, error) {
+	if o.DeweyAsText {
+		return sqldb.S(p.PaddedPrefixSuccessor()), nil
+	}
+	succ := p.PrefixSuccessor()
+	if succ == nil {
+		return sqltypes.Value{}, fmt.Errorf("dewey path %s has no successor", p)
+	}
+	return sqldb.B(succ), nil
 }
 
 // NodesTable returns the node-table name for this encoding instance.

@@ -1,10 +1,13 @@
 package encoding
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
+	"ordxml/internal/core/dewey"
 	"ordxml/internal/sqldb"
+	"ordxml/internal/sqldb/sqltypes"
 )
 
 func TestKindRoundTrip(t *testing.T) {
@@ -117,5 +120,34 @@ func TestInstall(t *testing.T) {
 	}
 	if Installed(db, Options{Kind: Local}) {
 		t.Error("local reported installed")
+	}
+}
+
+// TestDeweyKeyCodec: under both stored-key codecs a key decodes back to its
+// path, a shared buffer leaves earlier keys intact, and the subtree bound
+// holds the path and its descendants but not its next sibling.
+func TestDeweyKeyCodec(t *testing.T) {
+	for _, o := range []Options{{Kind: Dewey}, {Kind: Dewey, DeweyAsText: true}} {
+		p := dewey.Path{1, 200, 70_000}
+		var buf []byte
+		key, buf := o.DeweyKey(buf, p)
+		child, _ := o.DeweyKey(buf, p.Child(3))
+		next, _ := o.DeweyKey(nil, p.WithLast(70_001))
+		if back, err := o.DeweyPath(key); err != nil || dewey.Compare(back, p) != 0 {
+			t.Errorf("text=%v: %s decodes to %s, %v", o.DeweyAsText, p, back, err)
+		}
+		if back, err := o.DeweyPath(child); err != nil || dewey.Compare(back, p.Child(3)) != 0 {
+			t.Errorf("text=%v: the second key in one buffer decodes to %s, %v", o.DeweyAsText, back, err)
+		}
+		high, err := o.DeweyUpper(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sqltypes.Compare(key, child) >= 0 || sqltypes.Compare(child, high) >= 0 || sqltypes.Compare(high, next) > 0 {
+			t.Errorf("text=%v: want %v < %v < %v <= %v", o.DeweyAsText, key, child, high, next)
+		}
+		if _, err := o.DeweyComponent(0); !errors.Is(err, dewey.ErrRange) {
+			t.Errorf("text=%v: component 0: %v", o.DeweyAsText, err)
+		}
 	}
 }

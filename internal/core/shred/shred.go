@@ -58,20 +58,16 @@ func (s *Shredder) LoadTree(name string, root *xmltree.Node) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	size := root.Size()
-	w := &walker{
-		s: s, doc: docID,
-		rows: make([]sqltypes.Row, 0, size),
-		vals: make([]sqltypes.Value, 0, size*nodeCols),
-	}
-	if err := w.walk(root, 0, 1); err != nil {
+	gap := int64(s.opts.EffectiveGap())
+	rows, err := Rows(s.opts, docID, root, Start{ID: 1, Key: gap, Step: gap})
+	if err != nil {
 		return 0, err
 	}
-	if _, err := s.db.BulkInsert(s.opts.NodesTable(), w.rows); err != nil {
+	if _, err := s.db.BulkInsert(s.opts.NodesTable(), rows); err != nil {
 		return 0, err
 	}
 	if _, err := s.db.Exec(`INSERT INTO docs (doc, name, root, nodes) VALUES (?, ?, ?, ?)`,
-		sqldb.I(docID), sqldb.S(name), sqldb.I(1), sqldb.I(w.nextID-1)); err != nil {
+		sqldb.I(docID), sqldb.S(name), sqldb.I(1), sqldb.I(int64(len(rows)))); err != nil {
 		return 0, err
 	}
 	return docID, nil
@@ -112,66 +108,104 @@ func (s *Shredder) nextDocID() (int64, error) {
 // and one order-key column.
 const nodeCols = 7
 
+// Start places a subtree's rows: its root's id (the other nodes take the
+// next ids in document order), its root's parent (0 for a document root)
+// and its root's order key. A document starts at id 1 with every key one
+// gap.
+type Start struct {
+	ID, Parent int64
+	// Key is the root's order key: its Global position, its Local sibling
+	// ordinal, or the last component of its Dewey path.
+	Key int64
+	// Step is the distance between consecutive Global positions in the
+	// subtree.
+	Step int64
+	// Prefix is the Dewey path of the root's parent (nil for a document
+	// root).
+	Prefix dewey.Path
+}
+
+// Rows builds the node rows of the subtree at root for document doc, in
+// document order. Attributes take a node's first sibling ordinals and its
+// element and text children continue the numbering; below the root, the
+// sibling ordinal times the gap is a node's Local key and the last component
+// of its Dewey path. A Dewey component the key codec cannot hold fails the
+// build before anything is written. Rows is the only code that turns XML
+// into node rows: Load and Insert differ only in their Start.
+func Rows(opts encoding.Options, doc int64, root *xmltree.Node, at Start) ([]sqltypes.Row, error) {
+	size := root.Size()
+	w := &walker{
+		opts: opts, doc: doc, gap: int64(opts.EffectiveGap()),
+		nextID: at.ID, gpos: at.Key, step: at.Step,
+		stack: append(dewey.Path(nil), at.Prefix...),
+		rows:  make([]sqltypes.Row, 0, size),
+		vals:  make([]sqltypes.Value, 0, size*nodeCols),
+	}
+	if err := w.walk(root, at.Parent, at.Key); err != nil {
+		return nil, err
+	}
+	return w.rows, nil
+}
+
 // walker assigns ids and order keys during the pre-order traversal,
-// accumulating one row per node for the bulk insert. Root id is always 1.
-// Row values are carved out of one shared backing slice (vals), sized for the
-// whole document up front.
+// accumulating one row per node. Row values are carved out of one shared
+// backing slice (vals), sized for the whole subtree up front.
 type walker struct {
-	s      *Shredder
+	opts   encoding.Options
 	doc    int64
+	gap    int64
 	nextID int64
-	gpos   int64 // running global position (document order)
+	gpos   int64 // the next node's Global position
+	step   int64
 	rows   []sqltypes.Row
 	vals   []sqltypes.Value
 	// stack is the Dewey path of the node currently being visited, shared
 	// across the walk (push before insert, pop after the subtree) so path
-	// construction costs no allocation per node. pathBuf is the shared
+	// construction costs no allocation per node. keyBuf is the shared
 	// backing for the encoded order-key blobs.
-	stack   dewey.Path
-	pathBuf []byte
+	stack  dewey.Path
+	keyBuf []byte
 }
 
-func (w *walker) walk(n *xmltree.Node, parentID int64, ordinal uint32) error {
-	if w.nextID == 0 {
-		w.nextID = 1
-	}
+// walk buffers n's row and its subtree's; key is n's Local ordinal or last
+// Dewey component (Global keys come from gpos).
+func (w *walker) walk(n *xmltree.Node, parentID, key int64) error {
 	id := w.nextID
 	w.nextID++
-	gap := int64(w.s.opts.EffectiveGap())
-	w.gpos += gap
-
-	var path dewey.Path
-	isDewey := w.s.opts.Kind == encoding.Dewey
-	if isDewey {
-		comp, err := dewey.Component(uint64(ordinal)*uint64(gap), w.s.opts.DeweyAsText)
+	var orderKey sqltypes.Value
+	switch w.opts.Kind {
+	case encoding.Global:
+		orderKey = sqldb.I(w.gpos)
+		w.gpos += w.step
+	case encoding.Local:
+		orderKey = sqldb.I(key)
+	case encoding.Dewey:
+		comp, err := w.opts.DeweyComponent(uint64(key))
 		if err != nil {
 			return err
 		}
 		w.stack = append(w.stack, comp)
-		path = w.stack
+		orderKey, w.keyBuf = w.opts.DeweyKey(w.keyBuf, w.stack)
+	default:
+		panic(fmt.Sprintf("shred: unknown encoding kind %d", int(w.opts.Kind)))
 	}
-	if err := w.insert(n, id, parentID, ordinal, path); err != nil {
-		return err
-	}
-	// Attributes take the first sibling ordinals, then element/text children
-	// continue the numbering — one consistent sibling order for every
-	// encoding.
-	ord := uint32(1)
+	w.insert(n, id, parentID, orderKey)
+	ord := int64(1)
 	for _, a := range n.Attrs {
-		if err := w.walk(a, id, ord); err != nil {
+		if err := w.walk(a, id, ord*w.gap); err != nil {
 			return err
 		}
 		ord++
 	}
 	for _, c := range n.Children {
-		if err := w.walk(c, id, ord); err != nil {
+		if err := w.walk(c, id, ord*w.gap); err != nil {
 			return err
 		}
 		ord++
 	}
 	// Pop this node's path component. Error returns above skip the pop; an
-	// error aborts the whole load, so the stack's state no longer matters.
-	if isDewey {
+	// error aborts the whole build, so the stack's state no longer matters.
+	if w.opts.Kind == encoding.Dewey {
 		w.stack = w.stack[:len(w.stack)-1]
 	}
 	return nil
@@ -179,7 +213,7 @@ func (w *walker) walk(n *xmltree.Node, parentID int64, ordinal uint32) error {
 
 // insert buffers one node row in the node table's column order
 // (doc, id, parent, kind, tag, value, <order key>).
-func (w *walker) insert(n *xmltree.Node, id, parentID int64, ordinal uint32, path dewey.Path) error {
+func (w *walker) insert(n *xmltree.Node, id, parentID int64, orderKey sqltypes.Value) {
 	parent := sqldb.Null()
 	if parentID != 0 {
 		parent = sqldb.I(parentID)
@@ -192,30 +226,12 @@ func (w *walker) insert(n *xmltree.Node, id, parentID int64, ordinal uint32, pat
 	if n.Kind != xmltree.Element {
 		value = sqldb.S(n.Value)
 	}
-	var orderKey sqltypes.Value
-	switch w.s.opts.Kind {
-	case encoding.Global:
-		orderKey = sqldb.I(w.gpos)
-	case encoding.Local:
-		orderKey = sqldb.I(int64(ordinal) * int64(w.s.opts.EffectiveGap()))
-	case encoding.Dewey:
-		if w.s.opts.DeweyAsText {
-			orderKey = sqldb.S(path.PaddedString())
-		} else {
-			off := len(w.pathBuf)
-			w.pathBuf = path.AppendBytes(w.pathBuf)
-			orderKey = sqldb.B(w.pathBuf[off:])
-		}
-	default:
-		panic(fmt.Sprintf("shred: unknown encoding kind %d", int(w.s.opts.Kind)))
-	}
 	start := len(w.vals)
 	w.vals = append(w.vals,
 		sqldb.I(w.doc), sqldb.I(id), parent,
 		sqldb.S(n.Kind.String()), tag, value, orderKey,
 	)
 	w.rows = append(w.rows, sqltypes.Row(w.vals[start:len(w.vals):len(w.vals)]))
-	return nil
 }
 
 // DocInfo describes one stored document.

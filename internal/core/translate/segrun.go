@@ -8,7 +8,6 @@ import (
 	"sort"
 	"strings"
 
-	"ordxml/internal/core/dewey"
 	"ordxml/internal/core/encoding"
 	"ordxml/internal/core/xpath"
 	"ordxml/internal/obs"
@@ -266,22 +265,11 @@ func (r *run) globalBounds(doc int64, elems []NodeRef) ([]sqltypes.Value, error)
 // DeweySuccessor computes the exclusive upper bound of a Dewey node's
 // descendant range from its stored order key.
 func DeweySuccessor(opts encoding.Options, order sqltypes.Value) (sqltypes.Value, error) {
-	if opts.DeweyAsText {
-		p, err := dewey.ParsePadded(order.Text())
-		if err != nil {
-			return sqltypes.Value{}, err
-		}
-		return sqldb.S(p.PaddedPrefixSuccessor()), nil
-	}
-	p, err := dewey.FromBytes(order.Blob())
+	p, err := opts.DeweyPath(order)
 	if err != nil {
 		return sqltypes.Value{}, err
 	}
-	succ := p.PrefixSuccessor()
-	if succ == nil {
-		return sqltypes.Value{}, fmt.Errorf("dewey path has no successor")
-	}
-	return sqldb.B(succ), nil
+	return opts.DeweyUpper(p)
 }
 
 // DecodeNode reads one node from the six columns of a node row selected as

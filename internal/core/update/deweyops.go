@@ -5,129 +5,53 @@ import (
 	"math"
 
 	"ordxml/internal/core/dewey"
+	"ordxml/internal/core/shred"
 	"ordxml/internal/sqldb"
 	"ordxml/internal/sqldb/expr"
 	"ordxml/internal/sqldb/sqltypes"
 	"ordxml/internal/sqlgen"
-	"ordxml/internal/xmltree"
 )
 
-// pathOf decodes a node's stored Dewey key.
-func (m *Manager) pathOf(order sqltypes.Value) (dewey.Path, error) {
-	if m.opts.DeweyAsText {
-		return dewey.ParsePadded(order.Text())
-	}
-	return dewey.FromBytes(order.Blob())
-}
-
-// keyOf encodes a path for storage.
-func (m *Manager) keyOf(p dewey.Path) sqltypes.Value {
-	if m.opts.DeweyAsText {
-		return sqldb.S(p.PaddedString())
-	}
-	return sqldb.B(p.Bytes())
-}
-
-// insertDewey assigns the fragment root a fresh sibling ordinal under its
+// planDewey gives the fragment root a fresh sibling ordinal under its
 // parent's path. When the local ordinal gap is exhausted, following siblings
 // are renumbered — and, unlike the local encoding, each renumbered sibling
 // drags its whole subtree along, because the sibling ordinal is a prefix
 // component of every descendant path.
-func (m *Manager) insertDewey(doc int64, t node, mode Mode, frag *xmltree.Node) (Stats, error) {
-	tPath, err := m.pathOf(t.order)
+func (m *Manager) planDewey(doc int64, t node, mode Mode) (plan, error) {
+	tPath, err := m.opts.DeweyPath(t.order)
 	if err != nil {
-		return Stats{}, err
+		return plan{}, err
 	}
-	var parentID int64
-	var parentPath dewey.Path
-	switch mode {
-	case FirstChild, LastChild:
-		parentID = t.id
-		parentPath = tPath
-	default:
-		parentID = t.parent
-		parentPath = tPath.Parent()
+	p := plan{at: shred.Start{Parent: insertionParent(t, mode), Prefix: tPath}}
+	if mode == Before || mode == After {
+		p.at.Prefix = tPath.Parent()
 	}
 	anchor, err := m.localAnchor(doc, t, mode)
 	if err != nil {
-		return Stats{}, err
+		return plan{}, err
 	}
 	gap := m.opts.EffectiveGap()
-	stats := Stats{RowsInserted: int64(frag.Size())}
-	// The fragment's own sibling components are checked before anything is
-	// written; rows[0] is its root, whose component is chosen below.
-	rows := flattenFragment(frag)
-	comps := make([]uint32, len(rows))
-	for i := 1; i < len(rows); i++ {
-		if comps[i], err = dewey.Component(uint64(rows[i].ordinal)*uint64(gap), m.opts.DeweyAsText); err != nil {
-			return stats, err
-		}
-	}
-
-	var rootComp uint32
 	if anchor == nil {
-		last, err := m.lastChildComponent(doc, parentID)
-		if err != nil {
-			return stats, err
-		}
-		if rootComp, err = dewey.Component(uint64(last)+uint64(gap), m.opts.DeweyAsText); err != nil {
-			return stats, err
-		}
-	} else {
-		aPath, err := m.pathOf(anchor.order)
-		if err != nil {
-			return stats, err
-		}
-		aComp := aPath.Last()
-		prevComp, err := m.prevSiblingComponent(doc, parentID, anchor.order)
-		if err != nil {
-			return stats, err
-		}
-		if aComp-prevComp > 1 {
-			rootComp = prevComp + (aComp-prevComp)/2
-		} else {
-			renumbered, err := m.shiftDeweySiblings(doc, aPath, gap)
-			if err != nil {
-				return stats, err
-			}
-			stats.RowsRenumbered = renumbered
-			rootComp = aComp
-		}
+		last, err := m.lastChildComponent(doc, p.at.Parent)
+		p.at.Key = int64(last) + int64(gap)
+		return p, err
 	}
-
-	var rootPath dewey.Path
-	if parentPath == nil {
-		// Inserting a sibling of the root is rejected earlier; parentPath is
-		// nil only for first/last child of the root, where tPath is depth 1.
-		return stats, fmt.Errorf("internal: no parent path")
-	}
-	rootPath = parentPath.Child(rootComp)
-
-	base, err := m.nextID(doc)
+	aPath, err := m.opts.DeweyPath(anchor.order)
 	if err != nil {
-		return stats, err
+		return plan{}, err
 	}
-	paths := map[int64]dewey.Path{}
-	batch := make([]sqltypes.Row, 0, len(rows))
-	for i := range rows {
-		rows[i].id += base - 1
-		pid := rows[i].parent
-		var p dewey.Path
-		if pid == 0 {
-			pid = parentID
-			p = rootPath
-		} else {
-			pid += base - 1
-			p = paths[pid].Child(comps[i])
-		}
-		paths[rows[i].id] = p
-		batch = append(batch, m.buildRow(doc, rows[i], pid, m.keyOf(p)))
+	aComp := aPath.Last()
+	prevComp, err := m.prevSiblingComponent(doc, p.at.Parent, anchor.order)
+	if err != nil {
+		return plan{}, err
 	}
-	if err := m.insertRows(batch); err != nil {
-		return stats, err
+	if aComp-prevComp > 1 {
+		p.at.Key = int64(prevComp + (aComp-prevComp)/2)
+		return p, nil
 	}
-	stats.NewID = base
-	return stats, nil
+	p.at.Key = int64(aComp)
+	p.shift = func() (int64, error) { return m.shiftDeweySiblings(doc, aPath, gap) }
+	return p, nil
 }
 
 // lastChildComponent returns the sibling ordinal of parent's last child, or
@@ -140,7 +64,7 @@ func (m *Manager) lastChildComponent(doc, parent int64) (uint32, error) {
 	if err != nil || len(res.Rows) == 0 {
 		return 0, err
 	}
-	p, err := m.pathOf(res.Rows[0][0])
+	p, err := m.opts.DeweyPath(res.Rows[0][0])
 	if err != nil {
 		return 0, err
 	}
@@ -157,7 +81,7 @@ func (m *Manager) prevSiblingComponent(doc, parent int64, anchorKey sqltypes.Val
 	if err != nil || len(res.Rows) == 0 {
 		return 0, err
 	}
-	p, err := m.pathOf(res.Rows[0][0])
+	p, err := m.opts.DeweyPath(res.Rows[0][0])
 	if err != nil {
 		return 0, err
 	}
@@ -173,21 +97,13 @@ func (m *Manager) prevSiblingComponent(doc, parent int64, anchorKey sqltypes.Val
 // DEWEY_SHIFT does the codec arithmetic.
 func (m *Manager) shiftDeweySiblings(doc int64, from dewey.Path, delta uint32) (int64, error) {
 	parentPath := from.Parent()
-	if parentPath == nil {
-		return 0, fmt.Errorf("internal: anchor %s has no parent path", from)
+	high, err := m.opts.DeweyUpper(parentPath)
+	if err != nil {
+		return 0, err
 	}
-	var highKey sqltypes.Value
-	if m.opts.DeweyAsText {
-		highKey = sqldb.S(parentPath.PaddedPrefixSuccessor())
-	} else {
-		high := parentPath.PrefixSuccessor()
-		if high == nil {
-			return 0, fmt.Errorf("parent path has no successor")
-		}
-		highKey = sqldb.B(high)
-	}
+	low, _ := m.opts.DeweyKey(nil, from)
 	n, err := m.db.Exec(m.deweyShiftSQL(),
-		sqldb.I(int64(len(parentPath))), sqldb.I(int64(delta)), sqldb.I(doc), m.keyOf(from), highKey)
+		sqldb.I(int64(len(parentPath))), sqldb.I(int64(delta)), sqldb.I(doc), low, high)
 	return int64(n), err
 }
 
@@ -233,27 +149,20 @@ func deweyShift(a []sqltypes.Value) (sqltypes.Value, error) {
 	return sqltypes.Value{}, fmt.Errorf("DEWEY_SHIFT of %s", a[0].Type())
 }
 
-// deleteDewey removes the subtree with one path-range delete.
+// deleteDewey removes the subtree with one path-range delete, from t's own
+// key to its subtree's upper bound.
 func (m *Manager) deleteDewey(doc int64, t node) (Stats, error) {
-	p, err := m.pathOf(t.order)
+	p, err := m.opts.DeweyPath(t.order)
 	if err != nil {
 		return Stats{}, err
 	}
-	var low, high sqltypes.Value
-	if m.opts.DeweyAsText {
-		low = sqldb.S(p.PaddedString())
-		high = sqldb.S(p.PaddedPrefixSuccessor())
-	} else {
-		low = sqldb.B(p.Bytes())
-		succ := p.PrefixSuccessor()
-		if succ == nil {
-			return Stats{}, fmt.Errorf("path has no successor")
-		}
-		high = sqldb.B(succ)
+	high, err := m.opts.DeweyUpper(p)
+	if err != nil {
+		return Stats{}, err
 	}
 	n, err := m.db.Exec(sqlgen.SQL(
 		`DELETE FROM %s WHERE doc = ? AND %s >= ? AND %s < ?`, m.tbl, m.ord, m.ord),
-		sqldb.I(doc), low, high)
+		sqldb.I(doc), t.order, high)
 	if err != nil {
 		return Stats{}, err
 	}

@@ -1,95 +1,43 @@
 package update
 
 import (
+	"ordxml/internal/core/shred"
 	"ordxml/internal/sqldb"
-	"ordxml/internal/sqldb/sqltypes"
 	"ordxml/internal/sqlgen"
-	"ordxml/internal/xmltree"
 )
 
-// insertGlobal places the fragment in the global order. The insertion point
-// is expressed as the "anchor": the existing node that will immediately
-// follow the new subtree in document order (nil when appending at the end).
-// If the gap before the anchor cannot hold the subtree, every node from the
-// anchor onward is shifted — the global encoding's worst case.
-func (m *Manager) insertGlobal(doc int64, t node, mode Mode, frag *xmltree.Node) (Stats, error) {
+// planGlobal places a fragment of k nodes in the global order. The
+// insertion point is expressed as the "anchor": the existing node that will
+// immediately follow the new subtree in document order (nil when appending
+// at the end). If the gap before the anchor cannot hold the subtree, every
+// node from the anchor onward is shifted — the global encoding's worst case.
+func (m *Manager) planGlobal(doc int64, t node, mode Mode, k int64) (plan, error) {
 	anchor, err := m.globalAnchor(doc, t, mode)
 	if err != nil {
-		return Stats{}, err
+		return plan{}, err
 	}
-	rows := flattenFragment(frag)
-	k := int64(len(rows))
 	gap := int64(m.opts.EffectiveGap())
-	stats := Stats{RowsInserted: k}
-
-	positions := make([]int64, k)
-	switch {
-	case anchor == nil:
+	p := plan{at: shred.Start{Parent: insertionParent(t, mode), Step: gap}}
+	if anchor == nil {
 		maxG, err := m.maxOrder(doc)
-		if err != nil {
-			return stats, err
-		}
-		for i := range positions {
-			positions[i] = maxG + gap*int64(i+1)
-		}
-	default:
-		aPos := anchor.order.Int()
-		prev, err := m.maxOrderBelow(doc, aPos)
-		if err != nil {
-			return stats, err
-		}
-		if avail := aPos - prev - 1; avail >= k {
-			// The subtree fits in the existing gap: spread it evenly, no
-			// renumbering.
-			step := (aPos - prev) / (k + 1)
-			if step < 1 {
-				step = 1
-			}
-			for i := range positions {
-				positions[i] = prev + step*int64(i+1)
-			}
-		} else {
-			delta := k * gap
-			renumbered, err := m.shiftGlobal(doc, aPos, delta)
-			if err != nil {
-				return stats, err
-			}
-			stats.RowsRenumbered = renumbered
-			for i := range positions {
-				positions[i] = aPos + gap*int64(i)
-			}
-		}
+		p.at.Key = maxG + gap
+		return p, err
 	}
-
-	base, err := m.nextID(doc)
+	aPos := anchor.order.Int()
+	prev, err := m.maxOrderBelow(doc, aPos)
 	if err != nil {
-		return stats, err
+		return plan{}, err
 	}
-	rootParent := insertionParent(t, mode)
-	batch := make([]sqltypes.Row, 0, len(rows))
-	for i := range rows {
-		rows[i].id += base - 1
-		parentID := rows[i].parent
-		if parentID == 0 {
-			parentID = rootParent
-		} else {
-			parentID += base - 1
-		}
-		batch = append(batch, m.buildRow(doc, rows[i], parentID, sqldb.I(positions[i])))
+	if aPos-prev-1 >= k {
+		// The subtree fits in the existing gap: spread it evenly, no
+		// renumbering.
+		p.at.Step = (aPos - prev) / (k + 1)
+		p.at.Key = prev + p.at.Step
+		return p, nil
 	}
-	if err := m.insertRows(batch); err != nil {
-		return stats, err
-	}
-	stats.NewID = base
-	return stats, nil
-}
-
-// insertionParent resolves which node becomes the fragment root's parent.
-func insertionParent(t node, mode Mode) int64 {
-	if mode == FirstChild || mode == LastChild {
-		return t.id
-	}
-	return t.parent
+	p.at.Key = aPos
+	p.shift = func() (int64, error) { return m.shiftGlobal(doc, aPos, k*gap) }
+	return p, nil
 }
 
 // globalAnchor finds the node that will follow the inserted subtree.

@@ -1,73 +1,40 @@
 package update
 
 import (
+	"ordxml/internal/core/shred"
 	"ordxml/internal/sqldb"
-	"ordxml/internal/sqldb/sqltypes"
 	"ordxml/internal/sqlgen"
-	"ordxml/internal/xmltree"
 )
 
-// insertLocal places the fragment under its parent with a fresh sibling
+// planLocal places the fragment under its parent with a fresh sibling
 // ordinal. Only following siblings can need renumbering; the fragment's
 // interior gets fresh per-parent numbering, so subtree size never matters —
 // the local encoding's defining strength.
-func (m *Manager) insertLocal(doc int64, t node, mode Mode, frag *xmltree.Node) (Stats, error) {
+func (m *Manager) planLocal(doc int64, t node, mode Mode) (plan, error) {
 	parentID := insertionParent(t, mode)
 	anchor, err := m.localAnchor(doc, t, mode)
 	if err != nil {
-		return Stats{}, err
+		return plan{}, err
 	}
 	gap := int64(m.opts.EffectiveGap())
-	stats := Stats{RowsInserted: int64(frag.Size())}
-
-	var rootOrd int64
+	p := plan{at: shred.Start{Parent: parentID}}
 	if anchor == nil {
 		maxL, err := m.maxChildOrder(doc, parentID)
-		if err != nil {
-			return stats, err
-		}
-		rootOrd = maxL + gap
-	} else {
-		aPos := anchor.order.Int()
-		prev, err := m.maxChildOrderBelow(doc, parentID, aPos)
-		if err != nil {
-			return stats, err
-		}
-		if aPos-prev > 1 {
-			rootOrd = prev + (aPos-prev)/2
-		} else {
-			renumbered, err := m.shiftSiblings(doc, parentID, aPos, gap)
-			if err != nil {
-				return stats, err
-			}
-			stats.RowsRenumbered = renumbered
-			rootOrd = aPos
-		}
+		p.at.Key = maxL + gap
+		return p, err
 	}
-
-	base, err := m.nextID(doc)
+	aPos := anchor.order.Int()
+	prev, err := m.maxChildOrderBelow(doc, parentID, aPos)
 	if err != nil {
-		return stats, err
+		return plan{}, err
 	}
-	rows := flattenFragment(frag)
-	batch := make([]sqltypes.Row, 0, len(rows))
-	for i := range rows {
-		rows[i].id += base - 1
-		pid := rows[i].parent
-		ord := int64(rows[i].ordinal) * gap
-		if pid == 0 {
-			pid = parentID
-			ord = rootOrd
-		} else {
-			pid += base - 1
-		}
-		batch = append(batch, m.buildRow(doc, rows[i], pid, sqldb.I(ord)))
+	if aPos-prev > 1 {
+		p.at.Key = prev + (aPos-prev)/2
+		return p, nil
 	}
-	if err := m.insertRows(batch); err != nil {
-		return stats, err
-	}
-	stats.NewID = base
-	return stats, nil
+	p.at.Key = aPos
+	p.shift = func() (int64, error) { return m.shiftSiblings(doc, parentID, aPos, gap) }
+	return p, nil
 }
 
 // localAnchor finds the sibling the new node goes in front of (nil: append).

@@ -18,6 +18,7 @@ import (
 	"fmt"
 
 	"ordxml/internal/core/encoding"
+	"ordxml/internal/core/shred"
 	"ordxml/internal/sqldb"
 	"ordxml/internal/sqldb/sqltypes"
 	"ordxml/internal/sqlgen"
@@ -165,28 +166,65 @@ func (m *Manager) InsertTree(doc, target int64, mode Mode, frag *xmltree.Node) (
 
 	// One view publication for the whole renumber+insert sequence: readers
 	// see the document before or after the insert, never mid-operation.
-	// Safe because every insert path issues its reads (anchors, max order,
-	// max id) before the writes whose effects those reads would observe.
+	// Safe because every key plan issues its reads (anchors, max order) and
+	// nextID its own before the writes whose effects those reads would
+	// observe.
 	var stats Stats
 	err = m.db.Atomically(func() error {
+		var p plan
 		var err error
 		switch m.opts.Kind {
 		case encoding.Global:
-			stats, err = m.insertGlobal(doc, t, mode, frag)
+			p, err = m.planGlobal(doc, t, mode, int64(frag.Size()))
 		case encoding.Local:
-			stats, err = m.insertLocal(doc, t, mode, frag)
+			p, err = m.planLocal(doc, t, mode)
 		case encoding.Dewey:
-			stats, err = m.insertDewey(doc, t, mode, frag)
+			p, err = m.planDewey(doc, t, mode)
 		default:
 			return fmt.Errorf("update: unknown encoding kind %d", int(m.opts.Kind))
 		}
 		if err != nil {
 			return err
 		}
+		if p.at.ID, err = m.nextID(doc); err != nil {
+			return err
+		}
+		rows, err := shred.Rows(m.opts, doc, frag, p.at)
+		if err != nil {
+			return err
+		}
+		stats = Stats{RowsInserted: int64(len(rows)), NewID: p.at.ID}
+		if p.shift != nil {
+			if stats.RowsRenumbered, err = p.shift(); err != nil {
+				return err
+			}
+		}
+		// One bulk statement, so the whole subtree appears in a single
+		// published snapshot.
+		if _, err := m.db.BulkInsert(m.tbl, rows); err != nil {
+			return err
+		}
 		_, err = m.db.Exec(bumpDocSize, sqldb.I(stats.RowsInserted), sqldb.I(doc))
 		return err
 	})
 	return stats, err
+}
+
+// plan is one encoding's key plan for an insert: where the fragment's rows
+// start (its root's parent and key; the id is read after the plan), and the
+// renumbering that makes room for them, run once the rows are built (nil:
+// the subtree fits in the gap).
+type plan struct {
+	at    shred.Start
+	shift func() (int64, error)
+}
+
+// insertionParent resolves which node becomes the fragment root's parent.
+func insertionParent(t node, mode Mode) int64 {
+	if mode == FirstChild || mode == LastChild {
+		return t.id
+	}
+	return t.parent
 }
 
 // nextID allocates fresh surrogate ids.
@@ -232,70 +270,6 @@ func (m *Manager) Delete(doc, id int64) (Stats, error) {
 		return err
 	})
 	return stats, err
-}
-
-// fragRows flattens a fragment in document order for insertion: each entry
-// carries its position in the parent-ordinal numbering used by all
-// encodings.
-type fragRow struct {
-	n       *xmltree.Node
-	id      int64
-	parent  int64  // surrogate id of parent within fragment; 0 = fragment root
-	ordinal uint32 // 1-based sibling ordinal within the fragment
-}
-
-// flattenFragment assigns fragment-internal ids 1..size; callers rebase
-// them onto freshly allocated surrogate ids. The root's parent is 0.
-func flattenFragment(frag *xmltree.Node) []fragRow {
-	var rows []fragRow
-	var walk func(n *xmltree.Node, parent int64, ordinal uint32)
-	next := int64(1)
-	walk = func(n *xmltree.Node, parent int64, ordinal uint32) {
-		id := next
-		next++
-		rows = append(rows, fragRow{n: n, id: id, parent: parent, ordinal: ordinal})
-		ord := uint32(1)
-		for _, a := range n.Attrs {
-			walk(a, id, ord)
-			ord++
-		}
-		for _, c := range n.Children {
-			walk(c, id, ord)
-			ord++
-		}
-	}
-	walk(frag, 0, 1)
-	return rows
-}
-
-// buildRow encodes one new node row in the node table's column order
-// (doc, id, parent, kind, tag, value, order key).
-func (m *Manager) buildRow(doc int64, fr fragRow, parentID int64, orderKey sqltypes.Value) sqltypes.Row {
-	parent := sqldb.Null()
-	if parentID != 0 {
-		parent = sqldb.I(parentID)
-	}
-	tag := sqldb.Null()
-	if fr.n.Kind != xmltree.Text {
-		tag = sqldb.S(fr.n.Tag)
-	}
-	value := sqldb.Null()
-	if fr.n.Kind != xmltree.Element {
-		value = sqldb.S(fr.n.Value)
-	}
-	return sqltypes.Row{sqldb.I(doc), sqldb.I(fr.id), parent,
-		sqldb.S(fr.n.Kind.String()), tag, value, orderKey}
-}
-
-// insertRows writes a fragment's node rows in one bulk statement, so the
-// whole inserted subtree appears in a single published snapshot — concurrent
-// readers see the fragment entirely or not at all, never a partial subtree.
-func (m *Manager) insertRows(batch []sqltypes.Row) error {
-	if len(batch) == 0 {
-		return nil
-	}
-	_, err := m.db.BulkInsert(m.tbl, batch)
-	return err
 }
 
 // SetValue rewrites the value of a text or attribute node in place. No

@@ -87,7 +87,7 @@ func newStore(t *testing.T, opts encoding.Options, tree *xmltree.Node) *store {
 }
 
 // mapFragment extends the id mapping for an inserted fragment, mirroring
-// flattenFragment's walk order.
+// shred.Rows' walk order.
 func (s *store) mapFragment(frag *xmltree.Node, base int64) {
 	next := base
 	frag.Walk(func(n *xmltree.Node) bool {

@@ -139,16 +139,11 @@ const (
 // ("first-child", "last-child", "before", "after").
 func ParsePosition(s string) (Position, error) { return update.ParseMode(s) }
 
-// UpdateReport describes the work an update performed.
-type UpdateReport struct {
-	// NewID is the inserted subtree root's node id (inserts only).
-	NewID NodeID
-	// RowsInserted, RowsRenumbered and RowsDeleted quantify the update per
-	// the paper's cost model: renumbering is the order-maintenance cost.
-	RowsInserted   int64
-	RowsRenumbered int64
-	RowsDeleted    int64
-}
+// UpdateReport describes the work an update performed: NewID is the
+// inserted subtree root's node id (inserts only), and RowsInserted,
+// RowsRenumbered and RowsDeleted quantify the update per the paper's cost
+// model, where renumbering is the order-maintenance cost.
+type UpdateReport = update.Stats
 
 // DocInfo describes one stored document.
 type DocInfo struct {
@@ -359,14 +354,12 @@ func kindOf(k xmltree.Kind) NodeKind {
 }
 
 func (s *Store) renderOrderKey(v sqltypes.Value) string {
-	if s.opts.Kind != encoding.Dewey || s.opts.DeweyAsText {
-		return v.String()
+	if s.opts.Kind == encoding.Dewey {
+		if p, err := s.opts.DeweyPath(v); err == nil {
+			return p.String()
+		}
 	}
-	p, err := deweyPathString(v.Blob())
-	if err != nil {
-		return v.String()
-	}
-	return p
+	return v.String()
 }
 
 // QueryValues evaluates a query and returns the XPath string value of each
@@ -477,8 +470,7 @@ func (s *Store) InsertCtx(ctx context.Context, doc DocID, target NodeID, pos Pos
 		return UpdateReport{}, err
 	}
 	defer unlock()
-	st, err := s.manager.InsertXML(doc, target, pos, fragment)
-	return report(st), err
+	return s.manager.InsertXML(doc, target, pos, fragment)
 }
 
 // Delete removes the subtree rooted at id.
@@ -499,17 +491,7 @@ func (s *Store) DeleteCtx(ctx context.Context, doc DocID, id NodeID) (UpdateRepo
 		return UpdateReport{}, err
 	}
 	defer unlock()
-	st, err := s.manager.Delete(doc, id)
-	return report(st), err
-}
-
-func report(st update.Stats) UpdateReport {
-	return UpdateReport{
-		NewID:          st.NewID,
-		RowsInserted:   st.RowsInserted,
-		RowsRenumbered: st.RowsRenumbered,
-		RowsDeleted:    st.RowsDeleted,
-	}
+	return s.manager.Delete(doc, id)
 }
 
 // Metrics is a point-in-time snapshot of every engine metric: counters,
@@ -786,16 +768,13 @@ func (s *Store) moveTree(doc DocID, id, target NodeID, pos Position) (UpdateRepo
 	if err != nil {
 		return UpdateReport{}, err
 	}
-	insRep, err := s.manager.InsertTree(doc, target, pos, sub)
+	rep, err := s.manager.InsertTree(doc, target, pos, sub)
 	if err != nil {
 		return UpdateReport{}, fmt.Errorf("move lost the subtree after delete (reinsert failed): %w", err)
 	}
-	return UpdateReport{
-		NewID:          insRep.NewID,
-		RowsInserted:   insRep.RowsInserted,
-		RowsRenumbered: delRep.RowsRenumbered + insRep.RowsRenumbered,
-		RowsDeleted:    delRep.RowsDeleted,
-	}, nil
+	rep.RowsRenumbered += delRep.RowsRenumbered
+	rep.RowsDeleted = delRep.RowsDeleted
+	return rep, nil
 }
 
 // Check verifies the document's structural invariants — parent links, node
@@ -814,15 +793,6 @@ func (s *Store) Check(doc DocID) ([]string, error) {
 	return c.Document(doc)
 }
 
-// CheckIntegrity is the deep, store-wide integrity check. It validates the
-// physical storage invariants of every table — heap page structure, B+tree
-// key order, fill and balance, leaf chaining, and index/heap agreement —
-// then runs Check's logical document invariants for every stored document,
-// and sweeps for orphan node rows missing from the document registry. It
-// returns the list of violations; an empty list means the store is fully
-// consistent. Expect a full read of every table and index: this is a
-// diagnostic for tests, the shell's \check command, and post-crash triage,
-// not a hot path.
 // Integrity-status gauge values published as integrity.last_status
 // (integrity.last_run_unix records when the check ran).
 const (
@@ -832,6 +802,15 @@ const (
 	integrityError      = 3 // the check itself failed
 )
 
+// CheckIntegrity is the deep, store-wide integrity check. It validates the
+// physical storage invariants of every table — heap page structure, B+tree
+// key order, fill and balance, leaf chaining, and index/heap agreement —
+// then runs Check's logical document invariants for every stored document,
+// and sweeps for orphan node rows missing from the document registry. It
+// returns the list of violations; an empty list means the store is fully
+// consistent. Expect a full read of every table and index: this is a
+// diagnostic for tests, the shell's \check command, and post-crash triage,
+// not a hot path.
 func (s *Store) CheckIntegrity() ([]string, error) {
 	if err := s.closedErr(); err != nil {
 		return nil, err
