@@ -72,10 +72,10 @@ type ledgerCase struct {
 // ledgerCases are, on a catalog of items per region: the paper's E3 suite
 // (Q1–Q9), wide context sets on every axis (W1–W6), the person
 // counter-cases whose predicate tags outnumber the person step (P1, P2),
-// QueryValues and Serialize of the suite, and then, in this order on one
-// store, inserts before the first and the middle item of a region, as its
-// last child and as the root's (the append), a text rewrite, a move of an
-// item to its region's end, and a delete.
+// QueryValues and Serialize of the suite, SerializeDocument, and then, in
+// this order on one store, inserts before the first and the middle item of a
+// region, as its last child and as the root's (the append), a text rewrite,
+// a move of an item to its region's end, and a delete.
 func ledgerCases(tree *xmltree.Node, items int) []ledgerCase {
 	person := tree.Children[1].Children[0]
 	id, _ := person.GetAttr("id")
@@ -98,6 +98,7 @@ func ledgerCases(tree *xmltree.Node, items int) []ledgerCase {
 			ledgerCase{name: "serialize:" + q.name, kind: "serialize", xpath: q.xpath})
 	}
 	return append(cases,
+		ledgerCase{name: "serialize:doc", kind: "document"},
 		ledgerCase{name: "ins_begin", kind: "insert", xpath: region + "/item[1]", pos: Before},
 		ledgerCase{name: "ins_mid", kind: "insert", xpath: mid, pos: Before},
 		ledgerCase{name: "ins_end", kind: "insert", xpath: region, pos: LastChild},
@@ -117,44 +118,37 @@ func measure(t *testing.T, s *Store, doc DocID, c ledgerCase, key string) ledger
 		return hits[0].ID
 	}
 	var id, dest NodeID
-	if c.kind != "query" && c.kind != "values" {
+	if c.xpath != "" && c.kind != "query" && c.kind != "values" {
 		id = first(c.xpath)
 	}
 	if c.dest != "" {
 		dest = first(c.dest)
 	}
-	var m0, m1 runtime.MemStats
 	var hits []Node
-	rep, err := UpdateReport{RowsRenumbered: -1}, error(nil) // -1 unless the call reports renumbering
-	before := s.Metrics()
-	runtime.ReadMemStats(&m0)
-	switch c.kind {
-	case "query":
-		hits, err = s.Query(doc, c.xpath)
-	case "values":
-		_, err = s.QueryValues(doc, c.xpath)
-	case "serialize":
-		_, err = s.Serialize(doc, id)
-	case "insert":
-		rep, err = s.Insert(doc, id, c.pos, "<item><name>new</name></item>")
-	case "setvalue":
-		err = s.SetValue(doc, id, "renamed")
-	case "move":
-		rep, err = s.Move(doc, id, dest, LastChild)
-	case "delete":
-		rep, err = s.Delete(doc, id)
-	}
-	runtime.ReadMemStats(&m1)
-	after := s.Metrics()
-	if err != nil || len(hits) != len(c.oracle) {
-		t.Fatalf("%s: %d matches, the oracle %d: %v", key, len(hits), len(c.oracle), err)
-	}
-	d := func(names ...string) int64 { return after.Delta(before, names...) }
-	r := ledgerRow{key: key, stmts: d("sqldb.queries", "sqldb.execs"), examined: d("storage.index_probes", "storage.rows_scanned"),
-		nodes: d("storage.btree.node_reads"), pages: d("storage.heap.page_reads"), ixWrites: d("storage.index_writes"),
-		renum: rep.RowsRenumbered, walBytes: -1, fsyncs: -1, sorts: -1, alloc: int64(m1.TotalAlloc - m0.TotalAlloc)}
-	if s.Durable() {
-		r.walBytes, r.fsyncs = d("wal.append.bytes"), d("wal.fsyncs")
+	r := work(t, s, key, func() (rep UpdateReport, err error) {
+		rep.RowsRenumbered = -1 // unless the call reports renumbering
+		switch c.kind {
+		case "query":
+			hits, err = s.Query(doc, c.xpath)
+		case "values":
+			_, err = s.QueryValues(doc, c.xpath)
+		case "serialize":
+			_, err = s.Serialize(doc, id)
+		case "document":
+			_, err = s.SerializeDocument(doc)
+		case "insert":
+			rep, err = s.Insert(doc, id, c.pos, "<item><name>new</name></item>")
+		case "setvalue":
+			err = s.SetValue(doc, id, "renamed")
+		case "move":
+			rep, err = s.Move(doc, id, dest, LastChild)
+		case "delete":
+			rep, err = s.Delete(doc, id)
+		}
+		return rep, err
+	})
+	if len(hits) != len(c.oracle) {
+		t.Fatalf("%s: %d matches, the oracle %d", key, len(hits), len(c.oracle))
 	}
 	if c.kind == "query" {
 		r.sorts = 0
@@ -165,6 +159,27 @@ func measure(t *testing.T, s *Store, doc DocID, c ledgerCase, key string) ledger
 			}
 			r.sorts += int64(strings.Count(plan, "Sort $"))
 		}
+	}
+	return r
+}
+
+// work runs call once on s and counts what it did.
+func work(t *testing.T, s *Store, key string, call func() (UpdateReport, error)) ledgerRow {
+	var m0, m1 runtime.MemStats
+	before := s.Metrics()
+	runtime.ReadMemStats(&m0)
+	rep, err := call()
+	runtime.ReadMemStats(&m1)
+	after := s.Metrics()
+	if err != nil {
+		t.Fatalf("%s: %v", key, err)
+	}
+	d := func(names ...string) int64 { return after.Delta(before, names...) }
+	r := ledgerRow{key: key, stmts: d("sqldb.queries", "sqldb.execs"), examined: d("storage.index_probes", "storage.rows_scanned"),
+		nodes: d("storage.btree.node_reads"), pages: d("storage.heap.page_reads"), ixWrites: d("storage.index_writes"),
+		renum: rep.RowsRenumbered, walBytes: -1, fsyncs: -1, sorts: -1, alloc: int64(m1.TotalAlloc - m0.TotalAlloc)}
+	if s.Durable() {
+		r.walBytes, r.fsyncs = d("wal.append.bytes"), d("wal.fsyncs")
 	}
 	return r
 }
@@ -189,6 +204,14 @@ func ledgerOptions(enc string) Options {
 // caller closes a durable store.
 func loadedStore(t *testing.T, opts Options, store, xml string) (*Store, DocID) {
 	t.Helper()
+	s, doc, _ := measuredLoad(t, opts, store, xml, "")
+	return s, doc
+}
+
+// measuredLoad is loadedStore that also counts the load's work in a row
+// keyed key.
+func measuredLoad(t *testing.T, opts Options, store, xml, key string) (*Store, DocID, ledgerRow) {
+	t.Helper()
 	var s *Store
 	var err error
 	if store == "mem" {
@@ -200,18 +223,24 @@ func loadedStore(t *testing.T, opts Options, store, xml string) (*Store, DocID) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	doc, err := s.LoadString("doc", xml)
-	if err == nil && s.Durable() {
-		err = s.Checkpoint()
+	s.SetSlowQueryThreshold(0) // a slow-query record would make allocation depend on timing
+	var doc DocID
+	r := work(t, s, key, func() (UpdateReport, error) {
+		var err error
+		doc, err = s.LoadString("doc", xml)
+		return UpdateReport{RowsRenumbered: -1}, err
+	})
+	if s.Durable() {
+		if err := s.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s, doc
+	return s, doc, r
 }
 
-// TestWorkLedger runs every case at 20 and 200 items per region and, unless
-// -short, Q7, Q8, P1 and P2 in memory at 800, cold and then warm (/warm).
+// TestWorkLedger runs the load into a fresh store and every case at 20 and
+// 200 items per region and, unless -short, Q7, Q8, P1 and P2 in memory at
+// 800, cold and then warm (/warm).
 func TestWorkLedger(t *testing.T) {
 	if *updateGolden && (testing.Short() || raceEnabled) {
 		t.Fatal("-update needs every row and its allocation: run it without -short and -race")
@@ -238,8 +267,10 @@ func TestWorkLedger(t *testing.T) {
 				if items == 800 && (testing.Short() || store == "durable" || enc == "dewey_text") {
 					continue
 				}
-				s, doc := loadedStore(t, ledgerOptions(enc), store, xml)
-				s.SetSlowQueryThreshold(0) // a slow-query record would make allocation depend on timing
+				s, doc, load := measuredLoad(t, ledgerOptions(enc), store, xml, ledgerKey("load", enc, store, items))
+				if items != 800 {
+					rows = append(rows, load)
+				}
 				for _, c := range cases {
 					if enc == "dewey_text" && slices.Contains([]string{"query", "values", "serialize"}, c.kind) {
 						continue
