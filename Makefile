@@ -56,6 +56,7 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzFromBytes -fuzztime 10s ./internal/core/dewey/
 	$(GO) test -fuzz FuzzParse -fuzztime 10s ./internal/core/xpath/
 	$(GO) test -fuzz FuzzParse -fuzztime 10s ./internal/xmltree/
+	$(GO) test -fuzz FuzzLoadEvents -fuzztime 10s ./internal/core/shred/
 	$(GO) test -fuzz FuzzVerifyPage -fuzztime 10s ./internal/sqldb/pagefile/
 	$(GO) test -fuzz FuzzReplace -fuzztime 10s ./internal/sqldb/btree/
 	$(GO) test -fuzz FuzzReseek -fuzztime 10s ./internal/sqldb/btree/

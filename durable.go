@@ -10,7 +10,6 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -90,9 +89,6 @@ type durState struct {
 	fs  vfs.FS
 	dir string
 	log *wal.Log
-	// mu serializes logged mutations and checkpoints so the WAL's record
-	// order always equals the apply order (replay correctness depends on it).
-	mu sync.Mutex
 
 	pool     *bufpool.Pool
 	pf       *pagefile.File
@@ -347,8 +343,8 @@ func (s *Store) Close() error {
 	if s.dur == nil {
 		return nil
 	}
-	s.dur.mu.Lock()
-	defer s.dur.mu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.dur.closed.Swap(true) {
 		return nil
 	}
@@ -388,8 +384,8 @@ func (s *Store) CheckpointCtx(ctx context.Context) error {
 	ctx, root := s.rootSpan(ctx, "checkpoint")
 	defer root.End()
 	sp := obs.FromContext(ctx)
-	s.dur.mu.Lock()
-	defer s.dur.mu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if err := s.closedErr(); err != nil {
 		return err
 	}
@@ -541,12 +537,13 @@ func readWALLSN(db *sqldb.DB) (uint64, error) {
 	return lsn, nil
 }
 
-// logOp appends one operation record and makes it durable before the caller
-// applies it. For a durable store it returns with the operation mutex held
-// and hands back the release; callers run the apply under that lock so WAL
-// order equals apply order. For memory-only stores it is free. When ctx
-// carries an active trace span the append+fsync is recorded as a
-// "wal.append_sync" child annotated with the assigned LSN.
+// logOp admits one mutation: it returns with the store's writer lock held
+// and hands back the release, so mutations apply one at a time on every
+// store. On a durable store it first appends the operation record and makes
+// it durable, and the caller applies it under the same lock, so WAL order
+// equals apply order. When ctx carries an active trace span the
+// append+fsync is recorded as a "wal.append_sync" child annotated with the
+// assigned LSN.
 func (s *Store) logOp(ctx context.Context, kind byte, encode func(*wal.BodyWriter)) (unlock func(), err error) {
 	// Cancellation is only honored here, before any durable effect: once the
 	// record is appended the operation always completes (a mutation is never
@@ -557,13 +554,13 @@ func (s *Store) logOp(ctx context.Context, kind byte, encode func(*wal.BodyWrite
 	if err := s.readOnlyErr(); err != nil {
 		return nil, err
 	}
-	if s.dur == nil {
-		return func() {}, nil
-	}
-	s.dur.mu.Lock()
+	s.mu.Lock()
 	if err := s.closedErr(); err != nil {
-		s.dur.mu.Unlock()
+		s.mu.Unlock()
 		return nil, err
+	}
+	if s.dur == nil {
+		return s.mu.Unlock, nil
 	}
 	var w wal.BodyWriter
 	encode(&w)
@@ -571,7 +568,7 @@ func (s *Store) logOp(ctx context.Context, kind byte, encode func(*wal.BodyWrite
 	lsn, err := s.dur.log.AppendSync(kind, w.Finish())
 	if err != nil {
 		sp.End()
-		s.dur.mu.Unlock()
+		s.mu.Unlock()
 		// The failed append poisons the log (fail-stop); the store degrades to
 		// read-only so snapshot reads keep serving. The caller gets the I/O
 		// error itself — later mutations get ErrReadOnly.
@@ -579,7 +576,7 @@ func (s *Store) logOp(ctx context.Context, kind byte, encode func(*wal.BodyWrite
 		return nil, fmt.Errorf("write-ahead log: %w", err)
 	}
 	sp.Arg("lsn", int64(lsn)).End()
-	return s.dur.mu.Unlock, nil
+	return s.mu.Unlock, nil
 }
 
 // applyRecord re-applies one replayed WAL record. Decode failures abort

@@ -184,6 +184,61 @@ func TestDurableConcurrentMutations(t *testing.T) {
 	})
 }
 
+// TestMemoryConcurrentMutations: a memory store's mutations serialize on the
+// same writer lock as a durable store's. Concurrent loads each take their
+// own document id, and concurrent inserts into one document their own node
+// ids; both read the highest stored id and then write, which only the lock
+// keeps apart.
+func TestMemoryConcurrentMutations(t *testing.T) {
+	xml := xmlgen.Catalog(xmlgen.CatalogConfig{Regions: 3, ItemsPerRegion: 100, KeywordsPerItem: 2, DescriptionWords: 8, Seed: 42}).String()
+	for _, enc := range []Encoding{Global, Local, Dewey} {
+		t.Run(enc.String(), func(t *testing.T) {
+			s, err := Open(Options{Encoding: enc})
+			if err != nil {
+				t.Fatal(err)
+			}
+			const loaders, inserters = 4, 8
+			concurrently := func(n int, call func(i int) error) {
+				t.Helper()
+				errs := make([]error, n)
+				var wg sync.WaitGroup
+				for i := range errs {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						errs[i] = call(i)
+					}()
+				}
+				wg.Wait()
+				if err := errors.Join(errs...); err != nil {
+					t.Fatal(err)
+				}
+			}
+			docs := make([]DocID, loaders)
+			concurrently(loaders, func(i int) (err error) {
+				docs[i], err = s.LoadString(fmt.Sprintf("doc-%d", i), xml)
+				return err
+			})
+			if listed, err := s.Documents(); err != nil || len(listed) != loaders {
+				t.Fatalf("Documents = %v, %v; want %d", listed, err, loaders)
+			}
+			concurrently(inserters, func(int) error {
+				_, err := s.Insert(docs[0], 1, LastChild, "<b><c/></b>")
+				return err
+			})
+			if hits, err := s.Query(docs[0], "/site/b/c"); err != nil || len(hits) != inserters {
+				t.Fatalf("/site/b/c: %d matches, %v; want %d", len(hits), err, inserters)
+			}
+			for _, doc := range docs[1:] {
+				if got, err := s.SerializeDocument(doc); err != nil || got != xml {
+					t.Fatalf("document %d does not serialize back to its text: %v", doc, err)
+				}
+			}
+			mustIntact(t, s)
+		})
+	}
+}
+
 // TestDurableClosedStore pins the Close contract: closing twice is a no-op,
 // and every other call on a closed store fails with ErrClosed without
 // touching the released log and page file — in particular without degrading

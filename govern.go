@@ -149,14 +149,18 @@ func (s *Store) readOnlyErr() error {
 }
 
 // beginRead is the governance prologue every public read entry point runs:
-// admission control first (a shed request does no work at all), then the
-// session query timeout (when the caller brought no deadline), then the
-// request memory accountant (when a budget is configured), so every
-// statement the request issues shares one budget. The returned end function
+// a context already done fails the request with its typed error, as it
+// fails a mutation (see logOp); then admission control (a shed request does
+// no work at all), then the session query timeout (when the caller brought
+// no deadline), then the request memory accountant (when a budget is
+// configured), so every statement the request issues shares one budget. The returned end function
 // must be called when the request finishes; it releases the admission slot
 // and the timeout's resources.
 func (s *Store) beginRead(ctx context.Context) (context.Context, func(), error) {
 	if err := s.closedErr(); err != nil {
+		return nil, nil, err
+	}
+	if err := govern.CtxErr(ctx); err != nil {
 		return nil, nil, err
 	}
 	release, err := s.gov.gate.Load().Acquire(ctx)

@@ -1,16 +1,24 @@
 // Package publish reconstructs XML from the relational encodings — the
-// inverse of shredding. Reconstruction cost differs sharply by encoding,
-// which experiment E7 quantifies:
+// inverse of shredding. It turns rows into xmltree events (xmltree.Handler):
+// into an xmltree.Writer they are the XML text, into an xmltree.Builder a
+// tree. Reconstruction cost differs sharply by encoding, which experiment E7
+// quantifies:
 //
 //   - Documents under Global and Dewey: one index scan in order-key order
-//     yields the document in pre-order; the tree is rebuilt in one pass.
+//     yields the rows in document order, and a stack of open elements turns
+//     them into events in one pass: an element closes when a row arrives
+//     whose parent it is not. This is the constant-space tagger over sorted
+//     rows of Shanmugasundaram et al., "Efficiently publishing relational
+//     data as XML documents" (VLDB 2000).
 //   - Documents under Local: sibling order is only meaningful per parent, so
-//     the publisher fetches all rows and sorts each sibling group.
+//     the publisher fetches all rows, sorts each sibling group and emits the
+//     groups depth first.
 //   - Subtrees are read set-at-a-time, for any number of roots at once (see
 //     SubtreesCtx): Dewey reads them with one statement over the roots'
 //     path-prefix intervals; Global and Local have no range holding exactly a
 //     subtree, so they read one statement per tree level, joining the whole
-//     frontier to the (doc, parent, order) index.
+//     frontier to the (doc, parent, order) index. The sibling groups are
+//     emitted depth first.
 //
 // Every statement is read through a governed cursor, row by row.
 package publish
@@ -92,76 +100,84 @@ func each(ctx context.Context, snap *sqldb.Snap, sql string, fn func(nodeRef) er
 	return rows.Err()
 }
 
-func toNode(r *nodeRef) *xmltree.Node {
-	switch r.Kind {
-	case xmltree.Element:
-		return xmltree.NewElement(r.Tag)
-	case xmltree.Attr:
-		return xmltree.NewAttr(r.Tag, r.Value)
-	default:
-		return xmltree.NewText(r.Value)
-	}
-}
-
-// attach links child into parent respecting node kind.
-func attach(parent, child *xmltree.Node) {
-	if child.Kind == xmltree.Attr {
-		child.Parent = parent
-		parent.Attrs = append(parent.Attrs, child)
-		return
-	}
-	parent.AddChild(child)
-}
-
-// Document is DocumentCtx with a background context and a snapshot of its
-// own.
+// Document reconstructs the whole document as a tree: EmitDocument into an
+// xmltree.Builder, with a background context and a snapshot of its own.
 func (p *Publisher) Document(doc int64) (*xmltree.Node, error) {
-	return p.DocumentCtx(context.Background(), nil, doc)
+	var b xmltree.Builder
+	if err := p.EmitDocument(context.Background(), nil, doc, &b); err != nil {
+		return nil, err
+	}
+	return b.Root(), nil
 }
 
-// DocumentCtx reconstructs the whole document as of a pinned snapshot (nil
-// pins the current version), so every row it reads — across however many
-// statements the encoding needs — comes from the same store version. The
-// statements run governed by ctx (cancellation, deadline, memory budget) and
-// join the request trace.
-func (p *Publisher) DocumentCtx(ctx context.Context, snap *sqldb.Snap, doc int64) (*xmltree.Node, error) {
+// EmitDocument hands the whole document to h as events in document order,
+// as of a pinned snapshot (nil pins the current version), so every row it
+// reads — across however many statements the encoding needs — comes from
+// the same store version. The statements run governed by ctx (cancellation,
+// deadline, memory budget) and join the request trace.
+func (p *Publisher) EmitDocument(ctx context.Context, snap *sqldb.Snap, doc int64, h xmltree.Handler) error {
 	if snap == nil {
 		snap = p.db.Snapshot()
 	}
 	if p.opts.Kind == encoding.Local {
-		return p.documentLocal(ctx, snap, doc)
+		return p.emitLocal(ctx, snap, doc, h)
 	}
-	return p.buildPreOrder(ctx, snap, doc)
+	return p.emitPreOrder(ctx, snap, doc, h)
 }
 
-// buildPreOrder rebuilds the document from its rows in document (pre-)order:
-// every row's parent has arrived before it.
-func (p *Publisher) buildPreOrder(ctx context.Context, snap *sqldb.Snap, doc int64) (*xmltree.Node, error) {
-	byID := map[int64]*xmltree.Node{}
-	var root *xmltree.Node
+// emitPreOrder hands h the document's rows as they arrive in document
+// (pre-)order, keeping only the open elements: an element closes when a row
+// arrives whose parent it is not, and the rest close after the last row.
+func (p *Publisher) emitPreOrder(ctx context.Context, snap *sqldb.Snap, doc int64, h xmltree.Handler) error {
+	type openElem struct {
+		id  int64
+		tag string
+	}
+	var open []openElem
+	rows := 0
 	err := each(ctx, snap, p.allOrdered, func(r nodeRef) error {
-		n := toNode(&r)
-		byID[r.ID] = n
-		if root == nil {
-			root = n
-			return nil
+		if rows > 0 {
+			for len(open) > 0 && open[len(open)-1].id != r.Parent {
+				if err := h.End(open[len(open)-1].tag); err != nil {
+					return err
+				}
+				open = open[:len(open)-1]
+			}
+			if len(open) == 0 {
+				return fmt.Errorf("row %d arrived outside its parent %d (order key corrupt?)", r.ID, r.Parent)
+			}
 		}
-		parent, ok := byID[r.Parent]
-		if !ok {
-			return fmt.Errorf("row %d arrived before its parent %d (order key corrupt?)", r.ID, r.Parent)
+		rows++
+		if r.Kind == xmltree.Element {
+			open = append(open, openElem{r.ID, r.Tag})
 		}
-		attach(parent, n)
-		return nil
+		return emitRow(&r, h)
 	}, sqldb.I(doc))
-	if err == nil && root == nil {
+	if err == nil && rows == 0 {
 		err = fmt.Errorf("no rows to publish")
 	}
-	return root, err
+	for i := len(open) - 1; err == nil && i >= 0; i-- {
+		err = h.End(open[i].tag)
+	}
+	return err
 }
 
-// documentLocal rebuilds from the local encoding: one unordered scan, then a
-// per-parent sibling sort.
-func (p *Publisher) documentLocal(ctx context.Context, snap *sqldb.Snap, doc int64) (*xmltree.Node, error) {
+// emitRow hands h one row's event: an element's start, an attribute or a
+// text node.
+func emitRow(r *nodeRef, h xmltree.Handler) error {
+	switch r.Kind {
+	case xmltree.Element:
+		return h.Start(r.Tag)
+	case xmltree.Attr:
+		return h.Attr(r.Tag, r.Value)
+	default:
+		return h.Text(r.Value)
+	}
+}
+
+// emitLocal publishes from the local encoding: one unordered scan, then a
+// per-parent sibling sort, then the sibling groups depth first.
+func (p *Publisher) emitLocal(ctx context.Context, snap *sqldb.Snap, doc int64, h xmltree.Handler) error {
 	sub := Subtrees{kids: map[int64][]nodeRef{}}
 	var root *nodeRef
 	err := each(ctx, snap, p.allRows, func(r nodeRef) error {
@@ -173,25 +189,31 @@ func (p *Publisher) documentLocal(ctx context.Context, snap *sqldb.Snap, doc int
 		return nil
 	}, sqldb.I(doc))
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if root == nil {
-		return nil, fmt.Errorf("document %d has no root row", doc)
+		return fmt.Errorf("document %d has no root row", doc)
 	}
 	sub.sortSiblings()
-	return sub.tree(root), nil
+	return sub.emit(root, h)
 }
 
-// Subtree is SubtreeCtx with a background context and a snapshot of its own.
+// Subtree reconstructs the subtree rooted at the node with the given
+// surrogate id as a tree: EmitSubtree into an xmltree.Builder, with a
+// background context and a snapshot of its own.
 func (p *Publisher) Subtree(doc, id int64) (*xmltree.Node, error) {
-	return p.SubtreeCtx(context.Background(), nil, doc, id)
+	var b xmltree.Builder
+	if err := p.EmitSubtree(context.Background(), nil, doc, id, &b); err != nil {
+		return nil, err
+	}
+	return b.Root(), nil
 }
 
-// SubtreeCtx reconstructs the subtree rooted at the node with the given
-// surrogate id, as of a pinned snapshot and under a caller context (see
-// DocumentCtx): one statement reads the root's row, then SubtreesCtx the
+// EmitSubtree hands the subtree rooted at the node with the given surrogate
+// id to h as events, as of a pinned snapshot and under a caller context (see
+// EmitDocument): one statement reads the root's row, then SubtreesCtx the
 // rest.
-func (p *Publisher) SubtreeCtx(ctx context.Context, snap *sqldb.Snap, doc, id int64) (*xmltree.Node, error) {
+func (p *Publisher) EmitSubtree(ctx context.Context, snap *sqldb.Snap, doc, id int64, h xmltree.Handler) error {
 	if snap == nil {
 		snap = p.db.Snapshot()
 	}
@@ -201,16 +223,16 @@ func (p *Publisher) SubtreeCtx(ctx context.Context, snap *sqldb.Snap, doc, id in
 		return nil
 	}, sqldb.I(doc), sqldb.I(id))
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if len(root) == 0 {
-		return nil, fmt.Errorf("document %d has no node %d", doc, id)
+		return fmt.Errorf("document %d has no node %d", doc, id)
 	}
 	sub, err := p.SubtreesCtx(ctx, snap, doc, root)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return sub.tree(&root[0]), nil
+	return sub.emit(&root[0], h)
 }
 
 // Subtrees is what one SubtreesCtx call read: every node below its roots,
@@ -333,15 +355,20 @@ func (s *Subtrees) sortSiblings() {
 	}
 }
 
-// tree rebuilds the subtree under root, one of the roots the Subtrees were
-// read for or a node inside one of their subtrees.
-func (s *Subtrees) tree(root *nodeRef) *xmltree.Node {
-	n := toNode(root)
+// emit hands h the subtree under root, one of the roots the Subtrees were
+// read for or a node inside one of their subtrees, as events in document
+// order.
+func (s *Subtrees) emit(root *nodeRef, h xmltree.Handler) error {
+	if err := emitRow(root, h); err != nil || root.Kind != xmltree.Element {
+		return err
+	}
 	kids := s.kids[root.ID]
 	for i := range kids {
-		attach(n, s.tree(&kids[i]))
+		if err := s.emit(&kids[i], h); err != nil {
+			return err
+		}
 	}
-	return n
+	return h.End(root.Tag)
 }
 
 // StringValues returns each root's XPath string value: the values of its

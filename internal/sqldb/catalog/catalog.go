@@ -12,6 +12,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"sync/atomic"
@@ -276,17 +277,7 @@ func (t *Table) BulkInsert(rows []sqltypes.Row) ([]heap.RID, error) {
 		}
 		b := ixBuild{keys: keys}
 		if !sorted {
-			b.perm = make([]int, n)
-			for i := range b.perm {
-				b.perm[i] = i
-			}
-			// Ties break by row order so patched RID suffixes stay ascending.
-			slices.SortFunc(b.perm, func(i, j int) int {
-				if c := bytes.Compare(keys[i], keys[j]); c != 0 {
-					return c
-				}
-				return i - j
-			})
+			b.perm = orderKeys(ix, checked, keys)
 			if ix.Unique {
 				for i := 1; i < n; i++ {
 					if bytes.Equal(keys[b.perm[i-1]], keys[b.perm[i]]) {
@@ -351,6 +342,150 @@ func (t *Table) BulkInsert(rows []sqltypes.Row) ([]heap.RID, error) {
 	}
 	t.counters.RowsInserted.Add(int64(n))
 	return rids, nil
+}
+
+// orderKeys returns the permutation that puts an index's batch keys in
+// ascending order, ties in row order. It first distributes the rows, stably,
+// by the index's first column that varies across the batch, and keeps that
+// order when one O(n) pass finds the keys ascending: a batch that interleaves
+// runs already ascending within each value of that column needs no
+// comparison sort. The shredder's pre-order is such a batch for its
+// (doc, parent, …) and (doc, tag, …) indexes on every encoding. Any other
+// batch is sorted.
+func orderKeys(ix *Index, rows []sqltypes.Row, keys [][]byte) []int {
+	perm := distribute(ix, rows, keys)
+	for i := 1; perm != nil && i < len(perm); i++ {
+		if bytes.Compare(keys[perm[i-1]], keys[perm[i]]) > 0 {
+			perm = nil
+		}
+	}
+	if perm != nil {
+		return perm
+	}
+	perm = make([]int, len(keys))
+	for i := range perm {
+		perm[i] = i
+	}
+	// Ties break by row order so patched RID suffixes stay ascending.
+	slices.SortFunc(perm, func(i, j int) int {
+		if c := bytes.Compare(keys[i], keys[j]); c != 0 {
+			return c
+		}
+		return i - j
+	})
+	return perm
+}
+
+// distribute returns the rows grouped by the value of the index's first
+// column that varies across them, the groups in the order of the value's key
+// encoding and the rows of a group in row order; nil when no column varies.
+// Each row's group is its value's rank among the column's values (see
+// valueRanks), and one counting pass places the rows.
+func distribute(ix *Index, rows []sqltypes.Row, keys [][]byte) []int {
+	col := varyingColumn(ix, rows[0], keys)
+	if col < 0 {
+		return nil
+	}
+	rank, ranks := valueRanks(rows, col)
+	// start[r] is where the rows of rank r begin in the permutation.
+	start := make([]int, ranks)
+	for _, r := range rank {
+		start[r]++
+	}
+	next := 0
+	for r, count := range start {
+		start[r], next = next, next+count
+	}
+	perm := make([]int, len(rows))
+	for i, r := range rank {
+		perm[start[r]] = i
+		start[r]++
+	}
+	return perm
+}
+
+// valueRanks ranks each row's value in column col so that ranks ascend with
+// the values' key encodings and equal values share a rank; ranks bounds
+// them. An integer column whose values span at most two per row ranks by
+// offset from the least (NULL first), with no lookups and no sort. Any
+// other column numbers its distinct values through one map probe per row
+// (none when a row repeats the previous row's value) and sorts just those
+// values, and not even them when they first appear in ascending order.
+func valueRanks(rows []sqltypes.Row, col int) (rank []int32, ranks int) {
+	rank = make([]int32, len(rows))
+	lo, hi, ints := int64(math.MaxInt64), int64(math.MinInt64), true
+	for _, row := range rows {
+		switch v := row[col]; v.Type() {
+		case sqltypes.Null:
+		case sqltypes.Int, sqltypes.Bool:
+			lo, hi = min(lo, v.Int()), max(hi, v.Int())
+		default:
+			ints = false
+		}
+	}
+	if span := uint64(hi - lo); ints && lo <= hi && span < 2*uint64(len(rows)) {
+		for i, row := range rows {
+			if v := row[col]; !v.IsNull() {
+				rank[i] = int32(v.Int()-lo) + 1
+			}
+		}
+		return rank, int(span) + 2
+	}
+	groupOf := map[string]int32{}
+	var values []string // each distinct value's key encoding, by number
+	var cur, prev []byte
+	for i, row := range rows {
+		cur = sqltypes.EncodeKey(cur[:0], row[col])
+		if i > 0 && bytes.Equal(cur, prev) {
+			rank[i] = rank[i-1]
+		} else {
+			g, ok := groupOf[string(cur)]
+			if !ok {
+				g = int32(len(values))
+				values = append(values, string(cur))
+				groupOf[values[g]] = g
+			}
+			rank[i] = g
+		}
+		cur, prev = prev, cur
+	}
+	if !slices.IsSorted(values) {
+		sorted := slices.Clone(values)
+		slices.Sort(sorted)
+		byNumber := make([]int32, len(values))
+		for r, v := range sorted {
+			byNumber[groupOf[v]] = int32(r)
+		}
+		for i, g := range rank {
+			rank[i] = byNumber[g]
+		}
+	}
+	return rank, len(values)
+}
+
+// varyingColumn returns the index's first column whose value is not the
+// same in every row, or -1 when none is: the column whose encoding in the
+// first row's key holds the first byte at which some key differs from it.
+// The columns before it lie in the prefix every key shares, so each holds
+// one value across the batch: the key encoding is self-delimiting.
+func varyingColumn(ix *Index, first sqltypes.Row, keys [][]byte) int {
+	common := len(keys[0])
+	for _, k := range keys[1:] {
+		n := min(common, len(k))
+		i := 0
+		for i < n && k[i] == keys[0][i] {
+			i++
+		}
+		common = i
+	}
+	var buf []byte
+	for _, c := range ix.Columns {
+		buf = sqltypes.EncodeKey(buf, first[c])
+		if len(buf) > common {
+			return c
+		}
+	}
+	return -1
 }
 
 // patchRID overwrites the zeroed RID-suffix placeholder at the end of a

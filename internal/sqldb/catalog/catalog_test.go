@@ -437,3 +437,115 @@ func TestBulkInsertCoercion(t *testing.T) {
 		t.Fatal("short row accepted")
 	}
 }
+
+// TestBulkInsertDistributesOrSorts: a batch whose keys interleave runs that
+// ascend within each value of the index's first varying column is put in
+// order by the distribution pass alone; a batch with a run out of order
+// falls back to the sort. Either way the indexes end as row-at-a-time
+// Insert leaves them, and a duplicate key is reported with one message.
+func TestBulkInsertDistributesOrSorts(t *testing.T) {
+	table := func() *Table {
+		c, tbl := newTestTable(t)
+		if _, err := c.CreateIndex("users_group", "users", []string{"age", "id"}, true); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.CreateIndex("users_name", "users", []string{"name"}, false); err != nil {
+			t.Fatal(err)
+		}
+		return tbl
+	}
+	// batch interleaves 7 groups (age): within one, ids ascend or descend.
+	// Dense groups span fewer values than the batch has rows, sparse ones
+	// more; sparse groups, and the 5 names, first appear in ascending or
+	// descending order.
+	batch := func(descendingIDs, sparse, descendingGroups bool) []sqltypes.Row {
+		const n = 300
+		rows := make([]sqltypes.Row, n)
+		for i := range rows {
+			id, group, name := int64(i), int64(i%7), i%5
+			if descendingIDs {
+				id = int64(n - i)
+			}
+			if descendingGroups {
+				group, name = 6-group, 4-name
+			}
+			if sparse {
+				group *= 1000
+			}
+			rows[i] = row(id, fmt.Sprintf("tag-%d", name), group)
+		}
+		return rows
+	}
+	type batchCase struct {
+		name        string
+		rows        []sqltypes.Row
+		distributed bool // the distribution pass alone orders users_group
+		err         string
+	}
+	var cases []batchCase
+	for _, sparse := range []bool{false, true} {
+		for _, descendingGroups := range []bool{false, true} {
+			shape := fmt.Sprintf("sparse=%v descending groups=%v", sparse, descendingGroups)
+			cases = append(cases,
+				batchCase{"ascending runs " + shape, batch(false, sparse, descendingGroups), true, ""},
+				batchCase{"descending runs " + shape, batch(true, sparse, descendingGroups), false, ""})
+		}
+	}
+	for _, c := range append(cases,
+		batchCase{"duplicate in an ascending run", []sqltypes.Row{row(1, "a", 0), row(5, "b", 1), row(2, "c", 0), row(5, "d", 1)}, true,
+			"unique index users_group: duplicate key (1, 5) within batch"},
+		batchCase{"duplicate in a descending run", []sqltypes.Row{row(3, "a", 1), row(9, "b", 0), row(1, "c", 1), row(3, "d", 1)}, false,
+			"unique index users_group: duplicate key (1, 3) within batch"},
+	) {
+		t.Run(c.name, func(t *testing.T) {
+			bulk, ref := table(), table()
+			ix := bulk.Indexes[0]
+			keys := make([][]byte, len(c.rows))
+			for i, r := range c.rows {
+				keys[i] = ix.keyFor(r, heap.RID{})
+			}
+			perm := distribute(ix, c.rows, keys)
+			ordered := perm != nil
+			for i := 1; ordered && i < len(perm); i++ {
+				ordered = string(keys[perm[i-1]]) <= string(keys[perm[i]])
+			}
+			if ordered != c.distributed {
+				t.Fatalf("distribution ordered the keys: %v, want %v", ordered, c.distributed)
+			}
+			_, err := bulk.BulkInsert(c.rows)
+			if c.err != "" {
+				if err == nil || err.Error() != c.err {
+					t.Fatalf("BulkInsert error %v, want %q", err, c.err)
+				}
+				if bulk.RowCount() != 0 {
+					t.Fatalf("a rejected batch stored %d rows", bulk.RowCount())
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range c.rows {
+				if _, err := ref.Insert(r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for x := range bulk.Indexes {
+				scan := func(tbl *Table) (out []string) {
+					tbl.IndexScan(tbl.Indexes[x], nil, nil, nil, false, false, func(rid heap.RID) bool {
+						r, err := tbl.Fetch(rid)
+						if err != nil {
+							t.Fatal(err)
+						}
+						out = append(out, fmt.Sprintf("%d|%s|%d", r[0].Int(), r[1].Text(), r[2].Int()))
+						return true
+					})
+					return out
+				}
+				if a, b := scan(bulk), scan(ref); strings.Join(a, " ") != strings.Join(b, " ") || len(a) != len(c.rows) {
+					t.Fatalf("%s: bulk %v, row at a time %v", bulk.Indexes[x].Name, a, b)
+				}
+			}
+		})
+	}
+}

@@ -1,10 +1,14 @@
 // Package xmltree provides the ordered XML document model used on both sides
-// of the relational mapping: the shredder consumes trees, the publisher
-// reconstructs them. It is a deliberately small DOM: elements, attributes and
-// text, with document order preserved everywhere.
+// of the relational mapping: one stream of document-order events (Handler)
+// with one producer from XML text (Scan) and two consumers, a tree builder
+// (Builder) and an XML writer (Writer). The shredder consumes the same
+// events and the publisher produces them, so neither needs a tree. The tree
+// (Node) is a deliberately small DOM: elements, attributes and text, with
+// document order preserved everywhere.
 package xmltree
 
 import (
+	"bytes"
 	"encoding/xml"
 	"fmt"
 	"io"
@@ -230,93 +234,196 @@ func ParseString(s string) (*Node, error) {
 	return Parse(strings.NewReader(s))
 }
 
-// nodeArena hands out nodes from fixed-size chunks, one allocation per chunk
-// instead of one per node. Chunks never move, so node pointers stay valid.
-// A chunk is only reclaimed when every node carved from it is unreachable,
-// which holds for parsing since documents are kept (and dropped) whole.
-type nodeArena struct{ free []Node }
-
-const arenaChunk = 256
-
-func (a *nodeArena) new() *Node {
-	if len(a.free) == 0 {
-		a.free = make([]Node, arenaChunk)
-	}
-	n := &a.free[0]
-	a.free = a.free[1:]
-	return n
+// Handler receives one document's nodes as events in document order: an
+// element's Start, then its attributes, then its children's events, then its
+// End. Scan produces events from XML text, Node.Emit from a tree, and the
+// publisher from stored rows; a Builder turns them into a tree, a Writer
+// into XML text, and the shredder into node rows. A non-nil error from a
+// method stops the producer, which returns that error.
+type Handler interface {
+	Start(tag string) error
+	Attr(name, value string) error
+	Text(value string) error
+	End(tag string) error
 }
 
-// ParseWith reads one XML document with explicit options.
-func ParseWith(r io.Reader, opts ParseOptions) (*Node, error) {
+// Scan reads one XML document from r and hands its nodes to h in document
+// order. Namespace declarations, comments, processing instructions and
+// directives are not data, and neither is text outside the root element;
+// text that is entirely whitespace is dropped unless opts keep it. Each
+// character-data token — a CDATA section among them — is one text node.
+func Scan(r io.Reader, opts ParseOptions, h Handler) error {
 	dec := xml.NewDecoder(r)
-	var arena nodeArena
-	var root *Node
-	var cur *Node
+	var open []string // the open elements' tags, innermost last
+	root := false
 	for {
 		tok, err := dec.Token()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			return nil, fmt.Errorf("xml parse: %w", err)
+			return fmt.Errorf("xml parse: %w", err)
 		}
 		switch t := tok.(type) {
 		case xml.StartElement:
-			n := arena.new()
-			n.Kind, n.Tag = Element, t.Name.Local
+			if len(open) == 0 {
+				if root {
+					return fmt.Errorf("xml parse: multiple root elements")
+				}
+				root = true
+			}
+			if err := h.Start(t.Name.Local); err != nil {
+				return err
+			}
 			for _, a := range t.Attr {
 				if a.Name.Space == "xmlns" || a.Name.Local == "xmlns" {
 					continue // namespace declarations are not data
 				}
-				at := arena.new()
-				at.Kind, at.Tag, at.Value, at.Parent = Attr, a.Name.Local, a.Value, n
-				n.Attrs = append(n.Attrs, at)
-			}
-			if cur == nil {
-				if root != nil {
-					return nil, fmt.Errorf("xml parse: multiple root elements")
+				if err := h.Attr(a.Name.Local, a.Value); err != nil {
+					return err
 				}
-				root = n
-			} else {
-				cur.AddChild(n)
 			}
-			cur = n
+			open = append(open, t.Name.Local)
 		case xml.EndElement:
-			if cur == nil {
-				return nil, fmt.Errorf("xml parse: unbalanced end element %s", t.Name.Local)
+			if len(open) == 0 {
+				return fmt.Errorf("xml parse: unbalanced end element %s", t.Name.Local)
 			}
-			cur = cur.Parent
+			tag := open[len(open)-1]
+			open = open[:len(open)-1]
+			if err := h.End(tag); err != nil {
+				return err
+			}
 		case xml.CharData:
-			if cur == nil {
+			if len(open) == 0 {
 				continue // whitespace outside the root
 			}
-			s := string(t)
-			if !opts.KeepWhitespaceText && strings.TrimSpace(s) == "" {
+			if !opts.KeepWhitespaceText && len(bytes.TrimSpace(t)) == 0 {
 				continue
 			}
-			tn := arena.new()
-			tn.Kind, tn.Value = Text, s
-			cur.AddChild(tn)
+			if err := h.Text(string(t)); err != nil {
+				return err
+			}
 		case xml.Comment, xml.ProcInst, xml.Directive:
 			// Not part of the data model.
 		}
 	}
-	if root == nil {
-		return nil, fmt.Errorf("xml parse: no root element")
+	if !root {
+		return fmt.Errorf("xml parse: no root element")
 	}
-	if cur != nil {
-		return nil, fmt.Errorf("xml parse: unclosed element %s", cur.Tag)
+	if len(open) > 0 {
+		return fmt.Errorf("xml parse: unclosed element %s", open[len(open)-1])
 	}
-	return root, nil
+	return nil
+}
+
+// ParseWith reads one XML document with explicit options: Scan into a
+// Builder.
+func ParseWith(r io.Reader, opts ParseOptions) (*Node, error) {
+	var b Builder
+	if err := Scan(r, opts, &b); err != nil {
+		return nil, err
+	}
+	return b.Root(), nil
+}
+
+// Builder is the Handler that builds the tree the events describe. Its
+// nodes come from chunks, one allocation per chunk instead of one per node;
+// each chunk is as large as the tree so far, up to arenaChunk nodes. Chunks
+// never move, so node pointers stay valid, and a chunk is reclaimed once
+// every node carved from it is unreachable, which holds for trees kept (and
+// dropped) whole.
+type Builder struct {
+	free      []Node
+	nodes     int
+	root, cur *Node
+}
+
+const arenaChunk = 256
+
+func (b *Builder) node(kind Kind, tag, value string) *Node {
+	if len(b.free) == 0 {
+		b.free = make([]Node, min(max(b.nodes, 8), arenaChunk))
+	}
+	b.nodes++
+	n := &b.free[0]
+	b.free = b.free[1:]
+	n.Kind, n.Tag, n.Value = kind, tag, value
+	return n
+}
+
+// Root returns the tree built so far: its root node, nil before any event.
+func (b *Builder) Root() *Node { return b.root }
+
+// add places n: under the open element, or as the root.
+func (b *Builder) add(n *Node) error {
+	switch {
+	case b.cur == nil && b.root != nil:
+		return fmt.Errorf("xmltree: a second root node")
+	case b.cur == nil:
+		b.root = n
+	case n.Kind == Attr:
+		n.Parent = b.cur
+		b.cur.Attrs = append(b.cur.Attrs, n)
+	default:
+		b.cur.AddChild(n)
+	}
+	return nil
+}
+
+// Start opens an element.
+func (b *Builder) Start(tag string) error {
+	n := b.node(Element, tag, "")
+	if err := b.add(n); err != nil {
+		return err
+	}
+	b.cur = n
+	return nil
+}
+
+// Attr adds an attribute to the open element.
+func (b *Builder) Attr(name, value string) error { return b.add(b.node(Attr, name, value)) }
+
+// Text adds a text node.
+func (b *Builder) Text(value string) error { return b.add(b.node(Text, "", value)) }
+
+// End closes the open element.
+func (b *Builder) End(string) error {
+	if b.cur == nil {
+		return fmt.Errorf("xmltree: end of an element that is not open")
+	}
+	b.cur = b.cur.Parent
+	return nil
+}
+
+// Emit hands the subtree to h as events in document order. An attribute or
+// text node is one event.
+func (n *Node) Emit(h Handler) error {
+	switch n.Kind {
+	case Attr:
+		return h.Attr(n.Tag, n.Value)
+	case Text:
+		return h.Text(n.Value)
+	}
+	if err := h.Start(n.Tag); err != nil {
+		return err
+	}
+	for _, a := range n.Attrs {
+		if err := h.Attr(a.Tag, a.Value); err != nil {
+			return err
+		}
+	}
+	for _, c := range n.Children {
+		if err := c.Emit(h); err != nil {
+			return err
+		}
+	}
+	return h.End(n.Tag)
 }
 
 // WriteXML serializes the subtree. Output is deterministic; attributes keep
 // their stored order.
 func (n *Node) WriteXML(w io.Writer) error {
-	sw := &stickyWriter{w: w}
-	n.write(sw)
-	return sw.err
+	return n.Emit(NewWriter(w))
 }
 
 // String renders the subtree as XML.
@@ -326,52 +433,88 @@ func (n *Node) String() string {
 	return sb.String()
 }
 
-type stickyWriter struct {
-	w   io.Writer
-	err error
+// Writer is the Handler that writes the events as XML text: an element with
+// no children closes as <tag/>, text escapes & < >, attribute values escape
+// " too, and an attribute outside an element is written as name="value".
+// The first write error stops the writer; every later event returns it.
+type Writer struct {
+	w     io.Writer
+	err   error
+	depth int  // open elements
+	open  bool // the innermost start tag still lacks its '>'
 }
 
-func (s *stickyWriter) WriteString(str string) {
-	if s.err == nil {
-		_, s.err = io.WriteString(s.w, str)
+// NewWriter returns a Writer onto w.
+func NewWriter(w io.Writer) *Writer { return &Writer{w: w} }
+
+func (x *Writer) put(s string) {
+	if x.err == nil {
+		_, x.err = io.WriteString(x.w, s)
 	}
 }
 
-func (n *Node) write(w *stickyWriter) {
-	switch n.Kind {
-	case Text:
-		w.WriteString(escapeText(n.Value))
-	case Attr:
-		w.WriteString(n.Tag)
-		w.WriteString(`="`)
-		w.WriteString(escapeAttr(n.Value))
-		w.WriteString(`"`)
-	case Element:
-		w.WriteString("<")
-		w.WriteString(n.Tag)
-		for _, a := range n.Attrs {
-			w.WriteString(" ")
-			a.write(w)
-		}
-		if len(n.Children) == 0 {
-			w.WriteString("/>")
-			return
-		}
-		w.WriteString(">")
-		for _, c := range n.Children {
-			c.write(w)
-		}
-		w.WriteString("</")
-		w.WriteString(n.Tag)
-		w.WriteString(">")
+func (x *Writer) escaped(r *strings.Replacer, s string) {
+	if x.err == nil {
+		_, x.err = r.WriteString(x.w, s)
 	}
+}
+
+// content ends a start tag still waiting for its '>'.
+func (x *Writer) content() {
+	if x.open {
+		x.put(">")
+		x.open = false
+	}
+}
+
+// Start writes an element's start tag, leaving it open for attributes.
+func (x *Writer) Start(tag string) error {
+	x.content()
+	x.put("<")
+	x.put(tag)
+	x.open = true
+	x.depth++
+	return x.err
+}
+
+// Attr writes an attribute into the open start tag.
+func (x *Writer) Attr(name, value string) error {
+	switch {
+	case x.open:
+		x.put(" ")
+	case x.depth > 0:
+		return fmt.Errorf("xmltree: attribute %s after element content", name)
+	}
+	x.put(name)
+	x.put(`="`)
+	x.escaped(attrEscaper, value)
+	x.put(`"`)
+	return x.err
+}
+
+// Text writes escaped character data.
+func (x *Writer) Text(value string) error {
+	x.content()
+	x.escaped(textEscaper, value)
+	return x.err
+}
+
+// End closes the innermost element.
+func (x *Writer) End(tag string) error {
+	x.depth--
+	if x.open {
+		x.put("/>")
+		x.open = false
+		return x.err
+	}
+	x.put("</")
+	x.put(tag)
+	x.put(">")
+	return x.err
 }
 
 var textEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
 var attrEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
-
-func escapeText(s string) string { return textEscaper.Replace(s) }
-func escapeAttr(s string) string { return attrEscaper.Replace(s) }
 
 // Stats summarizes a tree's shape, used by the experiment harness to report
 // workload parameters.

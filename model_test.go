@@ -46,7 +46,8 @@ import (
 //     no collection timing may change an answer;
 //   - cancel: every call runs under a context that expires after a random
 //     few microseconds; a cancelled mutation applies fully or not at all and
-//     a cancelled read returns the oracle's answer or a typed error;
+//     a cancelled read returns the oracle's answer or a typed error, which a
+//     call whose context expired before it started must return;
 //   - ioerr: on a simulated disk (vfstest), one write, sync or rename of a
 //     store file fails mid-session with EIO or ENOSPC; the store must degrade
 //     to read-only, keep answering like the oracle and recover on reopen;
@@ -573,6 +574,16 @@ func (r *modelRun) canceled(err error) bool {
 	return r.fault == "cancel" && (errors.Is(err, ErrCanceled) || errors.Is(err, ErrDeadlineExceeded))
 }
 
+// expired checks a call that ran under ctx and returned err: if ctx had
+// expired before the call started (expiredBefore), the call must have done
+// nothing and returned the typed error.
+func (r *modelRun) expired(what string, expiredBefore bool, err error) error {
+	if expiredBefore && !r.canceled(err) {
+		return fmt.Errorf("%s under a context that expired before the call: %v, want ErrCanceled or ErrDeadlineExceeded", what, err)
+	}
+	return nil
+}
+
 // inject arms the ioerr plug-in's fault for the call at step i, until it
 // has fired. The returned disarm reports whether it fired.
 func (r *modelRun) inject(i int) (disarm func() bool) {
@@ -631,9 +642,13 @@ func (r *modelRun) mutate(i int, op modelOp) error {
 	if want == nil {
 		disarm = r.inject(i)
 	}
+	before := ctx.Err() != nil
 	rep, err := r.call(ctx, op, doc, node, target)
 	fired := disarm()
 	clear(r.lists)
+	if err := r.expired(op.Kind, before, err); err != nil {
+		return err
+	}
 	switch {
 	case r.degraded:
 		if !errors.Is(err, ErrReadOnly) {
@@ -941,7 +956,11 @@ func (r *modelRun) query(op modelOp) error {
 	}
 	ctx, cancel := r.ctx()
 	defer cancel()
+	before := ctx.Err() != nil
 	got, err := r.store.QueryCtx(ctx, d.id, op.Value)
+	if err := r.expired("query", before, err); err != nil {
+		return err
+	}
 	if err != nil && !r.canceled(err) {
 		return fmt.Errorf("%q: %w", op.Value, err)
 	}
@@ -957,7 +976,11 @@ func (r *modelRun) query(op modelOp) error {
 			return fmt.Errorf("%q: nodes %v, oracle %v", op.Value, gk, wk)
 		}
 	}
+	before = ctx.Err() != nil
 	vals, err := r.store.QueryValuesCtx(ctx, d.id, op.Value)
+	if err := r.expired("QueryValues", before, err); err != nil {
+		return err
+	}
 	if err != nil && !r.canceled(err) {
 		return fmt.Errorf("values %q: %w", op.Value, err)
 	}
@@ -965,7 +988,11 @@ func (r *modelRun) query(op modelOp) error {
 		return fmt.Errorf("values %q: %q, oracle %q", op.Value, vals, wv)
 	}
 	ni, _, _ := resolve(op, len(elems.got), 0)
+	before = ctx.Err() != nil
 	xml, err := r.store.SerializeCtx(ctx, d.id, elems.got[ni].ID)
+	if err := r.expired("Serialize", before, err); err != nil {
+		return err
+	}
 	if err != nil && !r.canceled(err) {
 		return fmt.Errorf("serialize element %d: %w", ni, err)
 	}

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"sync"
 	"time"
 
 	"ordxml/internal/core/check"
@@ -153,8 +154,8 @@ type DocInfo struct {
 }
 
 // Store is one ordered-XML store over an embedded relational database.
-// A Store is safe for concurrent use: updates serialize on the engine's
-// writer lock per statement, while readers (Query, QueryValues, Serialize,
+// A Store is safe for concurrent use: updates serialize on the store's
+// writer lock, one whole operation at a time, while readers (Query, QueryValues, Serialize,
 // SQL) run lock-free against immutable storage snapshots the engine
 // publishes after every mutation. A multi-statement read — an XPath query's
 // segment pipeline, a document serialization, QueryValues' value extraction
@@ -168,6 +169,11 @@ type Store struct {
 	publisher *publish.Publisher
 	evaluator *translate.Evaluator
 	manager   *update.Manager
+
+	// mu is the writer lock: every mutation applies under it (logOp), and
+	// on a durable store so do checkpoints and Close, which keeps the WAL's
+	// record order equal to the apply order that replay depends on.
+	mu sync.Mutex
 
 	// dur is the durability state for stores opened with OpenDurable; nil
 	// for memory-only stores. See durable.go.
@@ -223,15 +229,16 @@ func (s *Store) Load(name string, r io.Reader) (DocID, error) {
 // LoadCtx is Load with a caller context: cancellation is observed before the
 // operation is logged (a mutation is never aborted mid-apply — once its WAL
 // record is durable, it completes), and the load joins the request trace.
+// A memory store shreds straight from r.
 func (s *Store) LoadCtx(ctx context.Context, name string, r io.Reader) (DocID, error) {
 	ctx, root := s.rootSpan(ctx, "store.load")
 	defer root.End()
-	if s.dur == nil {
-		return s.shredder.Load(name, r)
-	}
-	xml, err := io.ReadAll(r)
-	if err != nil {
-		return 0, err
+	var xml []byte
+	if s.dur != nil {
+		var err error
+		if xml, err = io.ReadAll(r); err != nil {
+			return 0, err
+		}
 	}
 	unlock, err := s.logOp(ctx, recLoad, func(w *wal.BodyWriter) {
 		w.String(name)
@@ -241,6 +248,9 @@ func (s *Store) LoadCtx(ctx context.Context, name string, r io.Reader) (DocID, e
 		return 0, err
 	}
 	defer unlock()
+	if s.dur == nil {
+		return s.shredder.Load(name, r)
+	}
 	return s.applyLoad(name, xml)
 }
 
@@ -423,11 +433,11 @@ func (s *Store) SerializeCtx(ctx context.Context, doc DocID, id NodeID) (string,
 		return "", err
 	}
 	defer end()
-	n, err := s.publisher.SubtreeCtx(ctx, nil, doc, id)
-	if err != nil {
+	var sb strings.Builder
+	if err := s.publisher.EmitSubtree(ctx, nil, doc, id, xmltree.NewWriter(&sb)); err != nil {
 		return "", err
 	}
-	return n.String(), nil
+	return sb.String(), nil
 }
 
 // SerializeDocument reconstructs the whole document.
@@ -443,11 +453,11 @@ func (s *Store) SerializeDocumentCtx(ctx context.Context, doc DocID) (string, er
 		return "", err
 	}
 	defer end()
-	n, err := s.publisher.DocumentCtx(ctx, nil, doc)
-	if err != nil {
+	var sb strings.Builder
+	if err := s.publisher.EmitDocument(ctx, nil, doc, xmltree.NewWriter(&sb)); err != nil {
 		return "", err
 	}
-	return n.String(), nil
+	return sb.String(), nil
 }
 
 // Insert places an XML fragment relative to the target node.

@@ -325,3 +325,60 @@ func TestCheckAPI(t *testing.T) {
 		}
 	}
 }
+
+// TestSerializeWritesTheTree: Serialize and SerializeDocument write, from
+// the ordered rows, exactly what the publisher's tree prints: attributes in
+// order, empty elements as <tag/>, text split at a CDATA section, and & < >
+// (and " in attribute values) escaped. It holds on every encoding, after an
+// insert too.
+func TestSerializeWritesTheTree(t *testing.T) {
+	const in = `<r a="x &amp; &quot;q&quot; &lt;" b="2">t1<![CDATA[c<d>&]]>t2<e/><f b="1"/><g>&amp;&lt;&gt;"</g><h><i>deep</i></h></r>`
+	const want = `<r a="x &amp; &quot;q&quot; &lt;" b="2">t1c&lt;d&gt;&amp;t2<e/><f b="1"/><g>&amp;&lt;&gt;"</g><h><i>deep</i></h></r>`
+	const inserted = `<r a="x &amp; &quot;q&quot; &lt;" b="2"><n k="&lt;"/>t1c&lt;d&gt;&amp;t2<e/><f b="1"/><g>&amp;&lt;&gt;"</g><h><i>deep</i></h></r>`
+	for _, opts := range []Options{{Encoding: Global}, {Encoding: Local}, {Encoding: Dewey}, {Encoding: Dewey, DeweyAsText: true}, {Encoding: Global, Gap: 10}} {
+		s, err := Open(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		doc, err := s.LoadString("d", in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, wantDoc := range []string{want, inserted} {
+			if wantDoc == inserted {
+				if _, err := s.Insert(doc, 1, FirstChild, `<n k="&lt;"/>`); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got, err := s.SerializeDocument(doc)
+			if err != nil || got != wantDoc {
+				t.Fatalf("%s: SerializeDocument = %s (%v), want %s", s.Encoding(), got, err, wantDoc)
+			}
+			tree, err := s.publisher.Document(doc)
+			if err != nil || tree.String() != got {
+				t.Fatalf("%s: the published tree prints %s (%v), SerializeDocument %s", s.Encoding(), tree, err, got)
+			}
+			var nodes []Node
+			for _, q := range []string{"//*", "//text()", "//*/@a", "//*/@b", "//*/@k"} {
+				hits, err := s.Query(doc, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				nodes = append(nodes, hits...)
+			}
+			if len(nodes) != tree.Size() {
+				t.Fatalf("%s: %d nodes listed, the tree has %d", s.Encoding(), len(nodes), tree.Size())
+			}
+			for _, n := range nodes {
+				got, err := s.Serialize(doc, n.ID)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sub, err := s.publisher.Subtree(doc, n.ID)
+				if err != nil || sub.String() != got {
+					t.Fatalf("%s: node %d: the published subtree prints %s (%v), Serialize %s", s.Encoding(), n.ID, sub, err, got)
+				}
+			}
+		}
+	}
+}
