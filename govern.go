@@ -153,9 +153,9 @@ func (s *Store) readOnlyErr() error {
 // fails a mutation (see logOp); then admission control (a shed request does
 // no work at all), then the session query timeout (when the caller brought
 // no deadline), then the request memory accountant (when a budget is
-// configured), so every statement the request issues shares one budget. The returned end function
-// must be called when the request finishes; it releases the admission slot
-// and the timeout's resources.
+// configured), so every statement the request issues shares one budget. The
+// returned end function must be called when the request finishes; it
+// releases the admission slot and the timeout's resources.
 func (s *Store) beginRead(ctx context.Context) (context.Context, func(), error) {
 	if err := s.closedErr(); err != nil {
 		return nil, nil, err

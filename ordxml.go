@@ -155,12 +155,12 @@ type DocInfo struct {
 
 // Store is one ordered-XML store over an embedded relational database.
 // A Store is safe for concurrent use: updates serialize on the store's
-// writer lock, one whole operation at a time, while readers (Query, QueryValues, Serialize,
-// SQL) run lock-free against immutable storage snapshots the engine
-// publishes after every mutation. A multi-statement read — an XPath query's
-// segment pipeline, a document serialization, QueryValues' value extraction
-// — pins one snapshot for its whole run, so concurrent updates can never
-// tear its view of a document.
+// writer lock, one whole operation at a time, while readers (Query,
+// QueryValues, Serialize, SQL) run lock-free against immutable storage
+// snapshots the engine publishes after every mutation. A multi-statement
+// read — an XPath query's segment pipeline, a document serialization,
+// QueryValues' value extraction — pins one snapshot for its whole run, so
+// concurrent updates can never tear its view of a document.
 type Store struct {
 	db   *sqldb.DB
 	opts encoding.Options
