@@ -60,6 +60,7 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzVerifyPage -fuzztime 10s ./internal/sqldb/pagefile/
 	$(GO) test -fuzz FuzzReplace -fuzztime 10s ./internal/sqldb/btree/
 	$(GO) test -fuzz FuzzReseek -fuzztime 10s ./internal/sqldb/btree/
+	$(GO) test -fuzz FuzzRewrite -fuzztime 10s ./internal/sqldb/btree/
 	$(GO) test -fuzz FuzzTranslateOracle -fuzztime 10s ./internal/core/translate/
 	$(GO) test -fuzz FuzzPlanOrder -fuzztime 10s ./internal/sqldb/
 	$(GO) test -fuzz FuzzRowCodec -fuzztime 10s ./internal/sqldb/sqltypes/

@@ -1,6 +1,7 @@
 package shred
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -22,6 +23,11 @@ import (
 // seeds are xmltree's FuzzParse seeds (its list and its corpus) and, in
 // testdata, text split by a CDATA section and a comment, which FuzzParse's
 // round trip cannot take: the split text prints as one.
+//
+// It also checks that a store survives its own serialization: the document
+// published as XML text and loaded into a fresh store gives the same rows.
+// That holds because the parser merges all character data between two tags
+// into one text node, as the publisher writes adjacent text back as one.
 func FuzzLoadEvents(f *testing.F) {
 	for _, seed := range []string{ // FuzzParse's list
 		"<a/>",
@@ -60,7 +66,7 @@ func FuzzLoadEvents(f *testing.F) {
 	f.Fuzz(func(t *testing.T, input string) {
 		tree, perr := xmltree.ParseString(input)
 		for _, opts := range configs {
-			db, s, _ := newStore(t, opts)
+			db, s, p := newStore(t, opts)
 			doc, lerr := s.Load("f", strings.NewReader(input))
 			want, werr := []sqltypes.Row(nil), perr
 			if perr == nil {
@@ -89,6 +95,24 @@ func FuzzLoadEvents(f *testing.F) {
 			for i := range got {
 				if g, w := rowString(got[i]), rowString(want[i]); g != w {
 					t.Fatalf("%s: Load of %q, row %d: stored %s, Rows %s", optName(opts), input, i, g, w)
+				}
+			}
+			var text strings.Builder
+			if err := p.EmitDocument(context.Background(), nil, doc, xmltree.NewWriter(&text)); err != nil {
+				t.Fatalf("%s: serializing %q: %v", optName(opts), input, err)
+			}
+			db2, s2, _ := newStore(t, opts)
+			doc2, err := s2.Load("f", strings.NewReader(text.String()))
+			if err != nil {
+				t.Fatalf("%s: %q serializes as %q, which does not load: %v", optName(opts), input, text.String(), err)
+			}
+			again := storedRows(t, db2, opts, doc2)
+			if len(again) != len(got) {
+				t.Fatalf("%s: %q serializes as %q, which loads %d rows, not %d", optName(opts), input, text.String(), len(again), len(got))
+			}
+			for i := range got {
+				if g, a := rowString(got[i]), rowString(again[i]); g != a {
+					t.Fatalf("%s: %q serializes as %q; row %d was %s, loads back as %s", optName(opts), input, text.String(), i, g, a)
 				}
 			}
 		}

@@ -115,7 +115,10 @@ func (m *Manager) deweyShiftSQL() string {
 		m.tbl, m.ord, m.ord, m.ord, m.ord)
 }
 
-func init() { expr.RegisterScalar("DEWEY_SHIFT", deweyShift) }
+// DEWEY_SHIFT with a positive delta adds to one component of paths that all
+// have it, so it keeps their order and moves each up: a sibling shift may
+// rewrite the order column's index entries in place.
+func init() { expr.RegisterIncreasing("DEWEY_SHIFT", deweyShift, 2) }
 
 // deweyShift is DEWEY_SHIFT(path, depth, delta): the stored Dewey key path —
 // a BLOB under the binary codec, TEXT under the padded one — with delta added

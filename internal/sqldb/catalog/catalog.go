@@ -45,8 +45,13 @@ type Counters struct {
 	HeapPageReads  atomic.Int64
 	BtreeNodeReads atomic.Int64
 	// IndexWrites counts index entries DML inserted, deleted or moved: one
-	// per tree Insert, Delete or Replace.
+	// per tree Insert, Delete or Replace, and one per entry an in-place
+	// shift rewrites.
 	IndexWrites atomic.Int64
+	// RowsShifted counts the rows of RowsUpdated that an order-preserving
+	// UPDATE rewrote in place (Shift) rather than row by row. It is not
+	// published as a metric: tests read it to tell the two paths apart.
+	RowsShifted atomic.Int64
 }
 
 // Index is a live secondary (or primary) index.
@@ -154,18 +159,12 @@ func (t *Table) checkRow(row sqltypes.Row) (sqltypes.Row, error) {
 	out := row
 	copied := false
 	for i, v := range row {
-		if v.IsNull() {
-			if t.Columns[i].NotNull {
-				return nil, fmt.Errorf("table %s column %s: NULL violates NOT NULL", t.Name, t.Columns[i].Name)
-			}
-			continue
-		}
-		if v.Type() == t.Columns[i].Type {
-			continue
-		}
-		cv, err := sqltypes.Coerce(v, t.Columns[i].Type)
+		cv, err := t.checkValue(i, v)
 		if err != nil {
-			return nil, fmt.Errorf("table %s column %s: %w", t.Name, t.Columns[i].Name, err)
+			return nil, err
+		}
+		if v.IsNull() || v.Type() == t.Columns[i].Type {
+			continue
 		}
 		if !copied {
 			out = append(sqltypes.Row(nil), row...)
@@ -174,6 +173,24 @@ func (t *Table) checkRow(row sqltypes.Row) (sqltypes.Row, error) {
 		out[i] = cv
 	}
 	return out, nil
+}
+
+// checkValue enforces column i's NOT NULL and coerces v to its type.
+func (t *Table) checkValue(i int, v sqltypes.Value) (sqltypes.Value, error) {
+	if v.IsNull() {
+		if t.Columns[i].NotNull {
+			return v, fmt.Errorf("table %s column %s: NULL violates NOT NULL", t.Name, t.Columns[i].Name)
+		}
+		return v, nil
+	}
+	if v.Type() == t.Columns[i].Type {
+		return v, nil
+	}
+	cv, err := sqltypes.Coerce(v, t.Columns[i].Type)
+	if err != nil {
+		return v, fmt.Errorf("table %s column %s: %w", t.Name, t.Columns[i].Name, err)
+	}
+	return cv, nil
 }
 
 // Insert validates and stores row, maintaining every index.
@@ -246,7 +263,7 @@ func (t *Table) BulkInsert(rows []sqltypes.Row) ([]heap.RID, error) {
 	// the shredder's pre-order walk — and a sort permutation otherwise.
 	type ixBuild struct {
 		keys [][]byte
-		perm []int // nil when keys are already sorted in row order
+		perm []int32 // nil when keys are already sorted in row order
 	}
 	builds := make([]ixBuild, len(t.Indexes))
 	arena := make([]byte, 0, 24*n*max(len(t.Indexes), 1))
@@ -277,7 +294,7 @@ func (t *Table) BulkInsert(rows []sqltypes.Row) ([]heap.RID, error) {
 		}
 		b := ixBuild{keys: keys}
 		if !sorted {
-			b.perm = orderKeys(ix, checked, keys)
+			b.perm = orderKeys(n, func(i int) []byte { return keys[i] }, len(ix.Columns))
 			if ix.Unique {
 				for i := 1; i < n; i++ {
 					if bytes.Equal(keys[b.perm[i-1]], keys[b.perm[i]]) {
@@ -319,7 +336,7 @@ func (t *Table) BulkInsert(rows []sqltypes.Row) ([]heap.RID, error) {
 		for i := range items {
 			src := i
 			if b.perm != nil {
-				src = b.perm[i]
+				src = int(b.perm[i])
 			}
 			items[i] = btree.Item{Key: b.keys[src], RID: rids[src]}
 		}
@@ -345,97 +362,100 @@ func (t *Table) BulkInsert(rows []sqltypes.Row) ([]heap.RID, error) {
 }
 
 // orderKeys returns the permutation that puts an index's batch keys in
-// ascending order, ties in row order. It first distributes the rows, stably,
-// by the index's first column that varies across the batch, and keeps that
-// order when one O(n) pass finds the keys ascending: a batch that interleaves
-// runs already ascending within each value of that column needs no
-// comparison sort. The shredder's pre-order is such a batch for its
-// (doc, parent, …) and (doc, tag, …) indexes on every encoding. Any other
-// batch is sorted.
-func orderKeys(ix *Index, rows []sqltypes.Row, keys [][]byte) []int {
-	perm := distribute(ix, rows, keys)
+// ascending order, ties in batch order, for an index of cols columns. It
+// first distributes the keys, stably, by the first column value that varies
+// across the batch, and keeps that order when one O(n) pass finds the keys
+// ascending: a batch that interleaves runs already ascending within each
+// value of that column needs no comparison sort. The shredder's pre-order is
+// such a batch for its (doc, parent, …) and (doc, tag, …) indexes on every
+// encoding, and so are the rows an order-preserving shift reads in
+// document order. Any other batch is sorted.
+func orderKeys(n int, key func(i int) []byte, cols int) []int32 {
+	perm := distribute(n, key, cols)
 	for i := 1; perm != nil && i < len(perm); i++ {
-		if bytes.Compare(keys[perm[i-1]], keys[perm[i]]) > 0 {
+		if bytes.Compare(key(int(perm[i-1])), key(int(perm[i]))) > 0 {
 			perm = nil
 		}
 	}
 	if perm != nil {
 		return perm
 	}
-	perm = make([]int, len(keys))
+	perm = make([]int32, n)
 	for i := range perm {
-		perm[i] = i
+		perm[i] = int32(i)
 	}
-	// Ties break by row order so patched RID suffixes stay ascending.
-	slices.SortFunc(perm, func(i, j int) int {
-		if c := bytes.Compare(keys[i], keys[j]); c != 0 {
+	// Ties break by batch order so patched RID suffixes stay ascending.
+	slices.SortFunc(perm, func(i, j int32) int {
+		if c := bytes.Compare(key(int(i)), key(int(j))); c != 0 {
 			return c
 		}
-		return i - j
+		return int(i - j)
 	})
 	return perm
 }
 
-// distribute returns the rows grouped by the value of the index's first
-// column that varies across them, the groups in the order of the value's key
-// encoding and the rows of a group in row order; nil when no column varies.
-// Each row's group is its value's rank among the column's values (see
-// valueRanks), and one counting pass places the rows.
-func distribute(ix *Index, rows []sqltypes.Row, keys [][]byte) []int {
-	col := varyingColumn(ix, rows[0], keys)
-	if col < 0 {
+// distribute returns the n keys grouped by the first of their cols column
+// values that varies across them, the groups in the order of that value's
+// encoding and the keys of a group in batch order; nil when no column value
+// varies. Each key's group is its value's rank among the values (see
+// valueRanks), and one counting pass places the keys.
+func distribute(n int, key func(i int) []byte, cols int) []int32 {
+	off := varyingValue(n, key, cols)
+	if off < 0 {
 		return nil
 	}
-	rank, ranks := valueRanks(rows, col)
-	// start[r] is where the rows of rank r begin in the permutation.
-	start := make([]int, ranks)
+	rank, ranks := valueRanks(n, key, off)
+	// start[r] is where the keys of rank r begin in the permutation.
+	start := make([]int32, ranks)
 	for _, r := range rank {
 		start[r]++
 	}
-	next := 0
+	next := int32(0)
 	for r, count := range start {
 		start[r], next = next, next+count
 	}
-	perm := make([]int, len(rows))
+	perm := make([]int32, n)
 	for i, r := range rank {
-		perm[start[r]] = i
+		perm[start[r]] = int32(i)
 		start[r]++
 	}
 	return perm
 }
 
-// valueRanks ranks each row's value in column col so that ranks ascend with
-// the values' key encodings and equal values share a rank; ranks bounds
-// them. An integer column whose values span at most two per row ranks by
-// offset from the least (NULL first), with no lookups and no sort. Any
-// other column numbers its distinct values through one map probe per row
-// (none when a row repeats the previous row's value) and sorts just those
+// valueRanks ranks the column value at byte offset off of each key so that
+// ranks ascend with the values' encodings and equal values share a rank;
+// ranks bounds them. Numbers whose encodings span at most two per key rank
+// by offset from the least (NULL first), with no lookups and no sort. Any
+// other column numbers its distinct values through one map probe per key
+// (none when a key repeats the previous key's value) and sorts just those
 // values, and not even them when they first appear in ascending order.
-func valueRanks(rows []sqltypes.Row, col int) (rank []int32, ranks int) {
-	rank = make([]int32, len(rows))
-	lo, hi, ints := int64(math.MaxInt64), int64(math.MinInt64), true
-	for _, row := range rows {
-		switch v := row[col]; v.Type() {
-		case sqltypes.Null:
-		case sqltypes.Int, sqltypes.Bool:
-			lo, hi = min(lo, v.Int()), max(hi, v.Int())
+func valueRanks(n int, key func(i int) []byte, off int) (rank []int32, ranks int) {
+	rank = make([]int32, n)
+	lo, hi, nums := uint64(math.MaxUint64), uint64(0), true
+	for i := range n {
+		switch v := key(i)[off:]; v[0] {
+		case sqltypes.KeyNullTag:
+		case sqltypes.KeyNumTag:
+			u := binary.BigEndian.Uint64(v[1:9])
+			lo, hi = min(lo, u), max(hi, u)
 		default:
-			ints = false
+			nums = false
 		}
 	}
-	if span := uint64(hi - lo); ints && lo <= hi && span < 2*uint64(len(rows)) {
-		for i, row := range rows {
-			if v := row[col]; !v.IsNull() {
-				rank[i] = int32(v.Int()-lo) + 1
+	if span := hi - lo; nums && lo <= hi && span < 2*uint64(n) {
+		for i := range n {
+			if k := key(i); k[off] == sqltypes.KeyNumTag {
+				rank[i] = int32(binary.BigEndian.Uint64(k[off+1:off+9])-lo) + 1
 			}
 		}
 		return rank, int(span) + 2
 	}
 	groupOf := map[string]int32{}
 	var values []string // each distinct value's key encoding, by number
-	var cur, prev []byte
-	for i, row := range rows {
-		cur = sqltypes.EncodeKey(cur[:0], row[col])
+	var prev []byte
+	for i := range n {
+		k := key(i)
+		cur := k[off : off+sqltypes.KeyValueLen(k[off:])]
 		if i > 0 && bytes.Equal(cur, prev) {
 			rank[i] = rank[i-1]
 		} else {
@@ -447,7 +467,7 @@ func valueRanks(rows []sqltypes.Row, col int) (rank []int32, ranks int) {
 			}
 			rank[i] = g
 		}
-		cur, prev = prev, cur
+		prev = cur
 	}
 	if !slices.IsSorted(values) {
 		sorted := slices.Clone(values)
@@ -463,27 +483,35 @@ func valueRanks(rows []sqltypes.Row, col int) (rank []int32, ranks int) {
 	return rank, len(values)
 }
 
-// varyingColumn returns the index's first column whose value is not the
-// same in every row, or -1 when none is: the column whose encoding in the
-// first row's key holds the first byte at which some key differs from it.
-// The columns before it lie in the prefix every key shares, so each holds
-// one value across the batch: the key encoding is self-delimiting.
-func varyingColumn(ix *Index, first sqltypes.Row, keys [][]byte) int {
-	common := len(keys[0])
-	for _, k := range keys[1:] {
-		n := min(common, len(k))
-		i := 0
-		for i < n && k[i] == keys[0][i] {
-			i++
+// varyingValue returns the byte offset of the first of the n keys' cols column
+// values that is not the same in every key, or -1 when none is: the value
+// whose encoding in the first key holds the first byte at which some key
+// differs from it. The values before it lie in the prefix every key shares,
+// so the varying value starts at the same offset in every key: the key
+// encoding is self-delimiting.
+func varyingValue(n int, key func(i int) []byte, cols int) int {
+	first := key(0)
+	common := len(first)
+	for i := 1; i < n; i++ {
+		k := key(i)
+		m := min(common, len(k))
+		c := 0
+		for c < m && k[c] == first[c] {
+			c++
 		}
-		common = i
+		common = c
 	}
-	var buf []byte
-	for _, c := range ix.Columns {
-		buf = sqltypes.EncodeKey(buf, first[c])
-		if len(buf) > common {
-			return c
+	off := 0
+	for c := 0; c < cols; c++ {
+		l := sqltypes.KeyValueLen(first[off:])
+		if l < 0 {
+			return -1
 		}
+		end := off + l
+		if end > common {
+			return off
+		}
+		off = end
 	}
 	return -1
 }

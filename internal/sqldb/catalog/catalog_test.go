@@ -504,7 +504,7 @@ func TestBulkInsertDistributesOrSorts(t *testing.T) {
 			for i, r := range c.rows {
 				keys[i] = ix.keyFor(r, heap.RID{})
 			}
-			perm := distribute(ix, c.rows, keys)
+			perm := distribute(len(keys), func(i int) []byte { return keys[i] }, len(ix.Columns))
 			ordered := perm != nil
 			for i := 1; ordered && i < len(perm); i++ {
 				ordered = string(keys[perm[i-1]]) <= string(keys[perm[i]])

@@ -76,18 +76,21 @@ func (td *TableData) HeapStats() heap.Stats {
 // sqltypes.DecodeRowInto): operators fetch every row into one buffer of
 // their own instead of allocating a Row per fetch.
 func (td *TableData) FetchInto(rid heap.RID, dst sqltypes.Row) (sqltypes.Row, error) {
-	var data []byte
-	var err error
-	if td.heap == nil {
-		data, err = td.t.Heap.Get(rid)
-	} else {
-		data, err = td.heap.Get(rid)
-	}
+	data, err := td.Get(rid)
 	if err != nil {
 		return nil, err
 	}
 	row, _, err := sqltypes.DecodeRowInto(dst, data)
 	return row, err
+}
+
+// Get returns the row-encoded row at rid, as the heap stores it: valid only
+// until the next mutation.
+func (td *TableData) Get(rid heap.RID) ([]byte, error) {
+	if td.heap == nil {
+		return td.t.Heap.Get(rid)
+	}
+	return td.heap.Get(rid)
 }
 
 // seekTree opens a range iterator, ascending or descending, on the index

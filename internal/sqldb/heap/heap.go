@@ -459,7 +459,14 @@ func (h *Heap) Update(rid RID, data []byte) (RID, error) {
 		return RID{Page: rid.Page, Slot: uint16(slot)}, nil
 	}
 	h.rowCount--
-	return h.Insert(data)
+	nrid, err := h.Insert(data)
+	if err != nil {
+		// pageInsert compacts only when it then fits, so the old payload
+		// is still at off: the record goes back where it was.
+		setSlot(b, int(rid.Slot), off, l)
+		h.rowCount++
+	}
+	return nrid, err
 }
 
 func locate(pages []*page, rid RID) ([]byte, int, int, error) {

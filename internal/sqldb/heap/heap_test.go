@@ -9,10 +9,12 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 
 	"ordxml/internal/sqldb/bufpool"
 	"ordxml/internal/sqldb/pagefile"
+	"ordxml/internal/vfs/vfstest"
 )
 
 func TestInsertGet(t *testing.T) {
@@ -603,5 +605,46 @@ func TestPagedSnapshotReadersRaceCopyOnWrite(t *testing.T) {
 	wg.Wait()
 	if st := pool.Stats(); st.Resident < 0 || st.Resident > int64(pool.Capacity()) || st.Pinned != 0 {
 		t.Fatalf("resident = %d (capacity %d), pinned = %d", st.Resident, pool.Capacity(), st.Pinned)
+	}
+}
+
+// TestUpdateKeepsRowWhenMoveFails: a record that grows out of its page is
+// deleted there and inserted elsewhere; when the insert cannot get a page
+// (here the page file cannot grow), the update fails and the record stays
+// where it was, unchanged.
+func TestUpdateKeepsRowWhenMoveFails(t *testing.T) {
+	disk := vfstest.New()
+	if err := disk.MkdirAll("/h", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	pf, err := pagefile.CreateFS(disk, "/h/pages.db")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pf.Close()
+	h := NewPaged(bufpool.New(pf, 1024))
+	row := func(n int, b byte) []byte { return bytes.Repeat([]byte{b}, n) }
+	// Fill pages two rows each until the next page would grow the file
+	// (ids 1..255 fit its first 256-page chunk).
+	var rids []RID
+	for len(h.pages) < 255 || len(rids)%2 == 1 {
+		rid, err := h.Insert(row(MaxRowSize/2-8, byte(len(rids))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rids = append(rids, rid)
+	}
+	disk.Arm(vfstest.Fault{Op: "truncate", Name: "pages.db", N: 1, Err: syscall.ENOSPC})
+	victim := rids[len(rids)-2]
+	before := h.Stats().Rows
+	if _, err := h.Update(victim, row(MaxRowSize/2+100, 0xEE)); err == nil {
+		t.Fatalf("update needing a new page succeeded (fault fired: %v)", disk.Fired())
+	}
+	got, err := h.Get(victim)
+	if err != nil || !bytes.Equal(got, row(MaxRowSize/2-8, byte(len(rids)-2))) {
+		t.Fatalf("record after a failed move: %d bytes, %v", len(got), err)
+	}
+	if rows := h.Stats().Rows; rows != before {
+		t.Fatalf("row count %d after a failed move, %d before", rows, before)
 	}
 }

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 
 	"ordxml/internal/sqldb/catalog"
 	"ordxml/internal/sqldb/expr"
@@ -50,10 +51,10 @@ func planInsert(pc Context, s *sqlparse.Insert) (*InsertPlan, error) {
 // planDMLScan builds the row-producing scan for UPDATE/DELETE: the table's
 // rows (with the hidden _rid column) filtered by the WHERE clause, using an
 // index when one matches.
-func planDMLScan(pc Context, ref sqlparse.TableRef, where expr.Expr) (*catalog.Table, Node, error) {
+func planDMLScan(pc Context, ref sqlparse.TableRef, where expr.Expr) (*catalog.Table, Node, []expr.Expr, error) {
 	t := pc.Table(ref.Table)
 	if t == nil {
-		return nil, nil, fmt.Errorf("no such table %s", ref.Table)
+		return nil, nil, nil, fmt.Errorf("no such table %s", ref.Table)
 	}
 	schema := tableSchema(t, ref.Name(), true)
 	var conjuncts []expr.Expr
@@ -61,7 +62,7 @@ func planDMLScan(pc Context, ref sqlparse.TableRef, where expr.Expr) (*catalog.T
 		conjuncts = splitConjuncts(expr.Clone(where))
 		for _, c := range conjuncts {
 			if err := expr.Resolve(c, schema); err != nil {
-				return nil, nil, err
+				return nil, nil, nil, err
 			}
 		}
 	}
@@ -73,11 +74,11 @@ func planDMLScan(pc Context, ref sqlparse.TableRef, where expr.Expr) (*catalog.T
 	case *IndexScan:
 		a.EmitRID = true
 	}
-	return t, access, nil
+	return t, access, conjuncts, nil
 }
 
 func planUpdate(pc Context, s *sqlparse.Update) (*UpdatePlan, error) {
-	t, scan, err := planDMLScan(pc, s.Table, s.Where)
+	t, scan, conjuncts, err := planDMLScan(pc, s.Table, s.Where)
 	if err != nil {
 		return nil, err
 	}
@@ -100,11 +101,67 @@ func planUpdate(pc Context, s *sqlparse.Update) (*UpdatePlan, error) {
 		p.SetCols = append(p.SetCols, idx)
 		p.SetExprs = append(p.SetExprs, val)
 	}
+	if len(p.SetCols) == 1 {
+		p.ShiftDelta = shiftDelta(pc.TableIndexes(t), p.SetCols[0], p.SetExprs[0], conjuncts)
+	}
 	return p, nil
 }
 
+// shiftDelta returns the delta of an assignment to column col that keeps
+// the order of every index holding col once the delta is positive — `col +
+// delta`, or a function registered with expr.RegisterIncreasing applied to
+// col — or nil when e is no such assignment or the WHERE conjuncts read a
+// column one of those indexes does not hold (or none holds col). The delta
+// and any other argument must be constants.
+func shiftDelta(indexes []*catalog.Index, col int, e expr.Expr, conjuncts []expr.Expr) expr.Expr {
+	isCol := func(e expr.Expr) bool {
+		c, ok := e.(*expr.ColRef)
+		return ok && c.Idx == col
+	}
+	var delta expr.Expr
+	switch x := e.(type) {
+	case *expr.Binary:
+		if x.Op == expr.OpAdd && isCol(x.L) && isConstExpr(x.R) {
+			delta = x.R
+		}
+	case *expr.Call:
+		d, ok := expr.IncreasingDelta(x.Name)
+		if !ok || d >= len(x.Args) || !isCol(x.Args[0]) {
+			return nil
+		}
+		for _, a := range x.Args[1:] {
+			if !isConstExpr(a) {
+				return nil
+			}
+		}
+		delta = x.Args[d]
+	}
+	if delta == nil {
+		return nil
+	}
+	holding := 0
+	for _, ix := range indexes {
+		if !slices.Contains(ix.Columns, col) {
+			continue
+		}
+		holding++
+		for _, c := range conjuncts {
+			if !expr.Walk(c, func(n expr.Expr) bool {
+				r, ok := n.(*expr.ColRef)
+				return !ok || slices.Contains(ix.Columns, r.Idx)
+			}) {
+				return nil
+			}
+		}
+	}
+	if holding == 0 {
+		return nil
+	}
+	return delta
+}
+
 func planDelete(pc Context, s *sqlparse.Delete) (*DeletePlan, error) {
-	t, scan, err := planDMLScan(pc, s.Table, s.Where)
+	t, scan, _, err := planDMLScan(pc, s.Table, s.Where)
 	if err != nil {
 		return nil, err
 	}

@@ -443,6 +443,14 @@ type UpdatePlan struct {
 	// SetCols are target column indexes, parallel to SetExprs.
 	SetCols  []int
 	SetExprs []expr.Expr // resolved against the table schema (with _rid)
+	// ShiftDelta is set when the UPDATE may rewrite index runs in place:
+	// its one assignment is `c + delta` or a function registered with
+	// expr.RegisterIncreasing over c, so it keeps the order of every index
+	// holding c when delta is positive, and every WHERE conjunct reads only
+	// columns each such index holds. ShiftDelta is that delta, a constant
+	// the executor evaluates per run; it takes the in-place path only when
+	// the value is positive.
+	ShiftDelta expr.Expr
 }
 
 // DeletePlan is a compiled DELETE.

@@ -12,6 +12,8 @@ func FuzzParse(f *testing.F) {
 		"<a>&amp;&lt;&gt;</a>",
 		"<a><a><a/></a></a>",
 		"<a", "</a>", "", "<a></b>",
+		"<a>x<!--c-->y</a>", "<a>x<![CDATA[y]]></a>", "<a> <![CDATA[x]]><?p?> </a>",
+		`<a x="1&#xA;2&#x9;3&#xD;">&#xD;</a>`,
 	} {
 		f.Add(seed)
 	}
